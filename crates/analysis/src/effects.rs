@@ -9,9 +9,9 @@
 //!
 //! * [`Effect::Pure`] — the result depends only on the call's arguments and
 //!   constants: no hidden state is read or written and no trap can fire.
-//!   Pure fragments are the runtime's memoization candidates: re-executing
-//!   them with the same arguments provably yields the same value, the same
-//!   cost units and the same persistent state (none).
+//!   Re-executing a pure fragment with the same arguments provably yields
+//!   the same value, the same cost units and the same persistent state
+//!   (none), so it could be memoized.
 //! * [`Effect::ReadsHidden`] — hidden state flows (by data or control
 //!   dependence) into the result, but is never modified.
 //! * [`Effect::WritesHidden`] — persistent hidden state may be modified.
@@ -38,9 +38,8 @@
 //!   lattice is finite and `join` only moves up.
 //!
 //! Type mismatches are treated optimistically (the splitter only emits
-//! well-typed fragments); this cannot compromise memoization soundness
-//! because the runtime caches *successful* outcomes only — an execution
-//! that traps is never served from the memo table.
+//! well-typed fragments); a mistyped operation traps at run time, and a
+//! trapping execution yields no result to reuse.
 
 use crate::callgraph::CallGraph;
 use crate::modref::ModRef;
@@ -84,7 +83,8 @@ impl Effect {
         }
     }
 
-    /// Whether the runtime may serve this fragment from a memo table.
+    /// Whether a call's result could be reused for a later call with the
+    /// same arguments (exactly the `Pure` level).
     pub fn is_memoizable(self) -> bool {
         self == Effect::Pure
     }

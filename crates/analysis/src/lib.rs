@@ -19,7 +19,7 @@
 //! * [`modref`] — interprocedural global mod/ref summaries.
 //! * [`mod@effects`] — interprocedural effect/purity summaries on a small
 //!   lattice (`Pure ⊑ ReadsHidden ⊑ WritesHidden ⊑ MayTrap`), plus the
-//!   per-fragment purity facts driving the runtime's memo table.
+//!   per-fragment purity facts behind the audit's effect lints.
 //! * [`mod@taint`] — flow-sensitive taint/information-flow propagation with
 //!   implicit (control-dependence) flows, parameterized by a [`TaintModel`].
 //!

@@ -150,18 +150,18 @@ pub const UNUSED_LEAK: Lint = Lint {
     summary: "the open component never reads this hidden call's returned value",
 };
 
-/// A fragment the effect analysis proves pure: the runtime may answer
-/// repeated calls from its content-addressed memo table.
+/// A fragment the effect analysis proves pure: its result depends only on
+/// its arguments, so repeated calls with the same arguments agree.
 pub const MEMOIZABLE_FRAGMENT: Lint = Lint {
     id: "memoizable_fragment",
     severity: Severity::Note,
-    summary: "the fragment is provably pure; the runtime may memoize repeated calls",
+    summary: "the fragment is provably pure; its result depends only on its arguments",
 };
 
 /// A fragment carrying trap or nondeterminism sources (division, loops
 /// bounded only by the step limit, out-of-range slots): its outcome can
-/// depend on runtime limits, so it can never be memoized and is harder
-/// to audit for equivalence.
+/// depend on runtime limits rather than its arguments alone, so it is
+/// harder to audit for equivalence.
 pub const NONDETERMINISTIC_HIDDEN_FRAGMENT: Lint = Lint {
     id: "nondeterministic_hidden_fragment",
     severity: Severity::Warn,

@@ -404,8 +404,8 @@ fn check_fragment_usage(input: &LintInput<'_>, sink: &mut Sink) {
 }
 
 /// `memoizable_fragment` + `nondeterministic_hidden_fragment`: surface the
-/// effect summaries stamped onto the split. `Pure` fragments are eligible
-/// for the runtime's content-addressed memo table; `MayTrap` fragments
+/// effect summaries stamped onto the split. `Pure` fragments compute a
+/// function of their arguments alone; `MayTrap` fragments
 /// carry trap/nondeterminism sources, so their outcome is not a pure
 /// function of their arguments.
 fn check_fragment_effects(input: &LintInput<'_>, sink: &mut Sink) {
@@ -420,13 +420,13 @@ fn check_fragment_effects(input: &LintInput<'_>, sink: &mut Sink) {
                         &diag::MEMOIZABLE_FRAGMENT,
                         format!(
                             "fragment {} of {} ({}) is provably pure: repeated calls \
-                             with the same arguments may be served from the memo table",
+                             with the same arguments return the same result",
                             fragment.label,
                             component.id,
                             component.entity_name()
                         ),
                     )
-                    .suggest("no action needed; disable with --no-memo if undesired"),
+                    .suggest("no action needed"),
                     None,
                     None,
                 ),

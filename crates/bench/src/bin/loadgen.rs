@@ -7,8 +7,7 @@
 //! unsplit reference), and emits `BENCH_loadgen.json` (`hps-loadgen/v1`):
 //! per-(benchmark, shard-count) wall-clock throughput, p50/p99 round-trip
 //! latency from the telemetry HDR histograms, the server's metrics
-//! snapshot, per-shard counters, and the fragment-memo hit/miss/eviction
-//! counts with their derived hit rate. The schema and field order are
+//! snapshot and per-shard counters. The schema and field order are
 //! deterministic; only the measured wall-clock numbers vary between runs.
 //!
 //! Clients pin their session ids (`worker + 1`), so sessions spread over
@@ -303,9 +302,6 @@ struct Cell {
     vm_cache_hits: u64,
     shard_compile_nanos: Vec<u64>,
     shard_exec_nanos: Vec<u64>,
-    memo_hits: u64,
-    memo_misses: u64,
-    memo_evictions: u64,
 }
 
 impl Cell {
@@ -363,24 +359,6 @@ impl Cell {
                             .into_iter()
                             .map(Json::Uint)
                             .collect::<Vec<_>>(),
-                    ),
-            )
-            // Pure-fragment memoization: how many fragment calls were
-            // answered from the content-addressed cache. The hit rate is
-            // workload-dependent (zero when the split has no pure
-            // fragments) and hits + misses reconciles against the server's
-            // hps_fragments_total counter.
-            .field(
-                "memo",
-                Json::object()
-                    .field("hits", self.memo_hits)
-                    .field("misses", self.memo_misses)
-                    .field("evictions", self.memo_evictions)
-                    .field(
-                        "hit_rate_millis",
-                        (self.memo_hits * 1000)
-                            .checked_div(self.memo_hits + self.memo_misses)
-                            .unwrap_or(0),
                     ),
             )
             .field("server", self.server)
@@ -446,9 +424,6 @@ fn run_cell(
         vm_cache_hits: stats.vm_cache_hits,
         shard_compile_nanos: shard_stats.iter().map(|s| s.compile_nanos).collect(),
         shard_exec_nanos: shard_stats.iter().map(|s| s.exec_nanos).collect(),
-        memo_hits: stats.memo_hits,
-        memo_misses: stats.memo_misses,
-        memo_evictions: stats.memo_evictions,
     }
 }
 

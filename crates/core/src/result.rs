@@ -115,7 +115,7 @@ pub struct SplitResult {
     /// What the deferrable-call pass marked (round-trip coalescing).
     pub defer: DeferStats,
     /// Per-fragment effect summaries (`hps-analysis::effects`): which
-    /// fragments are provably pure (memoizable by the runtime), which read
+    /// fragments are provably pure (memoizable), which read
     /// or write hidden state, and which may trap.
     pub effects: FragmentEffects,
 }

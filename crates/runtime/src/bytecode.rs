@@ -1,6 +1,6 @@
 //! Fragment bytecode compiler and virtual machine.
 //!
-//! The tree-walk executor in [`crate::fragment`] re-traverses the
+//! The reference tree-walk in [`crate::fragment`] re-traverses the
 //! [`Fragment`] AST on every call. This module lowers a fragment **once**
 //! into a compact register bytecode ([`CompiledFragment`]) and executes it
 //! with a flat dispatch loop ([`run_compiled`]) — the inner-interpreter
@@ -764,19 +764,6 @@ pub fn run_compiled_with_limit(
                 });
             }
         }
-    }
-}
-
-/// Reads `HPS_FRAGMENT_VM`: the VM is on by default, `0`/`false`/`off`/
-/// `no` disable it (used by `ExecConfig`, `SecureServer` and
-/// `SessionServer` defaults; `hps run/serve --no-vm` overrides directly).
-pub fn vm_enabled_by_default() -> bool {
-    match std::env::var("HPS_FRAGMENT_VM") {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "false" | "off" | "no"
-        ),
-        Err(_) => true,
     }
 }
 

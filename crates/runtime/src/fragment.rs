@@ -1,15 +1,16 @@
-//! Secure-side fragment executor.
+//! Reference fragment semantics: a tree-walk over the [`Fragment`] AST.
 //!
-//! Runs one [`Fragment`] against a component's persistent hidden variables
-//! and the scalar arguments shipped by the open side. Fragments are
-//! restricted by construction (scalar-only, no calls, no aggregates, no
-//! returns); anything outside that subset raises
+//! [`crate::server::SecureServer`] runs every fragment on the bytecode VM
+//! ([`crate::bytecode`]); this module is the executable specification the
+//! VM is checked against (`tests/vm_differential.rs` and the bytecode unit
+//! tests), and it owns the shared [`FragOutcome`] and
+//! [`FRAGMENT_STEP_LIMIT`].
+//!
+//! [`run_fragment`] runs one fragment against a component's persistent
+//! hidden variables and the scalar arguments shipped by the open side.
+//! Fragments are restricted by construction (scalar-only, no calls, no
+//! aggregates, no returns); anything outside that subset raises
 //! [`RuntimeError::IllegalFragmentOp`] — it would indicate a splitter bug.
-//!
-//! Fragment execution is single-threaded by design: a fragment only ever
-//! runs on the thread owning its component's hidden variables (one shard
-//! executor in [`crate::shard`], or the caller's thread in-process), so
-//! per-shard fragment counters need no synchronisation with execution.
 
 use crate::cost::CostModel;
 use crate::error::RuntimeError;
@@ -41,7 +42,8 @@ struct FragFrame<'a> {
     limit: u64,
 }
 
-/// Executes a fragment.
+/// Executes a fragment by walking its AST (the reference the VM must
+/// match).
 ///
 /// `vars` is the component's persistent hidden state for the addressed
 /// activation/instance; it is updated in place.

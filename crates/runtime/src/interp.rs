@@ -45,18 +45,6 @@ pub struct ExecConfig {
     /// point) in one round trip. Off by default so unbatched interaction
     /// counts stay reproducible.
     pub batching: bool,
-    /// Execute fragments on the secure side's bytecode VM
-    /// ([`crate::bytecode`]) instead of the tree-walk. On by default
-    /// (`HPS_FRAGMENT_VM=0` flips the default); results, costs and errors
-    /// are identical either way — the flag exists for differential testing
-    /// and `hps run/serve --no-vm`.
-    pub fragment_vm: bool,
-    /// Serve repeated pure-fragment calls from the content-addressed memo
-    /// table ([`crate::memo`]) instead of re-executing. On by default
-    /// (`HPS_FRAGMENT_MEMO=0` flips the default); hits replay the cached
-    /// cost and events, so results, costs, traces and interaction counts
-    /// are identical either way — `hps run/serve --no-memo` disables.
-    pub fragment_memo: bool,
 }
 
 impl ExecConfig {
@@ -71,21 +59,7 @@ impl ExecConfig {
             max_call_depth: 128,
             cost_model: CostModel::new(),
             batching: false,
-            fragment_vm: crate::bytecode::vm_enabled_by_default(),
-            fragment_memo: crate::memo::memo_enabled_by_default(),
         }
-    }
-
-    /// Enables or disables the fragment bytecode VM (builder style).
-    pub fn with_fragment_vm(mut self, fragment_vm: bool) -> ExecConfig {
-        self.fragment_vm = fragment_vm;
-        self
-    }
-
-    /// Enables or disables pure-fragment memoization (builder style).
-    pub fn with_fragment_memo(mut self, fragment_memo: bool) -> ExecConfig {
-        self.fragment_memo = fragment_memo;
-        self
     }
 
     /// Enables or disables round-trip batching (builder style).
@@ -273,23 +247,6 @@ impl<'p> Executor<'p> {
         self
     }
 
-    /// Enables or disables the secure side's fragment bytecode VM for this
-    /// run (defaults to [`ExecConfig::fragment_vm`]). Either mode yields
-    /// byte-identical results, costs, traces and errors.
-    pub fn fragment_vm(mut self, enabled: bool) -> Executor<'p> {
-        self.config.fragment_vm = enabled;
-        self
-    }
-
-    /// Enables or disables pure-fragment memoization for this run
-    /// (defaults to [`ExecConfig::fragment_memo`]). Either mode yields
-    /// byte-identical results, costs, traces and interaction counts; only
-    /// the `hps_server_memo_*` counters differ.
-    pub fn fragment_memo(mut self, enabled: bool) -> Executor<'p> {
-        self.config.fragment_memo = enabled;
-        self
-    }
-
     /// Injects transport faults: wraps the channel in a
     /// [`FaultyChannel`] driven by `plan`. Outcome, interaction count and
     /// the server-side call sequence stay identical to a fault-free run;
@@ -329,8 +286,6 @@ impl<'p> Executor<'p> {
         };
         let server = SecureServer::new(self.hidden.clone())
             .with_cost_model(self.config.cost_model.clone())
-            .with_fragment_vm(self.config.fragment_vm)
-            .with_fragment_memo(self.config.fragment_memo)
             .with_recorder(handle.clone());
         let inner = InProcessChannel::new(server)
             .with_rtt(self.rtt)

@@ -417,3 +417,149 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// Property tests of the disk journal reader, in the style of
+/// `tests/wire_proptest.rs`: a session file is untrusted input after a
+/// crash, so loading must never panic and must recover exactly the longest
+/// prefix of intact frames — and the repaired file must stay appendable.
+#[cfg(test)]
+mod props {
+    use super::*;
+    use hps_ir::{FragLabel, Value};
+    use proptest::prelude::*;
+
+    const SESSION: u64 = 42;
+
+    fn call_strategy() -> impl Strategy<Value = PendingCall> {
+        (
+            any::<u32>(),
+            any::<u64>(),
+            any::<u32>(),
+            prop::collection::vec(any::<i64>().prop_map(Value::Int), 0..4),
+        )
+            .prop_map(|(c, key, l, args)| PendingCall {
+                component: ComponentId(c),
+                key,
+                label: FragLabel(l),
+                args,
+            })
+    }
+
+    fn op_strategy() -> impl Strategy<Value = JournalOp> {
+        prop_oneof![
+            (any::<u64>(), call_strategy()).prop_map(|(seq, call)| JournalOp::Seq {
+                seq,
+                calls: Arc::new(vec![call]),
+                batch: false,
+            }),
+            (any::<u64>(), prop::collection::vec(call_strategy(), 0..4)).prop_map(
+                |(seq, calls)| JournalOp::Seq {
+                    seq,
+                    calls: Arc::new(calls),
+                    batch: true,
+                }
+            ),
+            (any::<u32>(), any::<u64>()).prop_map(|(c, key)| JournalOp::Release {
+                component: ComponentId(c),
+                key,
+            }),
+        ]
+    }
+
+    fn ops_strategy() -> impl Strategy<Value = Vec<JournalOp>> {
+        prop::collection::vec(op_strategy(), 0..6)
+    }
+
+    /// A scratch journal directory per property, so parallel tests never
+    /// share a session file.
+    fn scratch_dir(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("hpsj-prop-{}-{name}", std::process::id()))
+    }
+
+    /// Writes `ops` through [`DiskJournal::append`] and returns the file's
+    /// bytes plus the end offset of every frame.
+    fn write_valid(dir: &Path, ops: &[JournalOp]) -> (Vec<u8>, Vec<usize>) {
+        let _ = std::fs::remove_dir_all(dir);
+        let path = journal_path(dir, SESSION);
+        let mut disk = DiskJournal::open(dir, SESSION).expect("open");
+        let mut ends = Vec::with_capacity(ops.len());
+        for op in ops {
+            disk.append(op).expect("append");
+            ends.push(std::fs::metadata(&path).expect("metadata").len() as usize);
+        }
+        (std::fs::read(&path).expect("read"), ends)
+    }
+
+    fn ops_of(journal: &SessionJournal) -> Vec<JournalOp> {
+        journal.ops().cloned().collect()
+    }
+
+    /// Installs `bytes` as the session file, checks the loader recovers
+    /// exactly `expected`, then checks that after [`DiskJournal::open`]
+    /// repairs the file one append reads back as `expected` plus that op.
+    fn check_recovery(dir: &Path, bytes: &[u8], expected: &[JournalOp]) {
+        std::fs::create_dir_all(dir).expect("mkdir");
+        std::fs::write(journal_path(dir, SESSION), bytes).expect("write");
+        let loaded = load_disk_journal(dir, SESSION, DEFAULT_JOURNAL_LIMIT).expect("file exists");
+        assert_eq!(ops_of(&loaded), expected);
+
+        let extra = JournalOp::Release {
+            component: ComponentId::new(1),
+            key: 7,
+        };
+        DiskJournal::open(dir, SESSION)
+            .expect("repair")
+            .append(&extra)
+            .expect("append");
+        let reread = load_disk_journal(dir, SESSION, DEFAULT_JOURNAL_LIMIT).expect("file exists");
+        let mut want = expected.to_vec();
+        want.push(extra);
+        assert_eq!(ops_of(&reread), want);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        #[test]
+        fn arbitrary_tails_load_the_valid_prefix(
+            ops in ops_strategy(),
+            junk in prop::collection::vec(any::<u8>(), 0..128),
+        ) {
+            // Random bytes after (or instead of) a valid journal never form
+            // a frame whose CRC and payload both check out.
+            let dir = scratch_dir("junk");
+            let (mut bytes, _) = write_valid(&dir, &ops);
+            bytes.extend_from_slice(&junk);
+            check_recovery(&dir, &bytes, &ops);
+        }
+
+        #[test]
+        fn truncated_journals_keep_whole_frames(ops in ops_strategy(), cut in any::<u32>()) {
+            let dir = scratch_dir("cut");
+            let (bytes, ends) = write_valid(&dir, &ops);
+            let cut = cut as usize % (bytes.len() + 1);
+            let whole = ends.iter().take_while(|&&end| end <= cut).count();
+            check_recovery(&dir, &bytes[..cut], &ops[..whole]);
+        }
+
+        #[test]
+        fn bit_flips_drop_the_damaged_frame_and_the_rest(
+            ops in ops_strategy(),
+            at in any::<u32>(),
+            bit in 0u8..8,
+        ) {
+            let dir = scratch_dir("flip");
+            let (mut bytes, ends) = write_valid(&dir, &ops);
+            if bytes.is_empty() {
+                check_recovery(&dir, &bytes, &[]);
+            } else {
+                let at = at as usize % bytes.len();
+                bytes[at] ^= 1 << bit;
+                // The flip lands in the first frame ending past `at`.
+                let intact = ends.iter().take_while(|&&end| end <= at).count();
+                check_recovery(&dir, &bytes, &ops[..intact]);
+            }
+        }
+    }
+}

@@ -9,7 +9,9 @@
 //!   deterministic virtual-time cost accounting ([`cost::CostModel`]).
 //! * [`server`] — the secure-side executor: holds a
 //!   [`hps_ir::HiddenProgram`], keeps per-activation / per-instance hidden
-//!   state, and runs fragments on request.
+//!   state, and runs every fragment on the compile-once bytecode VM
+//!   ([`bytecode`]); [`fragment`] is the reference tree-walk the VM is
+//!   differentially tested against.
 //! * [`channel`] — the open↔hidden transport abstraction; in-process with a
 //!   configurable round-trip cost for deterministic experiments.
 //! * [`tcp`] — a real TCP transport (length-prefixed binary protocol,
@@ -95,7 +97,6 @@ pub mod fault;
 pub mod fragment;
 pub mod interp;
 pub mod journal;
-pub mod memo;
 mod ops;
 pub mod server;
 pub mod shard;
@@ -120,7 +121,6 @@ pub use interp::{
     ExecConfig, ExecReport, Executor, Interp, Outcome, SplitMeta, SplitOutcome,
 };
 pub use journal::{JournalOp, SessionJournal};
-pub use memo::MemoTable;
 pub use server::{ReplayCache, SecureServer, SeqCheck};
 pub use shard::ShardStats;
 pub use tcp::{ChaosConfig, RetryPolicy, ServerStats, SessionServer, SessionServerHandle};

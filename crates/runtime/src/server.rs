@@ -5,11 +5,10 @@
 //! created lazily on first touch (so no extra round trip is needed to open
 //! an activation) and freed on [`SecureServer::release`].
 
-use crate::bytecode::{run_compiled, vm_enabled_by_default, VmCache};
+use crate::bytecode::{run_compiled, VmCache};
 use crate::cost::CostModel;
 use crate::error::RuntimeError;
-use crate::fragment::{run_fragment, FragOutcome};
-use crate::memo::{memo_enabled_by_default, MemoTable};
+use crate::fragment::FragOutcome;
 use crate::value::RtValue;
 use hps_ir::{ComponentId, FragLabel, HiddenProgram, Value};
 use hps_telemetry::{Event, RecorderHandle};
@@ -139,28 +138,17 @@ pub struct SecureServer {
     calls_served: u64,
     cost_spent: u64,
     recorder: RecorderHandle,
-    /// Compile-once fragment bytecode cache; `None` runs the tree-walk.
-    /// Shardable: the cache may be shared with other servers of the same
-    /// hidden program via [`SecureServer::with_vm_cache`].
-    vm: Option<Arc<VmCache>>,
-    /// Content-addressed cache of pure-fragment outcomes; `None` always
-    /// executes. Shardable like the VM cache
-    /// ([`SecureServer::with_memo_table`]). Hits replay the cached cost and
-    /// fire the same events as an execution — see [`crate::memo`].
-    memo: Option<Arc<MemoTable>>,
+    /// Compile-once fragment bytecode cache: every fragment runs on the
+    /// VM. Shardable: the cache may be shared with other servers of the
+    /// same hidden program via [`SecureServer::with_vm_cache`].
+    vm: Arc<VmCache>,
 }
 
 impl SecureServer {
-    /// Creates a server installing the given hidden program.
-    ///
-    /// The fragment bytecode VM is enabled by default; set
-    /// `HPS_FRAGMENT_VM=0` or call [`SecureServer::with_fragment_vm`]
-    /// to fall back to the tree-walk (differential testing). Pure-fragment
-    /// memoization is likewise on by default; set `HPS_FRAGMENT_MEMO=0` or
-    /// call [`SecureServer::with_fragment_memo`] to always execute.
+    /// Creates a server installing the given hidden program, with an
+    /// empty compile-once bytecode cache of its own.
     pub fn new(hidden: HiddenProgram) -> SecureServer {
-        let vm = vm_enabled_by_default().then(|| Arc::new(VmCache::for_program(&hidden)));
-        let memo = memo_enabled_by_default().then(|| Arc::new(MemoTable::for_program(&hidden)));
+        let vm = Arc::new(VmCache::for_program(&hidden));
         SecureServer {
             hidden,
             cost_model: CostModel::new(),
@@ -169,7 +157,6 @@ impl SecureServer {
             cost_spent: 0,
             recorder: RecorderHandle::none(),
             vm,
-            memo,
         }
     }
 
@@ -180,35 +167,12 @@ impl SecureServer {
         self
     }
 
-    /// Enables or disables the fragment bytecode VM (builder style).
-    /// Enabling creates a fresh empty cache for this server's program.
-    pub fn with_fragment_vm(mut self, enabled: bool) -> SecureServer {
-        self.vm = enabled.then(|| Arc::new(VmCache::for_program(&self.hidden)));
-        self
-    }
-
     /// Shares an existing compile-once cache (builder style) — the shard
     /// pool hands every session of a shard the same cache so each fragment
     /// lowers at most once per shard. The cache must have been built for
     /// this server's hidden program and cost model.
     pub fn with_vm_cache(mut self, cache: Arc<VmCache>) -> SecureServer {
-        self.vm = Some(cache);
-        self
-    }
-
-    /// Enables or disables pure-fragment memoization (builder style).
-    /// Enabling creates a fresh empty memo table for this server's program.
-    pub fn with_fragment_memo(mut self, enabled: bool) -> SecureServer {
-        self.memo = enabled.then(|| Arc::new(MemoTable::for_program(&self.hidden)));
-        self
-    }
-
-    /// Shares an existing memo table (builder style) — the shard pool hands
-    /// every session of a shard the same table so repeated pure calls hit
-    /// across sessions and executor respawns. The table must have been
-    /// built for this server's hidden program and cost model.
-    pub fn with_memo_table(mut self, table: Arc<MemoTable>) -> SecureServer {
-        self.memo = Some(table);
+        self.vm = cache;
         self
     }
 
@@ -254,60 +218,26 @@ impl SecureServer {
                 })
                 .collect()
         });
-        // Memo lookup comes *after* the state entry is created so a hit
-        // leaves activation lifecycles (and release semantics) exactly as
-        // an execution would. A hit replays the cached cost and fires the
-        // same `Fragment` event: adversary-invisible by construction.
-        if let Some(memo) = &self.memo {
-            if let Some((value, cost)) = memo.lookup(component.index(), position, args) {
-                self.calls_served += 1;
-                self.cost_spent += cost;
-                self.recorder.record(Event::Fragment { cost });
-                self.recorder.record(Event::MemoHit);
-                return Ok(FragOutcome { value, cost });
-            }
-        }
-        let compiled = self.vm.as_ref().and_then(|cache| {
-            cache.get_or_compile(
+        // A cache built for a different program shape has no slot here.
+        let (code, fresh) = self
+            .vm
+            .get_or_compile(
                 component.index(),
                 position,
                 fragment,
                 n_vars,
                 &self.cost_model,
             )
+            .ok_or(RuntimeError::UnknownFragment { component, label })?;
+        self.recorder.record(if fresh {
+            Event::VmCompile
+        } else {
+            Event::VmCacheHit
         });
-        let outcome = match compiled {
-            Some((code, fresh)) => {
-                self.recorder.record(if fresh {
-                    Event::VmCompile
-                } else {
-                    Event::VmCacheHit
-                });
-                run_compiled(code, vars, args)?
-            }
-            None => run_fragment(fragment, vars, args, &self.cost_model)?,
-        };
+        let outcome = run_compiled(code, vars, args)?;
         self.calls_served += 1;
         self.cost_spent += outcome.cost;
         self.recorder.record(Event::Fragment { cost: outcome.cost });
-        // Only *successful* outcomes are cached (errors returned above
-        // always re-execute), and only lattice-pure fragments are accepted
-        // by the table. Misses count every successful execution so
-        // `memo_hits + memo_misses == fragments_total` reconciles.
-        if let Some(memo) = &self.memo {
-            let evicted = memo.insert(
-                component.index(),
-                position,
-                args,
-                outcome.value,
-                outcome.cost,
-            );
-            memo.record_miss();
-            self.recorder.record(Event::MemoMiss);
-            for _ in 0..evicted {
-                self.recorder.record(Event::MemoEviction);
-            }
-        }
         Ok(outcome)
     }
 
@@ -353,46 +283,20 @@ impl SecureServer {
         self.state.len()
     }
 
-    /// True when fragment calls execute on the bytecode VM.
-    pub fn fragment_vm_enabled(&self) -> bool {
-        self.vm.is_some()
-    }
-
     /// Fragments lowered to bytecode by this server's cache (shared caches
     /// report the shared totals).
     pub fn vm_compiles(&self) -> u64 {
-        self.vm.as_ref().map_or(0, |c| c.compiles())
+        self.vm.compiles()
     }
 
     /// Fragment executions served from already-compiled bytecode.
     pub fn vm_cache_hits(&self) -> u64 {
-        self.vm.as_ref().map_or(0, |c| c.cache_hits())
+        self.vm.cache_hits()
     }
 
     /// Wall-clock nanoseconds this server's cache spent lowering fragments.
     pub fn vm_compile_nanos(&self) -> u64 {
-        self.vm.as_ref().map_or(0, |c| c.compile_nanos())
-    }
-
-    /// True when pure-fragment memoization is enabled.
-    pub fn fragment_memo_enabled(&self) -> bool {
-        self.memo.is_some()
-    }
-
-    /// Fragment calls answered from the memo table (shared tables report
-    /// the shared totals).
-    pub fn memo_hits(&self) -> u64 {
-        self.memo.as_ref().map_or(0, |m| m.hits())
-    }
-
-    /// Successful fragment executions that missed the memo table.
-    pub fn memo_misses(&self) -> u64 {
-        self.memo.as_ref().map_or(0, |m| m.misses())
-    }
-
-    /// Memoized results evicted by the table's capacity bound.
-    pub fn memo_evictions(&self) -> u64 {
-        self.memo.as_ref().map_or(0, |m| m.evictions())
+        self.vm.compile_nanos()
     }
 
     /// Read-only view of the installed hidden program.
@@ -515,107 +419,28 @@ mod tests {
     }
 
     #[test]
-    fn vm_and_tree_walk_agree_and_cache_counts() {
-        let mk = |vm| SecureServer::new(counter_program()).with_fragment_vm(vm);
-        let mut on = mk(true);
-        let mut off = mk(false);
-        assert!(on.fragment_vm_enabled());
-        assert!(!off.fragment_vm_enabled());
+    fn fragments_compile_once_and_hit_the_cache() {
+        let mut server = SecureServer::new(counter_program());
         let c = ComponentId::new(0);
         let l = FragLabel::new(0);
         for i in 0..4 {
-            let a = on.call(c, 1, l, &[Value::Int(i)]).unwrap();
-            let b = off.call(c, 1, l, &[Value::Int(i)]).unwrap();
-            assert_eq!(a, b);
+            server.call(c, 1, l, &[Value::Int(i)]).unwrap();
         }
-        assert_eq!(on.cost_spent(), off.cost_spent());
-        assert_eq!(on.vm_compiles(), 1, "one fragment lowers once");
-        assert_eq!(on.vm_cache_hits(), 3);
-        assert_eq!(off.vm_compiles() + off.vm_cache_hits(), 0);
-    }
-
-    /// One component, no hidden vars; L0(p): pure `ret p * p + p`.
-    fn pure_program() -> HiddenProgram {
-        let mut hp = HiddenProgram::new();
-        hp.add(HiddenComponent {
-            id: ComponentId::new(0),
-            kind: ComponentKind::Function {
-                func_name: "f".into(),
-            },
-            vars: vec![],
-            fragments: vec![Fragment {
-                label: FragLabel::new(0),
-                params: vec![("p".into(), Ty::Int)],
-                body: Block::of(vec![]),
-                ret: Some(Expr::binary(
-                    BinOp::Add,
-                    Expr::binary(
-                        BinOp::Mul,
-                        Expr::local(LocalId::new(0)),
-                        Expr::local(LocalId::new(0)),
-                    ),
-                    Expr::local(LocalId::new(0)),
-                )),
-            }],
-        });
-        hp
+        assert_eq!(server.vm_compiles(), 1, "one fragment lowers once");
+        assert_eq!(server.vm_cache_hits(), 3);
     }
 
     #[test]
-    fn memo_hits_repeat_pure_calls_with_identical_metering() {
-        let mut on = SecureServer::new(pure_program()).with_fragment_memo(true);
-        let mut off = SecureServer::new(pure_program()).with_fragment_memo(false);
-        assert!(on.fragment_memo_enabled());
-        assert!(!off.fragment_memo_enabled());
+    fn shared_vm_cache_compiles_once_across_servers() {
+        let hidden = counter_program();
+        let cache = Arc::new(VmCache::for_program(&hidden));
         let c = ComponentId::new(0);
         let l = FragLabel::new(0);
-        // 2 distinct arguments × 3 repeats each.
-        for _ in 0..3 {
-            for a in [4, 9] {
-                let x = on.call(c, 1, l, &[Value::Int(a)]).unwrap();
-                let y = off.call(c, 1, l, &[Value::Int(a)]).unwrap();
-                assert_eq!(x, y, "memo hit must replay value AND cost");
-            }
-        }
-        assert_eq!(on.calls_served(), off.calls_served());
-        assert_eq!(on.cost_spent(), off.cost_spent());
-        assert_eq!(on.live_activations(), off.live_activations());
-        assert_eq!((on.memo_hits(), on.memo_misses()), (4, 2));
-        assert_eq!(on.memo_hits() + on.memo_misses(), on.calls_served());
-        assert_eq!(off.memo_hits() + off.memo_misses(), 0);
-    }
-
-    #[test]
-    fn stateful_fragments_are_never_memoized() {
-        // counter_program reads+writes its hidden var: repeated args must
-        // re-execute and keep advancing state.
-        let mut server = SecureServer::new(counter_program()).with_fragment_memo(true);
-        let c = ComponentId::new(0);
-        let l = FragLabel::new(0);
-        assert_eq!(
-            server.call(c, 1, l, &[Value::Int(5)]).unwrap().value,
-            Value::Int(5)
-        );
-        assert_eq!(
-            server.call(c, 1, l, &[Value::Int(5)]).unwrap().value,
-            Value::Int(10)
-        );
-        assert_eq!(server.memo_hits(), 0);
-        assert_eq!(server.memo_misses(), 2, "all executions count as misses");
-    }
-
-    #[test]
-    fn shared_memo_table_hits_across_servers() {
-        let hidden = pure_program();
-        let table = Arc::new(crate::memo::MemoTable::for_program(&hidden));
-        let c = ComponentId::new(0);
-        let l = FragLabel::new(0);
-        let mut a = SecureServer::new(hidden.clone()).with_memo_table(Arc::clone(&table));
-        let mut b = SecureServer::new(hidden).with_memo_table(Arc::clone(&table));
-        let x = a.call(c, 1, l, &[Value::Int(7)]).unwrap();
-        let y = b.call(c, 2, l, &[Value::Int(7)]).unwrap();
-        assert_eq!(x, y);
-        assert_eq!((table.hits(), table.misses()), (1, 1));
+        let mut a = SecureServer::new(hidden.clone()).with_vm_cache(Arc::clone(&cache));
+        let mut b = SecureServer::new(hidden).with_vm_cache(Arc::clone(&cache));
+        a.call(c, 1, l, &[Value::Int(7)]).unwrap();
+        b.call(c, 2, l, &[Value::Int(7)]).unwrap();
+        assert_eq!((cache.compiles(), cache.cache_hits()), (1, 1));
     }
 
     #[test]
@@ -627,6 +452,13 @@ mod tests {
         ));
         assert!(matches!(
             server.call(ComponentId::new(0), 0, FragLabel::new(9), &[]),
+            Err(RuntimeError::UnknownFragment { .. })
+        ));
+        // A cache sized for another program has no slot for the fragment.
+        let foreign = Arc::new(VmCache::for_program(&HiddenProgram::new()));
+        let mut server = SecureServer::new(counter_program()).with_vm_cache(foreign);
+        assert!(matches!(
+            server.call(ComponentId::new(0), 0, FragLabel::new(0), &[Value::Int(1)]),
             Err(RuntimeError::UnknownFragment { .. })
         ));
     }

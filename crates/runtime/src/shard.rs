@@ -48,7 +48,6 @@ use crate::bytecode::VmCache;
 use crate::channel::{CallReply, PendingCall};
 use crate::fault::CrashConfig;
 use crate::journal::{journal_path, load_disk_journal, DiskJournal, JournalOp, SessionJournal};
-use crate::memo::MemoTable;
 use crate::server::{ReplayCache, SecureServer, SeqCheck};
 use crate::wire::Response;
 use hps_ir::{ComponentId, HiddenProgram};
@@ -95,11 +94,6 @@ pub(crate) struct StatsInner {
     /// servers die with the connection; shard caches are read live instead.
     pub(crate) legacy_vm_compiles: AtomicU64,
     pub(crate) legacy_vm_cache_hits: AtomicU64,
-    /// Memo counters from legacy connections (same lifecycle as the legacy
-    /// VM counters above); shard memo tables are read live instead.
-    pub(crate) legacy_memo_hits: AtomicU64,
-    pub(crate) legacy_memo_misses: AtomicU64,
-    pub(crate) legacy_memo_evictions: AtomicU64,
     pub(crate) queue_depth: Mutex<Histogram>,
     /// Wall-clock microseconds per session rebuild. Live-scrape /
     /// `BENCH_*.json` exposition only — never part of a deterministic
@@ -136,12 +130,9 @@ impl StatsInner {
                 cost_units: c.cost.load(Ordering::Relaxed),
                 sessions: c.sessions.load(Ordering::Relaxed),
                 max_queue_depth: c.max_depth.load(Ordering::Relaxed),
-                vm_compiles: c.vm.as_ref().map_or(0, |v| v.compiles()),
-                vm_cache_hits: c.vm.as_ref().map_or(0, |v| v.cache_hits()),
-                memo_hits: c.memo.as_ref().map_or(0, |m| m.hits()),
-                memo_misses: c.memo.as_ref().map_or(0, |m| m.misses()),
-                memo_evictions: c.memo.as_ref().map_or(0, |m| m.evictions()),
-                compile_nanos: c.vm.as_ref().map_or(0, |v| v.compile_nanos()),
+                vm_compiles: c.vm.compiles(),
+                vm_cache_hits: c.vm.cache_hits(),
+                compile_nanos: c.vm.compile_nanos(),
                 exec_nanos: c.exec_nanos.load(Ordering::Relaxed),
                 restarts: c.restarts.load(Ordering::Relaxed),
             })
@@ -150,7 +141,7 @@ impl StatsInner {
 }
 
 /// Per-shard live counters (internal; snapshot via [`ShardStats`]).
-#[derive(Default, Debug)]
+#[derive(Debug)]
 pub(crate) struct ShardCounters {
     calls: AtomicU64,
     fragments: AtomicU64,
@@ -162,15 +153,27 @@ pub(crate) struct ShardCounters {
     exec_nanos: AtomicU64,
     /// Executor respawns the supervisor performed for this shard.
     restarts: AtomicU64,
-    /// The shard's shared compile-once bytecode cache (`None` = tree-walk).
-    /// Every session of the shard compiles into — and hits — this cache.
-    /// `Send + Sync` atomics only, so it survives executor respawns.
-    vm: Option<Arc<VmCache>>,
-    /// The shard's shared pure-fragment memo table (`None` = memoization
-    /// off). Shared by every session of the shard — memoizable fragments
-    /// read no hidden state, so a cached result is valid across sessions —
-    /// and, like the VM cache, it survives executor respawns.
-    memo: Option<Arc<MemoTable>>,
+    /// The shard's shared compile-once bytecode cache. Every session of
+    /// the shard compiles into — and hits — this cache. `Send + Sync`
+    /// atomics only, so it survives executor respawns.
+    vm: Arc<VmCache>,
+}
+
+impl ShardCounters {
+    /// Zeroed counters around an empty bytecode cache for `hidden`.
+    fn new(hidden: &HiddenProgram) -> ShardCounters {
+        ShardCounters {
+            calls: AtomicU64::new(0),
+            fragments: AtomicU64::new(0),
+            cost: AtomicU64::new(0),
+            sessions: AtomicU64::new(0),
+            depth: AtomicU64::new(0),
+            max_depth: AtomicU64::new(0),
+            exec_nanos: AtomicU64::new(0),
+            restarts: AtomicU64::new(0),
+            vm: Arc::new(VmCache::for_program(hidden)),
+        }
+    }
 }
 
 /// Snapshot of one shard executor's counters.
@@ -188,19 +191,10 @@ pub struct ShardStats {
     pub sessions: u64,
     /// Deepest request queue observed at an enqueue.
     pub max_queue_depth: u64,
-    /// Fragments lowered to bytecode by this shard's compile-once cache
-    /// (0 when the VM is disabled).
+    /// Fragments lowered to bytecode by this shard's compile-once cache.
     pub vm_compiles: u64,
     /// Fragment executions this shard served from compiled bytecode.
     pub vm_cache_hits: u64,
-    /// Pure-fragment calls this shard answered from its memo table
-    /// (0 when memoization is disabled).
-    pub memo_hits: u64,
-    /// Fragment executions that ran in full and were considered for the
-    /// memo table (memoizable or not).
-    pub memo_misses: u64,
-    /// Memo entries evicted by the table's FIFO capacity bound.
-    pub memo_evictions: u64,
     /// Wall-clock nanoseconds spent compiling fragments on this shard.
     /// Wall-clock fields feed load attribution (`BENCH_*.json`) only —
     /// they never enter deterministic metrics snapshots.
@@ -323,9 +317,6 @@ pub(crate) struct ShardConfig {
     pub(crate) shards: usize,
     pub(crate) queue_capacity: usize,
     pub(crate) replay_capacity: usize,
-    pub(crate) fragment_vm: bool,
-    /// Memoize provably-pure fragments in a per-shard [`MemoTable`].
-    pub(crate) fragment_memo: bool,
     /// Per-session cap on the in-memory journal ring.
     pub(crate) journal_limit: usize,
     /// Directory for checksummed on-disk journals (`--journal-dir`);
@@ -341,8 +332,6 @@ impl Default for ShardConfig {
             shards: 1,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             replay_capacity: DEFAULT_REPLAY_CAPACITY,
-            fragment_vm: true,
-            fragment_memo: true,
             journal_limit: crate::journal::DEFAULT_JOURNAL_LIMIT,
             journal_dir: None,
             crash: None,
@@ -384,9 +373,9 @@ pub(crate) struct ShardPool {
 impl ShardPool {
     /// Spawns `config.shards` executor threads (min 1), each owning the
     /// sessions hashed to it, fed by a bounded queue, plus the supervisor
-    /// that keeps them alive. With `fragment_vm` on, each shard gets one
-    /// compile-once bytecode cache shared by all its sessions (and all
-    /// its incarnations — compiled code is `Send + Sync`).
+    /// that keeps them alive. Each shard gets one compile-once bytecode
+    /// cache shared by all its sessions (and all its incarnations —
+    /// compiled code is `Send + Sync`).
     pub(crate) fn spawn(
         config: ShardConfig,
         hidden: &HiddenProgram,
@@ -399,15 +388,7 @@ impl ShardPool {
         let mut contexts = Vec::with_capacity(shards);
         let mut threads = Vec::with_capacity(shards);
         for shard in 0..shards {
-            let c = Arc::new(ShardCounters {
-                vm: config
-                    .fragment_vm
-                    .then(|| Arc::new(VmCache::for_program(hidden))),
-                memo: config
-                    .fragment_memo
-                    .then(|| Arc::new(MemoTable::for_program(hidden))),
-                ..ShardCounters::default()
-            });
+            let c = Arc::new(ShardCounters::new(hidden));
             let ctx = ShardContext {
                 shard,
                 hidden: hidden.clone(),
@@ -852,14 +833,7 @@ fn open_session<'a>(
 /// owns its sessions, but compiled code is plain `Send + Sync` data, so
 /// sharing it is safe and each fragment lowers at most once per shard.
 fn fresh_state(session: u64, ctx: &ShardContext) -> SessionState {
-    let server = match &ctx.counters.vm {
-        Some(cache) => SecureServer::new(ctx.hidden.clone()).with_vm_cache(Arc::clone(cache)),
-        None => SecureServer::new(ctx.hidden.clone()).with_fragment_vm(false),
-    };
-    let server = match &ctx.counters.memo {
-        Some(memo) => server.with_memo_table(Arc::clone(memo)),
-        None => server.with_fragment_memo(false),
-    };
+    let server = SecureServer::new(ctx.hidden.clone()).with_vm_cache(Arc::clone(&ctx.counters.vm));
     let disk = ctx
         .journal_dir
         .as_deref()

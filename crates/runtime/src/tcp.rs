@@ -813,18 +813,16 @@ pub struct ServerStats {
     /// Connections killed by [`ChaosConfig`].
     pub chaos_kills: u64,
     /// Fragments lowered to bytecode by the fragment VM's compile-once
-    /// caches (all shards plus legacy connections; 0 with the VM off).
+    /// caches (all shards plus legacy connections).
     pub vm_compiles: u64,
     /// Fragment executions served from already-compiled bytecode.
     pub vm_cache_hits: u64,
-    /// Pure-fragment calls answered from the memo tables without running
-    /// the fragment (all shards plus legacy connections; 0 with memo off).
+    /// Always 0: the runtime does not memoize fragments, every call runs
+    /// on the VM. Kept for existing readers of this struct; not exported
+    /// by [`ServerStats::to_metrics`].
     pub memo_hits: u64,
-    /// Fragment executions that ran in full and were considered for
-    /// memoization (memoizable or not).
+    /// Always 0, like [`ServerStats::memo_hits`].
     pub memo_misses: u64,
-    /// Memo entries evicted by the tables' FIFO capacity bounds.
-    pub memo_evictions: u64,
     /// Fragment panics caught by per-request `catch_unwind` (injected and
     /// genuine alike); each poisons at most one session, never a shard.
     pub panics_caught: u64,
@@ -847,9 +845,6 @@ impl ServerStats {
         m.add(names::SERVER_CHAOS_KILLS, self.chaos_kills);
         m.add(names::SERVER_VM_COMPILES, self.vm_compiles);
         m.add(names::SERVER_VM_CACHE_HITS, self.vm_cache_hits);
-        m.add(names::SERVER_MEMO_HITS, self.memo_hits);
-        m.add(names::SERVER_MEMO_MISSES, self.memo_misses);
-        m.add(names::SERVER_MEMO_EVICTIONS, self.memo_evictions);
         m.add(names::SERVER_PANICS_CAUGHT, self.panics_caught);
         m.add(names::SERVER_SHARD_RESTARTS, self.shard_restarts);
         m.add(names::SERVER_JOURNAL_REPLAYS, self.journal_replays);
@@ -885,12 +880,8 @@ impl SessionServerHandle {
                 + shards.iter().map(|s| s.vm_compiles).sum::<u64>(),
             vm_cache_hits: self.stats.legacy_vm_cache_hits.load(Ordering::Relaxed)
                 + shards.iter().map(|s| s.vm_cache_hits).sum::<u64>(),
-            memo_hits: self.stats.legacy_memo_hits.load(Ordering::Relaxed)
-                + shards.iter().map(|s| s.memo_hits).sum::<u64>(),
-            memo_misses: self.stats.legacy_memo_misses.load(Ordering::Relaxed)
-                + shards.iter().map(|s| s.memo_misses).sum::<u64>(),
-            memo_evictions: self.stats.legacy_memo_evictions.load(Ordering::Relaxed)
-                + shards.iter().map(|s| s.memo_evictions).sum::<u64>(),
+            memo_hits: 0,
+            memo_misses: 0,
             panics_caught: self.stats.panics_caught.load(Ordering::Relaxed),
             shard_restarts: self.stats.shard_restarts.load(Ordering::Relaxed),
             journal_replays: self.stats.journal_replays.load(Ordering::Relaxed),
@@ -957,8 +948,6 @@ pub struct SessionServer {
     shards: usize,
     queue_capacity: usize,
     replay_capacity: usize,
-    fragment_vm: bool,
-    fragment_memo: bool,
     journal_limit: usize,
     journal_dir: Option<PathBuf>,
     crash: Option<CrashConfig>,
@@ -987,8 +976,6 @@ impl SessionServer {
             shards: 1,
             queue_capacity: crate::shard::DEFAULT_QUEUE_CAPACITY,
             replay_capacity: crate::shard::DEFAULT_REPLAY_CAPACITY,
-            fragment_vm: crate::bytecode::vm_enabled_by_default(),
-            fragment_memo: crate::memo::memo_enabled_by_default(),
             journal_limit: crate::journal::DEFAULT_JOURNAL_LIMIT,
             journal_dir: None,
             crash: None,
@@ -1019,25 +1006,6 @@ impl SessionServer {
     /// the chaos-recovery CI matrix.
     pub fn with_crash(mut self, crash: CrashConfig) -> SessionServer {
         self.crash = Some(crash);
-        self
-    }
-
-    /// Enables or disables the fragment bytecode VM (builder style;
-    /// defaults to on unless `HPS_FRAGMENT_VM=0`). Either mode serves
-    /// byte-identical responses; with the VM on, each shard keeps one
-    /// compile-once cache shared across its sessions.
-    pub fn with_fragment_vm(mut self, enabled: bool) -> SessionServer {
-        self.fragment_vm = enabled;
-        self
-    }
-
-    /// Enables or disables pure-fragment memoization (builder style;
-    /// defaults to on unless `HPS_FRAGMENT_MEMO=0`). Either mode serves
-    /// byte-identical responses with identical metering; with memo on,
-    /// each shard keeps one content-addressed table shared across its
-    /// sessions.
-    pub fn with_fragment_memo(mut self, enabled: bool) -> SessionServer {
-        self.fragment_memo = enabled;
         self
     }
 
@@ -1123,8 +1091,6 @@ impl SessionServer {
                 shards: self.shards,
                 queue_capacity: self.queue_capacity,
                 replay_capacity: self.replay_capacity,
-                fragment_vm: self.fragment_vm,
-                fragment_memo: self.fragment_memo,
                 journal_limit: self.journal_limit,
                 journal_dir: self.journal_dir.clone(),
                 crash: self.crash,
@@ -1172,8 +1138,6 @@ impl SessionServer {
             self.stats.connections.fetch_add(1, Ordering::Relaxed);
             let stats = Arc::clone(&self.stats);
             let hidden = self.hidden.clone();
-            let fragment_vm = self.fragment_vm;
-            let fragment_memo = self.fragment_memo;
             let exec = pool.senders();
             let chaos = self
                 .chaos
@@ -1189,15 +1153,7 @@ impl SessionServer {
             conns.push((
                 watch,
                 std::thread::spawn(move || {
-                    match serve_session_connection(
-                        stream,
-                        &exec,
-                        hidden,
-                        fragment_vm,
-                        fragment_memo,
-                        chaos,
-                        &stats,
-                    ) {
+                    match serve_session_connection(stream, &exec, hidden, chaos, &stats) {
                         Ok(served) => on_event(peer, &format!("served {served} calls")),
                         Err(e) => on_event(peer, &e.with_peer(peer).to_string()),
                     }
@@ -1321,8 +1277,6 @@ fn serve_session_connection(
     stream: TcpStream,
     exec: &ShardSenders,
     hidden: HiddenProgram,
-    fragment_vm: bool,
-    fragment_memo: bool,
     mut chaos: Option<(ChaosConfig, StdRng)>,
     stats: &StatsInner,
 ) -> Result<u64, RuntimeError> {
@@ -1365,11 +1319,9 @@ fn serve_session_connection(
         // by this thread (hidden state is thread-local, so it cannot go
         // through the shared executor and does not need to).
         other => {
-            let mut server = SecureServer::new(hidden)
-                .with_fragment_vm(fragment_vm)
-                .with_fragment_memo(fragment_memo);
-            // The private server dies with the connection; fold its VM and
-            // memo counters into the shared stats before each exit.
+            let mut server = SecureServer::new(hidden);
+            // The private server dies with the connection; fold its VM
+            // counters into the shared stats before each exit.
             let fold_vm = |server: &SecureServer| {
                 stats
                     .legacy_vm_compiles
@@ -1377,15 +1329,6 @@ fn serve_session_connection(
                 stats
                     .legacy_vm_cache_hits
                     .fetch_add(server.vm_cache_hits(), Ordering::Relaxed);
-                stats
-                    .legacy_memo_hits
-                    .fetch_add(server.memo_hits(), Ordering::Relaxed);
-                stats
-                    .legacy_memo_misses
-                    .fetch_add(server.memo_misses(), Ordering::Relaxed);
-                stats
-                    .legacy_memo_evictions
-                    .fetch_add(server.memo_evictions(), Ordering::Relaxed);
             };
             match serve_legacy_request(other, &mut server, &mut writer, &mut scratch)? {
                 Some(n) => served = n,

@@ -3,8 +3,8 @@
 //! Every benchmark is split with the full paper pipeline; the
 //! `hps-audit-effects/v1` JSON (`hps audit --effects`) must match the
 //! checked-in golden byte-for-byte. This pins the effect lattice verdicts
-//! the runtime memoizer is driven by: a change to the analysis shows up as
-//! a golden diff to review.
+//! behind the `memoizable_fragment` and `nondeterministic_hidden_fragment`
+//! lints: a change to the analysis shows up as a golden diff to review.
 //!
 //! Regenerate after an intentional change with:
 //!

@@ -66,12 +66,6 @@ pub mod names {
     pub const SERVER_COST_UNITS: &str = "hps_server_cost_units_total";
     /// Sessions rebuilt by replaying their committed-call journal.
     pub const SERVER_JOURNAL_REPLAYS: &str = "hps_server_journal_replays_total";
-    /// Memoized pure-fragment results evicted by the capacity bound.
-    pub const SERVER_MEMO_EVICTIONS: &str = "hps_server_memo_evictions_total";
-    /// Fragment calls answered from the content-addressed memo table.
-    pub const SERVER_MEMO_HITS: &str = "hps_server_memo_hits_total";
-    /// Fragment executions that could not be served from the memo table.
-    pub const SERVER_MEMO_MISSES: &str = "hps_server_memo_misses_total";
     /// Fragment panics caught by per-request `catch_unwind` isolation.
     pub const SERVER_PANICS_CAUGHT: &str = "hps_server_panics_caught_total";
     /// Entries evicted from session replay caches by the capacity bound.
@@ -132,9 +126,6 @@ pub const ALL_COUNTERS: &[&str] = &[
     names::SERVER_CONNECTIONS,
     names::SERVER_COST_UNITS,
     names::SERVER_JOURNAL_REPLAYS,
-    names::SERVER_MEMO_EVICTIONS,
-    names::SERVER_MEMO_HITS,
-    names::SERVER_MEMO_MISSES,
     names::SERVER_PANICS_CAUGHT,
     names::SERVER_REPLAY_EVICTIONS,
     names::SERVER_REPLAYS,

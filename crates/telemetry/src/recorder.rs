@@ -66,13 +66,6 @@ pub enum Event {
     VmCompile,
     /// A fragment execution was served from already-compiled bytecode.
     VmCacheHit,
-    /// A pure fragment call was answered from the memo table (still
-    /// metered and traced exactly like an execution).
-    MemoHit,
-    /// A fragment execution completed without a memo-table hit.
-    MemoMiss,
-    /// A memoized result was evicted by the memo table's capacity bound.
-    MemoEviction,
     /// The adversary's wiretap captured one logical call.
     TraceEvent,
     /// The open interpreter finished a run.
@@ -154,9 +147,6 @@ impl Recorder for MetricsRecorder {
             }
             Event::VmCompile => m.inc(names::SERVER_VM_COMPILES),
             Event::VmCacheHit => m.inc(names::SERVER_VM_CACHE_HITS),
-            Event::MemoHit => m.inc(names::SERVER_MEMO_HITS),
-            Event::MemoMiss => m.inc(names::SERVER_MEMO_MISSES),
-            Event::MemoEviction => m.inc(names::SERVER_MEMO_EVICTIONS),
             Event::TraceEvent => m.inc(names::TRACE_EVENTS),
             Event::OpenRun { steps, cost } => {
                 m.add(names::OPEN_STEPS, steps);

@@ -1,7 +1,7 @@
 //! `hps` — command-line front end for slice-based software splitting.
 //!
 //! ```text
-//! hps run <file.ml> [--split] [--batch] [--no-vm] [--no-memo] [--metrics-json] [selection] [ints...]
+//! hps run <file.ml> [--split] [--batch] [--metrics-json] [selection] [ints...]
 //!                                             run a MiniLang program; --split runs
 //!                                             the open/hidden pair, --metrics-json
 //!                                             emits the hps-telemetry/v1 snapshot
@@ -15,7 +15,7 @@
 //! hps audit <file.ml> [selection] [--json|--sarif|--effects]
 //!                                             split-soundness audit (non-zero exit on deny);
 //!                                             --effects prints the fragment purity report
-//! hps serve <file.ml> <addr> [selection] [--shards N] [--no-vm] [--no-memo] [--chaos SEED]
+//! hps serve <file.ml> <addr> [selection] [--shards N] [--chaos SEED]
 //!                            [--metrics ADDR] [--journal-dir DIR]
 //!                                             host the hidden component on TCP;
 //!                                             --shards spreads sessions over N
@@ -72,12 +72,12 @@ const HELP: &str = "\
 hps — slicing-based software splitting (CGO 2003 reproduction)
 
 USAGE:
-  hps run <file.ml> [--split] [--batch] [--no-vm] [--no-memo] [--metrics-json] [selection flags] [ints...]
+  hps run <file.ml> [--split] [--batch] [--metrics-json] [selection flags] [ints...]
   hps split <file.ml> [--func NAME --var NAME | --auto | --global NAME | --class NAME]
             [--budget PCT[%]] [--harden] [--json] [--args ints...]
   hps analyze <file.ml> [selection flags]
   hps audit <file.ml> [selection flags] [--json | --sarif | --effects]
-  hps serve <file.ml> <addr> [selection flags] [--shards N] [--no-vm] [--no-memo] [--chaos SEED]
+  hps serve <file.ml> <addr> [selection flags] [--shards N] [--chaos SEED]
                              [--metrics ADDR] [--journal-dir DIR]
   hps client <file.ml> <addr> [selection flags] [--batch] [--retry] [--timeout MS] [--args ints...]
 
@@ -106,12 +106,10 @@ stdout, with program output diverted to stderr. `serve --shards N` spreads
 sessions over N executor threads (session_id % N) for multi-core
 throughput; `serve --metrics ADDR` exposes the live server counters and
 the shard queue-depth histogram in Prometheus text format over HTTP.
-Hidden fragments execute on a compile-once bytecode VM by default;
---no-vm (or HPS_FRAGMENT_VM=0) falls back to the tree-walk interpreter.
-Provably-pure fragments are memoized by argument bytes with identical
-metering; --no-memo (or HPS_FRAGMENT_MEMO=0) disables the memo table.
+Hidden fragments execute on a compile-once bytecode VM.
 `audit --effects` prints the per-fragment effect/purity report
-(hps-audit-effects/v1 JSON) the memoizer is driven by.
+(hps-audit-effects/v1 JSON) behind the `memoizable_fragment` and
+`nondeterministic_hidden_fragment` lints.
 ";
 
 fn load(path: &str) -> Result<hps::ir::Program, String> {
@@ -196,14 +194,12 @@ fn do_split(program: &hps::ir::Program, flags: &[String]) -> Result<SplitResult,
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
     const USAGE: &str =
-        "usage: hps run <file.ml> [--split] [--batch] [--no-vm] [--no-memo] [--metrics-json] [selection flags] [ints...]";
+        "usage: hps run <file.ml> [--split] [--batch] [--metrics-json] [selection flags] [ints...]";
     let path = args.first().ok_or(USAGE)?;
     let rest = &args[1..];
     let mut split_mode = false;
     let mut batch = false;
     let mut metrics_json = false;
-    let mut no_vm = false;
-    let mut no_memo = false;
     let mut selection = Vec::new();
     let mut ints = Vec::new();
     let mut i = 0;
@@ -220,14 +216,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             "--metrics-json" => {
                 metrics_json = true;
                 split_mode = true;
-                i += 1;
-            }
-            "--no-vm" => {
-                no_vm = true;
-                i += 1;
-            }
-            "--no-memo" => {
-                no_memo = true;
                 i += 1;
             }
             flag @ ("--func" | "--var" | "--global" | "--class") => {
@@ -255,8 +243,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let program = load(path)?;
     let entry_args = int_args(&ints)?;
     if !split_mode {
-        if !selection.is_empty() || batch || no_vm || no_memo {
-            return Err("selection flags, --batch, --no-vm and --no-memo require --split".into());
+        if !selection.is_empty() || batch {
+            return Err("selection flags and --batch require --split".into());
         }
         let out = hps::runtime::run_program(&program, &entry_args).map_err(|e| e.to_string())?;
         for line in &out.output {
@@ -270,16 +258,11 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
     let split = do_split(&program, &selection)?;
-    let mut executor = Executor::new(&split.open, &split.hidden)
+    let report = Executor::new(&split.open, &split.hidden)
         .batching(batch)
-        .recorder(MetricsRecorder::new());
-    if no_vm {
-        executor = executor.fragment_vm(false);
-    }
-    if no_memo {
-        executor = executor.fragment_memo(false);
-    }
-    let report = executor.run(&entry_args).map_err(|e| e.to_string())?;
+        .recorder(MetricsRecorder::new())
+        .run(&entry_args)
+        .map_err(|e| e.to_string())?;
     if metrics_json {
         // The snapshot is the machine-readable product: keep stdout clean
         // for it and divert the program's own output to stderr.
@@ -495,8 +478,8 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    const USAGE: &str = "usage: hps serve <file.ml> <addr> [flags] [--shards N] [--no-vm] \
-                         [--no-memo] [--chaos SEED] [--metrics ADDR] [--journal-dir DIR]";
+    const USAGE: &str = "usage: hps serve <file.ml> <addr> [flags] [--shards N] \
+                         [--chaos SEED] [--metrics ADDR] [--journal-dir DIR]";
     let path = args.first().ok_or(USAGE)?;
     let addr = args.get(1).ok_or(USAGE)?;
     let rest = &args[2..];
@@ -504,8 +487,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut metrics_addr = None;
     let mut journal_dir = None;
     let mut shards = 1usize;
-    let mut no_vm = false;
-    let mut no_memo = false;
     let mut flags = Vec::new();
     let mut i = 0;
     while i < rest.len() {
@@ -530,12 +511,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                     .clone(),
             );
             i += 2;
-        } else if rest[i] == "--no-vm" {
-            no_vm = true;
-            i += 1;
-        } else if rest[i] == "--no-memo" {
-            no_memo = true;
-            i += 1;
         } else if rest[i] == "--shards" {
             shards = rest
                 .get(i + 1)
@@ -556,12 +531,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut server = SessionServer::bind(addr.as_str(), split.hidden.clone())
         .map_err(|e| e.to_string())?
         .with_shards(shards);
-    if no_vm {
-        server = server.with_fragment_vm(false);
-    }
-    if no_memo {
-        server = server.with_fragment_memo(false);
-    }
     if let Some(dir) = journal_dir {
         std::fs::create_dir_all(&dir)
             .map_err(|e| format!("cannot create journal dir {dir}: {e}"))?;
