@@ -33,13 +33,13 @@
 //! highest shard count while a killer thread cycles deliberate
 //! [`kill_shard`](hps_runtime::tcp::SessionServerHandle::kill_shard)
 //! requests round-robin and the
-//! executors carry a trickle of injected mid-fragment panics. Every
+//! shards carry a trickle of injected mid-fragment panics. Every
 //! client program run either completes byte-identical to the unsplit
 //! reference (output divergence aborts — that is a correctness bug, not
 //! unavailability) or counts against availability. Failover is designed
 //! to be client-transparent, so the drill expects ~100%; with `--gate`
 //! the process fails unless every cell reaches >= 99.0% availability
-//! *and* every shard executor was killed and respawned at least once.
+//! *and* every shard was killed at least once.
 
 use hps_bench::split_benchmark;
 use hps_runtime::tcp::{RetryPolicy, SessionServer, TcpChannel};
@@ -365,7 +365,7 @@ impl Cell {
     }
 }
 
-/// Serves `split.hidden` at `shards` shard executors and hammers it with
+/// Serves `split.hidden` at `shards` shards and hammers it with
 /// the configured client fleet. Every client byte-checks its output
 /// against the unsplit reference; any mismatch aborts the harness.
 fn run_cell(
@@ -427,9 +427,10 @@ fn run_cell(
     }
 }
 
-/// How often the crash drill's killer thread fells the next shard
-/// executor. Respawn is ~1ms, so this duty cycle keeps the pool mostly
-/// alive while guaranteeing every cell sees multiple kill/rebuild rounds.
+/// How often the crash drill's killer thread fells the next shard. A kill
+/// is synchronous and its sessions rebuild on next contact, so this duty
+/// cycle keeps the pool mostly warm while guaranteeing every cell sees
+/// multiple kill/rebuild rounds.
 const KILL_INTERVAL: Duration = Duration::from_millis(20);
 
 /// Injected mid-fragment panic rate for the crash drill (per mille, per
@@ -441,7 +442,7 @@ const DRILL_PANIC_PER_MILLE: u32 = 3;
 /// sweep's highest shard count under a rolling shard-kill schedule and
 /// writes `hps-loadgen-crash/v1` to `--out`. With `--gate`, exits 1
 /// unless every cell reaches >= 99.0% availability with every shard
-/// respawned at least once.
+/// killed at least once.
 fn run_crash_suite(cfg: &Config, host_parallelism: u64) {
     let shards = cfg.shard_counts.iter().copied().max().unwrap_or(4);
     eprintln!(
@@ -479,7 +480,7 @@ fn run_crash_suite(cfg: &Config, host_parallelism: u64) {
             ));
         }
         if let Some(idle) = cell.shard_restarts.iter().position(|&r| r == 0) {
-            gate_failures.push(format!("{}: shard {idle} was never respawned", b.name));
+            gate_failures.push(format!("{}: shard {idle} was never killed", b.name));
         }
         total_ok += cell.runs_ok;
         total_failed += cell.runs_failed;
@@ -575,7 +576,7 @@ impl CrashCell {
 
 /// Serves one benchmark under the kill schedule and counts per-run
 /// availability. After the client fleet drains, the killer keeps cycling
-/// until every shard has been respawned at least once (bounded), so the
+/// until every shard has been killed at least once (bounded), so the
 /// all-shards-restarted gate never races a fast benchmark.
 fn run_crash_cell(
     cfg: &Config,
@@ -633,7 +634,7 @@ fn run_crash_cell(
     let wall_micros = (started.elapsed().as_micros() as u64).max(1);
 
     // Let the killer finish at least one full round before reading the
-    // restart counters (bounded; respawn itself is ~1ms).
+    // restart counters (bounded).
     let deadline = Instant::now() + Duration::from_secs(10);
     while handle.shard_stats().iter().any(|s| s.restarts == 0) && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));

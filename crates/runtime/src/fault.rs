@@ -80,14 +80,14 @@ impl std::fmt::Display for FaultKind {
 }
 
 /// One kind of injectable *crash* fault — unlike [`FaultKind`], these do
-/// not perturb individual wire frames but kill whole executors, panic
+/// not perturb individual wire frames but kill whole shards, panic
 /// mid-fragment, or damage the on-disk journal. The recovery layer
 /// (DESIGN.md §12) must survive all of them without changing the
 /// adversary-visible trace.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CrashFault {
-    /// A shard executor thread dies mid-stream; the supervisor must
-    /// respawn it and rebuild its sessions from their journals.
+    /// A shard dies mid-stream, dropping its live sessions, which must be
+    /// rebuilt from their journals.
     ShardKill,
     /// A fragment panics mid-execution; `catch_unwind` must contain the
     /// damage to the offending session.
@@ -137,15 +137,15 @@ impl std::fmt::Display for CrashFault {
 }
 
 /// Seeded server-side crash-injection rates, consumed by the session
-/// server's shard executors (`SessionServer::with_crash`). Draws are
-/// deterministic per (seed, shard, event index), so a failing crash run
+/// server's shards (`SessionServer::with_crash`). Draws are deterministic
+/// per (seed, shard, incarnation, event index), so a failing crash run
 /// reproduces exactly like a [`FaultPlan`] schedule does.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CrashConfig {
     /// Seed for the per-shard crash schedule.
     pub seed: u64,
-    /// Probability (per mille) that a received message kills the whole
-    /// shard executor, exercising supervisor respawn.
+    /// Probability (per mille) that a request entering a shard kills the
+    /// whole shard first, exercising journal rebuild of its sessions.
     pub shard_kill_per_mille: u32,
     /// Probability (per mille) that a fresh sequenced request panics
     /// mid-fragment, exercising `catch_unwind` + journal rebuild.

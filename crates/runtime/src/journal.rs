@@ -6,9 +6,9 @@
 //! the sequenced units (and releases) it has committed:
 //!
 //! * **In-memory ring** ([`SessionJournal`]) — always on, bounded by a
-//!   per-session op limit. Owned *outside* the shard executor thread (the
-//!   shard pool holds it behind a mutex), so a supervisor can rebuild the
-//!   sessions of a crashed shard by replay. A ring that overflowed its
+//!   per-session op limit. Each shard keeps its sessions' rings beside
+//!   their live state, and a shard's death drops only the live state, so
+//!   the sessions of a dead shard are rebuilt by replay. A ring that overflowed its
 //!   limit is no longer a complete history; recovery then poisons the
 //!   session instead of silently rebuilding wrong state.
 //! * **Disk persistence** (`hps serve --journal-dir`) — optional
@@ -26,7 +26,7 @@
 //! journal-frame := u32 payload_len ++ u32 crc32(payload) ++ payload
 //! ```
 //!
-//! The commit point of the protocol is the journal append: an executor
+//! The commit point of the protocol is the journal append: a shard
 //! journals a unit *after* executing it and *before* replying, so a
 //! rebuilt session's [`crate::server::ReplayCache`] sequence numbers are
 //! always at or one behind the client's — exactly the window the resume
@@ -53,8 +53,8 @@ pub enum JournalOp {
     Seq {
         /// The unit's sequence number (contiguous from 1).
         seq: u64,
-        /// The logical calls of the unit (shared with the executor's
-        /// in-flight message — journaling never deep-copies arguments).
+        /// The logical calls of the unit (shared with the request that
+        /// carried them — journaling never deep-copies arguments).
         calls: Arc<Vec<PendingCall>>,
         /// Whether the unit was a batch frame (`0x07`) or a single call.
         batch: bool,

@@ -41,16 +41,18 @@
 //! * [`tcp::SessionServer`] accepts many clients and deduplicates
 //!   retransmits through a [`server::ReplayCache`] — a retried call whose
 //!   response was lost is answered from the cache, never re-executed.
-//!   Sessions execute on a [`shard`] pool (`session_id % shards`): each
-//!   shard thread exclusively owns its sessions' hidden state, so
-//!   execution scales across cores without locking hidden values.
+//!   Each connection thread executes its session's units inside the
+//!   session's [`shard`] (`session_id % shards`), a lock around the
+//!   shard's sessions, so sessions on different shards run in parallel
+//!   with no thread hand-off on the round trip.
 //! * [`fault::FaultyChannel`] wraps any channel with a seeded,
 //!   deterministic fault schedule (drops, delays, duplicates,
 //!   truncations) for in-process chaos testing.
 //! * Crash resilience (DESIGN.md §12): per-request `catch_unwind` panic
-//!   isolation, a shard supervisor that respawns dead executors, and a
-//!   deterministic per-session [`journal`] of committed hidden calls from
-//!   which hidden state is rebuilt by replay — optionally persisted with
+//!   isolation, shard deaths (kills, poisoned locks) that drop a shard's
+//!   live sessions in one step, and a deterministic per-session
+//!   [`journal`] of committed hidden calls from which hidden state is
+//!   rebuilt by replay — optionally persisted with
 //!   `--journal-dir` so a restarted `hps serve` resumes sessions
 //!   transparently, and exercised by [`fault::CrashFault`] injection.
 //!

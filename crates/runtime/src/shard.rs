@@ -1,47 +1,46 @@
-//! The shard pool: multi-core execution of hidden session state, under
-//! supervision.
+//! The shard pool: hidden session state partitioned by session and served
+//! inline on the connection threads, one lock per shard.
 //!
 //! Hidden runtime values are built on `Rc<RefCell<…>>` ([`crate::value`])
-//! and are deliberately **not `Send`** — sharing them across threads would
-//! need locking on the interpreter's hot path. Instead of making values
-//! thread-safe, the session server shards *ownership*: a pool of N
-//! executor threads, each owning the complete state (one [`SecureServer`]
-//! plus replay window per session) of every session hashed to it
-//! (`session_id % shards`). A hidden value is created, mutated and dropped
-//! on exactly one thread for its whole life, so the hot path stays
-//! lock-free, while the requests and replies that *do* cross threads are
-//! plain `Send` data: scalar [`hps_ir::Value`] arguments in, encoded
-//! response frames (`Vec<u8>`) out.
+//! and are deliberately **not `Send`**: making them thread-safe would put a
+//! lock on every array access in the interpreter's hot path. The session
+//! server partitions *ownership* instead: shard `session_id % shards`
+//! holds the complete state (one [`SecureServer`] plus replay window per
+//! session) of every session hashed to it, behind one `Mutex`. A
+//! connection thread serves a unit by taking its session's shard lock and
+//! running the fragments right there, so a round trip pays for the socket
+//! and the fragment and for no thread hand-off. Hidden values never leave
+//! the shard: fragments take and return scalar [`hps_ir::Value`]s, and
+//! replies leave as encoded frames (`SessionMap` states why the map may
+//! be used from more than one thread).
 //!
-//! Connection threads feed the pool through **per-shard bounded channels**
-//! ([`std::sync::mpsc::sync_channel`]): a shard running behind exerts
-//! back-pressure on exactly the connections talking to it, never on other
-//! shards. Enqueue depth is observed into the
-//! `hps_server_shard_queue_depth` histogram and per-shard counters
-//! ([`ShardStats`]) record how the load spread, so a saturated shard is
-//! visible in telemetry rather than a mystery.
+//! A busy shard holds back exactly the connections talking to it, never
+//! other shards. No socket I/O happens inside a shard: a connection copies
+//! its reply out and writes it after leaving, so a client that stops
+//! reading holds back only its own connection. The number of connections waiting for or inside a shard
+//! as one enters it is observed into that shard's share of the
+//! `hps_server_shard_queue_depth` histogram, and per-shard counters
+//! ([`ShardStats`]) record how the load spread.
 //!
 //! ## Crash resilience (DESIGN.md §12)
 //!
-//! Executors are *supervised*: a dedicated supervisor thread detects a
-//! dead executor (a crash fault, a bug, or a deliberate
-//! `SessionServerHandle::kill_shard`) and respawns it behind the same
-//! routing slot — senders waiting on the dead shard simply re-enqueue on
-//! the replacement. Per-request fragment execution runs under
-//! `catch_unwind`: a panic is contained, counted
-//! (`hps_server_panics_caught_total`), and the offending session is
-//! rebuilt from its [`SessionJournal`] and retried once; a second panic —
+//! Each sequenced unit runs under `catch_unwind`: a panic is contained,
+//! counted (`hps_server_panics_caught_total`), and the session is rebuilt
+//! from its [`SessionJournal`] and the unit retried once; a second panic —
 //! deterministic fragments fail deterministically — poisons only that
-//! session, never the shard. Because fragments are deterministic, a
-//! respawned executor rebuilds any session's hidden state by replaying
-//! the journal of committed units, and the replay windows come back at
+//! session. A shard *death* — `SessionServerHandle::kill_shard`, an
+//! injected kill, or a lock poisoned by a panic that escaped — is one
+//! synchronous step under the shard's lock: its live sessions are dropped,
+//! its incarnation and restart count go up, and its crash schedule
+//! reseeds. Each session is rebuilt by replaying its journal on next
+//! contact; fragments are deterministic and the replay windows come back at
 //! the same sequence numbers, so exactly-once semantics survive recovery
 //! and the adversary-visible trace is unchanged.
 //!
-//! Because a session's calls are executed in order by a single owner
-//! thread regardless of the shard count, the adversary-visible view —
-//! program output, reply bytes, trace events, interaction counts — is
-//! byte-identical for `--shards 1` and `--shards N`
+//! A session's units run in order, one at a time, under one lock whatever
+//! the shard count, so the adversary-visible view — program output, reply
+//! bytes, trace events, interaction counts — is byte-identical for
+//! `--shards 1` and `--shards N`
 //! (`crates/suite/tests/shard_equivalence.rs` pins this, chaos included).
 
 use crate::bytecode::VmCache;
@@ -54,28 +53,20 @@ use hps_ir::{ComponentId, HiddenProgram};
 use hps_telemetry::Histogram;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// Default bound of each per-shard request queue.
-pub const DEFAULT_QUEUE_CAPACITY: usize = 1024;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
+use std::time::Instant;
 
 /// Default replay-window capacity per session (the protocol minimum: a
 /// retransmit can only be of the last completed sequence).
 pub const DEFAULT_REPLAY_CAPACITY: usize = 1;
 
-/// How long a connection thread waits for the supervisor to respawn a
-/// dead shard before giving up on an enqueue.
-const RESPAWN_WAIT: Duration = Duration::from_secs(5);
-
-/// Counters shared by every thread of a session server. Updated with
-/// relaxed atomics (the histograms take a short mutex at enqueue /
-/// recovery time only — never on the executor hot path).
+/// State shared by every thread of a session server and its handles:
+/// relaxed-atomic counters, and a way to reach the shard pool while the
+/// server is serving.
 #[derive(Default, Debug)]
 pub(crate) struct StatsInner {
     pub(crate) connections: AtomicU64,
@@ -86,28 +77,50 @@ pub(crate) struct StatsInner {
     pub(crate) chaos_kills: AtomicU64,
     /// Fragment panics contained by `catch_unwind` (injected or genuine).
     pub(crate) panics_caught: AtomicU64,
-    /// Dead executors respawned by the supervisor.
+    /// Shard deaths: kills, injected kills and poisoned locks.
     pub(crate) shard_restarts: AtomicU64,
-    /// Sessions rebuilt from a journal (respawn or process restart).
+    /// Sessions rebuilt from a journal (shard death, panic or restart).
     pub(crate) journal_replays: AtomicU64,
     /// VM counters from *legacy* (sessionless) connections, whose private
     /// servers die with the connection; shard caches are read live instead.
     pub(crate) legacy_vm_compiles: AtomicU64,
     pub(crate) legacy_vm_cache_hits: AtomicU64,
-    pub(crate) queue_depth: Mutex<Histogram>,
     /// Wall-clock microseconds per session rebuild. Live-scrape /
     /// `BENCH_*.json` exposition only — never part of a deterministic
     /// snapshot (see OBSERVABILITY.md).
     pub(crate) recovery_latency: Mutex<Histogram>,
-    /// Shard indexes queued for a deliberate kill (`kill_shard`); the
-    /// supervisor services these on its next tick.
-    pub(crate) kill_requests: Mutex<Vec<usize>>,
-    pub(crate) shards: Mutex<Vec<Arc<ShardCounters>>>,
+    /// Each shard's counters; they stay readable after serving stops.
+    shards: OnceLock<Vec<Arc<ShardCounters>>>,
+    /// The serving pool, for `kill_shard`. Weak, so every session's hidden
+    /// state is freed when `serve` returns and drops the pool.
+    pool: OnceLock<Weak<ShardPool>>,
 }
 
 impl StatsInner {
+    /// Makes `pool` this server's shard pool (once, before its first
+    /// accept).
+    pub(crate) fn install(&self, pool: &Arc<ShardPool>) {
+        let counters = pool.shards.iter().map(|s| Arc::clone(&s.counters));
+        let _ = self.shards.set(counters.collect());
+        let _ = self.pool.set(Arc::downgrade(pool));
+    }
+
+    /// The shard pool, while the server is serving.
+    pub(crate) fn pool(&self) -> Option<Arc<ShardPool>> {
+        self.pool.get().and_then(Weak::upgrade)
+    }
+
+    fn counters(&self) -> &[Arc<ShardCounters>] {
+        self.shards.get().map_or(&[], Vec::as_slice)
+    }
+
+    /// Entry-time queue depths, merged across the shards.
     pub(crate) fn queue_depth_histogram(&self) -> Histogram {
-        self.queue_depth.lock().expect("queue depth lock").clone()
+        let mut merged = Histogram::new();
+        for c in self.counters() {
+            merged.merge(&c.queue_depth.lock().expect("queue depth lock"));
+        }
+        merged
     }
 
     pub(crate) fn recovery_latency_histogram(&self) -> Histogram {
@@ -118,9 +131,7 @@ impl StatsInner {
     }
 
     pub(crate) fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards
-            .lock()
-            .expect("shard table lock")
+        self.counters()
             .iter()
             .enumerate()
             .map(|(shard, c)| ShardStats {
@@ -140,22 +151,27 @@ impl StatsInner {
     }
 }
 
-/// Per-shard live counters (internal; snapshot via [`ShardStats`]).
+/// Per-shard live counters (internal; snapshot via [`ShardStats`]). Kept
+/// outside the shard's lock so reading them never waits on a fragment.
 #[derive(Debug)]
-pub(crate) struct ShardCounters {
+struct ShardCounters {
     calls: AtomicU64,
     fragments: AtomicU64,
     cost: AtomicU64,
     sessions: AtomicU64,
+    /// Connections waiting for or inside the shard right now.
     depth: AtomicU64,
     max_depth: AtomicU64,
+    /// `depth` as each connection entered. Per shard, so an entry locks
+    /// only its own shard's histogram.
+    queue_depth: Mutex<Histogram>,
     /// Wall-clock nanoseconds this shard spent executing sequenced units.
     exec_nanos: AtomicU64,
-    /// Executor respawns the supervisor performed for this shard.
+    /// Deaths of this shard: kills, injected kills and poisoned locks.
     restarts: AtomicU64,
     /// The shard's shared compile-once bytecode cache. Every session of
-    /// the shard compiles into — and hits — this cache. `Send + Sync`
-    /// atomics only, so it survives executor respawns.
+    /// the shard compiles into — and hits — this cache; it holds `Send +
+    /// Sync` code only and survives shard deaths.
     vm: Arc<VmCache>,
 }
 
@@ -169,6 +185,7 @@ impl ShardCounters {
             sessions: AtomicU64::new(0),
             depth: AtomicU64::new(0),
             max_depth: AtomicU64::new(0),
+            queue_depth: Mutex::new(Histogram::new()),
             exec_nanos: AtomicU64::new(0),
             restarts: AtomicU64::new(0),
             vm: Arc::new(VmCache::for_program(hidden)),
@@ -176,7 +193,7 @@ impl ShardCounters {
     }
 }
 
-/// Snapshot of one shard executor's counters.
+/// Snapshot of one shard's counters.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ShardStats {
     /// Shard index (`0..shards`).
@@ -189,7 +206,8 @@ pub struct ShardStats {
     pub cost_units: u64,
     /// Sessions owned by this shard.
     pub sessions: u64,
-    /// Deepest request queue observed at an enqueue.
+    /// Most connections seen waiting for or inside this shard as one
+    /// entered it.
     pub max_queue_depth: u64,
     /// Fragments lowered to bytecode by this shard's compile-once cache.
     pub vm_compiles: u64,
@@ -202,120 +220,24 @@ pub struct ShardStats {
     /// Wall-clock nanoseconds spent executing sequenced units (includes
     /// compile time of first-touch fragments).
     pub exec_nanos: u64,
-    /// Times this shard's executor died and was respawned (sums to
+    /// Times this shard died — killed, killed by the crash schedule, or
+    /// its lock poisoned — and dropped its live sessions (sums to
     /// `hps_server_shard_restarts_total` across shards).
     pub restarts: u64,
 }
 
 /// The shard a session is owned by. Pure function of the session id, so
 /// every connection of a session — including reconnects — lands on the
-/// same owner thread.
+/// same shard.
 pub(crate) fn shard_of(session: u64, shards: usize) -> usize {
     debug_assert!(shards > 0);
     (session % shards as u64) as usize
 }
 
-/// A request forwarded from a connection thread to a shard executor. Only
-/// `Send` data crosses: scalar call arguments in, encoded frames out.
-/// Calls are `Arc`-shared so a connection thread can cheaply re-enqueue
-/// the same unit after an executor died mid-stream.
-pub(crate) enum ExecMsg {
-    /// Ensure the session exists (rebuilding it from a journal if this
-    /// shard — or process — is meeting it after a crash); reply with its
-    /// next expected sequence.
-    Hello { session: u64, reply: Sender<u64> },
-    /// Execute-or-replay one sequenced unit; reply with the encoded
-    /// `Response` frame to send (or cache).
-    Seq {
-        session: u64,
-        seq: u64,
-        calls: Arc<Vec<PendingCall>>,
-        batch: bool,
-        reply: Sender<Vec<u8>>,
-    },
-    /// Free one activation's hidden state (fire-and-forget).
-    Release {
-        session: u64,
-        component: ComponentId,
-        key: u64,
-    },
-    /// Deliberate executor suicide (kill-switch faults, `kill_shard`).
-    /// The supervisor respawns the shard; sessions rebuild by replay.
-    Crash,
-}
-
-/// The cloneable handle connection threads use to reach the pool. Routes
-/// by session id and records queue-depth telemetry at every enqueue.
-///
-/// Senders live behind per-shard **slots**: when an executor dies the
-/// supervisor swaps a fresh sender into its slot, so an enqueue that hit
-/// the dead channel simply waits out the respawn and retries. A `None`
-/// slot means the pool is draining and the send fails for good.
-#[derive(Clone)]
-pub(crate) struct ShardSenders {
-    slots: Arc<Vec<Mutex<Option<SyncSender<ExecMsg>>>>>,
-    counters: Vec<Arc<ShardCounters>>,
-    stats: Arc<StatsInner>,
-}
-
-impl ShardSenders {
-    /// Enqueues `msg` on the owning shard's bounded queue, blocking for
-    /// back-pressure when the shard is `queue_capacity` deep and waiting
-    /// out a supervisor respawn when the shard died. `Err` means the pool
-    /// drained (or the respawn wait expired).
-    pub(crate) fn send(&self, session: u64, msg: ExecMsg) -> Result<(), ()> {
-        let shard = shard_of(session, self.slots.len());
-        let c = &self.counters[shard];
-        let depth = c.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        c.max_depth.fetch_max(depth, Ordering::Relaxed);
-        self.stats
-            .queue_depth
-            .lock()
-            .expect("queue depth lock")
-            .record(depth);
-        let deadline = Instant::now() + RESPAWN_WAIT;
-        let mut msg = msg;
-        loop {
-            // Clone the sender out of the slot so the bounded (blocking)
-            // send itself never holds the slot lock.
-            let sender = self.slots[shard].lock().expect("shard slot lock").clone();
-            let Some(sender) = sender else {
-                depth_sub(c);
-                return Err(());
-            };
-            match sender.send(msg) {
-                Ok(()) => return Ok(()),
-                Err(std::sync::mpsc::SendError(returned)) => {
-                    // The executor died with our message unreceived. Wait
-                    // for the supervisor to swap in its replacement.
-                    if Instant::now() >= deadline {
-                        depth_sub(c);
-                        return Err(());
-                    }
-                    msg = returned;
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }
-        }
-    }
-}
-
-/// Saturating queue-depth decrement: a respawn resets the counter to zero
-/// underneath in-flight accounting, so pairs can go missing — saturation
-/// keeps the count approximately right instead of wrapping.
-fn depth_sub(c: &ShardCounters) {
-    let _ = c
-        .depth
-        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| {
-            Some(d.saturating_sub(1))
-        });
-}
-
-/// Spawn-time configuration of a shard pool.
+/// Configuration of a shard pool.
 #[derive(Clone, Debug)]
 pub(crate) struct ShardConfig {
     pub(crate) shards: usize,
-    pub(crate) queue_capacity: usize,
     pub(crate) replay_capacity: usize,
     /// Per-session cap on the in-memory journal ring.
     pub(crate) journal_limit: usize,
@@ -330,7 +252,6 @@ impl Default for ShardConfig {
     fn default() -> ShardConfig {
         ShardConfig {
             shards: 1,
-            queue_capacity: DEFAULT_QUEUE_CAPACITY,
             replay_capacity: DEFAULT_REPLAY_CAPACITY,
             journal_limit: crate::journal::DEFAULT_JOURNAL_LIMIT,
             journal_dir: None,
@@ -339,192 +260,273 @@ impl Default for ShardConfig {
     }
 }
 
-/// Everything one executor incarnation needs — and everything the
-/// supervisor needs to spawn the next incarnation of the same shard.
-/// The journal map and counters are shared across incarnations; the
-/// sessions' hidden state is not (it is rebuilt by replay).
-#[derive(Clone)]
-struct ShardContext {
-    shard: usize,
+/// The pool: N shards, each a lock around its sessions' state. Connection
+/// threads enter the shard of their session through [`ShardPool::hello`],
+/// [`ShardPool::seq`] and [`ShardPool::release`].
+pub(crate) struct ShardPool {
+    shards: Vec<Shard>,
     hidden: HiddenProgram,
-    stats: Arc<StatsInner>,
-    counters: Arc<ShardCounters>,
-    replay_capacity: usize,
-    journal_limit: usize,
-    journal_dir: Option<PathBuf>,
-    /// The shard's committed-op journals, one ring per session. Held
-    /// *outside* the executor thread so it survives executor death.
-    journal: Arc<Mutex<HashMap<u64, SessionJournal>>>,
+    config: ShardConfig,
 }
 
-/// The pool: N supervised shard executors plus the routing slots.
-///
-/// Lifecycle: connection threads clone [`ShardSenders`] and enqueue
-/// through the slots; the supervisor respawns any executor that dies.
-/// [`ShardPool::drain`] stops the supervisor, which withdraws every
-/// slot's sender and joins the executors — each keeps serving until its
-/// queue is empty, so no accepted request is abandoned.
-pub(crate) struct ShardPool {
-    senders: ShardSenders,
-    stop: Arc<AtomicBool>,
-    supervisor: JoinHandle<()>,
+impl std::fmt::Debug for ShardPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ShardPool")
+            .field("shards", &self.shards.len())
+            .field("config", &self.config)
+            .finish_non_exhaustive()
+    }
+}
+
+struct Shard {
+    counters: Arc<ShardCounters>,
+    state: Mutex<ShardState>,
+}
+
+/// What one shard's lock guards.
+struct ShardState {
+    sessions: SessionMap,
+    /// The committed-op journals, one ring per session. They outlive shard
+    /// deaths: a dropped session is rebuilt from its journal.
+    journals: HashMap<u64, SessionJournal>,
+    /// Deaths so far; seeds the crash schedule.
+    incarnation: u64,
+    /// This incarnation's crash-schedule stream.
+    chaos: Option<(StdRng, CrashConfig)>,
+}
+
+/// The hidden state of every session of one shard.
+struct SessionMap(HashMap<u64, SessionSlot>);
+
+// SAFETY: of everything a `SessionSlot` holds, two things are not `Send`:
+// the hidden values (`RtValue`) in each `SecureServer`'s state, whose
+// interiors are shared `Rc`s, and the server's `RecorderHandle`, an `Rc`
+// that shard sessions never set. The rest — hidden program, cost model,
+// `Arc<VmCache>`, replay frames, disk journal file, strings — is `Send`.
+// Every such `Rc` is reachable from this map alone: fragments take and
+// return scalar `hps_ir::Value`s, errors carry strings, and the shard's
+// `VmCache` holds `Send + Sync` code, so no clone escapes to an owner
+// outside the map. The map is touched only under its shard's `Mutex`, so
+// one thread at a time uses these `Rc`s, and the lock orders every
+// hand-over between threads.
+unsafe impl Send for SessionMap {}
+
+/// What a poisoned shard lock, a crash-schedule kill or `kill_shard` does:
+/// the shard dies in one step.
+fn die(state: &mut ShardState, shard: usize, counters: &ShardCounters, stats: &StatsInner) {
+    state.sessions.0.clear();
+    state.incarnation += 1;
+    state.chaos = chaos_stream(
+        state.chaos.as_ref().map(|(_, c)| *c),
+        shard,
+        state.incarnation,
+    );
+    counters.restarts.fetch_add(1, Ordering::Relaxed);
+    stats.shard_restarts.fetch_add(1, Ordering::Relaxed);
+}
+
+/// The crash schedule of one shard incarnation: deterministic per (seed,
+/// shard, incarnation, event index).
+fn chaos_stream(
+    crash: Option<CrashConfig>,
+    shard: usize,
+    incarnation: u64,
+) -> Option<(StdRng, CrashConfig)> {
+    crash.map(|c| {
+        let seed = c.seed ^ ((shard as u64) << 32) ^ incarnation;
+        (StdRng::seed_from_u64(seed), c)
+    })
+}
+
+impl ShardState {
+    /// One draw from the crash schedule at per-mille `rate`; no draw at
+    /// all when the rate is zero.
+    fn draw(&mut self, rate: fn(&CrashConfig) -> u32) -> bool {
+        match &mut self.chaos {
+            Some((rng, c)) if rate(c) > 0 => rng.gen_range(0u32..1000) < rate(c),
+            _ => false,
+        }
+    }
+}
+
+/// Settings and counters one entry into a shard reads besides its locked
+/// state.
+struct Cx<'a> {
+    pool: &'a ShardPool,
+    counters: &'a ShardCounters,
+    stats: &'a StatsInner,
+}
+
+/// Takes a connection back out of its shard's depth on drop, also when a
+/// panic unwinds through the shard.
+struct Leave<'a>(&'a AtomicU64);
+
+impl Drop for Leave<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 impl ShardPool {
-    /// Spawns `config.shards` executor threads (min 1), each owning the
-    /// sessions hashed to it, fed by a bounded queue, plus the supervisor
-    /// that keeps them alive. Each shard gets one compile-once bytecode
-    /// cache shared by all its sessions (and all its incarnations —
-    /// compiled code is `Send + Sync`).
-    pub(crate) fn spawn(
-        config: ShardConfig,
-        hidden: &HiddenProgram,
-        stats: &Arc<StatsInner>,
-    ) -> ShardPool {
-        let shards = config.shards.max(1);
-        let queue_capacity = config.queue_capacity.max(1);
-        let mut slot_vec = Vec::with_capacity(shards);
-        let mut counters = Vec::with_capacity(shards);
-        let mut contexts = Vec::with_capacity(shards);
-        let mut threads = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let c = Arc::new(ShardCounters::new(hidden));
-            let ctx = ShardContext {
-                shard,
-                hidden: hidden.clone(),
-                stats: Arc::clone(stats),
-                counters: Arc::clone(&c),
-                replay_capacity: config.replay_capacity,
-                journal_limit: config.journal_limit.max(1),
-                journal_dir: config.journal_dir.clone(),
-                journal: Arc::new(Mutex::new(HashMap::new())),
-            };
-            let (tx, thread) = spawn_executor(&ctx, queue_capacity, config.crash, 0);
-            slot_vec.push(Mutex::new(Some(tx)));
-            counters.push(c);
-            contexts.push(ctx);
-            threads.push(thread);
+    /// `config.shards` shards (min 1), each with one compile-once bytecode
+    /// cache shared by all its sessions.
+    pub(crate) fn new(config: ShardConfig, hidden: &HiddenProgram) -> ShardPool {
+        if config.crash.is_some_and(|c| c.panic_per_mille > 0) {
+            silence_injected_panics();
         }
-        *stats.shards.lock().expect("shard table lock") = counters.clone();
-        let slots = Arc::new(slot_vec);
-        let stop = Arc::new(AtomicBool::new(false));
-        let supervisor = std::thread::Builder::new()
-            .name("hps-shard-supervisor".into())
-            .spawn({
-                let slots = Arc::clone(&slots);
-                let stats = Arc::clone(stats);
-                let stop = Arc::clone(&stop);
-                let crash = config.crash;
-                move || supervise(slots, contexts, threads, queue_capacity, crash, stats, stop)
+        let shards = (0..config.shards.max(1))
+            .map(|shard| Shard {
+                counters: Arc::new(ShardCounters::new(hidden)),
+                state: Mutex::new(ShardState {
+                    sessions: SessionMap(HashMap::new()),
+                    journals: HashMap::new(),
+                    incarnation: 0,
+                    chaos: chaos_stream(config.crash, shard, 0),
+                }),
             })
-            .expect("spawn shard supervisor");
+            .collect();
         ShardPool {
-            senders: ShardSenders {
-                slots,
-                counters,
-                stats: Arc::clone(stats),
-            },
-            stop,
-            supervisor,
+            shards,
+            hidden: hidden.clone(),
+            config,
         }
     }
 
-    /// A routing handle for a connection thread.
-    pub(crate) fn senders(&self) -> ShardSenders {
-        self.senders.clone()
-    }
-
-    /// Graceful drain: stops the supervisor, which withdraws every slot's
-    /// sender and joins every executor after it finishes its queue.
-    pub(crate) fn drain(self) {
-        self.stop.store(true, Ordering::Release);
-        let _ = self.supervisor.join();
-    }
-}
-
-fn spawn_executor(
-    ctx: &ShardContext,
-    queue_capacity: usize,
-    crash: Option<CrashConfig>,
-    incarnation: u64,
-) -> (SyncSender<ExecMsg>, JoinHandle<()>) {
-    let (tx, rx) = std::sync::mpsc::sync_channel(queue_capacity);
-    let thread = std::thread::Builder::new()
-        .name(format!("hps-shard-{}", ctx.shard))
-        .spawn({
-            let ctx = ctx.clone();
-            move || run_shard_executor(rx, ctx, crash, incarnation)
+    /// Opens `session` (rebuilding it from a journal if its shard — or the
+    /// process — is meeting it after a crash) and returns its next
+    /// expected sequence.
+    pub(crate) fn hello(&self, stats: &StatsInner, session: u64) -> u64 {
+        self.enter(stats, session, |state, cx| {
+            match open_session(state, cx, session) {
+                SessionSlot::Live(live) => live.replay.next_seq(),
+                SessionSlot::Poisoned { next_seq, .. } => *next_seq,
+            }
         })
-        .expect("spawn shard executor");
-    (tx, thread)
-}
+    }
 
-/// The supervisor loop: services deliberate kill requests, respawns dead
-/// executors behind their routing slots, and performs the graceful drain
-/// when the pool stops.
-fn supervise(
-    slots: Arc<Vec<Mutex<Option<SyncSender<ExecMsg>>>>>,
-    contexts: Vec<ShardContext>,
-    mut threads: Vec<JoinHandle<()>>,
-    queue_capacity: usize,
-    crash: Option<CrashConfig>,
-    stats: Arc<StatsInner>,
-    stop: Arc<AtomicBool>,
-) {
-    let mut incarnations: Vec<u64> = vec![0; threads.len()];
-    while !stop.load(Ordering::Acquire) {
-        // Deliberate kills (tests, `loadgen --crash`).
-        let kills: Vec<usize> =
-            std::mem::take(&mut *stats.kill_requests.lock().expect("kill requests lock"));
-        for shard in kills {
-            if shard >= threads.len() {
-                continue;
-            }
-            let sender = slots[shard].lock().expect("shard slot lock").clone();
-            if let Some(tx) = sender {
-                if let Err(TrySendError::Full(_)) = tx.try_send(ExecMsg::Crash) {
-                    // Queue saturated; retry on the next tick.
-                    stats
-                        .kill_requests
-                        .lock()
-                        .expect("kill requests lock")
-                        .push(shard);
+    /// Executes or replays one sequenced unit and copies the encoded
+    /// `Response` frame into `out`: a served frame is copied once, from the
+    /// session's replay window, so the caller writes it to the socket after
+    /// leaving the shard.
+    pub(crate) fn seq(
+        &self,
+        stats: &StatsInner,
+        session: u64,
+        seq: u64,
+        calls: Arc<Vec<PendingCall>>,
+        batch: bool,
+        out: &mut Vec<u8>,
+    ) {
+        self.enter(stats, session, |state, cx| {
+            let inject = state.draw(|c| c.panic_per_mille);
+            match serve_seq(state, cx, session, seq, &calls, batch, inject) {
+                Ok(()) => {
+                    let Some(SessionSlot::Live(live)) = state.sessions.0.get(&session) else {
+                        unreachable!("a served session is live");
+                    };
+                    let SeqCheck::Replay(frame) = live.replay.check(seq) else {
+                        unreachable!("a served sequence is in the replay window");
+                    };
+                    out.clear();
+                    out.extend_from_slice(frame);
                 }
+                Err(msg) => Response::Error(msg).encode_into(out),
+            }
+        });
+    }
+
+    /// Frees one activation's hidden state, journaled so a rebuild frees
+    /// exactly what the live session freed. A session its shard dropped is
+    /// rebuilt first, so no release is lost to a shard death.
+    pub(crate) fn release(
+        &self,
+        stats: &StatsInner,
+        session: u64,
+        component: ComponentId,
+        key: u64,
+    ) {
+        self.enter(stats, session, |state, cx| {
+            open_session(state, cx, session);
+            let ShardState {
+                sessions, journals, ..
+            } = state;
+            if let Some(SessionSlot::Live(live)) = sessions.0.get_mut(&session) {
+                live.server.release(component, key);
+                commit_op(
+                    journals,
+                    cx,
+                    session,
+                    live,
+                    JournalOp::Release { component, key },
+                );
+            }
+        });
+    }
+
+    /// Kills `shard` (crash drill) once no connection is inside it.
+    /// Out-of-range indices are ignored.
+    pub(crate) fn kill(&self, stats: &StatsInner, shard: usize) {
+        if shard < self.shards.len() {
+            let (mut state, died) = self.lock(stats, shard);
+            // A poisoned lock already was this death.
+            if !died {
+                die(&mut state, shard, &self.shards[shard].counters, stats);
             }
         }
-        // Respawn any executor that died — killed, panicked, whatever.
-        for shard in 0..threads.len() {
-            if !threads[shard].is_finished() {
-                continue;
+    }
+
+    /// Locks `shard`, and says whether the shard died on the way in. A
+    /// poisoned lock means a panic escaped while the shard was held and may
+    /// have torn its sessions: that is a shard death. What the death keeps
+    /// is valid at every step: a journal only ever grows by one whole op.
+    fn lock(&self, stats: &StatsInner, shard: usize) -> (MutexGuard<'_, ShardState>, bool) {
+        let s = &self.shards[shard];
+        match s.state.lock() {
+            Ok(state) => (state, false),
+            Err(poisoned) => {
+                s.state.clear_poison();
+                let mut state = poisoned.into_inner();
+                die(&mut state, shard, &s.counters, stats);
+                (state, true)
             }
-            let ctx = &contexts[shard];
-            incarnations[shard] += 1;
-            let (tx, thread) = spawn_executor(ctx, queue_capacity, crash, incarnations[shard]);
-            let old = std::mem::replace(&mut threads[shard], thread);
-            let _ = old.join();
-            // Messages queued-but-unreceived died with the old channel;
-            // their depth contributions are wiped with this reset.
-            ctx.counters.depth.store(0, Ordering::Relaxed);
-            *slots[shard].lock().expect("shard slot lock") = Some(tx);
-            ctx.counters.restarts.fetch_add(1, Ordering::Relaxed);
-            stats.shard_restarts.fetch_add(1, Ordering::Relaxed);
         }
-        std::thread::sleep(Duration::from_millis(1));
     }
-    // Drain: withdraw every sender so executors exit after finishing
-    // their queues, then join them.
-    for slot in slots.iter() {
-        *slot.lock().expect("shard slot lock") = None;
-    }
-    for t in threads {
-        let _ = t.join();
+
+    /// Runs `f` inside `session`'s shard: records the entry-time depth,
+    /// takes the lock, and draws the crash schedule's shard kill first.
+    fn enter<R>(
+        &self,
+        stats: &StatsInner,
+        session: u64,
+        f: impl FnOnce(&mut ShardState, &Cx) -> R,
+    ) -> R {
+        let shard = shard_of(session, self.shards.len());
+        let counters = &self.shards[shard].counters;
+        let depth = counters.depth.fetch_add(1, Ordering::Relaxed) + 1;
+        let _leave = Leave(&counters.depth);
+        counters.max_depth.fetch_max(depth, Ordering::Relaxed);
+        counters
+            .queue_depth
+            .lock()
+            .expect("queue depth lock")
+            .record(depth);
+        let (mut state, _) = self.lock(stats, shard);
+        if state.draw(|c| c.shard_kill_per_mille) {
+            die(&mut state, shard, counters, stats);
+        }
+        let cx = Cx {
+            pool: self,
+            counters,
+            stats,
+        };
+        f(&mut state, &cx)
     }
 }
 
-/// One session's slot on its owner shard: live state, or a poisoned
-/// tombstone after an unrecoverable panic. Poisoning is per-session by
-/// design — the blast radius of a bad fragment is one session, never the
-/// shard or its other sessions.
+/// One session's slot in its shard: live state, or a poisoned tombstone
+/// after an unrecoverable panic. Poisoning is per-session by design — the
+/// blast radius of a bad fragment is one session, never the shard or its
+/// other sessions.
 enum SessionSlot {
     Live(Box<SessionState>),
     Poisoned { reason: String, next_seq: u64 },
@@ -538,171 +540,101 @@ struct SessionState {
     disk: Option<DiskJournal>,
 }
 
-/// One shard's executor loop: owns the hidden state of every session
-/// hashed here, applies the replay cache, journals committed units, and
-/// hands encoded response frames back to the connection threads. Exits
-/// when the last sender drops (drain), on [`ExecMsg::Crash`], or on an
-/// injected kill — the supervisor respawns the latter two.
-fn run_shard_executor(
-    rx: Receiver<ExecMsg>,
-    ctx: ShardContext,
-    crash: Option<CrashConfig>,
-    incarnation: u64,
-) {
-    let mut chaos = crash.map(|c| {
-        if c.panic_per_mille > 0 {
-            silence_injected_panics();
-        }
-        // Deterministic per (seed, shard, incarnation, event index).
-        let seed = c.seed ^ ((ctx.shard as u64) << 32) ^ incarnation;
-        (StdRng::seed_from_u64(seed), c)
-    });
-    let mut sessions: HashMap<u64, SessionSlot> = HashMap::new();
-    while let Ok(msg) = rx.recv() {
-        depth_sub(&ctx.counters);
-        if let Some((rng, c)) = &mut chaos {
-            if c.shard_kill_per_mille > 0
-                && !matches!(msg, ExecMsg::Crash)
-                && rng.gen_range(0u32..1000) < c.shard_kill_per_mille
-            {
-                // The executor dies mid-stream, dropping its queue and
-                // every pending reply sender; the supervisor respawns it
-                // and sessions rebuild from their journals on demand.
-                return;
-            }
-        }
-        match msg {
-            ExecMsg::Crash => return,
-            ExecMsg::Hello { session, reply } => {
-                let next = match open_session(&mut sessions, session, &ctx) {
-                    SessionSlot::Live(state) => state.replay.next_seq(),
-                    SessionSlot::Poisoned { next_seq, .. } => *next_seq,
-                };
-                let _ = reply.send(next);
-            }
-            ExecMsg::Seq {
-                session,
-                seq,
-                calls,
-                batch,
-                reply,
-            } => {
-                let inject = match &mut chaos {
-                    Some((rng, c)) if c.panic_per_mille > 0 => {
-                        rng.gen_range(0u32..1000) < c.panic_per_mille
-                    }
-                    _ => false,
-                };
-                let bytes = serve_seq(&mut sessions, session, seq, &calls, batch, inject, &ctx);
-                let _ = reply.send(bytes);
-            }
-            ExecMsg::Release {
-                session,
-                component,
-                key,
-            } => {
-                if let Some(SessionSlot::Live(state)) = sessions.get_mut(&session) {
-                    state.server.release(component, key);
-                    // Journaled so replay frees exactly what the live
-                    // session freed.
-                    commit_op(&ctx, session, state, JournalOp::Release { component, key });
-                }
-            }
-        }
-    }
-}
-
 /// Serves one sequenced unit: replay-cache fast paths first, then fresh
 /// execution under panic isolation with a single rebuild-and-retry.
+/// `Ok` means the reply is the frame now cached for `seq`; `Err` carries
+/// the error to send instead.
 fn serve_seq(
-    sessions: &mut HashMap<u64, SessionSlot>,
+    state: &mut ShardState,
+    cx: &Cx,
     session: u64,
     seq: u64,
     calls: &Arc<Vec<PendingCall>>,
     batch: bool,
     inject_panic: bool,
-    ctx: &ShardContext,
-) -> Vec<u8> {
-    match open_session(sessions, session, ctx) {
-        SessionSlot::Poisoned { reason, .. } => {
-            return encode_error(format!("session poisoned: {reason}"));
-        }
-        SessionSlot::Live(state) => match state.replay.check(seq) {
+) -> Result<(), String> {
+    match open_session(state, cx, session) {
+        SessionSlot::Poisoned { reason, .. } => return Err(format!("session poisoned: {reason}")),
+        SessionSlot::Live(live) => match live.replay.check(seq) {
             SeqCheck::Fresh => {}
-            SeqCheck::Replay(cached) => {
-                ctx.stats.replays.fetch_add(1, Ordering::Relaxed);
-                return cached.clone();
+            SeqCheck::Replay(_) => {
+                cx.stats.replays.fetch_add(1, Ordering::Relaxed);
+                return Ok(());
             }
             SeqCheck::Gap { expected } => {
-                return encode_error(format!("sequence gap: got {seq}, expected {expected}"));
+                return Err(format!("sequence gap: got {seq}, expected {expected}"));
             }
         },
     }
+    let ShardState {
+        sessions, journals, ..
+    } = state;
     // Fresh: execute under `catch_unwind`. A first panic (injected or
     // genuine) leaves torn hidden state behind, so the session is rebuilt
     // from its journal and the unit retried once; a second panic —
     // deterministic fragments fail deterministically — poisons the
-    // session. Only this session is affected either way.
+    // session. Only this session is affected either way, and the panic
+    // never reaches the shard's lock.
     let mut attempt = 0u32;
     loop {
-        let Some(SessionSlot::Live(state)) = sessions.get_mut(&session) else {
+        let Some(SessionSlot::Live(live)) = sessions.0.get_mut(&session) else {
             unreachable!("session opened live above");
         };
         let inject = inject_panic && attempt == 0;
         let t0 = Instant::now();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_unit(&mut state.server, calls, batch, inject)
+            run_unit(&mut live.server, calls, batch, inject)
         }));
-        ctx.counters
+        cx.counters
             .exec_nanos
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         match outcome {
             Ok((resp, served, cost)) => {
-                ctx.stats.calls.fetch_add(served, Ordering::Relaxed);
-                ctx.counters.calls.fetch_add(served, Ordering::Relaxed);
-                ctx.counters.fragments.fetch_add(served, Ordering::Relaxed);
-                ctx.counters.cost.fetch_add(cost, Ordering::Relaxed);
+                cx.stats.calls.fetch_add(served, Ordering::Relaxed);
+                cx.counters.calls.fetch_add(served, Ordering::Relaxed);
+                cx.counters.fragments.fetch_add(served, Ordering::Relaxed);
+                cx.counters.cost.fetch_add(cost, Ordering::Relaxed);
                 let mut buf = Vec::new();
                 resp.encode_into(&mut buf);
-                let evicted = state.replay.store(seq, buf.clone());
-                ctx.stats
+                let evicted = live.replay.store(seq, buf);
+                cx.stats
                     .replay_evictions
                     .fetch_add(evicted, Ordering::Relaxed);
                 // The commit point: the journal sees the unit before the
                 // reply leaves the shard (DESIGN.md §12), so recovery is
                 // always at or one behind what the client observed.
                 commit_op(
-                    ctx,
+                    journals,
+                    cx,
                     session,
-                    state,
+                    live,
                     JournalOp::Seq {
                         seq,
                         calls: Arc::clone(calls),
                         batch,
                     },
                 );
-                return buf;
+                return Ok(());
             }
             Err(payload) => {
-                ctx.stats.panics_caught.fetch_add(1, Ordering::Relaxed);
+                cx.stats.panics_caught.fetch_add(1, Ordering::Relaxed);
                 let reason = panic_reason(payload.as_ref());
                 if attempt == 0 {
-                    if let Some(rebuilt) = rebuild_session(session, ctx) {
-                        sessions.insert(session, SessionSlot::Live(Box::new(rebuilt)));
+                    if let Some(rebuilt) = rebuild_session(journals, cx, session) {
+                        sessions
+                            .0
+                            .insert(session, SessionSlot::Live(Box::new(rebuilt)));
                         attempt = 1;
                         continue;
                     }
                 }
-                let next_seq = ctx
-                    .journal
-                    .lock()
-                    .expect("journal lock")
-                    .get(&session)
-                    .map_or(seq, |j| j.last_seq() + 1);
+                let next_seq = journals.get(&session).map_or(seq, |j| j.last_seq() + 1);
                 let reason = format!("fragment panicked: {reason}");
                 let msg = format!("session poisoned: {reason}");
-                sessions.insert(session, SessionSlot::Poisoned { reason, next_seq });
-                return encode_error(msg);
+                sessions
+                    .0
+                    .insert(session, SessionSlot::Poisoned { reason, next_seq });
+                return Err(msg);
             }
         }
     }
@@ -759,88 +691,73 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn encode_error(msg: String) -> Vec<u8> {
-    let mut buf = Vec::new();
-    Response::Error(msg).encode_into(&mut buf);
-    buf
-}
-
 /// Appends a committed op to the session's in-memory ring and (best
 /// effort) its disk journal. Called at the commit point, before replying.
-fn commit_op(ctx: &ShardContext, session: u64, state: &mut SessionState, op: JournalOp) {
-    ctx.journal
-        .lock()
-        .expect("journal lock")
-        .entry(session)
-        .or_insert_with(|| SessionJournal::new(ctx.journal_limit))
-        .append(op.clone());
-    if let Some(disk) = &mut state.disk {
+fn commit_op(
+    journals: &mut HashMap<u64, SessionJournal>,
+    cx: &Cx,
+    session: u64,
+    live: &mut SessionState,
+    op: JournalOp,
+) {
+    if let Some(disk) = &mut live.disk {
         // Best-effort: a failing disk leaves the in-memory ring as the
         // recovery source; the next restart simply recovers less.
         let _ = disk.append(&op);
     }
+    journals
+        .entry(session)
+        .or_insert_with(|| SessionJournal::new(cx.pool.config.journal_limit))
+        .append(op);
 }
 
-/// Looks a session up, creating it on first contact. A session this
-/// executor has never seen but whose journal exists — in the shared ring
-/// map (executor respawn) or on disk (process restart) — is rebuilt by
+/// Looks a session up, creating it on first contact. A session this shard
+/// does not hold but whose journal exists — in the shard's rings (after a
+/// shard death) or on disk (after a process restart) — is rebuilt by
 /// replay instead; an incomplete journal poisons it.
-fn open_session<'a>(
-    sessions: &'a mut HashMap<u64, SessionSlot>,
-    session: u64,
-    ctx: &ShardContext,
-) -> &'a mut SessionSlot {
-    sessions.entry(session).or_insert_with(|| {
-        let known = ctx
-            .journal
-            .lock()
-            .expect("journal lock")
-            .contains_key(&session)
-            || ctx
+fn open_session<'s>(state: &'s mut ShardState, cx: &Cx, session: u64) -> &'s mut SessionSlot {
+    let ShardState {
+        sessions, journals, ..
+    } = state;
+    sessions.0.entry(session).or_insert_with(|| {
+        let known = journals.contains_key(&session)
+            || cx
+                .pool
+                .config
                 .journal_dir
                 .as_deref()
                 .is_some_and(|d| journal_path(d, session).exists());
-        if known {
-            match rebuild_session(session, ctx) {
-                Some(state) => SessionSlot::Live(Box::new(state)),
-                None => {
-                    let next_seq = ctx
-                        .journal
-                        .lock()
-                        .expect("journal lock")
-                        .get(&session)
-                        .map_or(1, |j| j.last_seq() + 1);
-                    SessionSlot::Poisoned {
-                        reason: "journal incomplete: ring overflowed before recovery".into(),
-                        next_seq,
-                    }
-                }
-            }
-        } else {
-            ctx.stats.sessions.fetch_add(1, Ordering::Relaxed);
-            ctx.counters.sessions.fetch_add(1, Ordering::Relaxed);
-            ctx.journal
-                .lock()
-                .expect("journal lock")
-                .insert(session, SessionJournal::new(ctx.journal_limit));
-            SessionSlot::Live(Box::new(fresh_state(session, ctx)))
+        if !known {
+            cx.stats.sessions.fetch_add(1, Ordering::Relaxed);
+            cx.counters.sessions.fetch_add(1, Ordering::Relaxed);
+            journals.insert(session, SessionJournal::new(cx.pool.config.journal_limit));
+            return SessionSlot::Live(Box::new(fresh_state(cx, session)));
+        }
+        match rebuild_session(journals, cx, session) {
+            Some(live) => SessionSlot::Live(Box::new(live)),
+            None => SessionSlot::Poisoned {
+                reason: "journal incomplete: ring overflowed before recovery".into(),
+                next_seq: journals.get(&session).map_or(1, |j| j.last_seq() + 1),
+            },
         }
     })
 }
 
 /// A brand-new (or about-to-be-replayed-into) session state. Sessions
-/// share the shard's compile-once cache: the shard thread exclusively
-/// owns its sessions, but compiled code is plain `Send + Sync` data, so
-/// sharing it is safe and each fragment lowers at most once per shard.
-fn fresh_state(session: u64, ctx: &ShardContext) -> SessionState {
-    let server = SecureServer::new(ctx.hidden.clone()).with_vm_cache(Arc::clone(&ctx.counters.vm));
-    let disk = ctx
+/// share the shard's compile-once cache, so each fragment lowers at most
+/// once per shard.
+fn fresh_state(cx: &Cx, session: u64) -> SessionState {
+    let server =
+        SecureServer::new(cx.pool.hidden.clone()).with_vm_cache(Arc::clone(&cx.counters.vm));
+    let disk = cx
+        .pool
+        .config
         .journal_dir
         .as_deref()
         .and_then(|d| DiskJournal::open(d, session).ok());
     SessionState {
         server,
-        replay: ReplayCache::with_capacity(ctx.replay_capacity),
+        replay: ReplayCache::with_capacity(cx.pool.config.replay_capacity),
         disk,
     }
 }
@@ -850,47 +767,48 @@ fn fresh_state(session: u64, ctx: &ShardContext) -> SessionState {
 /// bit-identical to the lost state. Returns `None` when no journal can
 /// be found or the ring is no longer a complete history (the caller then
 /// poisons the session rather than rebuild wrong state).
-fn rebuild_session(session: u64, ctx: &ShardContext) -> Option<SessionState> {
+fn rebuild_session(
+    journals: &mut HashMap<u64, SessionJournal>,
+    cx: &Cx,
+    session: u64,
+) -> Option<SessionState> {
     let t0 = Instant::now();
-    let journal = {
-        let mut map = ctx.journal.lock().expect("journal lock");
-        match map.get(&session) {
-            Some(j) => j.clone(),
-            None => {
-                let loaded = ctx
-                    .journal_dir
-                    .as_deref()
-                    .and_then(|d| load_disk_journal(d, session, ctx.journal_limit))?;
-                map.insert(session, loaded.clone());
-                loaded
-            }
+    let journal = match journals.entry(session) {
+        Entry::Occupied(ring) => ring.into_mut(),
+        Entry::Vacant(slot) => {
+            let dir = cx.pool.config.journal_dir.as_deref()?;
+            slot.insert(load_disk_journal(
+                dir,
+                session,
+                cx.pool.config.journal_limit,
+            )?)
         }
     };
     if !journal.is_complete() {
         return None;
     }
-    let mut state = fresh_state(session, ctx);
+    let mut live = fresh_state(cx, session);
     for op in journal.ops() {
         match op {
             JournalOp::Seq { seq, calls, batch } => {
                 // Replay is not new logical work: committed units were
                 // counted when first served, so only hidden state and the
                 // replay window are rebuilt here.
-                let (resp, _served, _cost) = execute(&mut state.server, calls, *batch);
+                let (resp, _served, _cost) = execute(&mut live.server, calls, *batch);
                 let mut buf = Vec::new();
                 resp.encode_into(&mut buf);
-                let _ = state.replay.store(*seq, buf);
+                let _ = live.replay.store(*seq, buf);
             }
-            JournalOp::Release { component, key } => state.server.release(*component, *key),
+            JournalOp::Release { component, key } => live.server.release(*component, *key),
         }
     }
-    ctx.stats.journal_replays.fetch_add(1, Ordering::Relaxed);
-    ctx.stats
+    cx.stats.journal_replays.fetch_add(1, Ordering::Relaxed);
+    cx.stats
         .recovery_latency
         .lock()
         .expect("recovery latency lock")
         .record(t0.elapsed().as_micros() as u64);
-    Some(state)
+    Some(live)
 }
 
 /// Executes one sequenced unit against a session's secure server,
@@ -934,8 +852,82 @@ fn execute(server: &mut SecureServer, calls: &[PendingCall], batch: bool) -> (Re
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use hps_ir::{
+        BinOp, Block, ComponentKind, Expr, FragLabel, Fragment, HiddenComponent, HiddenVar,
+        LocalId, Place, Stmt, StmtKind, Ty, Value,
+    };
+
+    /// One hidden accumulator: `L0(p) { acc = acc + p; return acc }`.
+    pub(crate) fn accumulator_program() -> HiddenProgram {
+        let mut hp = HiddenProgram::new();
+        hp.add(HiddenComponent {
+            id: ComponentId::new(0),
+            kind: ComponentKind::Function {
+                func_name: "f".into(),
+            },
+            vars: vec![HiddenVar {
+                name: "acc".into(),
+                ty: Ty::Int,
+                init: None,
+            }],
+            fragments: vec![Fragment {
+                label: FragLabel::new(0),
+                params: vec![("p".into(), Ty::Int)],
+                body: Block::of(vec![Stmt::new(StmtKind::Assign {
+                    place: Place::Local(LocalId::new(0)),
+                    value: Expr::binary(
+                        BinOp::Add,
+                        Expr::local(LocalId::new(0)),
+                        Expr::local(LocalId::new(1)),
+                    ),
+                })]),
+                ret: Some(Expr::local(LocalId::new(0))),
+            }],
+        });
+        hp
+    }
+
+    /// One sequenced accumulator call; returns the running sum.
+    fn add(pool: &ShardPool, stats: &StatsInner, session: u64, seq: u64, n: i64) -> i64 {
+        let calls = Arc::new(vec![PendingCall {
+            component: ComponentId::new(0),
+            key: 1,
+            label: FragLabel::new(0),
+            args: vec![Value::Int(n)],
+        }]);
+        let mut frame = Vec::new();
+        pool.seq(stats, session, seq, calls, false, &mut frame);
+        match Response::decode(&frame).expect("decode") {
+            Response::Reply {
+                value: Value::Int(sum),
+                ..
+            } => sum,
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+
+    /// A one-shard pool, installed as a serving server would.
+    fn serving_pool() -> (Arc<ShardPool>, StatsInner) {
+        let pool = Arc::new(ShardPool::new(
+            ShardConfig::default(),
+            &accumulator_program(),
+        ));
+        let stats = StatsInner::default();
+        stats.install(&pool);
+        (pool, stats)
+    }
+
+    /// Poisons shard 0's lock the way an escaped panic would.
+    fn poison(pool: &ShardPool) {
+        let escaped = std::panic::catch_unwind(|| {
+            let _held = pool.shards[0].state.lock();
+            panic!("escaped while holding the shard");
+        });
+        assert!(escaped.is_err());
+        assert!(pool.shards[0].state.is_poisoned());
+    }
 
     #[test]
     fn sessions_hash_to_stable_shards() {
@@ -951,11 +943,119 @@ mod tests {
     }
 
     #[test]
-    fn exec_messages_are_send() {
-        // The whole sharding design rests on this: requests and replies
-        // cross threads, hidden values never do.
-        fn assert_send<T: Send>() {}
-        assert_send::<ExecMsg>();
-        assert_send::<Vec<u8>>();
+    fn shard_pool_is_send_and_sync() {
+        // Connection threads share one pool; the audited `Send` of
+        // `SessionMap` is what makes that possible.
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<ShardPool>();
+    }
+
+    #[test]
+    fn interleaved_sessions_on_one_shard_stay_exact() {
+        let (pool, stats) = serving_pool();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let (pool, stats, start) = (&*pool, &stats, &start);
+                scope.spawn(move || {
+                    // Two sessions per thread, alternating call by call,
+                    // while three other threads do the same on the shard.
+                    let sessions = [2 * t + 1, 2 * t + 2];
+                    for session in sessions {
+                        assert_eq!(pool.hello(stats, session), 1);
+                    }
+                    start.wait();
+                    for n in 1..=50i64 {
+                        for session in sessions {
+                            assert_eq!(add(pool, stats, session, n as u64, n), n * (n + 1) / 2);
+                        }
+                    }
+                });
+            }
+        });
+        let shard = stats.shard_stats()[0];
+        assert_eq!(shard.calls, 400);
+        assert_eq!(shard.fragments, 400);
+        assert_eq!(shard.sessions, 8);
+        assert_eq!(stats.calls.load(Ordering::Relaxed), 400);
+        assert_eq!(
+            stats.queue_depth_histogram().count(),
+            408,
+            "8 hellos + 400 calls"
+        );
+        assert_eq!(shard.restarts, 0);
+    }
+
+    #[test]
+    fn back_pressure_blocks_only_the_busy_shard() {
+        // Two shards: session 1 hashes to shard 1, session 2 to shard 0.
+        let config = ShardConfig {
+            shards: 2,
+            ..ShardConfig::default()
+        };
+        let pool = Arc::new(ShardPool::new(config, &accumulator_program()));
+        let stats = StatsInner::default();
+        stats.install(&pool);
+        let (pool, stats) = (&*pool, &stats);
+        let (inside_tx, inside_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            // A connection busy inside shard 1 until the test releases it.
+            scope.spawn(move || {
+                pool.enter(stats, 1, move |_, _| {
+                    inside_tx.send(()).expect("inside");
+                    release_rx.recv().expect("release");
+                })
+            });
+            inside_rx.recv().expect("busy connection entered");
+            // A second connection of shard 1 queues behind it.
+            let queued = scope.spawn(move || {
+                assert_eq!(pool.hello(stats, 1), 1);
+                add(pool, stats, 1, 1, 7)
+            });
+            while stats.shard_stats()[1].max_queue_depth < 2 {
+                std::thread::yield_now();
+            }
+            // Shard 0 serves while shard 1 is held.
+            assert_eq!(pool.hello(stats, 2), 1);
+            for n in 1..=50i64 {
+                assert_eq!(add(pool, stats, 2, n as u64, n), n * (n + 1) / 2);
+            }
+            assert!(!queued.is_finished(), "shard 1 is still held");
+            release_tx.send(()).expect("release");
+            assert_eq!(queued.join().expect("queued connection"), 7);
+        });
+        let shards = stats.shard_stats();
+        assert_eq!((shards[0].calls, shards[1].calls), (50, 1));
+        assert_eq!(shards[0].max_queue_depth, 1);
+        assert_eq!(shards[1].max_queue_depth, 2);
+    }
+
+    #[test]
+    fn poisoned_lock_is_one_shard_death_and_sessions_rebuild() {
+        let (pool, stats) = serving_pool();
+        assert_eq!(pool.hello(&stats, 7), 1);
+        for n in 1..=4i64 {
+            assert_eq!(add(&pool, &stats, 7, n as u64, n), n * (n + 1) / 2);
+        }
+        // A panic that escapes while the shard is held poisons its lock;
+        // the next entry finds the poison: one death, then the session is
+        // rebuilt from its journal with the right running sum.
+        poison(&pool);
+        assert_eq!(add(&pool, &stats, 7, 5, 5), 15);
+        assert_eq!(add(&pool, &stats, 7, 6, 6), 21);
+        assert!(!pool.shards[0].state.is_poisoned());
+        assert_eq!(stats.shard_restarts.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.shard_stats()[0].restarts, 1);
+        assert_eq!(stats.journal_replays.load(Ordering::Relaxed), 1);
+        // A kill that finds the poison is that same death, not a second.
+        poison(&pool);
+        pool.kill(&stats, 0);
+        assert!(!pool.shards[0].state.is_poisoned());
+        assert_eq!(stats.shard_restarts.load(Ordering::Relaxed), 2);
+        assert_eq!(stats.shard_stats()[0].restarts, 2);
+        assert_eq!(add(&pool, &stats, 7, 7, 7), 28);
+        assert_eq!(stats.journal_replays.load(Ordering::Relaxed), 2);
+        assert_eq!(stats.calls.load(Ordering::Relaxed), 7, "no unit ran twice");
     }
 }

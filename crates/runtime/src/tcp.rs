@@ -25,10 +25,9 @@
 //!   deduplicates retransmits through a [`crate::server::ReplayCache`] of
 //!   encoded response frames: a retried call whose response was lost is answered
 //!   from the cache, never re-executed. Sequence gaps are terminal.
-//!   Sessions execute on a pool of shard threads ([`crate::shard`]), each
-//!   owning the state of the sessions hashed to it — lock-free hidden
-//!   execution that scales with cores while keeping every per-session
-//!   guarantee above.
+//!   Each connection thread runs its session's units itself, inside the
+//!   session's shard ([`crate::shard`]): one lock per shard, no hand-off
+//!   to another thread, and sessions on different shards run in parallel.
 //!
 //! Retries, reconnects and replays are visible only in
 //! [`Channel::transport_stats`] — never in [`Channel::interactions`],
@@ -38,7 +37,7 @@ use crate::channel::{CallReply, Channel, PendingCall, TransportStats};
 use crate::error::{FaultClass, RuntimeError};
 use crate::fault::CrashConfig;
 use crate::server::SecureServer;
-use crate::shard::{ExecMsg, ShardConfig, ShardPool, ShardSenders, StatsInner};
+use crate::shard::{ShardConfig, ShardPool, StatsInner};
 use crate::wire::{read_frame, write_frame, Request, Response, WIRE_VERSION};
 use hps_ir::{ComponentId, FragLabel, HiddenProgram, Value};
 use hps_telemetry::{metrics::names, Event, Histogram, MetricsSnapshot, RecorderHandle};
@@ -152,9 +151,9 @@ struct Reliable {
     session: u64,
     next_seq: u64,
     /// The last `policy.resume_window` committed sequenced frames,
-    /// byte-identical as sent, keyed by sequence number. A recovered
-    /// server that lost a committed tail (dead executor, torn disk
-    /// journal) is caught up from here during the handshake — see
+    /// byte-identical as sent, keyed by sequence number. A restarted
+    /// server that lost a committed tail (torn disk journal) is caught up
+    /// from here during the handshake — see
     /// [`TcpChannel::resume_session`].
     history: std::collections::VecDeque<(u64, Vec<u8>)>,
     rng: StdRng,
@@ -397,8 +396,8 @@ impl TcpChannel {
     }
 
     /// Re-drives committed-but-lost sequenced frames after the server came
-    /// back behind the client (an executor died before journaling its
-    /// tail, or a torn disk journal frame was dropped on restart). The
+    /// back behind the client (a torn disk journal frame was dropped on
+    /// restart). The
     /// retransmits are the byte-identical original frames, so on the wire
     /// this is indistinguishable from the lost-response retransmits the
     /// protocol always had — the adversary's view is unchanged, and no
@@ -558,9 +557,16 @@ impl TcpChannel {
         if let Some(r) = self.reliable.as_mut() {
             // Keep the committed frame so a recovered server that lost its
             // journal tail can be re-driven (resume_session); the window is
-            // bounded by `RetryPolicy::resume_window`.
+            // bounded by `RetryPolicy::resume_window`. The frame moves into
+            // the window, and once the window is full the frame it evicts
+            // becomes the next encode buffer.
             if matches!(req, Request::SeqCall { .. } | Request::SeqBatch { .. }) {
-                r.history.push_back((r.next_seq, self.scratch.clone()));
+                let evicted = (r.history.len() >= r.policy.resume_window)
+                    .then(|| r.history.pop_front())
+                    .flatten()
+                    .map_or_else(|| Vec::with_capacity(256), |(_, frame)| frame);
+                let frame = std::mem::replace(&mut self.scratch, evicted);
+                r.history.push_back((r.next_seq, frame));
                 while r.history.len() > r.policy.resume_window {
                     r.history.pop_front();
                 }
@@ -826,7 +832,9 @@ pub struct ServerStats {
     /// Fragment panics caught by per-request `catch_unwind` (injected and
     /// genuine alike); each poisons at most one session, never a shard.
     pub panics_caught: u64,
-    /// Dead shard executors respawned by the supervisor.
+    /// Shard deaths — [`SessionServerHandle::kill_shard`], crash-schedule
+    /// kills and poisoned shard locks — each dropping the shard's live
+    /// sessions for a rebuild from their journals.
     pub shard_restarts: u64,
     /// Sessions rebuilt by replaying their committed-call journal.
     pub journal_replays: u64,
@@ -888,16 +896,15 @@ impl SessionServerHandle {
         }
     }
 
-    /// Asks the supervisor to kill one shard executor (crash drill): the
-    /// executor thread exits at its next message, the supervisor respawns
-    /// it, and its sessions are rebuilt from their journals on demand.
-    /// Out-of-range shard indices are ignored.
+    /// Kills one shard (crash drill): its live sessions are dropped and
+    /// rebuilt from their journals on next contact. Synchronous — it waits
+    /// for any connection inside the shard, and `shard_restarts` has
+    /// counted the death when it returns. Out-of-range shard indices, and
+    /// calls while the server is not serving, are ignored.
     pub fn kill_shard(&self, shard: usize) {
-        self.stats
-            .kill_requests
-            .lock()
-            .expect("kill-request lock")
-            .push(shard);
+        if let Some(pool) = self.stats.pool() {
+            pool.kill(&self.stats, shard);
+        }
     }
 
     /// Per-shard call/session/queue-depth counters, one entry per shard.
@@ -905,14 +912,15 @@ impl SessionServerHandle {
         self.stats.shard_stats()
     }
 
-    /// Enqueue-time queue-depth distribution across every shard.
+    /// How many connections were waiting for or inside a shard as each
+    /// entered it, merged across the shards.
     pub fn queue_depth(&self) -> Histogram {
         self.stats.queue_depth_histogram()
     }
 
     /// Full telemetry snapshot: the `hps_server_*` counters plus the
     /// `hps_server_shard_queue_depth` histogram. Virtual cost is summed
-    /// across the shard executors.
+    /// across the shards.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut m = self.stats().to_metrics();
         let cost: u64 = self.shard_stats().iter().map(|s| s.cost_units).sum();
@@ -929,37 +937,29 @@ impl SessionServerHandle {
     }
 
     /// Asks the server to shut down cleanly: the accept loop exits at its
-    /// next poll, live connections are served to completion, and the shard
-    /// pool drains every in-flight request before its threads exit.
+    /// next poll and every in-flight request is served to completion.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
     }
 }
 
-/// Multi-client accept loop: one I/O thread per client, sessions executed
-/// on a pool of shard threads (each owning the sessions hashed to it) with
-/// sequenced exactly-once replay. Sessions survive disconnects — a client
-/// reconnecting with the same session id resumes its hidden state on the
-/// same shard.
+/// Multi-client accept loop: one thread per client, which executes its
+/// session's units inside the session's shard, with sequenced exactly-once
+/// replay. Sessions survive disconnects — a client reconnecting with the
+/// same session id resumes its hidden state on the same shard.
 pub struct SessionServer {
     listener: TcpListener,
     hidden: HiddenProgram,
     chaos: Option<ChaosConfig>,
-    shards: usize,
-    queue_capacity: usize,
-    replay_capacity: usize,
-    journal_limit: usize,
-    journal_dir: Option<PathBuf>,
-    crash: Option<CrashConfig>,
+    config: ShardConfig,
     stats: Arc<StatsInner>,
     stop: Arc<AtomicBool>,
 }
 
 impl SessionServer {
     /// Binds a listener (use port 0 for an ephemeral port) serving `hidden`
-    /// to every session. Defaults to a single shard — byte-compatible with
-    /// the previous one-executor design; use [`SessionServer::with_shards`]
-    /// to scale across cores.
+    /// to every session. Defaults to a single shard; use
+    /// [`SessionServer::with_shards`] to scale across cores.
     ///
     /// # Errors
     ///
@@ -973,12 +973,7 @@ impl SessionServer {
             listener,
             hidden,
             chaos: None,
-            shards: 1,
-            queue_capacity: crate::shard::DEFAULT_QUEUE_CAPACITY,
-            replay_capacity: crate::shard::DEFAULT_REPLAY_CAPACITY,
-            journal_limit: crate::journal::DEFAULT_JOURNAL_LIMIT,
-            journal_dir: None,
-            crash: None,
+            config: ShardConfig::default(),
             stats: Arc::new(StatsInner::default()),
             stop: Arc::new(AtomicBool::new(false)),
         })
@@ -989,23 +984,23 @@ impl SessionServer {
     /// server re-bound with the same directory rebuilds hidden state by
     /// replay, so sessions survive a full process restart.
     pub fn with_journal_dir(mut self, dir: impl Into<PathBuf>) -> SessionServer {
-        self.journal_dir = Some(dir.into());
+        self.config.journal_dir = Some(dir.into());
         self
     }
 
     /// Caps the in-memory journal ring per session (builder style; min 1).
-    /// A session whose ring overflowed can no longer be rebuilt after an
-    /// executor crash and is poisoned instead of silently diverging.
+    /// A session whose ring overflowed can no longer be rebuilt after a
+    /// shard death and is poisoned instead of silently diverging.
     pub fn with_journal_limit(mut self, ops: usize) -> SessionServer {
-        self.journal_limit = ops.max(1);
+        self.config.journal_limit = ops.max(1);
         self
     }
 
-    /// Enables executor-side crash injection (builder style): seeded
-    /// schedules of shard kills and mid-fragment panics, for drills and
-    /// the chaos-recovery CI matrix.
+    /// Enables shard crash injection (builder style): seeded schedules of
+    /// shard kills and mid-fragment panics, for drills and the
+    /// chaos-recovery CI matrix.
     pub fn with_crash(mut self, crash: CrashConfig) -> SessionServer {
-        self.crash = Some(crash);
+        self.config.crash = Some(crash);
         self
     }
 
@@ -1015,12 +1010,11 @@ impl SessionServer {
         self
     }
 
-    /// Sets the shard-executor count (builder style; min 1). Sessions are
-    /// routed by `session_id % shards`, so any count yields the same
-    /// per-session behaviour — more shards only adds parallelism across
-    /// sessions.
+    /// Sets the shard count (builder style; min 1). Sessions are routed by
+    /// `session_id % shards`, so any count yields the same per-session
+    /// behaviour — more shards only adds parallelism across sessions.
     pub fn with_shards(mut self, shards: usize) -> SessionServer {
-        self.shards = shards.max(1);
+        self.config.shards = shards.max(1);
         self
     }
 
@@ -1029,15 +1023,7 @@ impl SessionServer {
     /// older entries are evicted (counted in
     /// [`ServerStats::replay_evictions`]).
     pub fn with_replay_capacity(mut self, capacity: usize) -> SessionServer {
-        self.replay_capacity = capacity.max(1);
-        self
-    }
-
-    /// Sets the per-shard request-queue bound (builder style; min 1). A
-    /// full queue blocks the enqueueing connection threads — back-pressure
-    /// on exactly the sessions of the busy shard.
-    pub fn with_queue_capacity(mut self, capacity: usize) -> SessionServer {
-        self.queue_capacity = capacity.max(1);
+        self.config.replay_capacity = capacity.max(1);
         self
     }
 
@@ -1070,11 +1056,9 @@ impl SessionServer {
     /// transport errors are contained to that thread (reported via
     /// `on_event`, may be a no-op).
     ///
-    /// On stop the shutdown is graceful and ordered: the accept loop exits
-    /// first, then every live connection thread is joined (their in-flight
-    /// requests still reach the shards), and only then is the shard pool
-    /// drained — so no connection ever observes a dead executor during a
-    /// clean shutdown.
+    /// On stop the shutdown is graceful: the accept loop exits first, then
+    /// every live connection thread is joined after it finishes its
+    /// in-flight request.
     ///
     /// # Errors
     ///
@@ -1086,18 +1070,10 @@ impl SessionServer {
         on_event: impl Fn(SocketAddr, &str) + Send + Sync + 'static,
     ) -> Result<(), RuntimeError> {
         let on_event = Arc::new(on_event);
-        let pool = ShardPool::spawn(
-            ShardConfig {
-                shards: self.shards,
-                queue_capacity: self.queue_capacity,
-                replay_capacity: self.replay_capacity,
-                journal_limit: self.journal_limit,
-                journal_dir: self.journal_dir.clone(),
-                crash: self.crash,
-            },
-            &self.hidden,
-            &self.stats,
-        );
+        // The connection threads own the pool; it and every session's
+        // hidden state are freed once the last of them is joined.
+        let pool = Arc::new(ShardPool::new(self.config.clone(), &self.hidden));
+        self.stats.install(&pool);
         // Poll the listener so stop() needs no nudge connection: WouldBlock
         // means "check the stop flag, nap briefly, try again".
         self.listener
@@ -1137,8 +1113,8 @@ impl SessionServer {
             conn_index += 1;
             self.stats.connections.fetch_add(1, Ordering::Relaxed);
             let stats = Arc::clone(&self.stats);
+            let pool = Arc::clone(&pool);
             let hidden = self.hidden.clone();
-            let exec = pool.senders();
             let chaos = self
                 .chaos
                 .map(|c| (c, StdRng::seed_from_u64(c.seed ^ conn_index)));
@@ -1153,27 +1129,24 @@ impl SessionServer {
             conns.push((
                 watch,
                 std::thread::spawn(move || {
-                    match serve_session_connection(stream, &exec, hidden, chaos, &stats) {
+                    match serve_session_connection(stream, &pool, hidden, chaos, &stats) {
                         Ok(served) => on_event(peer, &format!("served {served} calls")),
                         Err(e) => on_event(peer, &e.with_peer(peer).to_string()),
                     }
                 }),
             ));
         };
-        // Graceful drain, in order. First close the *read* half of every
-        // live connection: a thread idle in read_frame sees EOF and exits
-        // at a frame boundary, while a thread mid-request still executes
-        // it, writes the response over the intact write half, and exits on
-        // its next read. Then join those threads (they hold shard
-        // senders), and only then drain the pool — so no in-flight request
-        // ever finds its executor gone.
+        // Graceful drain: close the *read* half of every live connection.
+        // A thread idle in read_frame sees EOF and exits at a frame
+        // boundary, while a thread mid-request still executes it, writes
+        // the response over the intact write half, and exits on its next
+        // read.
         for (watch, _) in &conns {
             let _ = watch.shutdown(std::net::Shutdown::Read);
         }
         for (_, c) in conns {
             let _ = c.join();
         }
-        pool.drain();
         result
     }
 }
@@ -1202,80 +1175,13 @@ fn chaos_draw(chaos: &mut Option<(ChaosConfig, StdRng)>) -> ChaosAction {
     }
 }
 
-/// How long a connection thread keeps re-driving a request whose executor
-/// died mid-flight before giving up on the supervisor.
-const EXEC_RETRY_WAIT: Duration = Duration::from_secs(10);
-
-/// Forwards one sequenced unit to the owning shard and waits for the
-/// encoded response frame. If the executor dies mid-flight (the reply
-/// sender is dropped without an answer), the unit is re-sent to the
-/// supervisor's replacement executor: the respawned shard rebuilds the
-/// session from its journal, so the re-drive either executes the unit
-/// fresh or answers it from the rebuilt replay cache — exactly-once either
-/// way, and invisible to the client.
-fn exec_round_trip(
-    exec: &ShardSenders,
-    session: u64,
-    seq: u64,
-    calls: Arc<Vec<PendingCall>>,
-    batch: bool,
-) -> Result<Vec<u8>, RuntimeError> {
-    let deadline = Instant::now() + EXEC_RETRY_WAIT;
-    loop {
-        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-        exec.send(
-            session,
-            ExecMsg::Seq {
-                session,
-                seq,
-                calls: Arc::clone(&calls),
-                batch,
-                reply: reply_tx,
-            },
-        )
-        .map_err(|_| RuntimeError::Channel("executor is gone".into()))?;
-        match reply_rx.recv() {
-            Ok(bytes) => return Ok(bytes),
-            Err(_) if Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => return Err(RuntimeError::Channel("executor dropped a request".into())),
-        }
-    }
-}
-
-/// Forwards a `Hello` to the owning shard, re-driving across executor
-/// respawns like [`exec_round_trip`]. Returns the session's next expected
-/// sequence number.
-fn exec_hello(exec: &ShardSenders, session: u64) -> Result<u64, RuntimeError> {
-    let deadline = Instant::now() + EXEC_RETRY_WAIT;
-    loop {
-        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-        exec.send(
-            session,
-            ExecMsg::Hello {
-                session,
-                reply: reply_tx,
-            },
-        )
-        .map_err(|_| RuntimeError::Channel("executor is gone".into()))?;
-        match reply_rx.recv() {
-            Ok(next_seq) => return Ok(next_seq),
-            Err(_) if Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => return Err(RuntimeError::Channel("executor dropped a request".into())),
-        }
-    }
-}
-
 /// Serves one connection of a [`SessionServer`]: handshake, then sequenced
-/// frames executed (or replayed) by the session's shard executor. Falls
-/// back to the legacy unsequenced protocol (fresh private server, no
-/// session) when the first frame is not `Hello`.
+/// frames executed (or replayed) on this thread inside the session's
+/// shard. Falls back to the legacy unsequenced protocol (fresh private
+/// server, no session) when the first frame is not `Hello`.
 fn serve_session_connection(
     stream: TcpStream,
-    exec: &ShardSenders,
+    pool: &ShardPool,
     hidden: HiddenProgram,
     mut chaos: Option<(ChaosConfig, StdRng)>,
     stats: &StatsInner,
@@ -1305,7 +1211,7 @@ fn serve_session_connection(
                     "client version {version} != {WIRE_VERSION}"
                 )));
             }
-            let next_seq = exec_hello(exec, session)?;
+            let next_seq = pool.hello(stats, session);
             Response::HelloAck {
                 version: WIRE_VERSION,
                 session,
@@ -1316,8 +1222,7 @@ fn serve_session_connection(
             session
         }
         // Legacy client: serve it with a private, sessionless server owned
-        // by this thread (hidden state is thread-local, so it cannot go
-        // through the shared executor and does not need to).
+        // by this thread; it shares no state, so it needs no shard.
         other => {
             let mut server = SecureServer::new(hidden);
             // The private server dies with the connection; fold its VM
@@ -1363,43 +1268,17 @@ fn serve_session_connection(
         let req = Request::decode(&payload)?;
         let action = chaos_draw(&mut chaos);
         if matches!(action, ChaosAction::KillBeforeExec) {
-            // Drop the connection before the request reaches the executor:
+            // Drop the connection before the request reaches its shard:
             // the client's retransmit finds a fresh sequence.
             stats.chaos_kills.fetch_add(1, Ordering::Relaxed);
             return Ok(served);
         }
-        let kill_after = matches!(action, ChaosAction::KillAfterExec);
-        match req {
-            Request::SeqCall { seq, call } => {
-                let bytes = exec_round_trip(exec, session, seq, Arc::new(vec![call]), false)?;
-                served += 1;
-                if kill_after {
-                    // Executed and cached, but the response never leaves:
-                    // the retransmit must hit the replay cache.
-                    stats.chaos_kills.fetch_add(1, Ordering::Relaxed);
-                    return Ok(served);
-                }
-                write_frame(&mut writer, &bytes)?;
-            }
-            Request::SeqBatch { seq, calls } => {
-                let n = calls.len() as u64;
-                let bytes = exec_round_trip(exec, session, seq, Arc::new(calls), true)?;
-                served += n;
-                if kill_after {
-                    stats.chaos_kills.fetch_add(1, Ordering::Relaxed);
-                    return Ok(served);
-                }
-                write_frame(&mut writer, &bytes)?;
-            }
+        let (seq, calls, batch) = match req {
+            Request::SeqCall { seq, call } => (seq, vec![call], false),
+            Request::SeqBatch { seq, calls } => (seq, calls, true),
             Request::Release { component, key } => {
-                let _ = exec.send(
-                    session,
-                    ExecMsg::Release {
-                        session,
-                        component,
-                        key,
-                    },
-                );
+                pool.release(stats, session, component, key);
+                continue;
             }
             Request::Shutdown => return Ok(served),
             Request::Hello { .. } | Request::Call { .. } | Request::Batch(_) => {
@@ -1410,47 +1289,28 @@ fn serve_session_connection(
                     "unsequenced frame on an open session".into(),
                 ));
             }
+        };
+        served += calls.len() as u64;
+        let kill_after = matches!(action, ChaosAction::KillAfterExec);
+        // The shard copies the reply into `scratch`; it reaches the socket
+        // only after the shard is released, so a client that stops reading
+        // stalls its own connection and no other.
+        pool.seq(stats, session, seq, Arc::new(calls), batch, &mut scratch);
+        if kill_after {
+            // Executed and cached, but the response never leaves: the
+            // retransmit must hit the replay cache.
+            stats.chaos_kills.fetch_add(1, Ordering::Relaxed);
+            return Ok(served);
         }
+        write_frame(&mut writer, &scratch)?;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hps_ir::{
-        BinOp, Block, ComponentKind, Expr, Fragment, HiddenComponent, HiddenProgram, HiddenVar,
-        LocalId, Place, Stmt, StmtKind, Ty,
-    };
+    use crate::shard::tests::accumulator_program;
     use std::thread;
-
-    fn accumulator_program() -> HiddenProgram {
-        let mut hp = HiddenProgram::new();
-        hp.add(HiddenComponent {
-            id: ComponentId::new(0),
-            kind: ComponentKind::Function {
-                func_name: "f".into(),
-            },
-            vars: vec![HiddenVar {
-                name: "acc".into(),
-                ty: Ty::Int,
-                init: None,
-            }],
-            fragments: vec![Fragment {
-                label: FragLabel::new(0),
-                params: vec![("p".into(), Ty::Int)],
-                body: Block::of(vec![Stmt::new(StmtKind::Assign {
-                    place: Place::Local(LocalId::new(0)),
-                    value: Expr::binary(
-                        BinOp::Add,
-                        Expr::local(LocalId::new(0)),
-                        Expr::local(LocalId::new(1)),
-                    ),
-                })]),
-                ret: Some(Expr::local(LocalId::new(0))),
-            }],
-        });
-        hp
-    }
 
     fn quick_policy() -> RetryPolicy {
         RetryPolicy::new()
@@ -1617,8 +1477,8 @@ mod tests {
     #[test]
     fn sharded_server_matches_single_shard_behaviour() {
         // Same workload as session_server_serves_many_clients, but spread
-        // over four shard executors: per-session results are identical and
-        // the shard counters account for every call and session.
+        // over four shards: per-session results are identical and the
+        // shard counters account for every call and session.
         let server = SessionServer::bind("127.0.0.1:0", accumulator_program())
             .expect("bind")
             .with_shards(4);
@@ -1653,8 +1513,8 @@ mod tests {
         assert_eq!(shards.iter().map(|s| s.fragments).sum::<u64>(), 40);
         assert!(shards.iter().map(|s| s.cost_units).sum::<u64>() > 0);
         assert_eq!(shards.iter().map(|s| s.sessions).sum::<u64>(), 8);
-        // Every enqueue (8 Hellos + 40 sequenced calls) was observed into
-        // the queue-depth histogram, and the full snapshot carries it.
+        // Every shard entry (8 Hellos + 40 sequenced calls) was observed
+        // into the queue-depth histogram, and the full snapshot carries it.
         assert_eq!(handle.queue_depth().count(), 48);
         let m = handle.metrics();
         assert_eq!(m.counter(names::SERVER_CALLS), 40);
@@ -1670,9 +1530,8 @@ mod tests {
 
     #[test]
     fn stop_drains_in_flight_requests() {
-        // Regression: a clean stop() must let a request already accepted by
-        // a shard finish and deliver its response — no connection may
-        // observe "executor is gone" mid-call during shutdown.
+        // Regression: a clean stop() must let a request already read by a
+        // connection finish and deliver its response.
         let server = SessionServer::bind("127.0.0.1:0", accumulator_program()).expect("bind");
         let handle = server.handle().expect("handle");
         let addr = handle.addr();

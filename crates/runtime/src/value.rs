@@ -4,10 +4,10 @@
 //! [`RtValue`] is deliberately **not `Send`**: making it thread-safe would
 //! put a lock on every array/field access in the interpreter's hot path.
 //! Threaded layers respect this by confining values instead of sharing
-//! them — the [`crate::shard`] pool hashes each session to one executor
-//! thread that exclusively owns its hidden state for the session's whole
-//! life, and only scalar [`hps_ir::Value`]s and encoded frames cross
-//! threads.
+//! them — the [`crate::shard`] pool hashes each session to one shard whose
+//! lock guards its hidden state for the session's whole life. Only scalar
+//! [`hps_ir::Value`]s and encoded frames leave a shard, and one thread at
+//! a time touches the values inside it.
 
 use hps_ir::{ClassId, Ty, Value};
 use std::cell::RefCell;

@@ -11,7 +11,7 @@ use hps_ir::{
     HiddenProgram, HiddenVar, LocalId, Place, Stmt, StmtKind, Ty, Value,
 };
 use hps_runtime::journal::truncate_tail;
-use hps_runtime::tcp::{RetryPolicy, SessionServer, SessionServerHandle, TcpChannel};
+use hps_runtime::tcp::{RetryPolicy, SessionServer, TcpChannel};
 use hps_runtime::wire::{read_frame, write_frame, Request, Response, WIRE_VERSION};
 use hps_runtime::{Channel, CrashConfig, FaultClass, RuntimeError};
 use std::net::SocketAddr;
@@ -62,16 +62,6 @@ fn fresh_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("hps-recovery-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// Polls a handle predicate with a bounded wait (supervisor ticks are
-/// asynchronous; nothing here is load-bearing for determinism).
-fn wait_for(handle: &SessionServerHandle, pred: impl Fn(&SessionServerHandle) -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while !pred(handle) {
-        assert!(Instant::now() < deadline, "condition not reached in 5s");
-        std::thread::sleep(Duration::from_millis(2));
-    }
 }
 
 #[test]
@@ -202,19 +192,20 @@ fn killed_shard_is_respawned_and_sessions_rebuild() {
         let r = chan.call(c, 1, l, &[Value::Int(n)]).expect("call");
         assert_eq!(r.value, Value::Int(n * (n + 1) / 2));
     }
-    // Crash drill: kill the only shard, wait for the supervisor.
+    // Crash drill: kill the only shard. The death is one synchronous step.
     handle.kill_shard(0);
-    wait_for(&handle, |h| h.stats().shard_restarts >= 1);
+    assert_eq!(handle.stats().shard_restarts, 1);
+    assert_eq!(handle.shard_stats()[0].restarts, 1);
     // The session's hidden accumulator survives via journal replay.
     for n in 6..=10i64 {
         let r = chan.call(c, 1, l, &[Value::Int(n)]).expect("call");
-        assert_eq!(r.value, Value::Int(n * (n + 1) / 2), "after respawn");
+        assert_eq!(r.value, Value::Int(n * (n + 1) / 2), "after the kill");
     }
     assert_eq!(chan.interactions(), 10);
     let stats = handle.stats();
-    assert!(stats.shard_restarts >= 1);
-    assert!(stats.journal_replays >= 1, "rebuild must come from replay");
-    assert_eq!(stats.calls, 10, "exactly-once across the respawn");
+    assert_eq!(stats.shard_restarts, 1);
+    assert_eq!(stats.journal_replays, 1, "rebuild must come from replay");
+    assert_eq!(stats.calls, 10, "exactly-once across the kill");
     chan.shutdown().expect("shutdown");
     handle.stop();
     serve.join().expect("join").expect("serve");
@@ -322,72 +313,96 @@ fn torn_journal_tail_is_re_driven_by_session_resume() {
 }
 
 #[test]
-fn back_pressure_blocks_only_the_busy_shard() {
-    // Two shards, queue bound 1. Sessions 1/3 hash to shard 1, session 2
-    // to shard 0. A huge batch occupies shard 1's executor while another
-    // client queues behind it; shard 0 must keep serving throughout.
+fn a_stalled_reader_holds_back_only_its_own_connection() {
+    // Two shards: sessions 1 and 3 hash to shard 1, session 2 to shard 0.
+    // Session 1 pipelines batch frames without reading a reply, until its
+    // connection thread blocks writing a reply larger than the socket
+    // buffers. Replies are written after the shard is released, so the
+    // stall holds no shard: every other session is still served.
     let server = SessionServer::bind("127.0.0.1:0", accumulator_program())
         .expect("bind")
-        .with_shards(2)
-        .with_queue_capacity(1);
+        .with_shards(2);
     let handle = server.handle().expect("handle");
     let addr = handle.addr();
     let serve = std::thread::spawn(move || server.serve(|_, _| {}));
     let c = ComponentId::new(0);
     let l = FragLabel::new(0);
-    let busy = std::thread::spawn(move || {
-        let mut chan =
-            TcpChannel::connect_reliable_with_session(addr, quick_policy(), 1).expect("connect");
-        let calls: Vec<_> = (1..=80_000i64)
-            .map(|n| hps_runtime::PendingCall {
-                component: c,
-                key: 1,
-                label: l,
-                args: vec![Value::Int(n)],
-            })
-            .collect();
-        let replies = chan.call_batch(&calls).expect("batch");
-        assert_eq!(replies.len(), 80_000);
-        assert_eq!(
-            replies.last().expect("last").value,
-            Value::Int(80_000 * 80_001 / 2)
-        );
-        chan.shutdown().expect("shutdown");
-    });
-    // Let the batch land in shard 1's executor, then pile a second client
-    // onto the same shard: its Hello sits in the bounded queue.
-    std::thread::sleep(Duration::from_millis(100));
-    let queued = std::thread::spawn(move || {
-        let mut chan =
-            TcpChannel::connect_reliable_with_session(addr, quick_policy(), 3).expect("connect");
-        let r = chan.call(c, 1, l, &[Value::Int(7)]).expect("call");
-        assert_eq!(r.value, Value::Int(7));
-        chan.shutdown().expect("shutdown");
-    });
-    // Shard 0 keeps serving while shard 1 is saturated.
-    let mut fast =
+    const BATCH: u64 = 4096;
+
+    let stream = std::net::TcpStream::connect(addr).expect("connect stalled");
+    let mut buf = Vec::new();
+    Request::Hello {
+        version: WIRE_VERSION,
+        session: 1,
+    }
+    .encode_into(&mut buf);
+    write_frame(&mut &stream, &buf).expect("hello");
+    let ack = read_frame(&mut &stream).expect("read").expect("ack");
+    assert!(matches!(
+        Response::decode(&ack).expect("decode"),
+        Response::HelloAck { next_seq: 1, .. }
+    ));
+    let calls: Vec<_> = (0..BATCH)
+        .map(|_| hps_runtime::PendingCall {
+            component: c,
+            key: 1,
+            label: l,
+            args: vec![Value::Int(1)],
+        })
+        .collect();
+    // Send until a write makes no progress for a second: the server has
+    // stopped reading, which it does only while blocked on a reply.
+    stream
+        .set_write_timeout(Some(Duration::from_secs(1)))
+        .expect("write timeout");
+    for seq in 1.. {
+        Request::SeqBatch {
+            seq,
+            calls: calls.clone(),
+        }
+        .encode_into(&mut buf);
+        if write_frame(&mut &stream, &buf).is_err() {
+            break;
+        }
+    }
+
+    // A kill of shard 1 does not wait on the stalled connection.
+    handle.kill_shard(1);
+    assert_eq!(handle.stats().shard_restarts, 1);
+    // Session 3 shares shard 1 with the stalled client; session 2 is on
+    // shard 0. Both are served.
+    let mut same =
+        TcpChannel::connect_reliable_with_session(addr, quick_policy(), 3).expect("connect");
+    let r = same
+        .call(c, 1, l, &[Value::Int(7)])
+        .expect("same-shard call");
+    assert_eq!(r.value, Value::Int(7));
+    same.shutdown().expect("shutdown");
+    let mut other =
         TcpChannel::connect_reliable_with_session(addr, quick_policy(), 2).expect("connect");
     for n in 1..=50i64 {
-        let r = fast.call(c, 1, l, &[Value::Int(n)]).expect("fast call");
+        let r = other
+            .call(c, 1, l, &[Value::Int(n)])
+            .expect("other-shard call");
         assert_eq!(r.value, Value::Int(n * (n + 1) / 2));
     }
-    assert!(
-        !busy.is_finished(),
-        "the fast shard finished 50 calls while the busy shard was still \
-         chewing its batch — back-pressure stayed local"
-    );
-    fast.shutdown().expect("shutdown");
-    busy.join().expect("busy client");
-    queued.join().expect("queued client");
+    other.shutdown().expect("shutdown");
+
     let shards = handle.shard_stats();
+    assert_eq!(shards[0].calls, 50, "shard 0 served exactly session 2");
     assert_eq!(
-        shards[0].calls, 50,
-        "shard 0 served exactly the fast client"
+        shards[1].calls % BATCH,
+        1,
+        "shard 1 served whole batches plus session 3's call"
     );
+    assert!(shards[1].calls > BATCH);
     assert_eq!(
-        shards[1].calls, 80_001,
-        "shard 1 served batch + queued call"
+        shards[1].max_queue_depth, 1,
+        "no connection ever waited for shard 1"
     );
+    // Closing the stalled client with replies unread resets the
+    // connection, which fails the server's blocked write.
+    drop(stream);
     handle.stop();
     serve.join().expect("join").expect("serve");
 }

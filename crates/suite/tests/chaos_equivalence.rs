@@ -281,7 +281,7 @@ fn crash_matrix() -> Vec<(u64, CrashFault)> {
 }
 
 /// The crash-recovery matrix (DESIGN.md §12): for every suite benchmark
-/// and every (seed, crash-fault) cell — shard executors killed mid-session,
+/// and every (seed, crash-fault) cell — shards killed mid-session,
 /// injected mid-fragment panics, or a full server restart over a torn
 /// `--journal-dir` journal — the client-observed program output, the
 /// interaction count and the adversary's wiretap trace must be
@@ -355,7 +355,7 @@ fn recovery_matrix_is_invisible_to_the_adversary() {
                     serve.join().expect("serve thread").expect("serve ok");
                     let stats = handle.stats();
                     // One live server the whole run: exactly-once must hold
-                    // across every respawn and rebuild.
+                    // across every shard death and rebuild.
                     assert_eq!(
                         baseline.3, stats.calls,
                         "{cell}: server-side logical call count diverged"

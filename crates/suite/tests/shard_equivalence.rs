@@ -2,7 +2,7 @@
 //! pure throughput knob. For every benchmark, a client running against a
 //! real TCP [`SessionServer`] must observe byte-identical program output,
 //! an identical adversary trace and identical interaction counts whether
-//! the server runs one shard executor or four — and both must match the
+//! the server runs one shard or four — and both must match the
 //! in-process reference run. Server-side logical call counts must agree
 //! with the in-process server too, so shard routing neither duplicates
 //! nor drops work.

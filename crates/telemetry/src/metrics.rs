@@ -74,7 +74,7 @@ pub mod names {
     pub const SERVER_REPLAYS: &str = "hps_server_replays_total";
     /// Distinct sessions created on a session server.
     pub const SERVER_SESSIONS: &str = "hps_server_sessions_total";
-    /// Dead shard executors respawned by the supervisor.
+    /// Shard deaths: kills, injected kills and poisoned shard locks.
     pub const SERVER_SHARD_RESTARTS: &str = "hps_server_shard_restarts_total";
     /// Fragment executions served from already-compiled bytecode.
     pub const SERVER_VM_CACHE_HITS: &str = "hps_server_vm_cache_hits_total";

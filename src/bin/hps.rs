@@ -19,7 +19,7 @@
 //!                            [--metrics ADDR] [--journal-dir DIR]
 //!                                             host the hidden component on TCP;
 //!                                             --shards spreads sessions over N
-//!                                             executor threads, --metrics serves
+//!                                             lock-guarded shards, --metrics serves
 //!                                             Prometheus text format, --journal-dir
 //!                                             persists session journals so hidden
 //!                                             state survives a server restart
@@ -103,7 +103,7 @@ arguments used for measurement (any of these flags selects planner mode).
 `run --split` executes the open/hidden pair in-process; `--metrics-json`
 (implies --split) prints the deterministic hps-telemetry/v1 snapshot to
 stdout, with program output diverted to stderr. `serve --shards N` spreads
-sessions over N executor threads (session_id % N) for multi-core
+sessions over N lock-guarded shards (session_id % N) for multi-core
 throughput; `serve --metrics ADDR` exposes the live server counters and
 the shard queue-depth histogram in Prometheus text format over HTTP.
 Hidden fragments execute on a compile-once bytecode VM.

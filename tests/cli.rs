@@ -4,14 +4,35 @@
 use std::io::Write;
 use std::net::TcpStream;
 use std::process::{Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 const HPS: &str = env!("CARGO_BIN_EXE_hps");
 
-fn demo_file() -> std::path::PathBuf {
+/// A demo program file, deleted when the test that wrote it ends.
+struct DemoFile(std::path::PathBuf);
+
+impl std::ops::Deref for DemoFile {
+    type Target = std::path::Path;
+    fn deref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+impl Drop for DemoFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+fn demo_file() -> DemoFile {
+    // One file per call: tests run in parallel, and rewriting one shared
+    // file lets a test's `hps` read another test's half-written copy.
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join("hps-cli-tests");
     std::fs::create_dir_all(&dir).expect("mkdir");
-    let path = dir.join("demo.ml");
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let path = dir.join(format!("demo-{}-{n}.ml", std::process::id()));
     let mut f = std::fs::File::create(&path).expect("create");
     f.write_all(
         b"fn fee(seats: int, months: int) -> int {
@@ -24,7 +45,7 @@ fn demo_file() -> std::path::PathBuf {
           fn main(seats: int, months: int) { print(fee(seats, months)); }",
     )
     .expect("write");
-    path
+    DemoFile(path)
 }
 
 #[test]
