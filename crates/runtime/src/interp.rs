@@ -19,8 +19,8 @@ use crate::fault::{FaultPlan, FaultyChannel};
 use crate::server::SecureServer;
 use crate::value::{ObjData, RtValue};
 use hps_ir::{
-    Block, Builtin, ClassId, ComponentId, ComponentKind, Expr, FuncId, HiddenProgram, Place,
-    Program, StmtKind, Ty,
+    BinOp, Block, Builtin, ClassId, ComponentId, ComponentKind, Expr, FuncId, HiddenProgram, Place,
+    Program, StmtKind, Ty, Value,
 };
 use hps_telemetry::{Event, MetricsRecorder, MetricsSnapshot, RecorderHandle, Snapshot};
 use std::cell::RefCell;
@@ -535,6 +535,12 @@ pub struct Interp<'a> {
     pending: Vec<PendingCall>,
     pending_results: Vec<Option<Place>>,
     recorder: RecorderHandle,
+    /// Cleared locals vectors of finished frames; a call takes one, so a
+    /// steady-state call allocates nothing.
+    frame_pool: Vec<Vec<RtValue>>,
+    /// Each function's locals at their declared defaults, by `FuncId`; a
+    /// call copies the part after its arguments.
+    defaults: Vec<Vec<RtValue>>,
 }
 
 impl<'a> Interp<'a> {
@@ -549,6 +555,16 @@ impl<'a> Interp<'a> {
                     .init
                     .map(RtValue::from_const)
                     .unwrap_or_else(|| RtValue::default_of(&g.ty)),
+            })
+            .collect();
+        let defaults = program
+            .functions
+            .iter()
+            .map(|f| {
+                f.locals
+                    .iter()
+                    .map(|d| RtValue::default_of(&d.ty))
+                    .collect()
             })
             .collect();
         Interp {
@@ -566,6 +582,8 @@ impl<'a> Interp<'a> {
             pending: Vec::new(),
             pending_results: Vec::new(),
             recorder: RecorderHandle::none(),
+            frame_pool: Vec::new(),
+            defaults,
         }
     }
 
@@ -620,7 +638,13 @@ impl<'a> Interp<'a> {
         })
     }
 
-    fn call_function(&mut self, fid: FuncId, args: Vec<RtValue>) -> Result<RtValue, RuntimeError> {
+    /// Runs one call. `locals` holds the evaluated arguments; the rest of
+    /// the frame is filled from the function's defaults.
+    fn call_function(
+        &mut self,
+        fid: FuncId,
+        mut locals: Vec<RtValue>,
+    ) -> Result<RtValue, RuntimeError> {
         self.depth += 1;
         if self.depth > self.config.max_call_depth {
             self.depth -= 1;
@@ -630,10 +654,8 @@ impl<'a> Interp<'a> {
         }
         self.cost += self.config.cost_model.call;
         let func = self.program.func(fid);
-        let mut locals = args;
-        for decl in func.locals.iter().skip(locals.len()) {
-            locals.push(RtValue::default_of(&decl.ty));
-        }
+        let defaults = &self.defaults[fid.index()];
+        locals.extend_from_slice(defaults.get(locals.len()..).unwrap_or_default());
         let activation = match func.split_component {
             Some(c) if self.meta.and_then(|m| m.kind_of(c)) == Some(MetaKind::Function) => {
                 let id = self.next_activation;
@@ -663,6 +685,10 @@ impl<'a> Interp<'a> {
             }
         }
         self.depth -= 1;
+        // Only now, after the flush above has written every deferred
+        // result into this frame, may its locals be reused.
+        frame.locals.clear();
+        self.frame_pool.push(frame.locals);
         match result? {
             Flow::Return(v) => Ok(v),
             // Falling off the end returns the zero value of the return type
@@ -690,7 +716,7 @@ impl<'a> Interp<'a> {
             self.tick()?;
             match &stmt.kind {
                 StmtKind::Assign { place, value } => {
-                    let v = self.eval(frame, value)?;
+                    let v = self.operand(frame, value)?;
                     self.cost += self.config.cost_model.assign;
                     self.assign_place(frame, place, v)?;
                 }
@@ -725,7 +751,7 @@ impl<'a> Interp<'a> {
                 },
                 StmtKind::Return(e) => {
                     let v = match e {
-                        Some(e) => self.eval(frame, e)?,
+                        Some(e) => self.operand(frame, e)?,
                         None => RtValue::Int(0),
                     };
                     return Ok(Flow::Return(v));
@@ -736,7 +762,7 @@ impl<'a> Interp<'a> {
                     self.eval(frame, e)?;
                 }
                 StmtKind::Print(e) => {
-                    let v = self.eval(frame, e)?;
+                    let v = self.operand(frame, e)?;
                     self.cost += self.config.cost_model.print;
                     self.output.push(v.to_string());
                 }
@@ -771,7 +797,7 @@ impl<'a> Interp<'a> {
     ) -> Result<Vec<hps_ir::Value>, RuntimeError> {
         let mut vals = Vec::with_capacity(args.len());
         for a in args {
-            let v = self.eval(frame, a)?;
+            let v = self.operand(frame, a)?;
             vals.push(v.to_const().ok_or(RuntimeError::TypeMismatch {
                 expected: "scalar hidden-call argument",
                 found: "aggregate",
@@ -906,7 +932,13 @@ impl<'a> Interp<'a> {
     }
 
     fn truthy(&mut self, frame: &mut Frame, cond: &Expr) -> Result<bool, RuntimeError> {
-        match self.eval(frame, cond)? {
+        if let Expr::Binary { op, lhs, rhs } = cond {
+            if let Some(taken) = self.leaf_compare(frame, *op, lhs, rhs) {
+                self.cost += self.config.cost_model.binop;
+                return Ok(taken);
+            }
+        }
+        match self.operand(frame, cond)? {
             RtValue::Bool(b) => Ok(b),
             v => Err(RuntimeError::TypeMismatch {
                 expected: "bool condition",
@@ -920,25 +952,15 @@ impl<'a> Interp<'a> {
             Place::Local(id) => Ok(frame.locals[id.index()].clone()),
             Place::Global(id) => Ok(self.globals[id.index()].clone()),
             Place::Index { base, index } => {
+                if let Place::Local(id) = **base {
+                    let idx = self.eval_index(frame, index)?;
+                    self.cost += self.config.cost_model.index;
+                    return load_elem(&frame.locals[id.index()], idx);
+                }
                 let arr = self.read_place(frame, base)?;
                 let idx = self.eval_index(frame, index)?;
                 self.cost += self.config.cost_model.index;
-                match arr {
-                    RtValue::Array(a) => {
-                        let a = a.borrow();
-                        a.get(idx_usize(idx, a.len())?).cloned().ok_or(
-                            RuntimeError::IndexOutOfBounds {
-                                index: idx,
-                                len: a.len(),
-                            },
-                        )
-                    }
-                    RtValue::Uninit => Err(RuntimeError::UninitializedValue),
-                    v => Err(RuntimeError::TypeMismatch {
-                        expected: "array",
-                        found: v.type_name(),
-                    }),
-                }
+                load_elem(&arr, idx)
             }
             Place::Field { obj, field, .. } => {
                 let o = self.eval(frame, obj)?;
@@ -971,26 +993,15 @@ impl<'a> Interp<'a> {
                 Ok(())
             }
             Place::Index { base, index } => {
+                if let Place::Local(id) = **base {
+                    let idx = self.eval_index(frame, index)?;
+                    self.cost += self.config.cost_model.index;
+                    return store_elem(&frame.locals[id.index()], idx, value);
+                }
                 let arr = self.read_place(frame, base)?;
                 let idx = self.eval_index(frame, index)?;
                 self.cost += self.config.cost_model.index;
-                match arr {
-                    RtValue::Array(a) => {
-                        let mut a = a.borrow_mut();
-                        let len = a.len();
-                        let i = idx_usize(idx, len)?;
-                        if i >= len {
-                            return Err(RuntimeError::IndexOutOfBounds { index: idx, len });
-                        }
-                        a[i] = value;
-                        Ok(())
-                    }
-                    RtValue::Uninit => Err(RuntimeError::UninitializedValue),
-                    v => Err(RuntimeError::TypeMismatch {
-                        expected: "array",
-                        found: v.type_name(),
-                    }),
-                }
+                store_elem(&arr, idx, value)
             }
             Place::Field { obj, field, .. } => {
                 let o = self.eval(frame, obj)?;
@@ -1011,12 +1022,51 @@ impl<'a> Interp<'a> {
     }
 
     fn eval_index(&mut self, frame: &mut Frame, index: &Expr) -> Result<i64, RuntimeError> {
-        match self.eval(frame, index)? {
+        match self.operand(frame, index)? {
             RtValue::Int(i) => Ok(i),
             v => Err(RuntimeError::TypeMismatch {
                 expected: "int index",
                 found: v.type_name(),
             }),
+        }
+    }
+
+    /// Evaluates an operand: the leaves (`Const`, `Local`, `Global`)
+    /// resolve inline, anything else recurses into [`Interp::eval`].
+    #[inline(always)]
+    fn operand(&mut self, frame: &mut Frame, e: &Expr) -> Result<RtValue, RuntimeError> {
+        match e {
+            Expr::Const(v) => Ok(RtValue::from_const(*v)),
+            Expr::Local(id) => Ok(frame.locals[id.index()].clone()),
+            Expr::Global(id) => Ok(self.globals[id.index()].clone()),
+            _ => self.eval(frame, e),
+        }
+    }
+
+    /// A leaf's scalar value; `None` for other expressions and for
+    /// aggregate or uninitialised leaves.
+    #[inline(always)]
+    fn leaf(&self, frame: &Frame, e: &Expr) -> Option<Value> {
+        match e {
+            Expr::Const(v) => Some(*v),
+            Expr::Local(id) => frame.locals[id.index()].to_const(),
+            Expr::Global(id) => self.globals[id.index()].to_const(),
+            _ => None,
+        }
+    }
+
+    /// `leaf <cmp> leaf` on two ints or two floats, straight to a `bool`.
+    /// `None` sends every other shape down the general path, which also
+    /// reports its errors.
+    #[inline(always)]
+    fn leaf_compare(&self, frame: &Frame, op: BinOp, lhs: &Expr, rhs: &Expr) -> Option<bool> {
+        if !op.is_relational() {
+            return None;
+        }
+        match (self.leaf(frame, lhs)?, self.leaf(frame, rhs)?) {
+            (Value::Int(x), Value::Int(y)) => Some(compare(op, x, y)),
+            (Value::Float(x), Value::Float(y)) => Some(compare(op, x, y)),
+            _ => None,
         }
     }
 
@@ -1026,30 +1076,21 @@ impl<'a> Interp<'a> {
             Expr::Local(id) => frame.locals[id.index()].clone(),
             Expr::Global(id) => self.globals[id.index()].clone(),
             Expr::Index { base, index } => {
-                let arr = self.eval(frame, base)?;
+                // A local array is indexed in place. Nothing the index
+                // expression runs can rebind this frame's locals, so reading
+                // the base after it is the same as reading it before.
+                if let Expr::Local(id) = **base {
+                    let idx = self.eval_index(frame, index)?;
+                    self.cost += self.config.cost_model.index;
+                    return load_elem(&frame.locals[id.index()], idx);
+                }
+                let arr = self.operand(frame, base)?;
                 let idx = self.eval_index(frame, index)?;
                 self.cost += self.config.cost_model.index;
-                match arr {
-                    RtValue::Array(a) => {
-                        let a = a.borrow();
-                        a.get(idx_usize(idx, a.len())?).cloned().ok_or(
-                            RuntimeError::IndexOutOfBounds {
-                                index: idx,
-                                len: a.len(),
-                            },
-                        )?
-                    }
-                    RtValue::Uninit => return Err(RuntimeError::UninitializedValue),
-                    v => {
-                        return Err(RuntimeError::TypeMismatch {
-                            expected: "array",
-                            found: v.type_name(),
-                        })
-                    }
-                }
+                load_elem(&arr, idx)?
             }
             Expr::FieldGet { obj, field, .. } => {
-                let o = self.eval(frame, obj)?;
+                let o = self.operand(frame, obj)?;
                 self.cost += self.config.cost_model.field;
                 match o {
                     RtValue::Object(o) => o.borrow().fields[field.index()].clone(),
@@ -1064,7 +1105,7 @@ impl<'a> Interp<'a> {
             }
             Expr::Unary { op, arg } => {
                 self.cost += self.config.cost_model.unop;
-                let a = self.eval(frame, arg)?;
+                let a = self.operand(frame, arg)?;
                 crate::ops::unop(*op, &a)?
             }
             Expr::Binary { op, lhs, rhs } => {
@@ -1083,42 +1124,50 @@ impl<'a> Interp<'a> {
                         self.eval(frame, rhs)
                     };
                 }
-                let a = self.eval(frame, lhs)?;
-                let b = self.eval(frame, rhs)?;
+                let a = self.operand(frame, lhs)?;
+                let b = self.operand(frame, rhs)?;
                 crate::ops::binop(*op, &a, &b)?
             }
             Expr::Call { callee, args } => {
-                let mut vals = Vec::with_capacity(args.len());
+                let mut locals = self.frame_pool.pop().unwrap_or_default();
                 for a in args {
-                    vals.push(self.eval(frame, a)?);
+                    locals.push(self.operand(frame, a)?);
                 }
-                self.call_function(callee.func(), vals)?
+                self.call_function(callee.func(), locals)?
             }
             Expr::BuiltinCall { builtin, args } => {
                 if *builtin == Builtin::Len {
                     self.cost += self.config.cost_model.builtin;
-                    let a = self.eval(frame, &args[0])?;
-                    match a {
-                        RtValue::Array(arr) => RtValue::Int(arr.borrow().len() as i64),
-                        RtValue::Uninit => return Err(RuntimeError::UninitializedValue),
-                        v => {
-                            return Err(RuntimeError::TypeMismatch {
-                                expected: "array",
-                                found: v.type_name(),
-                            })
-                        }
+                    if let Expr::Local(id) = args[0] {
+                        return array_len(&frame.locals[id.index()]);
                     }
+                    let a = self.eval(frame, &args[0])?;
+                    array_len(&a)?
                 } else {
                     self.cost += if builtin.is_transcendental() {
                         self.config.cost_model.transcendental
                     } else {
                         self.config.cost_model.builtin
                     };
-                    let mut vals = Vec::with_capacity(args.len());
-                    for a in args {
-                        vals.push(self.eval(frame, a)?);
+                    // One- and two-argument builtins take a stack slice.
+                    match args.as_slice() {
+                        [a] => {
+                            let a = self.operand(frame, a)?;
+                            crate::ops::builtin(*builtin, std::slice::from_ref(&a))?
+                        }
+                        [a, b] => {
+                            let a = self.operand(frame, a)?;
+                            let b = self.operand(frame, b)?;
+                            crate::ops::builtin(*builtin, &[a, b])?
+                        }
+                        _ => {
+                            let mut vals = Vec::with_capacity(args.len());
+                            for a in args {
+                                vals.push(self.operand(frame, a)?);
+                            }
+                            crate::ops::builtin(*builtin, &vals)?
+                        }
                     }
-                    crate::ops::builtin(*builtin, &vals)?
                 }
             }
             Expr::NewArray { elem, len } => {
@@ -1163,6 +1212,66 @@ fn idx_usize(idx: i64, len: usize) -> Result<usize, RuntimeError> {
         Err(RuntimeError::IndexOutOfBounds { index: idx, len })
     } else {
         Ok(idx as usize)
+    }
+}
+
+/// The outcome of a relational operator on two scalars of one type; the
+/// same answers as [`crate::ops::binop`], NaN included.
+#[inline(always)]
+fn compare<T: PartialOrd>(op: BinOp, x: T, y: T) -> bool {
+    match op {
+        BinOp::Eq => x == y,
+        BinOp::Ne => x != y,
+        BinOp::Lt => x < y,
+        BinOp::Le => x <= y,
+        BinOp::Gt => x > y,
+        _ => x >= y,
+    }
+}
+
+fn not_an_array(v: &RtValue) -> RuntimeError {
+    match v {
+        RtValue::Uninit => RuntimeError::UninitializedValue,
+        v => RuntimeError::TypeMismatch {
+            expected: "array",
+            found: v.type_name(),
+        },
+    }
+}
+
+/// Element `idx` of an array value.
+fn load_elem(arr: &RtValue, idx: i64) -> Result<RtValue, RuntimeError> {
+    let RtValue::Array(a) = arr else {
+        return Err(not_an_array(arr));
+    };
+    let a = a.borrow();
+    a.get(idx_usize(idx, a.len())?)
+        .cloned()
+        .ok_or(RuntimeError::IndexOutOfBounds {
+            index: idx,
+            len: a.len(),
+        })
+}
+
+/// Writes element `idx` of an array value.
+fn store_elem(arr: &RtValue, idx: i64, value: RtValue) -> Result<(), RuntimeError> {
+    let RtValue::Array(a) = arr else {
+        return Err(not_an_array(arr));
+    };
+    let mut a = a.borrow_mut();
+    let len = a.len();
+    let slot = a
+        .get_mut(idx_usize(idx, len)?)
+        .ok_or(RuntimeError::IndexOutOfBounds { index: idx, len })?;
+    *slot = value;
+    Ok(())
+}
+
+/// `len` of an array value.
+fn array_len(arr: &RtValue) -> Result<RtValue, RuntimeError> {
+    match arr {
+        RtValue::Array(a) => Ok(RtValue::Int(a.borrow().len() as i64)),
+        v => Err(not_an_array(v)),
     }
 }
 
@@ -1355,6 +1464,297 @@ mod tests {
                 if (x == 0 || 10 / x > 1) { print(3); }
             }");
         assert_eq!(out.output, vec!["2", "3"]);
+    }
+
+    /// Parses `src`, lets `patch` rewrite `main` in IR (for shapes the
+    /// type checker rejects), and runs it unsplit.
+    fn run_patched(
+        src: &str,
+        patch: impl FnOnce(&mut hps_ir::Function),
+    ) -> Result<Outcome, RuntimeError> {
+        let mut p = hps_lang::parse(src).expect("parses");
+        let main = p.entry().expect("main");
+        patch(p.func_mut(main));
+        run_program(&p, &[])
+    }
+
+    fn local(f: &hps_ir::Function, name: &str) -> Expr {
+        Expr::local(f.local_by_name(name).expect("declared local"))
+    }
+
+    /// Replaces the condition of `main`'s first `if`.
+    fn set_if_cond(f: &mut hps_ir::Function, cond: Expr) {
+        for stmt in &mut f.body.stmts {
+            if let StmtKind::If { cond: c, .. } = &mut stmt.kind {
+                *c = cond;
+                return;
+            }
+        }
+        panic!("main has no if");
+    }
+
+    const LOCALS: &str = "fn main() {
+            var x: int = 3; var z: int = 0; var y: float = 1.5; var b: bool = true;
+            var a: int[] = new int[2]; var u: int[];
+            if (true) { print(1); } else { print(2); }
+            x = 4;
+        }";
+
+    #[test]
+    fn leaf_index_out_of_bounds_and_negative() {
+        assert_eq!(
+            run_err("fn main() { var a: int[] = new int[2]; var i: int = 5; print(a[i]); }"),
+            RuntimeError::IndexOutOfBounds { index: 5, len: 2 }
+        );
+        assert_eq!(
+            run_err("fn main() { var a: int[] = new int[2]; var i: int = 0 - 1; print(a[i]); }"),
+            RuntimeError::IndexOutOfBounds { index: -1, len: 2 }
+        );
+        assert_eq!(
+            run_err("fn main() { var a: int[] = new int[2]; var i: int = 2; a[i] = 1; }"),
+            RuntimeError::IndexOutOfBounds { index: 2, len: 2 }
+        );
+        assert_eq!(
+            run_err("fn main() { var a: int[] = new int[2]; a[0 - 3] = 1; }"),
+            RuntimeError::IndexOutOfBounds { index: -3, len: 2 }
+        );
+    }
+
+    #[test]
+    fn uninit_and_int_locals_used_as_arrays() {
+        for src in [
+            "fn main() { var a: int[]; var i: int = 0; print(a[i]); }",
+            "fn main() { var a: int[]; a[1] = 2; }",
+            "fn main() { var a: int[]; print(len(a)); }",
+        ] {
+            assert_eq!(run_err(src), RuntimeError::UninitializedValue, "{src}");
+        }
+        let int_as_array = RuntimeError::TypeMismatch {
+            expected: "array",
+            found: "int",
+        };
+        let read = run_patched(LOCALS, |f| {
+            let x = local(f, "x");
+            set_if_cond(
+                f,
+                Expr::binary(BinOp::Eq, Expr::index(x, Expr::int(0)), Expr::int(0)),
+            );
+        });
+        assert_eq!(read, Err(int_as_array.clone()));
+        let len = run_patched(LOCALS, |f| {
+            let x = local(f, "x");
+            let len = Expr::builtin(Builtin::Len, vec![x]);
+            set_if_cond(f, Expr::binary(BinOp::Eq, len, Expr::int(0)));
+        });
+        assert_eq!(len, Err(int_as_array.clone()));
+        let write = run_patched(LOCALS, |f| {
+            let x = f.local_by_name("x").expect("x");
+            let last = f.body.stmts.last_mut().expect("x = 4");
+            let StmtKind::Assign { place, .. } = &mut last.kind else {
+                panic!("last statement is `x = 4`");
+            };
+            *place = Place::Index {
+                base: Box::new(Place::Local(x)),
+                index: Expr::int(0),
+            };
+        });
+        assert_eq!(write, Err(int_as_array));
+    }
+
+    #[test]
+    fn non_bool_leaf_conditions_fail_like_the_general_path() {
+        let cases = [
+            // An int leaf as the whole condition.
+            ("x", None, "bool condition", "int"),
+            // Mixed int/float leaves.
+            ("x", Some("y"), "matching scalar operands", "float"),
+            // Bools have no order.
+            ("b", Some("b"), "matching scalar operands", "bool"),
+            // An uninitialised aggregate leaf.
+            ("u", Some("x"), "matching scalar operands", "uninitialized"),
+        ];
+        for (lhs, rhs, expected, found) in cases {
+            let got = run_patched(LOCALS, |f| {
+                let l = local(f, lhs);
+                let cond = match rhs {
+                    Some(r) => Expr::binary(BinOp::Lt, l, local(f, r)),
+                    None => l,
+                };
+                set_if_cond(f, cond);
+            });
+            assert_eq!(
+                got,
+                Err(RuntimeError::TypeMismatch { expected, found }),
+                "{lhs} < {rhs:?}"
+            );
+        }
+        // Well-typed leaf comparisons agree with `ops::binop`, NaN included.
+        let out = run("fn main() {
+                var n: float = 0.0 / 0.0; var one: float = 1.0; var i: int = 2;
+                if (n < one) { print(1); } if (n != n) { print(2); }
+                if (i >= 2) { print(3); } if (one == 1.0) { print(4); }
+            }");
+        assert_eq!(out.output, ["2", "3", "4"]);
+    }
+
+    #[test]
+    fn division_by_zero_inside_fast_path_operands() {
+        let head = "fn id(v: int) -> int { return v; }
+            fn main() { var x: int = 1; var z: int = 0; var a: int[] = new int[2]; ";
+        for body in [
+            "print(x / z);",
+            "x = x % z;",
+            "print(a[x / z]);",
+            "a[x / z] = 1;",
+            "print(id(x / z));",
+            "print(abs(x / z));",
+            "print(max(1, x / z));",
+            "if (x / z > 0) { print(1); }",
+            "while (x / z > 0) { print(1); }",
+        ] {
+            assert_eq!(
+                run_err(&format!("{head}{body} }}")),
+                RuntimeError::DivisionByZero,
+                "{body}"
+            );
+        }
+    }
+
+    #[test]
+    fn step_limit_fires_at_the_same_count() {
+        // Each statement ticks once, and a `while` ticks once more per
+        // condition check: 1 (x) + 1 (while) + 3 * 2 (check + body) + 1
+        // (failing check) = 9.
+        let p =
+            hps_lang::parse("fn main() { var i: int = 0; while (i < 3) { i = i + 1; } }").unwrap();
+        let out = run_program(&p, &[]).unwrap();
+        assert_eq!(out.steps, 9);
+        let cfg = |n| ExecConfig::new().with_max_steps(n);
+        assert_eq!(run_function(&p, "main", &[], cfg(9)).unwrap().steps, 9);
+        assert_eq!(
+            run_function(&p, "main", &[], cfg(8)),
+            Err(RuntimeError::StepLimitExceeded { limit: 8 })
+        );
+        let p = hps_lang::parse("fn main() { while (true) { } }").unwrap();
+        assert_eq!(
+            run_function(&p, "main", &[], cfg(1000)),
+            Err(RuntimeError::StepLimitExceeded { limit: 1000 })
+        );
+    }
+
+    #[test]
+    fn depth_limit_holds_with_pooled_frames() {
+        let p = hps_lang::parse(
+            "fn f(n: int) -> int { if (n == 0) { return 0; } return f(n - 1) + 1; }
+             fn main(n: int) { var i: int = 0;
+                 while (i < 5) { print(f(n)); i = i + 1; } }",
+        )
+        .unwrap();
+        // `main` is depth 1, so f(8) reaches depth 10 and f(9) depth 11.
+        let cfg = || ExecConfig::new().with_max_call_depth(10);
+        let ok = run_function(&p, "main", &[RtValue::Int(8)], cfg()).unwrap();
+        assert_eq!(ok.output, ["8"; 5]);
+        assert_eq!(
+            run_function(&p, "main", &[RtValue::Int(9)], cfg()),
+            Err(RuntimeError::StackOverflow { limit: 10 })
+        );
+    }
+
+    #[test]
+    fn pooled_frames_keep_caller_locals_and_start_from_defaults() {
+        let out = run("fn g(n: int) -> int {
+                var a: int = n * 10; var b: int[] = new int[1]; b[0] = n;
+                if (n == 0) { return 0; }
+                var r: int = g(n - 1) + g(n - 1) / 2;
+                return r + a + b[0];
+             }
+             fn h(set: bool) -> int { var x: int; var y: float; if (set) { x = 5; y = 2.5; }
+                 if (y > 1.0) { return x + 1; } return x; }
+             fn main() { print(g(12)); print(h(true)); print(h(false)); print(h(true)); }");
+        fn g(n: i64) -> i64 {
+            if n == 0 {
+                return 0;
+            }
+            g(n - 1) + g(n - 1) / 2 + n * 10 + n
+        }
+        assert_eq!(
+            out.output,
+            [g(12).to_string(), "6".into(), "0".into(), "6".into()]
+        );
+    }
+
+    #[test]
+    fn deferred_result_lands_before_its_frame_is_recycled() {
+        use crate::channel::CallReply;
+        use hps_ir::{FragLabel, Stmt};
+
+        /// Replies `40 + arg` to every call.
+        struct Echo(u64);
+        impl Channel for Echo {
+            fn call(
+                &mut self,
+                _: ComponentId,
+                _: u64,
+                _: FragLabel,
+                args: &[Value],
+            ) -> Result<CallReply, RuntimeError> {
+                self.0 += 1;
+                let Some(Value::Int(v)) = args.first() else {
+                    panic!("one int argument");
+                };
+                Ok(CallReply {
+                    value: Value::Int(40 + v),
+                    server_cost: 0,
+                })
+            }
+            fn release(&mut self, _: ComponentId, _: u64) -> Result<(), RuntimeError> {
+                Ok(())
+            }
+            fn interactions(&self) -> u64 {
+                self.0
+            }
+            fn rtt_cost(&self) -> u64 {
+                0
+            }
+        }
+
+        // `f`'s deferred call writes its reply into the caller's array
+        // through `f`'s own local; the flush at `f`'s end must find that
+        // local before the frame goes back to the pool. `k` then reuses
+        // the recycled frame.
+        let mut p = hps_lang::parse(
+            "fn f(out: int[], n: int) { var t: int = n; }
+             fn k(v: int) -> int { var w: int = v + 1; return w; }
+             fn main() { var a: int[] = new int[1]; f(a, 2); print(k(7)); print(a[0]); }",
+        )
+        .unwrap();
+        let fid = p.func_by_name("f").unwrap();
+        let f = p.func_mut(fid);
+        let out = f.local_by_name("out").unwrap();
+        let n = f.local_by_name("n").unwrap();
+        f.split_component = Some(ComponentId::new(0));
+        f.body.stmts.push(Stmt::new(StmtKind::HiddenCall {
+            component: ComponentId::new(0),
+            label: FragLabel::new(0),
+            args: vec![Expr::local(n)],
+            result: Some(Place::Index {
+                base: Box::new(Place::Local(out)),
+                index: Expr::int(0),
+            }),
+            deferred: true,
+        }));
+        p.renumber_all();
+        let meta = SplitMeta {
+            kinds: vec![MetaKind::Function],
+            class_component: vec![None; p.classes.len()],
+        };
+        let mut chan = Echo(0);
+        let outcome = Interp::new(&p, ExecConfig::new().with_batching(true))
+            .with_channel(&mut chan, &meta)
+            .run("main", &[])
+            .unwrap();
+        assert_eq!(outcome.output, ["8", "42"]);
+        assert_eq!(chan.interactions(), 1);
     }
 
     #[test]
