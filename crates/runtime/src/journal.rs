@@ -10,7 +10,11 @@
 //!   their live state, and a shard's death drops only the live state, so
 //!   the sessions of a dead shard are rebuilt by replay. A ring that overflowed its
 //!   limit is no longer a complete history; recovery then poisons the
-//!   session instead of silently rebuilding wrong state.
+//!   session instead of silently rebuilding wrong state. The ring is a
+//!   byte log: each op is kept as its encoded payload (below), back to
+//!   back in one buffer, with a ring of payload lengths beside it. A
+//!   commit encodes the unit once, straight from the request's calls, and
+//!   [`SessionJournal::ops`] decodes only when a session is replayed.
 //! * **Disk persistence** (`hps serve --journal-dir`) — optional
 //!   checksummed frames appended synchronously at commit time, from which a
 //!   *restarted* server process rebuilds hidden state. The reader stops at
@@ -20,7 +24,8 @@
 //!
 //! Journal payloads reuse the [`crate::wire`] request encoding (`0x06`
 //! seq-call, `0x07` seq-batch, `0x02` release): one battle-tested codec,
-//! one format doc. The disk frame adds a CRC32 over the payload:
+//! one format doc. The ring and the disk hold the same payload bytes; the
+//! disk frame adds a CRC32 over the payload:
 //!
 //! ```text
 //! journal-frame := u32 payload_len ++ u32 crc32(payload) ++ payload
@@ -33,12 +38,11 @@
 //! handshake and retransmit path already cover.
 
 use crate::channel::PendingCall;
-use crate::wire::Request;
+use crate::wire::{push_seq_unit, Request};
 use hps_ir::ComponentId;
 use std::collections::VecDeque;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// Default per-session cap on journaled ops. Generous — a session beyond
 /// this has outlived crash-recoverability by replay (the ring drops its
@@ -46,16 +50,16 @@ use std::sync::Arc;
 /// still strictly better than the pre-recovery behaviour of losing it.
 pub const DEFAULT_JOURNAL_LIMIT: usize = 65_536;
 
-/// One committed operation of a session, in commit order.
+/// One committed operation of a session, in commit order: the decoded
+/// form of a journal payload.
 #[derive(Clone, PartialEq, Debug)]
 pub enum JournalOp {
     /// A committed sequenced unit (one call or one atomic batch).
     Seq {
         /// The unit's sequence number (contiguous from 1).
         seq: u64,
-        /// The logical calls of the unit (shared with the request that
-        /// carried them — journaling never deep-copies arguments).
-        calls: Arc<Vec<PendingCall>>,
+        /// The logical calls of the unit.
+        calls: Vec<PendingCall>,
         /// Whether the unit was a batch frame (`0x07`) or a single call.
         batch: bool,
     },
@@ -72,45 +76,18 @@ pub enum JournalOp {
 }
 
 impl JournalOp {
-    /// Encodes the op as a wire request payload (the journal's on-disk
-    /// payload format).
-    fn encode(&self) -> Vec<u8> {
-        match self {
-            JournalOp::Seq { seq, calls, batch } => {
-                if *batch {
-                    Request::SeqBatch {
-                        seq: *seq,
-                        calls: calls.as_ref().clone(),
-                    }
-                    .encode()
-                } else {
-                    Request::SeqCall {
-                        seq: *seq,
-                        call: calls[0].clone(),
-                    }
-                    .encode()
-                }
-            }
-            JournalOp::Release { component, key } => Request::Release {
-                component: *component,
-                key: *key,
-            }
-            .encode(),
-        }
-    }
-
     /// Decodes a journal payload; `None` for any frame that is not a
     /// journalable request (treated as corruption by the reader).
     fn decode(payload: &[u8]) -> Option<JournalOp> {
         match Request::decode(payload).ok()? {
             Request::SeqCall { seq, call } => Some(JournalOp::Seq {
                 seq,
-                calls: Arc::new(vec![call]),
+                calls: vec![call],
                 batch: false,
             }),
             Request::SeqBatch { seq, calls } => Some(JournalOp::Seq {
                 seq,
-                calls: Arc::new(calls),
+                calls,
                 batch: true,
             }),
             Request::Release { component, key } => Some(JournalOp::Release { component, key }),
@@ -120,11 +97,18 @@ impl JournalOp {
 }
 
 /// The in-memory journal of one session: an append-only ring of committed
-/// ops plus enough bookkeeping to know whether the ring still holds the
-/// *complete* history (a prerequisite for rebuilding by replay).
+/// ops, kept as their encoded payloads, plus enough bookkeeping to know
+/// whether the ring still holds the *complete* history (a prerequisite for
+/// rebuilding by replay).
 #[derive(Clone, Debug)]
 pub struct SessionJournal {
-    ops: VecDeque<JournalOp>,
+    /// The held ops' payloads, oldest first, starting at byte `head`.
+    bytes: Vec<u8>,
+    /// Where the oldest held payload starts. Evicted bytes before it are
+    /// compacted away once they outweigh the held ones.
+    head: usize,
+    /// Each held op's payload length, oldest first.
+    lens: VecDeque<u32>,
     dropped: u64,
     limit: usize,
     last_seq: u64,
@@ -134,7 +118,9 @@ impl SessionJournal {
     /// An empty journal keeping at most `limit` ops (min 1).
     pub fn new(limit: usize) -> SessionJournal {
         SessionJournal {
-            ops: VecDeque::new(),
+            bytes: Vec::new(),
+            head: 0,
+            lens: VecDeque::new(),
             dropped: 0,
             limit: limit.max(1),
             last_seq: 0,
@@ -143,15 +129,47 @@ impl SessionJournal {
 
     /// Appends a committed op, evicting the oldest when the ring is full
     /// (after which [`SessionJournal::is_complete`] is false forever).
-    pub fn append(&mut self, op: JournalOp) {
-        if let JournalOp::Seq { seq, .. } = &op {
-            self.last_seq = *seq;
+    /// Returns the op's payload, the bytes a disk frame carries.
+    pub fn append(&mut self, op: &JournalOp) -> &[u8] {
+        match op {
+            JournalOp::Seq { seq, calls, batch } => self.append_seq(*seq, calls, *batch),
+            JournalOp::Release { component, key } => {
+                let start = self.bytes.len();
+                Request::Release {
+                    component: *component,
+                    key: *key,
+                }
+                .append_to(&mut self.bytes);
+                self.commit(start)
+            }
         }
-        self.ops.push_back(op);
-        if self.ops.len() > self.limit {
-            self.ops.pop_front();
+    }
+
+    /// [`SessionJournal::append`] of a committed sequenced unit, encoded
+    /// straight from the calls that were served.
+    pub fn append_seq(&mut self, seq: u64, calls: &[PendingCall], batch: bool) -> &[u8] {
+        let start = self.bytes.len();
+        push_seq_unit(&mut self.bytes, seq, calls, batch);
+        self.last_seq = seq;
+        self.commit(start)
+    }
+
+    /// Makes the payload written at `start..` one held op.
+    fn commit(&mut self, start: usize) -> &[u8] {
+        let len = self.bytes.len() - start;
+        // A payload is at most one wire frame (16 MiB).
+        self.lens
+            .push_back(u32::try_from(len).expect("journal payload fits a frame"));
+        if self.lens.len() > self.limit {
+            let evicted = self.lens.pop_front().expect("ring is over its limit");
+            self.head += evicted as usize;
             self.dropped += 1;
+            if self.head > self.bytes.len() / 2 {
+                self.bytes.drain(..self.head);
+                self.head = 0;
+            }
         }
+        &self.bytes[self.bytes.len() - len..]
     }
 
     /// True while the ring still holds every committed op since the
@@ -165,19 +183,26 @@ impl SessionJournal {
         self.dropped
     }
 
-    /// The committed ops, oldest first.
-    pub fn ops(&self) -> impl Iterator<Item = &JournalOp> {
-        self.ops.iter()
+    /// The committed ops, oldest first, decoded from their payloads.
+    pub fn ops(&self) -> impl Iterator<Item = JournalOp> + '_ {
+        let mut pos = self.head;
+        self.lens.iter().map(move |&len| {
+            let payload = &self.bytes[pos..pos + len as usize];
+            pos += len as usize;
+            // Every held payload was encoded here or passed the disk
+            // reader's decode check.
+            JournalOp::decode(payload).expect("journal payloads decode")
+        })
     }
 
     /// Number of ops currently held.
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.lens.len()
     }
 
     /// True when nothing has been journaled yet.
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty() && self.dropped == 0
+        self.lens.is_empty() && self.dropped == 0
     }
 
     /// Highest committed sequence number (0 before the first commit). A
@@ -241,27 +266,28 @@ impl DiskJournal {
         Ok(DiskJournal { file })
     }
 
-    /// Appends one checksummed frame for `op` and flushes it.
+    /// Appends one checksummed frame carrying `payload` (as returned by
+    /// [`SessionJournal::append`]) and flushes it.
     ///
     /// # Errors
     ///
     /// Propagates write failures (the caller treats disk journaling as
     /// best-effort beyond the returned error).
-    pub fn append(&mut self, op: &JournalOp) -> std::io::Result<()> {
-        let payload = op.encode();
+    pub fn append(&mut self, payload: &[u8]) -> std::io::Result<()> {
         let mut frame = Vec::with_capacity(payload.len() + 8);
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        frame.extend_from_slice(&crc32(payload).to_le_bytes());
+        frame.extend_from_slice(payload);
         self.file.write_all(&frame)?;
         self.file.flush()
     }
 }
 
 /// Scans raw journal bytes, returning the byte length of the longest
-/// prefix of intact frames plus the ops decoded from it. Scanning stops
-/// silently at the first torn, truncated or checksum-failing frame.
-fn scan_frames(bytes: &[u8]) -> (usize, Vec<JournalOp>) {
+/// prefix of intact frames plus each of their payloads with the op it
+/// decodes to. Scanning stops silently at the first torn, truncated or
+/// checksum-failing frame.
+fn scan_frames(bytes: &[u8]) -> (usize, Vec<(&[u8], JournalOp)>) {
     let mut ops = Vec::new();
     let mut pos = 0usize;
     while let Some(header) = bytes.get(pos..pos + 8) {
@@ -276,7 +302,7 @@ fn scan_frames(bytes: &[u8]) -> (usize, Vec<JournalOp>) {
         let Some(op) = JournalOp::decode(payload) else {
             break;
         };
-        ops.push(op);
+        ops.push((payload, op));
         pos += 8 + len;
     }
     (pos, ops)
@@ -291,8 +317,14 @@ pub fn load_disk_journal(dir: &Path, session: u64, limit: usize) -> Option<Sessi
     let bytes = std::fs::read(journal_path(dir, session)).ok()?;
     let (_valid, ops) = scan_frames(&bytes);
     let mut journal = SessionJournal::new(limit);
-    for op in ops {
-        journal.append(op);
+    for (payload, op) in ops {
+        // The file's own bytes, so the ring matches the disk exactly.
+        let start = journal.bytes.len();
+        journal.bytes.extend_from_slice(payload);
+        if let JournalOp::Seq { seq, .. } = op {
+            journal.last_seq = seq;
+        }
+        journal.commit(start);
     }
     Some(journal)
 }
@@ -333,8 +365,18 @@ mod tests {
     fn seq_op(seq: u64, n: i64) -> JournalOp {
         JournalOp::Seq {
             seq,
-            calls: Arc::new(vec![call(n)]),
+            calls: vec![call(n)],
             batch: false,
+        }
+    }
+
+    /// Writes `ops` to the session's disk journal the way a shard does:
+    /// each payload comes from the in-memory ring.
+    fn write_disk(dir: &Path, session: u64, ops: &[JournalOp]) {
+        let mut disk = DiskJournal::open(dir, session).expect("open");
+        let mut ring = SessionJournal::new(DEFAULT_JOURNAL_LIMIT);
+        for op in ops {
+            disk.append(ring.append(op)).expect("append");
         }
     }
 
@@ -351,18 +393,64 @@ mod tests {
         let mut j = SessionJournal::new(3);
         assert!(j.is_empty());
         for seq in 1..=3 {
-            j.append(seq_op(seq, seq as i64));
+            j.append(&seq_op(seq, seq as i64));
         }
         assert!(j.is_complete());
         assert_eq!(j.last_seq(), 3);
         // Overflow drops the head and the history is no longer complete.
-        j.append(seq_op(4, 4));
+        j.append(&seq_op(4, 4));
         assert!(!j.is_complete());
         assert_eq!(j.dropped(), 1);
         assert_eq!(j.len(), 3);
         assert_eq!(j.last_seq(), 4);
-        let first = j.ops().next().expect("ops");
-        assert!(matches!(first, JournalOp::Seq { seq: 2, .. }));
+        let held: Vec<_> = j.ops().collect();
+        assert_eq!(held, [seq_op(2, 2), seq_op(3, 3), seq_op(4, 4)]);
+    }
+
+    #[test]
+    fn ring_payloads_are_wire_requests_and_survive_compaction() {
+        let batch = JournalOp::Seq {
+            seq: 9,
+            calls: vec![call(1), call(-2)],
+            batch: true,
+        };
+        let release = JournalOp::Release {
+            component: ComponentId::new(3),
+            key: 5,
+        };
+        let mut j = SessionJournal::new(2);
+        assert_eq!(
+            j.append(&batch),
+            Request::SeqBatch {
+                seq: 9,
+                calls: vec![call(1), call(-2)],
+            }
+            .encode()
+        );
+        assert_eq!(
+            j.append_seq(10, &[call(4)], false),
+            Request::SeqCall {
+                seq: 10,
+                call: call(4),
+            }
+            .encode()
+        );
+        // Evict past the compaction point many times over; the held ops
+        // and the buffer both stay bounded by the limit.
+        for round in 0..100 {
+            j.append(&release);
+            j.append(&seq_op(11 + round, round as i64));
+            assert_eq!(
+                j.ops().collect::<Vec<_>>(),
+                [release.clone(), seq_op(11 + round, round as i64)]
+            );
+            // Evicted bytes never outweigh the held ones.
+            let held: usize = j.lens.iter().map(|&n| n as usize).sum();
+            assert_eq!(j.bytes.len() - j.head, held);
+            assert!(j.bytes.len() <= 2 * held, "{} bytes", j.bytes.len());
+        }
+        assert_eq!(j.dropped(), 200);
+        assert_eq!(j.last_seq(), 110);
     }
 
     #[test]
@@ -378,25 +466,20 @@ mod tests {
             },
             JournalOp::Seq {
                 seq: 2,
-                calls: Arc::new(vec![call(1), call(2)]),
+                calls: vec![call(1), call(2)],
                 batch: true,
             },
         ];
-        {
-            let mut disk = DiskJournal::open(&dir, session).expect("open");
-            for op in &ops {
-                disk.append(op).expect("append");
-            }
-        }
+        write_disk(&dir, session, &ops);
         let loaded = load_disk_journal(&dir, session, DEFAULT_JOURNAL_LIMIT).expect("journal");
         assert!(loaded.is_complete());
-        assert_eq!(loaded.ops().cloned().collect::<Vec<_>>(), ops);
+        assert_eq!(loaded.ops().collect::<Vec<_>>(), ops);
         assert_eq!(loaded.last_seq(), 2);
 
         // A torn tail costs exactly the last frame, never the file.
         truncate_tail(&dir, session).expect("truncate");
         let torn = load_disk_journal(&dir, session, DEFAULT_JOURNAL_LIMIT).expect("journal");
-        assert_eq!(torn.ops().cloned().collect::<Vec<_>>(), ops[..2]);
+        assert_eq!(torn.ops().collect::<Vec<_>>(), ops[..2]);
         assert_eq!(torn.last_seq(), 1);
 
         // A flipped payload byte is caught by the checksum the same way.
@@ -410,7 +493,7 @@ mod tests {
         bytes[last] ^= 0xff;
         std::fs::write(&path, &bytes).expect("write");
         let corrupt = load_disk_journal(&dir, session, DEFAULT_JOURNAL_LIMIT).expect("journal");
-        assert_eq!(corrupt.ops().cloned().collect::<Vec<_>>(), ops[..1]);
+        assert_eq!(corrupt.ops().collect::<Vec<_>>(), ops[..1]);
 
         // Missing journals are `None`, distinct from empty ones.
         assert!(load_disk_journal(&dir, 999, DEFAULT_JOURNAL_LIMIT).is_none());
@@ -449,13 +532,13 @@ mod props {
         prop_oneof![
             (any::<u64>(), call_strategy()).prop_map(|(seq, call)| JournalOp::Seq {
                 seq,
-                calls: Arc::new(vec![call]),
+                calls: vec![call],
                 batch: false,
             }),
             (any::<u64>(), prop::collection::vec(call_strategy(), 0..4)).prop_map(
                 |(seq, calls)| JournalOp::Seq {
                     seq,
-                    calls: Arc::new(calls),
+                    calls,
                     batch: true,
                 }
             ),
@@ -482,16 +565,17 @@ mod props {
         let _ = std::fs::remove_dir_all(dir);
         let path = journal_path(dir, SESSION);
         let mut disk = DiskJournal::open(dir, SESSION).expect("open");
+        let mut ring = SessionJournal::new(DEFAULT_JOURNAL_LIMIT);
         let mut ends = Vec::with_capacity(ops.len());
         for op in ops {
-            disk.append(op).expect("append");
+            disk.append(ring.append(op)).expect("append");
             ends.push(std::fs::metadata(&path).expect("metadata").len() as usize);
         }
         (std::fs::read(&path).expect("read"), ends)
     }
 
     fn ops_of(journal: &SessionJournal) -> Vec<JournalOp> {
-        journal.ops().cloned().collect()
+        journal.ops().collect()
     }
 
     /// Installs `bytes` as the session file, checks the loader recovers
@@ -509,7 +593,7 @@ mod props {
         };
         DiskJournal::open(dir, SESSION)
             .expect("repair")
-            .append(&extra)
+            .append(SessionJournal::new(1).append(&extra))
             .expect("append");
         let reread = load_disk_journal(dir, SESSION, DEFAULT_JOURNAL_LIMIT).expect("file exists");
         let mut want = expected.to_vec();

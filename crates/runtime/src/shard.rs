@@ -413,13 +413,13 @@ impl ShardPool {
         stats: &StatsInner,
         session: u64,
         seq: u64,
-        calls: Arc<Vec<PendingCall>>,
+        calls: &[PendingCall],
         batch: bool,
         out: &mut Vec<u8>,
     ) {
         self.enter(stats, session, |state, cx| {
             let inject = state.draw(|c| c.panic_per_mille);
-            match serve_seq(state, cx, session, seq, &calls, batch, inject) {
+            match serve_seq(state, cx, session, seq, calls, batch, inject) {
                 Ok(()) => {
                     let Some(SessionSlot::Live(live)) = state.sessions.0.get(&session) else {
                         unreachable!("a served session is live");
@@ -452,13 +452,9 @@ impl ShardPool {
             } = state;
             if let Some(SessionSlot::Live(live)) = sessions.0.get_mut(&session) {
                 live.server.release(component, key);
-                commit_op(
-                    journals,
-                    cx,
-                    session,
-                    live,
-                    JournalOp::Release { component, key },
-                );
+                commit_op(journals, cx, session, live, |j| {
+                    j.append(&JournalOp::Release { component, key })
+                });
             }
         });
     }
@@ -549,7 +545,7 @@ fn serve_seq(
     cx: &Cx,
     session: u64,
     seq: u64,
-    calls: &Arc<Vec<PendingCall>>,
+    calls: &[PendingCall],
     batch: bool,
     inject_panic: bool,
 ) -> Result<(), String> {
@@ -603,17 +599,9 @@ fn serve_seq(
                 // The commit point: the journal sees the unit before the
                 // reply leaves the shard (DESIGN.md §12), so recovery is
                 // always at or one behind what the client observed.
-                commit_op(
-                    journals,
-                    cx,
-                    session,
-                    live,
-                    JournalOp::Seq {
-                        seq,
-                        calls: Arc::clone(calls),
-                        batch,
-                    },
-                );
+                commit_op(journals, cx, session, live, |j| {
+                    j.append_seq(seq, calls, batch)
+                });
                 return Ok(());
             }
             Err(payload) => {
@@ -691,24 +679,25 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Appends a committed op to the session's in-memory ring and (best
-/// effort) its disk journal. Called at the commit point, before replying.
+/// Appends a committed op to the session's in-memory ring with `append`,
+/// then writes the same payload to its disk journal (best effort). Called
+/// at the commit point, before replying.
 fn commit_op(
     journals: &mut HashMap<u64, SessionJournal>,
     cx: &Cx,
     session: u64,
     live: &mut SessionState,
-    op: JournalOp,
+    append: impl FnOnce(&mut SessionJournal) -> &[u8],
 ) {
+    let journal = journals
+        .entry(session)
+        .or_insert_with(|| SessionJournal::new(cx.pool.config.journal_limit));
+    let payload = append(journal);
     if let Some(disk) = &mut live.disk {
         // Best-effort: a failing disk leaves the in-memory ring as the
         // recovery source; the next restart simply recovers less.
-        let _ = disk.append(&op);
+        let _ = disk.append(payload);
     }
-    journals
-        .entry(session)
-        .or_insert_with(|| SessionJournal::new(cx.pool.config.journal_limit))
-        .append(op);
 }
 
 /// Looks a session up, creating it on first contact. A session this shard
@@ -794,12 +783,12 @@ fn rebuild_session(
                 // Replay is not new logical work: committed units were
                 // counted when first served, so only hidden state and the
                 // replay window are rebuilt here.
-                let (resp, _served, _cost) = execute(&mut live.server, calls, *batch);
+                let (resp, _served, _cost) = execute(&mut live.server, &calls, batch);
                 let mut buf = Vec::new();
                 resp.encode_into(&mut buf);
-                let _ = live.replay.store(*seq, buf);
+                let _ = live.replay.store(seq, buf);
             }
-            JournalOp::Release { component, key } => live.server.release(*component, *key),
+            JournalOp::Release { component, key } => live.server.release(component, key),
         }
     }
     cx.stats.journal_replays.fetch_add(1, Ordering::Relaxed);
@@ -891,14 +880,14 @@ pub(crate) mod tests {
 
     /// One sequenced accumulator call; returns the running sum.
     fn add(pool: &ShardPool, stats: &StatsInner, session: u64, seq: u64, n: i64) -> i64 {
-        let calls = Arc::new(vec![PendingCall {
+        let call = PendingCall {
             component: ComponentId::new(0),
             key: 1,
             label: FragLabel::new(0),
             args: vec![Value::Int(n)],
-        }]);
+        };
         let mut frame = Vec::new();
-        pool.seq(stats, session, seq, calls, false, &mut frame);
+        pool.seq(stats, session, seq, &[call], false, &mut frame);
         match Response::decode(&frame).expect("decode") {
             Response::Reply {
                 value: Value::Int(sum),

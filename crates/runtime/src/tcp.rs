@@ -1295,7 +1295,7 @@ fn serve_session_connection(
         // The shard copies the reply into `scratch`; it reaches the socket
         // only after the shard is released, so a client that stops reading
         // stalls its own connection and no other.
-        pool.seq(stats, session, seq, Arc::new(calls), batch, &mut scratch);
+        pool.seq(stats, session, seq, &calls, batch, &mut scratch);
         if kill_after {
             // Executed and cached, but the response never leaves: the
             // retransmit must hit the replay cache.

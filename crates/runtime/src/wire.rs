@@ -213,6 +213,24 @@ fn push_call_body(
     }
 }
 
+/// Appends a sequenced unit's request payload — `0x07` seq-batch when
+/// `batch`, else `0x06` seq-call of `calls[0]` — from borrowed calls.
+pub(crate) fn push_seq_unit(buf: &mut Vec<u8>, seq: u64, calls: &[PendingCall], batch: bool) {
+    if batch {
+        buf.push(0x07);
+        buf.extend_from_slice(&seq.to_le_bytes());
+        buf.extend_from_slice(&(calls.len() as u16).to_le_bytes());
+        for c in calls {
+            push_call_body(buf, c.component, c.key, c.label, &c.args);
+        }
+    } else {
+        let c = &calls[0];
+        buf.push(0x06);
+        buf.extend_from_slice(&seq.to_le_bytes());
+        push_call_body(buf, c.component, c.key, c.label, &c.args);
+    }
+}
+
 impl Request {
     /// Serializes the request payload (without the frame length prefix).
     pub fn encode(&self) -> Vec<u8> {
@@ -225,6 +243,11 @@ impl Request {
     /// long-lived connection can reuse one allocation per direction.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         buf.clear();
+        self.append_to(buf);
+    }
+
+    /// Appends the serialized payload to `buf`.
+    pub(crate) fn append_to(&self, buf: &mut Vec<u8>) {
         match self {
             Request::Call {
                 component,
@@ -254,18 +277,9 @@ impl Request {
                 buf.extend_from_slice(&session.to_le_bytes());
             }
             Request::SeqCall { seq, call } => {
-                buf.push(0x06);
-                buf.extend_from_slice(&seq.to_le_bytes());
-                push_call_body(buf, call.component, call.key, call.label, &call.args);
+                push_seq_unit(buf, *seq, std::slice::from_ref(call), false);
             }
-            Request::SeqBatch { seq, calls } => {
-                buf.push(0x07);
-                buf.extend_from_slice(&seq.to_le_bytes());
-                buf.extend_from_slice(&(calls.len() as u16).to_le_bytes());
-                for c in calls {
-                    push_call_body(buf, c.component, c.key, c.label, &c.args);
-                }
-            }
+            Request::SeqBatch { seq, calls } => push_seq_unit(buf, *seq, calls, true),
         }
     }
 
