@@ -9,8 +9,8 @@
 //! * **Table 3** — arithmetic complexity of ILPs ([`table3_rows`]).
 //! * **Table 4** — control-flow complexity of ILPs ([`table4_rows`]).
 //! * **Table 5** — runtime overhead in deterministic virtual time
-//!   ([`table5_rows`]); the Criterion bench `runtime_overhead` cross-checks
-//!   with wall-clock time.
+//!   ([`table5_rows`]); the repository benchmark's `unsplit.run_ms_p50`
+//!   and `inproc.run_ms_p50` metrics give the wall-clock comparison.
 //! * **Attack table** — recovery outcomes per ILP class (not in the paper
 //!   as a table, but §3's central claim) ([`attack_rows`]).
 //!

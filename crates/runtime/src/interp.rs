@@ -11,6 +11,14 @@
 //!   [`StmtKind::HiddenCall`] statements through an attached [`Channel`],
 //!   and release the secure-side state on return. Methods of split classes
 //!   route calls by the receiver object's instance id instead.
+//!
+//! The hot path allocates nothing per call and does not recurse on leaves
+//! (DESIGN.md §7c): frames reuse pooled locals vectors, `Const`/`Local`/
+//! `Global` operands resolve inline, one- and two-argument builtins take
+//! stack slices, `leaf <cmp> leaf` conditions evaluate straight to a
+//! `bool`, and local arrays are indexed in place. None of this moves a
+//! cost charge, a step tick or the order in which errors fire; the
+//! interpreter goldens in `hps-suite` pin all three.
 
 use crate::channel::{Channel, InProcessChannel, PendingCall, TransportStats};
 use crate::cost::CostModel;
@@ -1494,8 +1502,7 @@ mod tests {
     }
 
     const LOCALS: &str = "fn main() {
-            var x: int = 3; var z: int = 0; var y: float = 1.5; var b: bool = true;
-            var a: int[] = new int[2]; var u: int[];
+            var x: int = 3; var y: float = 1.5; var b: bool = true; var u: int[];
             if (true) { print(1); } else { print(2); }
             x = 4;
         }";
