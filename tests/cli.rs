@@ -164,6 +164,45 @@ fn split_args_alone_select_planner_mode() {
 }
 
 #[test]
+fn split_plan_json_matches_goldens() {
+    // Budgeted, hardened planning of the shipped examples, pinned byte for
+    // byte. Regenerate a golden with the command it records, e.g.
+    //   hps split examples/fee.ml --budget 15% --harden --json --args 7 40 \
+    //     > tests/goldens/cli/fee_plan.json
+    let root = env!("CARGO_MANIFEST_DIR");
+    for (example, args, golden) in [
+        (
+            "examples/fee.ml",
+            ["7", "40"],
+            include_str!("goldens/cli/fee_plan.json"),
+        ),
+        (
+            "examples/metering.ml",
+            ["150", "12"],
+            include_str!("goldens/cli/metering_plan.json"),
+        ),
+    ] {
+        let out = Command::new(HPS)
+            .current_dir(root)
+            .args(["split", example, "--budget", "15%", "--harden", "--json"])
+            .arg("--args")
+            .args(args)
+            .output()
+            .expect("spawn");
+        assert!(
+            out.status.success(),
+            "{example}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            golden,
+            "{example}: plan report drifted from its golden"
+        );
+    }
+}
+
+#[test]
 fn analyze_reports_ilp_classes() {
     let path = demo_file();
     let out = Command::new(HPS)
