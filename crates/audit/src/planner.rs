@@ -38,8 +38,9 @@
 //! built once and descended level by level) until the plan fits or no
 //! cheaper plan exists. **The measurer runs at every level it visits**
 //! (each candidate plan's overhead must be observed, not predicted, for
-//! the budget verdict), so a program needing many downgrades pays one
-//! original-vs-split run per level: keep the measurement workload small.
+//! the budget verdict), always on a split of the same program, so it may
+//! run the original once and keep its outcome. The post-hardening
+//! analysis and the audit run once, on the plan that is returned.
 
 use crate::{audit_split, AuditReport, Severity};
 use hps_core::{harden_split, split_program, HardenReport, SplitError, SplitPlan, SplitResult};
@@ -280,8 +281,8 @@ impl<'p> Planner<'p> {
     }
 
     /// Attaches a measurement hook (see [`Measurer`]). The planner calls
-    /// it for every candidate plan the budget search tries; keep the
-    /// workload small.
+    /// it for every candidate plan the budget search tries, always with
+    /// this planner's program; keep the workload small.
     pub fn measure_with(
         mut self,
         f: impl Fn(&Program, &SplitResult) -> Result<MeasuredCost, String> + 'p,
@@ -291,13 +292,15 @@ impl<'p> Planner<'p> {
     }
 
     /// Runs the pipeline: resolve targets → split → analyze → harden →
-    /// re-analyze → audit → measure → verify budget, downgrading the plan
-    /// and repeating while a budget is exceeded and cheaper plans exist.
+    /// measure → verify budget, downgrading the plan and repeating while a
+    /// budget is exceeded and cheaper plans exist → re-analyze and audit
+    /// the plan it returns.
     ///
     /// The downgrade search holds one [`OptimizeLadder`], so the seed
     /// ranking and the per-candidate contribution memo are built once and
-    /// reused at every level; each visited level still costs one split +
-    /// analysis + audit and (when a measurer is attached) one measurement.
+    /// reused at every level. A level costs only what its budget verdict
+    /// reads: one split, the analysis hardening needs, and (with a
+    /// measurer) one measurement.
     pub fn plan(self) -> Result<PlanReport, PlanError> {
         // The ladder is bounded by the total number of candidate moves;
         // 64 is far above any real program in the suite and a backstop
@@ -316,7 +319,8 @@ impl<'p> Planner<'p> {
             };
             report.plan = plan.clone();
             report.rule = self.rule;
-            return self.finish(report, &base_model);
+            let report = self.level(report, &base_model)?;
+            return Ok(self.conclude(report));
         }
 
         let mut ladder = OptimizeLadder::new(self.program, self.rule, base_model.clone());
@@ -335,50 +339,34 @@ impl<'p> Planner<'p> {
             report.dropped = outcome.dropped;
             report.rule = outcome.rule;
             report.rule_fallback = outcome.rule_fallback;
-            let report = self.finish(report, &base_model)?;
+            let report = self.level(report, &base_model)?;
             let over = report.within_budget == Some(false);
             if !over || ladder.level() + 1 >= MAX_LEVELS || !ladder.descend() {
-                return Ok(report);
+                return Ok(self.conclude(report));
             }
         }
     }
 
-    /// Steps 2–5 of the pipeline for an already-resolved plan: split,
-    /// analyze, harden, audit, measure, predict, verdict.
-    fn finish(
+    /// One ladder level for an already-resolved plan: split, harden,
+    /// measure, predict, verdict.
+    fn level(
         &self,
         mut report: PlanReport,
         base_model: &PlanCostModel,
     ) -> Result<PlanReport, PlanError> {
         let program = self.program;
 
-        // 2. Split and analyze the unhardened result.
+        // 2. Split, then harden the fragments that feed weak ILPs. Only
+        //    hardening needs the unhardened analysis at every level.
         let mut split = split_program(program, &report.plan)?;
-        let before = analyze_split(program, &split);
-        report.lattice_before = before.counts_by_type();
-        report.weak_before = weak_count(&before);
-
-        // 3. Harden weak fragments, then re-analyze so the security and
-        //    audit views describe what actually ships. Masking does not
-        //    change any ILP's adversary-model class — the analysis keeps
-        //    grading the underlying leak — so `weak_after` stays equal to
-        //    `weak_before`; what changes is that the weak leaks now ship
-        //    masked (`masked_after`) and the audit downgrades their
-        //    warnings to `masked_weak_ilp` notes.
         if self.harden {
-            let groups = weak_groups(&before);
-            report.hardening = harden_split(&mut split, &groups);
+            let before = analyze_split(program, &split);
+            report.lattice_before = before.counts_by_type();
+            report.weak_before = weak_count(&before);
+            report.hardening = harden_split(&mut split, &weak_groups(&before));
         }
-        report.security = analyze_split(program, &split);
-        report.lattice_after = report.security.counts_by_type();
-        report.lattice_wire = report.security.counts_by_wire_type();
-        report.weak_after = weak_count(&report.security);
-        report.masked_after = report
-            .weak_after
-            .saturating_sub(report.security.weak_unmasked());
-        report.audit = audit_split(program, &split);
 
-        // 4. Measure (when a hook is attached) and predict with the
+        // 3. Measure (when a hook is attached) and predict with the
         //    calibrated model. Calibration starts from the caller's model
         //    so only the round-trip weight is replaced by telemetry.
         report.measured = match &self.measurer {
@@ -392,10 +380,35 @@ impl<'p> Planner<'p> {
         report.predicted_cost = predict(program, &split, &model, base_units);
         report.split = split;
 
-        // 5. Budget verdict: measured overhead when available, predicted
+        // 4. Budget verdict: measured overhead when available, predicted
         //    otherwise.
         report.within_budget = self.budget.map(|b| report.overhead_percent() <= b);
         Ok(report)
+    }
+
+    /// Analyzes and audits the split the search settled on, so the
+    /// security and audit views describe what actually ships. Masking does
+    /// not change any ILP's adversary-model class — the analysis keeps
+    /// grading the underlying leak — so `weak_after` stays equal to
+    /// `weak_before`; what changes is that the weak leaks now ship masked
+    /// (`masked_after`) and the audit downgrades their warnings to
+    /// `masked_weak_ilp` notes.
+    fn conclude(&self, mut report: PlanReport) -> PlanReport {
+        let program = self.program;
+        report.security = analyze_split(program, &report.split);
+        report.lattice_after = report.security.counts_by_type();
+        report.lattice_wire = report.security.counts_by_wire_type();
+        report.weak_after = weak_count(&report.security);
+        report.masked_after = report
+            .weak_after
+            .saturating_sub(report.security.weak_unmasked());
+        if !self.harden {
+            // Nothing was rewritten: the split is its own "before".
+            report.lattice_before = report.lattice_after;
+            report.weak_before = report.weak_after;
+        }
+        report.audit = audit_split(program, &report.split);
+        report
     }
 }
 
@@ -756,6 +769,37 @@ mod tests {
         assert_eq!(report.within_budget, Some(true));
         assert!(report.downgrades > 0);
         assert!(report.plan.targets.len() < 2);
+    }
+
+    #[test]
+    fn final_analysis_and_audit_describe_the_returned_split() {
+        let p = hps_lang::parse(SRC).unwrap();
+        let calls = std::cell::Cell::new(0);
+        // 2 split functions => 60% overhead, 1 => 30%: a 35% budget forces
+        // at least one downgrade and keeps one hardened target.
+        let report = Planner::new(&p)
+            .harden(true)
+            .budget(35.0)
+            .measure_with(|_prog, split| {
+                calls.set(calls.get() + 1);
+                Ok(MeasuredCost {
+                    base_units: 1000,
+                    split_units: 1000 + 300 * split.reports.len() as u64,
+                    rtt_units: 100,
+                    server_units: 50,
+                    interactions: 4,
+                })
+            })
+            .plan()
+            .unwrap();
+        assert!(report.downgrades > 0);
+        assert_eq!(report.plan.targets.len(), 1);
+        assert!(!report.hardening.applied.is_empty());
+        assert_eq!(calls.get(), report.downgrades + 1);
+        assert_eq!(report.audit, audit_split(&p, &report.split));
+        assert_eq!(report.security, analyze_split(&p, &report.split));
+        assert_eq!(report.lattice_after, report.security.counts_by_type());
+        assert_eq!(report.weak_after, weak_count(&report.security));
     }
 
     #[test]

@@ -37,7 +37,9 @@ pub mod planning;
 pub mod programs;
 pub mod workload;
 
-pub use planning::{measure_split, plan_benchmark, plan_workload, PLAN_FLOOR, PLAN_SCALE};
+pub use planning::{
+    measure_split, plan_benchmark, plan_workload, PlanMeasurer, PLAN_FLOOR, PLAN_SCALE,
+};
 pub use workload::Workload;
 
 use hps_ir::Program;

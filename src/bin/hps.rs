@@ -368,28 +368,8 @@ fn cmd_split(args: &[String]) -> Result<(), String> {
     if let Some(b) = budget {
         planner = planner.budget(b);
     }
-    let measure_args = entry_args.clone();
-    planner = planner.measure_with(move |prog, split| {
-        use hps::runtime::telemetry::metrics::names;
-        let before = hps::runtime::run_program(prog, &measure_args).map_err(|e| e.to_string())?;
-        let rtt = ExecConfig::new().cost_model.lan_round_trip();
-        let after = Executor::new(&split.open, &split.hidden)
-            .batching(true)
-            .rtt(rtt)
-            .recorder(MetricsRecorder::new())
-            .run(&measure_args)
-            .map_err(|e| e.to_string())?;
-        if before.output != after.outcome.output {
-            return Err("outputs diverged between original and split".into());
-        }
-        Ok(hps::security::MeasuredCost {
-            base_units: before.cost,
-            split_units: after.outcome.cost,
-            rtt_units: after.telemetry.counter(names::RTT_COST_UNITS),
-            server_units: after.telemetry.counter(names::SERVER_COST_UNITS),
-            interactions: after.interactions,
-        })
-    });
+    let measurer = hps::suite::PlanMeasurer::new(&program, entry_args);
+    planner = planner.measure_with(move |_, split| measurer.measure(split));
     let report = planner.plan().map_err(|e| e.to_string())?;
     if json {
         println!("{}", hps::audit::plan_to_json(&report).pretty());
