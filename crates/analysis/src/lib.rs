@@ -37,7 +37,8 @@
 //!     }",
 //! )?;
 //! let func = hps_ir::FuncId::new(0);
-//! let fa = hps_analysis::FuncAnalysis::compute(&program, func);
+//! let modref = hps_analysis::ModRef::compute(&program);
+//! let fa = hps_analysis::FuncAnalysis::compute(&program, func, &modref);
 //! // `s + i` inside the loop is reached by both the init `s = 0`
 //! // and the loop-carried definition.
 //! assert!(fa.def_use.edges().count() > 0);
@@ -95,18 +96,20 @@ pub struct FuncAnalysis {
 }
 
 impl FuncAnalysis {
-    /// Runs every per-function analysis for `func`.
+    /// Runs every per-function analysis for `func`. `modref` is the
+    /// program's mod/ref summary ([`ModRef::compute`]); callers analyzing
+    /// several functions of one program compute it once and share it.
     ///
     /// # Panics
     ///
     /// Panics if `func` is out of range or its statements have not been
     /// renumbered.
-    pub fn compute(program: &Program, func: FuncId) -> FuncAnalysis {
+    pub fn compute(program: &Program, func: FuncId, modref: &ModRef) -> FuncAnalysis {
         let f = program.func(func);
         let cfg = Cfg::build(f);
         let postdom = DomTree::postdominators(&cfg);
         let control = ControlDeps::compute(&cfg, &postdom);
-        let reaching = ReachingDefs::compute(program, func, &cfg);
+        let reaching = ReachingDefs::compute(f, &cfg, modref);
         let def_use = DefUse::compute(&cfg, &reaching);
         let structure = StructInfo::compute(f);
         let loops = LoopInfo::compute(f, &structure);
@@ -138,7 +141,7 @@ mod tests {
             }",
         )
         .unwrap();
-        let fa = FuncAnalysis::compute(&program, FuncId::new(0));
+        let fa = FuncAnalysis::compute(&program, FuncId::new(0), &ModRef::compute(&program));
         assert!(fa.cfg.len() > 5);
         assert_eq!(fa.loops.loops().len(), 1);
     }

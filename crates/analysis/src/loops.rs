@@ -37,6 +37,18 @@ pub enum TripCount {
     Unknown,
 }
 
+impl TripCount {
+    /// Whether the loop runs a compile-time-constant number of times: a
+    /// counted loop whose initializer and bound are both constants.
+    pub fn is_constant(&self) -> bool {
+        matches!(
+            self,
+            TripCount::Counted { init: Some(init), bound, .. }
+                if init.as_const().is_some() && bound.as_const().is_some()
+        )
+    }
+}
+
 /// Facts about one loop.
 #[derive(Clone, Debug)]
 pub struct LoopMeta {
@@ -286,6 +298,24 @@ mod tests {
         assert_eq!(li.loops()[0].depth, 1);
         assert_eq!(li.loops()[1].depth, 2);
         assert!(li.loop_at(li.loops()[1].stmt).is_some());
+    }
+
+    #[test]
+    fn constant_trip_needs_constant_init_and_bound() {
+        let trip = |src: &str| loops_of(src).loops()[0].trip.clone();
+        assert!(trip("fn f() { var i: int = 0; while (i < 8) { i = i + 1; } }").is_constant());
+        assert!(
+            !trip("fn f(n: int) { var i: int = 0; while (i < n) { i = i + 1; } }").is_constant()
+        );
+        assert!(
+            !trip("fn f(n: int) { var i: int = n; while (i < 8) { i = i + 1; } }").is_constant()
+        );
+        // An ambiguous initializer is not a constant one.
+        assert!(!trip(
+            "fn f(b: bool) { var i: int = 0; if (b) { i = 5; } while (i < 8) { i = i + 1; } }"
+        )
+        .is_constant());
+        assert!(!TripCount::Unknown.is_constant());
     }
 
     #[test]

@@ -8,7 +8,7 @@ use hps_ir::{Expr, FuncId, GlobalId, Place, Program, StmtKind};
 use std::collections::BTreeSet;
 
 /// Global mod/ref summary for every function in a program.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ModRef {
     mods: Vec<BTreeSet<GlobalId>>,
     refs: Vec<BTreeSet<GlobalId>>,

@@ -10,7 +10,7 @@ use crate::bitset::BitSet;
 use crate::cfg::{Cfg, NodeId, ENTRY};
 use crate::modref::ModRef;
 use crate::vars::{stmt_effect, StmtEffect, VarId};
-use hps_ir::{FuncId, Program, StmtId};
+use hps_ir::{FuncId, Function, StmtId};
 use std::collections::HashMap;
 
 /// Index of a definition in [`ReachingDefs::defs`].
@@ -38,13 +38,13 @@ pub struct ReachingDefs {
 }
 
 impl ReachingDefs {
-    /// Solves the reaching-definitions problem for `func`.
+    /// Solves the reaching-definitions problem for `f`.
     ///
-    /// Call effects on globals come from an interprocedural
-    /// [`ModRef`] summary computed over `program`.
-    pub fn compute(program: &Program, func: FuncId, cfg: &Cfg) -> ReachingDefs {
-        let f = program.func(func);
-        let modref = ModRef::compute(program);
+    /// Call effects on globals come from `modref`, the interprocedural
+    /// summary of the program `f` belongs to. It is an input, not
+    /// recomputed here, so a caller analyzing many functions of one
+    /// program computes it once.
+    pub fn compute(f: &Function, cfg: &Cfg, modref: &ModRef) -> ReachingDefs {
         let mut call_eff = |callee: FuncId| -> (Vec<VarId>, Vec<VarId>) {
             (
                 modref
@@ -291,7 +291,7 @@ mod tests {
     fn setup(src: &str) -> (hps_ir::Program, Cfg, ReachingDefs, DefUse) {
         let p = hps_lang::parse(src).expect("parses");
         let cfg = Cfg::build(p.func(FuncId::new(0)));
-        let rd = ReachingDefs::compute(&p, FuncId::new(0), &cfg);
+        let rd = ReachingDefs::compute(p.func(FuncId::new(0)), &cfg, &ModRef::compute(&p));
         let du = DefUse::compute(&cfg, &rd);
         (p, cfg, rd, du)
     }
@@ -364,7 +364,7 @@ mod tests {
         .unwrap();
         let fid = p.func_by_name("f").unwrap();
         let cfg = Cfg::build(p.func(fid));
-        let rd = ReachingDefs::compute(&p, fid, &cfg);
+        let rd = ReachingDefs::compute(p.func(fid), &cfg, &ModRef::compute(&p));
         let du = DefUse::compute(&cfg, &rd);
         let f = p.func(fid);
         // print(g) is the 3rd statement of f.

@@ -8,7 +8,7 @@
 //!   ancestors must appear among the transitive CFG controllers;
 //! * every non-entry use is reached by at least one definition.
 
-use hps_analysis::{cfg, FuncAnalysis};
+use hps_analysis::{cfg, FuncAnalysis, ModRef};
 use hps_ir::{FuncId, StmtKind};
 use proptest::prelude::*;
 use std::fmt::Write;
@@ -94,7 +94,7 @@ proptest! {
     #[test]
     fn dominator_tree_is_sane(stmts in prop::collection::vec(gs_strategy(2), 1..6)) {
         let program = build(&stmts);
-        let fa = FuncAnalysis::compute(&program, FuncId::new(0));
+        let fa = FuncAnalysis::compute(&program, FuncId::new(0), &ModRef::compute(&program));
         let dom = hps_analysis::DomTree::dominators(&fa.cfg);
         for node in fa.cfg.node_ids() {
             if !dom.is_reachable(node) {
@@ -126,7 +126,7 @@ proptest! {
     ) {
         let program = build(&stmts);
         let f = program.func(FuncId::new(0));
-        let fa = FuncAnalysis::compute(&program, FuncId::new(0));
+        let fa = FuncAnalysis::compute(&program, FuncId::new(0), &ModRef::compute(&program));
         hps_ir::visit::for_each_stmt(&f.body, &mut |stmt| {
             // Compare for plain assignments (condition nodes control
             // themselves in loops, which the syntactic view does not model).
@@ -151,7 +151,7 @@ proptest! {
         stmts in prop::collection::vec(gs_strategy(2), 1..6)
     ) {
         let program = build(&stmts);
-        let fa = FuncAnalysis::compute(&program, FuncId::new(0));
+        let fa = FuncAnalysis::compute(&program, FuncId::new(0), &ModRef::compute(&program));
         for node in fa.cfg.node_ids() {
             for var in &fa.reaching.effect(node).uses {
                 let defs = fa.def_use.defs_for_use(node, *var);

@@ -151,11 +151,13 @@ impl TaintModel for OpenModel<'_> {
 
 /// Runs the interprocedural propagation over `open`.
 ///
-/// `declared` lists the `(component, label)` pairs that carry a declared
-/// ILP; `hidden_frags` the fragments whose return is hidden-dependent
-/// (from [`crate::fragment::analyze_fragments`]).
+/// `modref` is `open`'s mod/ref summary. `declared` lists the
+/// `(component, label)` pairs that carry a declared ILP; `hidden_frags`
+/// the fragments whose return is hidden-dependent (from
+/// [`crate::fragment::analyze_fragments`]).
 pub fn analyze_open_flow(
     open: &Program,
+    modref: &ModRef,
     hidden_frags: &[(ComponentId, FragLabel)],
     declared: &[(ComponentId, FragLabel)],
 ) -> OpenFlow {
@@ -183,7 +185,6 @@ pub fn analyze_open_flow(
         None => (0..open.functions.len()).map(FuncId::new).collect(),
     };
     funcs.sort();
-    let modref = ModRef::compute(open);
 
     // Interprocedural summaries.
     let mut param_taint: HashMap<FuncId, Vec<BitSet>> = funcs
@@ -226,7 +227,7 @@ pub fn analyze_open_flow(
                 params: param_taint.get(f).unwrap_or(&empty),
                 shared: &shared,
                 ret_taint: &ret_taint,
-                modref: &modref,
+                modref,
             };
             let ta = TaintAnalysis::compute(func, cfg, control, &model);
 
@@ -301,7 +302,7 @@ pub fn analyze_open_flow(
                 params: param_taint.get(f).unwrap_or(&empty),
                 shared: &shared,
                 ret_taint: &ret_taint,
-                modref: &modref,
+                modref,
             };
             let func = open.func(*f);
             let mut tainted_stmts = Vec::new();
@@ -380,7 +381,12 @@ mod tests {
             .flat_map(|r| r.ilps.iter().map(|i| (i.component, i.label)))
             .collect();
         assert!(!hidden_frags.is_empty(), "the split must leak something");
-        let flow = analyze_open_flow(&split.open, &hidden_frags, &declared);
+        let flow = analyze_open_flow(
+            &split.open,
+            &ModRef::compute(&split.open),
+            &hidden_frags,
+            &declared,
+        );
         assert!(!flow.labels.is_empty());
         assert!(flow.labels.iter().all(|l| l.declared));
         // The leaked value reaches open statements in both f and its caller
@@ -397,7 +403,7 @@ mod tests {
     fn no_hidden_fragments_means_no_labels() {
         let src = "fn main() { print(1); }";
         let program = hps_lang::parse(src).unwrap();
-        let flow = analyze_open_flow(&program, &[], &[]);
+        let flow = analyze_open_flow(&program, &ModRef::compute(&program), &[], &[]);
         assert!(flow.labels.is_empty());
         assert_eq!(flow.rounds, 1);
     }

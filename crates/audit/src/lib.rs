@@ -57,8 +57,10 @@ pub use fragment::FragmentFacts;
 pub use json::Json;
 pub use planner::{plan_to_json, render_plan, Measurer, PlanError, PlanReport, Planner};
 
+use hps_analysis::ModRef;
 use hps_core::SplitResult;
 use hps_ir::Program;
+use hps_security::SecurityReport;
 
 /// Table 3/4 aggregates embedded in the report, so machine-readable audit
 /// output carries the same numbers as `hps analyze`.
@@ -133,6 +135,20 @@ impl AuditReport {
 /// `original` must be the pre-split program (ILP statement ids refer to
 /// it); `split` the corresponding [`SplitResult`].
 pub fn audit_split(original: &Program, split: &SplitResult) -> AuditReport {
+    audit_graded(
+        original,
+        split,
+        &hps_security::analyze_split(original, split),
+    )
+}
+
+/// [`audit_split`] for a caller that has already graded the split:
+/// `security` must be `analyze_split(original, split)`.
+pub(crate) fn audit_graded(
+    original: &Program,
+    split: &SplitResult,
+    security: &SecurityReport,
+) -> AuditReport {
     let facts = fragment::analyze_fragments(&split.hidden.components);
     let declared = lints::declared_ilps(split);
     let mut hidden_frags: Vec<_> = facts
@@ -141,15 +157,18 @@ pub fn audit_split(original: &Program, split: &SplitResult) -> AuditReport {
         .map(|f| (f.component, f.label))
         .collect();
     hidden_frags.sort();
-    let flow = flow::analyze_open_flow(&split.open, &hidden_frags, &declared);
-    let security = hps_security::analyze_split(original, split);
+    // One mod/ref summary of the open program serves the flow analysis
+    // and every lint that solves reaching definitions.
+    let open_modref = ModRef::compute(&split.open);
+    let flow = flow::analyze_open_flow(&split.open, &open_modref, &hidden_frags, &declared);
 
     let (mut diagnostics, suppressed) = lints::run_all(&lints::LintInput {
         original,
         split,
         facts: &facts,
         flow: &flow,
-        security: &security,
+        open_modref: &open_modref,
+        security,
     });
     diagnostics.sort_by(|a, b| {
         (

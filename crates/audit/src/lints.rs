@@ -14,7 +14,7 @@ use crate::diag::{self, Diagnostic};
 use crate::flow::OpenFlow;
 use crate::fragment::FragmentFacts;
 use hps_analysis::{
-    vars::stmt_effect, CallGraph, Cfg, DefUse, Effect, ReachingDefs, StructInfo, VarId,
+    vars::stmt_effect, CallGraph, Cfg, DefUse, Effect, ModRef, ReachingDefs, StructInfo, VarId,
 };
 use hps_core::SplitResult;
 use hps_ir::{ComponentId, FragLabel, FuncId, Function, Program, Stmt, StmtKind};
@@ -31,6 +31,8 @@ pub struct LintInput<'a> {
     pub facts: &'a HashMap<(ComponentId, FragLabel), FragmentFacts>,
     /// The interprocedural open-side flow result.
     pub flow: &'a OpenFlow,
+    /// The open program's mod/ref summary.
+    pub open_modref: &'a ModRef,
     /// The §3 complexity analysis of the declared ILPs.
     pub security: &'a SecurityReport,
 }
@@ -457,8 +459,7 @@ fn check_fragment_effects(input: &LintInput<'_>, sink: &mut Sink) {
 /// `unused_leak`: a hidden call stores its returned value into a local that
 /// nothing ever reads — the leak is gratuitous.
 fn check_unused_leaks(input: &LintInput<'_>, sink: &mut Sink) {
-    for (fi, func) in input.split.open.functions.iter().enumerate() {
-        let fid = FuncId::new(fi);
+    for func in &input.split.open.functions {
         let mut has_result_calls = false;
         hps_ir::visit::for_each_stmt(&func.body, &mut |stmt| {
             if let StmtKind::HiddenCall {
@@ -473,7 +474,7 @@ fn check_unused_leaks(input: &LintInput<'_>, sink: &mut Sink) {
             continue;
         }
         let cfg = Cfg::build(func);
-        let reaching = ReachingDefs::compute(&input.split.open, fid, &cfg);
+        let reaching = ReachingDefs::compute(func, &cfg, input.open_modref);
         let def_use = DefUse::compute(&cfg, &reaching);
         hps_ir::visit::for_each_stmt(&func.body, &mut |stmt| {
             let StmtKind::HiddenCall {

@@ -42,11 +42,11 @@
 //! run the original once and keep its outcome. The post-hardening
 //! analysis and the audit run once, on the plan that is returned.
 
-use crate::{audit_split, AuditReport, Severity};
+use crate::{audit_graded, AuditReport, Severity};
 use hps_core::{harden_split, split_program, HardenReport, SplitError, SplitPlan, SplitResult};
 use hps_ir::{ComponentId, FragLabel, Program};
 use hps_security::{
-    analyze_split, predict, AcType, MeasuredCost, OptimizeLadder, PlanCostModel, PredictedCost,
+    predict, AcType, MeasuredCost, OptimizeLadder, OriginalAnalysis, PlanCostModel, PredictedCost,
     SecurityReport, SeedChoice, SeedRule,
 };
 
@@ -298,9 +298,12 @@ impl<'p> Planner<'p> {
     ///
     /// The downgrade search holds one [`OptimizeLadder`], so the seed
     /// ranking and the per-candidate contribution memo are built once and
-    /// reused at every level. A level costs only what its budget verdict
-    /// reads: one split, the analysis hardening needs, and (with a
-    /// measurer) one measurement.
+    /// reused at every level. Its trials split one function each, and the
+    /// original program's analyses ([`OriginalAnalysis`]) are built once
+    /// per plan: the ladder's trials, each level's pre-hardening analysis
+    /// and the final analysis and audit all read the same one. A level
+    /// costs only what its budget verdict reads: one split, the analysis
+    /// hardening needs, and (with a measurer) one measurement.
     pub fn plan(self) -> Result<PlanReport, PlanError> {
         // The ladder is bounded by the total number of candidate moves;
         // 64 is far above any real program in the suite and a backstop
@@ -319,8 +322,9 @@ impl<'p> Planner<'p> {
             };
             report.plan = plan.clone();
             report.rule = self.rule;
-            let report = self.level(report, &base_model)?;
-            return Ok(self.conclude(report));
+            let analysis = OriginalAnalysis::new(self.program);
+            let report = self.level(report, &base_model, &analysis)?;
+            return Ok(self.conclude(report, &analysis));
         }
 
         let mut ladder = OptimizeLadder::new(self.program, self.rule, base_model.clone());
@@ -339,10 +343,10 @@ impl<'p> Planner<'p> {
             report.dropped = outcome.dropped;
             report.rule = outcome.rule;
             report.rule_fallback = outcome.rule_fallback;
-            let report = self.level(report, &base_model)?;
+            let report = self.level(report, &base_model, ladder.analysis())?;
             let over = report.within_budget == Some(false);
             if !over || ladder.level() + 1 >= MAX_LEVELS || !ladder.descend() {
-                return Ok(self.conclude(report));
+                return Ok(self.conclude(report, ladder.analysis()));
             }
         }
     }
@@ -353,6 +357,7 @@ impl<'p> Planner<'p> {
         &self,
         mut report: PlanReport,
         base_model: &PlanCostModel,
+        analysis: &OriginalAnalysis<'_>,
     ) -> Result<PlanReport, PlanError> {
         let program = self.program;
 
@@ -360,7 +365,7 @@ impl<'p> Planner<'p> {
         //    hardening needs the unhardened analysis at every level.
         let mut split = split_program(program, &report.plan)?;
         if self.harden {
-            let before = analyze_split(program, &split);
+            let before = analysis.analyze_split(&split);
             report.lattice_before = before.counts_by_type();
             report.weak_before = weak_count(&before);
             report.hardening = harden_split(&mut split, &weak_groups(&before));
@@ -393,9 +398,8 @@ impl<'p> Planner<'p> {
     /// `weak_before`; what changes is that the weak leaks now ship masked
     /// (`masked_after`) and the audit downgrades their warnings to
     /// `masked_weak_ilp` notes.
-    fn conclude(&self, mut report: PlanReport) -> PlanReport {
-        let program = self.program;
-        report.security = analyze_split(program, &report.split);
+    fn conclude(&self, mut report: PlanReport, analysis: &OriginalAnalysis<'_>) -> PlanReport {
+        report.security = analysis.analyze_split(&report.split);
         report.lattice_after = report.security.counts_by_type();
         report.lattice_wire = report.security.counts_by_wire_type();
         report.weak_after = weak_count(&report.security);
@@ -407,7 +411,7 @@ impl<'p> Planner<'p> {
             report.lattice_before = report.lattice_after;
             report.weak_before = report.weak_after;
         }
-        report.audit = audit_split(program, &report.split);
+        report.audit = audit_graded(self.program, &report.split, &report.security);
         report
     }
 }
@@ -685,6 +689,8 @@ pub fn plan_to_json(report: &PlanReport) -> crate::Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit_split;
+    use hps_security::analyze_split;
 
     const SRC: &str = "
         fn f(x: int, y: int) -> int {

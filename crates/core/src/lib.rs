@@ -58,7 +58,7 @@ pub mod selection;
 pub mod self_contained;
 pub mod splitter;
 
-pub use defer::{mark_deferrable, DeferStats};
+pub use defer::{mark_deferrable, mark_deferrable_function, DeferStats};
 pub use deploy::{check_deployment, DeploymentCheck, DeviceProfile};
 pub use error::SplitError;
 pub use harden::{harden_split, HardenAction, HardenReport, HardenSkip};
@@ -66,4 +66,4 @@ pub use plan::{SplitPlan, SplitTarget};
 pub use result::{HardenKind, IlpInfo, IlpKind, SplitReport, SplitResult};
 pub use selection::{select_functions, FunctionEligibility};
 pub use self_contained::{self_contained_report, SelfContainedReport};
-pub use splitter::split_program;
+pub use splitter::{split_function, split_program, FunctionSplit};

@@ -83,7 +83,7 @@ pub struct IlpInfo {
 }
 
 /// Report for one split target.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct SplitReport {
     /// The split function (for class targets, one report per method).
     pub func: FuncId,

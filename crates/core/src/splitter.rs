@@ -63,38 +63,10 @@ pub fn split_program(program: &Program, plan: &SplitPlan) -> Result<SplitResult,
         let comp_id = ComponentId::new(hidden.components.len());
         match target {
             SplitTarget::Function { func, seed } => {
-                let f = program.func(*func);
-                if f.is_param(*seed) || !f.local(*seed).ty.is_scalar() {
-                    return Err(SplitError::BadSeed(format!(
-                        "`{}` in `{}` must be a scalar non-parameter local",
-                        f.local(*seed).name,
-                        f.name
-                    )));
-                }
-                let seeds = [VarId::Local(*seed)];
-                let grow = |v: VarId| match v {
-                    VarId::Local(l) => !f.is_param(l) && f.local(l).ty.is_scalar(),
-                    _ => false,
-                };
-                let cfg = SliceConfig {
-                    promote_control: plan.promote_control,
-                    hidden_class: None,
-                };
-                let splan = slice_function(program, *func, &seeds, &grow, &cfg);
-                check_plan(&splan)?;
-                let mut comp = ComponentBuilder::new(
-                    comp_id,
-                    ComponentKind::Function {
-                        func_name: f.name.clone(),
-                    },
-                    &splan.hidden_vars,
-                    program,
-                    Some(f),
-                );
-                let (new_func, report) = rewrite_function(program, *func, &splan, &mut comp, true)?;
-                open.functions[func.index()] = new_func;
-                hidden.add(comp.finish());
-                reports.push(report);
+                let split = split_function(program, *func, *seed, plan.promote_control, comp_id)?;
+                open.functions[func.index()] = split.func;
+                hidden.add(split.component);
+                reports.push(split.report);
             }
             SplitTarget::Global { global } => {
                 let gname = program.globals[global.index()].name.clone();
@@ -222,6 +194,74 @@ pub fn split_program(program: &Program, plan: &SplitPlan) -> Result<SplitResult,
         reports,
         defer,
         effects,
+    })
+}
+
+/// One function split on its own: what [`split_program`] produces for a
+/// [`SplitTarget::Function`] target, before the whole-program passes.
+#[derive(Clone, Debug)]
+pub struct FunctionSplit {
+    /// The renumbered open function. Hidden calls are not yet marked
+    /// deferrable; see [`crate::defer::mark_deferrable_function`].
+    pub func: Function,
+    /// The function's hidden component.
+    pub component: HiddenComponent,
+    /// The function's split report.
+    pub report: SplitReport,
+}
+
+/// Splits one function of `program` on `seed`, as the hidden component
+/// numbered `component`. Its cost is that of the one function, so a
+/// planner can try every candidate seed without splitting the whole
+/// program each time; [`split_program`] builds its function targets from
+/// it.
+///
+/// # Errors
+///
+/// The errors [`split_program`] returns for the same target: a
+/// [`SplitError::BadSeed`] unless `seed` is a scalar non-parameter local,
+/// and a [`SplitError::Unrealizable`] for a slice the rewrite cannot
+/// realize.
+pub fn split_function(
+    program: &Program,
+    func: FuncId,
+    seed: LocalId,
+    promote_control: bool,
+    component: ComponentId,
+) -> Result<FunctionSplit, SplitError> {
+    let f = program.func(func);
+    if f.is_param(seed) || !f.local(seed).ty.is_scalar() {
+        return Err(SplitError::BadSeed(format!(
+            "`{}` in `{}` must be a scalar non-parameter local",
+            f.local(seed).name,
+            f.name
+        )));
+    }
+    let seeds = [VarId::Local(seed)];
+    let grow = |v: VarId| match v {
+        VarId::Local(l) => !f.is_param(l) && f.local(l).ty.is_scalar(),
+        _ => false,
+    };
+    let cfg = SliceConfig {
+        promote_control,
+        hidden_class: None,
+    };
+    let splan = slice_function(program, func, &seeds, &grow, &cfg);
+    check_plan(&splan)?;
+    let mut comp = ComponentBuilder::new(
+        component,
+        ComponentKind::Function {
+            func_name: f.name.clone(),
+        },
+        &splan.hidden_vars,
+        program,
+        Some(f),
+    );
+    let (func, report) = rewrite_function(program, func, &splan, &mut comp, true)?;
+    Ok(FunctionSplit {
+        func,
+        component: comp.finish(),
+        report,
     })
 }
 

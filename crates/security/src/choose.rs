@@ -14,11 +14,16 @@
 //! component*, since such calls execute once per iteration and their count
 //! grows with the input. [`SeedRule::MaxComplexity`] is the unrestricted
 //! variant (used to study the trade-off; see the selection ablation).
+//!
+//! A candidate's trial split covers its one function
+//! ([`hps_core::split_function`]), and its ILPs are graded against an
+//! [`OriginalAnalysis`] shared by every candidate, so ranking a function's
+//! seeds costs in proportion to that function, not to the whole program.
 
-use crate::ilp::analyze_report;
+use crate::ilp::OriginalAnalysis;
 use crate::lattice::{Ac, AcType};
-use hps_core::{split_program, SplitPlan, SplitResult, SplitTarget};
-use hps_ir::{FuncId, LocalId, Program, StmtKind};
+use hps_core::split_function;
+use hps_ir::{ComponentId, FuncId, Function, LocalId, Program, StmtKind};
 
 /// How to trade security against communication cost when picking seeds.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -33,7 +38,7 @@ pub enum SeedRule {
     MaxComplexity,
 }
 
-/// Number of `HiddenCall` statements in the split function's open
+/// Number of `HiddenCall` statements in a split function's open
 /// component that sit inside a loop whose iteration count is *not* a
 /// compile-time constant — each such call runs an input-dependent number
 /// of times, so any non-zero count means unbounded traffic. Calls inside
@@ -41,18 +46,10 @@ pub enum SeedRule {
 /// bounded number of times and are tolerated, like the paper's javac split
 /// where "entire loops were hidden … in each iteration a different array
 /// element was being sent to the hidden side".
-pub fn in_loop_hidden_calls(split: &SplitResult, func: FuncId) -> usize {
-    let f = split.open.func(func);
+pub fn in_loop_hidden_calls(f: &Function) -> usize {
     let structure = hps_analysis::StructInfo::compute(f);
     let loops = hps_analysis::LoopInfo::compute(f, &structure);
-    let constant_trip = |l: hps_ir::StmtId| -> bool {
-        matches!(
-            loops.loop_at(l).map(|m| &m.trip),
-            Some(hps_analysis::TripCount::Counted { init, bound, .. })
-                if bound.as_const().is_some()
-                    && init.as_ref().is_some_and(|e| e.as_const().is_some())
-        )
-    };
+    let constant_trip = |l: hps_ir::StmtId| loops.loop_at(l).is_some_and(|m| m.trip.is_constant());
     let mut count = 0;
     hps_ir::visit::for_each_stmt(&f.body, &mut |stmt| {
         if matches!(stmt.kind, StmtKind::HiddenCall { .. })
@@ -86,7 +83,7 @@ impl SeedCandidate {
 }
 
 /// Scores every viable seed of `func` under `rule` and returns them best
-/// first.
+/// first. `analysis` is the analysis of the program `func` belongs to.
 ///
 /// The order is fully deterministic: candidates are ranked by `(AC type,
 /// degree, ILP count)` descending, and candidates with *equal* scores keep
@@ -94,7 +91,15 @@ impl SeedCandidate {
 /// complexity the first-declared one wins, and callers can inspect (or log)
 /// the runners-up. Under [`SeedRule::CostRestricted`], candidates whose
 /// split puts hidden calls in open loops are excluded entirely.
-pub fn ranked_seeds_with(program: &Program, func: FuncId, rule: SeedRule) -> Vec<SeedCandidate> {
+///
+/// Each candidate is tried with a split of `func` alone; the scores equal
+/// those of a whole-program split with that single target.
+pub fn ranked_seeds_with(
+    analysis: &OriginalAnalysis<'_>,
+    func: FuncId,
+    rule: SeedRule,
+) -> Vec<SeedCandidate> {
+    let program = analysis.program();
     let f = program.func(func);
     let mut candidates: Vec<SeedCandidate> = Vec::new();
     for (i, local) in f.locals.iter().enumerate() {
@@ -102,19 +107,18 @@ pub fn ranked_seeds_with(program: &Program, func: FuncId, rule: SeedRule) -> Vec
         if f.is_param(seed) || !local.ty.is_scalar() {
             continue;
         }
-        let plan = SplitPlan::from_targets(vec![SplitTarget::Function { func, seed }]);
-        let split = match split_program(program, &plan) {
-            Ok(s) => s,
+        let trial = match split_function(program, func, seed, true, ComponentId::new(0)) {
+            Ok(t) => t,
             Err(_) => continue,
         };
-        if rule == SeedRule::CostRestricted && in_loop_hidden_calls(&split, func) > 0 {
+        if rule == SeedRule::CostRestricted && in_loop_hidden_calls(&trial.func) > 0 {
             continue;
         }
-        let report = match split.reports.first() {
-            Some(r) if !r.ilps.is_empty() || !r.hidden_vars.is_empty() => r,
-            _ => continue,
-        };
-        let complexities = analyze_report(program, report);
+        let report = &trial.report;
+        if report.ilps.is_empty() && report.hidden_vars.is_empty() {
+            continue;
+        }
+        let complexities = analysis.analyze_report(report);
         let max_ac = complexities
             .iter()
             .map(|c| c.ac.clone())
@@ -149,7 +153,11 @@ pub fn ranked_seeds_with(program: &Program, func: FuncId, rule: SeedRule) -> Vec
 /// hidden calls are discarded first. Returns `None` when no candidate
 /// produces a usable split.
 pub fn choose_seed_with(program: &Program, func: FuncId, rule: SeedRule) -> Option<LocalId> {
-    ranked_seeds_with(program, func, rule)
+    best_seed(&OriginalAnalysis::new(program), func, rule)
+}
+
+fn best_seed(analysis: &OriginalAnalysis<'_>, func: FuncId, rule: SeedRule) -> Option<LocalId> {
+    ranked_seeds_with(analysis, func, rule)
         .first()
         .map(|c| c.seed)
 }
@@ -164,15 +172,16 @@ pub fn choose_seed(program: &Program, func: FuncId) -> Option<LocalId> {
 ///
 /// Thin wrapper kept for callers that want raw pairs; prefer
 /// [`crate::optimize::default_targets`] (which returns a ready
-/// [`SplitPlan`]) or the `hps-audit` `Planner` for the full pipeline.
+/// [`hps_core::SplitPlan`]) or the `hps-audit` `Planner` for the full pipeline.
 pub fn choose_seeds_all_with(
     program: &Program,
     funcs: &[FuncId],
     rule: SeedRule,
 ) -> Vec<(FuncId, LocalId)> {
+    let analysis = OriginalAnalysis::new(program);
     funcs
         .iter()
-        .filter_map(|&f| choose_seed_with(program, f, rule).map(|s| (f, s)))
+        .filter_map(|&f| best_seed(&analysis, f, rule).map(|s| (f, s)))
         .collect()
 }
 
@@ -247,6 +256,8 @@ mod tests {
         assert!(choose_seed_with(&p, func, SeedRule::MaxComplexity).is_some());
     }
 
+    use hps_core::{split_program, SplitPlan, SplitTarget};
+
     #[test]
     fn in_loop_call_counter() {
         let src = "
@@ -262,7 +273,7 @@ mod tests {
         let seed = p.func(func).local_by_name("acc").unwrap();
         let plan = SplitPlan::from_targets(vec![SplitTarget::Function { func, seed }]);
         let split = split_program(&p, &plan).unwrap();
-        assert!(in_loop_hidden_calls(&split, func) > 0);
+        assert!(in_loop_hidden_calls(split.open.func(func)) > 0);
     }
 
     #[test]
@@ -282,7 +293,8 @@ mod tests {
         let p = hps_lang::parse(src).unwrap();
         let func = p.func_by_name("g").unwrap();
         let f = p.func(func);
-        let ranked = ranked_seeds_with(&p, func, SeedRule::CostRestricted);
+        let analysis = OriginalAnalysis::new(&p);
+        let ranked = ranked_seeds_with(&analysis, func, SeedRule::CostRestricted);
         assert!(ranked.len() >= 2, "both seeds viable: {ranked:?}");
         assert_eq!(
             ranked[0].score(),
@@ -296,7 +308,7 @@ mod tests {
         // Ranking is reproducible call to call.
         assert_eq!(
             ranked,
-            ranked_seeds_with(&p, func, SeedRule::CostRestricted)
+            ranked_seeds_with(&OriginalAnalysis::new(&p), func, SeedRule::CostRestricted)
         );
     }
 

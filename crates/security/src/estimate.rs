@@ -20,7 +20,7 @@
 use crate::lattice::{Ac, AcType};
 use hps_analysis::cfg::{NodeId, ENTRY};
 use hps_analysis::{FuncAnalysis, TripCount, VarId};
-use hps_ir::{Expr, FuncId, Function, Place, Program, StmtId, StmtKind};
+use hps_ir::{Expr, Function, Place, Program, StmtId, StmtKind};
 use hps_slicing::{Disposition, SlicePlan};
 use std::collections::BTreeSet;
 
@@ -29,7 +29,7 @@ pub struct Estimator<'a> {
     func: &'a Function,
     plan: &'a SlicePlan,
     /// The analysis bundle for the original function.
-    pub fa: FuncAnalysis,
+    pub fa: &'a FuncAnalysis,
     def_ac: Vec<Ac>,
     observable: Vec<bool>,
     constant: Vec<bool>,
@@ -37,10 +37,10 @@ pub struct Estimator<'a> {
 }
 
 impl<'a> Estimator<'a> {
-    /// Builds the estimator and runs the propagation to fixpoint.
-    pub fn new(program: &'a Program, func: FuncId, plan: &'a SlicePlan) -> Estimator<'a> {
-        let f = program.func(func);
-        let fa = FuncAnalysis::compute(program, func);
+    /// Builds the estimator over `fa`, the analyses of one function of
+    /// the original `program`, and runs the propagation to fixpoint.
+    pub fn new(program: &'a Program, fa: &'a FuncAnalysis, plan: &'a SlicePlan) -> Estimator<'a> {
+        let f = program.func(fa.func);
         let ndefs = fa.reaching.defs().len();
         let mut est = Estimator {
             func: f,

@@ -3,10 +3,11 @@
 use crate::cc::{CcTriple, PathCount};
 use crate::estimate::Estimator;
 use crate::lattice::{Ac, AcType};
-use hps_analysis::TripCount;
+use hps_analysis::{FuncAnalysis, ModRef};
 use hps_core::{IlpInfo, SplitReport, SplitResult};
 use hps_ir::{BinOp, Expr, FuncId, Program, StmtKind, UnOp};
 use hps_slicing::PromotionKind;
+use std::cell::OnceCell;
 use std::collections::BTreeSet;
 
 /// The complexity characterization of one ILP.
@@ -138,37 +139,89 @@ impl SecurityReport {
     }
 }
 
-/// Analyzes all ILPs of one split report against the *original* program.
-pub fn analyze_report(original: &Program, report: &SplitReport) -> Vec<IlpComplexity> {
-    let est = Estimator::new(original, report.func, &report.plan);
-    report
-        .ilps
-        .iter()
-        .map(|ilp| {
-            // Adversary-model grade: always the underlying expression.
-            // The decoy mask (when present) is computed by the open
-            // program the adversary holds, so it folds to a known
-            // constant and cannot change this grade.
-            let ac = est.ilp_ac(ilp.stmt, &ilp.leaked_expr);
-            let cc = compute_cc(original, report, &est, ilp);
-            let wire_ac = ilp.wire_expr.as_ref().map(|w| est.ilp_ac(ilp.stmt, w));
-            IlpComplexity {
-                ilp: ilp.clone(),
-                ac,
-                cc,
-                masked: ilp.hardening.is_some(),
-                wire_ac,
-            }
-        })
-        .collect()
+/// The analyses of an original program that grading its splits reads:
+/// its mod/ref summary and, built on first use, each function's
+/// [`FuncAnalysis`]. Every split of one program is graded against the
+/// same original, so a planner that grades many splits (every candidate
+/// seed, every ladder level) builds these once and shares them.
+pub struct OriginalAnalysis<'p> {
+    program: &'p Program,
+    modref: ModRef,
+    funcs: Vec<OnceCell<FuncAnalysis>>,
+}
+
+impl<'p> OriginalAnalysis<'p> {
+    /// Computes `program`'s mod/ref summary; function analyses wait until
+    /// a split of that function is graded.
+    pub fn new(program: &'p Program) -> OriginalAnalysis<'p> {
+        OriginalAnalysis {
+            program,
+            modref: ModRef::compute(program),
+            funcs: program.functions.iter().map(|_| OnceCell::new()).collect(),
+        }
+    }
+
+    /// The original program.
+    pub fn program(&self) -> &'p Program {
+        self.program
+    }
+
+    /// The original program's mod/ref summary.
+    pub fn modref(&self) -> &ModRef {
+        &self.modref
+    }
+
+    /// The analyses of one original function, built on the first call.
+    pub fn func(&self, func: FuncId) -> &FuncAnalysis {
+        self.funcs[func.index()]
+            .get_or_init(|| FuncAnalysis::compute(self.program, func, &self.modref))
+    }
+
+    /// Grades every ILP of one split report. The report must come from a
+    /// split of this analysis's program (ILP statement ids refer to it).
+    pub fn analyze_report(&self, report: &SplitReport) -> Vec<IlpComplexity> {
+        let original = self.program;
+        let est = Estimator::new(original, self.func(report.func), &report.plan);
+        report
+            .ilps
+            .iter()
+            .map(|ilp| {
+                // Adversary-model grade: always the underlying expression.
+                // The decoy mask (when present) is computed by the open
+                // program the adversary holds, so it folds to a known
+                // constant and cannot change this grade.
+                let ac = est.ilp_ac(ilp.stmt, &ilp.leaked_expr);
+                let cc = compute_cc(original, report, &est, ilp);
+                let wire_ac = ilp.wire_expr.as_ref().map(|w| est.ilp_ac(ilp.stmt, w));
+                IlpComplexity {
+                    ilp: ilp.clone(),
+                    ac,
+                    cc,
+                    masked: ilp.hardening.is_some(),
+                    wire_ac,
+                }
+            })
+            .collect()
+    }
+
+    /// Grades a whole split of this analysis's program.
+    pub fn analyze_split(&self, split: &SplitResult) -> SecurityReport {
+        SecurityReport {
+            per_func: split
+                .reports
+                .iter()
+                .map(|r| (r.func, self.analyze_report(r)))
+                .collect(),
+        }
+    }
 }
 
 /// Analyzes a whole split. `original` must be the program the split was
 /// produced from (ILP statement ids refer to it).
 ///
-/// The `hps-audit` `Planner` runs this for you (before and after
-/// hardening) and folds the result into its `PlanReport`; call it directly
-/// only when you already hold a [`SplitResult`] of your own making.
+/// A one-shot [`OriginalAnalysis`]: callers grading several splits of one
+/// program should hold one instead. The `hps-audit` `Planner` does, and
+/// folds the result into its `PlanReport`.
 ///
 /// # Examples
 ///
@@ -188,13 +241,7 @@ pub fn analyze_report(original: &Program, report: &SplitReport) -> Vec<IlpComple
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn analyze_split(original: &Program, split: &SplitResult) -> SecurityReport {
-    SecurityReport {
-        per_func: split
-            .reports
-            .iter()
-            .map(|r| (r.func, analyze_report(original, r)))
-            .collect(),
-    }
+    OriginalAnalysis::new(original).analyze_split(split)
 }
 
 fn compute_cc(
@@ -232,13 +279,12 @@ fn compute_cc(
             }
             Some(StmtKind::While { .. }) => {
                 predicate_in_hidden = true;
-                let constant_trip = matches!(
-                    est.fa.loops.loop_at(c).map(|m| &m.trip),
-                    Some(TripCount::Counted { init, bound, .. })
-                        if bound.as_const().is_some()
-                            && init.as_ref().is_some_and(|e| e.as_const().is_some())
-                );
-                if !constant_trip {
+                if !est
+                    .fa
+                    .loops
+                    .loop_at(c)
+                    .is_some_and(|m| m.trip.is_constant())
+                {
                     paths = PathCount::Variable;
                 }
             }

@@ -20,8 +20,9 @@
 //!
 //! computed by the def-use propagation algorithm of the paper's Fig. 3
 //! ([`estimate`]: `EVAL`, propagated complexities, `RAISE` over loop exits,
-//! definitely-leaked definitions). [`analyze_split`] runs the whole
-//! analysis over a [`hps_core::SplitResult`]; [`choose`] uses it to pick
+//! definitely-leaked definitions). [`OriginalAnalysis`] holds the
+//! original program's analyses and grades any number of its splits;
+//! [`analyze_split`] is its one-shot form. [`choose`] uses it to pick
 //! the seed variable "which creates an ILP with the highest maximum
 //! arithmetic complexity" (§4).
 //!
@@ -46,9 +47,9 @@ pub use choose::{
     ranked_seeds_with, SeedCandidate, SeedRule,
 };
 pub use estimate::Estimator;
-pub use ilp::{analyze_report, analyze_split, IlpComplexity, SecurityReport};
+pub use ilp::{analyze_split, IlpComplexity, OriginalAnalysis, SecurityReport};
 pub use lattice::{Ac, AcType, Inputs};
 pub use optimize::{
-    default_targets, estimate_base_units, optimize, predict, MeasuredCost, OptimizeLadder,
-    OptimizeOutcome, PlanCostModel, PredictedCost, SeedChoice,
+    default_targets, estimate_base_units, predict, MeasuredCost, OptimizeLadder, OptimizeOutcome,
+    PlanCostModel, PredictedCost, SeedChoice,
 };

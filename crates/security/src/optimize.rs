@@ -24,6 +24,13 @@
 //!    (the `hps-audit` `Planner`) can walk level 0, 1, 2, … until the
 //!    *measured* overhead fits the budget.
 //!
+//! Every trial — a candidate seed being ranked, or its contribution being
+//! predicted — splits only its own function ([`hps_core::split_function`])
+//! and reads the original program's analyses from one
+//! [`OriginalAnalysis`], which the [`OptimizeLadder`] builds once per plan.
+//! A trial therefore costs in proportion to its function; only the plan a
+//! level settles on is split whole, by the caller.
+//!
 //! Prediction charges transport only — the hidden side executes the same
 //! statements the original would — using [`PlanCostModel`]: one round
 //! trip per non-deferred hidden call (deferred calls coalesce
@@ -33,9 +40,12 @@
 //! the telemetry-measured cost breakdown of a real run.
 
 use crate::choose::{ranked_seeds_with, SeedCandidate, SeedRule};
+use crate::ilp::OriginalAnalysis;
 use crate::lattice::Ac;
-use hps_core::{select_functions, split_program, SplitPlan, SplitResult, SplitTarget};
-use hps_ir::{FuncId, LocalId, Program, StmtKind};
+use hps_core::{
+    mark_deferrable_function, select_functions, split_function, SplitPlan, SplitResult, SplitTarget,
+};
+use hps_ir::{ComponentId, FuncId, Function, LocalId, Program, StmtKind};
 use std::collections::HashMap;
 
 /// Per-operation weights for the static overhead prediction, in the same
@@ -158,32 +168,82 @@ fn loop_weight(model: &PlanCostModel, depth: usize) -> u64 {
     model.loop_trip.saturating_pow(depth.min(3) as u32)
 }
 
+/// Depth of the non-constant-trip loops enclosing each statement of
+/// `func`, visited in statement order.
+fn for_each_weighted_stmt(func: &Function, mut visit: impl FnMut(&hps_ir::Stmt, usize)) {
+    let structure = hps_analysis::StructInfo::compute(func);
+    let loops = hps_analysis::LoopInfo::compute(func, &structure);
+    hps_ir::visit::for_each_stmt(&func.body, &mut |stmt| {
+        let depth = structure
+            .enclosing_loops(stmt.id)
+            .iter()
+            .filter(|&&l| !loops.loop_at(l).is_some_and(|m| m.trip.is_constant()))
+            .count();
+        visit(stmt, depth);
+    });
+}
+
 /// Statically estimates the original program's run cost in model units
 /// (used as the prediction baseline when no measurement is attached).
 pub fn estimate_base_units(program: &Program, model: &PlanCostModel) -> u64 {
     let mut total = 0u64;
     for func in &program.functions {
-        let structure = hps_analysis::StructInfo::compute(func);
-        let loops = hps_analysis::LoopInfo::compute(func, &structure);
-        hps_ir::visit::for_each_stmt(&func.body, &mut |stmt| {
-            let depth = structure
-                .enclosing_loops(stmt.id)
-                .iter()
-                .filter(|&&l| !constant_trip(&loops, l))
-                .count();
+        for_each_weighted_stmt(func, |_, depth| {
             total = total.saturating_add(model.stmt_units * loop_weight(model, depth));
         });
     }
     total.max(1)
 }
 
-fn constant_trip(loops: &hps_analysis::LoopInfo, l: hps_ir::StmtId) -> bool {
-    matches!(
-        loops.loop_at(l).map(|m| &m.trip),
-        Some(hps_analysis::TripCount::Counted { init, bound, .. })
-            if bound.as_const().is_some()
-                && init.as_ref().is_some_and(|e| e.as_const().is_some())
-    )
+/// The loop-weighted hidden-call sites of open functions: what
+/// [`predict`] sums over a split program, and what a trial split of one
+/// function contributes to it.
+#[derive(Clone, Copy, Default)]
+struct CallWeights {
+    call_sites: usize,
+    in_loop_sites: usize,
+    demand: u64,
+    deferred: u64,
+}
+
+impl CallWeights {
+    /// The hidden-call sites of one open function.
+    fn of(func: &Function, model: &PlanCostModel) -> CallWeights {
+        let mut w = CallWeights::default();
+        for_each_weighted_stmt(func, |stmt, depth| {
+            if let StmtKind::HiddenCall { deferred, .. } = &stmt.kind {
+                w.call_sites += 1;
+                if depth > 0 {
+                    w.in_loop_sites += 1;
+                }
+                let weight = loop_weight(model, depth);
+                if *deferred {
+                    w.deferred = w.deferred.saturating_add(weight);
+                } else {
+                    w.demand = w.demand.saturating_add(weight);
+                }
+            }
+        });
+        w
+    }
+
+    fn add(&mut self, other: CallWeights) {
+        self.call_sites += other.call_sites;
+        self.in_loop_sites += other.in_loop_sites;
+        self.demand = self.demand.saturating_add(other.demand);
+        self.deferred = self.deferred.saturating_add(other.deferred);
+    }
+
+    /// Estimated dynamic round trips, deferred calls coalesced.
+    fn interactions(&self, model: &PlanCostModel) -> u64 {
+        self.demand + self.deferred.div_ceil(model.batch_factor.max(1))
+    }
+
+    /// Estimated extra units: transport plus per-call overhead.
+    fn extra_units(&self, model: &PlanCostModel) -> u64 {
+        self.interactions(model).saturating_mul(model.rtt_units)
+            + (self.demand + self.deferred).saturating_mul(model.call_units)
+    }
 }
 
 /// Predicts the overhead of a split. `base_units` is the baseline for the
@@ -195,42 +255,15 @@ pub fn predict(
     model: &PlanCostModel,
     base_units: Option<u64>,
 ) -> PredictedCost {
-    let mut call_sites = 0usize;
-    let mut in_loop_sites = 0usize;
-    let mut demand_weight = 0u64;
-    let mut deferred_weight = 0u64;
+    let mut w = CallWeights::default();
     for func in &split.open.functions {
-        let structure = hps_analysis::StructInfo::compute(func);
-        let loops = hps_analysis::LoopInfo::compute(func, &structure);
-        hps_ir::visit::for_each_stmt(&func.body, &mut |stmt| {
-            if let StmtKind::HiddenCall { deferred, .. } = &stmt.kind {
-                let depth = structure
-                    .enclosing_loops(stmt.id)
-                    .iter()
-                    .filter(|&&l| !constant_trip(&loops, l))
-                    .count();
-                call_sites += 1;
-                if depth > 0 {
-                    in_loop_sites += 1;
-                }
-                let w = loop_weight(model, depth);
-                if *deferred {
-                    deferred_weight = deferred_weight.saturating_add(w);
-                } else {
-                    demand_weight = demand_weight.saturating_add(w);
-                }
-            }
-        });
+        w.add(CallWeights::of(func, model));
     }
-    let batch = model.batch_factor.max(1);
-    let interactions = demand_weight + deferred_weight.div_ceil(batch);
-    let extra_units = interactions.saturating_mul(model.rtt_units)
-        + (demand_weight + deferred_weight).saturating_mul(model.call_units);
     PredictedCost {
-        call_sites,
-        in_loop_sites,
-        interactions,
-        extra_units,
+        call_sites: w.call_sites,
+        in_loop_sites: w.in_loop_sites,
+        interactions: w.interactions(model),
+        extra_units: w.extra_units(model),
         base_units: base_units.unwrap_or_else(|| estimate_base_units(program, model)),
     }
 }
@@ -256,7 +289,7 @@ pub struct SeedChoice {
     pub n_ilps: usize,
 }
 
-/// The result of one [`optimize`] run at a given downgrade level.
+/// The plan an [`OptimizeLadder`] stands at.
 #[derive(Clone, PartialEq, Debug)]
 pub struct OptimizeOutcome {
     /// The plan to split with.
@@ -270,8 +303,6 @@ pub struct OptimizeOutcome {
     /// Whether the cost-restricted rule found nothing and the search fell
     /// back to the unrestricted §4 rule.
     pub rule_fallback: bool,
-    /// Predicted cost of the planned split.
-    pub predicted: PredictedCost,
     /// Whether a further downgrade level would change the plan.
     pub more_moves: bool,
     /// The downgrade level this outcome realizes.
@@ -280,7 +311,8 @@ pub struct OptimizeOutcome {
 
 /// The paper pipeline's plan — call-graph-cut function selection plus the
 /// best-ranked seed per function — as a [`SplitPlan`]. This is exactly
-/// [`optimize`] at level 0 and the plan behind every pre-existing golden.
+/// an [`OptimizeLadder`]'s level 0 and the plan behind every pre-existing
+/// golden.
 pub fn default_targets(program: &Program, rule: SeedRule) -> SplitPlan {
     let selected = select_functions(program);
     let seeds = crate::choose::choose_seeds_all_with(program, &selected, rule);
@@ -295,10 +327,13 @@ pub fn default_targets(program: &Program, rule: SeedRule) -> SplitPlan {
 /// The downgrade ladder as a reusable value: ranking, per-function
 /// position and the contribution memo survive across levels, so a caller
 /// walking levels 0, 1, 2, … (the `hps-audit` `Planner`) pays for each
-/// candidate's single-target split *once* instead of rebuilding the memo
-/// per level. [`optimize`] is the one-shot wrapper.
+/// candidate's trial split *once*. The ladder also owns the original
+/// program's [`OriginalAnalysis`], which its trials read and which the
+/// caller may share ([`OptimizeLadder::analysis`]) to grade the splits it
+/// makes of the ladder's plans.
 pub struct OptimizeLadder<'p> {
     program: &'p Program,
+    analysis: OriginalAnalysis<'p>,
     rule: SeedRule,
     rule_fallback: bool,
     model: PlanCostModel,
@@ -316,25 +351,27 @@ impl<'p> OptimizeLadder<'p> {
     /// max-complexity fallback) and positions the ladder at level 0, the
     /// paper pipeline's maximum-security plan.
     pub fn new(program: &'p Program, rule: SeedRule, model: PlanCostModel) -> OptimizeLadder<'p> {
+        let analysis = OriginalAnalysis::new(program);
         let selected = select_functions(program);
         let mut used_rule = rule;
         let mut rule_fallback = false;
-        let mut ranked: Vec<(FuncId, Vec<SeedCandidate>)> = selected
-            .iter()
-            .map(|&f| (f, ranked_seeds_with(program, f, used_rule)))
-            .collect();
+        let rank_all = |rule: SeedRule| -> Vec<(FuncId, Vec<SeedCandidate>)> {
+            selected
+                .iter()
+                .map(|&f| (f, ranked_seeds_with(&analysis, f, rule)))
+                .collect()
+        };
+        let mut ranked = rank_all(used_rule);
         if ranked.iter().all(|(_, c)| c.is_empty()) && used_rule == SeedRule::CostRestricted {
             used_rule = SeedRule::MaxComplexity;
             rule_fallback = true;
-            ranked = selected
-                .iter()
-                .map(|&f| (f, ranked_seeds_with(program, f, used_rule)))
-                .collect();
+            ranked = rank_all(used_rule);
         }
         ranked.retain(|(_, c)| !c.is_empty());
         let pos = vec![Some(0); ranked.len()];
         OptimizeLadder {
             program,
+            analysis,
             rule: used_rule,
             rule_fallback,
             model,
@@ -351,19 +388,37 @@ impl<'p> OptimizeLadder<'p> {
         self.level
     }
 
-    /// Predicted extra units of one function's single-target split at the
-    /// given rank, memoized for the ladder's lifetime.
-    fn contribution(&mut self, i: usize, rank: usize) -> u64 {
+    /// The original program's analyses, built once for the ladder.
+    pub fn analysis(&self) -> &OriginalAnalysis<'p> {
+        &self.analysis
+    }
+
+    /// Every function with a viable seed and its candidates, best first,
+    /// in the order the ladder indexes them.
+    pub fn ranked(&self) -> &[(FuncId, Vec<SeedCandidate>)] {
+        &self.ranked
+    }
+
+    /// Predicted extra units of the `i`th ranked function split on its
+    /// candidate at `rank`: what [`predict`] charges for a whole-program
+    /// split with that single target, computed from a trial split of the
+    /// one function. Memoized for the ladder's lifetime.
+    pub fn contribution(&mut self, i: usize, rank: usize) -> u64 {
         if let Some(&c) = self.contrib_memo.get(&(i, rank)) {
             return c;
         }
         let (func, cands) = &self.ranked[i];
-        let plan = SplitPlan::from_targets(vec![SplitTarget::Function {
-            func: *func,
-            seed: cands[rank].seed,
-        }]);
-        let extra = match split_program(self.program, &plan) {
-            Ok(split) => predict(self.program, &split, &self.model, Some(1)).extra_units,
+        let extra = match split_function(
+            self.program,
+            *func,
+            cands[rank].seed,
+            true,
+            ComponentId::new(0),
+        ) {
+            Ok(mut trial) => {
+                mark_deferrable_function(&mut trial.func, self.analysis.modref());
+                CallWeights::of(&trial.func, &self.model).extra_units(&self.model)
+            }
             Err(_) => u64::MAX,
         };
         self.contrib_memo.insert((i, rank), extra);
@@ -396,8 +451,11 @@ impl<'p> OptimizeLadder<'p> {
         true
     }
 
-    /// The plan, choices and prediction at the ladder's current level.
-    pub fn outcome(&self, base_units: Option<u64>) -> OptimizeOutcome {
+    /// The plan and choices at the ladder's current level. Nothing is
+    /// split: the caller splits the plan it decides to evaluate.
+    ///
+    /// `_base_units` is unused; the parameter stays for existing callers.
+    pub fn outcome(&self, _base_units: Option<u64>) -> OptimizeOutcome {
         let mut targets = Vec::new();
         let mut choices = Vec::new();
         for (i, p) in self.pos.iter().enumerate() {
@@ -419,46 +477,16 @@ impl<'p> OptimizeLadder<'p> {
                 n_ilps: c.n_ilps,
             });
         }
-        let plan = SplitPlan::from_targets(targets);
-        let predicted = match split_program(self.program, &plan) {
-            Ok(split) => predict(self.program, &split, &self.model, base_units),
-            Err(_) => PredictedCost::default(),
-        };
         OptimizeOutcome {
-            plan,
+            plan: SplitPlan::from_targets(targets),
             choices,
             dropped: self.dropped.clone(),
             rule: self.rule,
             rule_fallback: self.rule_fallback,
-            predicted,
             more_moves: self.pos.iter().any(|p| p.is_some()),
             level: self.level,
         }
     }
-}
-
-/// Searches the hide-set space for the plan at downgrade `level` (see the
-/// module docs for the search order). Level 0 is the maximum-security
-/// combination; each further level trades the most expensive function
-/// down one notch. `base_units` is threaded into the prediction.
-///
-/// One-shot wrapper over [`OptimizeLadder`]; callers stepping through
-/// consecutive levels should hold a ladder instead, which keeps its
-/// ranking and contribution memo across levels.
-pub fn optimize(
-    program: &Program,
-    rule: SeedRule,
-    model: &PlanCostModel,
-    level: usize,
-    base_units: Option<u64>,
-) -> OptimizeOutcome {
-    let mut ladder = OptimizeLadder::new(program, rule, model.clone());
-    for _ in 0..level {
-        if !ladder.descend() {
-            break;
-        }
-    }
-    ladder.outcome(base_units)
 }
 
 #[cfg(test)]
@@ -477,11 +505,21 @@ mod tests {
         }
         fn main() { print(f(1, 2) + g(3)); }";
 
+    /// The ladder descended `level` times (or until no move remains).
+    fn at_level(p: &Program, level: usize) -> OptimizeOutcome {
+        let mut ladder = OptimizeLadder::new(p, SeedRule::CostRestricted, PlanCostModel::default());
+        for _ in 0..level {
+            if !ladder.descend() {
+                break;
+            }
+        }
+        ladder.outcome(None)
+    }
+
     #[test]
     fn level_zero_matches_paper_pipeline() {
         let p = hps_lang::parse(SRC).unwrap();
-        let model = PlanCostModel::default();
-        let out = optimize(&p, SeedRule::CostRestricted, &model, 0, None);
+        let out = at_level(&p, 0);
         assert_eq!(out.plan, default_targets(&p, SeedRule::CostRestricted));
         assert!(!out.choices.is_empty());
         assert!(out.choices.iter().all(|c| c.rank == 0));
@@ -489,43 +527,65 @@ mod tests {
     }
 
     #[test]
-    fn optimize_is_deterministic() {
+    fn ladder_is_deterministic() {
         let p = hps_lang::parse(SRC).unwrap();
         let model = PlanCostModel::default();
-        for level in 0..4 {
-            let a = optimize(&p, SeedRule::CostRestricted, &model, level, None);
-            let b = optimize(&p, SeedRule::CostRestricted, &model, level, None);
-            assert_eq!(a, b, "level {level}");
+        let mut held = OptimizeLadder::new(&p, SeedRule::CostRestricted, model.clone());
+        for level in 0..6 {
+            // A ladder held across levels and a fresh one descended to the
+            // same level stand at the same plan.
+            assert_eq!(held.outcome(None), at_level(&p, level), "level {level}");
+            if !held.descend() {
+                break;
+            }
         }
     }
 
     #[test]
     fn levels_eventually_exhaust_moves() {
         let p = hps_lang::parse(SRC).unwrap();
-        let model = PlanCostModel::default();
-        let mut level = 0;
-        loop {
-            let out = optimize(&p, SeedRule::CostRestricted, &model, level, None);
-            if !out.more_moves {
-                assert!(out.plan.targets.is_empty());
-                break;
-            }
-            level += 1;
-            assert!(level < 64, "downgrade ladder must terminate");
+        let mut ladder =
+            OptimizeLadder::new(&p, SeedRule::CostRestricted, PlanCostModel::default());
+        while ladder.outcome(None).more_moves {
+            assert!(ladder.descend());
+            assert!(ladder.level() < 64, "downgrade ladder must terminate");
         }
+        assert!(ladder.outcome(None).plan.targets.is_empty());
+        assert!(!ladder.descend());
     }
 
     #[test]
     fn prediction_charges_transport() {
         let p = hps_lang::parse(SRC).unwrap();
         let model = PlanCostModel::default();
-        let out = optimize(&p, SeedRule::CostRestricted, &model, 0, None);
-        let split = split_program(&p, &out.plan).unwrap();
+        let out = at_level(&p, 0);
+        let split = hps_core::split_program(&p, &out.plan).unwrap();
         let pred = predict(&p, &split, &model, None);
         assert!(pred.call_sites > 0);
         assert!(pred.interactions > 0);
         assert!(pred.extra_units >= pred.interactions * model.rtt_units);
         assert!(pred.base_units > 0);
+    }
+
+    #[test]
+    fn contribution_is_the_single_target_prediction() {
+        let p = hps_lang::parse(SRC).unwrap();
+        let model = PlanCostModel::default();
+        let mut ladder = OptimizeLadder::new(&p, SeedRule::CostRestricted, model.clone());
+        for i in 0..ladder.ranked().len() {
+            let (func, cands) = ladder.ranked()[i].clone();
+            for (rank, c) in cands.iter().enumerate() {
+                let plan =
+                    SplitPlan::from_targets(vec![SplitTarget::Function { func, seed: c.seed }]);
+                let split = hps_core::split_program(&p, &plan).unwrap();
+                let whole = predict(&p, &split, &model, Some(1)).extra_units;
+                assert_eq!(
+                    ladder.contribution(i, rank),
+                    whole,
+                    "func {func:?} rank {rank}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -569,19 +629,5 @@ mod tests {
             },
             "every non-rtt weight survives calibration"
         );
-    }
-
-    #[test]
-    fn ladder_matches_one_shot_optimize_at_every_level() {
-        let p = hps_lang::parse(SRC).unwrap();
-        let model = PlanCostModel::default();
-        let mut ladder = OptimizeLadder::new(&p, SeedRule::CostRestricted, model.clone());
-        for level in 0..6 {
-            let one_shot = optimize(&p, SeedRule::CostRestricted, &model, level, None);
-            assert_eq!(ladder.outcome(None), one_shot, "level {level}");
-            if !ladder.descend() {
-                break;
-            }
-        }
     }
 }

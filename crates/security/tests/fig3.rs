@@ -3,7 +3,7 @@
 //! rule and the RAISE-over-loop-exit rule the figure illustrates.
 
 use hps_core::{split_program, IlpKind, SplitPlan};
-use hps_security::{analyze_split, AcType, Estimator};
+use hps_security::{analyze_split, AcType, Estimator, OriginalAnalysis};
 
 /// Fig. 3's version of the function: `a = 3x + y` is definitely leaked by
 /// the use of `a` in `B[0] = a` (a unique reaching definition at an open
@@ -67,7 +67,8 @@ fn estimator_is_reusable_for_custom_queries() {
     let split = split_program(&program, &plan).unwrap();
     let report = &split.reports[0];
     let fid = program.func_by_name("f").unwrap();
-    let est = Estimator::new(&program, fid, &report.plan);
+    let analysis = OriginalAnalysis::new(&program);
+    let est = Estimator::new(&program, analysis.func(fid), &report.plan);
     // All hidden statements feeding the `b[1] = sum` leak: the summation
     // loop body plus the initializations of i and sum, and a's definition.
     let sum_leak = report

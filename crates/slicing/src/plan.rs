@@ -45,7 +45,7 @@ pub enum Disposition {
 
 /// The output of [`slice_function`]: everything `hps-core` needs to build
 /// `Of` and `Hf`.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct SlicePlan {
     /// The sliced function.
     pub func: FuncId,
