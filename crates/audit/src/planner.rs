@@ -2,9 +2,9 @@
 //! audit and cost prediction behind one builder.
 //!
 //! [`Planner`] is the `hps-audit` analogue of the runtime's `Executor`
-//! builder: where the old API scattered the pipeline across six free
-//! functions (`choose_seed*`, `split_program`, `analyze_split`,
-//! `audit_split`…), the planner runs them in the right order and returns a
+//! builder: instead of calling the pipeline's building blocks
+//! (`ranked_seeds_with`, `split_program`, `analyze_split`, `audit_split`…)
+//! one by one, the planner runs them in the right order and returns a
 //! single [`PlanReport`]:
 //!
 //! ```

@@ -246,12 +246,19 @@ fn ablation_selection(scale: usize) {
         let program = b.program().expect("parses");
         let cut_plan = paper_plan(&program);
         // "Split everything eligible": every function with a usable seed.
-        let all_funcs: Vec<hps_ir::FuncId> = program.iter_funcs().map(|(id, _)| id).collect();
-        let all_seeds = hps_security::choose_seeds_all(&program, &all_funcs);
+        let analysis = hps_security::OriginalAnalysis::new(&program);
         let all_plan = SplitPlan::from_targets(
-            all_seeds
-                .into_iter()
-                .map(|(func, seed)| hps_core::SplitTarget::Function { func, seed })
+            program
+                .iter_funcs()
+                .filter_map(|(func, _)| {
+                    let ranked = hps_security::ranked_seeds_with(
+                        &analysis,
+                        func,
+                        hps_security::SeedRule::CostRestricted,
+                    );
+                    let seed = ranked.first()?.seed;
+                    Some(hps_core::SplitTarget::Function { func, seed })
+                })
                 .collect(),
         );
         let size = (b.workloads()[0].1 / scale.max(1)).clamp(30, 2000);

@@ -115,20 +115,6 @@ pub struct Outcome {
     pub steps: u64,
 }
 
-/// The result of running a split program in process.
-#[derive(Clone, PartialEq, Debug)]
-pub struct SplitOutcome {
-    /// The ordinary outcome (output, return value, cost, steps).
-    pub outcome: Outcome,
-    /// Open↔hidden round trips (the paper's "Component Interactions").
-    pub interactions: u64,
-    /// Virtual cost units spent by the secure device.
-    pub server_cost: u64,
-    /// Reliability counters from the transport (all zero on fault-free
-    /// channels). Reported beside — never inside — `interactions`.
-    pub transport: crate::channel::TransportStats,
-}
-
 /// Component-kind table the *open* side needs to route hidden calls (which
 /// id spaces key the state: per-activation for split functions,
 /// per-object-instance for split classes). Contains no hidden code.
@@ -180,14 +166,13 @@ impl SplitMeta {
 }
 
 /// One configured in-process split execution: open program, hidden
-/// program, and every knob the `run_split*` family used to take as
-/// positional arguments — batching, round-trip latency, fault injection —
-/// plus telemetry recording.
+/// program, batching, round-trip latency, fault injection and telemetry
+/// recording.
 ///
-/// This is the single entry point for running a split program in process;
-/// [`run_split`], [`run_split_batched`], [`run_split_with_rtt`] and
-/// [`run_split_faulty`] are thin wrappers over it. Use [`Interp`] directly
-/// only for custom channels (TCP, tracing).
+/// This is the single entry point for running a split program in process:
+/// it installs the hidden program on a fresh [`SecureServer`] behind an
+/// [`InProcessChannel`]. Use [`Interp`] directly only for custom channels
+/// (TCP, tracing).
 ///
 /// # Examples
 ///
@@ -369,17 +354,6 @@ impl ExecReport {
     }
 }
 
-impl From<ExecReport> for SplitOutcome {
-    fn from(report: ExecReport) -> SplitOutcome {
-        SplitOutcome {
-            outcome: report.outcome,
-            interactions: report.interactions,
-            server_cost: report.server_cost,
-            transport: report.transport,
-        }
-    }
-}
-
 /// Runs `main` of an ordinary (unsplit) program.
 ///
 /// # Errors
@@ -406,106 +380,6 @@ pub fn run_function(
     interp.run(name, args)
 }
 
-/// Runs `main` of a split program in process: installs `hidden` on a fresh
-/// [`SecureServer`], connects an [`InProcessChannel`] with zero round-trip
-/// cost, and executes the open program against it.
-///
-/// Equivalent to `Executor::new(open, hidden).run(args)` — use
-/// [`Executor`] directly for batching, latency, faults or telemetry, and
-/// [`Interp`] for custom channels (TCP, tracing).
-///
-/// # Examples
-///
-/// ```
-/// let program = hps_lang::parse(
-///     "fn f(x: int) -> int { var a: int = x * 2; return a; }
-///      fn main() { print(f(21)); }",
-/// )?;
-/// let plan = hps_core::SplitPlan::single(&program, "f", "a")?;
-/// let split = hps_core::split_program(&program, &plan)?;
-/// let replay = hps_runtime::run_split(&split.open, &split.hidden, &[])?;
-/// assert_eq!(replay.outcome.output, ["42"]);
-/// assert!(replay.interactions > 0);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-///
-/// # Errors
-///
-/// Returns a [`RuntimeError`] for execution faults on either side.
-pub fn run_split(
-    open: &Program,
-    hidden: &HiddenProgram,
-    args: &[RtValue],
-) -> Result<SplitOutcome, RuntimeError> {
-    Executor::new(open, hidden)
-        .run(args)
-        .map(SplitOutcome::from)
-}
-
-/// [`run_split`] with round-trip batching enabled: hidden calls marked
-/// `deferred` by the `hps-core` deferrable-call pass are buffered and
-/// coalesced with the next demanded call into a single interaction.
-///
-/// Program output and the sequence of logical fragment calls the secure
-/// side serves are identical to [`run_split`]; only
-/// [`SplitOutcome::interactions`] (and the round-trip share of the cost)
-/// shrinks.
-///
-/// # Errors
-///
-/// Returns a [`RuntimeError`] for execution faults on either side.
-pub fn run_split_batched(
-    open: &Program,
-    hidden: &HiddenProgram,
-    args: &[RtValue],
-) -> Result<SplitOutcome, RuntimeError> {
-    Executor::new(open, hidden)
-        .batching(true)
-        .run(args)
-        .map(SplitOutcome::from)
-}
-
-/// [`run_split`] with an explicit round-trip cost and configuration.
-///
-/// # Errors
-///
-/// Returns a [`RuntimeError`] for execution faults on either side.
-pub fn run_split_with_rtt(
-    open: &Program,
-    hidden: &HiddenProgram,
-    args: &[RtValue],
-    rtt: u64,
-    config: ExecConfig,
-) -> Result<SplitOutcome, RuntimeError> {
-    Executor::new(open, hidden)
-        .config(config)
-        .rtt(rtt)
-        .run(args)
-        .map(SplitOutcome::from)
-}
-
-/// [`run_split`] under injected transport faults: wraps the in-process
-/// channel in a [`crate::fault::FaultyChannel`] driven by `plan`. With any
-/// plan — however hostile — the outcome, interaction count and server-side
-/// call sequence are identical to [`run_split`]; only
-/// [`SplitOutcome::transport`] records the turbulence.
-///
-/// # Errors
-///
-/// Returns a [`RuntimeError`] for execution faults on either side, or a
-/// terminal transport error if the plan exhausts the retry budget.
-pub fn run_split_faulty(
-    open: &Program,
-    hidden: &HiddenProgram,
-    args: &[RtValue],
-    plan: crate::fault::FaultPlan,
-) -> Result<SplitOutcome, RuntimeError> {
-    Executor::new(open, hidden)
-        .faults(plan)
-        .run(args)
-        .map(SplitOutcome::from)
-}
-
 /// Upper bound on buffered deferred calls before a forced flush.
 const MAX_PENDING_CALLS: usize = 4096;
 
@@ -521,8 +395,8 @@ struct Frame {
     activation: Option<(ComponentId, u64)>,
 }
 
-/// The interpreter. Most callers use the [`run_program`] / [`run_split`]
-/// helpers; construct an [`Interp`] directly to attach a custom [`Channel`]
+/// The interpreter. Most callers use [`run_program`] or [`Executor`];
+/// construct an [`Interp`] directly to attach a custom [`Channel`]
 /// (TCP, tracing) or to reuse global state across entry calls.
 pub struct Interp<'a> {
     program: &'a Program,

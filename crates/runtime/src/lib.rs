@@ -25,8 +25,8 @@
 //! can be buffered and shipped together with the next demanded call as one
 //! [`channel::PendingCall`] batch ([`interp::Executor::batching`] /
 //! [`interp::ExecConfig::batching`]). On the wire this is one
-//! `Request::Batch` frame (tag `0x04`) answered by one `Response::Batch`
-//! frame (tag `0x12`) — see [`wire`]. Batching coalesces transport only:
+//! `Request::SeqBatch` frame (tag `0x07`) answered by one
+//! `Response::Batch` frame (tag `0x12`) — see [`wire`]. Batching coalesces transport only:
 //! the secure side still executes and meters every logical call in order,
 //! and [`trace::TraceChannel`] still records each one, so the adversary's
 //! view is unchanged.
@@ -119,8 +119,7 @@ pub use cost::CostModel;
 pub use error::{FaultClass, RuntimeError};
 pub use fault::{CrashConfig, CrashFault, FaultKind, FaultPlan, FaultyChannel};
 pub use interp::{
-    run_function, run_program, run_split, run_split_batched, run_split_faulty, run_split_with_rtt,
-    ExecConfig, ExecReport, Executor, Interp, Outcome, SplitMeta, SplitOutcome,
+    run_function, run_program, ExecConfig, ExecReport, Executor, Interp, Outcome, SplitMeta,
 };
 pub use journal::{JournalOp, SessionJournal};
 pub use server::{ReplayCache, SecureServer, SeqCheck};

@@ -81,10 +81,6 @@ pub(crate) struct StatsInner {
     pub(crate) shard_restarts: AtomicU64,
     /// Sessions rebuilt from a journal (shard death, panic or restart).
     pub(crate) journal_replays: AtomicU64,
-    /// VM counters from *legacy* (sessionless) connections, whose private
-    /// servers die with the connection; shard caches are read live instead.
-    pub(crate) legacy_vm_compiles: AtomicU64,
-    pub(crate) legacy_vm_cache_hits: AtomicU64,
     /// Wall-clock microseconds per session rebuild. Live-scrape /
     /// `BENCH_*.json` exposition only — never part of a deterministic
     /// snapshot (see OBSERVABILITY.md).

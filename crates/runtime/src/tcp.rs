@@ -2,11 +2,13 @@
 //! another machine, as in the paper's evaluation ("ran them on two separate
 //! linux based machines that communicated over the local area network").
 //!
-//! Frames are the [`crate::wire`] protocol. Each connection keeps a
-//! persistent buffered reader/writer pair and reuses one encode buffer, so
-//! steady-state calls perform no per-call allocation for framing. Batched
-//! calls ([`Channel::call_batch`]) travel as one `Request::Batch` frame and
-//! count as a single interaction.
+//! Frames are the [`crate::wire`] protocol, and every connection speaks it
+//! inside a *session*: the first frame is `Hello`, every call after it is
+//! sequenced. Each connection keeps a persistent buffered reader/writer
+//! pair and reuses one encode buffer, so steady-state calls perform no
+//! per-call allocation for framing. Batched calls
+//! ([`Channel::call_batch`]) travel as one `SeqBatch` frame and count as a
+//! single interaction.
 //!
 //! ## Reliability layer
 //!
@@ -14,17 +16,19 @@
 //! server restarts without changing the adversary-visible interaction
 //! sequence (DESIGN.md §7b):
 //!
-//! * **Client** — [`TcpChannel::connect_reliable`] opens a *session*
+//! * **Client** — [`TcpChannel::connect_reliable`] opens a session
 //!   (`Hello`/`HelloAck` handshake, version-checked), applies read/write
 //!   timeouts from its [`RetryPolicy`], and sends every logical round trip
 //!   as a sequenced frame. On a retryable fault it reconnects with
 //!   exponential backoff plus deterministic jitter (vendored rand shim)
 //!   and retransmits the same sequence number.
 //! * **Server** — [`SessionServer`] accepts many clients (thread per
-//!   connection), keys one [`SecureServer`] per session id, and
-//!   deduplicates retransmits through a [`crate::server::ReplayCache`] of
-//!   encoded response frames: a retried call whose response was lost is answered
-//!   from the cache, never re-executed. Sequence gaps are terminal.
+//!   connection), keys one [`crate::server::SecureServer`] per session id,
+//!   and deduplicates retransmits through a [`crate::server::ReplayCache`]
+//!   of encoded response frames: a retried call whose response was lost is
+//!   answered from the cache, never re-executed. Sequence gaps are
+//!   terminal, and a connection whose first frame is not `Hello` is
+//!   answered with an error and closed.
 //!   Each connection thread runs its session's units itself, inside the
 //!   session's shard ([`crate::shard`]): one lock per shard, no hand-off
 //!   to another thread, and sessions on different shards run in parallel.
@@ -36,13 +40,13 @@
 use crate::channel::{CallReply, Channel, PendingCall, TransportStats};
 use crate::error::{FaultClass, RuntimeError};
 use crate::fault::CrashConfig;
-use crate::server::SecureServer;
 use crate::shard::{ShardConfig, ShardPool, StatsInner};
-use crate::wire::{read_frame, write_frame, Request, Response, WIRE_VERSION};
+use crate::wire::{push_seq_unit, read_frame, write_frame, Request, Response, WIRE_VERSION};
 use hps_ir::{ComponentId, FragLabel, HiddenProgram, Value};
 use hps_telemetry::{metrics::names, Event, Histogram, MetricsSnapshot, RecorderHandle};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
@@ -142,25 +146,8 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Reliable-mode state: where to reconnect, how to retry, and the session
-/// sequencing the server uses to deduplicate retransmits.
-#[derive(Debug)]
-struct Reliable {
-    addrs: Vec<SocketAddr>,
-    policy: RetryPolicy,
-    session: u64,
-    next_seq: u64,
-    /// The last `policy.resume_window` committed sequenced frames,
-    /// byte-identical as sent, keyed by sequence number. A restarted
-    /// server that lost a committed tail (torn disk journal) is caught up
-    /// from here during the handshake — see
-    /// [`TcpChannel::resume_session`].
-    history: std::collections::VecDeque<(u64, Vec<u8>)>,
-    rng: StdRng,
-}
-
 /// Client side: a [`Channel`] that ships every call to a remote
-/// [`SecureServer`] over TCP.
+/// [`SessionServer`] over TCP, inside one session.
 #[derive(Debug)]
 pub struct TcpChannel {
     reader: BufReader<TcpStream>,
@@ -169,7 +156,20 @@ pub struct TcpChannel {
     interactions: u64,
     rtt_cost: u64,
     batch_cap: usize,
-    reliable: Option<Reliable>,
+    /// Where to reconnect.
+    addrs: Vec<SocketAddr>,
+    policy: RetryPolicy,
+    session: u64,
+    /// The sequence number of the next call or batch.
+    next_seq: u64,
+    /// The last `policy.resume_window` committed sequenced frames,
+    /// byte-identical as sent, keyed by sequence number. A restarted
+    /// server that lost a committed tail (torn disk journal) is caught up
+    /// from here during the handshake — see
+    /// [`TcpChannel::resume_session`].
+    history: VecDeque<(u64, Vec<u8>)>,
+    /// Jitter for the retry backoff.
+    rng: StdRng,
     stats: TransportStats,
     recorder: RecorderHandle,
 }
@@ -211,30 +211,7 @@ fn connect_stream(addrs: &[SocketAddr], timeout: Duration) -> Result<TcpStream, 
 }
 
 impl TcpChannel {
-    /// Connects to a secure server in single-shot mode: no session, no
-    /// retries — any transport fault is returned to the caller.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Transport`] if the connection fails.
-    pub fn connect(addr: impl ToSocketAddrs) -> Result<TcpChannel, RuntimeError> {
-        let stream =
-            TcpStream::connect(addr).map_err(|e| RuntimeError::transport("connect", &e))?;
-        let (reader, writer) = split_stream(stream)?;
-        Ok(TcpChannel {
-            reader,
-            writer,
-            scratch: Vec::with_capacity(256),
-            interactions: 0,
-            rtt_cost: 0,
-            batch_cap: usize::from(u16::MAX),
-            reliable: None,
-            stats: TransportStats::default(),
-            recorder: RecorderHandle::none(),
-        })
-    }
-
-    /// Connects in reliable mode: opens a session with the `Hello`
+    /// Connects to a [`SessionServer`]: opens a session with the `Hello`
     /// handshake and transparently retries each round trip under `policy`
     /// (timeouts, reconnect with exponential backoff + jitter, sequenced
     /// exactly-once replay).
@@ -288,14 +265,12 @@ impl TcpChannel {
             interactions: 0,
             rtt_cost: 0,
             batch_cap: usize::from(u16::MAX),
-            reliable: Some(Reliable {
-                addrs,
-                policy,
-                session,
-                next_seq: 1,
-                history: std::collections::VecDeque::new(),
-                rng,
-            }),
+            addrs,
+            policy,
+            session,
+            next_seq: 1,
+            history: VecDeque::new(),
+            rng,
             stats: TransportStats::default(),
             recorder: RecorderHandle::none(),
         };
@@ -327,13 +302,13 @@ impl TcpChannel {
         self
     }
 
-    /// The session id, when connected in reliable mode.
-    pub fn session_id(&self) -> Option<u64> {
-        self.reliable.as_ref().map(|r| r.session)
+    /// The session id.
+    pub fn session_id(&self) -> u64 {
+        self.session
     }
 
-    /// Asks the remote server to stop serving this connection. In reliable
-    /// mode the server keeps the session state for a later reconnect.
+    /// Asks the remote server to stop serving this connection. The server
+    /// keeps the session state for a later reconnect.
     ///
     /// # Errors
     ///
@@ -345,10 +320,9 @@ impl TcpChannel {
 
     /// Performs the `Hello`/`HelloAck` handshake on the current connection.
     fn handshake(&mut self) -> Result<(), RuntimeError> {
-        let r = self.reliable.as_ref().expect("reliable mode");
         let hello = Request::Hello {
             version: WIRE_VERSION,
-            session: r.session,
+            session: self.session,
         };
         let mut buf = Vec::with_capacity(16);
         hello.encode_into(&mut buf);
@@ -364,8 +338,7 @@ impl TcpChannel {
                 session,
                 next_seq,
             } => {
-                let r = self.reliable.as_ref().expect("reliable mode");
-                if version != WIRE_VERSION || session != r.session {
+                if version != WIRE_VERSION || session != self.session {
                     return Err(RuntimeError::Channel(format!(
                         "handshake mismatch: version {version} session {session}"
                     )));
@@ -374,16 +347,16 @@ impl TcpChannel {
                 // outstanding seq but the response was lost, so the
                 // retransmit will hit the replay cache. Further ahead is a
                 // protocol violation.
-                if next_seq > r.next_seq + 1 {
+                if next_seq > self.next_seq + 1 {
                     return Err(RuntimeError::Channel(format!(
                         "server expects seq {next_seq}, client is at {}",
-                        r.next_seq
+                        self.next_seq
                     )));
                 }
                 // The server may also come back *behind*: a recovered
                 // server whose journal lost a committed tail. Re-drive
                 // the missing frames from the resume window.
-                if next_seq < r.next_seq {
+                if next_seq < self.next_seq {
                     return self.resume_session(next_seq);
                 }
                 Ok(())
@@ -404,25 +377,22 @@ impl TcpChannel {
     /// interaction or transport counter moves. Responses are discarded:
     /// the client already delivered these calls' results.
     fn resume_session(&mut self, server_next: u64) -> Result<(), RuntimeError> {
-        let (frames, client_next, window) = {
-            let r = self.reliable.as_ref().expect("reliable mode");
-            let frames: Vec<Vec<u8>> = r
-                .history
-                .iter()
-                .filter(|(seq, _)| *seq >= server_next)
-                .map(|(_, frame)| frame.clone())
-                .collect();
-            (frames, r.next_seq, r.policy.resume_window)
-        };
-        let missing = client_next - server_next;
+        let frames: Vec<Vec<u8>> = self
+            .history
+            .iter()
+            .filter(|(seq, _)| *seq >= server_next)
+            .map(|(_, frame)| frame.clone())
+            .collect();
+        let missing = self.next_seq - server_next;
         if frames.len() as u64 != missing {
             return Err(RuntimeError::Transport {
                 class: FaultClass::Terminal,
                 op: "resume",
                 detail: format!(
                     "server lost {missing} committed units but the resume \
-                     window holds {} (cap {window})",
-                    frames.len()
+                     window holds {} (cap {})",
+                    frames.len(),
+                    self.policy.resume_window
                 ),
             });
         }
@@ -442,11 +412,7 @@ impl TcpChannel {
 
     /// Re-establishes the connection and re-opens the session.
     fn reconnect(&mut self) -> Result<(), RuntimeError> {
-        let (addrs, timeout) = {
-            let r = self.reliable.as_ref().expect("reliable mode");
-            (r.addrs.clone(), r.policy.socket_timeout())
-        };
-        let stream = connect_stream(&addrs, timeout)?;
+        let stream = connect_stream(&self.addrs, self.policy.socket_timeout())?;
         let (reader, writer) = split_stream(stream)?;
         self.reader = reader;
         self.writer = writer;
@@ -469,20 +435,17 @@ impl TcpChannel {
 
     /// Sleeps `base_backoff · 2^attempt` plus deterministic jitter.
     fn backoff(&mut self, attempt: u32) {
-        let r = self.reliable.as_mut().expect("reliable mode");
-        let base = r.policy.base_backoff;
+        let base = self.policy.base_backoff;
         let exp = base.saturating_mul(1u32 << attempt.min(10));
-        let jitter_us = r.rng.gen_range(0..=base.as_micros().max(1) as u64);
+        let jitter_us = self.rng.gen_range(0..=base.as_micros().max(1) as u64);
         std::thread::sleep(exp + Duration::from_micros(jitter_us));
     }
 
-    /// Sends the request already encoded in `scratch`; in reliable mode
-    /// retries retryable faults with backoff + reconnect, retransmitting
-    /// the identical frame so the server's replay cache can deduplicate.
+    /// Sends the request already encoded in `scratch`, retrying retryable
+    /// faults with backoff + reconnect and retransmitting the identical
+    /// frame so the server's replay cache can deduplicate.
     fn round_trip_encoded(&mut self) -> Result<Response, RuntimeError> {
-        let Some(policy) = self.reliable.as_ref().map(|r| r.policy) else {
-            return self.try_round_trip();
-        };
+        let policy = self.policy;
         let started = Instant::now();
         let mut attempt = 0u32;
         loop {
@@ -521,58 +484,28 @@ impl TcpChannel {
         }
     }
 
-    fn round_trip(&mut self, req: &Request) -> Result<Response, RuntimeError> {
-        req.encode_into(&mut self.scratch);
-        self.round_trip_encoded()
-    }
-
-    /// Wraps a call/batch request in its sequenced form when a session is
-    /// open; advances the sequence only after a successful reply.
-    fn sequenced(&mut self, req: Request) -> Result<Response, RuntimeError> {
-        let req = match (&self.reliable, req) {
-            (
-                Some(r),
-                Request::Call {
-                    component,
-                    key,
-                    label,
-                    args,
-                },
-            ) => Request::SeqCall {
-                seq: r.next_seq,
-                call: PendingCall {
-                    component,
-                    key,
-                    label,
-                    args,
-                },
-            },
-            (Some(r), Request::Batch(calls)) => Request::SeqBatch {
-                seq: r.next_seq,
-                calls,
-            },
-            (_, req) => req,
-        };
-        let resp = self.round_trip(&req)?;
-        if let Some(r) = self.reliable.as_mut() {
-            // Keep the committed frame so a recovered server that lost its
-            // journal tail can be re-driven (resume_session); the window is
-            // bounded by `RetryPolicy::resume_window`. The frame moves into
-            // the window, and once the window is full the frame it evicts
-            // becomes the next encode buffer.
-            if matches!(req, Request::SeqCall { .. } | Request::SeqBatch { .. }) {
-                let evicted = (r.history.len() >= r.policy.resume_window)
-                    .then(|| r.history.pop_front())
-                    .flatten()
-                    .map_or_else(|| Vec::with_capacity(256), |(_, frame)| frame);
-                let frame = std::mem::replace(&mut self.scratch, evicted);
-                r.history.push_back((r.next_seq, frame));
-                while r.history.len() > r.policy.resume_window {
-                    r.history.pop_front();
-                }
-            }
-            r.next_seq += 1;
+    /// Sends one sequenced unit — `calls` as a `SeqBatch` when `batch`,
+    /// else `calls[0]` as a `SeqCall` — and advances the sequence only
+    /// after a reply.
+    fn sequenced(&mut self, calls: &[PendingCall], batch: bool) -> Result<Response, RuntimeError> {
+        self.scratch.clear();
+        push_seq_unit(&mut self.scratch, self.next_seq, calls, batch);
+        let resp = self.round_trip_encoded()?;
+        // Keep the committed frame so a recovered server that lost its
+        // journal tail can be re-driven (resume_session); the window is
+        // bounded by `RetryPolicy::resume_window`. The frame moves into
+        // the window, and once the window is full the frame it evicts
+        // becomes the next encode buffer.
+        let evicted = (self.history.len() >= self.policy.resume_window)
+            .then(|| self.history.pop_front())
+            .flatten()
+            .map_or_else(|| Vec::with_capacity(256), |(_, frame)| frame);
+        let frame = std::mem::replace(&mut self.scratch, evicted);
+        self.history.push_back((self.next_seq, frame));
+        while self.history.len() > self.policy.resume_window {
+            self.history.pop_front();
         }
+        self.next_seq += 1;
         Ok(resp)
     }
 }
@@ -586,12 +519,13 @@ impl Channel for TcpChannel {
         args: &[Value],
     ) -> Result<CallReply, RuntimeError> {
         self.interactions += 1;
-        let resp = self.sequenced(Request::Call {
+        let call = PendingCall {
             component,
             key,
             label,
             args: args.to_vec(),
-        })?;
+        };
+        let resp = self.sequenced(std::slice::from_ref(&call), false)?;
         match resp {
             Response::Reply { value, server_cost } => {
                 self.recorder.record(Event::Call {
@@ -623,7 +557,7 @@ impl Channel for TcpChannel {
             return Ok(out);
         }
         self.interactions += 1;
-        let resp = self.sequenced(Request::Batch(calls.to_vec()))?;
+        let resp = self.sequenced(calls, true)?;
         match resp {
             Response::Batch(replies) if replies.len() == calls.len() => {
                 for (call, reply) in calls.iter().zip(&replies) {
@@ -672,124 +606,6 @@ impl Channel for TcpChannel {
     }
 }
 
-/// Handles one request on a legacy (unsequenced) connection. Returns the
-/// number of logical calls served, or `None` to stop serving.
-fn serve_legacy_request(
-    req: Request,
-    server: &mut SecureServer,
-    writer: &mut BufWriter<&TcpStream>,
-    scratch: &mut Vec<u8>,
-) -> Result<Option<u64>, RuntimeError> {
-    match req {
-        Request::Call {
-            component,
-            key,
-            label,
-            args,
-        } => {
-            let (resp, served) = match server.call(component, key, label, &args) {
-                Ok(out) => (
-                    Response::Reply {
-                        value: out.value,
-                        server_cost: out.cost,
-                    },
-                    1,
-                ),
-                Err(e) => (Response::Error(e.to_string()), 0),
-            };
-            resp.encode_into(scratch);
-            write_frame(writer, scratch)?;
-            Ok(Some(served))
-        }
-        Request::Batch(calls) => {
-            let (resp, served) = match server.call_batch(&calls) {
-                Ok(outs) => {
-                    let n = outs.len() as u64;
-                    (
-                        Response::Batch(
-                            outs.into_iter()
-                                .map(|out| CallReply {
-                                    value: out.value,
-                                    server_cost: out.cost,
-                                })
-                                .collect(),
-                        ),
-                        n,
-                    )
-                }
-                Err(e) => (Response::Error(e.to_string()), 0),
-            };
-            resp.encode_into(scratch);
-            write_frame(writer, scratch)?;
-            Ok(Some(served))
-        }
-        Request::Release { component, key } => {
-            server.release(component, key);
-            Ok(Some(0))
-        }
-        Request::Shutdown => Ok(None),
-        Request::Hello { .. } | Request::SeqCall { .. } | Request::SeqBatch { .. } => {
-            let resp = Response::Error("session frames need a session server".into());
-            resp.encode_into(scratch);
-            write_frame(writer, scratch)?;
-            Err(RuntimeError::Channel(
-                "session frame on a sessionless connection".into(),
-            ))
-        }
-    }
-}
-
-/// Serves one client connection until it sends `Shutdown` or disconnects.
-/// Returns the number of logical calls served on this connection (each
-/// entry of a batch counts).
-///
-/// # Errors
-///
-/// Returns [`RuntimeError::Transport`] / [`RuntimeError::Channel`] on
-/// transport failures; fragment execution errors are reported to the
-/// client, not returned here.
-pub fn serve_connection(
-    stream: &mut TcpStream,
-    server: &mut SecureServer,
-) -> Result<u64, RuntimeError> {
-    stream
-        .set_nodelay(true)
-        .map_err(|e| RuntimeError::transport("set_nodelay", &e))?;
-    let mut reader = BufReader::new(&*stream);
-    let mut writer = BufWriter::new(&*stream);
-    let mut scratch = Vec::with_capacity(256);
-    let mut served = 0u64;
-    loop {
-        let payload = match read_frame(&mut reader)? {
-            Some(p) => p,
-            None => return Ok(served),
-        };
-        let req = Request::decode(&payload)?;
-        match serve_legacy_request(req, server, &mut writer, &mut scratch)? {
-            Some(n) => served += n,
-            None => return Ok(served),
-        }
-    }
-}
-
-/// Binds a listener on `addr` (use port 0 for an ephemeral port), accepts
-/// **one** connection and serves it to completion. Returns calls served.
-///
-/// Intended for examples and tests; production deployments use
-/// [`SessionServer`], which accepts in a loop with one server per session.
-///
-/// # Errors
-///
-/// Accept failures surface as [`RuntimeError::Transport`] (classified
-/// retryable/terminal); transport failures while serving carry the peer
-/// address.
-pub fn serve_once(listener: TcpListener, server: &mut SecureServer) -> Result<u64, RuntimeError> {
-    let (mut stream, peer) = listener
-        .accept()
-        .map_err(|e| RuntimeError::transport("accept", &e))?;
-    serve_connection(&mut stream, server).map_err(|e| e.with_peer(peer))
-}
-
 /// Server-side chaos: deterministically kill sockets mid-call to exercise
 /// client reconnect + replay. With probability `kill_per_mille`/1000 per
 /// served frame, the connection dies — half the time before executing the
@@ -819,7 +635,7 @@ pub struct ServerStats {
     /// Connections killed by [`ChaosConfig`].
     pub chaos_kills: u64,
     /// Fragments lowered to bytecode by the fragment VM's compile-once
-    /// caches (all shards plus legacy connections).
+    /// caches (all shards).
     pub vm_compiles: u64,
     /// Fragment executions served from already-compiled bytecode.
     pub vm_cache_hits: u64,
@@ -884,10 +700,8 @@ impl SessionServerHandle {
             replays: self.stats.replays.load(Ordering::Relaxed),
             replay_evictions: self.stats.replay_evictions.load(Ordering::Relaxed),
             chaos_kills: self.stats.chaos_kills.load(Ordering::Relaxed),
-            vm_compiles: self.stats.legacy_vm_compiles.load(Ordering::Relaxed)
-                + shards.iter().map(|s| s.vm_compiles).sum::<u64>(),
-            vm_cache_hits: self.stats.legacy_vm_cache_hits.load(Ordering::Relaxed)
-                + shards.iter().map(|s| s.vm_cache_hits).sum::<u64>(),
+            vm_compiles: shards.iter().map(|s| s.vm_compiles).sum(),
+            vm_cache_hits: shards.iter().map(|s| s.vm_cache_hits).sum(),
             memo_hits: 0,
             memo_misses: 0,
             panics_caught: self.stats.panics_caught.load(Ordering::Relaxed),
@@ -1053,8 +867,8 @@ impl SessionServer {
 
     /// Runs the accept loop until [`SessionServerHandle::stop`] is called.
     /// Each connection is served on its own thread; per-connection
-    /// transport errors are contained to that thread (reported via
-    /// `on_event`, may be a no-op).
+    /// transport errors are contained to that thread and reported via
+    /// `on_event` (may be a no-op), attributed to the peer address.
     ///
     /// On stop the shutdown is graceful: the accept loop exits first, then
     /// every live connection thread is joined after it finishes its
@@ -1114,7 +928,6 @@ impl SessionServer {
             self.stats.connections.fetch_add(1, Ordering::Relaxed);
             let stats = Arc::clone(&self.stats);
             let pool = Arc::clone(&pool);
-            let hidden = self.hidden.clone();
             let chaos = self
                 .chaos
                 .map(|c| (c, StdRng::seed_from_u64(c.seed ^ conn_index)));
@@ -1129,7 +942,7 @@ impl SessionServer {
             conns.push((
                 watch,
                 std::thread::spawn(move || {
-                    match serve_session_connection(stream, &pool, hidden, chaos, &stats) {
+                    match serve_session_connection(stream, &pool, chaos, &stats) {
                         Ok(served) => on_event(peer, &format!("served {served} calls")),
                         Err(e) => on_event(peer, &e.with_peer(peer).to_string()),
                     }
@@ -1175,14 +988,27 @@ fn chaos_draw(chaos: &mut Option<(ChaosConfig, StdRng)>) -> ChaosAction {
     }
 }
 
-/// Serves one connection of a [`SessionServer`]: handshake, then sequenced
-/// frames executed (or replayed) on this thread inside the session's
-/// shard. Falls back to the legacy unsequenced protocol (fresh private
-/// server, no session) when the first frame is not `Hello`.
+/// Answers a protocol violation with a `Response::Error` frame carrying
+/// `reply`, then closes the connection with `err`.
+fn refuse(
+    writer: &mut BufWriter<&TcpStream>,
+    scratch: &mut Vec<u8>,
+    reply: String,
+    err: String,
+) -> Result<u64, RuntimeError> {
+    Response::Error(reply).encode_into(scratch);
+    write_frame(writer, scratch)?;
+    Err(RuntimeError::Channel(err))
+}
+
+/// Serves one connection of a [`SessionServer`]: the `Hello` handshake,
+/// then sequenced frames executed (or replayed) on this thread inside the
+/// session's shard. A first frame that is not a `Hello` of this
+/// [`WIRE_VERSION`] is refused, and an undecodable frame closes the
+/// connection.
 fn serve_session_connection(
     stream: TcpStream,
     pool: &ShardPool,
-    hidden: HiddenProgram,
     mut chaos: Option<(ChaosConfig, StdRng)>,
     stats: &StatsInner,
 ) -> Result<u64, RuntimeError> {
@@ -1194,23 +1020,11 @@ fn serve_session_connection(
     let mut scratch = Vec::with_capacity(256);
     let mut served = 0u64;
 
-    // First frame decides the mode.
     let Some(payload) = read_frame(&mut reader)? else {
         return Ok(0);
     };
-    let first = Request::decode(&payload)?;
-    let session = match first {
-        Request::Hello { version, session } => {
-            if version != WIRE_VERSION {
-                let resp = Response::Error(format!(
-                    "version mismatch: server speaks {WIRE_VERSION}, client sent {version}"
-                ));
-                resp.encode_into(&mut scratch);
-                write_frame(&mut writer, &scratch)?;
-                return Err(RuntimeError::Channel(format!(
-                    "client version {version} != {WIRE_VERSION}"
-                )));
-            }
+    let session = match Request::decode(&payload)? {
+        Request::Hello { version, session } if version == WIRE_VERSION => {
             let next_seq = pool.hello(stats, session);
             Response::HelloAck {
                 version: WIRE_VERSION,
@@ -1221,43 +1035,21 @@ fn serve_session_connection(
             write_frame(&mut writer, &scratch)?;
             session
         }
-        // Legacy client: serve it with a private, sessionless server owned
-        // by this thread; it shares no state, so it needs no shard.
-        other => {
-            let mut server = SecureServer::new(hidden);
-            // The private server dies with the connection; fold its VM
-            // counters into the shared stats before each exit.
-            let fold_vm = |server: &SecureServer| {
-                stats
-                    .legacy_vm_compiles
-                    .fetch_add(server.vm_compiles(), Ordering::Relaxed);
-                stats
-                    .legacy_vm_cache_hits
-                    .fetch_add(server.vm_cache_hits(), Ordering::Relaxed);
-            };
-            match serve_legacy_request(other, &mut server, &mut writer, &mut scratch)? {
-                Some(n) => served = n,
-                None => {
-                    fold_vm(&server);
-                    return Ok(served);
-                }
-            }
-            loop {
-                let Some(payload) = read_frame(&mut reader)? else {
-                    stats.calls.fetch_add(served, Ordering::Relaxed);
-                    fold_vm(&server);
-                    return Ok(served);
-                };
-                let req = Request::decode(&payload)?;
-                match serve_legacy_request(req, &mut server, &mut writer, &mut scratch)? {
-                    Some(n) => served += n,
-                    None => {
-                        stats.calls.fetch_add(served, Ordering::Relaxed);
-                        fold_vm(&server);
-                        return Ok(served);
-                    }
-                }
-            }
+        Request::Hello { version, .. } => {
+            return refuse(
+                &mut writer,
+                &mut scratch,
+                format!("version mismatch: server speaks {WIRE_VERSION}, client sent {version}"),
+                format!("client version {version} != {WIRE_VERSION}"),
+            );
+        }
+        _ => {
+            return refuse(
+                &mut writer,
+                &mut scratch,
+                "expected Hello: every connection opens a session".into(),
+                "first frame is not Hello".into(),
+            );
         }
     };
 
@@ -1281,13 +1073,13 @@ fn serve_session_connection(
                 continue;
             }
             Request::Shutdown => return Ok(served),
-            Request::Hello { .. } | Request::Call { .. } | Request::Batch(_) => {
-                let resp = Response::Error("unexpected frame on an open session".into());
-                resp.encode_into(&mut scratch);
-                write_frame(&mut writer, &scratch)?;
-                return Err(RuntimeError::Channel(
-                    "unsequenced frame on an open session".into(),
-                ));
+            Request::Hello { .. } => {
+                return refuse(
+                    &mut writer,
+                    &mut scratch,
+                    "unexpected frame on an open session".into(),
+                    "Hello on an open session".into(),
+                );
             }
         };
         served += calls.len() as u64;
@@ -1310,7 +1102,10 @@ fn serve_session_connection(
 mod tests {
     use super::*;
     use crate::shard::tests::accumulator_program;
+    use std::sync::Mutex;
     use std::thread;
+
+    type Serving = thread::JoinHandle<Result<(), RuntimeError>>;
 
     fn quick_policy() -> RetryPolicy {
         RetryPolicy::new()
@@ -1320,15 +1115,41 @@ mod tests {
             .with_jitter_seed(42)
     }
 
+    fn accumulator_server() -> SessionServer {
+        SessionServer::bind("127.0.0.1:0", accumulator_program()).expect("bind")
+    }
+
+    /// Runs `server` on its own thread.
+    fn spawn(server: SessionServer) -> (SessionServerHandle, Serving) {
+        let handle = server.handle().expect("handle");
+        (handle, thread::spawn(move || server.serve(|_, _| {})))
+    }
+
+    /// Stops the server and joins every connection thread, so its
+    /// counters are final.
+    fn stop(handle: &SessionServerHandle, serve: Serving) {
+        handle.stop();
+        serve.join().expect("serve thread").expect("serve ok");
+    }
+
+    /// Opens a session on the server behind `handle`.
+    fn connect(handle: &SessionServerHandle) -> TcpChannel {
+        TcpChannel::connect_reliable(handle.addr(), quick_policy()).expect("connect")
+    }
+
+    fn acc_call(n: i64) -> PendingCall {
+        PendingCall {
+            component: ComponentId::new(0),
+            key: 1,
+            label: FragLabel::new(0),
+            args: vec![Value::Int(n)],
+        }
+    }
+
     #[test]
     fn loopback_round_trips() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let handle = thread::spawn(move || {
-            let mut server = SecureServer::new(accumulator_program());
-            serve_once(listener, &mut server).expect("serve")
-        });
-        let mut chan = TcpChannel::connect(addr).expect("connect");
+        let (handle, serve) = spawn(accumulator_server());
+        let mut chan = connect(&handle);
         let c = ComponentId::new(0);
         let l = FragLabel::new(0);
         let r1 = chan.call(c, 1, l, &[Value::Int(4)]).unwrap();
@@ -1345,107 +1166,85 @@ mod tests {
         assert_eq!(r4.value, Value::Int(2));
         assert_eq!(chan.interactions(), 4);
         chan.shutdown().unwrap();
-        let served = handle.join().expect("server thread");
-        assert_eq!(served, 4);
+        stop(&handle, serve);
+        assert_eq!(handle.stats().calls, 4);
     }
 
     #[test]
     fn loopback_batch_is_one_interaction() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let handle = thread::spawn(move || {
-            let mut server = SecureServer::new(accumulator_program());
-            serve_once(listener, &mut server).expect("serve")
-        });
-        let mut chan = TcpChannel::connect(addr).expect("connect");
-        let c = ComponentId::new(0);
-        let l = FragLabel::new(0);
-        let calls: Vec<PendingCall> = [2, 3, 5]
-            .into_iter()
-            .map(|n| PendingCall {
-                component: c,
-                key: 1,
-                label: l,
-                args: vec![Value::Int(n)],
-            })
-            .collect();
-        let replies = chan.call_batch(&calls).unwrap();
+        let (handle, serve) = spawn(accumulator_server());
+        let mut chan = connect(&handle);
+        let replies = chan
+            .call_batch(&[acc_call(2), acc_call(3), acc_call(5)])
+            .unwrap();
         // The accumulator sees each logical call in order.
         let values: Vec<Value> = replies.iter().map(|r| r.value).collect();
         assert_eq!(values, [Value::Int(2), Value::Int(5), Value::Int(10)]);
         // ... but the transport made a single round trip.
         assert_eq!(chan.interactions(), 1);
         chan.shutdown().unwrap();
-        let served = handle.join().expect("server thread");
-        assert_eq!(served, 3, "every logical call is served and counted");
+        stop(&handle, serve);
+        assert_eq!(
+            handle.stats().calls,
+            3,
+            "every logical call is served and counted"
+        );
     }
 
     #[test]
     fn remote_errors_are_reported() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let handle = thread::spawn(move || {
-            let mut server = SecureServer::new(accumulator_program());
-            serve_once(listener, &mut server).expect("serve")
-        });
-        let mut chan = TcpChannel::connect(addr).expect("connect");
+        let (handle, serve) = spawn(accumulator_server());
+        let mut chan = connect(&handle);
         let err = chan
             .call(ComponentId::new(7), 0, FragLabel::new(0), &[])
             .unwrap_err();
         assert!(matches!(err, RuntimeError::Channel(msg) if msg.contains("remote:")));
         chan.shutdown().unwrap();
-        handle.join().expect("server thread");
+        stop(&handle, serve);
     }
 
     #[test]
     fn batch_chunking_at_the_cap_boundary() {
-        // The satellite case: exactly cap and cap+1 buffered calls. A small
-        // injected cap keeps it fast; the default cap is the wire maximum.
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let handle = thread::spawn(move || {
-            let mut server = SecureServer::new(accumulator_program());
-            serve_once(listener, &mut server).expect("serve")
-        });
-        let mut chan = TcpChannel::connect(addr)
-            .expect("connect")
-            .with_batch_cap(3);
+        // Exactly cap and cap+1 buffered calls. A small injected cap keeps
+        // it fast; the default cap is the wire maximum.
+        let (handle, serve) = spawn(accumulator_server());
+        let chan = connect(&handle);
         assert_eq!(
-            TcpChannel::connect(addr).expect("connect").batch_cap,
+            chan.batch_cap,
             usize::from(u16::MAX),
             "default cap is the wire-format maximum 65535"
         );
-        let c = ComponentId::new(0);
-        let l = FragLabel::new(0);
-        let mk = |n: i64| PendingCall {
-            component: c,
-            key: 1,
-            label: l,
-            args: vec![Value::Int(n)],
-        };
+        let mut chan = chan.with_batch_cap(3);
         // Exactly at the cap: one frame.
-        let replies = chan.call_batch(&[mk(1), mk(2), mk(3)]).unwrap();
+        let replies = chan
+            .call_batch(&[acc_call(1), acc_call(2), acc_call(3)])
+            .unwrap();
         assert_eq!(replies.len(), 3);
         assert_eq!(chan.interactions(), 1);
         // One past the cap: two frames, replies still in order and the
         // accumulator state carries across the chunk boundary.
-        let replies = chan.call_batch(&[mk(1), mk(1), mk(1), mk(1)]).unwrap();
+        let replies = chan.call_batch(&vec![acc_call(1); 4]).unwrap();
         let values: Vec<Value> = replies.iter().map(|r| r.value).collect();
         assert_eq!(
             values,
             [Value::Int(7), Value::Int(8), Value::Int(9), Value::Int(10)]
         );
         assert_eq!(chan.interactions(), 3, "cap+1 calls cost two interactions");
+        // Each chunk is its own sequence unit, retained for resume.
+        let seqs: Vec<u64> = chan.history.iter().map(|(seq, _)| *seq).collect();
+        assert_eq!(seqs, [1, 2, 3]);
+        assert_eq!(chan.next_seq, 4);
         chan.shutdown().unwrap();
-        handle.join().expect("server thread");
+        stop(&handle, serve);
+        let stats = handle.stats();
+        assert_eq!(stats.calls, 7);
+        assert_eq!(stats.replays, 0);
     }
 
     #[test]
     fn session_server_serves_many_clients() {
-        let server = SessionServer::bind("127.0.0.1:0", accumulator_program()).expect("bind");
-        let handle = server.handle().expect("handle");
+        let (handle, serve) = spawn(accumulator_server());
         let addr = handle.addr();
-        let serve = thread::spawn(move || server.serve(|_, _| {}));
         let c = ComponentId::new(0);
         let l = FragLabel::new(0);
         let workers: Vec<_> = (0..4)
@@ -1470,8 +1269,7 @@ mod tests {
         assert_eq!(stats.calls, 20);
         assert_eq!(stats.sessions, 4);
         assert!(stats.connections >= 4);
-        handle.stop();
-        serve.join().expect("serve thread").expect("serve ok");
+        stop(&handle, serve);
     }
 
     #[test]
@@ -1479,12 +1277,8 @@ mod tests {
         // Same workload as session_server_serves_many_clients, but spread
         // over four shards: per-session results are identical and the
         // shard counters account for every call and session.
-        let server = SessionServer::bind("127.0.0.1:0", accumulator_program())
-            .expect("bind")
-            .with_shards(4);
-        let handle = server.handle().expect("handle");
+        let (handle, serve) = spawn(accumulator_server().with_shards(4));
         let addr = handle.addr();
-        let serve = thread::spawn(move || server.serve(|_, _| {}));
         let c = ComponentId::new(0);
         let l = FragLabel::new(0);
         let workers: Vec<_> = (0..8)
@@ -1524,35 +1318,24 @@ mod tests {
                 .count(),
             48
         );
-        handle.stop();
-        serve.join().expect("serve thread").expect("serve ok");
+        stop(&handle, serve);
     }
 
     #[test]
     fn stop_drains_in_flight_requests() {
         // Regression: a clean stop() must let a request already read by a
         // connection finish and deliver its response.
-        let server = SessionServer::bind("127.0.0.1:0", accumulator_program()).expect("bind");
-        let handle = server.handle().expect("handle");
+        let (handle, serve) = spawn(accumulator_server());
         let addr = handle.addr();
-        let serve = thread::spawn(move || server.serve(|_, _| {}));
-        let c = ComponentId::new(0);
-        let l = FragLabel::new(0);
         let (ready_tx, ready_rx) = std::sync::mpsc::channel();
         let worker = thread::spawn(move || {
             // One big batch frame: tens of milliseconds of execution, so
             // the stop below lands while it is in flight. Built up front so
             // the frame hits the wire immediately after the ready signal.
-            let calls: Vec<PendingCall> = (0..50_000)
-                .map(|_| PendingCall {
-                    component: c,
-                    key: 1,
-                    label: l,
-                    args: vec![Value::Int(1)],
-                })
-                .collect();
+            let calls = vec![acc_call(1); 50_000];
             let mut chan = TcpChannel::connect_reliable(addr, quick_policy()).expect("connect");
-            chan.call(c, 1, l, &[Value::Int(1)]).expect("warm-up call");
+            chan.call(ComponentId::new(0), 1, FragLabel::new(0), &[Value::Int(1)])
+                .expect("warm-up call");
             ready_tx.send(()).expect("signal");
             let replies = chan
                 .call_batch(&calls)
@@ -1561,30 +1344,22 @@ mod tests {
         });
         ready_rx.recv().expect("worker ready");
         thread::sleep(Duration::from_millis(50));
-        handle.stop();
-        serve.join().expect("serve thread").expect("serve ok");
+        stop(&handle, serve);
         assert_eq!(worker.join().expect("worker"), 50_000);
         assert_eq!(handle.stats().calls, 50_001);
     }
 
     #[test]
     fn bounded_replay_window_evicts_and_counts() {
-        let server = SessionServer::bind("127.0.0.1:0", accumulator_program())
-            .expect("bind")
-            .with_shards(2)
-            .with_replay_capacity(2);
-        let handle = server.handle().expect("handle");
-        let addr = handle.addr();
-        let serve = thread::spawn(move || server.serve(|_, _| {}));
+        let (handle, serve) = spawn(accumulator_server().with_shards(2).with_replay_capacity(2));
+        let mut chan = connect(&handle);
         let c = ComponentId::new(0);
         let l = FragLabel::new(0);
-        let mut chan = TcpChannel::connect_reliable(addr, quick_policy()).expect("connect");
         for n in 1..=5i64 {
             chan.call(c, 1, l, &[Value::Int(n)]).expect("call");
         }
         chan.shutdown().expect("shutdown");
-        handle.stop();
-        serve.join().expect("serve thread").expect("serve ok");
+        stop(&handle, serve);
         let stats = handle.stats();
         assert_eq!(stats.calls, 5);
         // Window of 2: storing responses 1..=5 evicts 1, 2 and 3.
@@ -1594,13 +1369,10 @@ mod tests {
 
     #[test]
     fn session_survives_reconnect_with_state() {
-        let server = SessionServer::bind("127.0.0.1:0", accumulator_program()).expect("bind");
-        let handle = server.handle().expect("handle");
-        let addr = handle.addr();
-        let serve = thread::spawn(move || server.serve(|_, _| {}));
+        let (handle, serve) = spawn(accumulator_server());
         let c = ComponentId::new(0);
         let l = FragLabel::new(0);
-        let mut chan = TcpChannel::connect_reliable(addr, quick_policy()).expect("connect");
+        let mut chan = connect(&handle);
         assert_eq!(
             chan.call(c, 1, l, &[Value::Int(5)]).unwrap().value,
             Value::Int(5)
@@ -1613,8 +1385,7 @@ mod tests {
             "hidden state survives the reconnect"
         );
         chan.shutdown().unwrap();
-        handle.stop();
-        serve.join().expect("serve thread").expect("serve ok");
+        stop(&handle, serve);
     }
 
     #[test]
@@ -1622,19 +1393,15 @@ mod tests {
         // Aggressive server-side chaos: connections die around every ~4th
         // frame, both before and after execution. The reliable client must
         // still see every accumulator value exactly once.
-        let server = SessionServer::bind("127.0.0.1:0", accumulator_program())
-            .expect("bind")
-            .with_chaos(ChaosConfig {
-                seed: 0xc405,
-                kill_per_mille: 250,
-            });
-        let handle = server.handle().expect("handle");
-        let addr = handle.addr();
-        let serve = thread::spawn(move || server.serve(|_, _| {}));
+        let (handle, serve) = spawn(accumulator_server().with_chaos(ChaosConfig {
+            seed: 0xc405,
+            kill_per_mille: 250,
+        }));
         let c = ComponentId::new(0);
         let l = FragLabel::new(0);
-        let mut chan = TcpChannel::connect_reliable(addr, quick_policy().with_max_attempts(12))
-            .expect("connect");
+        let mut chan =
+            TcpChannel::connect_reliable(handle.addr(), quick_policy().with_max_attempts(12))
+                .expect("connect");
         for n in 1..=30i64 {
             let r = chan.call(c, 1, l, &[Value::Int(n)]).expect("call");
             assert_eq!(r.value, Value::Int(n * (n + 1) / 2), "call {n}");
@@ -1645,19 +1412,15 @@ mod tests {
         assert!(chan.transport_stats().reconnects > 0);
         assert_eq!(chan.interactions(), 30);
         chan.shutdown().unwrap();
-        handle.stop();
-        serve.join().expect("serve thread").expect("serve ok");
+        stop(&handle, serve);
     }
 
     #[test]
     fn sequence_gap_is_terminal() {
-        let server = SessionServer::bind("127.0.0.1:0", accumulator_program()).expect("bind");
-        let handle = server.handle().expect("handle");
-        let addr = handle.addr();
-        let serve = thread::spawn(move || server.serve(|_, _| {}));
-        let mut chan = TcpChannel::connect_reliable(addr, quick_policy()).expect("connect");
+        let (handle, serve) = spawn(accumulator_server());
+        let mut chan = connect(&handle);
         // Corrupt the client's sequence counter to skip ahead.
-        chan.reliable.as_mut().expect("reliable").next_seq = 40;
+        chan.next_seq = 40;
         let err = chan
             .call(ComponentId::new(0), 1, FragLabel::new(0), &[Value::Int(1)])
             .expect_err("gap must be rejected");
@@ -1666,43 +1429,67 @@ mod tests {
             "got {err:?}"
         );
         assert!(!err.is_retryable());
-        handle.stop();
-        serve.join().expect("serve thread").expect("serve ok");
+        stop(&handle, serve);
+    }
+
+    /// Sends one raw request frame on a fresh connection and returns the
+    /// server's answer: `Ok(None)` when it closed without one.
+    fn first_frame_answer(
+        addr: SocketAddr,
+        payload: &[u8],
+    ) -> Result<Option<Response>, RuntimeError> {
+        let stream = TcpStream::connect(addr).expect("connect");
+        let (mut reader, mut writer) = split_stream(stream).expect("split");
+        write_frame(&mut writer, payload).expect("write");
+        read_frame(&mut reader)?
+            .map(|frame| Response::decode(&frame))
+            .transpose()
     }
 
     #[test]
     fn version_mismatch_is_rejected() {
-        let server = SessionServer::bind("127.0.0.1:0", accumulator_program()).expect("bind");
-        let handle = server.handle().expect("handle");
-        let addr = handle.addr();
-        let serve = thread::spawn(move || server.serve(|_, _| {}));
-        // Hand-roll a bad Hello.
-        let stream = TcpStream::connect(addr).expect("connect");
-        let (mut reader, mut writer) = split_stream(stream).expect("split");
-        let mut buf = Vec::new();
-        Request::Hello {
+        let (handle, serve) = spawn(accumulator_server());
+        let hello = Request::Hello {
             version: WIRE_VERSION + 1,
             session: 1,
-        }
-        .encode_into(&mut buf);
-        write_frame(&mut writer, &buf).expect("write");
-        let payload = read_frame(&mut reader).expect("read").expect("frame");
-        let resp = Response::decode(&payload).expect("decode");
+        };
+        let resp = first_frame_answer(handle.addr(), &hello.encode()).expect("answer");
         assert!(
-            matches!(&resp, Response::Error(msg) if msg.contains("version mismatch")),
+            matches!(&resp, Some(Response::Error(msg)) if msg.contains("version mismatch")),
             "got {resp:?}"
         );
-        handle.stop();
-        serve.join().expect("serve thread").expect("serve ok");
+        stop(&handle, serve);
     }
 
     #[test]
-    fn legacy_clients_still_work_against_session_server() {
-        let server = SessionServer::bind("127.0.0.1:0", accumulator_program()).expect("bind");
+    fn connections_that_do_not_open_a_session_are_refused() {
+        let server = accumulator_server();
         let handle = server.handle().expect("handle");
+        let events = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&events);
+        let serve = thread::spawn(move || {
+            server.serve(move |_, event| log.lock().expect("log").push(event.to_string()))
+        });
         let addr = handle.addr();
-        let serve = thread::spawn(move || server.serve(|_, _| {}));
-        let mut chan = TcpChannel::connect(addr).expect("connect");
+        // A formerly valid unsequenced call (retired tag 0x01, then an
+        // 18-byte call body with no arguments) no longer decodes: the
+        // connection closes without an answer.
+        let mut retired = vec![0x01];
+        retired.extend_from_slice(&[0; 18]);
+        let resp = first_frame_answer(addr, &retired);
+        assert!(!matches!(resp, Ok(Some(_))), "got {resp:?}");
+        // A well-formed sequenced call before any Hello gets an error.
+        let seq_call = Request::SeqCall {
+            seq: 1,
+            call: acc_call(3),
+        };
+        let resp = first_frame_answer(addr, &seq_call.encode()).expect("answer");
+        assert!(
+            matches!(&resp, Some(Response::Error(msg)) if msg.contains("expected Hello")),
+            "got {resp:?}"
+        );
+        // The server still serves a session client, and counts only it.
+        let mut chan = TcpChannel::connect_reliable(addr, quick_policy()).expect("connect");
         let c = ComponentId::new(0);
         let l = FragLabel::new(0);
         assert_eq!(
@@ -1714,34 +1501,36 @@ mod tests {
             Value::Int(7)
         );
         chan.shutdown().unwrap();
-        // Give the connection thread a moment to record its calls.
-        for _ in 0..100 {
-            if handle.stats().calls == 2 {
-                break;
-            }
-            thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(handle.stats().calls, 2);
-        assert_eq!(handle.stats().sessions, 0, "legacy mode opens no session");
-        handle.stop();
-        serve.join().expect("serve thread").expect("serve ok");
+        stop(&handle, serve);
+        let stats = handle.stats();
+        assert_eq!(stats.connections, 3);
+        assert_eq!(stats.sessions, 1);
+        assert_eq!(stats.calls, 2);
+        // Both refusals closed their connection with a typed error.
+        let events = events.lock().expect("log");
+        assert!(
+            events.iter().any(|e| e.contains("bad request tag 0x01")),
+            "{events:?}"
+        );
+        assert!(
+            events
+                .iter()
+                .any(|e| e.contains("first frame is not Hello")),
+            "{events:?}"
+        );
     }
 
     #[test]
     fn retries_are_not_logical_interactions() {
         // Chaos forces retransmits; the interaction count and the trace
         // (per-logical-call) must match a fault-free run.
-        let server = SessionServer::bind("127.0.0.1:0", accumulator_program())
-            .expect("bind")
-            .with_chaos(ChaosConfig {
-                seed: 7,
-                kill_per_mille: 300,
-            });
-        let handle = server.handle().expect("handle");
-        let addr = handle.addr();
-        let serve = thread::spawn(move || server.serve(|_, _| {}));
-        let mut chan = TcpChannel::connect_reliable(addr, quick_policy().with_max_attempts(12))
-            .expect("connect");
+        let (handle, serve) = spawn(accumulator_server().with_chaos(ChaosConfig {
+            seed: 7,
+            kill_per_mille: 300,
+        }));
+        let mut chan =
+            TcpChannel::connect_reliable(handle.addr(), quick_policy().with_max_attempts(12))
+                .expect("connect");
         let c = ComponentId::new(0);
         let l = FragLabel::new(0);
         let mut trace = crate::trace::TraceChannel::new(&mut chan);
@@ -1757,7 +1546,6 @@ mod tests {
         );
         assert_eq!(chan.interactions(), 10);
         chan.shutdown().unwrap();
-        handle.stop();
-        serve.join().expect("serve thread").expect("serve ok");
+        stop(&handle, serve);
     }
 }

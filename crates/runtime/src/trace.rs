@@ -10,8 +10,8 @@
 //! resulting [`Trace`].
 //!
 //! **Retries are invisible here.** The reliability layer
-//! ([`crate::fault::FaultyChannel`], [`crate::tcp::TcpChannel`] in
-//! reliable mode) lives *below* this wiretap: a retransmit re-delivers the
+//! ([`crate::fault::FaultyChannel`], [`crate::tcp::TcpChannel`]) lives
+//! *below* this wiretap: a retransmit re-delivers the
 //! same logical call and a replay re-delivers its cached response, so a
 //! faulty run produces exactly the event sequence of the fault-free run.
 //! The adversary's view — and the paper's interaction counts (Table 5) —

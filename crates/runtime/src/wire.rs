@@ -3,38 +3,40 @@
 //! Hand-rolled, little-endian, length-prefixed frames:
 //!
 //! ```text
-//! frame    := u32 payload_len ++ payload
-//! request  := 0x01 call(component:u32 key:u64 label:u32 argc:u16 arg*)
-//!           | 0x02 release(component:u32 key:u64)
-//!           | 0x03 shutdown
-//!           | 0x04 batch(count:u16 call-body*)     ; call-body as in 0x01
-//!           | 0x05 hello(version:u8 session:u64)
-//!           | 0x06 seq-call(seq:u64 call-body)
-//!           | 0x07 seq-batch(seq:u64 count:u16 call-body*)
-//! response := 0x10 reply(value:arg server_cost:u64)
-//!           | 0x11 error(len:u32 utf8-bytes)
-//!           | 0x12 batch(count:u16 reply-body*)    ; reply-body as in 0x10
-//!           | 0x13 hello-ack(version:u8 session:u64 next_seq:u64)
-//! arg      := 0x00 i64 | 0x01 f64-bits | 0x02 u8-bool
+//! frame     := u32 payload_len ++ payload
+//! request   := 0x02 release(component:u32 key:u64)
+//!            | 0x03 shutdown
+//!            | 0x05 hello(version:u8 session:u64)
+//!            | 0x06 seq-call(seq:u64 call-body)
+//!            | 0x07 seq-batch(seq:u64 count:u16 call-body*)
+//! call-body := component:u32 key:u64 label:u32 argc:u16 arg*
+//! response  := 0x10 reply(value:arg server_cost:u64)
+//!            | 0x11 error(len:u32 utf8-bytes)
+//!            | 0x12 batch(count:u16 reply-body*)    ; reply-body as in 0x10
+//!            | 0x13 hello-ack(version:u8 session:u64 next_seq:u64)
+//! arg       := 0x00 i64 | 0x01 f64-bits | 0x02 u8-bool
 //! ```
 //!
-//! A `0x04` batch carries a run of coalesced logical calls in one round
+//! Request tags `0x01` and `0x04` are retired: they carried unsequenced
+//! calls and batches, and are never reused. Decoding them fails like any
+//! unknown tag.
+//!
+//! A `0x07` seq-batch carries a run of coalesced logical calls in one round
 //! trip and is answered by one `0x12` batch with a reply per call, in
 //! order. A failing call inside a batch turns the whole response into
 //! `0x11 error`.
 //!
 //! ## Sessions and exactly-once replay
 //!
-//! The `0x05`/`0x13` handshake opens (or resumes) a *session*: the client
-//! names a 64-bit session id and the protocol version it speaks
-//! ([`WIRE_VERSION`]); the server acknowledges with the next sequence
-//! number it expects, so a reconnecting client can detect what the server
-//! already saw. Within a session, call traffic uses the sequenced frames
-//! `0x06`/`0x07`: the per-session monotonic `seq` lets the server
-//! deduplicate a retransmitted call whose response was lost (it replays
-//! the cached response instead of re-executing) and reject sequence gaps.
-//! The unsequenced `0x01`/`0x04` frames remain valid for fire-and-forget
-//! single-connection deployments.
+//! Every connection opens with the `0x05`/`0x13` handshake, which opens
+//! (or resumes) a *session*: the client names a 64-bit session id and the
+//! protocol version it speaks ([`WIRE_VERSION`]); the server acknowledges
+//! with the next sequence number it expects, so a reconnecting client can
+//! detect what the server already saw. Within a session, call traffic uses
+//! the sequenced frames `0x06`/`0x07`: the per-session monotonic `seq` lets
+//! the server deduplicate a retransmitted call whose response was lost (it
+//! replays the cached response instead of re-executing) and reject
+//! sequence gaps.
 
 use crate::channel::{CallReply, PendingCall};
 use crate::error::RuntimeError;
@@ -48,17 +50,6 @@ pub const WIRE_VERSION: u8 = 2;
 /// A request from the open side.
 #[derive(Clone, PartialEq, Debug)]
 pub enum Request {
-    /// Run a fragment.
-    Call {
-        /// Addressed component.
-        component: ComponentId,
-        /// Activation / instance key.
-        key: u64,
-        /// Fragment label.
-        label: FragLabel,
-        /// Scalar arguments.
-        args: Vec<Value>,
-    },
     /// Free one activation/instance's hidden state.
     Release {
         /// Addressed component.
@@ -68,9 +59,7 @@ pub enum Request {
     },
     /// Stop serving this connection.
     Shutdown,
-    /// Run a batch of logical calls in order, one round trip.
-    Batch(Vec<PendingCall>),
-    /// Open or resume a session (first frame on a reliable connection).
+    /// Open or resume a session (the first frame on every connection).
     Hello {
         /// Protocol version the client speaks ([`WIRE_VERSION`]).
         version: u8,
@@ -106,7 +95,7 @@ pub enum Response {
     },
     /// Secure-side failure, as display text.
     Error(String),
-    /// One reply per call of a [`Request::Batch`], in order.
+    /// One reply per call of a [`Request::SeqBatch`], in order.
     Batch(Vec<CallReply>),
     /// Acknowledges a [`Request::Hello`], completing the handshake.
     HelloAck {
@@ -197,18 +186,12 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn push_call_body(
-    buf: &mut Vec<u8>,
-    component: ComponentId,
-    key: u64,
-    label: FragLabel,
-    args: &[Value],
-) {
-    buf.extend_from_slice(&component.0.to_le_bytes());
-    buf.extend_from_slice(&key.to_le_bytes());
-    buf.extend_from_slice(&label.0.to_le_bytes());
-    buf.extend_from_slice(&(args.len() as u16).to_le_bytes());
-    for &a in args {
+fn push_call_body(buf: &mut Vec<u8>, c: &PendingCall) {
+    buf.extend_from_slice(&c.component.0.to_le_bytes());
+    buf.extend_from_slice(&c.key.to_le_bytes());
+    buf.extend_from_slice(&c.label.0.to_le_bytes());
+    buf.extend_from_slice(&(c.args.len() as u16).to_le_bytes());
+    for &a in &c.args {
         push_value(buf, a);
     }
 }
@@ -221,13 +204,12 @@ pub(crate) fn push_seq_unit(buf: &mut Vec<u8>, seq: u64, calls: &[PendingCall], 
         buf.extend_from_slice(&seq.to_le_bytes());
         buf.extend_from_slice(&(calls.len() as u16).to_le_bytes());
         for c in calls {
-            push_call_body(buf, c.component, c.key, c.label, &c.args);
+            push_call_body(buf, c);
         }
     } else {
-        let c = &calls[0];
         buf.push(0x06);
         buf.extend_from_slice(&seq.to_le_bytes());
-        push_call_body(buf, c.component, c.key, c.label, &c.args);
+        push_call_body(buf, &calls[0]);
     }
 }
 
@@ -249,28 +231,12 @@ impl Request {
     /// Appends the serialized payload to `buf`.
     pub(crate) fn append_to(&self, buf: &mut Vec<u8>) {
         match self {
-            Request::Call {
-                component,
-                key,
-                label,
-                args,
-            } => {
-                buf.push(0x01);
-                push_call_body(buf, *component, *key, *label, args);
-            }
             Request::Release { component, key } => {
                 buf.push(0x02);
                 buf.extend_from_slice(&component.0.to_le_bytes());
                 buf.extend_from_slice(&key.to_le_bytes());
             }
             Request::Shutdown => buf.push(0x03),
-            Request::Batch(calls) => {
-                buf.push(0x04);
-                buf.extend_from_slice(&(calls.len() as u16).to_le_bytes());
-                for c in calls {
-                    push_call_body(buf, c.component, c.key, c.label, &c.args);
-                }
-            }
             Request::Hello { version, session } => {
                 buf.push(0x05);
                 buf.push(*version);
@@ -291,28 +257,11 @@ impl Request {
     pub fn decode(data: &[u8]) -> Result<Request, RuntimeError> {
         let mut r = Reader { data, pos: 0 };
         let req = match r.u8()? {
-            0x01 => {
-                let c = read_call_body(&mut r)?;
-                Request::Call {
-                    component: c.component,
-                    key: c.key,
-                    label: c.label,
-                    args: c.args,
-                }
-            }
             0x02 => Request::Release {
                 component: ComponentId(r.u32()?),
                 key: r.u64()?,
             },
             0x03 => Request::Shutdown,
-            0x04 => {
-                let count = r.u16()? as usize;
-                let mut calls = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    calls.push(read_call_body(&mut r)?);
-                }
-                Request::Batch(calls)
-            }
             0x05 => Request::Hello {
                 version: r.u8()?,
                 session: r.u64()?,
@@ -489,12 +438,6 @@ mod tests {
     #[test]
     fn request_round_trip() {
         let reqs = [
-            Request::Call {
-                component: ComponentId::new(3),
-                key: 42,
-                label: FragLabel::new(7),
-                args: vec![Value::Int(-5), Value::Float(2.5), Value::Bool(true)],
-            },
             Request::Release {
                 component: ComponentId::new(0),
                 key: u64::MAX,
@@ -526,20 +469,23 @@ mod tests {
 
     #[test]
     fn batch_round_trip() {
-        let req = Request::Batch(vec![
-            PendingCall {
-                component: ComponentId::new(1),
-                key: 7,
-                label: FragLabel::new(2),
-                args: vec![Value::Int(3), Value::Bool(false)],
-            },
-            PendingCall {
-                component: ComponentId::new(0),
-                key: 0,
-                label: FragLabel::new(0),
-                args: vec![],
-            },
-        ]);
+        let req = Request::SeqBatch {
+            seq: 3,
+            calls: vec![
+                PendingCall {
+                    component: ComponentId::new(1),
+                    key: 7,
+                    label: FragLabel::new(2),
+                    args: vec![Value::Int(3), Value::Bool(false)],
+                },
+                PendingCall {
+                    component: ComponentId::new(0),
+                    key: 0,
+                    label: FragLabel::new(0),
+                    args: vec![],
+                },
+            ],
+        };
         assert_eq!(Request::decode(&req.encode()).unwrap(), req);
         let resp = Response::Batch(vec![
             CallReply {
@@ -554,8 +500,28 @@ mod tests {
         assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
         // An empty batch is legal on the wire even if the interpreter
         // never sends one.
-        let empty = Request::Batch(Vec::new());
+        let empty = Request::SeqBatch {
+            seq: 1,
+            calls: Vec::new(),
+        };
         assert_eq!(Request::decode(&empty.encode()).unwrap(), empty);
+    }
+
+    #[test]
+    fn retired_tags_do_not_decode() {
+        // 0x01 call and 0x04 batch carried unsequenced calls; their old
+        // bodies (one argument-free call, a one-call batch) are refused.
+        let body = [0u8; 18];
+        for frame in [
+            [&[0x01][..], &body].concat(),
+            [&[0x04, 1, 0][..], &body].concat(),
+        ] {
+            let err = Request::decode(&frame).expect_err("retired tag");
+            assert!(
+                matches!(&err, RuntimeError::Channel(msg) if msg.starts_with("bad request tag")),
+                "got {err:?}"
+            );
+        }
     }
 
     #[test]

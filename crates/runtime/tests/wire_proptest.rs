@@ -15,12 +15,12 @@ fn value_strategy() -> impl Strategy<Value = Value> {
     ]
 }
 
-fn pending_call_strategy() -> impl Strategy<Value = PendingCall> {
+fn pending_call_strategy(max_args: usize) -> impl Strategy<Value = PendingCall> {
     (
         any::<u32>(),
         any::<u64>(),
         any::<u32>(),
-        prop::collection::vec(value_strategy(), 0..8),
+        prop::collection::vec(value_strategy(), 0..max_args),
     )
         .prop_map(|(c, key, l, args)| PendingCall {
             component: ComponentId(c),
@@ -32,30 +32,17 @@ fn pending_call_strategy() -> impl Strategy<Value = PendingCall> {
 
 fn request_strategy() -> impl Strategy<Value = Request> {
     prop_oneof![
-        (
-            any::<u32>(),
-            any::<u64>(),
-            any::<u32>(),
-            prop::collection::vec(value_strategy(), 0..20)
-        )
-            .prop_map(|(c, key, l, args)| Request::Call {
-                component: ComponentId(c),
-                key,
-                label: FragLabel(l),
-                args,
-            }),
-        prop::collection::vec(pending_call_strategy(), 0..6).prop_map(Request::Batch),
         (any::<u32>(), any::<u64>()).prop_map(|(c, key)| Request::Release {
             component: ComponentId(c),
             key,
         }),
         (any::<u8>(), any::<u64>())
             .prop_map(|(version, session)| Request::Hello { version, session }),
-        (any::<u64>(), pending_call_strategy())
+        (any::<u64>(), pending_call_strategy(20))
             .prop_map(|(seq, call)| Request::SeqCall { seq, call }),
         (
             any::<u64>(),
-            prop::collection::vec(pending_call_strategy(), 0..6)
+            prop::collection::vec(pending_call_strategy(8), 0..6)
         )
             .prop_map(|(seq, calls)| Request::SeqBatch { seq, calls }),
         Just(Request::Shutdown),
@@ -102,14 +89,15 @@ proptest! {
         prop_assert_eq!(decoded.encode(), bytes);
         // And for the common case, structural equality must hold as well.
         if let (
-            Request::Call { component: c1, key: k1, label: l1, args: a1 },
-            Request::Call { component: c2, key: k2, label: l2, args: a2 },
+            Request::SeqCall { seq: s1, call: c1 },
+            Request::SeqCall { seq: s2, call: c2 },
         ) = (&req, &decoded) {
-            prop_assert_eq!(c1, c2);
-            prop_assert_eq!(k1, k2);
-            prop_assert_eq!(l1, l2);
-            prop_assert_eq!(a1.len(), a2.len());
-            for (x, y) in a1.iter().zip(a2) {
+            prop_assert_eq!(s1, s2);
+            prop_assert_eq!(c1.component, c2.component);
+            prop_assert_eq!(c1.key, c2.key);
+            prop_assert_eq!(c1.label, c2.label);
+            prop_assert_eq!(c1.args.len(), c2.args.len());
+            for (x, y) in c1.args.iter().zip(&c2.args) {
                 prop_assert_eq!(value_bits(x), value_bits(y));
             }
         }
@@ -169,8 +157,12 @@ proptest! {
     }
 
     #[test]
-    fn bad_tags_error_not_panic(tag in 8u8..=255, rest in prop::collection::vec(any::<u8>(), 0..64)) {
-        // Request tags stop at 0x07; everything above must be rejected.
+    fn bad_tags_error_not_panic(
+        tag in prop_oneof![Just(0x00u8), Just(0x01), Just(0x04), 8u8..=255],
+        rest in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        // Request tags stop at 0x07, and 0x01/0x04 are retired; all of
+        // these must be rejected.
         let mut bytes = vec![tag];
         bytes.extend(rest);
         prop_assert!(Request::decode(&bytes).is_err());

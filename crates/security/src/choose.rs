@@ -23,7 +23,7 @@
 use crate::ilp::OriginalAnalysis;
 use crate::lattice::{Ac, AcType};
 use hps_core::split_function;
-use hps_ir::{ComponentId, FuncId, Function, LocalId, Program, StmtKind};
+use hps_ir::{ComponentId, FuncId, Function, LocalId, StmtKind};
 
 /// How to trade security against communication cost when picking seeds.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -139,60 +139,16 @@ pub fn ranked_seeds_with(
     candidates
 }
 
-/// Picks the best seed variable for splitting `func` under `rule`.
-///
-/// This is a thin convenience over [`ranked_seeds_with`]; whole-program
-/// planning (seed choice for every selected function, budget search and
-/// hardening) lives behind the `hps-audit` `Planner` facade, which calls
-/// into [`mod@crate::optimize`].
-///
-/// Scoring follows the paper: the seed whose split yields the ILP with the
-/// highest maximum arithmetic complexity (ties broken toward more ILPs,
-/// then declaration order — see [`ranked_seeds_with`] for the full
-/// ranking). Under [`SeedRule::CostRestricted`], candidates with in-loop
-/// hidden calls are discarded first. Returns `None` when no candidate
-/// produces a usable split.
-pub fn choose_seed_with(program: &Program, func: FuncId, rule: SeedRule) -> Option<LocalId> {
-    best_seed(&OriginalAnalysis::new(program), func, rule)
-}
-
-fn best_seed(analysis: &OriginalAnalysis<'_>, func: FuncId, rule: SeedRule) -> Option<LocalId> {
-    ranked_seeds_with(analysis, func, rule)
-        .first()
-        .map(|c| c.seed)
-}
-
-/// [`choose_seed_with`] under the default cost-restricted rule.
-pub fn choose_seed(program: &Program, func: FuncId) -> Option<LocalId> {
-    choose_seed_with(program, func, SeedRule::CostRestricted)
-}
-
-/// Chooses a seed for each of the given functions under `rule`, skipping
-/// functions with no usable seed. Returns `(func, seed)` pairs.
-///
-/// Thin wrapper kept for callers that want raw pairs; prefer
-/// [`crate::optimize::default_targets`] (which returns a ready
-/// [`hps_core::SplitPlan`]) or the `hps-audit` `Planner` for the full pipeline.
-pub fn choose_seeds_all_with(
-    program: &Program,
-    funcs: &[FuncId],
-    rule: SeedRule,
-) -> Vec<(FuncId, LocalId)> {
-    let analysis = OriginalAnalysis::new(program);
-    funcs
-        .iter()
-        .filter_map(|&f| best_seed(&analysis, f, rule).map(|s| (f, s)))
-        .collect()
-}
-
-/// [`choose_seeds_all_with`] under the default cost-restricted rule.
-pub fn choose_seeds_all(program: &Program, funcs: &[FuncId]) -> Vec<(FuncId, LocalId)> {
-    choose_seeds_all_with(program, funcs, SeedRule::CostRestricted)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The best-ranked seed of `func`, if any.
+    fn best(p: &hps_ir::Program, func: FuncId, rule: SeedRule) -> Option<LocalId> {
+        ranked_seeds_with(&OriginalAnalysis::new(p), func, rule)
+            .first()
+            .map(|c| c.seed)
+    }
 
     #[test]
     fn prefers_variable_with_higher_complexity() {
@@ -223,11 +179,11 @@ mod tests {
         // (no in-loop calls), and the leak of `highvar` stays polynomial.
         // Seeding `highvar` directly leaves `i` open, blocks promotion and
         // creates per-iteration traffic — rejected.
-        let chosen = choose_seed(&p, func).expect("some seed works");
+        let chosen = best(&p, func, SeedRule::CostRestricted).expect("some seed works");
         assert_eq!(f.local(chosen).name, "i");
         // The unrestricted rule tolerates the traffic and keeps the seed
         // with the highest complexity found first.
-        let chosen = choose_seed_with(&p, func, SeedRule::MaxComplexity).unwrap();
+        let chosen = best(&p, func, SeedRule::MaxComplexity).unwrap();
         assert!(["highvar", "i"].contains(&f.local(chosen).name.as_str()));
         // Either way the chosen seed must not be the linear one.
         assert_ne!(f.local(chosen).name, "lowvar");
@@ -252,8 +208,8 @@ mod tests {
             fn main() { var b: int[] = new int[64]; print(g(10, b)); }";
         let p = hps_lang::parse(src).unwrap();
         let func = p.func_by_name("g").unwrap();
-        assert_eq!(choose_seed(&p, func), None);
-        assert!(choose_seed_with(&p, func, SeedRule::MaxComplexity).is_some());
+        assert_eq!(best(&p, func, SeedRule::CostRestricted), None);
+        assert!(best(&p, func, SeedRule::MaxComplexity).is_some());
     }
 
     use hps_core::{split_program, SplitPlan, SplitTarget};
@@ -280,7 +236,7 @@ mod tests {
     fn equal_scores_tie_break_by_declaration_order() {
         // `first` and `second` leak structurally identical linear values, so
         // their candidate scores are equal; the ranking must keep the
-        // declaration order and `choose_seed` must pick `first`.
+        // declaration order and the best-ranked seed must be `first`.
         let src = "
             fn g(x: int, b: int[]) -> int {
                 var first: int = x + 1;
@@ -303,7 +259,7 @@ mod tests {
         );
         assert_eq!(f.local(ranked[0].seed).name, "first");
         assert_eq!(f.local(ranked[1].seed).name, "second");
-        let chosen = choose_seed(&p, func).unwrap();
+        let chosen = best(&p, func, SeedRule::CostRestricted).unwrap();
         assert_eq!(f.local(chosen).name, "first");
         // Ranking is reproducible call to call.
         assert_eq!(
@@ -317,7 +273,7 @@ mod tests {
         let p = hps_lang::parse("fn g(x: int) -> int { return x; } fn main() { print(g(1)); }")
             .unwrap();
         let func = p.func_by_name("g").unwrap();
-        assert_eq!(choose_seed(&p, func), None);
+        assert_eq!(best(&p, func, SeedRule::CostRestricted), None);
     }
 
     #[test]
@@ -329,7 +285,10 @@ mod tests {
         )
         .unwrap();
         let funcs: Vec<FuncId> = vec![p.func_by_name("a").unwrap(), p.func_by_name("b").unwrap()];
-        let seeds = choose_seeds_all(&p, &funcs);
+        let seeds: Vec<(FuncId, LocalId)> = funcs
+            .iter()
+            .filter_map(|&f| best(&p, f, SeedRule::CostRestricted).map(|s| (f, s)))
+            .collect();
         assert_eq!(seeds.len(), 1);
         assert_eq!(seeds[0].0, p.func_by_name("a").unwrap());
     }

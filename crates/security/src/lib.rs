@@ -42,10 +42,7 @@ pub mod lattice;
 pub mod optimize;
 
 pub use cc::{CcTriple, PathCount};
-pub use choose::{
-    choose_seed, choose_seed_with, choose_seeds_all, choose_seeds_all_with, in_loop_hidden_calls,
-    ranked_seeds_with, SeedCandidate, SeedRule,
-};
+pub use choose::{in_loop_hidden_calls, ranked_seeds_with, SeedCandidate, SeedRule};
 pub use estimate::Estimator;
 pub use ilp::{analyze_split, IlpComplexity, OriginalAnalysis, SecurityReport};
 pub use lattice::{Ac, AcType, Inputs};

@@ -314,12 +314,14 @@ pub struct OptimizeOutcome {
 /// an [`OptimizeLadder`]'s level 0 and the plan behind every pre-existing
 /// golden.
 pub fn default_targets(program: &Program, rule: SeedRule) -> SplitPlan {
-    let selected = select_functions(program);
-    let seeds = crate::choose::choose_seeds_all_with(program, &selected, rule);
+    let analysis = OriginalAnalysis::new(program);
     SplitPlan::from_targets(
-        seeds
+        select_functions(program)
             .into_iter()
-            .map(|(func, seed)| SplitTarget::Function { func, seed })
+            .filter_map(|func| {
+                let seed = ranked_seeds_with(&analysis, func, rule).first()?.seed;
+                Some(SplitTarget::Function { func, seed })
+            })
             .collect(),
     )
 }

@@ -3,7 +3,7 @@
 
 use hps_core::{select_functions, split_program, SplitPlan, SplitTarget};
 use hps_runtime::{run_program, Executor};
-use hps_security::choose_seed;
+use hps_security::{ranked_seeds_with, OriginalAnalysis, SeedRule};
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "optkit".into());
@@ -19,9 +19,10 @@ fn main() {
     );
     let input = b.workload(600, 77);
     let original = run_program(&program, &[input.deep_clone()]).unwrap();
+    let analysis = OriginalAnalysis::new(&program);
     for &func in &selected {
-        let seed = match choose_seed(&program, func) {
-            Some(s) => s,
+        let seed = match ranked_seeds_with(&analysis, func, SeedRule::CostRestricted).first() {
+            Some(c) => c.seed,
             None => {
                 println!("{}: no seed", program.func(func).name);
                 continue;

@@ -3,21 +3,18 @@
 //! original-vs-split equivalence — the full paper pipeline on every
 //! program.
 
-use hps_core::{select_functions, split_program, SplitPlan, SplitTarget};
+use hps_core::{select_functions, split_program, SplitPlan};
 use hps_runtime::{run_program, Executor};
-use hps_security::{analyze_split, choose_seeds_all};
+use hps_security::{analyze_split, default_targets, SeedRule};
 
 fn paper_plan(program: &hps_ir::Program) -> SplitPlan {
-    let selected = select_functions(program);
-    assert!(!selected.is_empty(), "selection found nothing to split");
-    let seeds = choose_seeds_all(program, &selected);
-    assert!(!seeds.is_empty(), "no seeds chosen");
-    SplitPlan::from_targets(
-        seeds
-            .into_iter()
-            .map(|(func, seed)| SplitTarget::Function { func, seed })
-            .collect(),
-    )
+    assert!(
+        !select_functions(program).is_empty(),
+        "selection found nothing to split"
+    );
+    let plan = default_targets(program, SeedRule::CostRestricted);
+    assert!(!plan.targets.is_empty(), "no seeds chosen");
+    plan
 }
 
 #[test]

@@ -9,10 +9,9 @@
 //! ```
 
 use hiding_program_slices as hps;
-use hps::runtime::tcp::{serve_once, TcpChannel};
-use hps::runtime::{run_program, Channel, ExecConfig, Interp, SecureServer, SplitMeta};
+use hps::runtime::tcp::{RetryPolicy, SessionServer, TcpChannel};
+use hps::runtime::{run_program, Channel, ExecConfig, Interp, SplitMeta};
 use hps::split::{split_program, SplitPlan};
-use std::net::TcpListener;
 use std::thread;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -24,17 +23,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let split = split_program(&program, &plan)?;
 
     // "Secure machine": a TCP server holding only the hidden program.
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let addr = listener.local_addr()?;
-    let hidden = split.hidden.clone();
-    let server_thread = thread::spawn(move || {
-        let mut server = SecureServer::new(hidden);
-        serve_once(listener, &mut server)
-    });
+    let server = SessionServer::bind("127.0.0.1:0", split.hidden.clone())?;
+    let handle = server.handle()?;
+    let server_thread = thread::spawn(move || server.serve(|_, _| {}));
 
     // "Unsecure machine": runs the open program, knows only component
     // routing metadata, and reaches the fragments over the socket.
-    let mut channel = TcpChannel::connect(addr)?;
+    let mut channel = TcpChannel::connect_reliable(handle.addr(), RetryPolicy::new())?;
     let meta = SplitMeta::derive(&split.open, &split.hidden);
     let input = b.workload(400, 7);
     let outcome = {
@@ -44,7 +39,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let interactions = channel.interactions();
     channel.shutdown()?;
-    let served = server_thread.join().expect("server thread")?;
+    handle.stop();
+    server_thread.join().expect("server thread")?;
+    let served = handle.stats().calls;
 
     println!("split output over TCP: {:?}", outcome.output);
     println!("interactions: {interactions} (server served {served})");

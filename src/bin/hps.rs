@@ -23,7 +23,7 @@
 //!                                             Prometheus text format, --journal-dir
 //!                                             persists session journals so hidden
 //!                                             state survives a server restart
-//! hps client <file.ml> <addr> [selection] [--batch] [--retry] [--timeout MS] [ints...]
+//! hps client <file.ml> <addr> [selection] [--batch] [--timeout MS] [ints...]
 //!                                             run the open component against a server
 //! hps tables [--quick]                        shortcut to the experiment harness
 //! ```
@@ -79,7 +79,7 @@ USAGE:
   hps audit <file.ml> [selection flags] [--json | --sarif | --effects]
   hps serve <file.ml> <addr> [selection flags] [--shards N] [--chaos SEED]
                              [--metrics ADDR] [--journal-dir DIR]
-  hps client <file.ml> <addr> [selection flags] [--batch] [--retry] [--timeout MS] [--args ints...]
+  hps client <file.ml> <addr> [selection flags] [--batch] [--timeout MS] [--args ints...]
 
 Selection flags default to --auto: call-graph-cut function selection with
 complexity-guided, cost-restricted seed choice (the paper's pipeline).
@@ -87,9 +87,9 @@ complexity-guided, cost-restricted seed choice (the paper's pipeline).
 component passes a declared ILP, lints for weak leaks and exits non-zero
 on any deny-level finding; --json / --sarif select machine-readable output.
 --batch coalesces deferrable hidden calls into batched round trips.
---retry opens a fault-tolerant session (timeouts, reconnect with backoff,
-exactly-once replay); --timeout MS (implies --retry) puts a hard per-call
-deadline on every hidden round trip; --chaos SEED makes the server
+`client` always opens a fault-tolerant session (timeouts, reconnect with
+backoff, exactly-once replay); --timeout MS puts a hard per-call deadline
+on every hidden round trip; --chaos SEED makes the server
 deterministically kill connections mid-call to exercise it.
 `serve --journal-dir DIR` journals every committed hidden call to
 checksummed per-session files so sessions rebuild their hidden state
@@ -568,7 +568,7 @@ fn spawn_metrics_endpoint(addr: &str, handle: SessionServerHandle) -> Result<Soc
 
 fn cmd_client(args: &[String]) -> Result<(), String> {
     const USAGE: &str =
-        "usage: hps client <file.ml> <addr> [flags] [--batch] [--retry] [--timeout MS] [--args ints]";
+        "usage: hps client <file.ml> <addr> [flags] [--batch] [--timeout MS] [--args ints]";
     let path = args.first().ok_or(USAGE)?;
     let addr = args.get(1).ok_or(USAGE)?;
     let rest = &args[2..];
@@ -577,7 +577,6 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
         None => (rest, &[]),
     };
     let batch = flags.iter().any(|a| a == "--batch");
-    let mut retry = flags.iter().any(|a| a == "--retry");
     let mut timeout_ms = None;
     let mut selection = Vec::new();
     let mut i = 0;
@@ -591,11 +590,9 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
                 .filter(|&ms| ms > 0)
                 .ok_or("--timeout must be a positive integer (milliseconds)")?;
             timeout_ms = Some(ms);
-            // The per-call deadline lives in the reliable transport.
-            retry = true;
             i += 2;
         } else {
-            if flags[i] != "--batch" && flags[i] != "--retry" {
+            if flags[i] != "--batch" {
                 selection.push(flags[i].clone());
             }
             i += 1;
@@ -604,13 +601,10 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
     let program = load(path)?;
     let split = do_split(&program, &selection)?;
     let entry_args = int_args(entry)?;
-    let mut channel = if retry {
-        let policy =
-            RetryPolicy::new().with_call_deadline(timeout_ms.map(std::time::Duration::from_millis));
-        TcpChannel::connect_reliable(addr.as_str(), policy).map_err(|e| e.to_string())?
-    } else {
-        TcpChannel::connect(addr.as_str()).map_err(|e| e.to_string())?
-    };
+    let policy =
+        RetryPolicy::new().with_call_deadline(timeout_ms.map(std::time::Duration::from_millis));
+    let mut channel =
+        TcpChannel::connect_reliable(addr.as_str(), policy).map_err(|e| e.to_string())?;
     let meta = SplitMeta::derive(&split.open, &split.hidden);
     let outcome = {
         let mut interp = Interp::new(&split.open, ExecConfig::new().with_batching(batch))
@@ -624,11 +618,9 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
     let stats = hps::runtime::Channel::transport_stats(&channel);
     channel.shutdown().map_err(|e| e.to_string())?;
     eprintln!("[hps] {interactions} open<->hidden interactions");
-    if retry {
-        eprintln!(
-            "[hps] transport: {} retries, {} reconnects, {} faults",
-            stats.retries, stats.reconnects, stats.faults
-        );
-    }
+    eprintln!(
+        "[hps] transport: {} retries, {} reconnects, {} faults",
+        stats.retries, stats.reconnects, stats.faults
+    );
     Ok(())
 }

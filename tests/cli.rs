@@ -346,5 +346,7 @@ fn serve_and_client_split_across_processes() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "444");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("interactions"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("interactions"));
+    assert!(stderr.contains("transport:"), "{stderr}");
 }

@@ -4,10 +4,10 @@
 //! run exactly.
 
 use hiding_program_slices as hps;
-use hps::runtime::tcp::{serve_once, ChaosConfig, RetryPolicy, SessionServer, TcpChannel};
-use hps::runtime::{run_program, Channel, ExecConfig, Interp, SecureServer, SplitMeta};
+use hps::runtime::tcp::{ChaosConfig, RetryPolicy, SessionServer, SessionServerHandle, TcpChannel};
+use hps::runtime::{run_program, Channel, ExecConfig, Interp, RuntimeError, SplitMeta};
+use hps::security::{default_targets, SeedRule};
 use hps::split::split_program;
-use std::net::TcpListener;
 use std::thread;
 use std::time::Duration;
 
@@ -18,31 +18,30 @@ fn rulekit_split() -> (
 ) {
     let b = hps::suite::benchmark("rulekit").expect("exists");
     let program = b.program().expect("parses");
-    let selected = hps::split::select_functions(&program);
-    let seeds = hps::security::choose_seeds_all(&program, &selected);
-    let plan = hps::split::SplitPlan::from_targets(
-        seeds
-            .into_iter()
-            .map(|(func, seed)| hps::split::SplitTarget::Function { func, seed })
-            .collect(),
-    );
+    let plan = default_targets(&program, SeedRule::CostRestricted);
     let split = split_program(&program, &plan).expect("splits");
     (b, program, split)
+}
+
+/// Serves `hidden` from a session server on its own thread.
+fn serve(
+    hidden: hps::ir::HiddenProgram,
+) -> (
+    SessionServerHandle,
+    thread::JoinHandle<Result<(), RuntimeError>>,
+) {
+    let server = SessionServer::bind("127.0.0.1:0", hidden).expect("bind");
+    let handle = server.handle().expect("handle");
+    (handle, thread::spawn(move || server.serve(|_, _| {})))
 }
 
 #[test]
 fn benchmark_split_runs_over_tcp() {
     let (b, program, split) = rulekit_split();
+    let (handle, server) = serve(split.hidden.clone());
 
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let hidden = split.hidden.clone();
-    let server = thread::spawn(move || {
-        let mut server = SecureServer::new(hidden);
-        serve_once(listener, &mut server)
-    });
-
-    let mut channel = TcpChannel::connect(addr).expect("connect");
+    let mut channel =
+        TcpChannel::connect_reliable(handle.addr(), RetryPolicy::new()).expect("connect");
     let meta = SplitMeta::derive(&split.open, &split.hidden);
     let outcome = {
         let mut interp =
@@ -53,25 +52,22 @@ fn benchmark_split_runs_over_tcp() {
     };
     let interactions = channel.interactions();
     channel.shutdown().expect("shutdown");
-    let served = server.join().expect("join").expect("serve");
+    handle.stop();
+    server.join().expect("join").expect("serve");
 
     let original = run_program(&program, &[b.workload(300, 9)]).expect("original runs");
     assert_eq!(original.output, outcome.output);
     assert!(interactions > 0);
-    assert_eq!(served, interactions);
+    assert_eq!(handle.stats().calls, interactions);
 }
 
 #[test]
 fn tcp_channel_reports_server_side_failures() {
     // A client addressing a component the server does not have gets a
     // remote error, not a hang or a protocol break.
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let server = thread::spawn(move || {
-        let mut server = SecureServer::new(hps::ir::HiddenProgram::new());
-        serve_once(listener, &mut server)
-    });
-    let mut channel = TcpChannel::connect(addr).expect("connect");
+    let (handle, server) = serve(hps::ir::HiddenProgram::new());
+    let mut channel =
+        TcpChannel::connect_reliable(handle.addr(), RetryPolicy::new()).expect("connect");
     let err = channel
         .call(
             hps::ir::ComponentId::new(0),
@@ -80,8 +76,9 @@ fn tcp_channel_reports_server_side_failures() {
             &[],
         )
         .expect_err("unknown component must fail");
-    assert!(matches!(err, hps::runtime::RuntimeError::Channel(msg) if msg.contains("remote:")));
+    assert!(matches!(err, RuntimeError::Channel(msg) if msg.contains("remote:")));
     channel.shutdown().expect("shutdown");
+    handle.stop();
     server.join().expect("join").expect("serve");
 }
 
@@ -137,29 +134,15 @@ fn benchmark_split_survives_chaos_over_sessions() {
 #[test]
 fn concurrent_clients_share_one_session_server() {
     let (b, program, split) = rulekit_split();
-    let server = SessionServer::bind("127.0.0.1:0", split.hidden.clone()).expect("bind");
-    let handle = server.handle().expect("handle");
+    let (handle, server) = serve(split.hidden.clone());
     let addr = handle.addr();
-    let serve = thread::spawn(move || server.serve(|_, _| {}));
 
     let expected = run_program(&program, &[b.workload(200, 5)])
         .expect("original runs")
         .output;
     let workers: Vec<_> = (0..3)
         .map(|w| {
-            let split = split_program(
-                &b.program().expect("parses"),
-                &hps::split::SplitPlan::from_targets(
-                    hps::security::choose_seeds_all(
-                        &b.program().expect("parses"),
-                        &hps::split::select_functions(&b.program().expect("parses")),
-                    )
-                    .into_iter()
-                    .map(|(func, seed)| hps::split::SplitTarget::Function { func, seed })
-                    .collect(),
-                ),
-            )
-            .expect("splits");
+            let (_, _, split) = rulekit_split();
             thread::spawn(move || {
                 // Hidden-side values are not Send; build the workload on
                 // this thread.
@@ -190,5 +173,5 @@ fn concurrent_clients_share_one_session_server() {
         "one isolated session per client"
     );
     handle.stop();
-    serve.join().expect("join").expect("serve");
+    server.join().expect("join").expect("serve");
 }
