@@ -44,8 +44,8 @@
 use crate::callgraph::CallGraph;
 use crate::modref::ModRef;
 use hps_ir::{
-    BinOp, Block, Builtin, Expr, FragLabel, Fragment, FuncId, GlobalId, HiddenProgram, Place,
-    Program, StmtKind,
+    BinOp, Block, Builtin, Expr, Fragment, FuncId, GlobalId, HiddenProgram, Place, Program,
+    StmtKind,
 };
 use std::collections::BTreeSet;
 
@@ -285,18 +285,6 @@ impl FragmentEffects {
         self.per_component.get(component)?.get(position).copied()
     }
 
-    /// The effect of the fragment with the given label, if any.
-    pub fn effect_of_label(
-        &self,
-        hidden: &HiddenProgram,
-        component: usize,
-        label: FragLabel,
-    ) -> Option<Effect> {
-        let comp = hidden.components.get(component)?;
-        let pos = comp.fragments.iter().position(|f| f.label == label)?;
-        self.effect(component, pos)
-    }
-
     /// Iterates `(component, position, effect)` in order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, Effect)> + '_ {
         self.per_component
@@ -441,7 +429,7 @@ fn function_may_trap(func: &hps_ir::Function) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hps_ir::{LocalId, Stmt, Ty};
+    use hps_ir::{FragLabel, LocalId, Stmt, Ty};
 
     fn frag(body: Vec<Stmt>, params: usize, ret: Option<Expr>) -> Fragment {
         Fragment {

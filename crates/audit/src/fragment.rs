@@ -20,9 +20,7 @@
 
 use hps_analysis::taint::{TaintAnalysis, TaintModel};
 use hps_analysis::{BitSet, Cfg, ControlDeps, DomTree, VarId};
-use hps_ir::{
-    ComponentId, FragLabel, Fragment, Function, HiddenComponent, LocalId, Stmt, StmtKind, Ty,
-};
+use hps_ir::{ComponentId, FragLabel, Fragment, Function, HiddenComponent, Stmt, StmtKind, Ty};
 use std::collections::HashMap;
 
 /// What the auditor knows about one fragment.
@@ -154,15 +152,10 @@ fn ret_ty_guess(component: &HiddenComponent, fragment: &Fragment) -> Ty {
     Ty::Int
 }
 
-/// Convenience: `LocalId`s of the hidden slots of a component.
-pub fn hidden_slot_ids(component: &HiddenComponent) -> Vec<LocalId> {
-    (0..component.vars.len()).map(LocalId::new).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hps_ir::{Block, ComponentKind, Expr, HiddenVar, Place};
+    use hps_ir::{Block, ComponentKind, Expr, HiddenVar, LocalId, Place};
 
     fn component(fragments: Vec<Fragment>) -> HiddenComponent {
         HiddenComponent {

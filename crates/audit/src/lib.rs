@@ -46,7 +46,6 @@
 pub mod diag;
 pub mod flow;
 pub mod fragment;
-pub mod json;
 pub mod lints;
 pub mod planner;
 pub mod render;
@@ -54,7 +53,7 @@ pub mod render;
 pub use diag::{Diagnostic, Lint, Severity, ALL_LINTS};
 pub use flow::{LeakLabel, OpenFlow};
 pub use fragment::FragmentFacts;
-pub use json::Json;
+pub use hps_telemetry::json::Json;
 pub use planner::{plan_to_json, render_plan, Measurer, PlanError, PlanReport, Planner};
 
 use hps_analysis::ModRef;

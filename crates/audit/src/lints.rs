@@ -14,7 +14,8 @@ use crate::diag::{self, Diagnostic};
 use crate::flow::OpenFlow;
 use crate::fragment::FragmentFacts;
 use hps_analysis::{
-    vars::stmt_effect, CallGraph, Cfg, DefUse, Effect, ModRef, ReachingDefs, StructInfo, VarId,
+    fragment_effect, vars::stmt_effect, CallGraph, Cfg, DefUse, Effect, ModRef, ReachingDefs,
+    StructInfo, VarId,
 };
 use hps_core::SplitResult;
 use hps_ir::{ComponentId, FragLabel, FuncId, Function, Program, Stmt, StmtKind};
@@ -406,17 +407,14 @@ fn check_fragment_usage(input: &LintInput<'_>, sink: &mut Sink) {
 }
 
 /// `memoizable_fragment` + `nondeterministic_hidden_fragment`: surface the
-/// effect summaries stamped onto the split. `Pure` fragments compute a
-/// function of their arguments alone; `MayTrap` fragments
-/// carry trap/nondeterminism sources, so their outcome is not a pure
-/// function of their arguments.
+/// per-fragment effect summaries (`hps_analysis::fragment_effect`). `Pure`
+/// fragments compute a function of their arguments alone; `MayTrap`
+/// fragments carry trap/nondeterminism sources, so their outcome is not a
+/// pure function of their arguments.
 fn check_fragment_effects(input: &LintInput<'_>, sink: &mut Sink) {
-    for (ci, component) in input.split.hidden.components.iter().enumerate() {
-        for (pos, fragment) in component.fragments.iter().enumerate() {
-            let Some(effect) = input.split.effects.effect(ci, pos) else {
-                continue;
-            };
-            match effect {
+    for component in &input.split.hidden.components {
+        for fragment in &component.fragments {
+            match fragment_effect(fragment, component.vars.len()) {
                 Effect::Pure => sink.emit(
                     Diagnostic::new(
                         &diag::MEMOIZABLE_FRAGMENT,

@@ -87,9 +87,9 @@ pub type Measurer<'p> = Box<dyn Fn(&Program, &SplitResult) -> Result<MeasuredCos
 
 /// Everything `plan()` decided and verified, in one place.
 ///
-/// Non-exhaustive: construct with [`PlanReport::default`] plus the setters
-/// when building one by hand (tests, fixtures); `Planner::plan` is the
-/// normal producer.
+/// Non-exhaustive: construct with [`PlanReport::default`] and assign the
+/// public fields when building one by hand (tests, fixtures);
+/// `Planner::plan` is the normal producer.
 #[non_exhaustive]
 #[derive(Clone, Debug, Default)]
 pub struct PlanReport {
@@ -148,24 +148,6 @@ pub struct PlanReport {
 }
 
 impl PlanReport {
-    /// Builder setter for [`PlanReport::plan`].
-    pub fn with_plan(mut self, plan: SplitPlan) -> PlanReport {
-        self.plan = plan;
-        self
-    }
-
-    /// Builder setter for [`PlanReport::budget_percent`].
-    pub fn with_budget_percent(mut self, pct: Option<f64>) -> PlanReport {
-        self.budget_percent = pct;
-        self
-    }
-
-    /// Builder setter for [`PlanReport::measured`].
-    pub fn with_measured(mut self, measured: Option<MeasuredCost>) -> PlanReport {
-        self.measured = measured;
-        self
-    }
-
     /// The overhead percentage the budget verdict is based on: measured
     /// when a measurer ran, otherwise predicted.
     pub fn overhead_percent(&self) -> f64 {
@@ -176,7 +158,7 @@ impl PlanReport {
     }
 
     /// Weak `weak_ilp_constant` + `weak_ilp_linear` findings surviving in
-    /// the audit (post-suppression), the CI gate's criterion. Masked weak
+    /// the audit (post-suppression), what the CI gate counts. Masked weak
     /// leaks are reported as note-level `masked_weak_ilp` instead and do
     /// not count here.
     pub fn weak_lints(&self) -> usize {
@@ -188,7 +170,7 @@ impl PlanReport {
     }
 
     /// Weak ILPs that ship *unmasked* — the honest hardening contract and
-    /// the CI gate's criterion. A masked leak is still weak against the
+    /// what the CI gate counts. A masked leak is still weak against the
     /// full adversary (who holds the open-side decode), but it never
     /// travels in the clear; an unmasked weak leak has no excuse.
     pub fn weak_unmasked_after(&self) -> usize {
@@ -222,7 +204,6 @@ pub struct Planner<'p> {
     budget: Option<f64>,
     harden: bool,
     targets: Option<SplitPlan>,
-    model: Option<PlanCostModel>,
     measurer: Option<Measurer<'p>>,
 }
 
@@ -237,7 +218,6 @@ impl<'p> Planner<'p> {
             budget: None,
             harden: false,
             targets: None,
-            model: None,
             measurer: None,
         }
     }
@@ -272,14 +252,6 @@ impl<'p> Planner<'p> {
         self
     }
 
-    /// Overrides the cost model used for prediction (default: LAN-tuned
-    /// [`PlanCostModel::default`], re-calibrated from the measurement when
-    /// a measurer is attached).
-    pub fn cost_model(mut self, model: PlanCostModel) -> Planner<'p> {
-        self.model = Some(model);
-        self
-    }
-
     /// Attaches a measurement hook (see [`Measurer`]). The planner calls
     /// it for every candidate plan the budget search tries, always with
     /// this planner's program; keep the workload small.
@@ -309,7 +281,6 @@ impl<'p> Planner<'p> {
         // 64 is far above any real program in the suite and a backstop
         // against a non-converging search.
         const MAX_LEVELS: usize = 64;
-        let base_model = self.model.clone().unwrap_or_default();
 
         // Explicit targets: the plan is fixed, no ladder.
         if let Some(plan) = &self.targets {
@@ -323,11 +294,11 @@ impl<'p> Planner<'p> {
             report.plan = plan.clone();
             report.rule = self.rule;
             let analysis = OriginalAnalysis::new(self.program);
-            let report = self.level(report, &base_model, &analysis)?;
+            let report = self.level(report, &analysis)?;
             return Ok(self.conclude(report, &analysis));
         }
 
-        let mut ladder = OptimizeLadder::new(self.program, self.rule, base_model.clone());
+        let mut ladder = OptimizeLadder::new(self.program, self.rule, PlanCostModel::default());
         loop {
             let outcome = ladder.outcome(None);
             if outcome.plan.targets.is_empty() && outcome.level == 0 {
@@ -343,7 +314,7 @@ impl<'p> Planner<'p> {
             report.dropped = outcome.dropped;
             report.rule = outcome.rule;
             report.rule_fallback = outcome.rule_fallback;
-            let report = self.level(report, &base_model, ladder.analysis())?;
+            let report = self.level(report, ladder.analysis())?;
             let over = report.within_budget == Some(false);
             if !over || ladder.level() + 1 >= MAX_LEVELS || !ladder.descend() {
                 return Ok(self.conclude(report, ladder.analysis()));
@@ -356,7 +327,6 @@ impl<'p> Planner<'p> {
     fn level(
         &self,
         mut report: PlanReport,
-        base_model: &PlanCostModel,
         analysis: &OriginalAnalysis<'_>,
     ) -> Result<PlanReport, PlanError> {
         let program = self.program;
@@ -372,15 +342,16 @@ impl<'p> Planner<'p> {
         }
 
         // 3. Measure (when a hook is attached) and predict with the
-        //    calibrated model. Calibration starts from the caller's model
+        //    calibrated model. Calibration starts from the default model
         //    so only the round-trip weight is replaced by telemetry.
         report.measured = match &self.measurer {
             Some(m) => Some(m(program, &split).map_err(PlanError::Measure)?),
             None => None,
         };
+        let base_model = PlanCostModel::default();
         let (model, base_units) = match &report.measured {
             Some(m) => (base_model.calibrated(m), Some(m.base_units)),
-            None => (base_model.clone(), None),
+            None => (base_model, None),
         };
         report.predicted_cost = predict(program, &split, &model, base_units);
         report.split = split;
@@ -616,18 +587,18 @@ pub fn plan_to_json(report: &PlanReport) -> crate::Json {
     let predicted = Json::object()
         .field("call_sites", p.call_sites)
         .field("in_loop_sites", p.in_loop_sites)
-        .field("interactions", Json::Int(p.interactions as i64))
-        .field("extra_units", Json::Int(p.extra_units as i64))
-        .field("base_units", Json::Int(p.base_units as i64))
+        .field("interactions", p.interactions)
+        .field("extra_units", p.extra_units)
+        .field("base_units", p.base_units)
         .field("overhead_percent", format!("{:.2}", p.overhead_percent()));
     let measured = match &report.measured {
         Some(m) => Json::object()
-            .field("base_units", Json::Int(m.base_units as i64))
-            .field("split_units", Json::Int(m.split_units as i64))
-            .field("rtt_units", Json::Int(m.rtt_units as i64))
-            .field("server_units", Json::Int(m.server_units as i64))
-            .field("open_units", Json::Int(m.open_units() as i64))
-            .field("interactions", Json::Int(m.interactions as i64))
+            .field("base_units", m.base_units)
+            .field("split_units", m.split_units)
+            .field("rtt_units", m.rtt_units)
+            .field("server_units", m.server_units)
+            .field("open_units", m.open_units())
+            .field("interactions", m.interactions)
             .field("overhead_percent", format!("{:.2}", m.overhead_percent())),
         None => Json::Null,
     };
@@ -806,39 +777,6 @@ mod tests {
         assert_eq!(report.security, analyze_split(&p, &report.split));
         assert_eq!(report.lattice_after, report.security.counts_by_type());
         assert_eq!(report.weak_after, weak_count(&report.security));
-    }
-
-    #[test]
-    fn caller_cost_model_survives_measurement_calibration() {
-        let p = hps_lang::parse(SRC).unwrap();
-        let measurer = |_: &Program, _: &SplitResult| {
-            Ok(MeasuredCost {
-                base_units: 1000,
-                split_units: 1100,
-                rtt_units: 40,
-                server_units: 30,
-                interactions: 2,
-            })
-        };
-        let default_pred = Planner::new(&p)
-            .measure_with(measurer)
-            .plan()
-            .unwrap()
-            .predicted_cost;
-        let mut model = PlanCostModel::default();
-        model.call_units *= 10;
-        let custom_pred = Planner::new(&p)
-            .cost_model(model)
-            .measure_with(measurer)
-            .plan()
-            .unwrap()
-            .predicted_cost;
-        assert!(
-            custom_pred.extra_units > default_pred.extra_units,
-            "the caller's call_units weight must survive calibration: {} vs {}",
-            custom_pred.extra_units,
-            default_pred.extra_units
-        );
     }
 
     #[test]

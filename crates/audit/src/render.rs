@@ -5,8 +5,8 @@
 //! artifacts diff byte-for-byte across runs.
 
 use crate::diag::{Diagnostic, Severity, ALL_LINTS};
-use crate::json::Json;
 use crate::AuditReport;
+use crate::Json;
 use std::fmt::Write;
 
 /// Version tag embedded in the plain-JSON report.
@@ -135,7 +135,7 @@ pub fn to_json(report: &AuditReport, program: &str) -> Json {
 pub const EFFECTS_JSON_SCHEMA: &str = "hps-audit-effects/v1";
 
 /// Renders the split's effect facts as schema-stable JSON: the per-fragment
-/// summaries stamped onto the split at split time, plus an interprocedural
+/// summaries of its hidden program, plus an interprocedural
 /// [`EffectAnalysis`](hps_analysis::EffectAnalysis) of the original program against the globals the split
 /// hides. Keys and array orders are fixed, so golden files diff
 /// byte-for-byte.
@@ -144,9 +144,9 @@ pub fn effects_to_json(
     split: &hps_core::SplitResult,
     program: &str,
 ) -> Json {
-    use hps_analysis::{CallGraph, Effect, EffectAnalysis, ModRef};
+    use hps_analysis::{CallGraph, Effect, EffectAnalysis, FragmentEffects, ModRef};
 
-    let effects = &split.effects;
+    let effects = &FragmentEffects::compute(&split.hidden);
     let fragments: Vec<Json> = split
         .hidden
         .components
@@ -203,7 +203,7 @@ pub fn effects_to_json(
                 .field("reads_hidden", effects.count(Effect::ReadsHidden))
                 .field("writes_hidden", effects.count(Effect::WritesHidden))
                 .field("may_trap", effects.count(Effect::MayTrap))
-                .field("memoizable", split.memoizable_fragments())
+                .field("memoizable", effects.count(Effect::Pure))
                 .field("fixpoint_iterations", ea.iterations()),
         )
         .field("fragments", Json::Array(fragments))

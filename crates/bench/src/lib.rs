@@ -20,8 +20,8 @@ use hps_core::{split_program, SplitPlan, SplitResult};
 use hps_ir::Program;
 use hps_runtime::telemetry::metrics::names;
 use hps_runtime::{
-    run_function, run_program, Channel, ExecConfig, Executor, InProcessChannel, Interp,
-    MetricsRecorder, RtValue, SecureServer, SplitMeta, Trace, TraceChannel,
+    run_program, Channel, ExecConfig, Executor, InProcessChannel, Interp, MetricsRecorder,
+    SecureServer, SplitMeta, Trace, TraceChannel, COST_MODEL,
 };
 use hps_security::{analyze_split, SecurityReport};
 use hps_suite::{benchmarks, Benchmark};
@@ -284,8 +284,7 @@ pub fn table5_rows(scale: usize) -> Vec<Table5Row> {
         let (_, split) = split_benchmark(&b);
         for &(label, size) in b.workloads() {
             let size = (size / scale).max(30);
-            let cfg = ExecConfig::new();
-            let rtt = cfg.cost_model.lan_round_trip();
+            let rtt = COST_MODEL.lan_round_trip();
             let program = b.program().expect("parses");
             let before = run_program(&program, &[b.workload(size, 1)]).expect("original runs");
             let after = Executor::new(&split.open, &split.hidden)
@@ -311,9 +310,9 @@ pub fn table5_rows(scale: usize) -> Vec<Table5Row> {
                 size,
                 interactions: after.interactions,
                 interactions_batched: batched.interactions,
-                before_s: cfg.cost_model.to_seconds(before.cost),
-                after_s: cfg.cost_model.to_seconds(after.outcome.cost),
-                batched_s: cfg.cost_model.to_seconds(batched.outcome.cost),
+                before_s: COST_MODEL.to_seconds(before.cost),
+                after_s: COST_MODEL.to_seconds(after.outcome.cost),
+                batched_s: COST_MODEL.to_seconds(batched.outcome.cost),
                 rtt_units: after.telemetry.counter(names::RTT_COST_UNITS),
                 server_units: after.telemetry.counter(names::SERVER_COST_UNITS),
                 run_units: after.telemetry.counter(names::RUN_COST_UNITS),
@@ -399,14 +398,6 @@ pub fn record_trace(b: &Benchmark, split: &SplitResult, runs: usize, size: usize
 /// Formats a virtual-seconds value like the paper ("2.13 sec").
 pub fn fmt_seconds(s: f64) -> String {
     format!("{s:.2} sec")
-}
-
-/// Convenience: runs `main` of a program once and returns its virtual cost
-/// (used by the Criterion benches).
-pub fn virtual_cost(program: &Program, input: RtValue) -> u64 {
-    run_function(program, "main", &[input], ExecConfig::new())
-        .expect("runs")
-        .cost
 }
 
 #[cfg(test)]

@@ -63,7 +63,7 @@ fn recorder_never_perturbs_virtual_quantities() {
 /// workload — i.e. `RecorderHandle::record` with a `None` handle is a
 /// single branch, not hidden work.
 ///
-/// A true before/after-PR comparison needs a stored Criterion baseline;
+/// A true before/after comparison needs a stored wall-clock baseline;
 /// in-binary, the strongest executable claim is directional: recording
 /// strictly adds work (event construction + counter/histogram updates),
 /// so the disabled arm must come in at or below the enabled arm. If the

@@ -56,15 +56,6 @@ impl DeferStats {
         self.deferred_calls += other.deferred_calls;
         self.dead_results_dropped += other.dead_results_dropped;
     }
-
-    /// Fraction of hidden-call sites that a batching runtime may coalesce.
-    pub fn deferred_fraction(&self) -> f64 {
-        if self.total_calls == 0 {
-            0.0
-        } else {
-            self.deferred_calls as f64 / self.total_calls as f64
-        }
-    }
 }
 
 /// Marks deferrable hidden calls in a freshly split (and renumbered) open

@@ -125,13 +125,12 @@ pub fn harden_split(split: &mut SplitResult, weak: &[(ComponentId, FragLabel)]) 
     }
 
     if mutated {
-        // Re-run the post-split pipeline: fresh statement ids, a fresh
+        // Re-run the post-split pipeline: fresh statement ids and a fresh
         // deferrable-call analysis (decode statements demand results
-        // immediately, invalidating earlier marks) and fresh effects.
+        // immediately, invalidating earlier marks).
         reset_deferred(&mut split.open);
         split.open.renumber_all();
         split.defer = crate::defer::mark_deferrable(&mut split.open);
-        split.effects = hps_analysis::FragmentEffects::compute(&split.hidden);
     }
     report
 }

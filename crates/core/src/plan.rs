@@ -47,7 +47,8 @@ pub struct SplitPlan {
 }
 
 impl SplitPlan {
-    /// An empty plan (builder style: chain [`SplitPlan::with_target`]).
+    /// An empty plan; [`SplitPlan::from_targets`] and
+    /// [`SplitPlan::single`] build plans with targets.
     pub fn new() -> SplitPlan {
         SplitPlan {
             targets: Vec::new(),
@@ -61,18 +62,6 @@ impl SplitPlan {
             targets,
             promote_control: true,
         }
-    }
-
-    /// Appends one target (builder setter).
-    pub fn with_target(mut self, target: SplitTarget) -> SplitPlan {
-        self.targets.push(target);
-        self
-    }
-
-    /// Replaces the target list (builder setter).
-    pub fn with_targets(mut self, targets: Vec<SplitTarget>) -> SplitPlan {
-        self.targets = targets;
-        self
     }
 
     /// Sets control-flow promotion (builder setter;

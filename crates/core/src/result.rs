@@ -1,7 +1,6 @@
 //! Split results and per-function reports.
 
 use crate::defer::DeferStats;
-use hps_analysis::effects::{Effect, FragmentEffects};
 use hps_analysis::VarId;
 use hps_ir::{ComponentId, Expr, FragLabel, FuncId, HiddenProgram, Program, StmtId};
 use hps_slicing::SlicePlan;
@@ -114,21 +113,12 @@ pub struct SplitResult {
     pub reports: Vec<SplitReport>,
     /// What the deferrable-call pass marked (round-trip coalescing).
     pub defer: DeferStats,
-    /// Per-fragment effect summaries (`hps-analysis::effects`): which
-    /// fragments are provably pure (memoizable), which read
-    /// or write hidden state, and which may trap.
-    pub effects: FragmentEffects,
 }
 
 impl SplitResult {
     /// Total ILPs across all reports.
     pub fn total_ilps(&self) -> usize {
         self.reports.iter().map(|r| r.ilps.len()).sum()
-    }
-
-    /// Number of fragments the effect analysis proves pure (memoizable).
-    pub fn memoizable_fragments(&self) -> usize {
-        self.effects.count(Effect::Pure)
     }
 
     /// Total slice statements across all reports (Table 2).

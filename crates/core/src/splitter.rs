@@ -185,15 +185,11 @@ pub fn split_program(program: &Program, plan: &SplitPlan) -> Result<SplitResult,
     // Round-trip coalescing: mark hidden calls whose replies no open
     // statement demands before the next flush point (see `crate::defer`).
     let defer = crate::defer::mark_deferrable(&mut open);
-    // Effect/purity summaries: which fragments are pure, read or write
-    // hidden state, or may trap.
-    let effects = hps_analysis::FragmentEffects::compute(&hidden);
     Ok(SplitResult {
         open,
         hidden,
         reports,
         defer,
-        effects,
     })
 }
 

@@ -53,7 +53,7 @@
 //! The differential proptest `tests/vm_differential.rs` pins this
 //! contract on randomly generated fragments.
 
-use crate::cost::CostModel;
+use crate::cost::COST_MODEL;
 use crate::error::RuntimeError;
 use crate::fragment::{FragOutcome, FRAGMENT_STEP_LIMIT};
 use crate::ops;
@@ -142,9 +142,6 @@ pub struct CompiledFragment {
     n_vars: usize,
     n_params: usize,
     label: hps_ir::FragLabel,
-    /// Marshalling charge per argument, baked from the cost model the
-    /// fragment was compiled against.
-    marshal_per_arg: u64,
 }
 
 impl CompiledFragment {
@@ -166,11 +163,7 @@ impl CompiledFragment {
 /// together with `fragment.params.len()` it fixes the slot layout, so the
 /// compiled code is only valid for calls passing exactly that many vars
 /// (checked by [`run_compiled`]).
-pub fn compile_fragment(
-    fragment: &Fragment,
-    n_vars: usize,
-    cost_model: &CostModel,
-) -> CompiledFragment {
+pub fn compile_fragment(fragment: &Fragment, n_vars: usize) -> CompiledFragment {
     let n_slots = n_vars + fragment.params.len();
     assert!(
         n_slots < usize::from(Reg::MAX),
@@ -183,7 +176,6 @@ pub fn compile_fragment(
         n_slots,
         next_reg: n_slots as Reg,
         max_reg: n_slots as Reg,
-        cost_model,
         loops: Vec::new(),
         epilogue: 0,
     };
@@ -206,7 +198,6 @@ pub fn compile_fragment(
         n_vars,
         n_params: fragment.params.len(),
         label: fragment.label,
-        marshal_per_arg: cost_model.marshal_per_arg,
     }
 }
 
@@ -214,7 +205,7 @@ pub fn compile_fragment(
 /// [`Compiler::finish`].
 type Label = usize;
 
-struct Compiler<'a> {
+struct Compiler {
     code: Vec<Instr>,
     labels: Vec<Option<u32>>,
     /// Code length at the last label bind; cost charges never merge
@@ -223,14 +214,13 @@ struct Compiler<'a> {
     n_slots: usize,
     next_reg: Reg,
     max_reg: Reg,
-    cost_model: &'a CostModel,
     /// Innermost-first stack of `(head, end)` labels for `break`/`continue`.
     loops: Vec<(Label, Label)>,
     /// Label of the return sequence; top-level `break`/`continue` jump here.
     epilogue: Label,
 }
 
-impl Compiler<'_> {
+impl Compiler {
     fn emit(&mut self, i: Instr) {
         self.code.push(i);
     }
@@ -330,7 +320,7 @@ impl Compiler<'_> {
             Expr::Unary { op, arg } => {
                 let (a, ca) = self.fold(arg)?;
                 let v = ops::unop(*op, &RtValue::from_const(a)).ok()?;
-                Some((v.to_const()?, self.cost_model.unop + ca))
+                Some((v.to_const()?, COST_MODEL.unop + ca))
             }
             Expr::Binary { op, lhs, rhs } if *op == BinOp::And || *op == BinOp::Or => {
                 // Fold only when the left side decides the outcome the
@@ -338,14 +328,14 @@ impl Compiler<'_> {
                 let (a, ca) = self.fold(lhs)?;
                 match (op, a) {
                     (BinOp::And, Value::Bool(false)) => {
-                        Some((Value::Bool(false), self.cost_model.binop + ca))
+                        Some((Value::Bool(false), COST_MODEL.binop + ca))
                     }
                     (BinOp::Or, Value::Bool(true)) => {
-                        Some((Value::Bool(true), self.cost_model.binop + ca))
+                        Some((Value::Bool(true), COST_MODEL.binop + ca))
                     }
                     (_, Value::Bool(_)) => {
                         let (b, cb) = self.fold(rhs)?;
-                        Some((b, self.cost_model.binop + ca + cb))
+                        Some((b, COST_MODEL.binop + ca + cb))
                     }
                     _ => None, // non-bool condition traps at runtime
                 }
@@ -354,10 +344,10 @@ impl Compiler<'_> {
                 let (a, ca) = self.fold(lhs)?;
                 let (b, cb) = self.fold(rhs)?;
                 let v = ops::binop(*op, &RtValue::from_const(a), &RtValue::from_const(b)).ok()?;
-                Some((v.to_const()?, self.cost_model.binop + ca + cb))
+                Some((v.to_const()?, COST_MODEL.binop + ca + cb))
             }
             Expr::BuiltinCall { builtin, args } => {
-                let mut cost = self.cost_model.builtin_cost(*builtin);
+                let mut cost = COST_MODEL.builtin_cost(*builtin);
                 let mut vals = Vec::with_capacity(args.len());
                 for a in args {
                     let (v, c) = self.fold(a)?;
@@ -391,14 +381,14 @@ impl Compiler<'_> {
             Expr::Const(_) => unreachable!("constants are simple operands"),
             Expr::Local(_) => self.emit(Instr::Illegal("out-of-range hidden slot")),
             Expr::Unary { op, arg } => {
-                self.add_cost(self.cost_model.unop);
+                self.add_cost(COST_MODEL.unop);
                 let mark = self.next_reg;
                 let src = self.operand(arg);
                 self.emit(Instr::Un { op: *op, dst, src });
                 self.free_to(mark);
             }
             Expr::Binary { op, lhs, rhs } if *op == BinOp::And => {
-                self.add_cost(self.cost_model.binop);
+                self.add_cost(COST_MODEL.binop);
                 let mark = self.next_reg;
                 let cond = self.operand(lhs);
                 self.free_to(mark);
@@ -420,7 +410,7 @@ impl Compiler<'_> {
                 self.bind(l_end);
             }
             Expr::Binary { op, lhs, rhs } if *op == BinOp::Or => {
-                self.add_cost(self.cost_model.binop);
+                self.add_cost(COST_MODEL.binop);
                 let mark = self.next_reg;
                 let cond = self.operand(lhs);
                 self.free_to(mark);
@@ -442,7 +432,7 @@ impl Compiler<'_> {
                 self.bind(l_end);
             }
             Expr::Binary { op, lhs, rhs } => {
-                self.add_cost(self.cost_model.binop);
+                self.add_cost(COST_MODEL.binop);
                 let mark = self.next_reg;
                 let a = self.operand(lhs);
                 let b = self.operand(rhs);
@@ -455,7 +445,7 @@ impl Compiler<'_> {
                 self.free_to(mark);
             }
             Expr::BuiltinCall { builtin, args } => {
-                self.add_cost(self.cost_model.builtin_cost(*builtin));
+                self.add_cost(COST_MODEL.builtin_cost(*builtin));
                 let mark = self.next_reg;
                 let ops_args: Vec<Operand> = args.iter().map(|a| self.operand(a)).collect();
                 self.emit(Instr::Builtin {
@@ -484,7 +474,7 @@ impl Compiler<'_> {
                 op,
                 BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
             ) {
-                self.add_cost(self.cost_model.binop);
+                self.add_cost(COST_MODEL.binop);
                 let mark = self.next_reg;
                 let a = self.operand(lhs);
                 let b = self.operand(rhs);
@@ -523,7 +513,7 @@ impl Compiler<'_> {
             Expr::Local(id) if id.index() == usize::from(slot) => {}
             _ => return false,
         }
-        self.add_cost(self.cost_model.binop + self.cost_model.assign);
+        self.add_cost(COST_MODEL.binop + COST_MODEL.assign);
         let mark = self.next_reg;
         let rhs = self.operand(rhs);
         self.emit(Instr::Accum { op, slot, rhs });
@@ -541,7 +531,7 @@ impl Compiler<'_> {
                     }
                     let mark = self.next_reg;
                     let v = self.operand(value);
-                    self.add_cost(self.cost_model.assign);
+                    self.add_cost(COST_MODEL.assign);
                     match place {
                         Place::Local(id) if id.index() < self.n_slots => {
                             self.emit(Instr::Load {
@@ -561,7 +551,7 @@ impl Compiler<'_> {
                     then_blk,
                     else_blk,
                 } => {
-                    self.add_cost(self.cost_model.branch);
+                    self.add_cost(COST_MODEL.branch);
                     let l_else = self.new_label();
                     let l_end = self.new_label();
                     self.branch_unless(cond, l_else);
@@ -580,7 +570,7 @@ impl Compiler<'_> {
                     let l_end = self.new_label();
                     self.bind(l_head);
                     self.emit(Instr::Tick);
-                    self.add_cost(self.cost_model.branch);
+                    self.add_cost(COST_MODEL.branch);
                     self.branch_unless(cond, l_end);
                     self.loops.push((l_head, l_end));
                     self.block(body);
@@ -668,7 +658,7 @@ pub fn run_compiled_with_limit(
     regs.extend(args.iter().map(|&v| RtValue::from_const(v)));
     regs.resize(compiled.n_regs, RtValue::Uninit);
 
-    let mut cost = compiled.marshal_per_arg * args.len() as u64;
+    let mut cost = COST_MODEL.marshal_per_arg * args.len() as u64;
     let mut steps: u64 = 0;
     let mut pc: usize = 0;
     let code = compiled.code.as_slice();
@@ -768,8 +758,7 @@ pub fn run_compiled_with_limit(
 }
 
 /// Compile-once cache of fragment bytecode, keyed by `(component index,
-/// fragment position)`, sized for one [`HiddenProgram`] and one cost
-/// model.
+/// fragment position)`, sized for one [`HiddenProgram`].
 ///
 /// Compiled code is immutable plain data, so one cache can be shared by
 /// every session of a shard (`Arc<VmCache>`); the counters are relaxed
@@ -823,13 +812,12 @@ impl VmCache {
         position: usize,
         fragment: &Fragment,
         n_vars: usize,
-        cost_model: &CostModel,
     ) -> Option<(&CompiledFragment, bool)> {
         let cell = self.slots.get(component)?.get(position)?;
         let mut fresh = false;
         let code = cell.get_or_init(|| {
             let t0 = std::time::Instant::now();
-            let compiled = compile_fragment(fragment, n_vars, cost_model);
+            let compiled = compile_fragment(fragment, n_vars);
             self.compile_nanos
                 .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
             self.compiles.fetch_add(1, Ordering::Relaxed);
@@ -860,11 +848,10 @@ mod tests {
 
     /// Runs both engines and asserts identical outcome, state and error.
     fn assert_parity(f: &Fragment, vars: &[RtValue], args: &[Value]) {
-        let cm = CostModel::new();
         let mut tree_vars = vars.to_vec();
         let mut vm_vars = vars.to_vec();
-        let tree = run_fragment(f, &mut tree_vars, args, &cm);
-        let compiled = compile_fragment(f, vars.len(), &cm);
+        let tree = run_fragment(f, &mut tree_vars, args);
+        let compiled = compile_fragment(f, vars.len());
         let vm = run_compiled(&compiled, &mut vm_vars, args);
         assert_eq!(format!("{tree:?}"), format!("{vm:?}"), "outcome diverged");
         assert_eq!(tree_vars, vm_vars, "hidden state diverged");
@@ -906,11 +893,10 @@ mod tests {
             )),
         );
         assert_parity(&f, &[], &[Value::Int(7)]);
-        let cm = CostModel::new();
-        let compiled = compile_fragment(&f, 0, &cm);
+        let compiled = compile_fragment(&f, 0);
         let out = run_compiled(&compiled, &mut [], &[Value::Int(7)]).unwrap();
         assert_eq!(out.value, Value::Int(35));
-        assert_eq!(out.cost, cm.marshal_per_arg + 2 * cm.binop);
+        assert_eq!(out.cost, COST_MODEL.marshal_per_arg + 2 * COST_MODEL.binop);
     }
 
     #[test]
@@ -923,7 +909,7 @@ mod tests {
             Some(Expr::binary(BinOp::Div, Expr::int(1), Expr::int(0))),
         );
         assert_parity(&f, &[], &[]);
-        let compiled = compile_fragment(&f, 0, &CostModel::new());
+        let compiled = compile_fragment(&f, 0);
         assert_eq!(
             run_compiled(&compiled, &mut [], &[]),
             Err(RuntimeError::DivisionByZero)
@@ -951,7 +937,7 @@ mod tests {
             )),
         );
         assert_parity(&f, &[], &[]);
-        let compiled = compile_fragment(&f, 0, &CostModel::new());
+        let compiled = compile_fragment(&f, 0);
         let out = run_compiled(&compiled, &mut [], &[]).unwrap();
         assert_eq!(out.value, Value::Bool(true));
     }
@@ -968,10 +954,9 @@ mod tests {
             0,
             None,
         );
-        let cm = CostModel::new();
         for limit in [1, 2, 3, 10, 101] {
-            let tree = run_fragment_with_limit(&f, &mut [], &[], &cm, limit);
-            let compiled = compile_fragment(&f, 0, &cm);
+            let tree = run_fragment_with_limit(&f, &mut [], &[], limit);
+            let compiled = compile_fragment(&f, 0);
             let vm = run_compiled_with_limit(&compiled, &mut [], &[], limit);
             assert_eq!(tree, vm);
             assert_eq!(tree, Err(RuntimeError::StepLimitExceeded { limit }));
@@ -1027,7 +1012,7 @@ mod tests {
         ];
         let f = frag(body, 0, Some(Expr::local(x)));
         assert_parity(&f, &[RtValue::Int(0)], &[]);
-        let compiled = compile_fragment(&f, 1, &CostModel::new());
+        let compiled = compile_fragment(&f, 1);
         let mut vars = vec![RtValue::Int(0)];
         let out = run_compiled(&compiled, &mut vars, &[]).unwrap();
         assert_eq!(out.value, Value::Int(1));
@@ -1059,7 +1044,7 @@ mod tests {
             None,
         );
         assert_parity(&guarded, &[], &[]);
-        let compiled = compile_fragment(&guarded, 0, &CostModel::new());
+        let compiled = compile_fragment(&guarded, 0);
         assert!(run_compiled(&compiled, &mut [], &[]).is_ok());
     }
 
@@ -1067,7 +1052,7 @@ mod tests {
     fn arg_count_mismatch_is_channel_error() {
         let f = frag(vec![], 2, None);
         assert_parity(&f, &[], &[Value::Int(1)]);
-        let compiled = compile_fragment(&f, 0, &CostModel::new());
+        let compiled = compile_fragment(&f, 0);
         let err = run_compiled(&compiled, &mut [], &[Value::Int(1)]).unwrap_err();
         assert!(matches!(err, RuntimeError::Channel(_)));
     }
@@ -1106,14 +1091,13 @@ mod tests {
             }],
         };
         let cache = VmCache::for_program(&hidden);
-        let cm = CostModel::new();
-        let (_, fresh) = cache.get_or_compile(0, 0, &f, 0, &cm).unwrap();
+        let (_, fresh) = cache.get_or_compile(0, 0, &f, 0).unwrap();
         assert!(fresh);
-        let (_, fresh) = cache.get_or_compile(0, 0, &f, 0, &cm).unwrap();
+        let (_, fresh) = cache.get_or_compile(0, 0, &f, 0).unwrap();
         assert!(!fresh);
         assert_eq!(cache.compiles(), 1);
         assert_eq!(cache.cache_hits(), 1);
-        assert!(cache.get_or_compile(3, 0, &f, 0, &cm).is_none());
+        assert!(cache.get_or_compile(3, 0, &f, 0).is_none());
     }
 
     #[test]

@@ -138,11 +138,6 @@ impl InProcessChannel {
     pub fn server(&self) -> &SecureServer {
         &self.server
     }
-
-    /// Consumes the channel, returning the server.
-    pub fn into_server(self) -> SecureServer {
-        self.server
-    }
 }
 
 impl Channel for InProcessChannel {

@@ -1,12 +1,19 @@
 //! Deterministic virtual-time cost model.
 //!
 //! The paper's Table 5 reports wall-clock runtimes before and after
-//! splitting on two LAN-connected machines. To make that experiment
-//! reproducible and parameterizable we charge every executed operation a
-//! fixed number of abstract *cost units* and every open↔hidden round trip a
-//! configurable latency; dividing by [`CostModel::units_per_second`] yields
-//! virtual seconds. Relative overheads — the quantity the paper actually
-//! compares — are invariant to the absolute scale chosen here.
+//! splitting on one fixed setup: two LAN-connected machines. To make that
+//! experiment reproducible we charge every executed operation a fixed
+//! number of abstract *cost units* and every open↔hidden round trip a
+//! latency; dividing by [`CostModel::units_per_second`] yields virtual
+//! seconds. Relative overheads — the quantity the paper actually compares —
+//! are invariant to the absolute scale chosen here.
+//!
+//! The weights are fixed: the interpreter, the fragment tree-walk and the
+//! bytecode VM all charge [`COST_MODEL`]. The one varied parameter is the
+//! round-trip latency, the `rtt` argument of
+//! [`Executor::rtt`](crate::Executor::rtt) and
+//! [`InProcessChannel::with_rtt`](crate::InProcessChannel::with_rtt)
+//! ([`CostModel::lan_round_trip`] is the paper's LAN value).
 
 /// Per-operation costs in abstract units.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -41,11 +48,14 @@ pub struct CostModel {
     pub units_per_second: u64,
 }
 
+/// The cost model every layer charges.
+pub const COST_MODEL: CostModel = CostModel::new();
+
 impl CostModel {
     /// A model loosely calibrated so one unit ≈ one simple interpreted
     /// operation on the paper-era hardware (hundreds of ns), i.e.
     /// 10 million units per second.
-    pub fn new() -> CostModel {
+    const fn new() -> CostModel {
         CostModel {
             assign: 1,
             binop: 1,
@@ -88,32 +98,21 @@ impl CostModel {
     }
 }
 
-impl Default for CostModel {
-    fn default() -> CostModel {
-        CostModel::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn seconds_conversion() {
-        let m = CostModel::new();
+        let m = COST_MODEL;
         assert!((m.to_seconds(m.units_per_second) - 1.0).abs() < 1e-12);
         assert_eq!(m.to_seconds(0), 0.0);
     }
 
     #[test]
     fn lan_rtt_is_sub_millisecond_scale() {
-        let m = CostModel::new();
+        let m = COST_MODEL;
         let rtt_s = m.to_seconds(m.lan_round_trip());
         assert!(rtt_s > 1e-5 && rtt_s < 1e-3, "rtt = {rtt_s}");
-    }
-
-    #[test]
-    fn default_equals_new() {
-        assert_eq!(CostModel::default(), CostModel::new());
     }
 }

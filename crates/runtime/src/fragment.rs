@@ -12,7 +12,7 @@
 //! aggregates, no returns); anything outside that subset raises
 //! [`RuntimeError::IllegalFragmentOp`] — it would indicate a splitter bug.
 
-use crate::cost::CostModel;
+use crate::cost::COST_MODEL;
 use crate::error::RuntimeError;
 use crate::ops;
 use crate::value::RtValue;
@@ -32,11 +32,10 @@ pub struct FragOutcome {
 /// the secure device against runaway hidden loops.
 pub const FRAGMENT_STEP_LIMIT: u64 = 200_000_000;
 
-struct FragFrame<'a> {
+struct FragFrame {
     /// vars ++ params, per the fragment numbering convention.
     slots: Vec<RtValue>,
     n_vars: usize,
-    cost_model: &'a CostModel,
     cost: u64,
     steps: u64,
     limit: u64,
@@ -57,9 +56,8 @@ pub fn run_fragment(
     fragment: &Fragment,
     vars: &mut [RtValue],
     args: &[hps_ir::Value],
-    cost_model: &CostModel,
 ) -> Result<FragOutcome, RuntimeError> {
-    run_fragment_with_limit(fragment, vars, args, cost_model, FRAGMENT_STEP_LIMIT)
+    run_fragment_with_limit(fragment, vars, args, FRAGMENT_STEP_LIMIT)
 }
 
 /// [`run_fragment`] with an explicit step limit. Differential tests use
@@ -74,7 +72,6 @@ pub fn run_fragment_with_limit(
     fragment: &Fragment,
     vars: &mut [RtValue],
     args: &[hps_ir::Value],
-    cost_model: &CostModel,
     limit: u64,
 ) -> Result<FragOutcome, RuntimeError> {
     if args.len() != fragment.params.len() {
@@ -90,8 +87,7 @@ pub fn run_fragment_with_limit(
     let mut frame = FragFrame {
         slots,
         n_vars: vars.len(),
-        cost_model,
-        cost: cost_model.marshal_per_arg * args.len() as u64,
+        cost: COST_MODEL.marshal_per_arg * args.len() as u64,
         steps: 0,
         limit,
     };
@@ -120,7 +116,7 @@ enum Flow {
     Continue,
 }
 
-impl FragFrame<'_> {
+impl FragFrame {
     fn tick(&mut self) -> Result<(), RuntimeError> {
         self.steps += 1;
         if self.steps > self.limit {
@@ -135,7 +131,7 @@ impl FragFrame<'_> {
             match &stmt.kind {
                 StmtKind::Assign { place, value } => {
                     let v = self.eval(value)?;
-                    self.cost += self.cost_model.assign;
+                    self.cost += COST_MODEL.assign;
                     match place {
                         Place::Local(id) => {
                             let idx = id.index();
@@ -158,7 +154,7 @@ impl FragFrame<'_> {
                     then_blk,
                     else_blk,
                 } => {
-                    self.cost += self.cost_model.branch;
+                    self.cost += COST_MODEL.branch;
                     let taken = self.truthy(cond)?;
                     let flow = if taken {
                         self.exec_block(then_blk)?
@@ -172,7 +168,7 @@ impl FragFrame<'_> {
                 }
                 StmtKind::While { cond, body } => loop {
                     self.tick()?;
-                    self.cost += self.cost_model.branch;
+                    self.cost += COST_MODEL.branch;
                     if !self.truthy(cond)? {
                         break;
                     }
@@ -222,14 +218,14 @@ impl FragFrame<'_> {
                 self.slots[idx].clone()
             }
             Expr::Unary { op, arg } => {
-                self.cost += self.cost_model.unop;
+                self.cost += COST_MODEL.unop;
                 let a = self.eval(arg)?;
                 ops::unop(*op, &a)?
             }
             Expr::Binary { op, lhs, rhs } => {
                 // Short-circuit like the open side.
                 if *op == hps_ir::BinOp::And {
-                    self.cost += self.cost_model.binop;
+                    self.cost += COST_MODEL.binop;
                     return if self.truthy(lhs)? {
                         self.eval(rhs)
                     } else {
@@ -237,20 +233,20 @@ impl FragFrame<'_> {
                     };
                 }
                 if *op == hps_ir::BinOp::Or {
-                    self.cost += self.cost_model.binop;
+                    self.cost += COST_MODEL.binop;
                     return if self.truthy(lhs)? {
                         Ok(RtValue::Bool(true))
                     } else {
                         self.eval(rhs)
                     };
                 }
-                self.cost += self.cost_model.binop;
+                self.cost += COST_MODEL.binop;
                 let a = self.eval(lhs)?;
                 let b = self.eval(rhs)?;
                 ops::binop(*op, &a, &b)?
             }
             Expr::BuiltinCall { builtin, args } => {
-                self.cost += self.cost_model.builtin_cost(*builtin);
+                self.cost += COST_MODEL.builtin_cost(*builtin);
                 let mut vals = Vec::with_capacity(args.len());
                 for a in args {
                     vals.push(self.eval(a)?);
@@ -308,7 +304,7 @@ mod tests {
             )),
         );
         let mut vars = vec![RtValue::Int(10)];
-        let out = run_fragment(&f, &mut vars, &[Value::Int(5)], &CostModel::new()).unwrap();
+        let out = run_fragment(&f, &mut vars, &[Value::Int(5)]).unwrap();
         assert_eq!(out.value, Value::Int(30));
         assert_eq!(vars[0], RtValue::Int(15));
         assert!(out.cost > 0);
@@ -335,7 +331,7 @@ mod tests {
         })];
         let f = frag(body, 1, Some(Expr::local(sum)));
         let mut vars = vec![RtValue::Int(0), RtValue::Int(3)];
-        let out = run_fragment(&f, &mut vars, &[Value::Int(6)], &CostModel::new()).unwrap();
+        let out = run_fragment(&f, &mut vars, &[Value::Int(6)]).unwrap();
         // 3 + 4 + 5 = 12
         assert_eq!(out.value, Value::Int(12));
         assert_eq!(vars[1], RtValue::Int(6));
@@ -354,7 +350,7 @@ mod tests {
             Some(Expr::local(LocalId::new(1))),
         );
         let mut vars = vec![RtValue::Int(7)];
-        let out = run_fragment(&f, &mut vars, &[Value::Int(1)], &CostModel::new()).unwrap();
+        let out = run_fragment(&f, &mut vars, &[Value::Int(1)]).unwrap();
         assert_eq!(out.value, Value::Int(99));
         assert_eq!(vars[0], RtValue::Int(7));
     }
@@ -362,24 +358,24 @@ mod tests {
     #[test]
     fn rejects_illegal_ops() {
         let f = frag(vec![Stmt::new(StmtKind::Return(None))], 0, None);
-        let err = run_fragment(&f, &mut [], &[], &CostModel::new()).unwrap_err();
+        let err = run_fragment(&f, &mut [], &[]).unwrap_err();
         assert!(matches!(err, RuntimeError::IllegalFragmentOp(_)));
 
         let f = frag(vec![Stmt::new(StmtKind::Print(Expr::int(1)))], 0, None);
-        assert!(run_fragment(&f, &mut [], &[], &CostModel::new()).is_err());
+        assert!(run_fragment(&f, &mut [], &[]).is_err());
     }
 
     #[test]
     fn arg_count_mismatch_is_channel_error() {
         let f = frag(vec![], 2, None);
-        let err = run_fragment(&f, &mut [], &[Value::Int(1)], &CostModel::new()).unwrap_err();
+        let err = run_fragment(&f, &mut [], &[Value::Int(1)]).unwrap_err();
         assert!(matches!(err, RuntimeError::Channel(_)));
     }
 
     #[test]
     fn none_return_yields_any_placeholder() {
         let f = frag(vec![], 0, None);
-        let out = run_fragment(&f, &mut [], &[], &CostModel::new()).unwrap();
+        let out = run_fragment(&f, &mut [], &[]).unwrap();
         assert_eq!(out.value, Value::Int(0));
     }
 
@@ -403,7 +399,7 @@ mod tests {
                 Expr::bool(true),
             )),
         );
-        let out = run_fragment(&f, &mut [], &[], &CostModel::new()).unwrap();
+        let out = run_fragment(&f, &mut [], &[]).unwrap();
         assert_eq!(out.value, Value::Bool(true));
     }
 }

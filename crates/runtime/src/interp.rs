@@ -2,7 +2,7 @@
 //!
 //! A tree-walking evaluator for `hps_ir::Program` with:
 //!
-//! * deterministic virtual-time cost accounting (see [`CostModel`]),
+//! * deterministic virtual-time cost accounting (see [`COST_MODEL`]),
 //! * step and call-depth limits so runaway programs fail cleanly,
 //! * split-program support: functions carrying
 //!   [`split_component`](hps_ir::Function::split_component) allocate an
@@ -21,20 +21,20 @@
 //! interpreter goldens in `hps-suite` pin all three.
 
 use crate::channel::{Channel, InProcessChannel, PendingCall, TransportStats};
-use crate::cost::CostModel;
+use crate::cost::COST_MODEL;
 use crate::error::RuntimeError;
 use crate::fault::{FaultPlan, FaultyChannel};
 use crate::server::SecureServer;
 use crate::value::{ObjData, RtValue};
 use hps_ir::{
-    BinOp, Block, Builtin, ClassId, ComponentId, ComponentKind, Expr, FuncId, HiddenProgram, Place,
-    Program, StmtKind, Ty, Value,
+    BinOp, Block, Builtin, ComponentId, ComponentKind, Expr, FuncId, HiddenProgram, Place, Program,
+    StmtKind, Ty, Value,
 };
 use hps_telemetry::{Event, MetricsRecorder, MetricsSnapshot, RecorderHandle, Snapshot};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Execution limits and cost model.
+/// Execution limits and batching.
 ///
 /// Construct with [`ExecConfig::new`] / [`ExecConfig::default`] and adjust
 /// through the builder setters; the struct is `#[non_exhaustive]` so new
@@ -46,8 +46,6 @@ pub struct ExecConfig {
     pub max_steps: u64,
     /// Maximum call depth.
     pub max_call_depth: usize,
-    /// The cost model used for virtual timing.
-    pub cost_model: CostModel,
     /// Honour `deferred` marks on [`StmtKind::HiddenCall`]: buffer marked
     /// calls and ship them together with the next demanded call (or flush
     /// point) in one round trip. Off by default so unbatched interaction
@@ -56,7 +54,7 @@ pub struct ExecConfig {
 }
 
 impl ExecConfig {
-    /// Defaults: 500 M steps, depth 128, default cost model, no batching.
+    /// Defaults: 500 M steps, depth 128, no batching.
     ///
     /// The depth limit is conservative because each interpreted call uses a
     /// few kilobytes of host stack; 128 fits comfortably in a 2 MiB test
@@ -65,7 +63,6 @@ impl ExecConfig {
         ExecConfig {
             max_steps: 500_000_000,
             max_call_depth: 128,
-            cost_model: CostModel::new(),
             batching: false,
         }
     }
@@ -85,12 +82,6 @@ impl ExecConfig {
     /// Overrides the call-depth limit (builder style).
     pub fn with_max_call_depth(mut self, max_call_depth: usize) -> ExecConfig {
         self.max_call_depth = max_call_depth;
-        self
-    }
-
-    /// Replaces the cost model (builder style).
-    pub fn with_cost_model(mut self, cost_model: CostModel) -> ExecConfig {
-        self.cost_model = cost_model;
         self
     }
 }
@@ -121,7 +112,6 @@ pub struct Outcome {
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct SplitMeta {
     kinds: Vec<MetaKind>,
-    class_component: Vec<Option<ComponentId>>,
 }
 
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -132,36 +122,24 @@ enum MetaKind {
 }
 
 impl SplitMeta {
-    /// Derives the routing table from the open program and the hidden
-    /// program's component list.
-    pub fn derive(open: &Program, hidden: &HiddenProgram) -> SplitMeta {
-        let mut kinds = Vec::new();
-        let mut class_component = vec![None; open.classes.len()];
-        for comp in &hidden.components {
-            match &comp.kind {
-                ComponentKind::Function { .. } => kinds.push(MetaKind::Function),
-                ComponentKind::Class { class_name } => {
-                    kinds.push(MetaKind::Class);
-                    if let Some(cid) = open.class_by_name(class_name) {
-                        class_component[cid.index()] = Some(comp.id);
-                    }
-                }
-                ComponentKind::Global { .. } => kinds.push(MetaKind::Global),
-            }
-        }
-        SplitMeta {
-            kinds,
-            class_component,
-        }
+    /// Derives the routing table from the hidden program's component
+    /// list. The open program is not consulted: its split functions and
+    /// classes already name their components.
+    pub fn derive(_open: &Program, hidden: &HiddenProgram) -> SplitMeta {
+        let kinds = hidden
+            .components
+            .iter()
+            .map(|comp| match comp.kind {
+                ComponentKind::Function { .. } => MetaKind::Function,
+                ComponentKind::Class { .. } => MetaKind::Class,
+                ComponentKind::Global { .. } => MetaKind::Global,
+            })
+            .collect();
+        SplitMeta { kinds }
     }
 
     fn kind_of(&self, c: ComponentId) -> Option<MetaKind> {
         self.kinds.get(c.index()).copied()
-    }
-
-    /// The hidden component attached to a class, if it was split.
-    pub fn component_of_class(&self, class: ClassId) -> Option<ComponentId> {
-        self.class_component.get(class.index()).copied().flatten()
     }
 }
 
@@ -221,13 +199,6 @@ impl<'p> Executor<'p> {
         }
     }
 
-    /// Replaces the whole execution configuration. Set this *before*
-    /// [`Executor::batching`], which edits the stored configuration.
-    pub fn config(mut self, config: ExecConfig) -> Executor<'p> {
-        self.config = config;
-        self
-    }
-
     /// Enables or disables round-trip batching of deferred hidden calls.
     pub fn batching(mut self, batching: bool) -> Executor<'p> {
         self.config.batching = batching;
@@ -277,9 +248,7 @@ impl<'p> Executor<'p> {
             Some(r) => RecorderHandle::new(r.clone()),
             None => RecorderHandle::none(),
         };
-        let server = SecureServer::new(self.hidden.clone())
-            .with_cost_model(self.config.cost_model.clone())
-            .with_recorder(handle.clone());
+        let server = SecureServer::new(self.hidden.clone()).with_recorder(handle.clone());
         let inner = InProcessChannel::new(server)
             .with_rtt(self.rtt)
             .with_recorder(handle.clone());
@@ -534,7 +503,7 @@ impl<'a> Interp<'a> {
                 limit: self.config.max_call_depth,
             });
         }
-        self.cost += self.config.cost_model.call;
+        self.cost += COST_MODEL.call;
         let func = self.program.func(fid);
         let defaults = &self.defaults[fid.index()];
         locals.extend_from_slice(defaults.get(locals.len()..).unwrap_or_default());
@@ -599,7 +568,7 @@ impl<'a> Interp<'a> {
             match &stmt.kind {
                 StmtKind::Assign { place, value } => {
                     let v = self.operand(frame, value)?;
-                    self.cost += self.config.cost_model.assign;
+                    self.cost += COST_MODEL.assign;
                     self.assign_place(frame, place, v)?;
                 }
                 StmtKind::If {
@@ -607,7 +576,7 @@ impl<'a> Interp<'a> {
                     then_blk,
                     else_blk,
                 } => {
-                    self.cost += self.config.cost_model.branch;
+                    self.cost += COST_MODEL.branch;
                     let taken = self.truthy(frame, cond)?;
                     let flow = if taken {
                         self.exec_block(frame, then_blk)?
@@ -621,7 +590,7 @@ impl<'a> Interp<'a> {
                 }
                 StmtKind::While { cond, body } => loop {
                     self.tick()?;
-                    self.cost += self.config.cost_model.branch;
+                    self.cost += COST_MODEL.branch;
                     if !self.truthy(frame, cond)? {
                         break;
                     }
@@ -645,7 +614,7 @@ impl<'a> Interp<'a> {
                 }
                 StmtKind::Print(e) => {
                     let v = self.operand(frame, e)?;
-                    self.cost += self.config.cost_model.print;
+                    self.cost += COST_MODEL.print;
                     self.output.push(v.to_string());
                 }
                 StmtKind::HiddenCall {
@@ -660,7 +629,7 @@ impl<'a> Interp<'a> {
                     } else {
                         let reply = self.hidden_call(frame, *component, *label, args)?;
                         if let Some(place) = result {
-                            self.cost += self.config.cost_model.assign;
+                            self.cost += COST_MODEL.assign;
                             self.assign_place(frame, place, RtValue::from_const(reply))?;
                         }
                     }
@@ -685,7 +654,7 @@ impl<'a> Interp<'a> {
                 found: "aggregate",
             })?);
         }
-        self.cost += self.config.cost_model.marshal_per_arg * vals.len() as u64;
+        self.cost += COST_MODEL.marshal_per_arg * vals.len() as u64;
         Ok(vals)
     }
 
@@ -805,7 +774,7 @@ impl<'a> Interp<'a> {
                 let frame = frame
                     .as_deref_mut()
                     .expect("deferred result flushed outside its frame");
-                self.cost += self.config.cost_model.assign;
+                self.cost += COST_MODEL.assign;
                 self.assign_place(frame, &place, RtValue::from_const(reply.value))?;
             }
             last = Some(reply.value);
@@ -816,7 +785,7 @@ impl<'a> Interp<'a> {
     fn truthy(&mut self, frame: &mut Frame, cond: &Expr) -> Result<bool, RuntimeError> {
         if let Expr::Binary { op, lhs, rhs } = cond {
             if let Some(taken) = self.leaf_compare(frame, *op, lhs, rhs) {
-                self.cost += self.config.cost_model.binop;
+                self.cost += COST_MODEL.binop;
                 return Ok(taken);
             }
         }
@@ -836,17 +805,17 @@ impl<'a> Interp<'a> {
             Place::Index { base, index } => {
                 if let Place::Local(id) = **base {
                     let idx = self.eval_index(frame, index)?;
-                    self.cost += self.config.cost_model.index;
+                    self.cost += COST_MODEL.index;
                     return load_elem(&frame.locals[id.index()], idx);
                 }
                 let arr = self.read_place(frame, base)?;
                 let idx = self.eval_index(frame, index)?;
-                self.cost += self.config.cost_model.index;
+                self.cost += COST_MODEL.index;
                 load_elem(&arr, idx)
             }
             Place::Field { obj, field, .. } => {
                 let o = self.eval(frame, obj)?;
-                self.cost += self.config.cost_model.field;
+                self.cost += COST_MODEL.field;
                 match o {
                     RtValue::Object(o) => Ok(o.borrow().fields[field.index()].clone()),
                     RtValue::Uninit => Err(RuntimeError::UninitializedValue),
@@ -877,17 +846,17 @@ impl<'a> Interp<'a> {
             Place::Index { base, index } => {
                 if let Place::Local(id) = **base {
                     let idx = self.eval_index(frame, index)?;
-                    self.cost += self.config.cost_model.index;
+                    self.cost += COST_MODEL.index;
                     return store_elem(&frame.locals[id.index()], idx, value);
                 }
                 let arr = self.read_place(frame, base)?;
                 let idx = self.eval_index(frame, index)?;
-                self.cost += self.config.cost_model.index;
+                self.cost += COST_MODEL.index;
                 store_elem(&arr, idx, value)
             }
             Place::Field { obj, field, .. } => {
                 let o = self.eval(frame, obj)?;
-                self.cost += self.config.cost_model.field;
+                self.cost += COST_MODEL.field;
                 match o {
                     RtValue::Object(o) => {
                         o.borrow_mut().fields[field.index()] = value;
@@ -963,17 +932,17 @@ impl<'a> Interp<'a> {
                 // the base after it is the same as reading it before.
                 if let Expr::Local(id) = **base {
                     let idx = self.eval_index(frame, index)?;
-                    self.cost += self.config.cost_model.index;
+                    self.cost += COST_MODEL.index;
                     return load_elem(&frame.locals[id.index()], idx);
                 }
                 let arr = self.operand(frame, base)?;
                 let idx = self.eval_index(frame, index)?;
-                self.cost += self.config.cost_model.index;
+                self.cost += COST_MODEL.index;
                 load_elem(&arr, idx)?
             }
             Expr::FieldGet { obj, field, .. } => {
                 let o = self.operand(frame, obj)?;
-                self.cost += self.config.cost_model.field;
+                self.cost += COST_MODEL.field;
                 match o {
                     RtValue::Object(o) => o.borrow().fields[field.index()].clone(),
                     RtValue::Uninit => return Err(RuntimeError::UninitializedValue),
@@ -986,12 +955,12 @@ impl<'a> Interp<'a> {
                 }
             }
             Expr::Unary { op, arg } => {
-                self.cost += self.config.cost_model.unop;
+                self.cost += COST_MODEL.unop;
                 let a = self.operand(frame, arg)?;
                 crate::ops::unop(*op, &a)?
             }
             Expr::Binary { op, lhs, rhs } => {
-                self.cost += self.config.cost_model.binop;
+                self.cost += COST_MODEL.binop;
                 if *op == hps_ir::BinOp::And {
                     return if self.truthy(frame, lhs)? {
                         self.eval(frame, rhs)
@@ -1019,18 +988,14 @@ impl<'a> Interp<'a> {
             }
             Expr::BuiltinCall { builtin, args } => {
                 if *builtin == Builtin::Len {
-                    self.cost += self.config.cost_model.builtin;
+                    self.cost += COST_MODEL.builtin;
                     if let Expr::Local(id) = args[0] {
                         return array_len(&frame.locals[id.index()]);
                     }
                     let a = self.eval(frame, &args[0])?;
                     array_len(&a)?
                 } else {
-                    self.cost += if builtin.is_transcendental() {
-                        self.config.cost_model.transcendental
-                    } else {
-                        self.config.cost_model.builtin
-                    };
+                    self.cost += COST_MODEL.builtin_cost(*builtin);
                     // One- and two-argument builtins take a stack slice.
                     match args.as_slice() {
                         [a] => {
@@ -1057,11 +1022,11 @@ impl<'a> Interp<'a> {
                 if n < 0 {
                     return Err(RuntimeError::IndexOutOfBounds { index: n, len: 0 });
                 }
-                self.cost += self.config.cost_model.alloc_per_elem * n as u64;
+                self.cost += COST_MODEL.alloc_per_elem * n as u64;
                 RtValue::new_array(elem, n as usize)
             }
             Expr::NewObject(class) => {
-                self.cost += self.config.cost_model.alloc_object;
+                self.cost += COST_MODEL.alloc_object;
                 let cdef = self.program.class(*class);
                 let instance_id = self.next_instance;
                 self.next_instance += 1;
@@ -1627,7 +1592,6 @@ mod tests {
         p.renumber_all();
         let meta = SplitMeta {
             kinds: vec![MetaKind::Function],
-            class_component: vec![None; p.classes.len()],
         };
         let mut chan = Echo(0);
         let outcome = Interp::new(&p, ExecConfig::new().with_batching(true))

@@ -115,7 +115,7 @@ pub use hps_telemetry::{MetricsRecorder, MetricsSnapshot, Recorder, RecorderHand
 
 pub use bytecode::{compile_fragment, CompiledFragment, VmCache};
 pub use channel::{CallReply, Channel, InProcessChannel, PendingCall, TransportStats};
-pub use cost::CostModel;
+pub use cost::{CostModel, COST_MODEL};
 pub use error::{FaultClass, RuntimeError};
 pub use fault::{CrashConfig, CrashFault, FaultKind, FaultPlan, FaultyChannel};
 pub use interp::{

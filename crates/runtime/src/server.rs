@@ -6,7 +6,6 @@
 //! an activation) and freed on [`SecureServer::release`].
 
 use crate::bytecode::{run_compiled, VmCache};
-use crate::cost::CostModel;
 use crate::error::RuntimeError;
 use crate::fragment::FragOutcome;
 use crate::value::RtValue;
@@ -24,10 +23,9 @@ use std::sync::Arc;
 /// client sends strictly one sequence number at a time: a retransmit can
 /// only ever be of the last sequence the server completed.
 ///
-/// The cache is a **bounded sliding window**: it keeps at most
-/// [`ReplayCache::capacity`] completed responses and evicts the oldest on
-/// every overflowing [`ReplayCache::store`], so a long-running session's
-/// memory is capped no matter how many sequences it completes. Evictions
+/// The cache is a **one-slot window**: every [`ReplayCache::store`] over an
+/// occupied slot evicts the previous response, so a long-running session
+/// holds one response no matter how many sequences it completes. Evictions
 /// are counted ([`ReplayCache::evictions`]) and the session server surfaces
 /// them as the `hps_server_replay_evictions_total` telemetry counter.
 ///
@@ -36,8 +34,7 @@ use std::sync::Arc;
 #[derive(Clone, Debug)]
 pub struct ReplayCache<T> {
     next_seq: u64,
-    window: std::collections::VecDeque<(u64, T)>,
-    capacity: usize,
+    last: Option<(u64, T)>,
     evictions: u64,
 }
 
@@ -58,21 +55,11 @@ pub enum SeqCheck<'a, T> {
 }
 
 impl<T> ReplayCache<T> {
-    /// A fresh session expecting sequence 1, holding one completed
-    /// response (the protocol minimum — a retransmit can only be of the
-    /// last completed sequence).
+    /// A fresh session expecting sequence 1, with an empty slot.
     pub fn new() -> ReplayCache<T> {
-        ReplayCache::with_capacity(1)
-    }
-
-    /// A fresh session keeping up to `capacity` completed responses
-    /// (values below 1 are clamped to 1: dropping the last response would
-    /// break exactly-once replay).
-    pub fn with_capacity(capacity: usize) -> ReplayCache<T> {
         ReplayCache {
             next_seq: 1,
-            window: std::collections::VecDeque::with_capacity(capacity.max(1)),
-            capacity: capacity.max(1),
+            last: None,
             evictions: 0,
         }
     }
@@ -82,12 +69,7 @@ impl<T> ReplayCache<T> {
         self.next_seq
     }
 
-    /// The maximum number of completed responses kept.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Completed responses evicted by the capacity bound so far.
+    /// Completed responses evicted from the slot so far.
     pub fn evictions(&self) -> u64 {
         self.evictions
     }
@@ -96,7 +78,7 @@ impl<T> ReplayCache<T> {
     pub fn check(&self, seq: u64) -> SeqCheck<'_, T> {
         if seq == self.next_seq {
             SeqCheck::Fresh
-        } else if let Some((_, cached)) = self.window.iter().find(|(s, _)| *s == seq) {
+        } else if let Some((_, cached)) = self.last.as_ref().filter(|(s, _)| *s == seq) {
             SeqCheck::Replay(cached)
         } else {
             SeqCheck::Gap {
@@ -106,20 +88,15 @@ impl<T> ReplayCache<T> {
     }
 
     /// Records the response for the just-executed `seq` and advances the
-    /// window, evicting the oldest cached response when the capacity bound
-    /// overflows. Returns the number of evicted entries (0 or 1). `seq`
-    /// must be the value [`ReplayCache::check`] called Fresh.
+    /// window, evicting the previously cached response. Returns the number
+    /// of evicted entries (0 or 1). `seq` must be the value
+    /// [`ReplayCache::check`] called Fresh.
     pub fn store(&mut self, seq: u64, response: T) -> u64 {
         debug_assert_eq!(seq, self.next_seq, "store must follow a Fresh check");
-        self.window.push_back((seq, response));
         self.next_seq = seq + 1;
-        if self.window.len() > self.capacity {
-            self.window.pop_front();
-            self.evictions += 1;
-            1
-        } else {
-            0
-        }
+        let evicted = u64::from(self.last.replace((seq, response)).is_some());
+        self.evictions += evicted;
+        evicted
     }
 }
 
@@ -133,7 +110,6 @@ impl<T> Default for ReplayCache<T> {
 #[derive(Debug)]
 pub struct SecureServer {
     hidden: HiddenProgram,
-    cost_model: CostModel,
     state: HashMap<(ComponentId, u64), Vec<RtValue>>,
     calls_served: u64,
     cost_spent: u64,
@@ -151,7 +127,6 @@ impl SecureServer {
         let vm = Arc::new(VmCache::for_program(&hidden));
         SecureServer {
             hidden,
-            cost_model: CostModel::new(),
             state: HashMap::new(),
             calls_served: 0,
             cost_spent: 0,
@@ -160,17 +135,11 @@ impl SecureServer {
         }
     }
 
-    /// Replaces the cost model (builder style). Call before the first
-    /// fragment executes: lowered bytecode bakes the model's charges in.
-    pub fn with_cost_model(mut self, cost_model: CostModel) -> SecureServer {
-        self.cost_model = cost_model;
-        self
-    }
-
     /// Shares an existing compile-once cache (builder style) — the shard
     /// pool hands every session of a shard the same cache so each fragment
-    /// lowers at most once per shard. The cache must have been built for
-    /// this server's hidden program and cost model.
+    /// lowers at most once per shard. A cache built for another hidden
+    /// program answers its missing slots with
+    /// [`RuntimeError::UnknownFragment`].
     pub fn with_vm_cache(mut self, cache: Arc<VmCache>) -> SecureServer {
         self.vm = cache;
         self
@@ -221,13 +190,7 @@ impl SecureServer {
         // A cache built for a different program shape has no slot here.
         let (code, fresh) = self
             .vm
-            .get_or_compile(
-                component.index(),
-                position,
-                fragment,
-                n_vars,
-                &self.cost_model,
-            )
+            .get_or_compile(component.index(), position, fragment, n_vars)
             .ok_or(RuntimeError::UnknownFragment { component, label })?;
         self.recorder.record(if fresh {
             Event::VmCompile
@@ -292,11 +255,6 @@ impl SecureServer {
     /// Fragment executions served from already-compiled bytecode.
     pub fn vm_cache_hits(&self) -> u64 {
         self.vm.cache_hits()
-    }
-
-    /// Wall-clock nanoseconds this server's cache spent lowering fragments.
-    pub fn vm_compile_nanos(&self) -> u64 {
-        self.vm.compile_nanos()
     }
 
     /// Read-only view of the installed hidden program.
@@ -397,25 +355,7 @@ mod tests {
         assert_eq!(cache.check(1), SeqCheck::Gap { expected: 3 });
         assert_eq!(cache.check(9), SeqCheck::Gap { expected: 3 });
         assert_eq!(cache.check(2), SeqCheck::Replay(&"two"));
-        assert_eq!(cache.capacity(), 1, "new() keeps the protocol minimum");
         assert_eq!(cache.evictions(), 1, "storing seq 2 evicted seq 1");
-    }
-
-    #[test]
-    fn replay_window_is_capacity_bounded() {
-        let mut cache: ReplayCache<u64> = ReplayCache::with_capacity(3);
-        for seq in 1..=10u64 {
-            assert_eq!(cache.check(seq), SeqCheck::Fresh);
-            let evicted = cache.store(seq, seq * 100);
-            assert_eq!(evicted, u64::from(seq > 3), "seq {seq}");
-        }
-        // The last `capacity` responses replay; older ones are gone.
-        assert_eq!(cache.check(10), SeqCheck::Replay(&1000));
-        assert_eq!(cache.check(8), SeqCheck::Replay(&800));
-        assert_eq!(cache.check(7), SeqCheck::Gap { expected: 11 });
-        assert_eq!(cache.evictions(), 7);
-        // Capacity never drops below the protocol minimum of one.
-        assert_eq!(ReplayCache::<u64>::with_capacity(0).capacity(), 1);
     }
 
     #[test]

@@ -60,10 +60,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
 use std::time::Instant;
 
-/// Default replay-window capacity per session (the protocol minimum: a
-/// retransmit can only be of the last completed sequence).
-pub const DEFAULT_REPLAY_CAPACITY: usize = 1;
-
 /// State shared by every thread of a session server and its handles:
 /// relaxed-atomic counters, and a way to reach the shard pool while the
 /// server is serving.
@@ -234,7 +230,6 @@ pub(crate) fn shard_of(session: u64, shards: usize) -> usize {
 #[derive(Clone, Debug)]
 pub(crate) struct ShardConfig {
     pub(crate) shards: usize,
-    pub(crate) replay_capacity: usize,
     /// Per-session cap on the in-memory journal ring.
     pub(crate) journal_limit: usize,
     /// Directory for checksummed on-disk journals (`--journal-dir`);
@@ -248,7 +243,6 @@ impl Default for ShardConfig {
     fn default() -> ShardConfig {
         ShardConfig {
             shards: 1,
-            replay_capacity: DEFAULT_REPLAY_CAPACITY,
             journal_limit: crate::journal::DEFAULT_JOURNAL_LIMIT,
             journal_dir: None,
             crash: None,
@@ -742,7 +736,7 @@ fn fresh_state(cx: &Cx, session: u64) -> SessionState {
         .and_then(|d| DiskJournal::open(d, session).ok());
     SessionState {
         server,
-        replay: ReplayCache::with_capacity(cx.pool.config.replay_capacity),
+        replay: ReplayCache::new(),
         disk,
     }
 }

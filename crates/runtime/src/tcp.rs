@@ -54,6 +54,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// How many committed sequenced frames a client retains for the
+/// session-resume path: if a recovered server comes back missing a tail of
+/// committed units (lost journal frames), the handshake re-drives up to
+/// this many frames byte-identically.
+const RESUME_WINDOW: usize = 64;
+
 /// Client-side retry configuration for [`TcpChannel::connect_reliable`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct RetryPolicy {
@@ -69,25 +75,19 @@ pub struct RetryPolicy {
     /// whole retry loop: a hung or unreachable server fails fast with a
     /// terminal `deadline` fault instead of exhausting the backoff budget.
     pub call_deadline: Option<Duration>,
-    /// How many committed sequenced frames the client retains for the
-    /// session-resume path: if a recovered server comes back missing a
-    /// tail of committed units (lost journal frames), the handshake
-    /// re-drives up to this many frames byte-identically.
-    pub resume_window: usize,
     /// Seed for the deterministic jitter stream (and session-id salt).
     pub jitter_seed: u64,
 }
 
 impl RetryPolicy {
     /// Defaults: 6 attempts, 10 ms base backoff, 5 s timeout, no per-call
-    /// deadline, 64-frame resume window.
+    /// deadline.
     pub fn new() -> RetryPolicy {
         RetryPolicy {
             max_attempts: 6,
             base_backoff: Duration::from_millis(10),
             timeout: Duration::from_secs(5),
             call_deadline: None,
-            resume_window: 64,
             jitter_seed: 0x5eed_cafe,
         }
     }
@@ -123,12 +123,6 @@ impl RetryPolicy {
         self
     }
 
-    /// Overrides the session-resume window (builder style; min 1).
-    pub fn with_resume_window(mut self, frames: usize) -> RetryPolicy {
-        self.resume_window = frames.max(1);
-        self
-    }
-
     /// The socket timeout per attempt: the per-attempt timeout, capped by
     /// the per-call deadline when one is set — a hung server must not eat
     /// the whole deadline in a single blocked read.
@@ -154,7 +148,6 @@ pub struct TcpChannel {
     writer: BufWriter<TcpStream>,
     scratch: Vec<u8>,
     interactions: u64,
-    rtt_cost: u64,
     batch_cap: usize,
     /// Where to reconnect.
     addrs: Vec<SocketAddr>,
@@ -162,7 +155,7 @@ pub struct TcpChannel {
     session: u64,
     /// The sequence number of the next call or batch.
     next_seq: u64,
-    /// The last `policy.resume_window` committed sequenced frames,
+    /// The last [`RESUME_WINDOW`] committed sequenced frames,
     /// byte-identical as sent, keyed by sequence number. A restarted
     /// server that lost a committed tail (torn disk journal) is caught up
     /// from here during the handshake — see
@@ -263,7 +256,6 @@ impl TcpChannel {
             writer,
             scratch: Vec::with_capacity(256),
             interactions: 0,
-            rtt_cost: 0,
             batch_cap: usize::from(u16::MAX),
             addrs,
             policy,
@@ -276,14 +268,6 @@ impl TcpChannel {
         };
         chan.handshake()?;
         Ok(chan)
-    }
-
-    /// Sets the virtual round-trip cost charged per call (builder style).
-    /// Wall-clock latency is real on this channel; the virtual cost only
-    /// matters if the caller also reads virtual time.
-    pub fn with_rtt_cost(mut self, rtt: u64) -> TcpChannel {
-        self.rtt_cost = rtt;
-        self
     }
 
     /// Overrides the per-frame batch chunking cap (builder style). The wire
@@ -392,7 +376,7 @@ impl TcpChannel {
                     "server lost {missing} committed units but the resume \
                      window holds {} (cap {})",
                     frames.len(),
-                    self.policy.resume_window
+                    RESUME_WINDOW
                 ),
             });
         }
@@ -493,18 +477,15 @@ impl TcpChannel {
         let resp = self.round_trip_encoded()?;
         // Keep the committed frame so a recovered server that lost its
         // journal tail can be re-driven (resume_session); the window is
-        // bounded by `RetryPolicy::resume_window`. The frame moves into
-        // the window, and once the window is full the frame it evicts
-        // becomes the next encode buffer.
-        let evicted = (self.history.len() >= self.policy.resume_window)
+        // bounded by `RESUME_WINDOW`. The frame moves into the window,
+        // and once the window is full the frame it evicts becomes the next
+        // encode buffer.
+        let evicted = (self.history.len() >= RESUME_WINDOW)
             .then(|| self.history.pop_front())
             .flatten()
             .map_or_else(|| Vec::with_capacity(256), |(_, frame)| frame);
         let frame = std::mem::replace(&mut self.scratch, evicted);
         self.history.push_back((self.next_seq, frame));
-        while self.history.len() > self.policy.resume_window {
-            self.history.pop_front();
-        }
         self.next_seq += 1;
         Ok(resp)
     }
@@ -534,7 +515,7 @@ impl Channel for TcpChannel {
                 });
                 self.recorder.record(Event::RoundTrip {
                     calls: 1,
-                    rtt_cost: self.rtt_cost,
+                    rtt_cost: 0,
                 });
                 Ok(CallReply { value, server_cost })
             }
@@ -568,7 +549,7 @@ impl Channel for TcpChannel {
                 }
                 self.recorder.record(Event::RoundTrip {
                     calls: calls.len() as u64,
-                    rtt_cost: self.rtt_cost,
+                    rtt_cost: 0,
                 });
                 Ok(replies)
             }
@@ -597,8 +578,10 @@ impl Channel for TcpChannel {
         self.interactions
     }
 
+    /// Latency on this channel is real wall-clock time, so it charges no
+    /// virtual round-trip cost.
     fn rtt_cost(&self) -> u64 {
-        self.rtt_cost
+        0
     }
 
     fn transport_stats(&self) -> TransportStats {
@@ -829,15 +812,6 @@ impl SessionServer {
     /// behaviour — more shards only adds parallelism across sessions.
     pub fn with_shards(mut self, shards: usize) -> SessionServer {
         self.config.shards = shards.max(1);
-        self
-    }
-
-    /// Sets the per-session replay-window capacity (builder style; min 1).
-    /// Each session retains at most this many cached response frames;
-    /// older entries are evicted (counted in
-    /// [`ServerStats::replay_evictions`]).
-    pub fn with_replay_capacity(mut self, capacity: usize) -> SessionServer {
-        self.config.replay_capacity = capacity.max(1);
         self
     }
 
@@ -1351,7 +1325,7 @@ mod tests {
 
     #[test]
     fn bounded_replay_window_evicts_and_counts() {
-        let (handle, serve) = spawn(accumulator_server().with_shards(2).with_replay_capacity(2));
+        let (handle, serve) = spawn(accumulator_server().with_shards(2));
         let mut chan = connect(&handle);
         let c = ComponentId::new(0);
         let l = FragLabel::new(0);
@@ -1362,9 +1336,9 @@ mod tests {
         stop(&handle, serve);
         let stats = handle.stats();
         assert_eq!(stats.calls, 5);
-        // Window of 2: storing responses 1..=5 evicts 1, 2 and 3.
-        assert_eq!(stats.replay_evictions, 3);
-        assert_eq!(handle.metrics().counter(names::SERVER_REPLAY_EVICTIONS), 3);
+        // One slot: storing responses 2..=5 each evicts its predecessor.
+        assert_eq!(stats.replay_evictions, 4);
+        assert_eq!(handle.metrics().counter(names::SERVER_REPLAY_EVICTIONS), 4);
     }
 
     #[test]

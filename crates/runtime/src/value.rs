@@ -74,13 +74,6 @@ impl RtValue {
         )))
     }
 
-    /// Builds a `float[]` array value from a slice.
-    pub fn from_floats(data: &[f64]) -> RtValue {
-        RtValue::Array(Rc::new(RefCell::new(
-            data.iter().map(|&v| RtValue::Float(v)).collect(),
-        )))
-    }
-
     /// Converts a scalar IR constant.
     pub fn from_const(v: Value) -> RtValue {
         match v {

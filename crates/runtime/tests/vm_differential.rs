@@ -16,7 +16,7 @@ use hps_ir::{
 };
 use hps_runtime::bytecode::{compile_fragment, run_compiled_with_limit};
 use hps_runtime::fragment::run_fragment_with_limit;
-use hps_runtime::{CostModel, RtValue};
+use hps_runtime::RtValue;
 use proptest::prelude::*;
 
 /// Fixed fragment shape: slots `[0, N_VARS)` are hidden variables,
@@ -166,11 +166,10 @@ fn vars_strategy() -> BoxedStrategy<Vec<RtValue>> {
 /// Runs the fragment through both engines at the given limit and asserts
 /// byte-identical observable behaviour.
 fn check_parity(fragment: &Fragment, vars: &[RtValue], args: &[Value], limit: u64) {
-    let cm = CostModel::new();
     let mut tree_vars = vars.to_vec();
     let mut vm_vars = vars.to_vec();
-    let tree = run_fragment_with_limit(fragment, &mut tree_vars, args, &cm, limit);
-    let compiled = compile_fragment(fragment, vars.len(), &cm);
+    let tree = run_fragment_with_limit(fragment, &mut tree_vars, args, limit);
+    let compiled = compile_fragment(fragment, vars.len());
     let vm = run_compiled_with_limit(&compiled, &mut vm_vars, args, limit);
     assert_eq!(
         tree, vm,

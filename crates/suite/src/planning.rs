@@ -20,7 +20,7 @@ use hps_audit::{PlanError, PlanReport, Planner};
 use hps_core::SplitResult;
 use hps_ir::Program;
 use hps_runtime::telemetry::metrics::names;
-use hps_runtime::{run_program, ExecConfig, Executor, MetricsRecorder, Outcome, RtValue};
+use hps_runtime::{run_program, Executor, MetricsRecorder, Outcome, RtValue, COST_MODEL};
 use hps_security::MeasuredCost;
 use std::cell::OnceCell;
 
@@ -74,7 +74,7 @@ impl<'p> PlanMeasurer<'p> {
                 self.original.get_or_init(|| before)
             }
         };
-        let rtt = ExecConfig::new().cost_model.lan_round_trip();
+        let rtt = COST_MODEL.lan_round_trip();
         let after = Executor::new(&split.open, &split.hidden)
             .batching(true)
             .rtt(rtt)

@@ -59,17 +59,28 @@ fn effect_reports_match_goldens() {
 }
 
 #[test]
-fn stamped_effects_agree_with_a_fresh_analysis() {
-    // The summaries stamped onto the split at split time must be exactly
-    // what a from-scratch run of the fragment analysis computes.
+fn report_counts_agree_with_a_fresh_analysis() {
+    // The report's summary counts and its per-fragment rows must be
+    // exactly what a from-scratch run of the fragment analysis computes.
     for b in hps_suite::benchmarks() {
         let program = b.program().expect("parses");
         let split = split_program(&program, &paper_plan(&program)).expect("splits");
+        let rendered = hps_audit::render::effects_to_json(&program, &split, b.name).pretty();
         let fresh = hps_analysis::FragmentEffects::compute(&split.hidden);
-        assert_eq!(split.effects, fresh, "{}: stamped effects drifted", b.name);
+        let pure = fresh.count(Effect::Pure);
+        let summary = format!(
+            "\"summary\": {{\n    \"fragments\": {},\n    \"pure\": {pure},\n    \
+             \"reads_hidden\": {},\n    \"writes_hidden\": {},\n    \
+             \"may_trap\": {},\n    \"memoizable\": {pure},\n",
+            fresh.total(),
+            fresh.count(Effect::ReadsHidden),
+            fresh.count(Effect::WritesHidden),
+            fresh.count(Effect::MayTrap),
+        );
+        assert!(rendered.contains(&summary), "{}: summary drifted", b.name);
         assert_eq!(
-            split.memoizable_fragments(),
-            fresh.count(Effect::Pure),
+            rendered.matches("\"memoizable\": true").count(),
+            pure,
             "{}",
             b.name
         );

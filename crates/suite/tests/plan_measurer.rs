@@ -2,6 +2,8 @@
 //! pin that its cached original changes nothing: every level of a budget
 //! search measures exactly what a one-shot [`measure_split`] measures, and
 //! a split whose output differs from the original's is still an error.
+//! The planner's uncalibrated round-trip weight must also be the latency
+//! the measurer charges.
 
 use hps_audit::Planner;
 use hps_core::{split_program, SplitPlan};
@@ -63,4 +65,14 @@ fn split_of_a_different_program_diverges() {
     let err = measurer.measure(&foreign).unwrap_err();
     assert!(err.contains("outputs diverged"), "{err}");
     measurer.measure(&own).expect("own split still matches");
+}
+
+#[test]
+fn plan_model_round_trip_is_the_runtime_lan_round_trip() {
+    // An uncalibrated prediction charges `rtt_units` per interaction; the
+    // measurer charges the runtime's LAN round trip. One number, two crates.
+    assert_eq!(
+        hps_security::PlanCostModel::default().rtt_units,
+        hps_runtime::COST_MODEL.lan_round_trip()
+    );
 }

@@ -1,10 +1,12 @@
-//! A minimal JSON document builder for `hps-telemetry/v1` snapshots.
+//! A minimal JSON document builder.
 //!
-//! Same rationale and layout rules as the `hps-audit` report writer: the
-//! build is offline (no serde), object keys keep insertion order, and the
-//! writer emits a stable two-space-indented layout so golden metric
-//! snapshots diff byte-for-byte. Telemetry counters are `u64`, so this
-//! builder carries an unsigned variant the audit writer does not need.
+//! The build environment is offline, so the workspace carries no JSON
+//! dependency; `hps-telemetry/v1` snapshots and the auditor's reports
+//! (plain JSON, SARIF, effects and plans — re-exported as
+//! `hps_audit::Json`) are built from this hand-rolled value type instead.
+//! Output is deterministic: object keys keep insertion order and the
+//! writer emits a stable two-space-indented layout, so golden files diff
+//! byte-for-byte.
 
 use std::fmt::Write;
 
@@ -13,6 +15,10 @@ use std::fmt::Write;
 pub enum Json {
     /// `null`
     Null,
+    /// `true` / `false`
+    Bool(bool),
+    /// A signed number (counts and positions).
+    Int(i64),
     /// An unsigned number (counters, cost units, bucket bounds).
     Uint(u64),
     /// A string.
@@ -60,6 +66,12 @@ impl Json {
         let close = "  ".repeat(indent);
         match self {
             Json::Null => out.push_str("null"),
+            Json::Bool(b) => {
+                let _ = write!(out, "{b}");
+            }
+            Json::Int(v) => {
+                let _ = write!(out, "{v}");
+            }
             Json::Uint(v) => {
                 let _ = write!(out, "{v}");
             }
@@ -100,9 +112,33 @@ impl Json {
     }
 }
 
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<i64> for Json {
+    fn from(v: i64) -> Json {
+        Json::Int(v)
+    }
+}
+
 impl From<u64> for Json {
     fn from(v: u64) -> Json {
         Json::Uint(v)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(v: usize) -> Json {
+        Json::Int(v as i64)
+    }
+}
+
+impl From<u32> for Json {
+    fn from(v: u32) -> Json {
+        Json::Int(i64::from(v))
     }
 }
 
@@ -152,14 +188,18 @@ mod tests {
             .field("schema", "hps-telemetry/v1")
             .field("count", 2u64)
             .field("big", u64::MAX)
-            .field("items", vec![Json::Uint(1), Json::str("two")])
+            .field("position", 3usize)
+            .field("delta", -4i64)
+            .field("ok", true)
+            .field("items", vec![Json::Uint(1), Json::Int(1), Json::str("two")])
             .field("empty", Json::Array(Vec::new()))
             .field("nothing", Json::Null);
         assert_eq!(
             doc.pretty(),
             "{\n  \"schema\": \"hps-telemetry/v1\",\n  \"count\": 2,\n  \
-             \"big\": 18446744073709551615,\n  \
-             \"items\": [\n    1,\n    \"two\"\n  ],\n  \"empty\": [],\n  \
+             \"big\": 18446744073709551615,\n  \"position\": 3,\n  \
+             \"delta\": -4,\n  \"ok\": true,\n  \
+             \"items\": [\n    1,\n    1,\n    \"two\"\n  ],\n  \"empty\": [],\n  \
              \"nothing\": null\n}\n"
         );
     }
@@ -168,5 +208,18 @@ mod tests {
     fn escapes_strings() {
         let doc = Json::str("a\"b\\c\nd\te\u{1}");
         assert_eq!(doc.pretty(), "\"a\\\"b\\\\c\\nd\\te\\u0001\"\n");
+    }
+
+    #[test]
+    fn output_is_deterministic() {
+        let build = || {
+            Json::object()
+                .field("z", 1usize)
+                .field("a", 2usize)
+                .pretty()
+        };
+        assert_eq!(build(), build());
+        // Insertion order is preserved, not sorted.
+        assert!(build().find("\"z\"").unwrap() < build().find("\"a\"").unwrap());
     }
 }

@@ -16,8 +16,8 @@
 //! * **Deterministic values only.** Recorded values are virtual-time cost
 //!   units, counts and sizes — never wall-clock readings — so metric
 //!   snapshots are byte-for-byte reproducible and can be pinned as golden
-//!   files. Wall-clock timing stays quarantined in the Criterion benches
-//!   (exposition), exactly as DESIGN.md prescribes.
+//!   files. Wall-clock timing stays quarantined in the repository
+//!   benchmark (exposition), exactly as DESIGN.md prescribes.
 //! * **Never perturbs the program.** Recording must not touch program
 //!   output, interpreter cost/step accounting, interaction counts or the
 //!   adversary-visible trace; the suite asserts byte-identical behaviour

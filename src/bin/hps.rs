@@ -34,7 +34,7 @@
 
 use hiding_program_slices as hps;
 use hps::runtime::tcp::{ChaosConfig, RetryPolicy, SessionServer, SessionServerHandle, TcpChannel};
-use hps::runtime::{ExecConfig, Executor, Interp, MetricsRecorder, RtValue, SplitMeta};
+use hps::runtime::{ExecConfig, Executor, Interp, MetricsRecorder, RtValue, SplitMeta, COST_MODEL};
 use hps::split::{split_program, SplitPlan, SplitResult};
 use std::io::{Read, Write};
 use std::net::SocketAddr;
@@ -253,7 +253,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         eprintln!(
             "[hps] {} steps, {:.4} virtual seconds",
             out.steps,
-            ExecConfig::new().cost_model.to_seconds(out.cost)
+            COST_MODEL.to_seconds(out.cost)
         );
         return Ok(());
     }
@@ -277,7 +277,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         eprintln!(
             "[hps] {} steps, {:.4} virtual seconds, {} open<->hidden interactions",
             report.outcome.steps,
-            ExecConfig::new().cost_model.to_seconds(report.outcome.cost),
+            COST_MODEL.to_seconds(report.outcome.cost),
             report.interactions
         );
     }
