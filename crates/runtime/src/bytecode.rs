@@ -1,94 +1,138 @@
-//! Fragment bytecode compiler and virtual machine.
+//! Register bytecode and the one virtual machine that runs both halves of
+//! a split program: open functions and hidden fragments.
 //!
-//! The reference tree-walk in [`crate::fragment`] re-traverses the
-//! [`Fragment`] AST on every call. This module lowers a fragment **once**
-//! into a compact register bytecode ([`CompiledFragment`]) and executes it
-//! with a flat dispatch loop ([`run_compiled`]) — the inner-interpreter
-//! technique of classic Forth kernels. Lowering runs at split/handshake
-//! time and the result is cached per server (and per shard) in a
-//! [`VmCache`]; compiled code is plain `Send + Sync` data even though the
-//! `RtValue` register file it operates on is not.
+//! Both are lowered **once** into a compact register bytecode and executed
+//! by one flat dispatch loop — the inner-interpreter technique of classic
+//! Forth kernels. Open functions are compiled per
+//! [`Interp`](crate::Interp), on its first run; fragments are compiled at split/handshake time and cached per server
+//! (and per shard) in a [`VmCache`]. Compiled fragment code is plain
+//! `Send + Sync` data even though the `RtValue` registers it operates on
+//! are not.
+//!
+//! # One instruction set, one lowering
+//!
+//! A fragment and an open function go through the same compiler: the
+//! same statement and expression lowering, the same folding, cost baking
+//! and superinstructions, the same scalar dispatch. Only three things
+//! differ:
+//!
+//! * **slot layout** — a fragment's registers are its component's hidden
+//!   variables, then its parameters; an open function's are its locals
+//!   (parameters first), at the bottom of its frame on the shared register
+//!   stack;
+//! * **leak points** — constructs the fragment subset forbids (aggregates,
+//!   globals, calls, `print`, `return`, nested hidden calls) lower to an
+//!   `Illegal` instruction in a fragment, emitted where evaluation would reach
+//!   them, so the VM raises the same [`RuntimeError::IllegalFragmentOp`] at
+//!   the same point as the reference tree-walk ([`crate::fragment`]);
+//! * **the final `Ret`** — a fragment's value must be a scalar and its
+//!   hidden variables are written back ([`run_compiled`]); an open
+//!   function's value lands in its caller's destination register.
 //!
 //! # Lowering pipeline
 //!
 //! 1. **Constant folding** — pure-constant subtrees are evaluated at lower
-//!    time with the *same* `ops` semantics the interpreter uses. A fold
-//!    is only taken when the operator succeeds; subtrees that would trap
-//!    at runtime (e.g. `1/0`) are lowered unfolded so the error still
-//!    fires in evaluation order. Short-circuit operators fold only when
-//!    the left side is a constant bool, preserving which operands the
-//!    tree-walk would have evaluated.
-//! 2. **Cost baking** — every cost-model charge the tree-walk makes is
-//!    baked into `Instr::Cost` operands at lower time (including the
-//!    charges of folded subtrees, so folding never changes the accounted
-//!    cost). Adjacent charges in straight-line code are pre-summed.
-//! 3. **Superinstructions** — the hot shapes get fused opcodes:
-//!    load-const-op (constants ride inside `Operand::Const` instead of
-//!    needing a load), compare-and-branch (`Instr::CmpBranch` for
-//!    `if`/`while` over a comparison — the paper's predicate encodings
-//!    live here as pre-resolved comparison opcodes), and accumulate
-//!    (`Instr::Accum` for `x = x <op> e`).
-//! 4. **Leak-point encoding** — illegal constructs (the splitter's leak
-//!    points: aggregate access, calls, returns inside fragments) lower to
-//!    `Instr::Illegal` carrying the exact diagnostic, emitted at the
-//!    position evaluation would reach them, so the VM raises the same
-//!    [`RuntimeError::IllegalFragmentOp`] at the same point.
+//!    time with the *same* `ops` semantics the VM uses. A fold is only
+//!    taken when the operator succeeds; subtrees that would trap at runtime
+//!    (e.g. `1/0`) are lowered unfolded so the error still fires in
+//!    evaluation order. Short-circuit operators fold only when the left
+//!    side is a constant bool.
+//! 2. **Cost baking and ticks** — every instruction carries the step ticks
+//!    of the statements it starts and the pre-summed cost charges since
+//!    the previous instruction; ticks and cost charges are not dispatches
+//!    of their own. Charges move only forward within
+//!    straight-line code and never across a jump target; a tick never
+//!    moves before an effect of the statement preceding it.
+//! 3. **Superinstructions** — constants ride inside operands, `Int × Int`
+//!    arithmetic and comparisons take a fast path before the generic
+//!    `ops::binop`, comparisons, `&&` and `||` in branch position fuse into
+//!    compare-and-branch chains, `x = x <op> e` on a register becomes one
+//!    accumulate instruction, and `while` loops are rotated so each iteration ends in
+//!    one compare-and-branch back to the body.
 //!
 //! # Determinism rules
 //!
-//! The VM must be **observationally byte-identical** to
-//! [`crate::fragment::run_fragment`]:
+//! The VM must be **observationally byte-identical** to the reference
+//! tree-walks ([`crate::fragment`] for fragments, the test-only
+//! `reference.rs` for open code):
 //!
-//! * same returned value and same persistent hidden-var state;
-//! * same total [`FragOutcome::cost`] on success (costs are charged
-//!   before operand evaluation exactly where the tree-walk charges them;
-//!   reordering within one statement is unobservable because errors
-//!   discard cost);
-//! * same step accounting — `Instr::Tick` is emitted once per statement
-//!   and once per `while` iteration check, so `StepLimitExceeded` fires
-//!   after the same number of statements;
-//! * same [`RuntimeError`] variant for the first failing operation, in
-//!   evaluation order.
+//! * same returned value, output, globals and hidden-variable state;
+//! * same total cost on success — errors discard cost, so a charge may be
+//!   made anywhere on the path that the tree-walk makes it;
+//! * same step accounting, so `StepLimitExceeded` fires before the same
+//!   statement, and `StackOverflow` at the same depth;
+//! * same [`RuntimeError`] for the first failing operation, and the same
+//!   channel traffic before it. Operands are therefore read where the
+//!   tree-walk reads them: a global operand followed by a sibling that
+//!   contains a call (which may assign the global) is copied to a temp
+//!   first, and an assignment evaluates its place's index and receiver
+//!   after the value.
 //!
-//! The differential proptest `tests/vm_differential.rs` pins this
-//! contract on randomly generated fragments.
+//! `tests/vm_differential.rs` pins the contract on random fragments, the
+//! crate's `open_vm_differential` tests on random open programs.
 
+use crate::channel::{Channel, PendingCall};
 use crate::cost::COST_MODEL;
 use crate::error::RuntimeError;
 use crate::fragment::{FragOutcome, FRAGMENT_STEP_LIMIT};
-use crate::ops;
-use crate::value::RtValue;
-use hps_ir::{BinOp, Block, Builtin, Expr, Fragment, HiddenProgram, Place, StmtKind, UnOp, Value};
+use crate::interp::{MetaKind, SplitMeta};
+use crate::ops::{self, mismatch};
+use crate::value::{ObjData, RtValue};
+use hps_ir::{
+    BinOp, Block, Builtin, ComponentId, Expr, FragLabel, Fragment, Function, HiddenProgram, Place,
+    Program, StmtKind, Ty, UnOp, Value,
+};
+use hps_telemetry::{Event, RecorderHandle};
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-/// Register index into the VM register file. Registers `0 .. n_vars`
-/// mirror the component's persistent hidden variables, `n_vars ..
-/// n_slots` the call parameters, and the rest are compiler temporaries.
+/// Frame-relative register index. In a fragment, registers `0 .. n_vars`
+/// mirror the component's persistent hidden variables and `n_vars ..
+/// n_slots` the call parameters; in an open function, registers `0 ..
+/// n_locals` are its locals. Compiler temporaries follow.
 type Reg = u16;
 
-/// An instruction input: a register or an immediate scalar constant.
+/// Upper bound on buffered deferred calls before a forced flush.
+const MAX_PENDING_CALLS: usize = 4096;
+
+/// A scalar instruction input: a register, a global or an immediate.
 ///
 /// Immediates are the "load-const-op" superinstruction: a constant
 /// operand never needs a separate load or a register.
 #[derive(Clone, Copy, Debug)]
 enum Operand {
-    /// Read a register.
+    /// Read a register of the current frame.
     Reg(Reg),
+    /// Read a global (open code only).
+    Global(u32),
     /// An immediate constant (possibly produced by constant folding).
     Const(Value),
 }
 
-/// One bytecode instruction.
-///
-/// Control-flow targets are absolute instruction indices, resolved at
-/// lower time.
+/// An aggregate input (array or object), read in place without a clone.
+#[derive(Clone, Copy, Debug)]
+enum Slot {
+    Reg(Reg),
+    Global(u32),
+}
+
+/// One instruction: the step ticks of the statements it starts, the cost
+/// charged before it runs, and the operation.
 #[derive(Clone, Debug)]
-enum Instr {
-    /// One statement (or `while`-iteration) of step budget.
-    Tick,
-    /// Charge pre-summed virtual cost units.
-    Cost(u64),
+struct Instr {
+    tick: u32,
+    cost: u32,
+    op: Op,
+}
+
+/// One bytecode operation. Control-flow targets are absolute instruction
+/// indices within the function or fragment, resolved at lower time.
+#[derive(Clone, Debug)]
+enum Op {
+    /// Carries ticks and cost only.
+    Nop,
     /// `regs[dst] = src`.
     Load { dst: Reg, src: Operand },
     /// `regs[dst] = unop(op, src)`.
@@ -110,50 +154,182 @@ enum Instr {
     },
     /// Unconditional jump.
     Jump { target: u32 },
-    /// Truthiness branch: jump to `target` when `cond` is `false`;
-    /// non-bool raises the tree-walk's "bool condition" mismatch.
-    BranchFalse { cond: Operand, target: u32 },
-    /// Mirror of [`Instr::BranchFalse`] for `||` short-circuiting.
-    BranchTrue { cond: Operand, target: u32 },
+    /// Truthiness branch: jump to `target` when `cond == when`; a non-bool
+    /// raises the tree-walk's "bool condition" mismatch.
+    Branch {
+        cond: Operand,
+        target: u32,
+        when: bool,
+    },
     /// Compare-and-branch superinstruction: jump to `target` when the
-    /// comparison is `false`.
+    /// comparison's outcome is `when`.
     CmpBranch {
         op: BinOp,
         lhs: Operand,
         rhs: Operand,
         target: u32,
+        when: bool,
     },
-    /// A leak point the fragment subset forbids; raises
-    /// [`RuntimeError::IllegalFragmentOp`] when execution reaches it.
+    /// A leak point the fragment subset forbids.
     Illegal(&'static str),
-    /// Return the scalar in `src` (aggregates raise the tree-walk's
-    /// "scalar return" mismatch) and write hidden vars back.
-    Ret { src: Operand },
-    /// Return the `any` placeholder (`Int(0)`) and write hidden vars back.
-    RetAny,
+    /// Leave the function with `src` (`None`: an uninitialised aggregate,
+    /// the default of an aggregate return type).
+    Ret { src: Option<Operand> },
+    /// `globals[global] = src`.
+    StoreGlobal { global: u32, src: Operand },
+    /// `regs[dst] = arr[idx]`.
+    LoadElem { dst: Reg, arr: Slot, idx: Operand },
+    /// `arr[idx] = src`.
+    StoreElem {
+        arr: Slot,
+        idx: Operand,
+        src: Operand,
+    },
+    /// `regs[dst] = len(arr)`.
+    Len { dst: Reg, arr: Slot },
+    /// `regs[dst] = obj.fields[field]`.
+    LoadField { dst: Reg, obj: Slot, field: u32 },
+    /// `obj.fields[field] = src`.
+    StoreField { obj: Slot, field: u32, src: Operand },
+    /// `regs[dst] = new elem[len]` (`elem`: the element default, `None`
+    /// for aggregates); charges the per-element allocation cost.
+    NewArray {
+        dst: Reg,
+        len: Operand,
+        elem: Option<Value>,
+    },
+    /// `regs[dst] = new class()`.
+    NewObject { dst: Reg, class: u32 },
+    /// Call open function `func` with `args`; its value lands in `dst`.
+    Call {
+        func: u32,
+        dst: Reg,
+        args: Box<[Operand]>,
+    },
+    /// Append `src` to the program output.
+    Print { src: Operand },
+    /// Raise the hidden-call marshalling mismatch unless `src` is a scalar
+    /// (emitted where the tree-walk checks an argument before evaluating
+    /// a later one that runs code).
+    Scalar { src: Operand },
+    /// A hidden call, demanded or deferred.
+    Hidden(Box<HiddenOp>),
+    /// An error known at lower time, raised when reached.
+    Fail(Box<RuntimeError>),
+}
+
+/// The operands of one [`Op::Hidden`].
+#[derive(Clone, Debug)]
+struct HiddenOp {
+    component: ComponentId,
+    label: FragLabel,
+    args: Box<[Operand]>,
+    route: Route,
+    /// Where the reply lands: a demanded call's destination register, or a
+    /// deferred call's result local.
+    result: Option<Reg>,
+    /// Buffer the call until the next flush point (batching runs only).
+    deferred: bool,
+}
+
+/// How a hidden call finds the state key it routes to.
+#[derive(Clone, Debug)]
+enum Route {
+    /// The one shared state of a hidden global.
+    Global,
+    /// The instance id of the receiver in register 0.
+    SelfObject,
+    /// The current frame's activation.
+    Activation,
+    /// Routing fails with this error.
+    Fail(RuntimeError),
+}
+
+/// Straight-line code of one function or fragment.
+#[derive(Clone, Debug)]
+struct Body {
+    code: Box<[Instr]>,
+    n_regs: usize,
 }
 
 /// A fragment lowered to register bytecode. Plain data: `Send + Sync`,
 /// safe to share across shard threads even though `RtValue` is not.
 #[derive(Clone, Debug)]
 pub struct CompiledFragment {
-    code: Vec<Instr>,
-    n_regs: usize,
+    body: Body,
     n_vars: usize,
     n_params: usize,
-    label: hps_ir::FragLabel,
+    label: FragLabel,
 }
 
 impl CompiledFragment {
     /// Number of bytecode instructions (for diagnostics and benches).
     pub fn len(&self) -> usize {
-        self.code.len()
+        self.body.code.len()
     }
 
     /// True when the fragment lowered to no instructions (never happens:
     /// the epilogue always emits a return).
     pub fn is_empty(&self) -> bool {
-        self.code.is_empty()
+        self.body.code.is_empty()
+    }
+}
+
+/// One open function lowered to bytecode.
+struct FuncCode {
+    body: Body,
+    /// The frame a call starts from: locals at their declared defaults,
+    /// then uninitialised temporaries. A call pushes its arguments and
+    /// then this template past them.
+    init: Box<[RtValue]>,
+    /// The split component whose activation the function opens on entry.
+    activation: Option<ComponentId>,
+}
+
+/// A whole open program lowered to bytecode, compiled once per
+/// [`Interp`](crate::Interp).
+#[derive(Default)]
+pub(crate) struct ProgramCode {
+    funcs: Vec<FuncCode>,
+    /// Each class's fields at their defaults, by `ClassId`.
+    classes: Vec<Box<[RtValue]>>,
+}
+
+impl ProgramCode {
+    /// Compiles every function of `program`. `meta` is the routing table
+    /// of the attached channel (`None` without one) and `batching` whether
+    /// `deferred` marks buffer calls.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::Unlowerable`] for a function beyond the bytecode's
+    /// index ranges or IR no well-formed program has.
+    pub(crate) fn compile(
+        program: &Program,
+        meta: Option<&SplitMeta>,
+        batching: bool,
+    ) -> Result<ProgramCode, RuntimeError> {
+        let open = Open {
+            program,
+            meta,
+            batching,
+        };
+        let funcs = program
+            .functions
+            .iter()
+            .map(|f| compile_function(&open, f))
+            .collect::<Result<Vec<_>, _>>()?;
+        let classes = program
+            .classes
+            .iter()
+            .map(|c| {
+                c.fields
+                    .iter()
+                    .map(|f| RtValue::default_of(&f.ty))
+                    .collect()
+            })
+            .collect();
+        Ok(ProgramCode { funcs, classes })
     }
 }
 
@@ -162,67 +338,149 @@ impl CompiledFragment {
 /// `n_vars` is the owning component's persistent hidden-variable count;
 /// together with `fragment.params.len()` it fixes the slot layout, so the
 /// compiled code is only valid for calls passing exactly that many vars
-/// (checked by [`run_compiled`]).
+/// (checked by [`run_compiled`]). A fragment beyond the bytecode's index
+/// ranges compiles to code that raises [`RuntimeError::Unlowerable`].
 pub fn compile_fragment(fragment: &Fragment, n_vars: usize) -> CompiledFragment {
     let n_slots = n_vars + fragment.params.len();
-    assert!(
-        n_slots < usize::from(Reg::MAX),
-        "fragment slot count exceeds bytecode register space"
-    );
-    let mut c = Compiler {
-        code: Vec::new(),
-        labels: Vec::new(),
-        barrier: 0,
-        n_slots,
-        next_reg: n_slots as Reg,
-        max_reg: n_slots as Reg,
-        loops: Vec::new(),
-        epilogue: 0,
-    };
-    c.epilogue = c.new_label();
+    let mut c = Compiler::new(n_slots, None);
     c.block(&fragment.body);
-    c.bind(c.epilogue);
-    match &fragment.ret {
-        Some(e) => {
-            let mark = c.next_reg;
-            let src = c.operand(e);
-            c.emit(Instr::Ret { src });
-            c.free_to(mark);
-        }
-        None => c.emit(Instr::RetAny),
-    }
-    let code = c.finish();
+    let epilogue = c.epilogue;
+    c.bind(epilogue);
+    let mark = c.next_reg;
+    let src = match &fragment.ret {
+        Some(e) => c.operand(e),
+        // The "any" placeholder.
+        None => Operand::Const(Value::Int(0)),
+    };
+    c.emit(Op::Ret { src: Some(src) });
+    c.free_to(mark);
+    let body = c.finish().unwrap_or_else(|e| Body {
+        code: Box::new([Instr {
+            tick: 0,
+            cost: 0,
+            op: Op::Fail(Box::new(e)),
+        }]),
+        n_regs: n_slots,
+    });
     CompiledFragment {
-        code,
-        n_regs: usize::from(c.max_reg),
+        body,
         n_vars,
         n_params: fragment.params.len(),
         label: fragment.label,
     }
 }
 
+fn compile_function(open: &Open<'_>, func: &Function) -> Result<FuncCode, RuntimeError> {
+    let mut c = Compiler::new(func.locals.len(), Some(open));
+    c.block(&func.body);
+    // Falling off the end (or a `break` outside any loop) returns the
+    // zero value of the return type; `void` functions return an `Int 0`
+    // placeholder callers never observe.
+    let epilogue = c.epilogue;
+    c.bind(epilogue);
+    let src = match &func.ret_ty {
+        Ty::Void => Some(Operand::Const(Value::Int(0))),
+        ty => RtValue::default_of(ty).to_const().map(Operand::Const),
+    };
+    c.emit(Op::Ret { src });
+    let body = c.finish()?;
+    let init = func
+        .locals
+        .iter()
+        .map(|d| RtValue::default_of(&d.ty))
+        .chain(std::iter::repeat(RtValue::Uninit))
+        .take(body.n_regs)
+        .collect();
+    let activation = match (func.split_component, open.meta) {
+        (Some(c), Some(meta)) if meta.kind_of(c) == Some(MetaKind::Function) => Some(c),
+        _ => None,
+    };
+    Ok(FuncCode {
+        body,
+        init,
+        activation,
+    })
+}
+
 /// A forward-reference label, resolved to an instruction index by
 /// [`Compiler::finish`].
 type Label = usize;
 
-struct Compiler {
+/// What lowering an open function needs beyond the function itself.
+struct Open<'p> {
+    program: &'p Program,
+    meta: Option<&'p SplitMeta>,
+    batching: bool,
+}
+
+struct Compiler<'o, 'p> {
     code: Vec<Instr>,
-    labels: Vec<Option<u32>>,
-    /// Code length at the last label bind; cost charges never merge
-    /// backwards across a bound label (a jump could land between them).
-    barrier: usize,
+    labels: Vec<Option<usize>>,
+    /// Ticks and cost not yet attached to an instruction; the next
+    /// emitted instruction carries them.
+    tick: u32,
+    cost: u64,
+    /// Registers `0 .. n_slots` are variables; temporaries follow.
     n_slots: usize,
-    next_reg: Reg,
-    max_reg: Reg,
-    /// Innermost-first stack of `(head, end)` labels for `break`/`continue`.
+    next_reg: usize,
+    max_reg: usize,
+    /// Innermost-first stack of `(continue, break)` labels.
     loops: Vec<(Label, Label)>,
     /// Label of the return sequence; top-level `break`/`continue` jump here.
     epilogue: Label,
+    /// `None` while lowering a fragment.
+    open: Option<&'o Open<'p>>,
+    /// The first lowering failure; the rest of the code is discarded.
+    error: Option<RuntimeError>,
 }
 
-impl Compiler {
-    fn emit(&mut self, i: Instr) {
-        self.code.push(i);
+impl<'o, 'p> Compiler<'o, 'p> {
+    fn new(n_slots: usize, open: Option<&'o Open<'p>>) -> Compiler<'o, 'p> {
+        let mut c = Compiler {
+            code: Vec::new(),
+            labels: Vec::new(),
+            tick: 0,
+            cost: 0,
+            n_slots,
+            next_reg: n_slots,
+            max_reg: n_slots,
+            loops: Vec::new(),
+            epilogue: 0,
+            open,
+            error: None,
+        };
+        if Reg::try_from(n_slots).is_err() {
+            c.fail("more variables than bytecode registers");
+        }
+        c.epilogue = c.new_label();
+        c
+    }
+
+    fn fail(&mut self, what: &'static str) {
+        self.error.get_or_insert(RuntimeError::Unlowerable(what));
+    }
+
+    /// Appends `op`, carrying the pending ticks and cost.
+    fn emit(&mut self, op: Op) {
+        let tick = std::mem::take(&mut self.tick);
+        let cost = u32::try_from(std::mem::take(&mut self.cost)).unwrap_or_else(|_| {
+            self.fail("a cost charge beyond the bytecode's range");
+            0
+        });
+        self.code.push(Instr { tick, cost, op });
+    }
+
+    /// One statement (or loop-condition check) of step budget, charged by
+    /// the next emitted instruction.
+    fn tick(&mut self) {
+        self.tick = self.tick.checked_add(1).unwrap_or_else(|| {
+            self.fail("more ticks than the bytecode carries");
+            0
+        });
+    }
+
+    fn add_cost(&mut self, units: u64) {
+        self.cost += units;
     }
 
     fn new_label(&mut self) -> Label {
@@ -230,78 +488,112 @@ impl Compiler {
         self.labels.len() - 1
     }
 
+    /// Binds `l` to the next instruction. Pending ticks and cost never
+    /// cross a jump target: they get a no-op of their own.
     fn bind(&mut self, l: Label) {
-        debug_assert!(self.labels[l].is_none(), "label bound twice");
-        self.labels[l] = Some(self.code.len() as u32);
-        self.barrier = self.code.len();
+        if self.tick > 0 || self.cost > 0 {
+            self.emit(Op::Nop);
+        }
+        self.labels[l] = Some(self.code.len());
     }
 
-    /// Charges cost units, pre-summing into the previous charge when the
-    /// two are adjacent in straight-line code.
-    fn add_cost(&mut self, units: u64) {
-        if units == 0 {
-            return;
-        }
-        if self.code.len() > self.barrier {
-            if let Some(Instr::Cost(prev)) = self.code.last_mut() {
-                *prev += units;
-                return;
-            }
-        }
-        self.emit(Instr::Cost(units));
+    /// A label as a not-yet-resolved jump target.
+    fn target(&mut self, l: Label) -> u32 {
+        u32::try_from(l).unwrap_or_else(|_| {
+            self.fail("more branches than bytecode labels");
+            0
+        })
+    }
+
+    fn jump(&mut self, l: Label) {
+        let target = self.target(l);
+        self.emit(Op::Jump { target });
+    }
+
+    fn reg(&mut self, index: usize) -> Reg {
+        Reg::try_from(index).unwrap_or_else(|_| {
+            self.fail("more registers than the bytecode addresses");
+            0
+        })
     }
 
     fn alloc(&mut self) -> Reg {
         let r = self.next_reg;
-        self.next_reg = self
-            .next_reg
-            .checked_add(1)
-            .expect("fragment expression depth exceeds bytecode register space");
+        self.next_reg += 1;
         self.max_reg = self.max_reg.max(self.next_reg);
-        r
+        self.reg(r)
     }
 
-    fn free_to(&mut self, mark: Reg) {
+    fn free_to(&mut self, mark: usize) {
         self.next_reg = mark;
     }
 
-    /// Resolves labels to instruction indices and returns the code.
-    fn finish(&mut self) -> Vec<Instr> {
-        let resolve = |l: &mut u32, labels: &[Option<u32>]| {
-            *l = labels[*l as usize].expect("unbound bytecode label");
-        };
-        let mut code = std::mem::take(&mut self.code);
-        for i in &mut code {
-            match i {
-                Instr::Jump { target }
-                | Instr::BranchFalse { target, .. }
-                | Instr::BranchTrue { target, .. }
-                | Instr::CmpBranch { target, .. } => resolve(target, &self.labels),
-                _ => {}
+    /// Resolves labels to instruction indices.
+    fn finish(mut self) -> Result<Body, RuntimeError> {
+        if let Some(e) = self.error.take() {
+            return Err(e);
+        }
+        let mut targets = Vec::with_capacity(self.labels.len());
+        for l in &self.labels {
+            let at = l.ok_or(RuntimeError::Unlowerable("unbound bytecode label"))?;
+            targets
+                .push(u32::try_from(at).map_err(|_| {
+                    RuntimeError::Unlowerable("more instructions than jumps reach")
+                })?);
+        }
+        for i in &mut self.code {
+            if let Op::Jump { target } | Op::Branch { target, .. } | Op::CmpBranch { target, .. } =
+                &mut i.op
+            {
+                *target = targets[*target as usize];
             }
         }
-        code
+        if Reg::try_from(self.max_reg.saturating_sub(1)).is_err() {
+            return Err(RuntimeError::Unlowerable(
+                "more registers than the bytecode addresses",
+            ));
+        }
+        Ok(Body {
+            code: self.code.into_boxed_slice(),
+            n_regs: self.max_reg,
+        })
     }
 
-    /// A register or immediate for `e` when no code is needed: in-range
-    /// locals map straight onto their slot register (expressions never
-    /// mutate slots, so reading at use time equals reading at eval time),
-    /// constants become immediates.
-    fn simple(&self, e: &Expr) -> Option<Operand> {
+    fn global(&mut self, id: hps_ir::GlobalId) -> Option<u32> {
+        let open = self.open?;
+        if id.index() >= open.program.globals.len() {
+            self.fail("global out of range");
+            return Some(0);
+        }
+        Some(u32::try_from(id.index()).unwrap_or_else(|_| {
+            self.fail("more globals than the bytecode addresses");
+            0
+        }))
+    }
+
+    /// A register, global or immediate for `e` when no code is needed:
+    /// in-range locals map straight onto their register (expressions never
+    /// assign a frame's own locals, so reading at use time equals reading
+    /// at evaluation time), constants become immediates.
+    fn simple(&mut self, e: &Expr) -> Option<Operand> {
         match e {
             Expr::Const(v) => Some(Operand::Const(*v)),
-            Expr::Local(id) if id.index() < self.n_slots => Some(Operand::Reg(id.index() as Reg)),
+            Expr::Local(id) if id.index() < self.n_slots => {
+                Some(Operand::Reg(self.reg(id.index())))
+            }
+            Expr::Global(id) => self.global(*id).map(Operand::Global),
             _ => None,
         }
     }
 
-    /// Evaluates `e` into an operand, folding constants and reusing slot
-    /// registers where possible; otherwise compiles into a fresh temp.
+    /// Evaluates `e` into an operand, folding constants and reusing
+    /// variable registers where possible; otherwise compiles into a fresh
+    /// temp.
     fn operand(&mut self, e: &Expr) -> Operand {
         if let Some(op) = self.simple(e) {
             return op;
         }
-        if let Some((v, cost)) = self.fold(e) {
+        if let Some((v, cost)) = fold(e) {
             self.add_cost(cost);
             return Operand::Const(v);
         }
@@ -310,242 +602,454 @@ impl Compiler {
         Operand::Reg(r)
     }
 
-    /// Constant-folds a pure-constant subtree, returning its value and the
-    /// cost units the tree-walk would charge evaluating it. `None` when
-    /// the subtree reads state, can fail at runtime, or short-circuits on
-    /// a non-constant condition.
-    fn fold(&self, e: &Expr) -> Option<(Value, u64)> {
-        match e {
-            Expr::Const(v) => Some((*v, 0)),
-            Expr::Unary { op, arg } => {
-                let (a, ca) = self.fold(arg)?;
-                let v = ops::unop(*op, &RtValue::from_const(a)).ok()?;
-                Some((v.to_const()?, COST_MODEL.unop + ca))
+    /// Evaluates sibling expressions in order. A global is read in place
+    /// only when no later sibling contains a call (a callee may assign
+    /// it); otherwise it is copied to a temp where the tree-walk reads it.
+    fn operands(&mut self, es: &[&Expr]) -> Vec<Operand> {
+        let mut out = Vec::with_capacity(es.len());
+        for (i, e) in es.iter().enumerate() {
+            let op = self.operand(e);
+            out.push(self.pin(op, es[i + 1..].iter().any(|l| contains_call(l))));
+        }
+        out
+    }
+
+    /// Copies a global operand to a temp when code that may assign it runs
+    /// before the operand is used.
+    fn pin(&mut self, op: Operand, later_call: bool) -> Operand {
+        match op {
+            Operand::Global(_) if later_call => {
+                let r = self.alloc();
+                self.emit(Op::Load { dst: r, src: op });
+                Operand::Reg(r)
             }
-            Expr::Binary { op, lhs, rhs } if *op == BinOp::And || *op == BinOp::Or => {
-                // Fold only when the left side decides the outcome the
-                // same way the tree-walk would.
-                let (a, ca) = self.fold(lhs)?;
-                match (op, a) {
-                    (BinOp::And, Value::Bool(false)) => {
-                        Some((Value::Bool(false), COST_MODEL.binop + ca))
-                    }
-                    (BinOp::Or, Value::Bool(true)) => {
-                        Some((Value::Bool(true), COST_MODEL.binop + ca))
-                    }
-                    (_, Value::Bool(_)) => {
-                        let (b, cb) = self.fold(rhs)?;
-                        Some((b, COST_MODEL.binop + ca + cb))
-                    }
-                    _ => None, // non-bool condition traps at runtime
-                }
+            op => op,
+        }
+    }
+
+    /// An aggregate input; a constant (never an aggregate) goes through a
+    /// register so the access raises the tree-walk's mismatch.
+    fn slot(&mut self, op: Operand) -> Slot {
+        match op {
+            Operand::Reg(r) => Slot::Reg(r),
+            Operand::Global(g) => Slot::Global(g),
+            Operand::Const(_) => {
+                let r = self.alloc();
+                self.emit(Op::Load { dst: r, src: op });
+                Slot::Reg(r)
             }
-            Expr::Binary { op, lhs, rhs } => {
-                let (a, ca) = self.fold(lhs)?;
-                let (b, cb) = self.fold(rhs)?;
-                let v = ops::binop(*op, &RtValue::from_const(a), &RtValue::from_const(b)).ok()?;
-                Some((v.to_const()?, COST_MODEL.binop + ca + cb))
-            }
-            Expr::BuiltinCall { builtin, args } => {
-                let mut cost = COST_MODEL.builtin_cost(*builtin);
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    let (v, c) = self.fold(a)?;
-                    cost += c;
-                    vals.push(RtValue::from_const(v));
-                }
-                let v = ops::builtin(*builtin, &vals).ok()?;
-                Some((v.to_const()?, cost))
-            }
-            _ => None,
         }
     }
 
     /// Compiles `e` so its value lands in `dst`, charging exactly the
     /// costs the tree-walk charges and raising errors in evaluation order.
+    /// `dst` is written only once every operand has been read, so it may
+    /// be a variable the expression reads.
     fn expr_into(&mut self, e: &Expr, dst: Reg) {
         if let Some(src) = self.simple(e) {
-            self.emit(Instr::Load { dst, src });
+            self.emit(Op::Load { dst, src });
             return;
         }
-        if let Some((v, cost)) = self.fold(e) {
+        if let Some((v, cost)) = fold(e) {
             self.add_cost(cost);
-            self.emit(Instr::Load {
+            self.emit(Op::Load {
                 dst,
                 src: Operand::Const(v),
             });
             return;
         }
+        let mark = self.next_reg;
         match e {
-            // `simple` handled in-range locals and constants above.
-            Expr::Const(_) => unreachable!("constants are simple operands"),
-            Expr::Local(_) => self.emit(Instr::Illegal("out-of-range hidden slot")),
+            Expr::Const(v) => self.emit(Op::Load {
+                dst,
+                src: Operand::Const(*v),
+            }),
+            Expr::Local(_) => match self.open {
+                Some(_) => self.fail("local out of range"),
+                None => self.emit(Op::Illegal("out-of-range hidden slot")),
+            },
             Expr::Unary { op, arg } => {
                 self.add_cost(COST_MODEL.unop);
-                let mark = self.next_reg;
                 let src = self.operand(arg);
-                self.emit(Instr::Un { op: *op, dst, src });
-                self.free_to(mark);
+                self.emit(Op::Un { op: *op, dst, src });
             }
-            Expr::Binary { op, lhs, rhs } if *op == BinOp::And => {
+            Expr::Binary { op, lhs, rhs } if op.is_logical() => {
+                // `a && b` is `b` when `a` holds, else `false`; `a || b`
+                // is `true` when `a` holds, else `b`.
                 self.add_cost(COST_MODEL.binop);
-                let mark = self.next_reg;
+                let short = *op == BinOp::Or;
                 let cond = self.operand(lhs);
                 self.free_to(mark);
-                let l_false = self.new_label();
+                let l_short = self.new_label();
                 let l_end = self.new_label();
-                self.emit(Instr::BranchFalse {
+                let target = self.target(l_short);
+                self.emit(Op::Branch {
                     cond,
-                    target: l_false as u32,
+                    target,
+                    when: short,
                 });
                 self.expr_into(rhs, dst);
-                self.emit(Instr::Jump {
-                    target: l_end as u32,
-                });
-                self.bind(l_false);
-                self.emit(Instr::Load {
+                self.jump(l_end);
+                self.bind(l_short);
+                self.emit(Op::Load {
                     dst,
-                    src: Operand::Const(Value::Bool(false)),
-                });
-                self.bind(l_end);
-            }
-            Expr::Binary { op, lhs, rhs } if *op == BinOp::Or => {
-                self.add_cost(COST_MODEL.binop);
-                let mark = self.next_reg;
-                let cond = self.operand(lhs);
-                self.free_to(mark);
-                let l_true = self.new_label();
-                let l_end = self.new_label();
-                self.emit(Instr::BranchTrue {
-                    cond,
-                    target: l_true as u32,
-                });
-                self.expr_into(rhs, dst);
-                self.emit(Instr::Jump {
-                    target: l_end as u32,
-                });
-                self.bind(l_true);
-                self.emit(Instr::Load {
-                    dst,
-                    src: Operand::Const(Value::Bool(true)),
+                    src: Operand::Const(Value::Bool(short)),
                 });
                 self.bind(l_end);
             }
             Expr::Binary { op, lhs, rhs } => {
                 self.add_cost(COST_MODEL.binop);
-                let mark = self.next_reg;
-                let a = self.operand(lhs);
-                let b = self.operand(rhs);
-                self.emit(Instr::Bin {
+                let ops = self.operands(&[lhs, rhs]);
+                self.emit(Op::Bin {
                     op: *op,
                     dst,
-                    lhs: a,
-                    rhs: b,
+                    lhs: ops[0],
+                    rhs: ops[1],
                 });
-                self.free_to(mark);
+            }
+            Expr::BuiltinCall {
+                builtin: Builtin::Len,
+                args,
+            } if self.open.is_some() => {
+                self.add_cost(COST_MODEL.builtin);
+                let [arg] = args.as_slice() else {
+                    return self.fail("len takes one argument");
+                };
+                let op = self.operand(arg);
+                let arr = self.slot(op);
+                self.emit(Op::Len { dst, arr });
             }
             Expr::BuiltinCall { builtin, args } => {
                 self.add_cost(COST_MODEL.builtin_cost(*builtin));
-                let mark = self.next_reg;
-                let ops_args: Vec<Operand> = args.iter().map(|a| self.operand(a)).collect();
-                self.emit(Instr::Builtin {
+                let args: Vec<&Expr> = args.iter().collect();
+                let args = self.operands(&args);
+                self.emit(Op::Builtin {
                     b: *builtin,
                     dst,
-                    args: ops_args.into_boxed_slice(),
+                    args: args.into_boxed_slice(),
                 });
-                self.free_to(mark);
             }
-            Expr::Global(_) => self.emit(Instr::Illegal("global access in fragment")),
-            Expr::Index { .. } => self.emit(Instr::Illegal("array access in fragment")),
-            Expr::FieldGet { .. } => self.emit(Instr::Illegal("field access in fragment")),
-            Expr::Call { .. } => self.emit(Instr::Illegal("call in fragment")),
-            Expr::NewArray { .. } | Expr::NewObject(_) => {
-                self.emit(Instr::Illegal("allocation in fragment"))
+            _ if self.open.is_none() => self.emit(Op::Illegal(leak_point(e))),
+            Expr::Global(id) => {
+                let src = Operand::Global(self.global(*id).unwrap_or(0));
+                self.emit(Op::Load { dst, src });
+            }
+            Expr::Index { base, index } => {
+                let ops = self.operands(&[base, index]);
+                let arr = self.slot(ops[0]);
+                self.add_cost(COST_MODEL.index);
+                self.emit(Op::LoadElem {
+                    dst,
+                    arr,
+                    idx: ops[1],
+                });
+            }
+            Expr::FieldGet { obj, field, .. } => {
+                let op = self.operand(obj);
+                let obj = self.slot(op);
+                self.add_cost(COST_MODEL.field);
+                let field = self.index32(field.index());
+                self.emit(Op::LoadField { dst, obj, field });
+            }
+            Expr::Call { callee, args } => self.call(callee.func(), args, dst),
+            Expr::NewArray { elem, len } => {
+                let len = self.operand(len);
+                self.emit(Op::NewArray {
+                    dst,
+                    len,
+                    elem: RtValue::default_of(elem).to_const(),
+                });
+            }
+            Expr::NewObject(class) => {
+                if self
+                    .open
+                    .is_some_and(|o| class.index() >= o.program.classes.len())
+                {
+                    return self.fail("class out of range");
+                }
+                self.add_cost(COST_MODEL.alloc_object);
+                let class = self.index32(class.index());
+                self.emit(Op::NewObject { dst, class });
             }
         }
-    }
-
-    /// Compiles a condition so control falls through when it is true and
-    /// jumps to `target` when false, fusing comparisons into
-    /// [`Instr::CmpBranch`].
-    fn branch_unless(&mut self, cond: &Expr, target: Label) {
-        if let Expr::Binary { op, lhs, rhs } = cond {
-            if matches!(
-                op,
-                BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-            ) {
-                self.add_cost(COST_MODEL.binop);
-                let mark = self.next_reg;
-                let a = self.operand(lhs);
-                let b = self.operand(rhs);
-                self.emit(Instr::CmpBranch {
-                    op: *op,
-                    lhs: a,
-                    rhs: b,
-                    target: target as u32,
-                });
-                self.free_to(mark);
-                return;
-            }
-        }
-        let mark = self.next_reg;
-        let c = self.operand(cond);
-        self.emit(Instr::BranchFalse {
-            cond: c,
-            target: target as u32,
-        });
         self.free_to(mark);
     }
 
-    /// Recognises `x = x <op> e` and fuses it into [`Instr::Accum`].
-    fn try_accum(&mut self, place: &Place, value: &Expr) -> bool {
-        let slot = match place {
-            Place::Local(id) if id.index() < self.n_slots => id.index() as Reg,
-            _ => return false,
+    fn index32(&mut self, index: usize) -> u32 {
+        u32::try_from(index).unwrap_or_else(|_| {
+            self.fail("index beyond the bytecode's range");
+            0
+        })
+    }
+
+    fn call(&mut self, func: hps_ir::FuncId, args: &[Expr], dst: Reg) {
+        let Some(open) = self.open else {
+            return self.emit(Op::Illegal("call in fragment"));
         };
-        let (op, lhs, rhs) = match value {
-            Expr::Binary { op, lhs, rhs } if *op != BinOp::And && *op != BinOp::Or => {
-                (*op, lhs, rhs)
-            }
-            _ => return false,
-        };
-        match lhs.as_ref() {
-            Expr::Local(id) if id.index() == usize::from(slot) => {}
-            _ => return false,
+        match open.program.functions.get(func.index()) {
+            Some(f) if f.num_params == args.len() => {}
+            Some(_) => return self.fail("call arity differs from the callee's parameters"),
+            None => return self.fail("call to a function out of range"),
         }
+        let args: Vec<&Expr> = args.iter().collect();
+        let args = self.operands(&args);
+        let func = self.index32(func.index());
+        self.emit(Op::Call {
+            func,
+            dst,
+            args: args.into_boxed_slice(),
+        });
+    }
+
+    /// Compiles a condition so control jumps to `target` when it evaluates
+    /// to `when` and falls through otherwise. Comparisons fuse into
+    /// [`Op::CmpBranch`]; `&&` and `||` become branch chains (the same
+    /// operands evaluated, the same "bool condition" checks).
+    fn branch(&mut self, cond: &Expr, target: Label, when: bool) {
+        if let Some((Value::Bool(b), cost)) = fold(cond) {
+            self.add_cost(cost);
+            if b == when {
+                self.jump(target);
+            }
+            return;
+        }
+        let mark = self.next_reg;
+        match cond {
+            Expr::Binary { op, lhs, rhs } if op.is_relational() => {
+                self.add_cost(COST_MODEL.binop);
+                let ops = self.operands(&[lhs, rhs]);
+                let target = self.target(target);
+                self.emit(Op::CmpBranch {
+                    op: *op,
+                    lhs: ops[0],
+                    rhs: ops[1],
+                    target,
+                    when,
+                });
+            }
+            Expr::Binary { op, lhs, rhs } if op.is_logical() => {
+                self.add_cost(COST_MODEL.binop);
+                // `&&` decides `false` on its left side, `||` decides
+                // `true`; otherwise the right side decides.
+                let decides = *op == BinOp::Or;
+                if decides == when {
+                    self.branch(lhs, target, when);
+                    self.branch(rhs, target, when);
+                } else {
+                    let skip = self.new_label();
+                    self.branch(lhs, skip, decides);
+                    self.branch(rhs, target, when);
+                    self.bind(skip);
+                }
+            }
+            _ => {
+                let c = self.operand(cond);
+                let target = self.target(target);
+                self.emit(Op::Branch {
+                    cond: c,
+                    target,
+                    when,
+                });
+            }
+        }
+        self.free_to(mark);
+    }
+
+    /// Recognises `x = x <op> e` on a register and fuses it into
+    /// [`Op::Accum`].
+    fn try_accum(&mut self, place: &Place, value: &Expr) -> bool {
+        let id = match place {
+            Place::Local(id) if id.index() < self.n_slots => id.index(),
+            _ => return false,
+        };
+        let (op, rhs) = match value {
+            Expr::Binary { op, lhs, rhs } if !op.is_logical() => match lhs.as_ref() {
+                Expr::Local(l) if l.index() == id => (*op, rhs),
+                _ => return false,
+            },
+            _ => return false,
+        };
         self.add_cost(COST_MODEL.binop + COST_MODEL.assign);
         let mark = self.next_reg;
+        let slot = self.reg(id);
         let rhs = self.operand(rhs);
-        self.emit(Instr::Accum { op, slot, rhs });
+        self.emit(Op::Accum { op, slot, rhs });
         self.free_to(mark);
         true
     }
 
+    /// Reads a place as an aggregate for an element store.
+    fn place_slot(&mut self, place: &Place, later_call: bool) -> Slot {
+        match place {
+            Place::Local(id) if id.index() < self.n_slots => Slot::Reg(self.reg(id.index())),
+            Place::Local(_) => {
+                self.fail("local out of range");
+                Slot::Reg(0)
+            }
+            Place::Global(id) => {
+                let g = self.global(*id).unwrap_or(0);
+                match self.pin(Operand::Global(g), later_call) {
+                    Operand::Reg(r) => Slot::Reg(r),
+                    _ => Slot::Global(g),
+                }
+            }
+            Place::Index { base, index } => {
+                let arr = self.place_slot(base, contains_call(index));
+                let idx = self.operand(index);
+                self.add_cost(COST_MODEL.index);
+                let dst = self.alloc();
+                self.emit(Op::LoadElem { dst, arr, idx });
+                Slot::Reg(dst)
+            }
+            Place::Field { obj, field, .. } => {
+                let op = self.operand(obj);
+                let obj = self.slot(op);
+                self.add_cost(COST_MODEL.field);
+                let field = self.index32(field.index());
+                let dst = self.alloc();
+                self.emit(Op::LoadField { dst, obj, field });
+                Slot::Reg(dst)
+            }
+        }
+    }
+
+    /// Stores `src` into an open-code place, evaluating the place's index
+    /// and receiver now, after the value (as the tree-walk does).
+    fn store(&mut self, place: &Place, src: Operand) {
+        match place {
+            Place::Local(id) if id.index() < self.n_slots => {
+                let dst = self.reg(id.index());
+                self.emit(Op::Load { dst, src });
+            }
+            Place::Local(_) => self.fail("local out of range"),
+            Place::Global(id) => {
+                let global = self.global(*id).unwrap_or(0);
+                self.emit(Op::StoreGlobal { global, src });
+            }
+            Place::Index { base, index } => {
+                let arr = self.place_slot(base, contains_call(index));
+                let idx = self.operand(index);
+                self.add_cost(COST_MODEL.index);
+                self.emit(Op::StoreElem { arr, idx, src });
+            }
+            Place::Field { obj, field, .. } => {
+                let op = self.operand(obj);
+                let obj = self.slot(op);
+                self.add_cost(COST_MODEL.field);
+                let field = self.index32(field.index());
+                self.emit(Op::StoreField { obj, field, src });
+            }
+        }
+    }
+
+    fn assign(&mut self, place: &Place, value: &Expr) {
+        if self.try_accum(place, value) {
+            return;
+        }
+        let mark = self.next_reg;
+        match place {
+            Place::Local(id) if id.index() < self.n_slots => {
+                self.add_cost(COST_MODEL.assign);
+                let dst = self.reg(id.index());
+                self.expr_into(value, dst);
+            }
+            _ if self.open.is_some() => {
+                let v = self.operand(value);
+                let v = self.pin(v, place_contains_call(place));
+                self.add_cost(COST_MODEL.assign);
+                self.store(place, v);
+            }
+            _ => {
+                self.operand(value);
+                self.add_cost(COST_MODEL.assign);
+                self.emit(Op::Illegal(match place {
+                    Place::Local(_) => "out-of-range hidden slot",
+                    _ => "aggregate store in fragment",
+                }));
+            }
+        }
+        self.free_to(mark);
+    }
+
+    fn hidden_call(
+        &mut self,
+        component: ComponentId,
+        label: FragLabel,
+        args: &[Expr],
+        result: Option<&Place>,
+        deferred: bool,
+    ) {
+        let Some(open) = self.open else {
+            return self.emit(Op::Illegal("nested hidden call"));
+        };
+        let mark = self.next_reg;
+        // Each argument is checked as it is marshalled, before a later
+        // one runs any code.
+        let mut ops = Vec::with_capacity(args.len());
+        for (i, a) in args.iter().enumerate() {
+            let op = self.operand(a);
+            let later = &args[i + 1..];
+            let op = self.pin(op, later.iter().any(contains_call));
+            if matches!(op, Operand::Reg(_) | Operand::Global(_))
+                && later.iter().any(|l| !is_leaf(l))
+            {
+                self.emit(Op::Scalar { src: op });
+            }
+            ops.push(op);
+        }
+        self.add_cost(COST_MODEL.marshal_per_arg * args.len() as u64);
+        let route = match open.meta {
+            None => Route::Fail(RuntimeError::NoChannel),
+            Some(meta) => match meta.kind_of(component) {
+                Some(MetaKind::Class) if self.n_slots > 0 => Route::SelfObject,
+                Some(MetaKind::Class) => Route::Fail(RuntimeError::Channel(
+                    "class-component hidden call outside a method".into(),
+                )),
+                Some(MetaKind::Global) => Route::Global,
+                _ => Route::Activation,
+            },
+        };
+        let deferred = deferred && open.batching;
+        let local = |c: &mut Self, place: &Place| match place {
+            Place::Local(id) if id.index() < c.n_slots => Some(c.reg(id.index())),
+            _ => None,
+        };
+        let (result, store) = match result {
+            None => (None, None),
+            Some(place) if deferred => match local(self, place) {
+                Some(r) => (Some(r), None),
+                None => return self.fail("deferred hidden-call result outside a local"),
+            },
+            Some(place) => {
+                self.add_cost(COST_MODEL.assign);
+                match local(self, place) {
+                    Some(r) => (Some(r), None),
+                    None => {
+                        let t = self.alloc();
+                        (Some(t), Some((place, t)))
+                    }
+                }
+            }
+        };
+        self.emit(Op::Hidden(Box::new(HiddenOp {
+            component,
+            label,
+            args: ops.into_boxed_slice(),
+            route,
+            result,
+            deferred,
+        })));
+        if let Some((place, t)) = store {
+            self.store(place, Operand::Reg(t));
+        }
+        self.free_to(mark);
+    }
+
     fn block(&mut self, b: &Block) {
         for stmt in &b.stmts {
-            self.emit(Instr::Tick);
+            self.tick();
             match &stmt.kind {
-                StmtKind::Assign { place, value } => {
-                    if self.try_accum(place, value) {
-                        continue;
-                    }
-                    let mark = self.next_reg;
-                    let v = self.operand(value);
-                    self.add_cost(COST_MODEL.assign);
-                    match place {
-                        Place::Local(id) if id.index() < self.n_slots => {
-                            self.emit(Instr::Load {
-                                dst: id.index() as Reg,
-                                src: v,
-                            });
-                        }
-                        Place::Local(_) => {
-                            self.emit(Instr::Illegal("out-of-range hidden slot"));
-                        }
-                        _ => self.emit(Instr::Illegal("aggregate store in fragment")),
-                    }
-                    self.free_to(mark);
-                }
+                StmtKind::Assign { place, value } => self.assign(place, value),
                 StmtKind::If {
                     cond,
                     then_blk,
@@ -554,61 +1058,766 @@ impl Compiler {
                     self.add_cost(COST_MODEL.branch);
                     let l_else = self.new_label();
                     let l_end = self.new_label();
-                    self.branch_unless(cond, l_else);
+                    self.branch(cond, l_else, false);
                     self.block(then_blk);
                     if !else_blk.is_empty() {
-                        self.emit(Instr::Jump {
-                            target: l_end as u32,
-                        });
+                        self.jump(l_end);
                     }
                     self.bind(l_else);
                     self.block(else_blk);
                     self.bind(l_end);
                 }
                 StmtKind::While { cond, body } => {
-                    let l_head = self.new_label();
+                    // Rotated: the first check falls into the body, and
+                    // every later check ends an iteration by branching back.
+                    let l_body = self.new_label();
+                    let l_check = self.new_label();
                     let l_end = self.new_label();
-                    self.bind(l_head);
-                    self.emit(Instr::Tick);
+                    self.tick();
                     self.add_cost(COST_MODEL.branch);
-                    self.branch_unless(cond, l_end);
-                    self.loops.push((l_head, l_end));
+                    self.branch(cond, l_end, false);
+                    self.bind(l_body);
+                    self.loops.push((l_check, l_end));
                     self.block(body);
                     self.loops.pop();
-                    self.emit(Instr::Jump {
-                        target: l_head as u32,
-                    });
+                    self.bind(l_check);
+                    self.tick();
+                    self.add_cost(COST_MODEL.branch);
+                    self.branch(cond, l_body, true);
                     self.bind(l_end);
                 }
                 StmtKind::Break => {
                     let target = self.loops.last().map_or(self.epilogue, |&(_, end)| end);
-                    self.emit(Instr::Jump {
-                        target: target as u32,
-                    });
+                    self.jump(target);
                 }
                 StmtKind::Continue => {
-                    let target = self.loops.last().map_or(self.epilogue, |&(head, _)| head);
-                    self.emit(Instr::Jump {
-                        target: target as u32,
-                    });
+                    let target = self.loops.last().map_or(self.epilogue, |&(check, _)| check);
+                    self.jump(target);
                 }
                 StmtKind::Nop => {}
-                StmtKind::Return(_) => self.emit(Instr::Illegal("return in fragment")),
-                StmtKind::Print(_) => self.emit(Instr::Illegal("print in fragment")),
-                StmtKind::ExprStmt(_) => self.emit(Instr::Illegal("call in fragment")),
-                StmtKind::HiddenCall { .. } => self.emit(Instr::Illegal("nested hidden call")),
+                _ if self.open.is_none() => self.emit(Op::Illegal(match &stmt.kind {
+                    StmtKind::Return(_) => "return in fragment",
+                    StmtKind::Print(_) => "print in fragment",
+                    StmtKind::ExprStmt(_) => "call in fragment",
+                    _ => "nested hidden call",
+                })),
+                StmtKind::Return(e) => {
+                    let mark = self.next_reg;
+                    let src = match e {
+                        Some(e) => self.operand(e),
+                        None => Operand::Const(Value::Int(0)),
+                    };
+                    self.emit(Op::Ret { src: Some(src) });
+                    self.free_to(mark);
+                }
+                StmtKind::Print(e) => {
+                    let mark = self.next_reg;
+                    let src = self.operand(e);
+                    self.add_cost(COST_MODEL.print);
+                    self.emit(Op::Print { src });
+                    self.free_to(mark);
+                }
+                StmtKind::ExprStmt(e) => {
+                    let mark = self.next_reg;
+                    self.operand(e);
+                    self.free_to(mark);
+                }
+                StmtKind::HiddenCall {
+                    component,
+                    label,
+                    args,
+                    result,
+                    deferred,
+                } => self.hidden_call(*component, *label, args, result.as_ref(), *deferred),
             }
         }
     }
 }
 
-/// Reads an operand from the register file.
-#[inline]
-fn read(regs: &[RtValue], o: &Operand) -> RtValue {
-    match o {
-        Operand::Const(v) => RtValue::from_const(*v),
-        Operand::Reg(r) => regs[usize::from(*r)].clone(),
+/// The diagnostic of a construct the fragment subset forbids.
+fn leak_point(e: &Expr) -> &'static str {
+    match e {
+        Expr::Global(_) => "global access in fragment",
+        Expr::Index { .. } => "array access in fragment",
+        Expr::FieldGet { .. } => "field access in fragment",
+        Expr::Call { .. } => "call in fragment",
+        _ => "allocation in fragment",
     }
+}
+
+fn contains_call(e: &Expr) -> bool {
+    let mut found = false;
+    e.walk(&mut |sub| found |= matches!(sub, Expr::Call { .. }));
+    found
+}
+
+fn place_contains_call(place: &Place) -> bool {
+    match place {
+        Place::Local(_) | Place::Global(_) => false,
+        Place::Index { base, index } => place_contains_call(base) || contains_call(index),
+        Place::Field { obj, .. } => contains_call(obj),
+    }
+}
+
+fn is_leaf(e: &Expr) -> bool {
+    matches!(e, Expr::Const(_) | Expr::Local(_) | Expr::Global(_))
+}
+
+/// Constant-folds a pure-constant subtree, returning its value and the
+/// cost units the tree-walk would charge evaluating it. `None` when the
+/// subtree reads state, can fail at runtime, or short-circuits on a
+/// non-constant condition.
+fn fold(e: &Expr) -> Option<(Value, u64)> {
+    match e {
+        Expr::Const(v) => Some((*v, 0)),
+        Expr::Unary { op, arg } => {
+            let (a, ca) = fold(arg)?;
+            let v = ops::unop(*op, &RtValue::from_const(a)).ok()?;
+            Some((v.to_const()?, COST_MODEL.unop + ca))
+        }
+        Expr::Binary { op, lhs, rhs } if op.is_logical() => {
+            // Fold only when the left side decides the outcome the same
+            // way the tree-walk would.
+            let (a, ca) = fold(lhs)?;
+            match (op, a) {
+                (BinOp::And, Value::Bool(false)) => {
+                    Some((Value::Bool(false), COST_MODEL.binop + ca))
+                }
+                (BinOp::Or, Value::Bool(true)) => Some((Value::Bool(true), COST_MODEL.binop + ca)),
+                (_, Value::Bool(_)) => {
+                    let (b, cb) = fold(rhs)?;
+                    Some((b, COST_MODEL.binop + ca + cb))
+                }
+                _ => None, // non-bool condition traps at runtime
+            }
+        }
+        Expr::Binary { op, lhs, rhs } => {
+            let (a, ca) = fold(lhs)?;
+            let (b, cb) = fold(rhs)?;
+            let v = ops::binop(*op, &RtValue::from_const(a), &RtValue::from_const(b)).ok()?;
+            Some((v.to_const()?, COST_MODEL.binop + ca + cb))
+        }
+        Expr::BuiltinCall { builtin, args } => {
+            let mut cost = COST_MODEL.builtin_cost(*builtin);
+            let mut vals = Vec::with_capacity(args.len());
+            for a in args {
+                let (v, c) = fold(a)?;
+                cost += c;
+                vals.push(RtValue::from_const(v));
+            }
+            let v = ops::builtin(*builtin, &vals).ok()?;
+            Some((v.to_const()?, cost))
+        }
+        _ => None,
+    }
+}
+
+/// Reads an operand.
+#[inline(always)]
+fn read(regs: &[RtValue], globals: &[RtValue], o: &Operand) -> RtValue {
+    match *o {
+        Operand::Reg(r) => regs[usize::from(r)].clone(),
+        Operand::Global(g) => globals[g as usize].clone(),
+        Operand::Const(v) => RtValue::from_const(v),
+    }
+}
+
+/// An operand's value when it is an `Int`, without a clone.
+#[inline(always)]
+fn int(regs: &[RtValue], globals: &[RtValue], o: &Operand) -> Option<i64> {
+    match *o {
+        Operand::Reg(r) => match regs[usize::from(r)] {
+            RtValue::Int(i) => Some(i),
+            _ => None,
+        },
+        Operand::Const(Value::Int(i)) => Some(i),
+        Operand::Global(g) => match globals[g as usize] {
+            RtValue::Int(i) => Some(i),
+            _ => None,
+        },
+        Operand::Const(_) => None,
+    }
+}
+
+/// An operand's value when it is a `Float`, without a clone.
+#[inline(always)]
+fn float(regs: &[RtValue], globals: &[RtValue], o: &Operand) -> Option<f64> {
+    match *o {
+        Operand::Reg(r) => match regs[usize::from(r)] {
+            RtValue::Float(f) => Some(f),
+            _ => None,
+        },
+        Operand::Const(Value::Float(f)) => Some(f),
+        Operand::Global(g) => match globals[g as usize] {
+            RtValue::Float(f) => Some(f),
+            _ => None,
+        },
+        Operand::Const(_) => None,
+    }
+}
+
+/// An aggregate input, borrowed in place.
+#[inline(always)]
+fn slot<'r>(regs: &'r [RtValue], globals: &'r [RtValue], s: &Slot) -> &'r RtValue {
+    match *s {
+        Slot::Reg(r) => &regs[usize::from(r)],
+        Slot::Global(g) => &globals[g as usize],
+    }
+}
+
+/// [`ops::binop`] with `Int × Int` answered first, with its wrapping and
+/// division-by-zero semantics, then `Float × Float` arithmetic and
+/// comparisons.
+#[inline(always)]
+fn binop(
+    op: BinOp,
+    regs: &[RtValue],
+    globals: &[RtValue],
+    lhs: &Operand,
+    rhs: &Operand,
+) -> Result<RtValue, RuntimeError> {
+    if let (Some(x), Some(y)) = (int(regs, globals, lhs), int(regs, globals, rhs)) {
+        return int_binop(op, x, y);
+    }
+    if let (Some(x), Some(y)) = (float(regs, globals, lhs), float(regs, globals, rhs)) {
+        match op {
+            BinOp::Add => return Ok(RtValue::Float(x + y)),
+            BinOp::Sub => return Ok(RtValue::Float(x - y)),
+            BinOp::Mul => return Ok(RtValue::Float(x * y)),
+            BinOp::Div => return Ok(RtValue::Float(x / y)),
+            op if op.is_relational() => return Ok(RtValue::Bool(compare(op, x, y))),
+            _ => {}
+        }
+    }
+    ops::binop(op, &read(regs, globals, lhs), &read(regs, globals, rhs))
+}
+
+#[inline(always)]
+fn int_binop(op: BinOp, x: i64, y: i64) -> Result<RtValue, RuntimeError> {
+    Ok(match op {
+        BinOp::Add => RtValue::Int(x.wrapping_add(y)),
+        BinOp::Sub => RtValue::Int(x.wrapping_sub(y)),
+        BinOp::Mul => RtValue::Int(x.wrapping_mul(y)),
+        BinOp::Div | BinOp::Rem if y == 0 => return Err(RuntimeError::DivisionByZero),
+        BinOp::Div => RtValue::Int(x.wrapping_div(y)),
+        BinOp::Rem => RtValue::Int(x.wrapping_rem(y)),
+        BinOp::And | BinOp::Or => return ops::binop(op, &RtValue::Int(x), &RtValue::Int(y)),
+        cmp => RtValue::Bool(compare(cmp, x, y)),
+    })
+}
+
+/// The outcome of a relational operator on two ints or two floats; the
+/// same answers as [`ops::binop`], NaN included.
+#[inline(always)]
+fn compare<T: PartialOrd>(op: BinOp, x: T, y: T) -> bool {
+    match op {
+        BinOp::Eq => x == y,
+        BinOp::Ne => x != y,
+        BinOp::Lt => x < y,
+        BinOp::Le => x <= y,
+        BinOp::Gt => x > y,
+        _ => x >= y,
+    }
+}
+
+/// An `int index` operand.
+#[inline(always)]
+fn index(regs: &[RtValue], globals: &[RtValue], o: &Operand) -> Result<i64, RuntimeError> {
+    int(regs, globals, o).ok_or_else(|| mismatch("int index", &read(regs, globals, o)))
+}
+
+fn out_of_bounds(index: i64, len: usize) -> RuntimeError {
+    RuntimeError::IndexOutOfBounds { index, len }
+}
+
+/// Element `idx` of an array value.
+fn load_elem(arr: &RtValue, idx: i64) -> Result<RtValue, RuntimeError> {
+    let a = arr.array()?.borrow();
+    usize::try_from(idx)
+        .ok()
+        .and_then(|i| a.get(i))
+        .cloned()
+        .ok_or(out_of_bounds(idx, a.len()))
+}
+
+/// Writes element `idx` of an array value.
+fn store_elem(arr: &RtValue, idx: i64, value: RtValue) -> Result<(), RuntimeError> {
+    let mut a = arr.array()?.borrow_mut();
+    let len = a.len();
+    let slot = usize::try_from(idx)
+        .ok()
+        .and_then(|i| a.get_mut(i))
+        .ok_or(out_of_bounds(idx, len))?;
+    *slot = value;
+    Ok(())
+}
+
+const NO_FIELD: RuntimeError = RuntimeError::Unlowerable("field out of range");
+
+/// One call's frame on the register stack.
+struct Frame {
+    /// The function running in the frame.
+    func: u32,
+    /// Where the frame's registers start.
+    base: usize,
+    /// The caller's next instruction and the register the value lands in.
+    ret_pc: usize,
+    dst: Reg,
+    /// The secure-side activation the frame opened, if any.
+    activation: Option<(ComponentId, u64)>,
+}
+
+/// The machine state: globals, the register stack with its frames, the
+/// program output, the cost and step counters, and the split-execution
+/// plumbing (channel, deferred-call buffer, id counters).
+pub(crate) struct Vm<'a> {
+    pub(crate) globals: Vec<RtValue>,
+    /// Every live frame's registers, caller below callee.
+    stack: Vec<RtValue>,
+    frames: Vec<Frame>,
+    pub(crate) output: Vec<String>,
+    pub(crate) cost: u64,
+    pub(crate) steps: u64,
+    pub(crate) step_limit: u64,
+    pub(crate) depth_limit: usize,
+    pub(crate) channel: Option<&'a mut dyn Channel>,
+    pub(crate) recorder: RecorderHandle,
+    /// Deferred hidden calls awaiting one coalesced round trip, with the
+    /// absolute register (if any) each reply lands in. The deferrable-call
+    /// pass guarantees a result-bearing entry is flushed within the frame
+    /// that buffered it.
+    pending: Vec<PendingCall>,
+    pending_results: Vec<Option<usize>>,
+    next_activation: u64,
+    next_instance: u64,
+}
+
+impl<'a> Vm<'a> {
+    pub(crate) fn new(globals: Vec<RtValue>, step_limit: u64, depth_limit: usize) -> Vm<'a> {
+        Vm {
+            globals,
+            stack: Vec::new(),
+            frames: Vec::new(),
+            output: Vec::new(),
+            cost: 0,
+            steps: 0,
+            step_limit,
+            depth_limit,
+            channel: None,
+            recorder: RecorderHandle::none(),
+            pending: Vec::new(),
+            pending_results: Vec::new(),
+            next_activation: 1,
+            next_instance: 1,
+        }
+    }
+
+    /// Runs open function `func` of `prog` with `args` to completion and
+    /// flushes the deferred-call buffer.
+    pub(crate) fn run(
+        &mut self,
+        prog: &ProgramCode,
+        func: usize,
+        args: &[RtValue],
+    ) -> Result<RtValue, RuntimeError> {
+        let f = &prog.funcs[func];
+        self.stack.clear();
+        self.stack.extend_from_slice(args);
+        self.stack
+            .extend_from_slice(f.init.get(args.len()..).unwrap_or_default());
+        let func = u32::try_from(func).map_err(|_| RuntimeError::Unlowerable("entry index"))?;
+        self.enter(func, f.activation, 0, 0, 0)?;
+        self.cost += COST_MODEL.call;
+        let ret = match self.execute(prog, &f.body) {
+            Ok(v) => v,
+            Err(e) => return Err(self.unwind(e)),
+        };
+        self.stack.clear();
+        // Deferred calls to persistent (global/class) components may still
+        // be buffered; the run's hidden-side effects must be complete
+        // before the outcome is observable.
+        self.flush(false)?;
+        Ok(ret)
+    }
+
+    /// Opens a frame at `base`: checks the depth limit and opens the
+    /// function's activation. The caller charges the call.
+    fn enter(
+        &mut self,
+        func: u32,
+        activation: Option<ComponentId>,
+        base: usize,
+        ret_pc: usize,
+        dst: Reg,
+    ) -> Result<(), RuntimeError> {
+        if self.frames.len() >= self.depth_limit {
+            return Err(RuntimeError::StackOverflow {
+                limit: self.depth_limit,
+            });
+        }
+        let activation = activation.map(|c| {
+            let id = self.next_activation;
+            self.next_activation += 1;
+            (c, id)
+        });
+        self.frames.push(Frame {
+            func,
+            base,
+            ret_pc,
+            dst,
+            activation,
+        });
+        Ok(())
+    }
+
+    /// Leaves the top frame: buffered calls reach the server before its
+    /// activation's state is freed. On a flush error the frame stays for
+    /// [`Vm::unwind`] to release; on a release error it is already gone.
+    fn leave(&mut self) -> Result<Option<Frame>, RuntimeError> {
+        let activation = self.frames.last().and_then(|f| f.activation);
+        if activation.is_some() {
+            self.flush(false)?;
+        }
+        let frame = self.frames.pop();
+        if let (Some((c, id)), Some(chan)) = (activation, self.channel.as_deref_mut()) {
+            chan.release(c, id)?;
+        }
+        Ok(frame)
+    }
+
+    /// Drops every frame after `err`, releasing each open activation
+    /// innermost first; a failing release replaces the error, as it does
+    /// when the tree-walk returns through each call.
+    fn unwind(&mut self, mut err: RuntimeError) -> RuntimeError {
+        self.pending.clear();
+        self.pending_results.clear();
+        while let Some(frame) = self.frames.pop() {
+            if let (Some((c, id)), Some(chan)) = (frame.activation, self.channel.as_deref_mut()) {
+                if let Err(e) = chan.release(c, id) {
+                    err = e;
+                }
+            }
+        }
+        self.stack.clear();
+        err
+    }
+
+    /// Sends every buffered call in one batched round trip, writes replies
+    /// to their result registers, and returns the last reply (the value
+    /// of the demanded call that triggered the flush, when there is one).
+    /// No-op on an empty buffer.
+    fn flush(&mut self, demanded: bool) -> Result<Option<Value>, RuntimeError> {
+        if self.pending.is_empty() {
+            return Ok(None);
+        }
+        let mut calls = std::mem::take(&mut self.pending);
+        let mut results = std::mem::take(&mut self.pending_results);
+        self.recorder.record(Event::Flush {
+            pending: calls.len() as u64,
+            demanded,
+        });
+        let chan = self.channel.as_deref_mut().ok_or(RuntimeError::NoChannel)?;
+        let replies = chan.call_batch(&calls)?;
+        self.cost += chan.rtt_cost();
+        let mut last = None;
+        for (reply, result) in replies.into_iter().zip(results.drain(..)) {
+            self.cost += reply.server_cost;
+            if let Some(r) = result {
+                self.cost += COST_MODEL.assign;
+                *self.stack.get_mut(r).ok_or_else(|| {
+                    RuntimeError::Channel("deferred result flushed outside its frame".into())
+                })? = RtValue::from_const(reply.value);
+            }
+            last = Some(reply.value);
+        }
+        // Keep the buffers' capacity for the next batch.
+        calls.clear();
+        self.pending = calls;
+        self.pending_results = results;
+        Ok(last)
+    }
+
+    /// Runs one hidden call from the frame at `base`.
+    fn hidden(&mut self, h: &HiddenOp, base: usize) -> Result<(), RuntimeError> {
+        let regs = &self.stack[base..];
+        let mut args = Vec::with_capacity(h.args.len());
+        for a in h.args.iter() {
+            args.push(scalar_arg(&read(regs, &self.globals, a))?);
+        }
+        let key = match &h.route {
+            Route::Global => 0,
+            Route::SelfObject => match &regs[0] {
+                RtValue::Object(obj) => obj.borrow().instance_id,
+                _ => {
+                    return Err(RuntimeError::Channel(
+                        "class-component hidden call outside a method".into(),
+                    ))
+                }
+            },
+            Route::Activation => match self.frames.last().and_then(|f| f.activation) {
+                Some((c, id)) if c == h.component => id,
+                _ => {
+                    return Err(RuntimeError::Channel(
+                        "hidden call outside its split function's activation".into(),
+                    ))
+                }
+            },
+            Route::Fail(e) => return Err(e.clone()),
+        };
+        let call = PendingCall {
+            component: h.component,
+            key,
+            label: h.label,
+            args,
+        };
+        if h.deferred {
+            // Fail like an immediate call would if no channel is attached.
+            if self.channel.is_none() {
+                return Err(RuntimeError::NoChannel);
+            }
+            self.pending.push(call);
+            self.pending_results
+                .push(h.result.map(|r| base + usize::from(r)));
+            self.recorder.record(Event::Deferred);
+            // Deterministic cap: an update-only loop may never demand a
+            // value, so bound the buffer by flushing periodically, in the
+            // buffering frame.
+            if self.pending.len() >= MAX_PENDING_CALLS {
+                self.flush(false)?;
+            }
+            return Ok(());
+        }
+        let value = if self.pending.is_empty() {
+            let chan = self.channel.as_deref_mut().ok_or(RuntimeError::NoChannel)?;
+            let reply = chan.call(call.component, call.key, call.label, &call.args)?;
+            self.cost += chan.rtt_cost() + reply.server_cost;
+            reply.value
+        } else {
+            // Ship the deferred buffer and this demanded call together in
+            // one round trip; the demanded reply is the batch's last.
+            self.pending.push(call);
+            self.pending_results.push(None);
+            self.flush(true)?
+                .ok_or_else(|| RuntimeError::Channel("empty reply to a batch".into()))?
+        };
+        if let Some(r) = h.result {
+            self.stack[base + usize::from(r)] = RtValue::from_const(value);
+        }
+        Ok(())
+    }
+
+    /// The dispatch loop. Runs from `entry`, the code of the top frame,
+    /// until that frame returns; calls and returns in between switch code
+    /// and frames in place. On error the frames are left for
+    /// [`Vm::unwind`].
+    fn execute(&mut self, prog: &ProgramCode, entry: &Body) -> Result<RtValue, RuntimeError> {
+        let mut steps = self.steps;
+        let mut cost = self.cost;
+        let result = self.dispatch(prog, entry, &mut steps, &mut cost);
+        self.steps = steps;
+        self.cost = cost;
+        result
+    }
+
+    /// [`Vm::execute`] with the step and cost counters in locals; `cost`
+    /// is synchronised with `self.cost` around the calls that charge it.
+    fn dispatch(
+        &mut self,
+        prog: &ProgramCode,
+        entry: &Body,
+        steps: &mut u64,
+        cost: &mut u64,
+    ) -> Result<RtValue, RuntimeError> {
+        let mut code: &[Instr] = &entry.code;
+        let mut pc = 0;
+        let mut base = self.frames.last().map_or(0, |f| f.base);
+        loop {
+            let ins = &code[pc];
+            pc += 1;
+            *steps += u64::from(ins.tick);
+            if *steps > self.step_limit {
+                return Err(RuntimeError::StepLimitExceeded {
+                    limit: self.step_limit,
+                });
+            }
+            *cost += u64::from(ins.cost);
+            let regs = &self.stack[base..];
+            let globals = &self.globals;
+            match &ins.op {
+                Op::Nop => {}
+                Op::Load { dst, src } => {
+                    let v = read(regs, globals, src);
+                    self.stack[base + usize::from(*dst)] = v;
+                }
+                Op::Un { op, dst, src } => {
+                    let v = ops::unop(*op, &read(regs, globals, src))?;
+                    self.stack[base + usize::from(*dst)] = v;
+                }
+                Op::Bin { op, dst, lhs, rhs } => {
+                    let v = binop(*op, regs, globals, lhs, rhs)?;
+                    self.stack[base + usize::from(*dst)] = v;
+                }
+                Op::Accum { op, slot, rhs } => {
+                    let v = binop(*op, regs, globals, &Operand::Reg(*slot), rhs)?;
+                    self.stack[base + usize::from(*slot)] = v;
+                }
+                Op::Builtin { b, dst, args } => {
+                    let v = match args.as_ref() {
+                        [a] => ops::builtin(*b, &[read(regs, globals, a)])?,
+                        [a, c] => {
+                            ops::builtin(*b, &[read(regs, globals, a), read(regs, globals, c)])?
+                        }
+                        args => {
+                            let vals: Vec<RtValue> =
+                                args.iter().map(|a| read(regs, globals, a)).collect();
+                            ops::builtin(*b, &vals)?
+                        }
+                    };
+                    self.stack[base + usize::from(*dst)] = v;
+                }
+                Op::Jump { target } => pc = *target as usize,
+                Op::Branch { cond, target, when } => match read(regs, globals, cond) {
+                    RtValue::Bool(b) => {
+                        if b == *when {
+                            pc = *target as usize;
+                        }
+                    }
+                    v => return Err(mismatch("bool condition", &v)),
+                },
+                Op::CmpBranch {
+                    op,
+                    lhs,
+                    rhs,
+                    target,
+                    when,
+                } => {
+                    let taken = match (int(regs, globals, lhs), int(regs, globals, rhs)) {
+                        (Some(x), Some(y)) => compare(*op, x, y),
+                        _ => match binop(*op, regs, globals, lhs, rhs)? {
+                            RtValue::Bool(b) => b,
+                            v => return Err(mismatch("bool condition", &v)),
+                        },
+                    };
+                    if taken == *when {
+                        pc = *target as usize;
+                    }
+                }
+                Op::Illegal(what) => return Err(RuntimeError::IllegalFragmentOp(what)),
+                Op::Fail(e) => return Err((**e).clone()),
+                Op::Ret { src } => {
+                    let v = match src {
+                        Some(src) => read(regs, globals, src),
+                        None => RtValue::Uninit,
+                    };
+                    self.cost = *cost;
+                    let left = self.leave();
+                    *cost = self.cost;
+                    let Some(frame) = left? else {
+                        return Ok(v);
+                    };
+                    let Some(caller) = self.frames.last() else {
+                        return Ok(v);
+                    };
+                    self.stack.truncate(frame.base);
+                    base = caller.base;
+                    code = &prog.funcs[caller.func as usize].body.code;
+                    pc = frame.ret_pc;
+                    self.stack[base + usize::from(frame.dst)] = v;
+                }
+                Op::StoreGlobal { global, src } => {
+                    let v = read(regs, globals, src);
+                    self.globals[*global as usize] = v;
+                }
+                Op::LoadElem { dst, arr, idx } => {
+                    let i = index(regs, globals, idx)?;
+                    let v = load_elem(slot(regs, globals, arr), i)?;
+                    self.stack[base + usize::from(*dst)] = v;
+                }
+                Op::StoreElem { arr, idx, src } => {
+                    let v = read(regs, globals, src);
+                    let i = index(regs, globals, idx)?;
+                    store_elem(slot(regs, globals, arr), i, v)?;
+                }
+                Op::Len { dst, arr } => {
+                    let n = slot(regs, globals, arr).array()?.borrow().len();
+                    self.stack[base + usize::from(*dst)] = RtValue::Int(n as i64);
+                }
+                Op::LoadField { dst, obj, field } => {
+                    let v = slot(regs, globals, obj)
+                        .object()?
+                        .borrow()
+                        .fields
+                        .get(*field as usize)
+                        .cloned()
+                        .ok_or(NO_FIELD)?;
+                    self.stack[base + usize::from(*dst)] = v;
+                }
+                Op::StoreField { obj, field, src } => {
+                    let v = read(regs, globals, src);
+                    let mut o = slot(regs, globals, obj).object()?.borrow_mut();
+                    *o.fields.get_mut(*field as usize).ok_or(NO_FIELD)? = v;
+                }
+                Op::NewArray { dst, len, elem } => {
+                    let n = index(regs, globals, len)?;
+                    let Ok(count) = usize::try_from(n) else {
+                        return Err(out_of_bounds(n, 0));
+                    };
+                    *cost += COST_MODEL.alloc_per_elem * n as u64;
+                    let fill = elem.map_or(RtValue::Uninit, RtValue::from_const);
+                    self.stack[base + usize::from(*dst)] =
+                        RtValue::Array(Rc::new(RefCell::new(vec![fill; count])));
+                }
+                Op::NewObject { dst, class } => {
+                    let fields = prog.classes[*class as usize].to_vec();
+                    let instance_id = self.next_instance;
+                    self.next_instance += 1;
+                    self.stack[base + usize::from(*dst)] =
+                        RtValue::Object(Rc::new(RefCell::new(ObjData {
+                            class: hps_ir::ClassId::new(*class as usize),
+                            instance_id,
+                            fields,
+                        })));
+                }
+                Op::Call { func, dst, args } => {
+                    let callee = &prog.funcs[*func as usize];
+                    let new_base = self.stack.len();
+                    self.stack.reserve(callee.body.n_regs);
+                    for a in args.iter() {
+                        let v = read(&self.stack[base..], &self.globals, a);
+                        self.stack.push(v);
+                    }
+                    self.stack
+                        .extend_from_slice(callee.init.get(args.len()..).unwrap_or_default());
+                    self.enter(*func, callee.activation, new_base, pc, *dst)?;
+                    *cost += COST_MODEL.call;
+                    base = new_base;
+                    code = &callee.body.code;
+                    pc = 0;
+                }
+                Op::Print { src } => {
+                    let line = read(regs, globals, src).to_string();
+                    self.output.push(line);
+                }
+                Op::Scalar { src } => {
+                    scalar_arg(&read(regs, globals, src))?;
+                }
+                Op::Hidden(h) => {
+                    self.cost = *cost;
+                    let done = self.hidden(h, base);
+                    *cost = self.cost;
+                    done?;
+                }
+            }
+        }
+    }
+}
+
+/// A hidden-call argument as a wire scalar.
+fn scalar_arg(v: &RtValue) -> Result<Value, RuntimeError> {
+    v.to_const().ok_or(RuntimeError::TypeMismatch {
+        expected: "scalar hidden-call argument",
+        found: "aggregate",
+    })
 }
 
 /// Executes compiled bytecode against a component's hidden state, exactly
@@ -653,108 +1862,25 @@ pub fn run_compiled_with_limit(
             vars.len()
         )));
     }
-    let mut regs: Vec<RtValue> = Vec::with_capacity(compiled.n_regs);
-    regs.extend(vars.iter().cloned());
-    regs.extend(args.iter().map(|&v| RtValue::from_const(v)));
-    regs.resize(compiled.n_regs, RtValue::Uninit);
-
-    let mut cost = COST_MODEL.marshal_per_arg * args.len() as u64;
-    let mut steps: u64 = 0;
-    let mut pc: usize = 0;
-    let code = compiled.code.as_slice();
-    // The dispatch loop: pc is advanced before dispatch so branches
-    // overwrite it; the enum match lowers to a single indirect jump.
-    loop {
-        let instr = &code[pc];
-        pc += 1;
-        match instr {
-            Instr::Tick => {
-                steps += 1;
-                if steps > limit {
-                    return Err(RuntimeError::StepLimitExceeded { limit });
-                }
-            }
-            Instr::Cost(units) => cost += units,
-            Instr::Load { dst, src } => regs[usize::from(*dst)] = read(&regs, src),
-            Instr::Un { op, dst, src } => {
-                let a = read(&regs, src);
-                regs[usize::from(*dst)] = ops::unop(*op, &a)?;
-            }
-            Instr::Bin { op, dst, lhs, rhs } => {
-                let a = read(&regs, lhs);
-                let b = read(&regs, rhs);
-                regs[usize::from(*dst)] = ops::binop(*op, &a, &b)?;
-            }
-            Instr::Accum { op, slot, rhs } => {
-                let b = read(&regs, rhs);
-                let v = ops::binop(*op, &regs[usize::from(*slot)], &b)?;
-                regs[usize::from(*slot)] = v;
-            }
-            Instr::Builtin { b, dst, args } => {
-                let vals: Vec<RtValue> = args.iter().map(|o| read(&regs, o)).collect();
-                regs[usize::from(*dst)] = ops::builtin(*b, &vals)?;
-            }
-            Instr::Jump { target } => pc = *target as usize,
-            Instr::BranchFalse { cond, target } => match read(&regs, cond) {
-                RtValue::Bool(true) => {}
-                RtValue::Bool(false) => pc = *target as usize,
-                v => {
-                    return Err(RuntimeError::TypeMismatch {
-                        expected: "bool condition",
-                        found: v.type_name(),
-                    })
-                }
-            },
-            Instr::BranchTrue { cond, target } => match read(&regs, cond) {
-                RtValue::Bool(true) => pc = *target as usize,
-                RtValue::Bool(false) => {}
-                v => {
-                    return Err(RuntimeError::TypeMismatch {
-                        expected: "bool condition",
-                        found: v.type_name(),
-                    })
-                }
-            },
-            Instr::CmpBranch {
-                op,
-                lhs,
-                rhs,
-                target,
-            } => {
-                let a = read(&regs, lhs);
-                let b = read(&regs, rhs);
-                match ops::binop(*op, &a, &b)? {
-                    RtValue::Bool(true) => {}
-                    RtValue::Bool(false) => pc = *target as usize,
-                    v => {
-                        // Comparisons only return bools; kept for parity
-                        // with the tree-walk's truthiness check.
-                        return Err(RuntimeError::TypeMismatch {
-                            expected: "bool condition",
-                            found: v.type_name(),
-                        });
-                    }
-                }
-            }
-            Instr::Illegal(what) => return Err(RuntimeError::IllegalFragmentOp(what)),
-            Instr::Ret { src } => {
-                let v = read(&regs, src);
-                let value = v.to_const().ok_or(RuntimeError::TypeMismatch {
-                    expected: "scalar return",
-                    found: "aggregate",
-                })?;
-                vars.clone_from_slice(&regs[..compiled.n_vars]);
-                return Ok(FragOutcome { value, cost });
-            }
-            Instr::RetAny => {
-                vars.clone_from_slice(&regs[..compiled.n_vars]);
-                return Ok(FragOutcome {
-                    value: Value::Int(0),
-                    cost,
-                });
-            }
-        }
-    }
+    // A fragment is a one-frame program: no globals, functions or classes.
+    let mut vm = Vm::new(Vec::new(), limit, 1);
+    vm.stack.reserve_exact(compiled.body.n_regs);
+    vm.stack.extend_from_slice(vars);
+    vm.stack
+        .extend(args.iter().map(|&v| RtValue::from_const(v)));
+    vm.stack.resize(compiled.body.n_regs, RtValue::Uninit);
+    vm.cost = COST_MODEL.marshal_per_arg * args.len() as u64;
+    // No frame is pushed: the fragment's `Ret` finds none to leave.
+    let v = vm.execute(&ProgramCode::default(), &compiled.body)?;
+    let value = v.to_const().ok_or(RuntimeError::TypeMismatch {
+        expected: "scalar return",
+        found: "aggregate",
+    })?;
+    vars.clone_from_slice(&vm.stack[..compiled.n_vars]);
+    Ok(FragOutcome {
+        value,
+        cost: vm.cost,
+    })
 }
 
 /// Compile-once cache of fragment bytecode, keyed by `(component index,

@@ -128,6 +128,11 @@ pub enum RuntimeError {
     /// A hidden call was executed but no channel is attached (running an
     /// open component without its hidden half).
     NoChannel,
+    /// The program cannot be lowered to bytecode: a function beyond the
+    /// register, jump or index ranges of the VM, or IR no front end
+    /// produces (an out-of-range local, a deferred call whose result is
+    /// not a local).
+    Unlowerable(&'static str),
 }
 
 impl fmt::Display for RuntimeError {
@@ -182,6 +187,9 @@ impl fmt::Display for RuntimeError {
                     f,
                     "open component made a hidden call but no channel is attached"
                 )
+            }
+            RuntimeError::Unlowerable(what) => {
+                write!(f, "program cannot be lowered to bytecode: {what}")
             }
         }
     }

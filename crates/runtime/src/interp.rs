@@ -1,87 +1,65 @@
 //! The open-side interpreter.
 //!
-//! A tree-walking evaluator for `hps_ir::Program` with:
+//! [`Interp`] runs an `hps_ir::Program` on the register bytecode VM of
+//! [`crate::bytecode`] — the same instruction set, lowering and dispatch
+//! loop that runs hidden fragments. It compiles the program once, on its
+//! first [`Interp::run`], and provides:
 //!
-//! * deterministic virtual-time cost accounting (see [`COST_MODEL`]),
-//! * step and call-depth limits so runaway programs fail cleanly,
+//! * deterministic virtual-time cost accounting (see [`COST_MODEL`](crate::COST_MODEL)),
+//! * fixed step and call-depth limits so runaway programs fail cleanly,
 //! * split-program support: functions carrying
 //!   [`split_component`](hps_ir::Function::split_component) allocate an
 //!   *activation id* on entry (the paper's instance id, which keeps
 //!   recursive activations apart), route
-//!   [`StmtKind::HiddenCall`] statements through an attached [`Channel`],
-//!   and release the secure-side state on return. Methods of split classes
-//!   route calls by the receiver object's instance id instead.
+//!   [`StmtKind::HiddenCall`](hps_ir::StmtKind::HiddenCall) statements
+//!   through an attached [`Channel`] (buffering `deferred` ones when
+//!   batching), and release the secure-side state on every exit. Methods
+//!   of split classes route calls by the receiver object's instance id
+//!   instead.
 //!
-//! The hot path allocates nothing per call and does not recurse on leaves
-//! (DESIGN.md §7c): frames reuse pooled locals vectors, `Const`/`Local`/
-//! `Global` operands resolve inline, one- and two-argument builtins take
-//! stack slices, `leaf <cmp> leaf` conditions evaluate straight to a
-//! `bool`, and local arrays are indexed in place. None of this moves a
-//! cost charge, a step tick or the order in which errors fire; the
-//! interpreter goldens in `hps-suite` pin all three.
+//! The VM charges every cost, ticks every step and raises every error
+//! where the reference tree-walk (`reference.rs`, compiled for tests
+//! only) does; the interpreter goldens in `hps-suite` and the crate's
+//! `open_vm_differential` tests pin all three (DESIGN.md §7c).
 
-use crate::channel::{Channel, InProcessChannel, PendingCall, TransportStats};
-use crate::cost::COST_MODEL;
+use crate::bytecode::{ProgramCode, Vm};
+use crate::channel::{Channel, InProcessChannel, TransportStats};
 use crate::error::RuntimeError;
 use crate::fault::{FaultPlan, FaultyChannel};
 use crate::server::SecureServer;
-use crate::value::{ObjData, RtValue};
-use hps_ir::{
-    BinOp, Block, Builtin, ComponentId, ComponentKind, Expr, FuncId, HiddenProgram, Place, Program,
-    StmtKind, Ty, Value,
-};
+use crate::value::RtValue;
+use hps_ir::{ComponentId, ComponentKind, HiddenProgram, Program, Ty};
 use hps_telemetry::{Event, MetricsRecorder, MetricsSnapshot, RecorderHandle, Snapshot};
-use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Execution limits and batching.
+/// Execution settings: whether deferred hidden calls are batched.
 ///
 /// Construct with [`ExecConfig::new`] / [`ExecConfig::default`] and adjust
-/// through the builder setters; the struct is `#[non_exhaustive]` so new
-/// knobs can be added without breaking downstream construction.
+/// through [`ExecConfig::with_batching`]. The execution limits are not
+/// settings: every run may execute 500 M statements and nest 128 calls.
+/// Calls do not recurse on the host stack, so the depth limit only keeps
+/// runaway recursion failing with the same [`RuntimeError::StackOverflow`]
+/// at the same depth.
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct ExecConfig {
-    /// Maximum statements/iterations executed before aborting.
-    pub max_steps: u64,
-    /// Maximum call depth.
-    pub max_call_depth: usize,
-    /// Honour `deferred` marks on [`StmtKind::HiddenCall`]: buffer marked
-    /// calls and ship them together with the next demanded call (or flush
-    /// point) in one round trip. Off by default so unbatched interaction
-    /// counts stay reproducible.
+    /// Honour `deferred` marks on
+    /// [`StmtKind::HiddenCall`](hps_ir::StmtKind::HiddenCall): buffer
+    /// marked calls and ship them together with the next demanded call
+    /// (or flush point) in one round trip. Off by default so unbatched
+    /// interaction counts stay reproducible.
     pub batching: bool,
 }
 
 impl ExecConfig {
-    /// Defaults: 500 M steps, depth 128, no batching.
-    ///
-    /// The depth limit is conservative because each interpreted call uses a
-    /// few kilobytes of host stack; 128 fits comfortably in a 2 MiB test
-    /// thread stack.
+    /// Defaults: no batching.
     pub fn new() -> ExecConfig {
-        ExecConfig {
-            max_steps: 500_000_000,
-            max_call_depth: 128,
-            batching: false,
-        }
+        ExecConfig { batching: false }
     }
 
     /// Enables or disables round-trip batching (builder style).
     pub fn with_batching(mut self, batching: bool) -> ExecConfig {
         self.batching = batching;
-        self
-    }
-
-    /// Overrides the step limit (builder style).
-    pub fn with_max_steps(mut self, max_steps: u64) -> ExecConfig {
-        self.max_steps = max_steps;
-        self
-    }
-
-    /// Overrides the call-depth limit (builder style).
-    pub fn with_max_call_depth(mut self, max_call_depth: usize) -> ExecConfig {
-        self.max_call_depth = max_call_depth;
         self
     }
 }
@@ -115,7 +93,7 @@ pub struct SplitMeta {
 }
 
 #[derive(Clone, Copy, PartialEq, Debug)]
-enum MetaKind {
+pub(crate) enum MetaKind {
     Function,
     Class,
     Global,
@@ -138,7 +116,7 @@ impl SplitMeta {
         SplitMeta { kinds }
     }
 
-    fn kind_of(&self, c: ComponentId) -> Option<MetaKind> {
+    pub(crate) fn kind_of(&self, c: ComponentId) -> Option<MetaKind> {
         self.kinds.get(c.index()).copied()
     }
 }
@@ -349,99 +327,60 @@ pub fn run_function(
     interp.run(name, args)
 }
 
-/// Upper bound on buffered deferred calls before a forced flush.
-const MAX_PENDING_CALLS: usize = 4096;
+/// Statements (and loop-condition checks) a run may execute before it
+/// fails with [`RuntimeError::StepLimitExceeded`].
+const MAX_STEPS: u64 = 500_000_000;
 
-enum Flow {
-    Normal,
-    Break,
-    Continue,
-    Return(RtValue),
-}
+/// Call depth at which a run fails with [`RuntimeError::StackOverflow`].
+const MAX_CALL_DEPTH: usize = 128;
 
-struct Frame {
-    locals: Vec<RtValue>,
-    activation: Option<(ComponentId, u64)>,
+/// Every global of `program` at its declared initial value.
+pub(crate) fn initial_globals(program: &Program) -> Vec<RtValue> {
+    program
+        .globals
+        .iter()
+        .map(|g| match (&g.ty, g.array_len) {
+            (Ty::Array(elem), Some(len)) => RtValue::new_array(elem, len),
+            (_, _) => g
+                .init
+                .map(RtValue::from_const)
+                .unwrap_or_else(|| RtValue::default_of(&g.ty)),
+        })
+        .collect()
 }
 
 /// The interpreter. Most callers use [`run_program`] or [`Executor`];
 /// construct an [`Interp`] directly to attach a custom [`Channel`]
 /// (TCP, tracing) or to reuse global state across entry calls.
+///
+/// Cost and step counts accumulate across runs on one `Interp`, so an
+/// [`Outcome`] reports the totals so far. A run that fails adds its steps
+/// but no cost: the cost total stays where it was before that run.
 pub struct Interp<'a> {
     program: &'a Program,
-    config: ExecConfig,
-    globals: Vec<RtValue>,
-    output: Vec<String>,
-    cost: u64,
-    steps: u64,
-    depth: usize,
-    channel: Option<&'a mut dyn Channel>,
+    batching: bool,
     meta: Option<&'a SplitMeta>,
-    next_activation: u64,
-    next_instance: u64,
-    /// Deferred hidden calls awaiting one coalesced round trip, with the
-    /// result place (if any) each reply must land in. The deferrable-call
-    /// pass guarantees a result-bearing entry is flushed within the frame
-    /// that buffered it.
-    pending: Vec<PendingCall>,
-    pending_results: Vec<Option<Place>>,
-    recorder: RecorderHandle,
-    /// Cleared locals vectors of finished frames; a call takes one, so a
-    /// steady-state call allocates nothing.
-    frame_pool: Vec<Vec<RtValue>>,
-    /// Each function's locals at their declared defaults, by `FuncId`; a
-    /// call copies the part after its arguments.
-    defaults: Vec<Vec<RtValue>>,
+    /// The program's bytecode, compiled by the first [`Interp::run`].
+    code: Option<ProgramCode>,
+    vm: Vm<'a>,
 }
 
 impl<'a> Interp<'a> {
     /// Creates an interpreter with initialized globals and no channel.
     pub fn new(program: &'a Program, config: ExecConfig) -> Interp<'a> {
-        let globals = program
-            .globals
-            .iter()
-            .map(|g| match (&g.ty, g.array_len) {
-                (Ty::Array(elem), Some(len)) => RtValue::new_array(elem, len),
-                (_, _) => g
-                    .init
-                    .map(RtValue::from_const)
-                    .unwrap_or_else(|| RtValue::default_of(&g.ty)),
-            })
-            .collect();
-        let defaults = program
-            .functions
-            .iter()
-            .map(|f| {
-                f.locals
-                    .iter()
-                    .map(|d| RtValue::default_of(&d.ty))
-                    .collect()
-            })
-            .collect();
         Interp {
             program,
-            config,
-            globals,
-            output: Vec::new(),
-            cost: 0,
-            steps: 0,
-            depth: 0,
-            channel: None,
+            batching: config.batching,
             meta: None,
-            next_activation: 1,
-            next_instance: 1,
-            pending: Vec::new(),
-            pending_results: Vec::new(),
-            recorder: RecorderHandle::none(),
-            frame_pool: Vec::new(),
-            defaults,
+            code: None,
+            vm: Vm::new(initial_globals(program), MAX_STEPS, MAX_CALL_DEPTH),
         }
     }
 
     /// Attaches a channel and routing metadata for split execution
     /// (builder style).
     pub fn with_channel(mut self, channel: &'a mut dyn Channel, meta: &'a SplitMeta) -> Interp<'a> {
-        self.channel = Some(channel);
+        self.vm.channel = Some(channel);
         self.meta = Some(meta);
         self
     }
@@ -450,7 +389,16 @@ impl<'a> Interp<'a> {
     /// `OpenRun` events (builder style). Recording never changes results,
     /// costs or step counts.
     pub fn with_recorder(mut self, recorder: RecorderHandle) -> Interp<'a> {
-        self.recorder = recorder;
+        self.vm.recorder = recorder;
+        self
+    }
+
+    /// Replaces the fixed step and call-depth limits (for tests that pin
+    /// where they fire).
+    #[cfg(test)]
+    pub(crate) fn with_limits(mut self, max_steps: u64, max_call_depth: usize) -> Interp<'a> {
+        self.vm.step_limit = max_steps;
+        self.vm.depth_limit = max_call_depth;
         self
     }
 
@@ -472,659 +420,50 @@ impl<'a> Interp<'a> {
                 args.len()
             )));
         }
-        let ret = self.call_function(fid, args.to_vec())?;
-        // Deferred calls to persistent (global/class) components may still
-        // be buffered; the run's hidden-side effects must be complete
-        // before the outcome is observable.
-        self.flush_pending(None, false)?;
-        self.recorder.record(Event::OpenRun {
-            steps: self.steps,
-            cost: self.cost,
+        let code = match &mut self.code {
+            Some(code) => code,
+            empty => empty.insert(ProgramCode::compile(
+                self.program,
+                self.meta,
+                self.batching,
+            )?),
+        };
+        let cost = self.vm.cost;
+        // Errors discard cost: the charges of a failed run are not the
+        // tree-walk's at the failing point, so none of them are kept.
+        let ret = self
+            .vm
+            .run(code, fid.index(), args)
+            .inspect_err(|_| self.vm.cost = cost)?;
+        self.vm.recorder.record(Event::OpenRun {
+            steps: self.vm.steps,
+            cost: self.vm.cost,
         });
         Ok(Outcome {
             ret,
-            output: std::mem::take(&mut self.output),
-            cost: self.cost,
-            steps: self.steps,
-        })
-    }
-
-    /// Runs one call. `locals` holds the evaluated arguments; the rest of
-    /// the frame is filled from the function's defaults.
-    fn call_function(
-        &mut self,
-        fid: FuncId,
-        mut locals: Vec<RtValue>,
-    ) -> Result<RtValue, RuntimeError> {
-        self.depth += 1;
-        if self.depth > self.config.max_call_depth {
-            self.depth -= 1;
-            return Err(RuntimeError::StackOverflow {
-                limit: self.config.max_call_depth,
-            });
-        }
-        self.cost += COST_MODEL.call;
-        let func = self.program.func(fid);
-        let defaults = &self.defaults[fid.index()];
-        locals.extend_from_slice(defaults.get(locals.len()..).unwrap_or_default());
-        let activation = match func.split_component {
-            Some(c) if self.meta.and_then(|m| m.kind_of(c)) == Some(MetaKind::Function) => {
-                let id = self.next_activation;
-                self.next_activation += 1;
-                Some((c, id))
-            }
-            _ => None,
-        };
-        let mut frame = Frame { locals, activation };
-        let mut result = self.exec_block(&mut frame, &func.body);
-        // Buffered calls must reach the server before this activation's
-        // state is freed below. (On error the run's outcome is discarded,
-        // so the buffer is dropped instead of flushed.)
-        if result.is_ok() && frame.activation.is_some() {
-            if let Err(e) = self.flush_pending(Some(&mut frame), false) {
-                result = Err(e);
-            }
-        }
-        if result.is_err() {
-            self.pending.clear();
-            self.pending_results.clear();
-        }
-        // Free secure-side state regardless of how the function exits.
-        if let Some((c, id)) = frame.activation {
-            if let Some(chan) = self.channel.as_deref_mut() {
-                chan.release(c, id)?;
-            }
-        }
-        self.depth -= 1;
-        // Only now, after the flush above has written every deferred
-        // result into this frame, may its locals be reused.
-        frame.locals.clear();
-        self.frame_pool.push(frame.locals);
-        match result? {
-            Flow::Return(v) => Ok(v),
-            // Falling off the end returns the zero value of the return type
-            // (void functions return Uninit-safe Int 0 placeholder that
-            // callers never observe — the type checker rejects using them).
-            _ => Ok(match &func.ret_ty {
-                Ty::Void => RtValue::Int(0),
-                ty => RtValue::default_of(ty),
-            }),
-        }
-    }
-
-    fn tick(&mut self) -> Result<(), RuntimeError> {
-        self.steps += 1;
-        if self.steps > self.config.max_steps {
-            return Err(RuntimeError::StepLimitExceeded {
-                limit: self.config.max_steps,
-            });
-        }
-        Ok(())
-    }
-
-    fn exec_block(&mut self, frame: &mut Frame, block: &Block) -> Result<Flow, RuntimeError> {
-        for stmt in &block.stmts {
-            self.tick()?;
-            match &stmt.kind {
-                StmtKind::Assign { place, value } => {
-                    let v = self.operand(frame, value)?;
-                    self.cost += COST_MODEL.assign;
-                    self.assign_place(frame, place, v)?;
-                }
-                StmtKind::If {
-                    cond,
-                    then_blk,
-                    else_blk,
-                } => {
-                    self.cost += COST_MODEL.branch;
-                    let taken = self.truthy(frame, cond)?;
-                    let flow = if taken {
-                        self.exec_block(frame, then_blk)?
-                    } else {
-                        self.exec_block(frame, else_blk)?
-                    };
-                    match flow {
-                        Flow::Normal => {}
-                        other => return Ok(other),
-                    }
-                }
-                StmtKind::While { cond, body } => loop {
-                    self.tick()?;
-                    self.cost += COST_MODEL.branch;
-                    if !self.truthy(frame, cond)? {
-                        break;
-                    }
-                    match self.exec_block(frame, body)? {
-                        Flow::Normal | Flow::Continue => {}
-                        Flow::Break => break,
-                        ret @ Flow::Return(_) => return Ok(ret),
-                    }
-                },
-                StmtKind::Return(e) => {
-                    let v = match e {
-                        Some(e) => self.operand(frame, e)?,
-                        None => RtValue::Int(0),
-                    };
-                    return Ok(Flow::Return(v));
-                }
-                StmtKind::Break => return Ok(Flow::Break),
-                StmtKind::Continue => return Ok(Flow::Continue),
-                StmtKind::ExprStmt(e) => {
-                    self.eval(frame, e)?;
-                }
-                StmtKind::Print(e) => {
-                    let v = self.operand(frame, e)?;
-                    self.cost += COST_MODEL.print;
-                    self.output.push(v.to_string());
-                }
-                StmtKind::HiddenCall {
-                    component,
-                    label,
-                    args,
-                    result,
-                    deferred,
-                } => {
-                    if *deferred && self.config.batching {
-                        self.defer_call(frame, *component, *label, args, result.clone())?;
-                    } else {
-                        let reply = self.hidden_call(frame, *component, *label, args)?;
-                        if let Some(place) = result {
-                            self.cost += COST_MODEL.assign;
-                            self.assign_place(frame, place, RtValue::from_const(reply))?;
-                        }
-                    }
-                }
-                StmtKind::Nop => {}
-            }
-        }
-        Ok(Flow::Normal)
-    }
-
-    /// Evaluates hidden-call arguments to wire scalars.
-    fn marshal_args(
-        &mut self,
-        frame: &mut Frame,
-        args: &[Expr],
-    ) -> Result<Vec<hps_ir::Value>, RuntimeError> {
-        let mut vals = Vec::with_capacity(args.len());
-        for a in args {
-            let v = self.operand(frame, a)?;
-            vals.push(v.to_const().ok_or(RuntimeError::TypeMismatch {
-                expected: "scalar hidden-call argument",
-                found: "aggregate",
-            })?);
-        }
-        self.cost += COST_MODEL.marshal_per_arg * vals.len() as u64;
-        Ok(vals)
-    }
-
-    /// The state key a hidden call routes to: the receiver's instance id
-    /// for class components, 0 for globals, the current activation for
-    /// split functions.
-    fn activation_key(&self, frame: &Frame, component: ComponentId) -> Result<u64, RuntimeError> {
-        let meta = self.meta.ok_or(RuntimeError::NoChannel)?;
-        match meta.kind_of(component) {
-            Some(MetaKind::Class) => match frame.locals.first() {
-                Some(RtValue::Object(obj)) => Ok(obj.borrow().instance_id),
-                _ => Err(RuntimeError::Channel(
-                    "class-component hidden call outside a method".into(),
-                )),
-            },
-            // One shared hidden state for a hidden global.
-            Some(MetaKind::Global) => Ok(0),
-            _ => match frame.activation {
-                Some((c, id)) if c == component => Ok(id),
-                _ => Err(RuntimeError::Channel(
-                    "hidden call outside its split function's activation".into(),
-                )),
-            },
-        }
-    }
-
-    fn hidden_call(
-        &mut self,
-        frame: &mut Frame,
-        component: ComponentId,
-        label: hps_ir::FragLabel,
-        args: &[Expr],
-    ) -> Result<hps_ir::Value, RuntimeError> {
-        let vals = self.marshal_args(frame, args)?;
-        let key = self.activation_key(frame, component)?;
-        if self.pending.is_empty() {
-            let chan = self.channel.as_deref_mut().ok_or(RuntimeError::NoChannel)?;
-            let reply = chan.call(component, key, label, &vals)?;
-            self.cost += chan.rtt_cost() + reply.server_cost;
-            Ok(reply.value)
-        } else {
-            // Ship the deferred buffer and this demanded call together in
-            // one round trip; the demanded reply is the batch's last.
-            self.pending.push(PendingCall {
-                component,
-                key,
-                label,
-                args: vals,
-            });
-            self.pending_results.push(None);
-            let last = self.flush_pending(Some(frame), true)?;
-            Ok(last.expect("flushing a non-empty batch yields a reply"))
-        }
-    }
-
-    /// Buffers a hidden call marked deferrable: argument evaluation (and
-    /// its cost) happens now, transport waits for the next flush point.
-    fn defer_call(
-        &mut self,
-        frame: &mut Frame,
-        component: ComponentId,
-        label: hps_ir::FragLabel,
-        args: &[Expr],
-        result: Option<Place>,
-    ) -> Result<(), RuntimeError> {
-        let vals = self.marshal_args(frame, args)?;
-        let key = self.activation_key(frame, component)?;
-        // Fail like an immediate call would if no channel is attached.
-        if self.channel.is_none() {
-            return Err(RuntimeError::NoChannel);
-        }
-        self.pending.push(PendingCall {
-            component,
-            key,
-            label,
-            args: vals,
-        });
-        self.pending_results.push(result);
-        self.recorder.record(Event::Deferred);
-        // Deterministic cap: an update-only loop may never demand a value,
-        // so bound the buffer (and its memory) by flushing periodically.
-        // The flush happens in the buffering frame, so result places stay
-        // valid.
-        if self.pending.len() >= MAX_PENDING_CALLS {
-            self.flush_pending(Some(frame), false)?;
-        }
-        Ok(())
-    }
-
-    /// Sends every buffered call in one batched round trip, assigns replies
-    /// to their recorded result places, and returns the last reply (the
-    /// value of the demanded call that triggered the flush, when there is
-    /// one). No-op on an empty buffer.
-    fn flush_pending(
-        &mut self,
-        mut frame: Option<&mut Frame>,
-        demanded: bool,
-    ) -> Result<Option<hps_ir::Value>, RuntimeError> {
-        if self.pending.is_empty() {
-            return Ok(None);
-        }
-        let calls = std::mem::take(&mut self.pending);
-        let results = std::mem::take(&mut self.pending_results);
-        self.recorder.record(Event::Flush {
-            pending: calls.len() as u64,
-            demanded,
-        });
-        let chan = self.channel.as_deref_mut().ok_or(RuntimeError::NoChannel)?;
-        let replies = chan.call_batch(&calls)?;
-        self.cost += chan.rtt_cost();
-        let mut last = None;
-        for (reply, place) in replies.into_iter().zip(results) {
-            self.cost += reply.server_cost;
-            if let Some(place) = place {
-                // The deferrable-call pass only defers result-bearing calls
-                // that flush within the frame that buffered them.
-                let frame = frame
-                    .as_deref_mut()
-                    .expect("deferred result flushed outside its frame");
-                self.cost += COST_MODEL.assign;
-                self.assign_place(frame, &place, RtValue::from_const(reply.value))?;
-            }
-            last = Some(reply.value);
-        }
-        Ok(last)
-    }
-
-    fn truthy(&mut self, frame: &mut Frame, cond: &Expr) -> Result<bool, RuntimeError> {
-        if let Expr::Binary { op, lhs, rhs } = cond {
-            if let Some(taken) = self.leaf_compare(frame, *op, lhs, rhs) {
-                self.cost += COST_MODEL.binop;
-                return Ok(taken);
-            }
-        }
-        match self.operand(frame, cond)? {
-            RtValue::Bool(b) => Ok(b),
-            v => Err(RuntimeError::TypeMismatch {
-                expected: "bool condition",
-                found: v.type_name(),
-            }),
-        }
-    }
-
-    fn read_place(&mut self, frame: &mut Frame, place: &Place) -> Result<RtValue, RuntimeError> {
-        match place {
-            Place::Local(id) => Ok(frame.locals[id.index()].clone()),
-            Place::Global(id) => Ok(self.globals[id.index()].clone()),
-            Place::Index { base, index } => {
-                if let Place::Local(id) = **base {
-                    let idx = self.eval_index(frame, index)?;
-                    self.cost += COST_MODEL.index;
-                    return load_elem(&frame.locals[id.index()], idx);
-                }
-                let arr = self.read_place(frame, base)?;
-                let idx = self.eval_index(frame, index)?;
-                self.cost += COST_MODEL.index;
-                load_elem(&arr, idx)
-            }
-            Place::Field { obj, field, .. } => {
-                let o = self.eval(frame, obj)?;
-                self.cost += COST_MODEL.field;
-                match o {
-                    RtValue::Object(o) => Ok(o.borrow().fields[field.index()].clone()),
-                    RtValue::Uninit => Err(RuntimeError::UninitializedValue),
-                    v => Err(RuntimeError::TypeMismatch {
-                        expected: "object",
-                        found: v.type_name(),
-                    }),
-                }
-            }
-        }
-    }
-
-    fn assign_place(
-        &mut self,
-        frame: &mut Frame,
-        place: &Place,
-        value: RtValue,
-    ) -> Result<(), RuntimeError> {
-        match place {
-            Place::Local(id) => {
-                frame.locals[id.index()] = value;
-                Ok(())
-            }
-            Place::Global(id) => {
-                self.globals[id.index()] = value;
-                Ok(())
-            }
-            Place::Index { base, index } => {
-                if let Place::Local(id) = **base {
-                    let idx = self.eval_index(frame, index)?;
-                    self.cost += COST_MODEL.index;
-                    return store_elem(&frame.locals[id.index()], idx, value);
-                }
-                let arr = self.read_place(frame, base)?;
-                let idx = self.eval_index(frame, index)?;
-                self.cost += COST_MODEL.index;
-                store_elem(&arr, idx, value)
-            }
-            Place::Field { obj, field, .. } => {
-                let o = self.eval(frame, obj)?;
-                self.cost += COST_MODEL.field;
-                match o {
-                    RtValue::Object(o) => {
-                        o.borrow_mut().fields[field.index()] = value;
-                        Ok(())
-                    }
-                    RtValue::Uninit => Err(RuntimeError::UninitializedValue),
-                    v => Err(RuntimeError::TypeMismatch {
-                        expected: "object",
-                        found: v.type_name(),
-                    }),
-                }
-            }
-        }
-    }
-
-    fn eval_index(&mut self, frame: &mut Frame, index: &Expr) -> Result<i64, RuntimeError> {
-        match self.operand(frame, index)? {
-            RtValue::Int(i) => Ok(i),
-            v => Err(RuntimeError::TypeMismatch {
-                expected: "int index",
-                found: v.type_name(),
-            }),
-        }
-    }
-
-    /// Evaluates an operand: the leaves (`Const`, `Local`, `Global`)
-    /// resolve inline, anything else recurses into [`Interp::eval`].
-    #[inline(always)]
-    fn operand(&mut self, frame: &mut Frame, e: &Expr) -> Result<RtValue, RuntimeError> {
-        match e {
-            Expr::Const(v) => Ok(RtValue::from_const(*v)),
-            Expr::Local(id) => Ok(frame.locals[id.index()].clone()),
-            Expr::Global(id) => Ok(self.globals[id.index()].clone()),
-            _ => self.eval(frame, e),
-        }
-    }
-
-    /// A leaf's scalar value; `None` for other expressions and for
-    /// aggregate or uninitialised leaves.
-    #[inline(always)]
-    fn leaf(&self, frame: &Frame, e: &Expr) -> Option<Value> {
-        match e {
-            Expr::Const(v) => Some(*v),
-            Expr::Local(id) => frame.locals[id.index()].to_const(),
-            Expr::Global(id) => self.globals[id.index()].to_const(),
-            _ => None,
-        }
-    }
-
-    /// `leaf <cmp> leaf` on two ints or two floats, straight to a `bool`.
-    /// `None` sends every other shape down the general path, which also
-    /// reports its errors.
-    #[inline(always)]
-    fn leaf_compare(&self, frame: &Frame, op: BinOp, lhs: &Expr, rhs: &Expr) -> Option<bool> {
-        if !op.is_relational() {
-            return None;
-        }
-        match (self.leaf(frame, lhs)?, self.leaf(frame, rhs)?) {
-            (Value::Int(x), Value::Int(y)) => Some(compare(op, x, y)),
-            (Value::Float(x), Value::Float(y)) => Some(compare(op, x, y)),
-            _ => None,
-        }
-    }
-
-    fn eval(&mut self, frame: &mut Frame, e: &Expr) -> Result<RtValue, RuntimeError> {
-        Ok(match e {
-            Expr::Const(v) => RtValue::from_const(*v),
-            Expr::Local(id) => frame.locals[id.index()].clone(),
-            Expr::Global(id) => self.globals[id.index()].clone(),
-            Expr::Index { base, index } => {
-                // A local array is indexed in place. Nothing the index
-                // expression runs can rebind this frame's locals, so reading
-                // the base after it is the same as reading it before.
-                if let Expr::Local(id) = **base {
-                    let idx = self.eval_index(frame, index)?;
-                    self.cost += COST_MODEL.index;
-                    return load_elem(&frame.locals[id.index()], idx);
-                }
-                let arr = self.operand(frame, base)?;
-                let idx = self.eval_index(frame, index)?;
-                self.cost += COST_MODEL.index;
-                load_elem(&arr, idx)?
-            }
-            Expr::FieldGet { obj, field, .. } => {
-                let o = self.operand(frame, obj)?;
-                self.cost += COST_MODEL.field;
-                match o {
-                    RtValue::Object(o) => o.borrow().fields[field.index()].clone(),
-                    RtValue::Uninit => return Err(RuntimeError::UninitializedValue),
-                    v => {
-                        return Err(RuntimeError::TypeMismatch {
-                            expected: "object",
-                            found: v.type_name(),
-                        })
-                    }
-                }
-            }
-            Expr::Unary { op, arg } => {
-                self.cost += COST_MODEL.unop;
-                let a = self.operand(frame, arg)?;
-                crate::ops::unop(*op, &a)?
-            }
-            Expr::Binary { op, lhs, rhs } => {
-                self.cost += COST_MODEL.binop;
-                if *op == hps_ir::BinOp::And {
-                    return if self.truthy(frame, lhs)? {
-                        self.eval(frame, rhs)
-                    } else {
-                        Ok(RtValue::Bool(false))
-                    };
-                }
-                if *op == hps_ir::BinOp::Or {
-                    return if self.truthy(frame, lhs)? {
-                        Ok(RtValue::Bool(true))
-                    } else {
-                        self.eval(frame, rhs)
-                    };
-                }
-                let a = self.operand(frame, lhs)?;
-                let b = self.operand(frame, rhs)?;
-                crate::ops::binop(*op, &a, &b)?
-            }
-            Expr::Call { callee, args } => {
-                let mut locals = self.frame_pool.pop().unwrap_or_default();
-                for a in args {
-                    locals.push(self.operand(frame, a)?);
-                }
-                self.call_function(callee.func(), locals)?
-            }
-            Expr::BuiltinCall { builtin, args } => {
-                if *builtin == Builtin::Len {
-                    self.cost += COST_MODEL.builtin;
-                    if let Expr::Local(id) = args[0] {
-                        return array_len(&frame.locals[id.index()]);
-                    }
-                    let a = self.eval(frame, &args[0])?;
-                    array_len(&a)?
-                } else {
-                    self.cost += COST_MODEL.builtin_cost(*builtin);
-                    // One- and two-argument builtins take a stack slice.
-                    match args.as_slice() {
-                        [a] => {
-                            let a = self.operand(frame, a)?;
-                            crate::ops::builtin(*builtin, std::slice::from_ref(&a))?
-                        }
-                        [a, b] => {
-                            let a = self.operand(frame, a)?;
-                            let b = self.operand(frame, b)?;
-                            crate::ops::builtin(*builtin, &[a, b])?
-                        }
-                        _ => {
-                            let mut vals = Vec::with_capacity(args.len());
-                            for a in args {
-                                vals.push(self.operand(frame, a)?);
-                            }
-                            crate::ops::builtin(*builtin, &vals)?
-                        }
-                    }
-                }
-            }
-            Expr::NewArray { elem, len } => {
-                let n = self.eval_index(frame, len)?;
-                if n < 0 {
-                    return Err(RuntimeError::IndexOutOfBounds { index: n, len: 0 });
-                }
-                self.cost += COST_MODEL.alloc_per_elem * n as u64;
-                RtValue::new_array(elem, n as usize)
-            }
-            Expr::NewObject(class) => {
-                self.cost += COST_MODEL.alloc_object;
-                let cdef = self.program.class(*class);
-                let instance_id = self.next_instance;
-                self.next_instance += 1;
-                RtValue::Object(Rc::new(RefCell::new(ObjData {
-                    class: *class,
-                    instance_id,
-                    fields: cdef
-                        .fields
-                        .iter()
-                        .map(|f| RtValue::default_of(&f.ty))
-                        .collect(),
-                })))
-            }
+            output: std::mem::take(&mut self.vm.output),
+            cost: self.vm.cost,
+            steps: self.vm.steps,
         })
     }
 
     /// The value of a global (for tests and experiment harnesses).
     pub fn global(&self, id: hps_ir::GlobalId) -> &RtValue {
-        &self.globals[id.index()]
-    }
-
-    /// Virtual cost spent so far.
-    pub fn cost(&self) -> u64 {
-        self.cost
-    }
-}
-
-fn idx_usize(idx: i64, len: usize) -> Result<usize, RuntimeError> {
-    if idx < 0 {
-        Err(RuntimeError::IndexOutOfBounds { index: idx, len })
-    } else {
-        Ok(idx as usize)
-    }
-}
-
-/// The outcome of a relational operator on two scalars of one type; the
-/// same answers as [`crate::ops::binop`], NaN included.
-#[inline(always)]
-fn compare<T: PartialOrd>(op: BinOp, x: T, y: T) -> bool {
-    match op {
-        BinOp::Eq => x == y,
-        BinOp::Ne => x != y,
-        BinOp::Lt => x < y,
-        BinOp::Le => x <= y,
-        BinOp::Gt => x > y,
-        _ => x >= y,
-    }
-}
-
-fn not_an_array(v: &RtValue) -> RuntimeError {
-    match v {
-        RtValue::Uninit => RuntimeError::UninitializedValue,
-        v => RuntimeError::TypeMismatch {
-            expected: "array",
-            found: v.type_name(),
-        },
-    }
-}
-
-/// Element `idx` of an array value.
-fn load_elem(arr: &RtValue, idx: i64) -> Result<RtValue, RuntimeError> {
-    let RtValue::Array(a) = arr else {
-        return Err(not_an_array(arr));
-    };
-    let a = a.borrow();
-    a.get(idx_usize(idx, a.len())?)
-        .cloned()
-        .ok_or(RuntimeError::IndexOutOfBounds {
-            index: idx,
-            len: a.len(),
-        })
-}
-
-/// Writes element `idx` of an array value.
-fn store_elem(arr: &RtValue, idx: i64, value: RtValue) -> Result<(), RuntimeError> {
-    let RtValue::Array(a) = arr else {
-        return Err(not_an_array(arr));
-    };
-    let mut a = a.borrow_mut();
-    let len = a.len();
-    let slot = a
-        .get_mut(idx_usize(idx, len)?)
-        .ok_or(RuntimeError::IndexOutOfBounds { index: idx, len })?;
-    *slot = value;
-    Ok(())
-}
-
-/// `len` of an array value.
-fn array_len(arr: &RtValue) -> Result<RtValue, RuntimeError> {
-    match arr {
-        RtValue::Array(a) => Ok(RtValue::Int(a.borrow().len() as i64)),
-        v => Err(not_an_array(v)),
+        &self.vm.globals[id.index()]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hps_ir::{BinOp, Builtin, Expr, Place, StmtKind, Value};
+
+    /// `main` of `p` under explicit limits.
+    fn run_limited(p: &Program, steps: u64, depth: usize) -> Result<Outcome, RuntimeError> {
+        Interp::new(p, ExecConfig::new())
+            .with_limits(steps, depth)
+            .run("main", &[])
+    }
 
     fn run(src: &str) -> Outcome {
         let p = hps_lang::parse(src).expect("parses");
@@ -1252,9 +591,8 @@ mod tests {
     #[test]
     fn infinite_loop_hits_step_limit() {
         let p = hps_lang::parse("fn main() { while (true) { } }").unwrap();
-        let cfg = ExecConfig::new().with_max_steps(1000);
         assert!(matches!(
-            run_function(&p, "main", &[], cfg),
+            run_limited(&p, 1000, MAX_CALL_DEPTH),
             Err(RuntimeError::StepLimitExceeded { .. })
         ));
     }
@@ -1475,21 +813,20 @@ mod tests {
             hps_lang::parse("fn main() { var i: int = 0; while (i < 3) { i = i + 1; } }").unwrap();
         let out = run_program(&p, &[]).unwrap();
         assert_eq!(out.steps, 9);
-        let cfg = |n| ExecConfig::new().with_max_steps(n);
-        assert_eq!(run_function(&p, "main", &[], cfg(9)).unwrap().steps, 9);
+        assert_eq!(run_limited(&p, 9, MAX_CALL_DEPTH).unwrap().steps, 9);
         assert_eq!(
-            run_function(&p, "main", &[], cfg(8)),
+            run_limited(&p, 8, MAX_CALL_DEPTH),
             Err(RuntimeError::StepLimitExceeded { limit: 8 })
         );
         let p = hps_lang::parse("fn main() { while (true) { } }").unwrap();
         assert_eq!(
-            run_function(&p, "main", &[], cfg(1000)),
+            run_limited(&p, 1000, MAX_CALL_DEPTH),
             Err(RuntimeError::StepLimitExceeded { limit: 1000 })
         );
     }
 
     #[test]
-    fn depth_limit_holds_with_pooled_frames() {
+    fn depth_limit_holds_across_repeated_calls() {
         let p = hps_lang::parse(
             "fn f(n: int) -> int { if (n == 0) { return 0; } return f(n - 1) + 1; }
              fn main(n: int) { var i: int = 0;
@@ -1497,17 +834,24 @@ mod tests {
         )
         .unwrap();
         // `main` is depth 1, so f(8) reaches depth 10 and f(9) depth 11.
-        let cfg = || ExecConfig::new().with_max_call_depth(10);
-        let ok = run_function(&p, "main", &[RtValue::Int(8)], cfg()).unwrap();
-        assert_eq!(ok.output, ["8"; 5]);
+        let run = |n| {
+            Interp::new(&p, ExecConfig::new())
+                .with_limits(MAX_STEPS, 10)
+                .run("main", &[RtValue::Int(n)])
+        };
+        assert_eq!(run(8).unwrap().output, ["8"; 5]);
+        assert_eq!(run(9), Err(RuntimeError::StackOverflow { limit: 10 }));
+        // The fixed limit: depth 128 is the deepest call that runs.
+        let ok = run_function(&p, "main", &[RtValue::Int(126)], ExecConfig::new()).unwrap();
+        assert_eq!(ok.output, ["126"; 5]);
         assert_eq!(
-            run_function(&p, "main", &[RtValue::Int(9)], cfg()),
-            Err(RuntimeError::StackOverflow { limit: 10 })
+            run_function(&p, "main", &[RtValue::Int(127)], ExecConfig::new()),
+            Err(RuntimeError::StackOverflow { limit: 128 })
         );
     }
 
     #[test]
-    fn pooled_frames_keep_caller_locals_and_start_from_defaults() {
+    fn frames_keep_caller_locals_and_start_from_defaults() {
         let out = run("fn g(n: int) -> int {
                 var a: int = n * 10; var b: int[] = new int[1]; b[0] = n;
                 if (n == 0) { return 0; }
@@ -1529,66 +873,85 @@ mod tests {
         );
     }
 
-    #[test]
-    fn deferred_result_lands_before_its_frame_is_recycled() {
-        use crate::channel::CallReply;
-        use hps_ir::{FragLabel, Stmt};
+    /// Replies `40 + arg` to every call; one interaction per round trip.
+    struct Echo(u64);
 
-        /// Replies `40 + arg` to every call.
-        struct Echo(u64);
-        impl Channel for Echo {
-            fn call(
-                &mut self,
-                _: ComponentId,
-                _: u64,
-                _: FragLabel,
-                args: &[Value],
-            ) -> Result<CallReply, RuntimeError> {
-                self.0 += 1;
-                let Some(Value::Int(v)) = args.first() else {
-                    panic!("one int argument");
-                };
-                Ok(CallReply {
-                    value: Value::Int(40 + v),
-                    server_cost: 0,
-                })
-            }
-            fn release(&mut self, _: ComponentId, _: u64) -> Result<(), RuntimeError> {
-                Ok(())
-            }
-            fn interactions(&self) -> u64 {
-                self.0
-            }
-            fn rtt_cost(&self) -> u64 {
-                0
-            }
+    impl Channel for Echo {
+        fn call(
+            &mut self,
+            _: ComponentId,
+            _: u64,
+            _: hps_ir::FragLabel,
+            args: &[Value],
+        ) -> Result<crate::CallReply, RuntimeError> {
+            self.0 += 1;
+            let Some(Value::Int(v)) = args.first() else {
+                panic!("one int argument");
+            };
+            Ok(crate::CallReply {
+                value: Value::Int(40 + v),
+                server_cost: 0,
+            })
         }
+        fn call_batch(
+            &mut self,
+            calls: &[crate::PendingCall],
+        ) -> Result<Vec<crate::CallReply>, RuntimeError> {
+            let replies = calls
+                .iter()
+                .map(|c| self.call(c.component, c.key, c.label, &c.args))
+                .collect();
+            self.0 -= calls.len() as u64 - 1;
+            replies
+        }
+        fn release(&mut self, _: ComponentId, _: u64) -> Result<(), RuntimeError> {
+            Ok(())
+        }
+        fn interactions(&self) -> u64 {
+            self.0
+        }
+        fn rtt_cost(&self) -> u64 {
+            0
+        }
+    }
 
-        // `f`'s deferred call writes its reply into the caller's array
-        // through `f`'s own local; the flush at `f`'s end must find that
-        // local before the frame goes back to the pool. `k` then reuses
-        // the recycled frame.
+    /// Appends a hidden call of component 0 to `f`'s body.
+    fn push_hidden(f: &mut hps_ir::Function, arg: &str, result: Option<Place>, deferred: bool) {
+        let arg = local(f, arg);
+        f.body.stmts.push(hps_ir::Stmt::new(StmtKind::HiddenCall {
+            component: ComponentId::new(0),
+            label: hps_ir::FragLabel::new(0),
+            args: vec![arg],
+            result,
+            deferred,
+        }));
+    }
+
+    #[test]
+    fn deferred_result_lands_in_its_register_before_it_is_read() {
+        // `f` buffers a call whose reply lands in `t`, then demands one:
+        // the batch's flush writes `t` before `return` reads it. The
+        // demanded call marshals `t` before the flush, so it sends 2.
         let mut p = hps_lang::parse(
-            "fn f(out: int[], n: int) { var t: int = n; }
+            "fn f(n: int) -> int { var t: int = n; var u: int = 0; }
              fn k(v: int) -> int { var w: int = v + 1; return w; }
-             fn main() { var a: int[] = new int[1]; f(a, 2); print(k(7)); print(a[0]); }",
+             fn main() { print(f(2)); print(k(7)); }",
         )
         .unwrap();
         let fid = p.func_by_name("f").unwrap();
         let f = p.func_mut(fid);
-        let out = f.local_by_name("out").unwrap();
-        let n = f.local_by_name("n").unwrap();
         f.split_component = Some(ComponentId::new(0));
-        f.body.stmts.push(Stmt::new(StmtKind::HiddenCall {
-            component: ComponentId::new(0),
-            label: FragLabel::new(0),
-            args: vec![Expr::local(n)],
-            result: Some(Place::Index {
-                base: Box::new(Place::Local(out)),
-                index: Expr::int(0),
-            }),
-            deferred: true,
-        }));
+        let (t, u) = (f.local_by_name("t").unwrap(), f.local_by_name("u").unwrap());
+        push_hidden(f, "n", Some(Place::Local(t)), true);
+        push_hidden(f, "t", Some(Place::Local(u)), false);
+        let ret = Expr::binary(
+            BinOp::Add,
+            Expr::local(t),
+            Expr::binary(BinOp::Mul, Expr::local(u), Expr::int(100)),
+        );
+        f.body
+            .stmts
+            .push(hps_ir::Stmt::new(StmtKind::Return(Some(ret))));
         p.renumber_all();
         let meta = SplitMeta {
             kinds: vec![MetaKind::Function],
@@ -1598,8 +961,81 @@ mod tests {
             .with_channel(&mut chan, &meta)
             .run("main", &[])
             .unwrap();
-        assert_eq!(outcome.output, ["8", "42"]);
+        assert_eq!(outcome.output, ["4242", "8"]);
         assert_eq!(chan.interactions(), 1);
+        // Unbatched, the first reply lands before the second call.
+        let mut chan = Echo(0);
+        let outcome = Interp::new(&p, ExecConfig::new())
+            .with_channel(&mut chan, &meta)
+            .run("main", &[])
+            .unwrap();
+        assert_eq!(outcome.output, ["8242", "8"]);
+        assert_eq!(chan.interactions(), 2);
+    }
+
+    #[test]
+    fn deferred_result_outside_a_local_is_unlowerable() {
+        let mut p = hps_lang::parse(
+            "global g: int; fn f(n: int) { var t: int = n; } fn main() { f(1); print(g); }",
+        )
+        .unwrap();
+        let fid = p.func_by_name("f").unwrap();
+        let f = p.func_mut(fid);
+        f.split_component = Some(ComponentId::new(0));
+        push_hidden(f, "n", Some(Place::Global(hps_ir::GlobalId::new(0))), true);
+        p.renumber_all();
+        let meta = SplitMeta {
+            kinds: vec![MetaKind::Function],
+        };
+        let mut chan = Echo(0);
+        let batched = Interp::new(&p, ExecConfig::new().with_batching(true))
+            .with_channel(&mut chan, &meta)
+            .run("main", &[]);
+        assert!(matches!(batched, Err(RuntimeError::Unlowerable(_))));
+        // Without batching the mark is ignored and the call is demanded.
+        let mut chan = Echo(0);
+        let demanded = Interp::new(&p, ExecConfig::new())
+            .with_channel(&mut chan, &meta)
+            .run("main", &[])
+            .unwrap();
+        assert_eq!(demanded.output, ["41"]);
+    }
+
+    #[test]
+    fn globals_are_read_where_the_tree_walk_reads_them() {
+        // `g` is read before the call that bumps it, in an operator, in an
+        // argument list, and as the index of an assignment, which is
+        // evaluated after the assigned value. A VM reading globals late
+        // prints 12 and 1101, and writes a[1].
+        let p = hps_lang::parse(
+            "global g: int;
+             fn bump() -> int { g = g + 10; return 1; }
+             fn pair(a: int, b: int) -> int { return a * 100 + b; }
+             fn main() {
+                 var a: int[] = new int[32];
+                 g = 1; print(g + bump());
+                 g = 1; print(pair(g, bump()));
+                 g = 1; a[g] = bump();
+                 print(a[1]); print(a[11]);
+             }",
+        )
+        .unwrap();
+        let out = run_program(&p, &[]).unwrap();
+        assert_eq!(out.output, ["2", "101", "0", "1"]);
+        assert_eq!((out.cost, out.steps), (182, 16));
+        let reference = crate::reference::run_function(&p, "main", &[], MAX_STEPS, MAX_CALL_DEPTH);
+        assert_eq!(reference, Ok(out));
+    }
+
+    #[test]
+    fn oversized_functions_are_typed_errors() {
+        // More locals than the bytecode addresses.
+        let decls: String = (0..70_000).map(|i| format!("var v{i}: int; ")).collect();
+        let p = hps_lang::parse(&format!("fn main() {{ {decls} print(1); }}")).unwrap();
+        assert!(matches!(
+            run_program(&p, &[]),
+            Err(RuntimeError::Unlowerable(_))
+        ));
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!   limit is no longer a complete history; recovery then poisons the
 //!   session instead of silently rebuilding wrong state. The ring is a
 //!   byte log: each op is kept as its encoded payload (below), back to
-//!   back in one buffer, with a ring of payload lengths beside it. A
-//!   commit encodes the unit once, straight from the request's calls, and
-//!   [`SessionJournal::ops`] decodes only when a session is replayed.
+//!   back in one buffer. A commit encodes the unit once, straight from the
+//!   request's calls, and [`SessionJournal::ops`] decodes only when a
+//!   session is replayed.
 //! * **Disk persistence** (`hps serve --journal-dir`) — optional
 //!   checksummed frames appended synchronously at commit time, from which a
 //!   *restarted* server process rebuilds hidden state. The reader stops at
@@ -22,13 +22,22 @@
 //!   journal-truncation fault) loses at most the tail — which the client's
 //!   session-resume window re-drives on reconnect.
 //!
-//! Journal payloads reuse the [`crate::wire`] request encoding (`0x06`
-//! seq-call, `0x07` seq-batch, `0x02` release): one battle-tested codec,
-//! one format doc. The ring and the disk hold the same payload bytes; the
-//! disk frame adds a CRC32 over the payload:
+//! The ring and the disk hold the same payload bytes; the disk frame adds
+//! a CRC32 over the payload:
 //!
 //! ```text
 //! journal-frame := u32 payload_len ++ u32 crc32(payload) ++ payload
+//! ```
+//!
+//! A ring's memory grows with the calls its session has served, so a
+//! payload is not a [`crate::wire`] request but a compact form of one,
+//! with LEB128 varints for every integer and zigzag for signed ones (a
+//! one-call unit with two small ints takes 14 bytes instead of 45):
+//!
+//! ```text
+//! payload := 0x00 seq call | 0x01 seq n call{n} | 0x02 component key
+//! call    := component key label n value{n}
+//! value   := 0x00 zigzag(int) | 0x01 f64-le | 0x02 bool-byte
 //! ```
 //!
 //! The commit point of the protocol is the journal append: a shard
@@ -38,9 +47,7 @@
 //! handshake and retransmit path already cover.
 
 use crate::channel::PendingCall;
-use crate::wire::{push_seq_unit, Request};
-use hps_ir::ComponentId;
-use std::collections::VecDeque;
+use hps_ir::{ComponentId, FragLabel, Value};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -76,23 +83,12 @@ pub enum JournalOp {
 }
 
 impl JournalOp {
-    /// Decodes a journal payload; `None` for any frame that is not a
-    /// journalable request (treated as corruption by the reader).
+    /// Decodes one whole journal payload; `None` for anything else
+    /// (treated as corruption by the reader).
     fn decode(payload: &[u8]) -> Option<JournalOp> {
-        match Request::decode(payload).ok()? {
-            Request::SeqCall { seq, call } => Some(JournalOp::Seq {
-                seq,
-                calls: vec![call],
-                batch: false,
-            }),
-            Request::SeqBatch { seq, calls } => Some(JournalOp::Seq {
-                seq,
-                calls,
-                batch: true,
-            }),
-            Request::Release { component, key } => Some(JournalOp::Release { component, key }),
-            _ => None,
-        }
+        let mut pos = 0;
+        let op = decode_op(payload, &mut pos)?;
+        (pos == payload.len()).then_some(op)
     }
 }
 
@@ -107,8 +103,8 @@ pub struct SessionJournal {
     /// Where the oldest held payload starts. Evicted bytes before it are
     /// compacted away once they outweigh the held ones.
     head: usize,
-    /// Each held op's payload length, oldest first.
-    lens: VecDeque<u32>,
+    /// Number of held ops.
+    held: usize,
     dropped: u64,
     limit: usize,
     last_seq: u64,
@@ -120,7 +116,7 @@ impl SessionJournal {
         SessionJournal {
             bytes: Vec::new(),
             head: 0,
-            lens: VecDeque::new(),
+            held: 0,
             dropped: 0,
             limit: limit.max(1),
             last_seq: 0,
@@ -135,34 +131,41 @@ impl SessionJournal {
             JournalOp::Seq { seq, calls, batch } => self.append_seq(*seq, calls, *batch),
             JournalOp::Release { component, key } => {
                 let start = self.bytes.len();
-                Request::Release {
-                    component: *component,
-                    key: *key,
-                }
-                .append_to(&mut self.bytes);
+                self.bytes.push(RELEASE);
+                put_varint(&mut self.bytes, u64::from(component.0));
+                put_varint(&mut self.bytes, *key);
                 self.commit(start)
             }
         }
     }
 
     /// [`SessionJournal::append`] of a committed sequenced unit, encoded
-    /// straight from the calls that were served.
+    /// straight from the calls that were served (a single call when not
+    /// `batch`, as on the wire).
     pub fn append_seq(&mut self, seq: u64, calls: &[PendingCall], batch: bool) -> &[u8] {
         let start = self.bytes.len();
-        push_seq_unit(&mut self.bytes, seq, calls, batch);
+        let calls = if batch { calls } else { &calls[..1] };
+        self.bytes.push(if batch { SEQ_BATCH } else { SEQ_CALL });
+        put_varint(&mut self.bytes, seq);
+        if batch {
+            put_varint(&mut self.bytes, calls.len() as u64);
+        }
+        for c in calls {
+            put_call(&mut self.bytes, c);
+        }
         self.last_seq = seq;
         self.commit(start)
     }
 
-    /// Makes the payload written at `start..` one held op.
+    /// Makes the payload written at `start..` one held op, evicting the
+    /// oldest past the limit.
     fn commit(&mut self, start: usize) -> &[u8] {
         let len = self.bytes.len() - start;
-        // A payload is at most one wire frame (16 MiB).
-        self.lens
-            .push_back(u32::try_from(len).expect("journal payload fits a frame"));
-        if self.lens.len() > self.limit {
-            let evicted = self.lens.pop_front().expect("ring is over its limit");
-            self.head += evicted as usize;
+        self.held += 1;
+        if self.held > self.limit {
+            // Every held payload was encoded here, so it decodes.
+            decode_op(&self.bytes, &mut self.head).expect("journal payloads decode");
+            self.held -= 1;
             self.dropped += 1;
             if self.head > self.bytes.len() / 2 {
                 self.bytes.drain(..self.head);
@@ -186,29 +189,144 @@ impl SessionJournal {
     /// The committed ops, oldest first, decoded from their payloads.
     pub fn ops(&self) -> impl Iterator<Item = JournalOp> + '_ {
         let mut pos = self.head;
-        self.lens.iter().map(move |&len| {
-            let payload = &self.bytes[pos..pos + len as usize];
-            pos += len as usize;
-            // Every held payload was encoded here or passed the disk
-            // reader's decode check.
-            JournalOp::decode(payload).expect("journal payloads decode")
-        })
+        // Every held payload was encoded here.
+        (0..self.held)
+            .map(move |_| decode_op(&self.bytes, &mut pos).expect("journal payloads decode"))
     }
 
     /// Number of ops currently held.
     pub fn len(&self) -> usize {
-        self.lens.len()
+        self.held
     }
 
     /// True when nothing has been journaled yet.
     pub fn is_empty(&self) -> bool {
-        self.lens.is_empty() && self.dropped == 0
+        self.held == 0 && self.dropped == 0
     }
 
     /// Highest committed sequence number (0 before the first commit). A
     /// rebuilt session expects `last_seq + 1` next.
     pub fn last_seq(&self) -> u64 {
         self.last_seq
+    }
+}
+
+/// Payload tags.
+const SEQ_CALL: u8 = 0x00;
+const SEQ_BATCH: u8 = 0x01;
+const RELEASE: u8 = 0x02;
+
+/// Appends `v` as a LEB128 varint.
+fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push((v & 0x7f) as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
+}
+
+fn get_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
+    let mut v = 0u64;
+    for shift in (0..64).step_by(7) {
+        let b = *bytes.get(*pos)?;
+        *pos += 1;
+        v |= u64::from(b & 0x7f) << shift;
+        if b < 0x80 {
+            return Some(v);
+        }
+    }
+    None
+}
+
+fn get_u32(bytes: &[u8], pos: &mut usize) -> Option<u32> {
+    u32::try_from(get_varint(bytes, pos)?).ok()
+}
+
+fn put_call(buf: &mut Vec<u8>, c: &PendingCall) {
+    put_varint(buf, u64::from(c.component.0));
+    put_varint(buf, c.key);
+    put_varint(buf, u64::from(c.label.0));
+    put_varint(buf, c.args.len() as u64);
+    for &a in &c.args {
+        match a {
+            Value::Int(i) => {
+                buf.push(0x00);
+                // Zigzag: small magnitudes of either sign stay short.
+                put_varint(buf, ((i << 1) ^ (i >> 63)) as u64);
+            }
+            Value::Float(f) => {
+                buf.push(0x01);
+                buf.extend_from_slice(&f.to_bits().to_le_bytes());
+            }
+            Value::Bool(b) => {
+                buf.push(0x02);
+                buf.push(u8::from(b));
+            }
+        }
+    }
+}
+
+fn get_call(bytes: &[u8], pos: &mut usize) -> Option<PendingCall> {
+    let component = ComponentId(get_u32(bytes, pos)?);
+    let key = get_varint(bytes, pos)?;
+    let label = FragLabel(get_u32(bytes, pos)?);
+    let n = get_varint(bytes, pos)?;
+    let mut args = Vec::new();
+    for _ in 0..n {
+        let tag = *bytes.get(*pos)?;
+        *pos += 1;
+        args.push(match tag {
+            0x00 => {
+                let z = get_varint(bytes, pos)?;
+                Value::Int((z >> 1) as i64 ^ -((z & 1) as i64))
+            }
+            0x01 => {
+                let raw = bytes.get(*pos..*pos + 8)?;
+                *pos += 8;
+                Value::Float(f64::from_bits(u64::from_le_bytes(raw.try_into().ok()?)))
+            }
+            0x02 => {
+                let b = *bytes.get(*pos)?;
+                *pos += 1;
+                Value::Bool(b != 0)
+            }
+            _ => return None,
+        });
+    }
+    Some(PendingCall {
+        component,
+        key,
+        label,
+        args,
+    })
+}
+
+/// Decodes the payload at `pos`, advancing past it.
+fn decode_op(bytes: &[u8], pos: &mut usize) -> Option<JournalOp> {
+    let tag = *bytes.get(*pos)?;
+    *pos += 1;
+    match tag {
+        SEQ_CALL | SEQ_BATCH => {
+            let seq = get_varint(bytes, pos)?;
+            let n = if tag == SEQ_BATCH {
+                get_varint(bytes, pos)?
+            } else {
+                1
+            };
+            let calls = (0..n)
+                .map(|_| get_call(bytes, pos))
+                .collect::<Option<Vec<_>>>()?;
+            Some(JournalOp::Seq {
+                seq,
+                calls,
+                batch: tag == SEQ_BATCH,
+            })
+        }
+        RELEASE => Some(JournalOp::Release {
+            component: ComponentId(get_u32(bytes, pos)?),
+            key: get_varint(bytes, pos)?,
+        }),
+        _ => None,
     }
 }
 
@@ -317,14 +435,8 @@ pub fn load_disk_journal(dir: &Path, session: u64, limit: usize) -> Option<Sessi
     let bytes = std::fs::read(journal_path(dir, session)).ok()?;
     let (_valid, ops) = scan_frames(&bytes);
     let mut journal = SessionJournal::new(limit);
-    for (payload, op) in ops {
-        // The file's own bytes, so the ring matches the disk exactly.
-        let start = journal.bytes.len();
-        journal.bytes.extend_from_slice(payload);
-        if let JournalOp::Seq { seq, .. } = op {
-            journal.last_seq = seq;
-        }
-        journal.commit(start);
+    for (_, op) in ops {
+        journal.append(&op);
     }
     Some(journal)
 }
@@ -408,49 +520,76 @@ mod tests {
     }
 
     #[test]
-    fn ring_payloads_are_wire_requests_and_survive_compaction() {
+    fn ring_round_trips_every_value_and_survives_compaction() {
+        let wide = PendingCall {
+            component: ComponentId(u32::MAX),
+            key: u64::MAX,
+            label: FragLabel(u32::MAX),
+            args: vec![
+                Value::Int(i64::MIN),
+                Value::Int(i64::MAX),
+                Value::Int(-1),
+                Value::Float(-0.5),
+                Value::Float(f64::INFINITY),
+                Value::Bool(true),
+                Value::Bool(false),
+            ],
+        };
         let batch = JournalOp::Seq {
             seq: 9,
-            calls: vec![call(1), call(-2)],
+            calls: vec![call(1), wide.clone()],
             batch: true,
         };
         let release = JournalOp::Release {
             component: ComponentId::new(3),
             key: 5,
         };
+        let single = JournalOp::Seq {
+            seq: 10,
+            calls: vec![wide.clone()],
+            batch: false,
+        };
         let mut j = SessionJournal::new(2);
+        // Each append returns exactly its op's payload.
+        assert_eq!(JournalOp::decode(j.append(&batch)), Some(batch.clone()));
         assert_eq!(
-            j.append(&batch),
-            Request::SeqBatch {
-                seq: 9,
-                calls: vec![call(1), call(-2)],
-            }
-            .encode()
+            JournalOp::decode(j.append_seq(10, &[wide, call(7)], false)),
+            Some(single.clone())
         );
-        assert_eq!(
-            j.append_seq(10, &[call(4)], false),
-            Request::SeqCall {
-                seq: 10,
-                call: call(4),
-            }
-            .encode()
-        );
+        assert_eq!(j.ops().collect::<Vec<_>>(), [batch, single]);
         // Evict past the compaction point many times over; the held ops
         // and the buffer both stay bounded by the limit.
+        let mut held_max = 0;
         for round in 0..100 {
             j.append(&release);
-            j.append(&seq_op(11 + round, round as i64));
+            j.append(&seq_op(11 + round, round as i64 - 50));
             assert_eq!(
                 j.ops().collect::<Vec<_>>(),
-                [release.clone(), seq_op(11 + round, round as i64)]
+                [release.clone(), seq_op(11 + round, round as i64 - 50)]
             );
+            held_max = held_max.max(j.bytes.len() - j.head);
             // Evicted bytes never outweigh the held ones.
-            let held: usize = j.lens.iter().map(|&n| n as usize).sum();
-            assert_eq!(j.bytes.len() - j.head, held);
-            assert!(j.bytes.len() <= 2 * held, "{} bytes", j.bytes.len());
+            assert!(j.bytes.len() <= 2 * held_max, "{} bytes", j.bytes.len());
         }
         assert_eq!(j.dropped(), 200);
+        assert_eq!(j.len(), 2);
         assert_eq!(j.last_seq(), 110);
+    }
+
+    #[test]
+    fn payloads_are_a_third_of_the_wire_requests() {
+        // A typical unit: one call with two small int arguments.
+        let unit = [PendingCall {
+            component: ComponentId::new(2),
+            key: 9_000,
+            label: FragLabel::new(3),
+            args: vec![Value::Int(417), Value::Int(-12)],
+        }];
+        let mut wire = Vec::new();
+        crate::wire::push_seq_unit(&mut wire, 40_000, &unit, false);
+        assert_eq!(wire.len(), 45);
+        let mut j = SessionJournal::new(DEFAULT_JOURNAL_LIMIT);
+        assert_eq!(j.append_seq(40_000, &unit, false).len(), 14);
     }
 
     #[test]

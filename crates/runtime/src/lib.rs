@@ -5,13 +5,16 @@
 //! two separate linux based machines that communicated over the local area
 //! network." This crate provides the equivalent substrate:
 //!
-//! * [`interp`] — a tree-walking interpreter for `hps_ir::Program`s with
-//!   deterministic virtual-time cost accounting ([`cost::CostModel`]).
+//! * [`interp`] — the interpreter for `hps_ir::Program`s, with
+//!   deterministic virtual-time cost accounting ([`cost::CostModel`]). It
+//!   compiles the program once to the register bytecode of [`bytecode`]
+//!   and runs it there. A plain tree-walk of open code, compiled only
+//!   for the crate's tests, is the reference the VM is differentially
+//!   tested against.
 //! * [`server`] — the secure-side executor: holds a
 //!   [`hps_ir::HiddenProgram`], keeps per-activation / per-instance hidden
-//!   state, and runs every fragment on the compile-once bytecode VM
-//!   ([`bytecode`]); [`fragment`] is the reference tree-walk the VM is
-//!   differentially tested against.
+//!   state, and runs every fragment on the same VM, compiled once per
+//!   server; [`fragment`] is the reference tree-walk for fragments.
 //! * [`channel`] — the open↔hidden transport abstraction; in-process with a
 //!   configurable round-trip cost for deterministic experiments.
 //! * [`tcp`] — a real TCP transport (length-prefixed binary protocol,
@@ -99,7 +102,11 @@ pub mod fault;
 pub mod fragment;
 pub mod interp;
 pub mod journal;
+#[cfg(test)]
+mod open_vm_differential;
 mod ops;
+#[cfg(test)]
+mod reference;
 pub mod server;
 pub mod shard;
 pub mod tcp;

@@ -1,0 +1,380 @@
+//! Differential property test: open programs on the bytecode VM
+//! ([`crate::interp`]) must be observationally identical to the
+//! reference tree-walk ([`crate::reference`]) — same return value,
+//! output, cost units and step count, or the same [`RuntimeError`] for the
+//! first failing operation, under every step and call-depth limit.
+//!
+//! Generated programs call functions (recursively, and a callee that
+//! assigns globals the caller reads in the same expression), read and
+//! write a local and a global array (with out-of-bounds indices), an
+//! object's fields through fields and methods, short-circuit `&&`/`||`,
+//! and divide by zero. Loops may diverge; the step limits end them.
+
+use crate::interp::{ExecConfig, Interp, Outcome};
+use crate::{reference, RuntimeError};
+use proptest::prelude::*;
+
+/// Which function an expression or statement is generated for: each has
+/// its own int variables and may call a different set of functions.
+#[derive(Clone, Copy, Debug)]
+enum Scope {
+    /// `main`: locals `x`, `y`, the array `arr` and the object `c`; may
+    /// call everything.
+    Main,
+    /// `f1(a, b)` with locals `x`, `y`; calls only `bump`.
+    F1,
+    /// `f2(a, d)`, recursive on `d`; calls `bump` and `f1`.
+    F2,
+}
+
+impl Scope {
+    fn vars(self) -> &'static [&'static str] {
+        match self {
+            Scope::Main => &["x", "y"],
+            Scope::F1 => &["a", "b", "x", "y"],
+            Scope::F2 => &["a", "d"],
+        }
+    }
+}
+
+fn pick(names: &'static [&'static str]) -> BoxedStrategy<String> {
+    (0..names.len())
+        .prop_map(move |i| names[i].to_string())
+        .boxed()
+}
+
+fn int_expr(scope: Scope) -> BoxedStrategy<String> {
+    let mut leaves: Vec<(u32, BoxedStrategy<String>)> = vec![
+        (3, (-3i64..10).prop_map(|v| v.to_string()).boxed()),
+        (4, pick(scope.vars())),
+        (2, pick(&["g", "h"])),
+        (1, (0i64..4).prop_map(|i| format!("ga[{i}]")).boxed()),
+    ];
+    if let Scope::Main = scope {
+        leaves.push((1, Just("len(arr)".to_string()).boxed()));
+        leaves.push((1, pick(&["c.v", "c.w", "c.get()"])));
+    }
+    let leaf = proptest::strategy::Union::new(leaves).boxed();
+    leaf.prop_recursive(3, 16, 3, move |inner| {
+        let bin = (
+            inner.clone(),
+            pick(&["+", "-", "*", "+", "-", "*", "/", "%"]),
+            inner.clone(),
+        )
+            .prop_map(|(l, op, r)| format!("({l} {op} {r})"));
+        // Most divisors are kept nonzero and most indices in bounds, so
+        // most runs get past their first error.
+        let safe_div = (inner.clone(), pick(&["/", "%"]), inner.clone())
+            .prop_map(|(l, op, r)| format!("({l} {op} (abs({r}) + 1))"));
+        let mut arms: Vec<(u32, BoxedStrategy<String>)> = vec![
+            (6, bin.boxed()),
+            (2, safe_div.boxed()),
+            (1, inner.clone().prop_map(|e| format!("(-{e})")).boxed()),
+            (1, inner.clone().prop_map(|e| format!("abs({e})")).boxed()),
+            (
+                1,
+                (pick(&["min", "max"]), inner.clone(), inner.clone())
+                    .prop_map(|(f, l, r)| format!("{f}({l}, {r})"))
+                    .boxed(),
+            ),
+            (2, inner.clone().prop_map(|e| format!("bump({e})")).boxed()),
+            (1, inner.clone().prop_map(|e| format!("ga[{e}]")).boxed()),
+            (
+                2,
+                inner
+                    .clone()
+                    .prop_map(|e| format!("ga[abs({e}) % 4]"))
+                    .boxed(),
+            ),
+        ];
+        match scope {
+            Scope::Main => {
+                arms.push((
+                    2,
+                    (inner.clone(), inner.clone())
+                        .prop_map(|(l, r)| format!("f1({l}, {r})"))
+                        .boxed(),
+                ));
+                arms.push((
+                    1,
+                    (inner.clone(), 0i64..4)
+                        .prop_map(|(l, d)| format!("f2({l}, {d})"))
+                        .boxed(),
+                ));
+                arms.push((1, inner.clone().prop_map(|e| format!("arr[{e}]")).boxed()));
+                arms.push((
+                    2,
+                    inner
+                        .clone()
+                        .prop_map(|e| format!("arr[abs({e}) % 3]"))
+                        .boxed(),
+                ));
+                arms.push((1, inner.prop_map(|e| format!("c.put({e})")).boxed()));
+            }
+            Scope::F2 => {
+                arms.push((
+                    2,
+                    (inner.clone(), inner)
+                        .prop_map(|(l, r)| format!("f1({l}, {r})"))
+                        .boxed(),
+                ));
+            }
+            Scope::F1 => {}
+        }
+        proptest::strategy::Union::new(arms).boxed()
+    })
+}
+
+fn bool_expr(scope: Scope) -> BoxedStrategy<String> {
+    let cmp = (
+        int_expr(scope),
+        pick(&["==", "!=", "<", "<=", ">", ">="]),
+        int_expr(scope),
+    )
+        .prop_map(|(l, op, r)| format!("{l} {op} {r}"));
+    let leaf = prop_oneof![
+        6 => cmp,
+        1 => pick(&["true", "false"]),
+    ]
+    .boxed();
+    leaf.prop_recursive(2, 8, 2, |inner| {
+        prop_oneof![
+            2 => (inner.clone(), pick(&["&&", "||"]), inner.clone())
+                .prop_map(|(l, op, r)| format!("({l}) {op} ({r})")),
+            1 => inner.prop_map(|b| format!("!({b})")),
+        ]
+        .boxed()
+    })
+}
+
+fn stmt(scope: Scope) -> BoxedStrategy<String> {
+    let lhs = match scope {
+        Scope::Main => &["x", "y", "g", "h", "c.v", "c.w"][..],
+        Scope::F1 => &["x", "y", "a", "g", "h"][..],
+        Scope::F2 => &["a", "g"][..],
+    };
+    let mut leaves: Vec<(u32, BoxedStrategy<String>)> = vec![
+        (
+            6,
+            (pick(lhs), int_expr(scope))
+                .prop_map(|(v, e)| format!("{v} = {e};"))
+                .boxed(),
+        ),
+        (
+            2,
+            (int_expr(scope), int_expr(scope))
+                .prop_map(|(i, e)| format!("ga[abs({i}) % 4] = {e};"))
+                .boxed(),
+        ),
+        (
+            1,
+            (int_expr(scope), int_expr(scope))
+                .prop_map(|(i, e)| format!("ga[{i}] = {e};"))
+                .boxed(),
+        ),
+        (
+            2,
+            int_expr(scope).prop_map(|e| format!("print({e});")).boxed(),
+        ),
+        (
+            1,
+            bool_expr(scope)
+                .prop_map(|b| format!("print({b});"))
+                .boxed(),
+        ),
+        (
+            1,
+            int_expr(scope).prop_map(|e| format!("bump({e});")).boxed(),
+        ),
+    ];
+    if let Scope::Main = scope {
+        leaves.push((
+            2,
+            (int_expr(scope), int_expr(scope))
+                .prop_map(|(i, e)| format!("arr[abs({i}) % 3] = {e};"))
+                .boxed(),
+        ));
+        leaves.push((
+            1,
+            (int_expr(scope), int_expr(scope))
+                .prop_map(|(i, e)| format!("arr[{i}] = {e};"))
+                .boxed(),
+        ));
+    }
+    if let Scope::F1 = scope {
+        leaves.push((
+            1,
+            int_expr(scope).prop_map(|e| format!("return {e};")).boxed(),
+        ));
+    }
+    let leaf = proptest::strategy::Union::new(leaves).boxed();
+    leaf.prop_recursive(2, 12, 3, move |inner| {
+        let body = |n| prop::collection::vec(inner.clone(), 0..n);
+        prop_oneof![
+            2 => (bool_expr(scope), body(3), body(2)).prop_map(|(c, t, e)| {
+                format!("if ({c}) {{ {} }} else {{ {} }}", t.join(" "), e.join(" "))
+            }),
+            1 => (
+                bool_expr(scope),
+                prop::collection::vec(
+                    prop_oneof![3 => inner.clone(), 1 => pick(&["break;", "continue;"])],
+                    0..4,
+                ),
+            )
+                .prop_map(|(c, b)| format!("while ({c}) {{ {} }}", b.join(" "))),
+        ]
+        .boxed()
+    })
+}
+
+fn block(scope: Scope, max: usize) -> BoxedStrategy<String> {
+    prop::collection::vec(stmt(scope), 0..max)
+        .prop_map(|s| s.join("\n    "))
+        .boxed()
+}
+
+fn program() -> BoxedStrategy<String> {
+    (
+        (-2i64..5, -2i64..5),
+        (block(Scope::F1, 4), int_expr(Scope::F1)),
+        (
+            block(Scope::F2, 3),
+            int_expr(Scope::F2),
+            int_expr(Scope::F2),
+        ),
+        block(Scope::Main, 7),
+    )
+        .prop_map(|((g0, h0), (f1, r1), (f2, a2, r2), main)| {
+            format!(
+                "global g: int = {g0};
+global h: int = {h0};
+global ga: int[] = new int[4];
+class Cell {{
+    v: int;
+    w: int;
+    fn get() -> int {{ return self.v; }}
+    fn put(k: int) -> int {{ self.v = self.v + k; self.w = k; return self.w; }}
+}}
+fn bump(k: int) -> int {{ g = g + k; h = h + 1; return k; }}
+fn f1(a: int, b: int) -> int {{
+    var x: int = a;
+    var y: int = b;
+    {f1}
+    return {r1};
+}}
+fn f2(a: int, d: int) -> int {{
+    if (d <= 0) {{ return a; }}
+    {f2}
+    return f2({a2}, d - 1) + {r2};
+}}
+fn main() {{
+    var x: int = 1;
+    var y: int = 2;
+    var arr: int[] = new int[3];
+    var c: Cell = new Cell();
+    {main}
+    print(x); print(y); print(g); print(h); print(c.get()); print(c.w);
+    print(ga[0]); print(ga[1]); print(ga[2]); print(ga[3]);
+    print(arr[0]); print(arr[1]); print(arr[2]);
+}}
+"
+            )
+        })
+        .boxed()
+}
+
+/// Limits under which both engines run each program: the first tick,
+/// mid-run step counts, a budget most programs finish within, and tight
+/// call depths.
+const LIMITS: [(u64, usize); 7] = [
+    (1, 128),
+    (7, 128),
+    (60, 128),
+    (400, 128),
+    (20_000, 128),
+    (20_000, 3),
+    (20_000, 1),
+];
+
+fn check(src: &str) {
+    let program = hps_lang::parse(src).unwrap_or_else(|e| panic!("{e}\n{src}"));
+    for (steps, depth) in LIMITS {
+        let vm = Interp::new(&program, ExecConfig::new())
+            .with_limits(steps, depth)
+            .run("main", &[]);
+        let walk = reference::run_function(&program, "main", &[], steps, depth);
+        assert_same(&vm, &walk, &format!("limits ({steps}, {depth})\n{src}"));
+    }
+}
+
+fn assert_same(
+    vm: &Result<Outcome, RuntimeError>,
+    walk: &Result<Outcome, RuntimeError>,
+    context: &str,
+) {
+    match (vm, walk) {
+        (Ok(v), Ok(w)) => {
+            assert_eq!(v.ret, w.ret, "return value, {context}");
+            assert_eq!(v.output, w.output, "output, {context}");
+            assert_eq!(v.cost, w.cost, "cost, {context}");
+            assert_eq!(v.steps, w.steps, "steps, {context}");
+        }
+        (Err(v), Err(w)) => assert_eq!(v, w, "first error, {context}"),
+        _ => panic!("engines diverged: vm {vm:?}, reference {walk:?}, {context}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    #[test]
+    fn vm_matches_reference_on_generated_programs(src in program()) {
+        check(&src);
+    }
+}
+
+/// The evaluation-order corners the generator reaches only by chance.
+#[test]
+fn vm_matches_reference_on_evaluation_order_corners() {
+    for body in [
+        // A global read before, and after, a call that assigns it.
+        "g = 1; print(g + bump(10)); print(bump(10) + g); print(f1(g, bump(3)));",
+        // Element stores evaluate the value, then the base, then the index.
+        "g = 1; ga[g] = bump(2); print(ga[1]); print(ga[3]); ga[bump(1)] = g; print(ga[1]);",
+        "arr[bump(1) - g] = g; print(arr[0]);",
+        // Short circuits skip the call and the trap on the right.
+        "if (g > 100 && bump(1) / 0 > 0) { print(1); } if (g < 100 || 1 / 0 > 0) { print(2); }",
+        "print((g > 100) && (bump(1) > 0)); print(h);",
+        // Fields through methods, out-of-bounds and zero divisors.
+        "c.v = c.put(bump(2)) + c.v; print(c.w);",
+        "print(arr[3]);",
+        "print(ga[0 - 1]);",
+        "print(7 % (g - g));",
+        "while (true) { x = x + 1; }",
+        "print(f2(1, 3)); print(f2(bump(1), 2));",
+    ] {
+        let src = format!(
+            "global g: int = 1;
+global h: int;
+global ga: int[] = new int[4];
+class Cell {{
+    v: int;
+    w: int;
+    fn get() -> int {{ return self.v; }}
+    fn put(k: int) -> int {{ self.v = self.v + k; self.w = k; return self.w; }}
+}}
+fn bump(k: int) -> int {{ g = g + k; h = h + 1; return k; }}
+fn f1(a: int, b: int) -> int {{ return a * 100 + b; }}
+fn f2(a: int, d: int) -> int {{ if (d <= 0) {{ return a + g; }} return f2(a + bump(d), d - 1) * 2; }}
+fn main() {{
+    var x: int = 1;
+    var y: int = 2;
+    var arr: int[] = new int[3];
+    var c: Cell = new Cell();
+    {body}
+}}
+"
+        );
+        check(&src);
+    }
+}

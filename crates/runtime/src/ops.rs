@@ -10,7 +10,8 @@ use crate::error::RuntimeError;
 use crate::value::RtValue;
 use hps_ir::{BinOp, Builtin, UnOp};
 
-fn mismatch(expected: &'static str, v: &RtValue) -> RuntimeError {
+/// The type-mismatch error for a value of the wrong type.
+pub(crate) fn mismatch(expected: &'static str, v: &RtValue) -> RuntimeError {
     RuntimeError::TypeMismatch {
         expected,
         found: v.type_name(),

@@ -9,6 +9,8 @@
 //! [`hps_ir::Value`]s and encoded frames leave a shard, and one thread at
 //! a time touches the values inside it.
 
+use crate::error::RuntimeError;
+use crate::ops::mismatch;
 use hps_ir::{ClassId, Ty, Value};
 use std::cell::RefCell;
 use std::fmt;
@@ -113,6 +115,26 @@ impl RtValue {
                 })))
             }
             other => other.clone(),
+        }
+    }
+
+    /// The array behind an aggregate access; reading an uninitialised
+    /// local or another type is a runtime error.
+    pub(crate) fn array(&self) -> Result<&ArrayRef, RuntimeError> {
+        match self {
+            RtValue::Array(a) => Ok(a),
+            RtValue::Uninit => Err(RuntimeError::UninitializedValue),
+            v => Err(mismatch("array", v)),
+        }
+    }
+
+    /// The object behind a field access; reading an uninitialised local or
+    /// another type is a runtime error.
+    pub(crate) fn object(&self) -> Result<&ObjRef, RuntimeError> {
+        match self {
+            RtValue::Object(o) => Ok(o),
+            RtValue::Uninit => Err(RuntimeError::UninitializedValue),
+            v => Err(mismatch("object", v)),
         }
     }
 
