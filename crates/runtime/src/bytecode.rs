@@ -24,7 +24,8 @@
 //!   globals, calls, `print`, `return`, nested hidden calls) lower to an
 //!   `Illegal` instruction in a fragment, emitted where evaluation would reach
 //!   them, so the VM raises the same [`RuntimeError::IllegalFragmentOp`] at
-//!   the same point as the reference tree-walk ([`crate::fragment`]);
+//!   the same point as the reference tree-walk (the test-only
+//!   `fragment.rs`);
 //! * **the final `Ret`** — a fragment's value must be a scalar and its
 //!   hidden variables are written back ([`run_compiled`]); an open
 //!   function's value lands in its caller's destination register.
@@ -53,8 +54,8 @@
 //! # Determinism rules
 //!
 //! The VM must be **observationally byte-identical** to the reference
-//! tree-walks ([`crate::fragment`] for fragments, the test-only
-//! `reference.rs` for open code):
+//! tree-walks, both compiled for the crate's tests only (`fragment.rs` for
+//! fragments, `reference.rs` for open code):
 //!
 //! * same returned value, output, globals and hidden-variable state;
 //! * same total cost on success — errors discard cost, so a charge may be
@@ -68,15 +69,15 @@
 //!   first, and an assignment evaluates its place's index and receiver
 //!   after the value.
 //!
-//! `tests/vm_differential.rs` pins the contract on random fragments, the
-//! crate's `open_vm_differential` tests on random open programs.
+//! The crate's `vm_differential` tests pin the contract on random
+//! fragments, its `open_vm_differential` tests on random open programs.
 
 use crate::channel::{Channel, PendingCall};
 use crate::cost::COST_MODEL;
 use crate::error::RuntimeError;
-use crate::fragment::{FragOutcome, FRAGMENT_STEP_LIMIT};
 use crate::interp::{MetaKind, SplitMeta};
 use crate::ops::{self, mismatch};
+use crate::server::FragOutcome;
 use crate::value::{ObjData, RtValue};
 use hps_ir::{
     BinOp, Block, Builtin, ComponentId, Expr, FragLabel, Fragment, Function, HiddenProgram, Place,
@@ -96,6 +97,10 @@ type Reg = u16;
 
 /// Upper bound on buffered deferred calls before a forced flush.
 const MAX_PENDING_CALLS: usize = 4096;
+
+/// Maximum number of statements a single fragment call may execute; guards
+/// the secure device against runaway hidden loops.
+pub(crate) const FRAGMENT_STEP_LIMIT: u64 = 200_000_000;
 
 /// A scalar instruction input: a register, a global or an immediate.
 ///
@@ -1821,7 +1826,7 @@ fn scalar_arg(v: &RtValue) -> Result<Value, RuntimeError> {
 }
 
 /// Executes compiled bytecode against a component's hidden state, exactly
-/// like [`crate::fragment::run_fragment`] executes the AST.
+/// like the reference tree-walk executes the AST.
 ///
 /// # Errors
 ///
@@ -1834,13 +1839,13 @@ pub fn run_compiled(
     run_compiled_with_limit(compiled, vars, args, FRAGMENT_STEP_LIMIT)
 }
 
-/// [`run_compiled`] with an explicit step limit, mirroring
-/// [`crate::fragment::run_fragment_with_limit`] for differential tests.
+/// [`run_compiled`] with an explicit step limit: the differential tests
+/// pin the exact statement count at which `StepLimitExceeded` fires.
 ///
 /// # Errors
 ///
 /// As [`run_compiled`], with `StepLimitExceeded` carrying `limit`.
-pub fn run_compiled_with_limit(
+pub(crate) fn run_compiled_with_limit(
     compiled: &CompiledFragment,
     vars: &mut [RtValue],
     args: &[Value],

@@ -1,10 +1,10 @@
-//! Reference fragment semantics: a tree-walk over the [`Fragment`] AST.
+//! Reference fragment semantics: a tree-walk over the [`Fragment`] AST,
+//! compiled only for the crate's tests.
 //!
 //! [`crate::server::SecureServer`] runs every fragment on the bytecode VM
 //! ([`crate::bytecode`]); this module is the executable specification the
-//! VM is checked against (`tests/vm_differential.rs` and the bytecode unit
-//! tests), and it owns the shared [`FragOutcome`] and
-//! [`FRAGMENT_STEP_LIMIT`].
+//! VM is checked against (the crate's `vm_differential` tests and the
+//! bytecode unit tests).
 //!
 //! [`run_fragment`] runs one fragment against a component's persistent
 //! hidden variables and the scalar arguments shipped by the open side.
@@ -12,25 +12,13 @@
 //! aggregates, no returns); anything outside that subset raises
 //! [`RuntimeError::IllegalFragmentOp`] — it would indicate a splitter bug.
 
+use crate::bytecode::FRAGMENT_STEP_LIMIT;
 use crate::cost::COST_MODEL;
 use crate::error::RuntimeError;
 use crate::ops;
+use crate::server::FragOutcome;
 use crate::value::RtValue;
 use hps_ir::{Block, Expr, Fragment, Place, StmtKind};
-
-/// Result of executing a fragment: the returned scalar and the virtual
-/// cost the secure device spent.
-#[derive(Clone, PartialEq, Debug)]
-pub struct FragOutcome {
-    /// Value returned to the open side (the "any" placeholder is `Int(0)`).
-    pub value: hps_ir::Value,
-    /// Virtual cost units consumed on the secure device.
-    pub cost: u64,
-}
-
-/// Maximum number of statements a single fragment call may execute; guards
-/// the secure device against runaway hidden loops.
-pub const FRAGMENT_STEP_LIMIT: u64 = 200_000_000;
 
 struct FragFrame {
     /// vars ++ params, per the fragment numbering convention.

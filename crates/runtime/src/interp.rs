@@ -25,7 +25,6 @@
 use crate::bytecode::{ProgramCode, Vm};
 use crate::channel::{Channel, InProcessChannel, TransportStats};
 use crate::error::RuntimeError;
-use crate::fault::{FaultPlan, FaultyChannel};
 use crate::server::SecureServer;
 use crate::value::RtValue;
 use hps_ir::{ComponentId, ComponentKind, HiddenProgram, Program, Ty};
@@ -122,13 +121,13 @@ impl SplitMeta {
 }
 
 /// One configured in-process split execution: open program, hidden
-/// program, batching, round-trip latency, fault injection and telemetry
-/// recording.
+/// program, batching, round-trip latency and telemetry recording.
 ///
 /// This is the single entry point for running a split program in process:
 /// it installs the hidden program on a fresh [`SecureServer`] behind an
 /// [`InProcessChannel`]. Use [`Interp`] directly only for custom channels
-/// (TCP, tracing).
+/// (TCP, tracing, or a [`FaultyChannel`](crate::FaultyChannel) for
+/// injected transport faults).
 ///
 /// # Examples
 ///
@@ -159,20 +158,18 @@ pub struct Executor<'p> {
     hidden: &'p HiddenProgram,
     config: ExecConfig,
     rtt: u64,
-    faults: Option<FaultPlan>,
     recorder: Option<Rc<MetricsRecorder>>,
 }
 
 impl<'p> Executor<'p> {
     /// An executor with default configuration: no batching, zero
-    /// round-trip cost, no faults, no recorder.
+    /// round-trip cost, no recorder.
     pub fn new(open: &'p Program, hidden: &'p HiddenProgram) -> Executor<'p> {
         Executor {
             open,
             hidden,
             config: ExecConfig::new(),
             rtt: 0,
-            faults: None,
             recorder: None,
         }
     }
@@ -189,16 +186,6 @@ impl<'p> Executor<'p> {
         self
     }
 
-    /// Injects transport faults: wraps the channel in a
-    /// [`FaultyChannel`] driven by `plan`. Outcome, interaction count and
-    /// the server-side call sequence stay identical to a fault-free run;
-    /// only [`ExecReport::transport`] (and the reliability telemetry
-    /// counters) record the turbulence.
-    pub fn faults(mut self, plan: FaultPlan) -> Executor<'p> {
-        self.faults = Some(plan);
-        self
-    }
-
     /// Attaches a metrics recorder; the events every layer fires during
     /// the run are aggregated into [`ExecReport::telemetry`]. Recording
     /// never changes results, costs or interaction counts. Without a
@@ -212,64 +199,35 @@ impl<'p> Executor<'p> {
     /// Runs `main` of the open program against a fresh in-process
     /// [`SecureServer`] holding the hidden program.
     ///
-    /// Each call builds a fresh server (and, with [`Executor::faults`], a
-    /// fresh copy of the fault plan, so every run replays the same seeded
-    /// schedule); the recorder, if any, accumulates across runs.
+    /// Each call builds a fresh server; the recorder, if any, accumulates
+    /// across runs.
     ///
     /// # Errors
     ///
-    /// Returns a [`RuntimeError`] for execution faults on either side, or
-    /// a terminal transport error if a fault plan exhausts the retry
-    /// budget.
+    /// Returns a [`RuntimeError`] for execution faults on either side.
     pub fn run(&self, args: &[RtValue]) -> Result<ExecReport, RuntimeError> {
         let handle = match &self.recorder {
             Some(r) => RecorderHandle::new(r.clone()),
             None => RecorderHandle::none(),
         };
         let server = SecureServer::new(self.hidden.clone()).with_recorder(handle.clone());
-        let inner = InProcessChannel::new(server)
+        let mut channel = InProcessChannel::new(server)
             .with_rtt(self.rtt)
             .with_recorder(handle.clone());
         let meta = SplitMeta::derive(self.open, self.hidden);
-        let (outcome, interactions, server_cost, transport) = match self.faults.clone() {
-            Some(plan) => {
-                let mut channel = FaultyChannel::new(inner, plan).with_recorder(handle.clone());
-                let mut interp = Interp::new(self.open, self.config.clone())
-                    .with_channel(&mut channel, &meta)
-                    .with_recorder(handle);
-                let outcome = interp.run("main", args)?;
-                drop(interp);
-                (
-                    outcome,
-                    channel.interactions(),
-                    channel.inner().server().cost_spent(),
-                    channel.transport_stats(),
-                )
-            }
-            None => {
-                let mut channel = inner;
-                let mut interp = Interp::new(self.open, self.config.clone())
-                    .with_channel(&mut channel, &meta)
-                    .with_recorder(handle);
-                let outcome = interp.run("main", args)?;
-                drop(interp);
-                (
-                    outcome,
-                    channel.interactions(),
-                    channel.server().cost_spent(),
-                    channel.transport_stats(),
-                )
-            }
-        };
+        let outcome = Interp::new(self.open, self.config.clone())
+            .with_channel(&mut channel, &meta)
+            .with_recorder(handle)
+            .run("main", args)?;
         let telemetry = match &self.recorder {
             Some(r) => r.snapshot(),
             None => MetricsSnapshot::new(),
         };
         Ok(ExecReport {
             outcome,
-            interactions,
-            server_cost,
-            transport,
+            interactions: channel.interactions(),
+            server_cost: channel.server().cost_spent(),
+            transport: channel.transport_stats(),
             telemetry,
         })
     }

@@ -10,11 +10,7 @@
 //!   their live state, and a shard's death drops only the live state, so
 //!   the sessions of a dead shard are rebuilt by replay. A ring that overflowed its
 //!   limit is no longer a complete history; recovery then poisons the
-//!   session instead of silently rebuilding wrong state. The ring is a
-//!   byte log: each op is kept as its encoded payload (below), back to
-//!   back in one buffer. A commit encodes the unit once, straight from the
-//!   request's calls, and [`SessionJournal::ops`] decodes only when a
-//!   session is replayed.
+//!   session instead of silently rebuilding wrong state.
 //! * **Disk persistence** (`hps serve --journal-dir`) — optional
 //!   checksummed frames appended synchronously at commit time, from which a
 //!   *restarted* server process rebuilds hidden state. The reader stops at
@@ -22,22 +18,15 @@
 //!   journal-truncation fault) loses at most the tail — which the client's
 //!   session-resume window re-drives on reconnect.
 //!
-//! The ring and the disk hold the same payload bytes; the disk frame adds
-//! a CRC32 over the payload:
+//! There is one format, defined in [`crate::wire`]: an op is the request
+//! payload the server received — a `SeqCall`, `SeqBatch` or `Release` —
+//! byte for byte, so a commit encodes nothing. The ring keeps the payloads
+//! back to back in one buffer and finds where each ends by decoding it;
+//! [`SessionJournal::ops`] decodes only when a session is replayed. The
+//! disk frame adds a length and a CRC32 over the payload:
 //!
 //! ```text
 //! journal-frame := u32 payload_len ++ u32 crc32(payload) ++ payload
-//! ```
-//!
-//! A ring's memory grows with the calls its session has served, so a
-//! payload is not a [`crate::wire`] request but a compact form of one,
-//! with LEB128 varints for every integer and zigzag for signed ones (a
-//! one-call unit with two small ints takes 14 bytes instead of 45):
-//!
-//! ```text
-//! payload := 0x00 seq call | 0x01 seq n call{n} | 0x02 component key
-//! call    := component key label n value{n}
-//! value   := 0x00 zigzag(int) | 0x01 f64-le | 0x02 bool-byte
 //! ```
 //!
 //! The commit point of the protocol is the journal append: a shard
@@ -46,8 +35,7 @@
 //! always at or one behind the client's — exactly the window the resume
 //! handshake and retransmit path already cover.
 
-use crate::channel::PendingCall;
-use hps_ir::{ComponentId, FragLabel, Value};
+use crate::wire::Request;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -57,43 +45,8 @@ use std::path::{Path, PathBuf};
 /// still strictly better than the pre-recovery behaviour of losing it.
 pub const DEFAULT_JOURNAL_LIMIT: usize = 65_536;
 
-/// One committed operation of a session, in commit order: the decoded
-/// form of a journal payload.
-#[derive(Clone, PartialEq, Debug)]
-pub enum JournalOp {
-    /// A committed sequenced unit (one call or one atomic batch).
-    Seq {
-        /// The unit's sequence number (contiguous from 1).
-        seq: u64,
-        /// The logical calls of the unit.
-        calls: Vec<PendingCall>,
-        /// Whether the unit was a batch frame (`0x07`) or a single call.
-        batch: bool,
-    },
-    /// A committed release of one activation/instance's hidden state.
-    /// Journaled so replay frees exactly what the live session freed —
-    /// otherwise a rebuilt session would resurrect released state and a
-    /// later reuse of the key would observe stale values.
-    Release {
-        /// Addressed component.
-        component: ComponentId,
-        /// Activation / instance key.
-        key: u64,
-    },
-}
-
-impl JournalOp {
-    /// Decodes one whole journal payload; `None` for anything else
-    /// (treated as corruption by the reader).
-    fn decode(payload: &[u8]) -> Option<JournalOp> {
-        let mut pos = 0;
-        let op = decode_op(payload, &mut pos)?;
-        (pos == payload.len()).then_some(op)
-    }
-}
-
 /// The in-memory journal of one session: an append-only ring of committed
-/// ops, kept as their encoded payloads, plus enough bookkeeping to know
+/// ops, kept as their request payloads, plus enough bookkeeping to know
 /// whether the ring still holds the *complete* history (a prerequisite for
 /// rebuilding by replay).
 #[derive(Clone, Debug)]
@@ -123,48 +76,17 @@ impl SessionJournal {
         }
     }
 
-    /// Appends a committed op, evicting the oldest when the ring is full
-    /// (after which [`SessionJournal::is_complete`] is false forever).
-    /// Returns the op's payload, the bytes a disk frame carries.
-    pub fn append(&mut self, op: &JournalOp) -> &[u8] {
-        match op {
-            JournalOp::Seq { seq, calls, batch } => self.append_seq(*seq, calls, *batch),
-            JournalOp::Release { component, key } => {
-                let start = self.bytes.len();
-                self.bytes.push(RELEASE);
-                put_varint(&mut self.bytes, u64::from(component.0));
-                put_varint(&mut self.bytes, *key);
-                self.commit(start)
-            }
-        }
-    }
-
-    /// [`SessionJournal::append`] of a committed sequenced unit, encoded
-    /// straight from the calls that were served (a single call when not
-    /// `batch`, as on the wire).
-    pub fn append_seq(&mut self, seq: u64, calls: &[PendingCall], batch: bool) -> &[u8] {
-        let start = self.bytes.len();
-        let calls = if batch { calls } else { &calls[..1] };
-        self.bytes.push(if batch { SEQ_BATCH } else { SEQ_CALL });
-        put_varint(&mut self.bytes, seq);
-        if batch {
-            put_varint(&mut self.bytes, calls.len() as u64);
-        }
-        for c in calls {
-            put_call(&mut self.bytes, c);
-        }
-        self.last_seq = seq;
-        self.commit(start)
-    }
-
-    /// Makes the payload written at `start..` one held op, evicting the
-    /// oldest past the limit.
-    fn commit(&mut self, start: usize) -> &[u8] {
-        let len = self.bytes.len() - start;
+    /// Appends one committed op: `payload` is a request that decoded as a
+    /// `SeqCall` or `SeqBatch` numbered `seq`, or as a `Release` (`seq`
+    /// `None`). Evicts the oldest op when the ring is full (after which
+    /// [`SessionJournal::is_complete`] is false forever).
+    pub(crate) fn append(&mut self, seq: Option<u64>, payload: &[u8]) {
+        self.bytes.extend_from_slice(payload);
+        self.last_seq = seq.unwrap_or(self.last_seq);
         self.held += 1;
         if self.held > self.limit {
-            // Every held payload was encoded here, so it decodes.
-            decode_op(&self.bytes, &mut self.head).expect("journal payloads decode");
+            // Decoding the oldest payload is how its extent is found.
+            Request::decode_at(&self.bytes, &mut self.head).expect("journal payloads decode");
             self.held -= 1;
             self.dropped += 1;
             if self.head > self.bytes.len() / 2 {
@@ -172,7 +94,6 @@ impl SessionJournal {
                 self.head = 0;
             }
         }
-        &self.bytes[self.bytes.len() - len..]
     }
 
     /// True while the ring still holds every committed op since the
@@ -186,12 +107,20 @@ impl SessionJournal {
         self.dropped
     }
 
-    /// The committed ops, oldest first, decoded from their payloads.
-    pub fn ops(&self) -> impl Iterator<Item = JournalOp> + '_ {
+    /// The committed ops, oldest first: `SeqCall`, `SeqBatch` and
+    /// `Release` requests, decoded from their payloads.
+    pub fn ops(&self) -> impl Iterator<Item = Request> + '_ {
         let mut pos = self.head;
-        // Every held payload was encoded here.
-        (0..self.held)
-            .map(move |_| decode_op(&self.bytes, &mut pos).expect("journal payloads decode"))
+        // Every held payload decoded once before it was appended.
+        (0..self.held).map(move |_| {
+            Request::decode_at(&self.bytes, &mut pos).expect("journal payloads decode")
+        })
+    }
+
+    /// The held payloads, back to back.
+    #[cfg(test)]
+    pub(crate) fn held_bytes(&self) -> &[u8] {
+        &self.bytes[self.head..]
     }
 
     /// Number of ops currently held.
@@ -208,125 +137,6 @@ impl SessionJournal {
     /// rebuilt session expects `last_seq + 1` next.
     pub fn last_seq(&self) -> u64 {
         self.last_seq
-    }
-}
-
-/// Payload tags.
-const SEQ_CALL: u8 = 0x00;
-const SEQ_BATCH: u8 = 0x01;
-const RELEASE: u8 = 0x02;
-
-/// Appends `v` as a LEB128 varint.
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        buf.push((v & 0x7f) as u8 | 0x80);
-        v >>= 7;
-    }
-    buf.push(v as u8);
-}
-
-fn get_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v = 0u64;
-    for shift in (0..64).step_by(7) {
-        let b = *bytes.get(*pos)?;
-        *pos += 1;
-        v |= u64::from(b & 0x7f) << shift;
-        if b < 0x80 {
-            return Some(v);
-        }
-    }
-    None
-}
-
-fn get_u32(bytes: &[u8], pos: &mut usize) -> Option<u32> {
-    u32::try_from(get_varint(bytes, pos)?).ok()
-}
-
-fn put_call(buf: &mut Vec<u8>, c: &PendingCall) {
-    put_varint(buf, u64::from(c.component.0));
-    put_varint(buf, c.key);
-    put_varint(buf, u64::from(c.label.0));
-    put_varint(buf, c.args.len() as u64);
-    for &a in &c.args {
-        match a {
-            Value::Int(i) => {
-                buf.push(0x00);
-                // Zigzag: small magnitudes of either sign stay short.
-                put_varint(buf, ((i << 1) ^ (i >> 63)) as u64);
-            }
-            Value::Float(f) => {
-                buf.push(0x01);
-                buf.extend_from_slice(&f.to_bits().to_le_bytes());
-            }
-            Value::Bool(b) => {
-                buf.push(0x02);
-                buf.push(u8::from(b));
-            }
-        }
-    }
-}
-
-fn get_call(bytes: &[u8], pos: &mut usize) -> Option<PendingCall> {
-    let component = ComponentId(get_u32(bytes, pos)?);
-    let key = get_varint(bytes, pos)?;
-    let label = FragLabel(get_u32(bytes, pos)?);
-    let n = get_varint(bytes, pos)?;
-    let mut args = Vec::new();
-    for _ in 0..n {
-        let tag = *bytes.get(*pos)?;
-        *pos += 1;
-        args.push(match tag {
-            0x00 => {
-                let z = get_varint(bytes, pos)?;
-                Value::Int((z >> 1) as i64 ^ -((z & 1) as i64))
-            }
-            0x01 => {
-                let raw = bytes.get(*pos..*pos + 8)?;
-                *pos += 8;
-                Value::Float(f64::from_bits(u64::from_le_bytes(raw.try_into().ok()?)))
-            }
-            0x02 => {
-                let b = *bytes.get(*pos)?;
-                *pos += 1;
-                Value::Bool(b != 0)
-            }
-            _ => return None,
-        });
-    }
-    Some(PendingCall {
-        component,
-        key,
-        label,
-        args,
-    })
-}
-
-/// Decodes the payload at `pos`, advancing past it.
-fn decode_op(bytes: &[u8], pos: &mut usize) -> Option<JournalOp> {
-    let tag = *bytes.get(*pos)?;
-    *pos += 1;
-    match tag {
-        SEQ_CALL | SEQ_BATCH => {
-            let seq = get_varint(bytes, pos)?;
-            let n = if tag == SEQ_BATCH {
-                get_varint(bytes, pos)?
-            } else {
-                1
-            };
-            let calls = (0..n)
-                .map(|_| get_call(bytes, pos))
-                .collect::<Option<Vec<_>>>()?;
-            Some(JournalOp::Seq {
-                seq,
-                calls,
-                batch: tag == SEQ_BATCH,
-            })
-        }
-        RELEASE => Some(JournalOp::Release {
-            component: ComponentId(get_u32(bytes, pos)?),
-            key: get_varint(bytes, pos)?,
-        }),
-        _ => None,
     }
 }
 
@@ -371,7 +181,7 @@ impl DiskJournal {
         std::fs::create_dir_all(dir)?;
         let path = journal_path(dir, session);
         if let Ok(bytes) = std::fs::read(&path) {
-            let (valid, _) = scan_frames(&bytes);
+            let valid = scan_frames(&bytes, |_, _| {});
             if valid < bytes.len() {
                 let file = std::fs::OpenOptions::new().write(true).open(&path)?;
                 file.set_len(valid as u64)?;
@@ -384,8 +194,8 @@ impl DiskJournal {
         Ok(DiskJournal { file })
     }
 
-    /// Appends one checksummed frame carrying `payload` (as returned by
-    /// [`SessionJournal::append`]) and flushes it.
+    /// Appends one checksummed frame carrying `payload` (the committed
+    /// request, as the ring holds it) and flushes it.
     ///
     /// # Errors
     ///
@@ -401,12 +211,12 @@ impl DiskJournal {
     }
 }
 
-/// Scans raw journal bytes, returning the byte length of the longest
-/// prefix of intact frames plus each of their payloads with the op it
-/// decodes to. Scanning stops silently at the first torn, truncated or
-/// checksum-failing frame.
-fn scan_frames(bytes: &[u8]) -> (usize, Vec<(&[u8], JournalOp)>) {
-    let mut ops = Vec::new();
+/// Scans raw journal bytes, handing each intact frame's payload and its
+/// sequence number (`None` for a release) to `each`, and returns the byte
+/// length of that prefix of intact frames. Scanning stops silently at the
+/// first torn, truncated or checksum-failing frame, and at the first
+/// payload that does not decode as a journaled request.
+fn scan_frames(bytes: &[u8], mut each: impl FnMut(&[u8], Option<u64>)) -> usize {
     let mut pos = 0usize;
     while let Some(header) = bytes.get(pos..pos + 8) {
         let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
@@ -417,13 +227,15 @@ fn scan_frames(bytes: &[u8]) -> (usize, Vec<(&[u8], JournalOp)>) {
         if crc32(payload) != sum {
             break;
         }
-        let Some(op) = JournalOp::decode(payload) else {
-            break;
+        let seq = match Request::decode(payload) {
+            Ok(Request::SeqCall { seq, .. } | Request::SeqBatch { seq, .. }) => Some(seq),
+            Ok(Request::Release { .. }) => None,
+            _ => break,
         };
-        ops.push((payload, op));
+        each(payload, seq);
         pos += 8 + len;
     }
-    (pos, ops)
+    pos
 }
 
 /// Loads a session's journal from disk, rebuilding the in-memory form.
@@ -433,11 +245,8 @@ fn scan_frames(bytes: &[u8]) -> (usize, Vec<(&[u8], JournalOp)>) {
 /// everything after it is lost tail the client's resume window re-drives.
 pub fn load_disk_journal(dir: &Path, session: u64, limit: usize) -> Option<SessionJournal> {
     let bytes = std::fs::read(journal_path(dir, session)).ok()?;
-    let (_valid, ops) = scan_frames(&bytes);
     let mut journal = SessionJournal::new(limit);
-    for (_, op) in ops {
-        journal.append(&op);
-    }
+    scan_frames(&bytes, |payload, seq| journal.append(seq, payload));
     Some(journal)
 }
 
@@ -463,7 +272,8 @@ pub fn truncate_tail(dir: &Path, session: u64) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hps_ir::{FragLabel, Value};
+    use crate::channel::PendingCall;
+    use hps_ir::{ComponentId, FragLabel, Value};
 
     fn call(n: i64) -> PendingCall {
         PendingCall {
@@ -474,21 +284,32 @@ mod tests {
         }
     }
 
-    fn seq_op(seq: u64, n: i64) -> JournalOp {
-        JournalOp::Seq {
-            seq,
-            calls: vec![call(n)],
-            batch: false,
+    fn seq_op(seq: u64, n: i64) -> Request {
+        Request::SeqCall { seq, call: call(n) }
+    }
+
+    fn release(component: u32, key: u64) -> Request {
+        Request::Release {
+            component: ComponentId(component),
+            key,
         }
     }
 
+    /// Appends `op` as a shard commits it: its payload, as received.
+    fn append(journal: &mut SessionJournal, op: &Request) {
+        let seq = match op {
+            Request::SeqCall { seq, .. } | Request::SeqBatch { seq, .. } => Some(*seq),
+            _ => None,
+        };
+        journal.append(seq, &op.encode());
+    }
+
     /// Writes `ops` to the session's disk journal the way a shard does:
-    /// each payload comes from the in-memory ring.
-    fn write_disk(dir: &Path, session: u64, ops: &[JournalOp]) {
+    /// one frame per op payload.
+    fn write_disk(dir: &Path, session: u64, ops: &[Request]) {
         let mut disk = DiskJournal::open(dir, session).expect("open");
-        let mut ring = SessionJournal::new(DEFAULT_JOURNAL_LIMIT);
         for op in ops {
-            disk.append(ring.append(op)).expect("append");
+            disk.append(&op.encode()).expect("append");
         }
     }
 
@@ -505,18 +326,21 @@ mod tests {
         let mut j = SessionJournal::new(3);
         assert!(j.is_empty());
         for seq in 1..=3 {
-            j.append(&seq_op(seq, seq as i64));
+            append(&mut j, &seq_op(seq, seq as i64));
         }
         assert!(j.is_complete());
         assert_eq!(j.last_seq(), 3);
         // Overflow drops the head and the history is no longer complete.
-        j.append(&seq_op(4, 4));
+        append(&mut j, &seq_op(4, 4));
         assert!(!j.is_complete());
         assert_eq!(j.dropped(), 1);
         assert_eq!(j.len(), 3);
         assert_eq!(j.last_seq(), 4);
         let held: Vec<_> = j.ops().collect();
         assert_eq!(held, [seq_op(2, 2), seq_op(3, 3), seq_op(4, 4)]);
+        // A release commits no sequence number.
+        append(&mut j, &release(0, 1));
+        assert_eq!(j.last_seq(), 4);
     }
 
     #[test]
@@ -535,39 +359,30 @@ mod tests {
                 Value::Bool(false),
             ],
         };
-        let batch = JournalOp::Seq {
+        let batch = Request::SeqBatch {
             seq: 9,
             calls: vec![call(1), wide.clone()],
-            batch: true,
         };
-        let release = JournalOp::Release {
-            component: ComponentId::new(3),
-            key: 5,
-        };
-        let single = JournalOp::Seq {
+        let single = Request::SeqCall {
             seq: 10,
-            calls: vec![wide.clone()],
-            batch: false,
+            call: wide,
         };
         let mut j = SessionJournal::new(2);
-        // Each append returns exactly its op's payload.
-        assert_eq!(JournalOp::decode(j.append(&batch)), Some(batch.clone()));
-        assert_eq!(
-            JournalOp::decode(j.append_seq(10, &[wide, call(7)], false)),
-            Some(single.clone())
-        );
-        assert_eq!(j.ops().collect::<Vec<_>>(), [batch, single]);
+        append(&mut j, &batch);
+        append(&mut j, &single);
+        assert_eq!(j.ops().collect::<Vec<_>>(), [batch.clone(), single.clone()]);
+        assert_eq!(j.held_bytes(), [batch.encode(), single.encode()].concat());
         // Evict past the compaction point many times over; the held ops
         // and the buffer both stay bounded by the limit.
         let mut held_max = 0;
         for round in 0..100 {
-            j.append(&release);
-            j.append(&seq_op(11 + round, round as i64 - 50));
+            append(&mut j, &release(3, 5));
+            append(&mut j, &seq_op(11 + round, round as i64 - 50));
             assert_eq!(
                 j.ops().collect::<Vec<_>>(),
-                [release.clone(), seq_op(11 + round, round as i64 - 50)]
+                [release(3, 5), seq_op(11 + round, round as i64 - 50)]
             );
-            held_max = held_max.max(j.bytes.len() - j.head);
+            held_max = held_max.max(j.held_bytes().len());
             // Evicted bytes never outweigh the held ones.
             assert!(j.bytes.len() <= 2 * held_max, "{} bytes", j.bytes.len());
         }
@@ -577,36 +392,16 @@ mod tests {
     }
 
     #[test]
-    fn payloads_are_a_third_of_the_wire_requests() {
-        // A typical unit: one call with two small int arguments.
-        let unit = [PendingCall {
-            component: ComponentId::new(2),
-            key: 9_000,
-            label: FragLabel::new(3),
-            args: vec![Value::Int(417), Value::Int(-12)],
-        }];
-        let mut wire = Vec::new();
-        crate::wire::push_seq_unit(&mut wire, 40_000, &unit, false);
-        assert_eq!(wire.len(), 45);
-        let mut j = SessionJournal::new(DEFAULT_JOURNAL_LIMIT);
-        assert_eq!(j.append_seq(40_000, &unit, false).len(), 14);
-    }
-
-    #[test]
     fn disk_round_trip_and_truncation_tolerance() {
         let dir = std::env::temp_dir().join(format!("hpsj-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let session = 7u64;
         let ops = [
             seq_op(1, 10),
-            JournalOp::Release {
-                component: ComponentId::new(0),
-                key: 1,
-            },
-            JournalOp::Seq {
+            release(0, 1),
+            Request::SeqBatch {
                 seq: 2,
                 calls: vec![call(1), call(2)],
-                batch: true,
             },
         ];
         write_disk(&dir, session, &ops);
@@ -626,13 +421,28 @@ mod tests {
         // frame (the Release), not in the already-dead frame.
         let path = journal_path(&dir, session);
         let mut bytes = std::fs::read(&path).expect("read");
-        let (valid, _) = scan_frames(&bytes);
+        let valid = scan_frames(&bytes, |_, _| {});
         bytes.truncate(valid);
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
         std::fs::write(&path, &bytes).expect("write");
         let corrupt = load_disk_journal(&dir, session, DEFAULT_JOURNAL_LIMIT).expect("journal");
         assert_eq!(corrupt.ops().collect::<Vec<_>>(), ops[..1]);
+
+        // A checksummed frame whose payload is no journaled request ends
+        // the history there too.
+        bytes[last] ^= 0xff;
+        let hello = Request::Hello {
+            version: crate::wire::WIRE_VERSION,
+            session,
+        }
+        .encode();
+        bytes.extend_from_slice(&(hello.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&crc32(&hello).to_le_bytes());
+        bytes.extend_from_slice(&hello);
+        std::fs::write(&path, &bytes).expect("write");
+        let foreign = load_disk_journal(&dir, session, DEFAULT_JOURNAL_LIMIT).expect("journal");
+        assert_eq!(foreign.ops().collect::<Vec<_>>(), ops[..2]);
 
         // Missing journals are `None`, distinct from empty ones.
         assert!(load_disk_journal(&dir, 999, DEFAULT_JOURNAL_LIMIT).is_none());
@@ -647,7 +457,8 @@ mod tests {
 #[cfg(test)]
 mod props {
     use super::*;
-    use hps_ir::{FragLabel, Value};
+    use crate::channel::PendingCall;
+    use hps_ir::{ComponentId, FragLabel, Value};
     use proptest::prelude::*;
 
     const SESSION: u64 = 42;
@@ -667,28 +478,19 @@ mod props {
             })
     }
 
-    fn op_strategy() -> impl Strategy<Value = JournalOp> {
+    fn op_strategy() -> impl Strategy<Value = Request> {
         prop_oneof![
-            (any::<u64>(), call_strategy()).prop_map(|(seq, call)| JournalOp::Seq {
-                seq,
-                calls: vec![call],
-                batch: false,
-            }),
-            (any::<u64>(), prop::collection::vec(call_strategy(), 0..4)).prop_map(
-                |(seq, calls)| JournalOp::Seq {
-                    seq,
-                    calls,
-                    batch: true,
-                }
-            ),
-            (any::<u32>(), any::<u64>()).prop_map(|(c, key)| JournalOp::Release {
+            (any::<u64>(), call_strategy()).prop_map(|(seq, call)| Request::SeqCall { seq, call }),
+            (any::<u64>(), prop::collection::vec(call_strategy(), 0..4))
+                .prop_map(|(seq, calls)| Request::SeqBatch { seq, calls }),
+            (any::<u32>(), any::<u64>()).prop_map(|(c, key)| Request::Release {
                 component: ComponentId(c),
                 key,
             }),
         ]
     }
 
-    fn ops_strategy() -> impl Strategy<Value = Vec<JournalOp>> {
+    fn ops_strategy() -> impl Strategy<Value = Vec<Request>> {
         prop::collection::vec(op_strategy(), 0..6)
     }
 
@@ -700,39 +502,38 @@ mod props {
 
     /// Writes `ops` through [`DiskJournal::append`] and returns the file's
     /// bytes plus the end offset of every frame.
-    fn write_valid(dir: &Path, ops: &[JournalOp]) -> (Vec<u8>, Vec<usize>) {
+    fn write_valid(dir: &Path, ops: &[Request]) -> (Vec<u8>, Vec<usize>) {
         let _ = std::fs::remove_dir_all(dir);
         let path = journal_path(dir, SESSION);
         let mut disk = DiskJournal::open(dir, SESSION).expect("open");
-        let mut ring = SessionJournal::new(DEFAULT_JOURNAL_LIMIT);
         let mut ends = Vec::with_capacity(ops.len());
         for op in ops {
-            disk.append(ring.append(op)).expect("append");
+            disk.append(&op.encode()).expect("append");
             ends.push(std::fs::metadata(&path).expect("metadata").len() as usize);
         }
         (std::fs::read(&path).expect("read"), ends)
     }
 
-    fn ops_of(journal: &SessionJournal) -> Vec<JournalOp> {
+    fn ops_of(journal: &SessionJournal) -> Vec<Request> {
         journal.ops().collect()
     }
 
     /// Installs `bytes` as the session file, checks the loader recovers
     /// exactly `expected`, then checks that after [`DiskJournal::open`]
     /// repairs the file one append reads back as `expected` plus that op.
-    fn check_recovery(dir: &Path, bytes: &[u8], expected: &[JournalOp]) {
+    fn check_recovery(dir: &Path, bytes: &[u8], expected: &[Request]) {
         std::fs::create_dir_all(dir).expect("mkdir");
         std::fs::write(journal_path(dir, SESSION), bytes).expect("write");
         let loaded = load_disk_journal(dir, SESSION, DEFAULT_JOURNAL_LIMIT).expect("file exists");
         assert_eq!(ops_of(&loaded), expected);
 
-        let extra = JournalOp::Release {
+        let extra = Request::Release {
             component: ComponentId::new(1),
             key: 7,
         };
         DiskJournal::open(dir, SESSION)
             .expect("repair")
-            .append(SessionJournal::new(1).append(&extra))
+            .append(&extra.encode())
             .expect("append");
         let reread = load_disk_journal(dir, SESSION, DEFAULT_JOURNAL_LIMIT).expect("file exists");
         let mut want = expected.to_vec();

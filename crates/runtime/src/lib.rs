@@ -14,11 +14,13 @@
 //! * [`server`] — the secure-side executor: holds a
 //!   [`hps_ir::HiddenProgram`], keeps per-activation / per-instance hidden
 //!   state, and runs every fragment on the same VM, compiled once per
-//!   server; [`fragment`] is the reference tree-walk for fragments.
+//!   server. A plain tree-walk of fragments, also compiled only for the
+//!   crate's tests, is the VM's reference for hidden code.
 //! * [`channel`] — the open↔hidden transport abstraction; in-process with a
 //!   configurable round-trip cost for deterministic experiments.
-//! * [`tcp`] — a real TCP transport (length-prefixed binary protocol,
-//!   [`wire`]) for running the two halves in separate processes/machines.
+//! * [`tcp`] — a real TCP transport (length-prefixed frames of varint
+//!   fields, [`wire`]) for running the two halves in separate
+//!   processes/machines.
 //! * [`trace`] — the adversary's view: records every value crossing the
 //!   channel, feeding the `hps-attack` crate.
 //!
@@ -54,8 +56,9 @@
 //! * Crash resilience (DESIGN.md §12): per-request `catch_unwind` panic
 //!   isolation, shard deaths (kills, poisoned locks) that drop a shard's
 //!   live sessions in one step, and a deterministic per-session
-//!   [`journal`] of committed hidden calls from which hidden state is
-//!   rebuilt by replay — optionally persisted with
+//!   [`journal`] of committed hidden calls — the request payloads as the
+//!   server received them, in the one [`wire`] encoding — from which
+//!   hidden state is rebuilt by replay — optionally persisted with
 //!   `--journal-dir` so a restarted `hps serve` resumes sessions
 //!   transparently, and exercised by [`fault::CrashFault`] injection.
 //!
@@ -99,7 +102,8 @@ pub mod channel;
 pub mod cost;
 pub mod error;
 pub mod fault;
-pub mod fragment;
+#[cfg(test)]
+mod fragment;
 pub mod interp;
 pub mod journal;
 #[cfg(test)]
@@ -112,6 +116,8 @@ pub mod shard;
 pub mod tcp;
 pub mod trace;
 pub mod value;
+#[cfg(test)]
+mod vm_differential;
 pub mod wire;
 
 /// Telemetry primitives (recorders, metric names, snapshots) re-exported
@@ -128,7 +134,7 @@ pub use fault::{CrashConfig, CrashFault, FaultKind, FaultPlan, FaultyChannel};
 pub use interp::{
     run_function, run_program, ExecConfig, ExecReport, Executor, Interp, Outcome, SplitMeta,
 };
-pub use journal::{JournalOp, SessionJournal};
+pub use journal::SessionJournal;
 pub use server::{ReplayCache, SecureServer, SeqCheck};
 pub use shard::ShardStats;
 pub use tcp::{ChaosConfig, RetryPolicy, ServerStats, SessionServer, SessionServerHandle};

@@ -7,12 +7,21 @@
 
 use crate::bytecode::{run_compiled, VmCache};
 use crate::error::RuntimeError;
-use crate::fragment::FragOutcome;
 use crate::value::RtValue;
 use hps_ir::{ComponentId, FragLabel, HiddenProgram, Value};
 use hps_telemetry::{Event, RecorderHandle};
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// Result of executing a fragment: the returned scalar and the virtual
+/// cost the secure device spent.
+#[derive(Clone, PartialEq, Debug)]
+pub struct FragOutcome {
+    /// Value returned to the open side (the "any" placeholder is `Int(0)`).
+    pub value: Value,
+    /// Virtual cost units consumed on the secure device.
+    pub cost: u64,
+}
 
 /// Exactly-once dedup state for one session of sequenced calls.
 ///

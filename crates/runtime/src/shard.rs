@@ -46,9 +46,9 @@
 use crate::bytecode::VmCache;
 use crate::channel::{CallReply, PendingCall};
 use crate::fault::CrashConfig;
-use crate::journal::{journal_path, load_disk_journal, DiskJournal, JournalOp, SessionJournal};
+use crate::journal::{journal_path, load_disk_journal, DiskJournal, SessionJournal};
 use crate::server::{ReplayCache, SecureServer, SeqCheck};
-use crate::wire::Response;
+use crate::wire::{Request, Response};
 use hps_ir::{ComponentId, HiddenProgram};
 use hps_telemetry::Histogram;
 use rand::rngs::StdRng;
@@ -394,22 +394,23 @@ impl ShardPool {
         })
     }
 
-    /// Executes or replays one sequenced unit and copies the encoded
-    /// `Response` frame into `out`: a served frame is copied once, from the
-    /// session's replay window, so the caller writes it to the socket after
-    /// leaving the shard.
+    /// Executes or replays one sequenced unit — a `SeqCall` or `SeqBatch`
+    /// decoded from `payload`, the request bytes the journal commits — and
+    /// copies the encoded `Response` frame into `out`: a served frame is
+    /// copied once, from the session's replay window, so the caller writes
+    /// it to the socket after leaving the shard.
     pub(crate) fn seq(
         &self,
         stats: &StatsInner,
         session: u64,
-        seq: u64,
-        calls: &[PendingCall],
-        batch: bool,
+        unit: &Request,
+        payload: &[u8],
         out: &mut Vec<u8>,
     ) {
+        let seq = unit_parts(unit).0;
         self.enter(stats, session, |state, cx| {
             let inject = state.draw(|c| c.panic_per_mille);
-            match serve_seq(state, cx, session, seq, calls, batch, inject) {
+            match serve_seq(state, cx, session, unit, payload, inject) {
                 Ok(()) => {
                     let Some(SessionSlot::Live(live)) = state.sessions.0.get(&session) else {
                         unreachable!("a served session is live");
@@ -425,15 +426,17 @@ impl ShardPool {
         });
     }
 
-    /// Frees one activation's hidden state, journaled so a rebuild frees
-    /// exactly what the live session freed. A session its shard dropped is
-    /// rebuilt first, so no release is lost to a shard death.
+    /// Frees one activation's hidden state, journaled (as `payload`, the
+    /// `Release` request received) so a rebuild frees exactly what the
+    /// live session freed. A session its shard dropped is rebuilt first,
+    /// so no release is lost to a shard death.
     pub(crate) fn release(
         &self,
         stats: &StatsInner,
         session: u64,
         component: ComponentId,
         key: u64,
+        payload: &[u8],
     ) {
         self.enter(stats, session, |state, cx| {
             open_session(state, cx, session);
@@ -442,11 +445,16 @@ impl ShardPool {
             } = state;
             if let Some(SessionSlot::Live(live)) = sessions.0.get_mut(&session) {
                 live.server.release(component, key);
-                commit_op(journals, cx, session, live, |j| {
-                    j.append(&JournalOp::Release { component, key })
-                });
+                commit_op(journals, cx, session, live, None, payload);
             }
         });
+    }
+
+    /// A copy of `session`'s journal ring, if its shard holds one.
+    #[cfg(test)]
+    pub(crate) fn journal(&self, session: u64) -> Option<SessionJournal> {
+        let shard = &self.shards[shard_of(session, self.shards.len())];
+        shard.state.lock().ok()?.journals.get(&session).cloned()
     }
 
     /// Kills `shard` (crash drill) once no connection is inside it.
@@ -526,19 +534,30 @@ struct SessionState {
     disk: Option<DiskJournal>,
 }
 
+/// A sequenced unit's number and calls, and whether it came as a batch
+/// frame. Connections hand a shard only `SeqCall`s and `SeqBatch`es, and
+/// journals hold nothing else but releases.
+fn unit_parts(unit: &Request) -> (u64, &[PendingCall], bool) {
+    match unit {
+        Request::SeqCall { seq, call } => (*seq, std::slice::from_ref(call), false),
+        Request::SeqBatch { seq, calls } => (*seq, calls, true),
+        other => unreachable!("not a sequenced unit: {other:?}"),
+    }
+}
+
 /// Serves one sequenced unit: replay-cache fast paths first, then fresh
 /// execution under panic isolation with a single rebuild-and-retry.
-/// `Ok` means the reply is the frame now cached for `seq`; `Err` carries
-/// the error to send instead.
+/// `Ok` means the reply is the frame now cached for the unit's sequence;
+/// `Err` carries the error to send instead.
 fn serve_seq(
     state: &mut ShardState,
     cx: &Cx,
     session: u64,
-    seq: u64,
-    calls: &[PendingCall],
-    batch: bool,
+    unit: &Request,
+    payload: &[u8],
     inject_panic: bool,
 ) -> Result<(), String> {
+    let (seq, calls, batch) = unit_parts(unit);
     match open_session(state, cx, session) {
         SessionSlot::Poisoned { reason, .. } => return Err(format!("session poisoned: {reason}")),
         SessionSlot::Live(live) => match live.replay.check(seq) {
@@ -589,9 +608,7 @@ fn serve_seq(
                 // The commit point: the journal sees the unit before the
                 // reply leaves the shard (DESIGN.md §12), so recovery is
                 // always at or one behind what the client observed.
-                commit_op(journals, cx, session, live, |j| {
-                    j.append_seq(seq, calls, batch)
-                });
+                commit_op(journals, cx, session, live, Some(seq), payload);
                 return Ok(());
             }
             Err(payload) => {
@@ -669,20 +686,22 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Appends a committed op to the session's in-memory ring with `append`,
-/// then writes the same payload to its disk journal (best effort). Called
-/// at the commit point, before replying.
+/// Appends a committed op — `payload`, the request as received, numbered
+/// `seq` unless it is a release — to the session's in-memory ring, then
+/// to its disk journal (best effort). Called at the commit point, before
+/// replying.
 fn commit_op(
     journals: &mut HashMap<u64, SessionJournal>,
     cx: &Cx,
     session: u64,
     live: &mut SessionState,
-    append: impl FnOnce(&mut SessionJournal) -> &[u8],
+    seq: Option<u64>,
+    payload: &[u8],
 ) {
-    let journal = journals
+    journals
         .entry(session)
-        .or_insert_with(|| SessionJournal::new(cx.pool.config.journal_limit));
-    let payload = append(journal);
+        .or_insert_with(|| SessionJournal::new(cx.pool.config.journal_limit))
+        .append(seq, payload);
     if let Some(disk) = &mut live.disk {
         // Best-effort: a failing disk leaves the in-memory ring as the
         // recovery source; the next restart simply recovers less.
@@ -768,18 +787,18 @@ fn rebuild_session(
     }
     let mut live = fresh_state(cx, session);
     for op in journal.ops() {
-        match op {
-            JournalOp::Seq { seq, calls, batch } => {
-                // Replay is not new logical work: committed units were
-                // counted when first served, so only hidden state and the
-                // replay window are rebuilt here.
-                let (resp, _served, _cost) = execute(&mut live.server, &calls, batch);
-                let mut buf = Vec::new();
-                resp.encode_into(&mut buf);
-                let _ = live.replay.store(seq, buf);
-            }
-            JournalOp::Release { component, key } => live.server.release(component, key),
+        if let Request::Release { component, key } = op {
+            live.server.release(component, key);
+            continue;
         }
+        // Replay is not new logical work: committed units were counted
+        // when first served, so only hidden state and the replay window
+        // are rebuilt here.
+        let (seq, calls, batch) = unit_parts(&op);
+        let (resp, _served, _cost) = execute(&mut live.server, calls, batch);
+        let mut buf = Vec::new();
+        resp.encode_into(&mut buf);
+        let _ = live.replay.store(seq, buf);
     }
     cx.stats.journal_replays.fetch_add(1, Ordering::Relaxed);
     cx.stats
@@ -876,8 +895,9 @@ pub(crate) mod tests {
             label: FragLabel::new(0),
             args: vec![Value::Int(n)],
         };
+        let unit = Request::SeqCall { seq, call };
         let mut frame = Vec::new();
-        pool.seq(stats, session, seq, &[call], false, &mut frame);
+        pool.seq(stats, session, &unit, &unit.encode(), &mut frame);
         match Response::decode(&frame).expect("decode") {
             Response::Reply {
                 value: Value::Int(sum),

@@ -148,7 +148,6 @@ pub struct TcpChannel {
     writer: BufWriter<TcpStream>,
     scratch: Vec<u8>,
     interactions: u64,
-    batch_cap: usize,
     /// Where to reconnect.
     addrs: Vec<SocketAddr>,
     policy: RetryPolicy,
@@ -256,7 +255,6 @@ impl TcpChannel {
             writer,
             scratch: Vec::with_capacity(256),
             interactions: 0,
-            batch_cap: usize::from(u16::MAX),
             addrs,
             policy,
             session,
@@ -268,15 +266,6 @@ impl TcpChannel {
         };
         chan.handshake()?;
         Ok(chan)
-    }
-
-    /// Overrides the per-frame batch chunking cap (builder style). The wire
-    /// format caps one batch frame at `u16::MAX` calls; tests inject a
-    /// small cap to exercise the chunking boundary cheaply. Values above
-    /// `u16::MAX` are clamped.
-    pub fn with_batch_cap(mut self, cap: usize) -> TcpChannel {
-        self.batch_cap = cap.clamp(1, usize::from(u16::MAX));
-        self
     }
 
     /// Attaches a telemetry recorder (builder style). Recording never
@@ -527,16 +516,6 @@ impl Channel for TcpChannel {
     }
 
     fn call_batch(&mut self, calls: &[PendingCall]) -> Result<Vec<CallReply>, RuntimeError> {
-        // The wire format caps one batch frame at u16::MAX calls (tests may
-        // inject a smaller cap); larger buffers ride in multiple frames
-        // (each its own interaction).
-        if calls.len() > self.batch_cap {
-            let mut out = Vec::with_capacity(calls.len());
-            for chunk in calls.chunks(self.batch_cap) {
-                out.extend(self.call_batch(chunk)?);
-            }
-            return Ok(out);
-        }
         self.interactions += 1;
         let resp = self.sequenced(calls, true)?;
         match resp {
@@ -1039,11 +1018,11 @@ fn serve_session_connection(
             stats.chaos_kills.fetch_add(1, Ordering::Relaxed);
             return Ok(served);
         }
-        let (seq, calls, batch) = match req {
-            Request::SeqCall { seq, call } => (seq, vec![call], false),
-            Request::SeqBatch { seq, calls } => (seq, calls, true),
+        let calls = match &req {
+            Request::SeqCall { .. } => 1,
+            Request::SeqBatch { calls, .. } => calls.len() as u64,
             Request::Release { component, key } => {
-                pool.release(stats, session, component, key);
+                pool.release(stats, session, *component, *key, &payload);
                 continue;
             }
             Request::Shutdown => return Ok(served),
@@ -1056,12 +1035,13 @@ fn serve_session_connection(
                 );
             }
         };
-        served += calls.len() as u64;
+        served += calls;
         let kill_after = matches!(action, ChaosAction::KillAfterExec);
-        // The shard copies the reply into `scratch`; it reaches the socket
-        // only after the shard is released, so a client that stops reading
-        // stalls its own connection and no other.
-        pool.seq(stats, session, seq, &calls, batch, &mut scratch);
+        // The shard journals `payload` as received and copies the reply
+        // into `scratch`; the reply reaches the socket only after the shard
+        // is released, so a client that stops reading stalls its own
+        // connection and no other.
+        pool.seq(stats, session, &req, &payload, &mut scratch);
         if kill_after {
             // Executed and cached, but the response never leaves: the
             // retransmit must hit the replay cache.
@@ -1178,41 +1158,64 @@ mod tests {
     }
 
     #[test]
-    fn batch_chunking_at_the_cap_boundary() {
-        // Exactly cap and cap+1 buffered calls. A small injected cap keeps
-        // it fast; the default cap is the wire maximum.
-        let (handle, serve) = spawn(accumulator_server());
-        let chan = connect(&handle);
-        assert_eq!(
-            chan.batch_cap,
-            usize::from(u16::MAX),
-            "default cap is the wire-format maximum 65535"
-        );
-        let mut chan = chan.with_batch_cap(3);
-        // Exactly at the cap: one frame.
-        let replies = chan
-            .call_batch(&[acc_call(1), acc_call(2), acc_call(3)])
+    fn journals_hold_the_request_payloads_the_client_sent() {
+        let dir = std::env::temp_dir().join(format!("hps-tcp-journal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (handle, serve) = spawn(accumulator_server().with_journal_dir(&dir));
+        let mut chan = connect(&handle);
+        let c = ComponentId::new(0);
+        chan.call(c, 1, FragLabel::new(0), &[Value::Int(-3)])
             .unwrap();
-        assert_eq!(replies.len(), 3);
-        assert_eq!(chan.interactions(), 1);
-        // One past the cap: two frames, replies still in order and the
-        // accumulator state carries across the chunk boundary.
-        let replies = chan.call_batch(&vec![acc_call(1); 4]).unwrap();
-        let values: Vec<Value> = replies.iter().map(|r| r.value).collect();
+        chan.call_batch(&[acc_call(1), acc_call(i64::MIN)]).unwrap();
+        let mut sent: Vec<Vec<u8>> = chan.history.iter().map(|(_, f)| f.clone()).collect();
+        chan.release(c, 1).unwrap();
+        sent.push(chan.scratch.clone());
         assert_eq!(
-            values,
-            [Value::Int(7), Value::Int(8), Value::Int(9), Value::Int(10)]
+            sent.iter()
+                .map(|p| Request::decode(p).unwrap())
+                .collect::<Vec<_>>(),
+            [
+                Request::SeqCall {
+                    seq: 1,
+                    call: PendingCall {
+                        args: vec![Value::Int(-3)],
+                        ..acc_call(0)
+                    },
+                },
+                Request::SeqBatch {
+                    seq: 2,
+                    calls: vec![acc_call(1), acc_call(i64::MIN)],
+                },
+                Request::Release {
+                    component: c,
+                    key: 1
+                },
+            ]
         );
-        assert_eq!(chan.interactions(), 3, "cap+1 calls cost two interactions");
-        // Each chunk is its own sequence unit, retained for resume.
-        let seqs: Vec<u64> = chan.history.iter().map(|(seq, _)| *seq).collect();
-        assert_eq!(seqs, [1, 2, 3]);
-        assert_eq!(chan.next_seq, 4);
+        // Frames on one connection are served in order, so once the next
+        // call is answered the release is committed too.
+        chan.call(c, 2, FragLabel::new(0), &[Value::Int(0)])
+            .unwrap();
+        sent.push(chan.history.back().unwrap().1.clone());
+
+        // The ring holds the payloads back to back, byte for byte.
+        let pool = handle.stats.pool().expect("serving");
+        let ring = pool.journal(chan.session_id()).expect("journal");
+        assert_eq!(ring.held_bytes(), sent.concat());
+        // Each disk frame is `len ++ crc32 ++ payload` of the same bytes.
+        let disk = std::fs::read(crate::journal::journal_path(&dir, chan.session_id())).unwrap();
+        let frames: Vec<u8> = sent
+            .iter()
+            .flat_map(|p| {
+                let len = (p.len() as u32).to_le_bytes();
+                let crc = crate::journal::crc32(p).to_le_bytes();
+                [&len[..], &crc[..], p].concat()
+            })
+            .collect();
+        assert_eq!(disk, frames);
         chan.shutdown().unwrap();
         stop(&handle, serve);
-        let stats = handle.stats();
-        assert_eq!(stats.calls, 7);
-        assert_eq!(stats.replays, 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Differential property test: the fragment bytecode VM ([`hps_runtime::bytecode`])
+//! Differential property test: the fragment bytecode VM ([`crate::bytecode`])
 //! must be observationally identical to the tree-walk interpreter on random
 //! well-formed fragments — same returned value, same hidden-variable state,
-//! same cost units, and the same [`RuntimeError`] (including
+//! same cost units, and the same [`crate::RuntimeError`] (including
 //! `StepLimitExceeded` firing at exactly the same statement count).
 //!
 //! Generated fragments deliberately include diverging loops (caught by small
@@ -10,13 +10,13 @@
 //! (`print`, `return`), because error parity is as much a part of the VM
 //! contract as value parity.
 
+use crate::bytecode::{compile_fragment, run_compiled_with_limit};
+use crate::fragment::run_fragment_with_limit;
+use crate::RtValue;
 use hps_ir::{
     BinOp, Block, Builtin, Expr, FragLabel, Fragment, LocalId, Place, Stmt, StmtKind, Ty, UnOp,
     Value,
 };
-use hps_runtime::bytecode::{compile_fragment, run_compiled_with_limit};
-use hps_runtime::fragment::run_fragment_with_limit;
-use hps_runtime::RtValue;
 use proptest::prelude::*;
 
 /// Fixed fragment shape: slots `[0, N_VARS)` are hidden variables,

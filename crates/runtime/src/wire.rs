@@ -1,21 +1,34 @@
 //! Binary wire protocol for the TCP transport.
 //!
-//! Hand-rolled, little-endian, length-prefixed frames:
+//! Hand-rolled, length-prefixed frames. Inside a payload every integer
+//! is an unsigned LEB128 varint (low seven bits first, high bit set on
+//! every byte but the last), so small ids, keys, sequence numbers and
+//! costs take one or two bytes:
 //!
 //! ```text
-//! frame     := u32 payload_len ++ payload
-//! request   := 0x02 release(component:u32 key:u64)
+//! frame     := u32-le payload_len ++ payload
+//! request   := 0x02 release(component key)
 //!            | 0x03 shutdown
-//!            | 0x05 hello(version:u8 session:u64)
-//!            | 0x06 seq-call(seq:u64 call-body)
-//!            | 0x07 seq-batch(seq:u64 count:u16 call-body*)
-//! call-body := component:u32 key:u64 label:u32 argc:u16 arg*
-//! response  := 0x10 reply(value:arg server_cost:u64)
-//!            | 0x11 error(len:u32 utf8-bytes)
-//!            | 0x12 batch(count:u16 reply-body*)    ; reply-body as in 0x10
-//!            | 0x13 hello-ack(version:u8 session:u64 next_seq:u64)
-//! arg       := 0x00 i64 | 0x01 f64-bits | 0x02 u8-bool
+//!            | 0x05 hello(version:u8 session)
+//!            | 0x06 seq-call(seq call-body)
+//!            | 0x07 seq-batch(seq count call-body{count})
+//! call-body := component key label argc arg{argc}
+//! response  := 0x10 reply(value:arg server_cost)
+//!            | 0x11 error(len utf8-bytes{len})
+//!            | 0x12 batch(count reply-body{count})    ; reply-body as in 0x10
+//!            | 0x13 hello-ack(version:u8 session next_seq)
+//! arg       := 0x00 zigzag(i64) | 0x01 f64-le-bits:8 | 0x02 bool:1
 //! ```
+//!
+//! Each unmarked field is a varint: `component` and `label` must fit a
+//! `u32`, every other field a `u64`. An `i64` argument is zigzag-mapped
+//! first (`0, -1, 1, -2, …` → `0, 1, 2, 3, …`), so small magnitudes of
+//! either sign stay short. Tags, the version byte and bools are single
+//! bytes, and a float is its eight IEEE-754 bits, little-endian; only the
+//! frame length is a fixed-width integer. A typical call — one unit with
+//! two small int arguments — is 14 bytes. The decoder refuses, as a
+//! [`RuntimeError::Channel`], a varint longer than 64 bits, a `u32` field
+//! out of range, a truncated payload and trailing bytes.
 //!
 //! Request tags `0x01` and `0x04` are retired: they carried unsequenced
 //! calls and batches, and are never reused. Decoding them fails like any
@@ -25,6 +38,10 @@
 //! trip and is answered by one `0x12` batch with a reply per call, in
 //! order. A failing call inside a batch turns the whole response into
 //! `0x11 error`.
+//!
+//! The request payloads a server commits are also what its session
+//! journal keeps, byte for byte ([`crate::journal`]): this module holds
+//! the one encoding of a call.
 //!
 //! ## Sessions and exactly-once replay
 //!
@@ -45,7 +62,7 @@ use std::io::{Read, Write};
 
 /// Version byte exchanged in the `Hello` handshake. Bump on any
 /// incompatible framing change; the server rejects mismatches as terminal.
-pub const WIRE_VERSION: u8 = 2;
+pub const WIRE_VERSION: u8 = 3;
 
 /// A request from the open side.
 #[derive(Clone, PartialEq, Debug)]
@@ -108,11 +125,20 @@ pub enum Response {
     },
 }
 
+/// Appends `v` as a LEB128 varint.
+fn put_int(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push((v & 0x7f) as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
+}
+
 fn push_value(buf: &mut Vec<u8>, v: Value) {
     match v {
         Value::Int(i) => {
             buf.push(0x00);
-            buf.extend_from_slice(&i.to_le_bytes());
+            put_int(buf, ((i << 1) ^ (i >> 63)) as u64);
         }
         Value::Float(f) => {
             buf.push(0x01);
@@ -132,7 +158,7 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], RuntimeError> {
-        if self.pos + n > self.data.len() {
+        if n > self.data.len() - self.pos {
             return Err(RuntimeError::Channel("truncated frame".into()));
         }
         let s = &self.data[self.pos..self.pos + n];
@@ -144,37 +170,84 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    fn u16(&mut self) -> Result<u16, RuntimeError> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
-    }
-
-    fn u32(&mut self) -> Result<u32, RuntimeError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, RuntimeError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn i64(&mut self) -> Result<i64, RuntimeError> {
-        Ok(i64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
+    /// One varint field, checked against the field's type (`u32` for
+    /// component and label ids, `usize` for counts, `u64` otherwise).
+    fn int<T: TryFrom<u64>>(&mut self) -> Result<T, RuntimeError> {
+        let mut v = 0u64;
+        let mut shift = 0;
+        loop {
+            let b = self.u8()?;
+            // The tenth byte holds bit 63 alone.
+            if shift == 63 && b > 1 {
+                return Err(RuntimeError::Channel("varint longer than 64 bits".into()));
+            }
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                return T::try_from(v).map_err(|_| {
+                    RuntimeError::Channel(format!("integer field out of range: {v}"))
+                });
+            }
+            shift += 7;
+        }
     }
 
     fn value(&mut self) -> Result<Value, RuntimeError> {
         match self.u8()? {
-            0x00 => Ok(Value::Int(self.i64()?)),
-            0x01 => Ok(Value::Float(f64::from_bits(self.u64()?))),
+            0x00 => {
+                let z: u64 = self.int()?;
+                Ok(Value::Int((z >> 1) as i64 ^ -((z & 1) as i64)))
+            }
+            0x01 => Ok(Value::Float(f64::from_bits(u64::from_le_bytes(
+                self.take(8)?.try_into().expect("8 bytes"),
+            )))),
             0x02 => Ok(Value::Bool(self.u8()? != 0)),
             t => Err(RuntimeError::Channel(format!("bad value tag 0x{t:02x}"))),
         }
+    }
+
+    fn request(&mut self) -> Result<Request, RuntimeError> {
+        Ok(match self.u8()? {
+            0x02 => Request::Release {
+                component: ComponentId(self.int()?),
+                key: self.int()?,
+            },
+            0x03 => Request::Shutdown,
+            0x05 => Request::Hello {
+                version: self.u8()?,
+                session: self.int()?,
+            },
+            0x06 => Request::SeqCall {
+                seq: self.int()?,
+                call: self.call_body()?,
+            },
+            0x07 => {
+                let seq = self.int()?;
+                let count: usize = self.int()?;
+                let mut calls = Vec::with_capacity(count.min(1024));
+                for _ in 0..count {
+                    calls.push(self.call_body()?);
+                }
+                Request::SeqBatch { seq, calls }
+            }
+            t => return Err(RuntimeError::Channel(format!("bad request tag 0x{t:02x}"))),
+        })
+    }
+
+    fn call_body(&mut self) -> Result<PendingCall, RuntimeError> {
+        let component = ComponentId(self.int()?);
+        let key = self.int()?;
+        let label = FragLabel(self.int()?);
+        let argc: usize = self.int()?;
+        let mut args = Vec::with_capacity(argc.min(1024));
+        for _ in 0..argc {
+            args.push(self.value()?);
+        }
+        Ok(PendingCall {
+            component,
+            key,
+            label,
+            args,
+        })
     }
 
     fn done(&self) -> Result<(), RuntimeError> {
@@ -187,10 +260,10 @@ impl<'a> Reader<'a> {
 }
 
 fn push_call_body(buf: &mut Vec<u8>, c: &PendingCall) {
-    buf.extend_from_slice(&c.component.0.to_le_bytes());
-    buf.extend_from_slice(&c.key.to_le_bytes());
-    buf.extend_from_slice(&c.label.0.to_le_bytes());
-    buf.extend_from_slice(&(c.args.len() as u16).to_le_bytes());
+    put_int(buf, u64::from(c.component.0));
+    put_int(buf, c.key);
+    put_int(buf, u64::from(c.label.0));
+    put_int(buf, c.args.len() as u64);
     for &a in &c.args {
         push_value(buf, a);
     }
@@ -201,14 +274,14 @@ fn push_call_body(buf: &mut Vec<u8>, c: &PendingCall) {
 pub(crate) fn push_seq_unit(buf: &mut Vec<u8>, seq: u64, calls: &[PendingCall], batch: bool) {
     if batch {
         buf.push(0x07);
-        buf.extend_from_slice(&seq.to_le_bytes());
-        buf.extend_from_slice(&(calls.len() as u16).to_le_bytes());
+        put_int(buf, seq);
+        put_int(buf, calls.len() as u64);
         for c in calls {
             push_call_body(buf, c);
         }
     } else {
         buf.push(0x06);
-        buf.extend_from_slice(&seq.to_le_bytes());
+        put_int(buf, seq);
         push_call_body(buf, &calls[0]);
     }
 }
@@ -225,22 +298,17 @@ impl Request {
     /// long-lived connection can reuse one allocation per direction.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         buf.clear();
-        self.append_to(buf);
-    }
-
-    /// Appends the serialized payload to `buf`.
-    pub(crate) fn append_to(&self, buf: &mut Vec<u8>) {
         match self {
             Request::Release { component, key } => {
                 buf.push(0x02);
-                buf.extend_from_slice(&component.0.to_le_bytes());
-                buf.extend_from_slice(&key.to_le_bytes());
+                put_int(buf, u64::from(component.0));
+                put_int(buf, *key);
             }
             Request::Shutdown => buf.push(0x03),
             Request::Hello { version, session } => {
                 buf.push(0x05);
                 buf.push(*version);
-                buf.extend_from_slice(&session.to_le_bytes());
+                put_int(buf, *session);
             }
             Request::SeqCall { seq, call } => {
                 push_seq_unit(buf, *seq, std::slice::from_ref(call), false);
@@ -256,51 +324,19 @@ impl Request {
     /// Returns [`RuntimeError::Channel`] for malformed frames.
     pub fn decode(data: &[u8]) -> Result<Request, RuntimeError> {
         let mut r = Reader { data, pos: 0 };
-        let req = match r.u8()? {
-            0x02 => Request::Release {
-                component: ComponentId(r.u32()?),
-                key: r.u64()?,
-            },
-            0x03 => Request::Shutdown,
-            0x05 => Request::Hello {
-                version: r.u8()?,
-                session: r.u64()?,
-            },
-            0x06 => Request::SeqCall {
-                seq: r.u64()?,
-                call: read_call_body(&mut r)?,
-            },
-            0x07 => {
-                let seq = r.u64()?;
-                let count = r.u16()? as usize;
-                let mut calls = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    calls.push(read_call_body(&mut r)?);
-                }
-                Request::SeqBatch { seq, calls }
-            }
-            t => return Err(RuntimeError::Channel(format!("bad request tag 0x{t:02x}"))),
-        };
+        let req = r.request()?;
         r.done()?;
         Ok(req)
     }
-}
 
-fn read_call_body(r: &mut Reader<'_>) -> Result<PendingCall, RuntimeError> {
-    let component = ComponentId(r.u32()?);
-    let key = r.u64()?;
-    let label = FragLabel(r.u32()?);
-    let argc = r.u16()? as usize;
-    let mut args = Vec::with_capacity(argc.min(1024));
-    for _ in 0..argc {
-        args.push(r.value()?);
+    /// Parses the request payload that starts at `*pos` and moves `*pos`
+    /// past it — how the journal walks payloads kept back to back.
+    pub(crate) fn decode_at(data: &[u8], pos: &mut usize) -> Result<Request, RuntimeError> {
+        let mut r = Reader { data, pos: *pos };
+        let req = r.request()?;
+        *pos = r.pos;
+        Ok(req)
     }
-    Ok(PendingCall {
-        component,
-        key,
-        label,
-        args,
-    })
 }
 
 impl Response {
@@ -319,20 +355,19 @@ impl Response {
             Response::Reply { value, server_cost } => {
                 buf.push(0x10);
                 push_value(buf, *value);
-                buf.extend_from_slice(&server_cost.to_le_bytes());
+                put_int(buf, *server_cost);
             }
             Response::Error(msg) => {
                 buf.push(0x11);
-                let bytes = msg.as_bytes();
-                buf.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                buf.extend_from_slice(bytes);
+                put_int(buf, msg.len() as u64);
+                buf.extend_from_slice(msg.as_bytes());
             }
             Response::Batch(replies) => {
                 buf.push(0x12);
-                buf.extend_from_slice(&(replies.len() as u16).to_le_bytes());
+                put_int(buf, replies.len() as u64);
                 for reply in replies {
                     push_value(buf, reply.value);
-                    buf.extend_from_slice(&reply.server_cost.to_le_bytes());
+                    put_int(buf, reply.server_cost);
                 }
             }
             Response::HelloAck {
@@ -342,8 +377,8 @@ impl Response {
             } => {
                 buf.push(0x13);
                 buf.push(*version);
-                buf.extend_from_slice(&session.to_le_bytes());
-                buf.extend_from_slice(&next_seq.to_le_bytes());
+                put_int(buf, *session);
+                put_int(buf, *next_seq);
             }
         }
     }
@@ -356,13 +391,12 @@ impl Response {
     pub fn decode(data: &[u8]) -> Result<Response, RuntimeError> {
         let mut r = Reader { data, pos: 0 };
         let resp = match r.u8()? {
-            0x10 => {
-                let value = r.value()?;
-                let server_cost = r.u64()?;
-                Response::Reply { value, server_cost }
-            }
+            0x10 => Response::Reply {
+                value: r.value()?,
+                server_cost: r.int()?,
+            },
             0x11 => {
-                let len = r.u32()? as usize;
+                let len = r.int()?;
                 let bytes = r.take(len)?;
                 Response::Error(
                     String::from_utf8(bytes.to_vec())
@@ -370,19 +404,20 @@ impl Response {
                 )
             }
             0x12 => {
-                let count = r.u16()? as usize;
+                let count: usize = r.int()?;
                 let mut replies = Vec::with_capacity(count.min(1024));
                 for _ in 0..count {
-                    let value = r.value()?;
-                    let server_cost = r.u64()?;
-                    replies.push(CallReply { value, server_cost });
+                    replies.push(CallReply {
+                        value: r.value()?,
+                        server_cost: r.int()?,
+                    });
                 }
                 Response::Batch(replies)
             }
             0x13 => Response::HelloAck {
                 version: r.u8()?,
-                session: r.u64()?,
-                next_seq: r.u64()?,
+                session: r.int()?,
+                next_seq: r.int()?,
             },
             t => return Err(RuntimeError::Channel(format!("bad response tag 0x{t:02x}"))),
         };
@@ -593,6 +628,66 @@ mod tests {
             assert!(Request::decode(&hello[..cut]).is_err(), "cut at {cut}");
         }
         assert!(Response::decode(&[0x13, 0x02]).is_err());
+
+        let channel_error = |bytes: &[u8], want: &str| match Request::decode(bytes) {
+            Err(RuntimeError::Channel(msg)) => assert!(msg.contains(want), "got {msg:?}"),
+            other => panic!("expected {want:?}, got {other:?}"),
+        };
+        // A release of component 0 with the key varint `key`: u64::MAX takes
+        // ten bytes, the last holding bit 63 alone.
+        let release = |key: &[u8]| [&[0x02, 0x00][..], key].concat();
+        let max = [&[0xff; 9][..], &[0x01]].concat();
+        assert_eq!(
+            Request::decode(&release(&max)).unwrap(),
+            Request::Release {
+                component: ComponentId::new(0),
+                key: u64::MAX,
+            }
+        );
+        // Bit 64 and up, or an eleventh byte, is longer than 64 bits.
+        let wide = [&[0xff; 9][..], &[0x02]].concat();
+        channel_error(&release(&wide), "varint longer than 64 bits");
+        let long = [&[0x80; 10][..], &[0x00]].concat();
+        channel_error(&release(&long), "varint longer than 64 bits");
+        // Component and label ids must fit a u32.
+        let mut too_big = vec![0x02];
+        put_int(&mut too_big, 1 << 32);
+        too_big.push(0x00);
+        channel_error(&too_big, "integer field out of range");
+        let mut label = vec![0x06, 0x01, 0x00, 0x00];
+        put_int(&mut label, u64::from(u32::MAX) + 1);
+        label.push(0x00);
+        channel_error(&label, "integer field out of range");
+        // A count far beyond the payload is a truncation, not an
+        // allocation.
+        let mut batch = vec![0x07, 0x01];
+        put_int(&mut batch, u64::MAX);
+        channel_error(&batch, "truncated frame");
+        let mut error = vec![0x11];
+        put_int(&mut error, u64::MAX);
+        assert!(matches!(
+            Response::decode(&error),
+            Err(RuntimeError::Channel(msg)) if msg == "truncated frame"
+        ));
+    }
+
+    #[test]
+    fn small_fields_take_one_byte() {
+        // A typical unit: one call with two small int arguments.
+        let unit = Request::SeqCall {
+            seq: 40_000,
+            call: PendingCall {
+                component: ComponentId::new(2),
+                key: 9_000,
+                label: FragLabel::new(3),
+                args: vec![Value::Int(417), Value::Int(-12)],
+            },
+        };
+        // tag, seq:3, component, key:2, label, argc, 2×(tag + zigzag:2|1)
+        assert_eq!(unit.encode().len(), 14);
+        let mut neg = Vec::new();
+        push_value(&mut neg, Value::Int(-1));
+        assert_eq!(neg, [0x00, 0x01]);
     }
 
     #[test]
