@@ -3,11 +3,14 @@
 //!
 //! Both are lowered **once** into a compact register bytecode and executed
 //! by one flat dispatch loop — the inner-interpreter technique of classic
-//! Forth kernels. Open functions are compiled per
-//! [`Interp`](crate::Interp), on its first run; fragments are compiled at split/handshake time and cached per server
-//! (and per shard) in a [`VmCache`]. Compiled fragment code is plain
-//! `Send + Sync` data even though the `RtValue` registers it operates on
-//! are not.
+//! Forth kernels. A split's open program is compiled once, by
+//! [`SplitMeta::derive`](crate::SplitMeta::derive), and every
+//! [`Interp`](crate::Interp) the metadata is attached to runs that code,
+//! batching or not; an unsplit program is compiled by its `Interp`'s first
+//! run. Fragments are compiled at split/handshake time and cached per
+//! server (and per shard) in a [`VmCache`]. Compiled code, open or
+//! fragment, is plain `Send + Sync` data even though the `RtValue`
+//! registers it operates on are not.
 //!
 //! # One instruction set, one lowering
 //!
@@ -46,7 +49,8 @@
 //!    moves before an effect of the statement preceding it.
 //! 3. **Superinstructions** — constants ride inside operands, `Int × Int`
 //!    arithmetic and comparisons take a fast path before the generic
-//!    `ops::binop`, comparisons, `&&` and `||` in branch position fuse into
+//!    `ops::binop` and write their result into the destination register in
+//!    place, comparisons, `&&` and `||` in branch position fuse into
 //!    compare-and-branch chains, `x = x <op> e` on a register becomes one
 //!    accumulate instruction, and `while` loops are rotated so each iteration ends in
 //!    one compare-and-branch back to the body.
@@ -75,7 +79,7 @@
 use crate::channel::{Channel, PendingCall};
 use crate::cost::COST_MODEL;
 use crate::error::RuntimeError;
-use crate::interp::{MetaKind, SplitMeta};
+use crate::interp::MetaKind;
 use crate::ops::{self, mismatch};
 use crate::server::FragOutcome;
 use crate::value::{ObjData, RtValue};
@@ -230,10 +234,10 @@ struct HiddenOp {
     label: FragLabel,
     args: Box<[Operand]>,
     route: Route,
-    /// Where the reply lands: a demanded call's destination register, or a
-    /// deferred call's result local.
+    /// The register the reply lands in: the result local, or a temp the
+    /// next instruction stores to the result place.
     result: Option<Reg>,
-    /// Buffer the call until the next flush point (batching runs only).
+    /// Buffer the call until the next flush point when the run batches.
     deferred: bool,
 }
 
@@ -283,58 +287,106 @@ impl CompiledFragment {
 /// One open function lowered to bytecode.
 struct FuncCode {
     body: Body,
-    /// The frame a call starts from: locals at their declared defaults,
-    /// then uninitialised temporaries. A call pushes its arguments and
-    /// then this template past them.
-    init: Box<[RtValue]>,
+    /// Every declared local's default (`None`: an uninitialised
+    /// aggregate). A call pushes its arguments, then the defaults of the
+    /// locals past them, then uninitialised temporaries.
+    locals: Box<[Option<Value>]>,
     /// The split component whose activation the function opens on entry.
     activation: Option<ComponentId>,
 }
 
-/// A whole open program lowered to bytecode, compiled once per
-/// [`Interp`](crate::Interp).
+impl FuncCode {
+    /// Completes a frame whose arguments are already pushed from `base` up.
+    fn open_frame(&self, stack: &mut Vec<RtValue>, base: usize) {
+        let pushed = stack.len() - base;
+        let locals = self.locals.get(pushed..).unwrap_or_default();
+        stack.extend(locals.iter().map(|&v| default_value(v)));
+        stack.resize_with(base + self.body.n_regs, || RtValue::Uninit);
+    }
+}
+
+/// A register's starting value from its template entry.
+#[inline(always)]
+fn default_value(v: Option<Value>) -> RtValue {
+    v.map_or(RtValue::Uninit, RtValue::from_const)
+}
+
+/// A whole open program lowered to bytecode. Plain `Send + Sync` data,
+/// like [`CompiledFragment`].
 #[derive(Default)]
 pub(crate) struct ProgramCode {
     funcs: Vec<FuncCode>,
     /// Each class's fields at their defaults, by `ClassId`.
-    classes: Vec<Box<[RtValue]>>,
+    classes: Vec<Box<[Option<Value>]>>,
 }
 
-impl ProgramCode {
-    /// Compiles every function of `program`. `meta` is the routing table
-    /// of the attached channel (`None` without one) and `batching` whether
-    /// `deferred` marks buffer calls.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::Unlowerable`] for a function beyond the bytecode's
-    /// index ranges or IR no well-formed program has.
-    pub(crate) fn compile(
-        program: &Program,
-        meta: Option<&SplitMeta>,
-        batching: bool,
-    ) -> Result<ProgramCode, RuntimeError> {
-        let open = Open {
-            program,
-            meta,
-            batching,
-        };
-        let funcs = program
-            .functions
-            .iter()
-            .map(|f| compile_function(&open, f))
-            .collect::<Result<Vec<_>, _>>()?;
+/// An open program compiled once for both batching modes: a split's code
+/// is compiled by [`SplitMeta::derive`](crate::SplitMeta::derive), an
+/// unsplit program's by its [`Interp`](crate::Interp)'s first run.
+pub(crate) struct OpenCode {
+    /// The program's code, or the error an unbatched run raises instead.
+    code: Result<ProgramCode, RuntimeError>,
+    /// The error a batching run raises instead of running, when the
+    /// program has a deferred call whose result is not a local.
+    batching: Option<RuntimeError>,
+}
+
+impl OpenCode {
+    /// Compiles every function of `program`. `kinds` is the routing table
+    /// of the split's components (`None` without a channel). Whether a
+    /// `deferred` mark buffers its call is decided when the call runs, so
+    /// one compile serves batching and unbatched runs.
+    pub(crate) fn compile(program: &Program, kinds: Option<&[MetaKind]>) -> OpenCode {
+        let open = Open { program, kinds };
+        let mut funcs = Vec::with_capacity(program.functions.len());
+        let mut plain = None;
+        let mut batching = None;
+        let mut batch_only = false;
+        for f in &program.functions {
+            let (code, batch_error) = compile_function(&open, f);
+            batch_only |= batch_error.is_some();
+            match code {
+                Ok(code) => {
+                    batching = batching.or(batch_error);
+                    funcs.push(code);
+                }
+                Err(e) => {
+                    batching = batching.or(batch_error).or_else(|| Some(e.clone()));
+                    plain = plain.or(Some(e));
+                }
+            }
+        }
         let classes = program
             .classes
             .iter()
             .map(|c| {
                 c.fields
                     .iter()
-                    .map(|f| RtValue::default_of(&f.ty))
+                    .map(|f| RtValue::default_of(&f.ty).to_const())
                     .collect()
             })
             .collect();
-        Ok(ProgramCode { funcs, classes })
+        OpenCode {
+            code: match plain {
+                None => Ok(ProgramCode { funcs, classes }),
+                Some(e) => Err(e),
+            },
+            batching: batching.filter(|_| batch_only),
+        }
+    }
+
+    /// The code a run with or without batching executes.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::Unlowerable`] when the program does not lower in
+    /// that mode.
+    pub(crate) fn get(&self, batching: bool) -> Result<&ProgramCode, RuntimeError> {
+        match (&self.batching, &self.code) {
+            (Some(e), _) if batching => Err(e.clone()),
+            (_, Ok(code)) => Ok(code),
+            (_, Err(e)) => Err(e.clone()),
+        }
     }
 }
 
@@ -375,7 +427,13 @@ pub fn compile_fragment(fragment: &Fragment, n_vars: usize) -> CompiledFragment 
     }
 }
 
-fn compile_function(open: &Open<'_>, func: &Function) -> Result<FuncCode, RuntimeError> {
+/// Lowers one open function. The second value is a failure of batching
+/// runs only (a deferred call whose result is not a local), when it comes
+/// before every other lowering failure of the function.
+fn compile_function(
+    open: &Open<'_>,
+    func: &Function,
+) -> (Result<FuncCode, RuntimeError>, Option<RuntimeError>) {
     let mut c = Compiler::new(func.locals.len(), Some(open));
     c.block(&func.body);
     // Falling off the end (or a `break` outside any loop) returns the
@@ -388,23 +446,19 @@ fn compile_function(open: &Open<'_>, func: &Function) -> Result<FuncCode, Runtim
         ty => RtValue::default_of(ty).to_const().map(Operand::Const),
     };
     c.emit(Op::Ret { src });
-    let body = c.finish()?;
-    let init = func
-        .locals
-        .iter()
-        .map(|d| RtValue::default_of(&d.ty))
-        .chain(std::iter::repeat(RtValue::Uninit))
-        .take(body.n_regs)
-        .collect();
-    let activation = match (func.split_component, open.meta) {
-        (Some(c), Some(meta)) if meta.kind_of(c) == Some(MetaKind::Function) => Some(c),
-        _ => None,
-    };
-    Ok(FuncCode {
+    let batch_error = c.batch_error.take();
+    let code = c.finish().map(|body| FuncCode {
         body,
-        init,
-        activation,
-    })
+        locals: func
+            .locals
+            .iter()
+            .map(|d| RtValue::default_of(&d.ty).to_const())
+            .collect(),
+        activation: func
+            .split_component
+            .filter(|&c| open.kind_of(c) == Some(MetaKind::Function)),
+    });
+    (code, batch_error)
 }
 
 /// A forward-reference label, resolved to an instruction index by
@@ -414,8 +468,15 @@ type Label = usize;
 /// What lowering an open function needs beyond the function itself.
 struct Open<'p> {
     program: &'p Program,
-    meta: Option<&'p SplitMeta>,
-    batching: bool,
+    /// The split's component kinds, by `ComponentId`; `None` without a
+    /// channel.
+    kinds: Option<&'p [MetaKind]>,
+}
+
+impl Open<'_> {
+    fn kind_of(&self, c: ComponentId) -> Option<MetaKind> {
+        self.kinds?.get(c.index()).copied()
+    }
 }
 
 struct Compiler<'o, 'p> {
@@ -437,6 +498,8 @@ struct Compiler<'o, 'p> {
     open: Option<&'o Open<'p>>,
     /// The first lowering failure; the rest of the code is discarded.
     error: Option<RuntimeError>,
+    /// A failure of batching runs only, when it comes before `error`.
+    batch_error: Option<RuntimeError>,
 }
 
 impl<'o, 'p> Compiler<'o, 'p> {
@@ -453,6 +516,7 @@ impl<'o, 'p> Compiler<'o, 'p> {
             epilogue: 0,
             open,
             error: None,
+            batch_error: None,
         };
         if Reg::try_from(n_slots).is_err() {
             c.fail("more variables than bytecode registers");
@@ -1003,9 +1067,9 @@ impl<'o, 'p> Compiler<'o, 'p> {
             ops.push(op);
         }
         self.add_cost(COST_MODEL.marshal_per_arg * args.len() as u64);
-        let route = match open.meta {
+        let route = match open.kinds {
             None => Route::Fail(RuntimeError::NoChannel),
-            Some(meta) => match meta.kind_of(component) {
+            Some(_) => match open.kind_of(component) {
                 Some(MetaKind::Class) if self.n_slots > 0 => Route::SelfObject,
                 Some(MetaKind::Class) => Route::Fail(RuntimeError::Channel(
                     "class-component hidden call outside a method".into(),
@@ -1014,22 +1078,24 @@ impl<'o, 'p> Compiler<'o, 'p> {
                 _ => Route::Activation,
             },
         };
-        let deferred = deferred && open.batching;
-        let local = |c: &mut Self, place: &Place| match place {
-            Place::Local(id) if id.index() < c.n_slots => Some(c.reg(id.index())),
-            _ => None,
-        };
+        // A deferred result is a local (the deferrable-call pass defers no
+        // other), so a flush writes it straight to its register. Any
+        // other result place lowers as a demanded call's, and batching
+        // runs of the program fail instead.
         let (result, store) = match result {
             None => (None, None),
-            Some(place) if deferred => match local(self, place) {
-                Some(r) => (Some(r), None),
-                None => return self.fail("deferred hidden-call result outside a local"),
-            },
             Some(place) => {
                 self.add_cost(COST_MODEL.assign);
-                match local(self, place) {
-                    Some(r) => (Some(r), None),
-                    None => {
+                match place {
+                    Place::Local(id) if id.index() < self.n_slots => {
+                        (Some(self.reg(id.index())), None)
+                    }
+                    _ => {
+                        if deferred && self.error.is_none() {
+                            self.batch_error.get_or_insert(RuntimeError::Unlowerable(
+                                "deferred hidden-call result outside a local",
+                            ));
+                        }
                         let t = self.alloc();
                         (Some(t), Some((place, t)))
                     }
@@ -1270,45 +1336,106 @@ fn slot<'r>(regs: &'r [RtValue], globals: &'r [RtValue], s: &Slot) -> &'r RtValu
     }
 }
 
-/// [`ops::binop`] with `Int × Int` answered first, with its wrapping and
-/// division-by-zero semantics, then `Float × Float` arithmetic and
-/// comparisons.
+/// Writes an `Int` into a register in place. A register that already
+/// holds an `Int` has only its payload overwritten; any other value is
+/// replaced (and an aggregate's reference released).
 #[inline(always)]
-fn binop(
+pub(crate) fn set_int(r: &mut RtValue, v: i64) {
+    match r {
+        RtValue::Int(x) => *x = v,
+        _ => *r = RtValue::Int(v),
+    }
+}
+
+/// [`set_int`] for a `Bool`.
+#[inline(always)]
+fn set_bool(r: &mut RtValue, v: bool) {
+    match r {
+        RtValue::Bool(x) => *x = v,
+        _ => *r = RtValue::Bool(v),
+    }
+}
+
+/// [`set_int`] for a `Float`.
+#[inline(always)]
+fn set_float(r: &mut RtValue, v: f64) {
+    match r {
+        RtValue::Float(x) => *x = v,
+        _ => *r = RtValue::Float(v),
+    }
+}
+
+/// `Int × Int` arithmetic and comparison, written straight into `dst`
+/// with [`ops::binop`]'s wrapping semantics. `false`, with `dst`
+/// untouched, for a zero divisor and for `&&`/`||`: the caller leaves
+/// those to [`binop_into`], which raises `ops::binop`'s error.
+#[inline(always)]
+pub(crate) fn int_binop_into(op: BinOp, x: i64, y: i64, dst: &mut RtValue) -> bool {
+    match op {
+        BinOp::Add => set_int(dst, x.wrapping_add(y)),
+        BinOp::Sub => set_int(dst, x.wrapping_sub(y)),
+        BinOp::Mul => set_int(dst, x.wrapping_mul(y)),
+        BinOp::Div if y != 0 => set_int(dst, x.wrapping_div(y)),
+        BinOp::Rem if y != 0 => set_int(dst, x.wrapping_rem(y)),
+        BinOp::Div | BinOp::Rem | BinOp::And | BinOp::Or => return false,
+        cmp => set_bool(dst, compare(cmp, x, y)),
+    }
+    true
+}
+
+/// `regs[dst] = lhs <op> rhs` for every operand pair the `Int × Int`
+/// fast path leaves: `Float × Float` arithmetic and comparisons in place,
+/// everything else through [`ops::binop`], so mismatches and division by
+/// zero raise its errors and leave `dst` unchanged.
+#[inline(never)]
+fn binop_into(
+    op: BinOp,
+    regs: &mut [RtValue],
+    globals: &[RtValue],
+    lhs: &Operand,
+    rhs: &Operand,
+    dst: usize,
+) -> Result<(), RuntimeError> {
+    if let (Some(x), Some(y)) = (float(regs, globals, lhs), float(regs, globals, rhs)) {
+        let arith = match op {
+            BinOp::Add => Some(x + y),
+            BinOp::Sub => Some(x - y),
+            BinOp::Mul => Some(x * y),
+            BinOp::Div => Some(x / y),
+            _ => None,
+        };
+        if let Some(v) = arith {
+            set_float(&mut regs[dst], v);
+            return Ok(());
+        }
+        if op.is_relational() {
+            set_bool(&mut regs[dst], compare(op, x, y));
+            return Ok(());
+        }
+    }
+    regs[dst] = ops::binop(op, &read(regs, globals, lhs), &read(regs, globals, rhs))?;
+    Ok(())
+}
+
+/// The outcome of a compare-and-branch whose operands are not both
+/// `Int`s: [`binop_into`]'s semantics, then the "bool condition" check.
+#[inline(never)]
+fn compare_slow(
     op: BinOp,
     regs: &[RtValue],
     globals: &[RtValue],
     lhs: &Operand,
     rhs: &Operand,
-) -> Result<RtValue, RuntimeError> {
-    if let (Some(x), Some(y)) = (int(regs, globals, lhs), int(regs, globals, rhs)) {
-        return int_binop(op, x, y);
-    }
+) -> Result<bool, RuntimeError> {
     if let (Some(x), Some(y)) = (float(regs, globals, lhs), float(regs, globals, rhs)) {
-        match op {
-            BinOp::Add => return Ok(RtValue::Float(x + y)),
-            BinOp::Sub => return Ok(RtValue::Float(x - y)),
-            BinOp::Mul => return Ok(RtValue::Float(x * y)),
-            BinOp::Div => return Ok(RtValue::Float(x / y)),
-            op if op.is_relational() => return Ok(RtValue::Bool(compare(op, x, y))),
-            _ => {}
+        if op.is_relational() {
+            return Ok(compare(op, x, y));
         }
     }
-    ops::binop(op, &read(regs, globals, lhs), &read(regs, globals, rhs))
-}
-
-#[inline(always)]
-fn int_binop(op: BinOp, x: i64, y: i64) -> Result<RtValue, RuntimeError> {
-    Ok(match op {
-        BinOp::Add => RtValue::Int(x.wrapping_add(y)),
-        BinOp::Sub => RtValue::Int(x.wrapping_sub(y)),
-        BinOp::Mul => RtValue::Int(x.wrapping_mul(y)),
-        BinOp::Div | BinOp::Rem if y == 0 => return Err(RuntimeError::DivisionByZero),
-        BinOp::Div => RtValue::Int(x.wrapping_div(y)),
-        BinOp::Rem => RtValue::Int(x.wrapping_rem(y)),
-        BinOp::And | BinOp::Or => return ops::binop(op, &RtValue::Int(x), &RtValue::Int(y)),
-        cmp => RtValue::Bool(compare(cmp, x, y)),
-    })
+    match ops::binop(op, &read(regs, globals, lhs), &read(regs, globals, rhs))? {
+        RtValue::Bool(b) => Ok(b),
+        v => Err(mismatch("bool condition", &v)),
+    }
 }
 
 /// The outcome of a relational operator on two ints or two floats; the
@@ -1345,6 +1472,36 @@ fn load_elem(arr: &RtValue, idx: i64) -> Result<RtValue, RuntimeError> {
         .ok_or(out_of_bounds(idx, a.len()))
 }
 
+/// `arr[idx]` when the index is an in-bounds `Int`, the array an array
+/// and the element an `Int`; `None` leaves the access to
+/// [`load_elem_into`].
+#[inline(always)]
+fn int_elem(regs: &[RtValue], globals: &[RtValue], arr: &Slot, idx: &Operand) -> Option<i64> {
+    let i = usize::try_from(int(regs, globals, idx)?).ok()?;
+    match slot(regs, globals, arr) {
+        RtValue::Array(a) => match a.borrow().get(i) {
+            Some(RtValue::Int(v)) => Some(*v),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// `regs[dst] = arr[idx]`, raising the index, array and bounds errors in
+/// the tree-walk's order.
+#[inline(never)]
+fn load_elem_into(
+    regs: &mut [RtValue],
+    globals: &[RtValue],
+    arr: &Slot,
+    idx: &Operand,
+    dst: usize,
+) -> Result<(), RuntimeError> {
+    let i = index(regs, globals, idx)?;
+    regs[dst] = load_elem(slot(regs, globals, arr), i)?;
+    Ok(())
+}
+
 /// Writes element `idx` of an array value.
 fn store_elem(arr: &RtValue, idx: i64, value: RtValue) -> Result<(), RuntimeError> {
     let mut a = arr.array()?.borrow_mut();
@@ -1354,6 +1511,78 @@ fn store_elem(arr: &RtValue, idx: i64, value: RtValue) -> Result<(), RuntimeErro
         .and_then(|i| a.get_mut(i))
         .ok_or(out_of_bounds(idx, len))?;
     *slot = value;
+    Ok(())
+}
+
+/// `regs[dst] = new elem[len]`; returns the allocation's cost.
+#[inline(never)]
+fn new_array(
+    regs: &mut [RtValue],
+    globals: &[RtValue],
+    len: &Operand,
+    elem: Option<Value>,
+    dst: usize,
+) -> Result<u64, RuntimeError> {
+    let n = index(regs, globals, len)?;
+    let Ok(count) = usize::try_from(n) else {
+        return Err(out_of_bounds(n, 0));
+    };
+    regs[dst] = RtValue::Array(Rc::new(RefCell::new(vec![default_value(elem); count])));
+    Ok(COST_MODEL.alloc_per_elem * n as u64)
+}
+
+/// `regs[dst] = builtin(b, args)`.
+#[inline(never)]
+fn builtin_into(
+    b: Builtin,
+    regs: &mut [RtValue],
+    globals: &[RtValue],
+    args: &[Operand],
+    dst: usize,
+) -> Result<(), RuntimeError> {
+    regs[dst] = match args {
+        [a] => ops::builtin(b, &[read(regs, globals, a)])?,
+        [a, c] => ops::builtin(b, &[read(regs, globals, a), read(regs, globals, c)])?,
+        args => {
+            let vals: Vec<RtValue> = args.iter().map(|a| read(regs, globals, a)).collect();
+            ops::builtin(b, &vals)?
+        }
+    };
+    Ok(())
+}
+
+/// `regs[dst] = obj.fields[field]`.
+#[inline(never)]
+fn load_field_into(
+    regs: &mut [RtValue],
+    globals: &[RtValue],
+    obj: &Slot,
+    field: u32,
+    dst: usize,
+) -> Result<(), RuntimeError> {
+    let v = slot(regs, globals, obj)
+        .object()?
+        .borrow()
+        .fields
+        .get(field as usize)
+        .cloned()
+        .ok_or(NO_FIELD)?;
+    regs[dst] = v;
+    Ok(())
+}
+
+/// `obj.fields[field] = src`.
+#[inline(never)]
+fn store_field(
+    regs: &[RtValue],
+    globals: &[RtValue],
+    obj: &Slot,
+    field: u32,
+    src: &Operand,
+) -> Result<(), RuntimeError> {
+    let v = read(regs, globals, src);
+    let mut o = slot(regs, globals, obj).object()?.borrow_mut();
+    *o.fields.get_mut(field as usize).ok_or(NO_FIELD)? = v;
     Ok(())
 }
 
@@ -1385,6 +1614,8 @@ pub(crate) struct Vm<'a> {
     pub(crate) steps: u64,
     pub(crate) step_limit: u64,
     pub(crate) depth_limit: usize,
+    /// Whether `deferred` hidden calls are buffered.
+    pub(crate) batching: bool,
     pub(crate) channel: Option<&'a mut dyn Channel>,
     pub(crate) recorder: RecorderHandle,
     /// Deferred hidden calls awaiting one coalesced round trip, with the
@@ -1408,6 +1639,7 @@ impl<'a> Vm<'a> {
             steps: 0,
             step_limit,
             depth_limit,
+            batching: false,
             channel: None,
             recorder: RecorderHandle::none(),
             pending: Vec::new(),
@@ -1428,8 +1660,7 @@ impl<'a> Vm<'a> {
         let f = &prog.funcs[func];
         self.stack.clear();
         self.stack.extend_from_slice(args);
-        self.stack
-            .extend_from_slice(f.init.get(args.len()..).unwrap_or_default());
+        f.open_frame(&mut self.stack, 0);
         let func = u32::try_from(func).map_err(|_| RuntimeError::Unlowerable("entry index"))?;
         self.enter(func, f.activation, 0, 0, 0)?;
         self.cost += COST_MODEL.call;
@@ -1528,7 +1759,6 @@ impl<'a> Vm<'a> {
         for (reply, result) in replies.into_iter().zip(results.drain(..)) {
             self.cost += reply.server_cost;
             if let Some(r) = result {
-                self.cost += COST_MODEL.assign;
                 *self.stack.get_mut(r).ok_or_else(|| {
                     RuntimeError::Channel("deferred result flushed outside its frame".into())
                 })? = RtValue::from_const(reply.value);
@@ -1543,6 +1773,7 @@ impl<'a> Vm<'a> {
     }
 
     /// Runs one hidden call from the frame at `base`.
+    #[inline(never)]
     fn hidden(&mut self, h: &HiddenOp, base: usize) -> Result<(), RuntimeError> {
         let regs = &self.stack[base..];
         let mut args = Vec::with_capacity(h.args.len());
@@ -1575,7 +1806,7 @@ impl<'a> Vm<'a> {
             label: h.label,
             args,
         };
-        if h.deferred {
+        if h.deferred && self.batching {
             // Fail like an immediate call would if no channel is attached.
             if self.channel.is_none() {
                 return Err(RuntimeError::NoChannel);
@@ -1615,70 +1846,81 @@ impl<'a> Vm<'a> {
     /// until that frame returns; calls and returns in between switch code
     /// and frames in place. On error the frames are left for
     /// [`Vm::unwind`].
+    ///
+    /// The loop's state — code, `pc`, frame base, steps and cost — lives
+    /// in locals, and every arm that is not hot calls out of line, so the
+    /// hot arms run without spilling it. `cost` is synchronised with
+    /// `self.cost` around the calls that charge it.
     fn execute(&mut self, prog: &ProgramCode, entry: &Body) -> Result<RtValue, RuntimeError> {
-        let mut steps = self.steps;
-        let mut cost = self.cost;
-        let result = self.dispatch(prog, entry, &mut steps, &mut cost);
-        self.steps = steps;
-        self.cost = cost;
-        result
-    }
-
-    /// [`Vm::execute`] with the step and cost counters in locals; `cost`
-    /// is synchronised with `self.cost` around the calls that charge it.
-    fn dispatch(
-        &mut self,
-        prog: &ProgramCode,
-        entry: &Body,
-        steps: &mut u64,
-        cost: &mut u64,
-    ) -> Result<RtValue, RuntimeError> {
         let mut code: &[Instr] = &entry.code;
         let mut pc = 0;
         let mut base = self.frames.last().map_or(0, |f| f.base);
-        loop {
+        let mut steps = self.steps;
+        let mut cost = self.cost;
+        let limit = self.step_limit;
+        let result = 'run: loop {
+            macro_rules! tri {
+                ($e:expr) => {
+                    match $e {
+                        Ok(v) => v,
+                        Err(e) => break 'run Err(e),
+                    }
+                };
+            }
             let ins = &code[pc];
             pc += 1;
-            *steps += u64::from(ins.tick);
-            if *steps > self.step_limit {
-                return Err(RuntimeError::StepLimitExceeded {
-                    limit: self.step_limit,
-                });
+            steps += u64::from(ins.tick);
+            if steps > limit {
+                break Err(RuntimeError::StepLimitExceeded { limit });
             }
-            *cost += u64::from(ins.cost);
-            let regs = &self.stack[base..];
+            cost += u64::from(ins.cost);
             let globals = &self.globals;
+            let regs = &mut self.stack[base..];
             match &ins.op {
                 Op::Nop => {}
                 Op::Load { dst, src } => {
-                    let v = read(regs, globals, src);
-                    self.stack[base + usize::from(*dst)] = v;
+                    let dst = usize::from(*dst);
+                    match int(regs, globals, src) {
+                        Some(i) => set_int(&mut regs[dst], i),
+                        None => regs[dst] = read(regs, globals, src),
+                    }
                 }
                 Op::Un { op, dst, src } => {
-                    let v = ops::unop(*op, &read(regs, globals, src))?;
-                    self.stack[base + usize::from(*dst)] = v;
+                    regs[usize::from(*dst)] = tri!(ops::unop(*op, &read(regs, globals, src)));
                 }
                 Op::Bin { op, dst, lhs, rhs } => {
-                    let v = binop(*op, regs, globals, lhs, rhs)?;
-                    self.stack[base + usize::from(*dst)] = v;
+                    let dst = usize::from(*dst);
+                    let done = match (int(regs, globals, lhs), int(regs, globals, rhs)) {
+                        (Some(x), Some(y)) => int_binop_into(*op, x, y, &mut regs[dst]),
+                        _ => false,
+                    };
+                    if !done {
+                        tri!(binop_into(*op, regs, globals, lhs, rhs, dst));
+                    }
                 }
                 Op::Accum { op, slot, rhs } => {
-                    let v = binop(*op, regs, globals, &Operand::Reg(*slot), rhs)?;
-                    self.stack[base + usize::from(*slot)] = v;
+                    let dst = usize::from(*slot);
+                    let x = match regs[dst] {
+                        RtValue::Int(x) => Some(x),
+                        _ => None,
+                    };
+                    let done = match (x, int(regs, globals, rhs)) {
+                        (Some(x), Some(y)) => int_binop_into(*op, x, y, &mut regs[dst]),
+                        _ => false,
+                    };
+                    if !done {
+                        tri!(binop_into(
+                            *op,
+                            regs,
+                            globals,
+                            &Operand::Reg(*slot),
+                            rhs,
+                            dst
+                        ));
+                    }
                 }
                 Op::Builtin { b, dst, args } => {
-                    let v = match args.as_ref() {
-                        [a] => ops::builtin(*b, &[read(regs, globals, a)])?,
-                        [a, c] => {
-                            ops::builtin(*b, &[read(regs, globals, a), read(regs, globals, c)])?
-                        }
-                        args => {
-                            let vals: Vec<RtValue> =
-                                args.iter().map(|a| read(regs, globals, a)).collect();
-                            ops::builtin(*b, &vals)?
-                        }
-                    };
-                    self.stack[base + usize::from(*dst)] = v;
+                    tri!(builtin_into(*b, regs, globals, args, usize::from(*dst)));
                 }
                 Op::Jump { target } => pc = *target as usize,
                 Op::Branch { cond, target, when } => match read(regs, globals, cond) {
@@ -1687,7 +1929,7 @@ impl<'a> Vm<'a> {
                             pc = *target as usize;
                         }
                     }
-                    v => return Err(mismatch("bool condition", &v)),
+                    v => break Err(mismatch("bool condition", &v)),
                 },
                 Op::CmpBranch {
                     op,
@@ -1698,105 +1940,77 @@ impl<'a> Vm<'a> {
                 } => {
                     let taken = match (int(regs, globals, lhs), int(regs, globals, rhs)) {
                         (Some(x), Some(y)) => compare(*op, x, y),
-                        _ => match binop(*op, regs, globals, lhs, rhs)? {
-                            RtValue::Bool(b) => b,
-                            v => return Err(mismatch("bool condition", &v)),
-                        },
+                        _ => tri!(compare_slow(*op, regs, globals, lhs, rhs)),
                     };
                     if taken == *when {
                         pc = *target as usize;
                     }
                 }
-                Op::Illegal(what) => return Err(RuntimeError::IllegalFragmentOp(what)),
-                Op::Fail(e) => return Err((**e).clone()),
+                Op::Illegal(what) => break Err(RuntimeError::IllegalFragmentOp(what)),
+                Op::Fail(e) => break Err((**e).clone()),
                 Op::Ret { src } => {
                     let v = match src {
                         Some(src) => read(regs, globals, src),
                         None => RtValue::Uninit,
                     };
-                    self.cost = *cost;
-                    let left = self.leave();
-                    *cost = self.cost;
-                    let Some(frame) = left? else {
-                        return Ok(v);
-                    };
-                    let Some(caller) = self.frames.last() else {
-                        return Ok(v);
-                    };
-                    self.stack.truncate(frame.base);
-                    base = caller.base;
-                    code = &prog.funcs[caller.func as usize].body.code;
-                    pc = frame.ret_pc;
-                    self.stack[base + usize::from(frame.dst)] = v;
+                    self.cost = cost;
+                    let next = self.ret(v);
+                    cost = self.cost;
+                    match tri!(next) {
+                        Return::Done(v) => break Ok(v),
+                        Return::Resume {
+                            func,
+                            base: caller,
+                            pc: resume,
+                        } => {
+                            base = caller;
+                            code = &prog.funcs[func as usize].body.code;
+                            pc = resume;
+                        }
+                    }
                 }
                 Op::StoreGlobal { global, src } => {
                     let v = read(regs, globals, src);
                     self.globals[*global as usize] = v;
                 }
                 Op::LoadElem { dst, arr, idx } => {
-                    let i = index(regs, globals, idx)?;
-                    let v = load_elem(slot(regs, globals, arr), i)?;
-                    self.stack[base + usize::from(*dst)] = v;
+                    let dst = usize::from(*dst);
+                    match int_elem(regs, globals, arr, idx) {
+                        Some(v) => set_int(&mut regs[dst], v),
+                        None => tri!(load_elem_into(regs, globals, arr, idx, dst)),
+                    }
                 }
                 Op::StoreElem { arr, idx, src } => {
                     let v = read(regs, globals, src);
-                    let i = index(regs, globals, idx)?;
-                    store_elem(slot(regs, globals, arr), i, v)?;
+                    let i = tri!(index(regs, globals, idx));
+                    tri!(store_elem(slot(regs, globals, arr), i, v));
                 }
                 Op::Len { dst, arr } => {
-                    let n = slot(regs, globals, arr).array()?.borrow().len();
-                    self.stack[base + usize::from(*dst)] = RtValue::Int(n as i64);
+                    let n = tri!(slot(regs, globals, arr).array()).borrow().len();
+                    set_int(&mut regs[usize::from(*dst)], n as i64);
                 }
                 Op::LoadField { dst, obj, field } => {
-                    let v = slot(regs, globals, obj)
-                        .object()?
-                        .borrow()
-                        .fields
-                        .get(*field as usize)
-                        .cloned()
-                        .ok_or(NO_FIELD)?;
-                    self.stack[base + usize::from(*dst)] = v;
+                    tri!(load_field_into(
+                        regs,
+                        globals,
+                        obj,
+                        *field,
+                        usize::from(*dst)
+                    ));
                 }
                 Op::StoreField { obj, field, src } => {
-                    let v = read(regs, globals, src);
-                    let mut o = slot(regs, globals, obj).object()?.borrow_mut();
-                    *o.fields.get_mut(*field as usize).ok_or(NO_FIELD)? = v;
+                    tri!(store_field(regs, globals, obj, *field, src));
                 }
                 Op::NewArray { dst, len, elem } => {
-                    let n = index(regs, globals, len)?;
-                    let Ok(count) = usize::try_from(n) else {
-                        return Err(out_of_bounds(n, 0));
-                    };
-                    *cost += COST_MODEL.alloc_per_elem * n as u64;
-                    let fill = elem.map_or(RtValue::Uninit, RtValue::from_const);
-                    self.stack[base + usize::from(*dst)] =
-                        RtValue::Array(Rc::new(RefCell::new(vec![fill; count])));
+                    cost += tri!(new_array(regs, globals, len, *elem, usize::from(*dst)));
                 }
                 Op::NewObject { dst, class } => {
-                    let fields = prog.classes[*class as usize].to_vec();
-                    let instance_id = self.next_instance;
-                    self.next_instance += 1;
-                    self.stack[base + usize::from(*dst)] =
-                        RtValue::Object(Rc::new(RefCell::new(ObjData {
-                            class: hps_ir::ClassId::new(*class as usize),
-                            instance_id,
-                            fields,
-                        })));
+                    self.new_object(prog, *class, base + usize::from(*dst));
                 }
                 Op::Call { func, dst, args } => {
-                    let callee = &prog.funcs[*func as usize];
-                    let new_base = self.stack.len();
-                    self.stack.reserve(callee.body.n_regs);
-                    for a in args.iter() {
-                        let v = read(&self.stack[base..], &self.globals, a);
-                        self.stack.push(v);
-                    }
-                    self.stack
-                        .extend_from_slice(callee.init.get(args.len()..).unwrap_or_default());
-                    self.enter(*func, callee.activation, new_base, pc, *dst)?;
-                    *cost += COST_MODEL.call;
-                    base = new_base;
-                    code = &callee.body.code;
+                    base = tri!(self.call(prog, *func, *dst, args, base, pc));
+                    cost += COST_MODEL.call;
+                    code = &prog.funcs[*func as usize].body.code;
                     pc = 0;
                 }
                 Op::Print { src } => {
@@ -1804,17 +2018,90 @@ impl<'a> Vm<'a> {
                     self.output.push(line);
                 }
                 Op::Scalar { src } => {
-                    scalar_arg(&read(regs, globals, src))?;
+                    tri!(scalar_arg(&read(regs, globals, src)));
                 }
                 Op::Hidden(h) => {
-                    self.cost = *cost;
+                    self.cost = cost;
                     let done = self.hidden(h, base);
-                    *cost = self.cost;
-                    done?;
+                    cost = self.cost;
+                    tri!(done);
                 }
             }
-        }
+        };
+        self.steps = steps;
+        self.cost = cost;
+        result
     }
+
+    /// Pushes a frame for open function `func`, called from the frame at
+    /// `base` with `args`, and returns the new frame's base.
+    #[inline(never)]
+    fn call(
+        &mut self,
+        prog: &ProgramCode,
+        func: u32,
+        dst: Reg,
+        args: &[Operand],
+        base: usize,
+        ret_pc: usize,
+    ) -> Result<usize, RuntimeError> {
+        let callee = &prog.funcs[func as usize];
+        let new_base = self.stack.len();
+        self.stack.reserve(callee.body.n_regs);
+        for a in args {
+            let v = read(&self.stack[base..], &self.globals, a);
+            self.stack.push(v);
+        }
+        callee.open_frame(&mut self.stack, new_base);
+        self.enter(func, callee.activation, new_base, ret_pc, dst)?;
+        Ok(new_base)
+    }
+
+    /// Leaves the top frame with value `v`: the run's (or fragment's)
+    /// result when no caller frame remains, else `v` lands in the caller's
+    /// destination register and the caller resumes.
+    #[inline(never)]
+    fn ret(&mut self, v: RtValue) -> Result<Return, RuntimeError> {
+        let Some(frame) = self.leave()? else {
+            return Ok(Return::Done(v));
+        };
+        let Some(caller) = self.frames.last() else {
+            return Ok(Return::Done(v));
+        };
+        let (func, base) = (caller.func, caller.base);
+        self.stack.truncate(frame.base);
+        self.stack[base + usize::from(frame.dst)] = v;
+        Ok(Return::Resume {
+            func,
+            base,
+            pc: frame.ret_pc,
+        })
+    }
+
+    /// Writes a fresh object of class `class` to absolute register `at`.
+    #[inline(never)]
+    fn new_object(&mut self, prog: &ProgramCode, class: u32, at: usize) {
+        let fields = prog.classes[class as usize]
+            .iter()
+            .map(|&v| default_value(v))
+            .collect();
+        let instance_id = self.next_instance;
+        self.next_instance += 1;
+        self.stack[at] = RtValue::Object(Rc::new(RefCell::new(ObjData {
+            class: hps_ir::ClassId::new(class as usize),
+            instance_id,
+            fields,
+        })));
+    }
+}
+
+/// Where the dispatch loop goes after a `Ret`.
+enum Return {
+    /// No caller frame: the run (or fragment) ends with this value.
+    Done(RtValue),
+    /// The caller, function `func` with its frame at `base`, resumes at
+    /// `pc`.
+    Resume { func: u32, base: usize, pc: usize },
 }
 
 /// A hidden-call argument as a wire scalar.
@@ -2206,6 +2493,9 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<CompiledFragment>();
         assert_send_sync::<VmCache>();
+        assert_send_sync::<ProgramCode>();
+        assert_send_sync::<OpenCode>();
+        assert_send_sync::<crate::SplitMeta>();
     }
 
     #[test]

@@ -133,6 +133,10 @@ pub enum RuntimeError {
     /// produces (an out-of-range local, a deferred call whose result is
     /// not a local).
     Unlowerable(&'static str),
+    /// An [`Interp`](crate::Interp) was given a
+    /// [`SplitMeta`](crate::SplitMeta) derived from a different open
+    /// program; the metadata's code is never run.
+    ForeignSplitMeta,
 }
 
 impl fmt::Display for RuntimeError {
@@ -190,6 +194,12 @@ impl fmt::Display for RuntimeError {
             }
             RuntimeError::Unlowerable(what) => {
                 write!(f, "program cannot be lowered to bytecode: {what}")
+            }
+            RuntimeError::ForeignSplitMeta => {
+                write!(
+                    f,
+                    "split metadata was derived from a different open program"
+                )
             }
         }
     }

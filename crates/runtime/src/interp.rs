@@ -2,8 +2,12 @@
 //!
 //! [`Interp`] runs an `hps_ir::Program` on the register bytecode VM of
 //! [`crate::bytecode`] — the same instruction set, lowering and dispatch
-//! loop that runs hidden fragments. It compiles the program once, on its
-//! first [`Interp::run`], and provides:
+//! loop that runs hidden fragments. A split's open program is compiled
+//! once, by [`SplitMeta::derive`], and every `Interp` the metadata is
+//! attached to ([`Interp::with_channel`]) runs that code; an `Interp`
+//! without a channel compiles its program on its first [`Interp::run`].
+//! [`run_program`] and [`Executor::run`] build a fresh `Interp` (and
+//! metadata) per call, so they compile per run. The interpreter provides:
 //!
 //! * deterministic virtual-time cost accounting (see [`COST_MODEL`](crate::COST_MODEL)),
 //! * fixed step and call-depth limits so runaway programs fail cleanly,
@@ -22,14 +26,16 @@
 //! only) does; the interpreter goldens in `hps-suite` and the crate's
 //! `open_vm_differential` tests pin all three (DESIGN.md §7c).
 
-use crate::bytecode::{ProgramCode, Vm};
+use crate::bytecode::{OpenCode, Vm};
 use crate::channel::{Channel, InProcessChannel, TransportStats};
 use crate::error::RuntimeError;
 use crate::server::SecureServer;
 use crate::value::RtValue;
-use hps_ir::{ComponentId, ComponentKind, HiddenProgram, Program, Ty};
+use hps_ir::{ComponentKind, HiddenProgram, Program, Ty};
 use hps_telemetry::{Event, MetricsRecorder, MetricsSnapshot, RecorderHandle, Snapshot};
+use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Execution settings: whether deferred hidden calls are batched.
 ///
@@ -83,12 +89,28 @@ pub struct Outcome {
     pub steps: u64,
 }
 
-/// Component-kind table the *open* side needs to route hidden calls (which
-/// id spaces key the state: per-activation for split functions,
-/// per-object-instance for split classes). Contains no hidden code.
-#[derive(Clone, PartialEq, Debug, Default)]
+/// What the *open* side needs to run one split: the open program compiled
+/// once to register bytecode, with the routing of every hidden call baked
+/// in (which id space keys each component's state: per activation for
+/// split functions, per object instance for split classes, one shared key
+/// for hidden globals). Contains no hidden code.
+///
+/// Derive it once per split and attach it to every [`Interp`] that runs
+/// the split's open program: no run compiles again. It keeps its own copy
+/// of the open program it was derived from, and it and the compiled code
+/// are plain `Send + Sync` data behind an `Arc`, so clones are cheap and
+/// threads can share one. An `Interp` whose program differs from that copy
+/// never runs the code: its runs fail with
+/// [`RuntimeError::ForeignSplitMeta`].
+#[derive(Clone)]
 pub struct SplitMeta {
-    kinds: Vec<MetaKind>,
+    split: Arc<Split>,
+}
+
+/// The open program a [`SplitMeta`] was derived from, and its code.
+struct Split {
+    open: Program,
+    code: OpenCode,
 }
 
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -99,11 +121,11 @@ pub(crate) enum MetaKind {
 }
 
 impl SplitMeta {
-    /// Derives the routing table from the hidden program's component
-    /// list. The open program is not consulted: its split functions and
-    /// classes already name their components.
-    pub fn derive(_open: &Program, hidden: &HiddenProgram) -> SplitMeta {
-        let kinds = hidden
+    /// Compiles `open` with the routing table of `hidden`'s components.
+    /// A program that does not lower compiles to code whose runs fail
+    /// with [`RuntimeError::Unlowerable`].
+    pub fn derive(open: &Program, hidden: &HiddenProgram) -> SplitMeta {
+        let kinds: Vec<MetaKind> = hidden
             .components
             .iter()
             .map(|comp| match comp.kind {
@@ -112,11 +134,30 @@ impl SplitMeta {
                 ComponentKind::Global { .. } => MetaKind::Global,
             })
             .collect();
-        SplitMeta { kinds }
+        SplitMeta::with_kinds(open, &kinds)
     }
 
-    pub(crate) fn kind_of(&self, c: ComponentId) -> Option<MetaKind> {
-        self.kinds.get(c.index()).copied()
+    /// Compiles `open` with the component kinds `kinds`, by `ComponentId`.
+    pub(crate) fn with_kinds(open: &Program, kinds: &[MetaKind]) -> SplitMeta {
+        SplitMeta {
+            split: Arc::new(Split {
+                open: open.clone(),
+                code: OpenCode::compile(open, Some(kinds)),
+            }),
+        }
+    }
+
+    /// The code, when `program` equals the one this was derived from.
+    fn code_for(&self, program: &Program) -> Option<&OpenCode> {
+        (self.split.open == *program).then_some(&self.split.code)
+    }
+}
+
+impl fmt::Debug for SplitMeta {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SplitMeta")
+            .field("functions", &self.split.open.functions.len())
+            .finish_non_exhaustive()
     }
 }
 
@@ -311,35 +352,52 @@ pub(crate) fn initial_globals(program: &Program) -> Vec<RtValue> {
 /// construct an [`Interp`] directly to attach a custom [`Channel`]
 /// (TCP, tracing) or to reuse global state across entry calls.
 ///
+/// With a channel it runs the code its [`SplitMeta`] compiled; without
+/// one it compiles its program on its first run and keeps the code for
+/// later runs. Either way one compiled program serves batching and
+/// unbatched runs: whether a `deferred` call is buffered is decided when
+/// the call runs.
+///
 /// Cost and step counts accumulate across runs on one `Interp`, so an
 /// [`Outcome`] reports the totals so far. A run that fails adds its steps
 /// but no cost: the cost total stays where it was before that run.
 pub struct Interp<'a> {
     program: &'a Program,
-    batching: bool,
-    meta: Option<&'a SplitMeta>,
-    /// The program's bytecode, compiled by the first [`Interp::run`].
-    code: Option<ProgramCode>,
+    code: Code<'a>,
     vm: Vm<'a>,
+}
+
+/// The bytecode an [`Interp`] runs.
+enum Code<'a> {
+    /// No channel: compiled by the first run.
+    Unsplit(Option<OpenCode>),
+    /// The split's code, compiled by [`SplitMeta::derive`].
+    Split(&'a OpenCode),
+    /// The attached [`SplitMeta`] was derived from another program.
+    Foreign,
 }
 
 impl<'a> Interp<'a> {
     /// Creates an interpreter with initialized globals and no channel.
     pub fn new(program: &'a Program, config: ExecConfig) -> Interp<'a> {
+        let mut vm = Vm::new(initial_globals(program), MAX_STEPS, MAX_CALL_DEPTH);
+        vm.batching = config.batching;
         Interp {
             program,
-            batching: config.batching,
-            meta: None,
-            code: None,
-            vm: Vm::new(initial_globals(program), MAX_STEPS, MAX_CALL_DEPTH),
+            code: Code::Unsplit(None),
+            vm,
         }
     }
 
-    /// Attaches a channel and routing metadata for split execution
-    /// (builder style).
+    /// Attaches a channel and the split's metadata for split execution
+    /// (builder style). Runs execute the code `meta` compiled; when `meta`
+    /// was derived from a different open program they fail with
+    /// [`RuntimeError::ForeignSplitMeta`] instead.
     pub fn with_channel(mut self, channel: &'a mut dyn Channel, meta: &'a SplitMeta) -> Interp<'a> {
         self.vm.channel = Some(channel);
-        self.meta = Some(meta);
+        self.code = meta
+            .code_for(self.program)
+            .map_or(Code::Foreign, Code::Split);
         self
     }
 
@@ -364,7 +422,10 @@ impl<'a> Interp<'a> {
     ///
     /// # Errors
     ///
-    /// Returns a [`RuntimeError`] for execution faults or a missing entry.
+    /// Returns a [`RuntimeError`] for execution faults, a missing entry, a
+    /// program that does not lower ([`RuntimeError::Unlowerable`]), or
+    /// metadata derived from another program
+    /// ([`RuntimeError::ForeignSplitMeta`]).
     pub fn run(&mut self, name: &str, args: &[RtValue]) -> Result<Outcome, RuntimeError> {
         let fid = self
             .program
@@ -379,13 +440,13 @@ impl<'a> Interp<'a> {
             )));
         }
         let code = match &mut self.code {
-            Some(code) => code,
-            empty => empty.insert(ProgramCode::compile(
-                self.program,
-                self.meta,
-                self.batching,
-            )?),
-        };
+            Code::Split(code) => *code,
+            Code::Unsplit(code) => {
+                code.get_or_insert_with(|| OpenCode::compile(self.program, None))
+            }
+            Code::Foreign => return Err(RuntimeError::ForeignSplitMeta),
+        }
+        .get(self.vm.batching)?;
         let cost = self.vm.cost;
         // Errors discard cost: the charges of a failed run are not the
         // tree-walk's at the failing point, so none of them are kept.
@@ -414,7 +475,7 @@ impl<'a> Interp<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hps_ir::{BinOp, Builtin, Expr, Place, StmtKind, Value};
+    use hps_ir::{BinOp, Builtin, ComponentId, Expr, Place, StmtKind, Value};
 
     /// `main` of `p` under explicit limits.
     fn run_limited(p: &Program, steps: u64, depth: usize) -> Result<Outcome, RuntimeError> {
@@ -911,9 +972,7 @@ mod tests {
             .stmts
             .push(hps_ir::Stmt::new(StmtKind::Return(Some(ret))));
         p.renumber_all();
-        let meta = SplitMeta {
-            kinds: vec![MetaKind::Function],
-        };
+        let meta = SplitMeta::with_kinds(&p, &[MetaKind::Function]);
         let mut chan = Echo(0);
         let outcome = Interp::new(&p, ExecConfig::new().with_batching(true))
             .with_channel(&mut chan, &meta)
@@ -942,9 +1001,7 @@ mod tests {
         f.split_component = Some(ComponentId::new(0));
         push_hidden(f, "n", Some(Place::Global(hps_ir::GlobalId::new(0))), true);
         p.renumber_all();
-        let meta = SplitMeta {
-            kinds: vec![MetaKind::Function],
-        };
+        let meta = SplitMeta::with_kinds(&p, &[MetaKind::Function]);
         let mut chan = Echo(0);
         let batched = Interp::new(&p, ExecConfig::new().with_batching(true))
             .with_channel(&mut chan, &meta)

@@ -7,8 +7,9 @@
 //!
 //! * [`interp`] — the interpreter for `hps_ir::Program`s, with
 //!   deterministic virtual-time cost accounting ([`cost::CostModel`]). It
-//!   compiles the program once to the register bytecode of [`bytecode`]
-//!   and runs it there. A plain tree-walk of open code, compiled only
+//!   runs the program on the register bytecode of [`bytecode`], compiled
+//!   once per split by [`interp::SplitMeta::derive`] (or once per
+//!   interpreter for an unsplit program). A plain tree-walk of open code, compiled only
 //!   for the crate's tests, is the reference the VM is differentially
 //!   tested against.
 //! * [`server`] — the secure-side executor: holds a

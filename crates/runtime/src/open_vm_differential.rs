@@ -9,10 +9,19 @@
 //! write a local and a global array (with out-of-bounds indices), an
 //! object's fields through fields and methods, short-circuit `&&`/`||`,
 //! and divide by zero. Loops may diverge; the step limits end them.
+//!
+//! Hand-written cases cover what the generator rarely reaches: the
+//! evaluation-order corners, and the VM's in-place scalar writes
+//! (registers reused across types, wrapping arithmetic, errors raised by
+//! an instruction whose destination is one of its operands, array
+//! elements that are not `Int`s).
 
+use crate::bytecode::{int_binop_into, set_int};
 use crate::interp::{ExecConfig, Interp, Outcome};
-use crate::{reference, RuntimeError};
+use crate::{reference, RtValue, RuntimeError};
+use hps_ir::BinOp;
 use proptest::prelude::*;
+use std::rc::Rc;
 
 /// Which function an expression or statement is generated for: each has
 /// its own int variables and may call a different set of functions.
@@ -353,10 +362,20 @@ fn vm_matches_reference_on_evaluation_order_corners() {
         "while (true) { x = x + 1; }",
         "print(f2(1, 3)); print(f2(bump(1), 2));",
     ] {
-        let src = format!(
-            "global g: int = 1;
+        check_corner(body);
+    }
+}
+
+/// Checks `body` as `main`'s body, after locals `x`, `y`, `m` (one above
+/// `i64::MIN`), `f`, `arr` and `c`, with globals, a class and helper
+/// functions to call.
+fn check_corner(body: &str) {
+    check(&format!(
+        "global g: int = 1;
 global h: int;
 global ga: int[] = new int[4];
+global fa: float[] = new float[3];
+global ba: bool[] = new bool[2];
 class Cell {{
     v: int;
     w: int;
@@ -366,15 +385,106 @@ class Cell {{
 fn bump(k: int) -> int {{ g = g + k; h = h + 1; return k; }}
 fn f1(a: int, b: int) -> int {{ return a * 100 + b; }}
 fn f2(a: int, d: int) -> int {{ if (d <= 0) {{ return a + g; }} return f2(a + bump(d), d - 1) * 2; }}
+fn mk(n: int) -> int[] {{ var a: int[] = new int[3]; a[1] = n; return a; }}
 fn main() {{
     var x: int = 1;
     var y: int = 2;
+    var m: int = 0 - 9223372036854775807;
+    var f: float = 1.5;
     var arr: int[] = new int[3];
     var c: Cell = new Cell();
     {body}
 }}
 "
-        );
-        check(&src);
+    ));
+}
+
+/// The in-place scalar writes of `Bin`, `Accum`, `Load` and `LoadElem`,
+/// in the cases the generator rarely reaches.
+#[test]
+fn vm_matches_reference_on_in_place_writes() {
+    for body in [
+        // One temporary holds a bool, then an int, then a bool again.
+        "print(x < y); print(x + y); print(y <= x); print(y * 3 - x);",
+        "print((x < y) == (y < x)); print(x - y); print(f < 2.0); print(y / x);",
+        // An int lands in a temporary that held an array (the call's
+        // result), and a float in one that held an int.
+        "print(mk(5)[1]); print(y + (x * 3)); print(mk(x)[1] + mk(y)[1]); print(x * y);",
+        "print(f + 1.0); print(x + 1); print(fa[1] + f); print(x - y); print(f * f);",
+        // Wrapping: i64::MIN / -1 and % -1, in `Bin` and in `Accum`.
+        "m = m - 1; print(m); print(m / (x - 2)); print(m % (x - 2));",
+        "m = m - 1; m = m / (x - 2); print(m); m = m % (x - 2); print(m);",
+        // Overflow in `Accum`.
+        "x = 9223372036854775807; x = x + y; print(x); x = x - 3; print(x);",
+        "x = 9223372036854775807; x = x * x; print(x); m = m - 2; m = m * y; print(m);",
+        "g = 9223372036854775807; g = g + x; print(g); print(g * g);",
+        // Division by zero in an `Accum`, and in a `Bin` whose destination
+        // is its zero divisor.
+        "print(x); x = x / (y - y); print(x);",
+        "print(x); x = x % (y - 2); print(x);",
+        "y = y - 2; print(y); y = x / y; print(y);",
+        "y = y - 2; y = x % y; print(y);",
+        // Elements that are not `Int`s, and one out of bounds.
+        "print(fa[1]); print(ba[0]); print(fa[x] + 1.0); print(ba[x] == ba[0]);",
+        "ba[1] = x < y; print(ba[1]); fa[2] = f; print(fa[2] < f); print(fa[y + 5]);",
+    ] {
+        check_corner(body);
     }
+}
+
+/// A failed run keeps its steps but none of its cost, on one `Interp`,
+/// when the error comes from an in-place `Accum` or `Bin`.
+#[test]
+fn failed_in_place_runs_discard_their_cost() {
+    // Each body, and the statements a run with `z == 0` ticks: `var x`
+    // and every statement up to the failing one.
+    for (body, ticked) in [("x = x / z;", 2), ("x = z % x; z = x / z;", 3)] {
+        let src = format!("fn main(z: int) {{ var x: int = 5; {body} print(x); }}");
+        let program = hps_lang::parse(&src).unwrap_or_else(|e| panic!("{e}\n{src}"));
+        let mut interp = Interp::new(&program, ExecConfig::new());
+        let ok = interp.run("main", &[RtValue::Int(3)]).expect("first run");
+        let failed = reference::run_function(&program, "main", &[RtValue::Int(0)], 1000, 8);
+        assert_eq!(failed, Err(RuntimeError::DivisionByZero), "{body}");
+        assert_eq!(
+            interp.run("main", &[RtValue::Int(0)]),
+            Err(RuntimeError::DivisionByZero),
+            "{body}"
+        );
+        let again = interp.run("main", &[RtValue::Int(3)]).expect("third run");
+        assert_eq!(again.cost, 2 * ok.cost, "{body}");
+        assert_eq!(again.steps, 2 * ok.steps + ticked, "{body}");
+    }
+}
+
+/// The register-level contract of the in-place writes: an aggregate a
+/// scalar overwrites is released, and an operation left to `ops::binop`
+/// leaves its destination untouched.
+#[test]
+fn in_place_writes_release_aggregates_and_keep_failing_registers() {
+    let array = RtValue::from_ints(&[1, 2]);
+    let RtValue::Array(storage) = &array else {
+        unreachable!("from_ints builds an array")
+    };
+    let mut reg = array.clone();
+    assert_eq!(Rc::strong_count(storage), 2);
+    set_int(&mut reg, 7);
+    assert_eq!(
+        (reg.clone(), Rc::strong_count(storage)),
+        (RtValue::Int(7), 1)
+    );
+    let mut reg = RtValue::Bool(true);
+    assert!(int_binop_into(BinOp::Add, 1, 2, &mut reg));
+    assert_eq!(reg, RtValue::Int(3));
+    assert!(int_binop_into(BinOp::Lt, 1, 2, &mut reg));
+    assert_eq!(reg, RtValue::Bool(true));
+    for op in [BinOp::Div, BinOp::Rem, BinOp::And, BinOp::Or] {
+        let mut reg = RtValue::Int(9);
+        assert!(!int_binop_into(op, 9, 0, &mut reg), "{op:?}");
+        assert_eq!(reg, RtValue::Int(9), "{op:?}");
+    }
+    let mut reg = RtValue::Int(0);
+    assert!(int_binop_into(BinOp::Div, i64::MIN, -1, &mut reg));
+    assert_eq!(reg, RtValue::Int(i64::MIN));
+    assert!(int_binop_into(BinOp::Rem, i64::MIN, -1, &mut reg));
+    assert_eq!(reg, RtValue::Int(0));
 }
