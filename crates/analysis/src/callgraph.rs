@@ -36,7 +36,6 @@ pub struct CallGraph {
     n: usize,
     sites: Vec<CallSite>,
     callees: Vec<BTreeSet<FuncId>>,
-    callers: Vec<BTreeSet<FuncId>>,
     recursive: Vec<bool>,
     called_in_loop: Vec<bool>,
 }
@@ -47,7 +46,6 @@ impl CallGraph {
         let n = program.functions.len();
         let mut sites = Vec::new();
         let mut callees = vec![BTreeSet::new(); n];
-        let mut callers = vec![BTreeSet::new(); n];
         let mut called_in_loop = vec![false; n];
         for (fid, func) in program.iter_funcs() {
             let si = StructInfo::compute(func);
@@ -67,7 +65,6 @@ impl CallGraph {
                         in_loop,
                     });
                     callees[fid.index()].insert(callee);
-                    callers[callee.index()].insert(fid);
                     if in_loop {
                         called_in_loop[callee.index()] = true;
                     }
@@ -79,7 +76,6 @@ impl CallGraph {
             n,
             sites,
             callees,
-            callers,
             recursive,
             called_in_loop,
         }
@@ -93,11 +89,6 @@ impl CallGraph {
     /// Functions directly called by `f`.
     pub fn callees(&self, f: FuncId) -> impl Iterator<Item = FuncId> + '_ {
         self.callees[f.index()].iter().copied()
-    }
-
-    /// Functions directly calling `f`.
-    pub fn callers(&self, f: FuncId) -> impl Iterator<Item = FuncId> + '_ {
-        self.callers[f.index()].iter().copied()
     }
 
     /// Whether `f` is involved in direct or indirect recursion.
@@ -127,14 +118,6 @@ impl CallGraph {
         }
         out.sort_unstable();
         out
-    }
-
-    /// Leaves reachable from `root`: functions that call nothing further.
-    pub fn leaves_from(&self, root: FuncId) -> Vec<FuncId> {
-        self.reachable_from(root)
-            .into_iter()
-            .filter(|f| self.callees[f.index()].is_empty())
-            .collect()
     }
 
     /// Computes a minimum vertex cut separating `root` from every reachable
@@ -388,7 +371,6 @@ mod tests {
         let mid = p.func_by_name("mid").unwrap();
         let main = p.func_by_name("main").unwrap();
         assert_eq!(cg.callees(main).collect::<Vec<_>>(), vec![mid]);
-        assert_eq!(cg.callers(leaf).collect::<Vec<_>>(), vec![mid]);
         assert!(cg.is_called_in_loop(mid));
         assert!(!cg.is_called_in_loop(leaf));
         assert!(!cg.is_recursive(mid));
@@ -423,7 +405,6 @@ mod tests {
         let reach = cg.reachable_from(main);
         assert_eq!(reach.len(), 3);
         assert!(!reach.contains(&p.func_by_name("orphan").unwrap()));
-        assert_eq!(cg.leaves_from(main), vec![p.func_by_name("b").unwrap()]);
     }
 
     #[test]

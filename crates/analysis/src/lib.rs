@@ -17,9 +17,6 @@
 //! * [`callgraph`] — call graph with recursion detection, called-in-loop
 //!   flags and a max-flow vertex cut used by function selection.
 //! * [`modref`] — interprocedural global mod/ref summaries.
-//! * [`mod@effects`] — interprocedural effect/purity summaries on a small
-//!   lattice (`Pure ⊑ ReadsHidden ⊑ WritesHidden ⊑ MayTrap`), plus the
-//!   per-fragment purity facts behind the audit's effect lints.
 //! * [`mod@taint`] — flow-sensitive taint/information-flow propagation with
 //!   implicit (control-dependence) flows, parameterized by a [`TaintModel`].
 //!
@@ -50,7 +47,6 @@ pub mod callgraph;
 pub mod cfg;
 pub mod control_dep;
 pub mod domtree;
-pub mod effects;
 pub mod loops;
 pub mod modref;
 pub mod reaching;
@@ -63,7 +59,6 @@ pub use callgraph::CallGraph;
 pub use cfg::{Cfg, CfgNode, NodeId};
 pub use control_dep::ControlDeps;
 pub use domtree::DomTree;
-pub use effects::{fragment_effect, Effect, EffectAnalysis, FragmentEffects};
 pub use loops::{LoopInfo, TripCount};
 pub use modref::ModRef;
 pub use reaching::{DataDeps, DefId, DefSite, DefUse, ReachingDefs};

@@ -150,14 +150,6 @@ pub const UNUSED_LEAK: Lint = Lint {
     summary: "the open component never reads this hidden call's returned value",
 };
 
-/// A fragment the effect analysis proves pure: its result depends only on
-/// its arguments, so repeated calls with the same arguments agree.
-pub const MEMOIZABLE_FRAGMENT: Lint = Lint {
-    id: "memoizable_fragment",
-    severity: Severity::Note,
-    summary: "the fragment is provably pure; its result depends only on its arguments",
-};
-
 /// A fragment carrying trap or nondeterminism sources (division, loops
 /// bounded only by the step limit, out-of-range slots): its outcome can
 /// depend on runtime limits rather than its arguments alone, so it is
@@ -183,7 +175,6 @@ pub const ALL_LINTS: &[&Lint] = &[
     &UNREACHABLE_FRAGMENT,
     &TRANSFERABLE_FRAGMENT,
     &UNUSED_LEAK,
-    &MEMOIZABLE_FRAGMENT,
     &NONDETERMINISTIC_HIDDEN_FRAGMENT,
 ];
 

@@ -14,8 +14,7 @@ use crate::diag::{self, Diagnostic};
 use crate::flow::OpenFlow;
 use crate::fragment::FragmentFacts;
 use hps_analysis::{
-    fragment_effect, vars::stmt_effect, CallGraph, Cfg, DefUse, Effect, ModRef, ReachingDefs,
-    StructInfo, VarId,
+    vars::stmt_effect, CallGraph, Cfg, DefUse, ModRef, ReachingDefs, StructInfo, VarId,
 };
 use hps_core::SplitResult;
 use hps_ir::{ComponentId, FragLabel, FuncId, Function, Program, Stmt, StmtKind};
@@ -47,7 +46,7 @@ pub fn run_all(input: &LintInput<'_>) -> (Vec<Diagnostic>, usize) {
     check_weak_ilps(input, &mut sink);
     check_dead_promotions(input, &mut sink);
     check_fragment_usage(input, &mut sink);
-    check_fragment_effects(input, &mut sink);
+    check_trapping_fragments(input, &mut sink);
     check_unused_leaks(input, &mut sink);
     (sink.found, sink.suppressed)
 }
@@ -406,50 +405,34 @@ fn check_fragment_usage(input: &LintInput<'_>, sink: &mut Sink) {
     }
 }
 
-/// `memoizable_fragment` + `nondeterministic_hidden_fragment`: surface the
-/// per-fragment effect summaries (`hps_analysis::fragment_effect`). `Pure`
-/// fragments compute a function of their arguments alone; `MayTrap`
-/// fragments carry trap/nondeterminism sources, so their outcome is not a
-/// pure function of their arguments.
-fn check_fragment_effects(input: &LintInput<'_>, sink: &mut Sink) {
+/// `nondeterministic_hidden_fragment`: fragments whose
+/// [`FragmentFacts::may_trap`] is set carry trap sources (division, loops
+/// bounded only by the step limit), so their outcome is not a pure function
+/// of their arguments.
+fn check_trapping_fragments(input: &LintInput<'_>, sink: &mut Sink) {
     for component in &input.split.hidden.components {
         for fragment in &component.fragments {
-            match fragment_effect(fragment, component.vars.len()) {
-                Effect::Pure => sink.emit(
-                    Diagnostic::new(
-                        &diag::MEMOIZABLE_FRAGMENT,
-                        format!(
-                            "fragment {} of {} ({}) is provably pure: repeated calls \
-                             with the same arguments return the same result",
-                            fragment.label,
-                            component.id,
-                            component.entity_name()
-                        ),
-                    )
-                    .suggest("no action needed"),
-                    None,
-                    None,
-                ),
-                Effect::MayTrap => sink.emit(
-                    Diagnostic::new(
-                        &diag::NONDETERMINISTIC_HIDDEN_FRAGMENT,
-                        format!(
-                            "fragment {} of {} ({}) may trap or exhaust the step limit; \
-                             its outcome depends on runtime limits, not just its arguments",
-                            fragment.label,
-                            component.id,
-                            component.entity_name()
-                        ),
-                    )
-                    .suggest(
-                        "bound loops explicitly and guard divisions to make the \
-                         fragment's behaviour a total function",
-                    ),
-                    None,
-                    None,
-                ),
-                Effect::ReadsHidden | Effect::WritesHidden => {}
+            if !input.facts[&(component.id, fragment.label)].may_trap {
+                continue;
             }
+            sink.emit(
+                Diagnostic::new(
+                    &diag::NONDETERMINISTIC_HIDDEN_FRAGMENT,
+                    format!(
+                        "fragment {} of {} ({}) may trap or exhaust the step limit; \
+                         its outcome depends on runtime limits, not just its arguments",
+                        fragment.label,
+                        component.id,
+                        component.entity_name()
+                    ),
+                )
+                .suggest(
+                    "bound loops explicitly and guard divisions to make the \
+                     fragment's behaviour a total function",
+                ),
+                None,
+                None,
+            );
         }
     }
 }

@@ -131,85 +131,6 @@ pub fn to_json(report: &AuditReport, program: &str) -> Json {
         )
 }
 
-/// Version tag embedded in the effects report (`hps audit --effects`).
-pub const EFFECTS_JSON_SCHEMA: &str = "hps-audit-effects/v1";
-
-/// Renders the split's effect facts as schema-stable JSON: the per-fragment
-/// summaries of its hidden program, plus an interprocedural
-/// [`EffectAnalysis`](hps_analysis::EffectAnalysis) of the original program against the globals the split
-/// hides. Keys and array orders are fixed, so golden files diff
-/// byte-for-byte.
-pub fn effects_to_json(
-    original: &hps_ir::Program,
-    split: &hps_core::SplitResult,
-    program: &str,
-) -> Json {
-    use hps_analysis::{CallGraph, Effect, EffectAnalysis, FragmentEffects, ModRef};
-
-    let effects = &FragmentEffects::compute(&split.hidden);
-    let fragments: Vec<Json> = split
-        .hidden
-        .components
-        .iter()
-        .enumerate()
-        .flat_map(|(ci, component)| {
-            component.fragments.iter().enumerate().map(move |(pos, f)| {
-                let effect = effects.effect(ci, pos).unwrap_or_default();
-                Json::object()
-                    .field("component", component.id.index())
-                    .field("label", f.label.index())
-                    .field("entity", component.entity_name())
-                    .field("effect", effect.name())
-                    .field("memoizable", effect.is_memoizable())
-            })
-        })
-        .collect();
-
-    // Interprocedural view of the *original* program: which functions
-    // read/write the hidden globals, and which carry trap sources.
-    let hidden_globals: std::collections::BTreeSet<_> = split
-        .hidden
-        .components
-        .iter()
-        .filter_map(|c| match &c.kind {
-            hps_ir::ComponentKind::Global { global_name } => original.global_by_name(global_name),
-            _ => None,
-        })
-        .collect();
-    let cg = CallGraph::build(original);
-    let modref = ModRef::compute(original);
-    let ea = EffectAnalysis::compute(original, &cg, &modref, &hidden_globals);
-    let functions: Vec<Json> = original
-        .functions
-        .iter()
-        .enumerate()
-        .map(|(i, func)| {
-            let fid = hps_ir::FuncId::new(i);
-            Json::object()
-                .field("name", func.name.clone())
-                .field("local", ea.local_effect(fid).name())
-                .field("effect", ea.effect(fid).name())
-        })
-        .collect();
-
-    Json::object()
-        .field("schema", EFFECTS_JSON_SCHEMA)
-        .field("program", program)
-        .field(
-            "summary",
-            Json::object()
-                .field("fragments", effects.total())
-                .field("pure", effects.count(Effect::Pure))
-                .field("reads_hidden", effects.count(Effect::ReadsHidden))
-                .field("writes_hidden", effects.count(Effect::WritesHidden))
-                .field("may_trap", effects.count(Effect::MayTrap))
-                .field("memoizable", effects.count(Effect::Pure))
-                .field("fixpoint_iterations", ea.iterations()),
-        )
-        .field("fragments", Json::Array(fragments))
-        .field("functions", Json::Array(functions))
-}
-
 fn diagnostic_json(d: &Diagnostic) -> Json {
     Json::object()
         .field("lint", d.lint.id)
@@ -352,28 +273,6 @@ mod tests {
         assert!(doc.contains("\"suggestion\": \"recompute a from hidden-only inputs\""));
         // Deterministic.
         assert_eq!(doc, to_json(&sample(), "demo").pretty());
-    }
-
-    #[test]
-    fn effects_json_lists_fragments_and_functions() {
-        let src = "
-            fn f(x: int, y: int) -> int {
-                var a: int = 3 * x + y;
-                return a;
-            }
-            fn main() { print(f(1, 2)); }";
-        let program = hps_lang::parse(src).unwrap();
-        let plan = hps_core::SplitPlan::single(&program, "f", "a").unwrap();
-        let split = hps_core::split_program(&program, &plan).unwrap();
-        let doc = effects_to_json(&program, &split, "demo").pretty();
-        assert!(doc.starts_with(&format!(
-            "{{\n  \"schema\": \"{EFFECTS_JSON_SCHEMA}\",\n  \"program\": \"demo\","
-        )));
-        assert!(doc.contains("\"fragments\""));
-        assert!(doc.contains("\"functions\""));
-        assert!(doc.contains("\"name\": \"main\""));
-        // Deterministic.
-        assert_eq!(doc, effects_to_json(&program, &split, "demo").pretty());
     }
 
     #[test]

@@ -12,9 +12,8 @@
 //!                                             run the budget-aware planner instead
 //!                                             and print its plan report
 //! hps analyze <file.ml> [selection flags]     ILP complexity report (§3)
-//! hps audit <file.ml> [selection] [--json|--sarif|--effects]
-//!                                             split-soundness audit (non-zero exit on deny);
-//!                                             --effects prints the fragment purity report
+//! hps audit <file.ml> [selection] [--json|--sarif]
+//!                                             split-soundness audit (non-zero exit on deny)
 //! hps serve <file.ml> <addr> [selection] [--shards N] [--chaos SEED]
 //!                            [--metrics ADDR] [--journal-dir DIR]
 //!                                             host the hidden component on TCP;
@@ -76,7 +75,7 @@ USAGE:
   hps split <file.ml> [--func NAME --var NAME | --auto | --global NAME | --class NAME]
             [--budget PCT[%]] [--harden] [--json] [--args ints...]
   hps analyze <file.ml> [selection flags]
-  hps audit <file.ml> [selection flags] [--json | --sarif | --effects]
+  hps audit <file.ml> [selection flags] [--json | --sarif]
   hps serve <file.ml> <addr> [selection flags] [--shards N] [--chaos SEED]
                              [--metrics ADDR] [--journal-dir DIR]
   hps client <file.ml> <addr> [selection flags] [--batch] [--timeout MS] [--args ints...]
@@ -107,9 +106,6 @@ sessions over N lock-guarded shards (session_id % N) for multi-core
 throughput; `serve --metrics ADDR` exposes the live server counters and
 the shard queue-depth histogram in Prometheus text format over HTTP.
 Hidden fragments execute on a compile-once bytecode VM.
-`audit --effects` prints the per-fragment effect/purity report
-(hps-audit-effects/v1 JSON) behind the `memoizable_fragment` and
-`nondeterministic_hidden_fragment` lints.
 ";
 
 fn load(path: &str) -> Result<hps::ir::Program, String> {
@@ -421,25 +417,17 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 fn cmd_audit(args: &[String]) -> Result<(), String> {
     let path = args
         .first()
-        .ok_or("usage: hps audit <file.ml> [flags] [--json | --sarif | --effects]")?;
+        .ok_or("usage: hps audit <file.ml> [flags] [--json | --sarif]")?;
     let rest = &args[1..];
     let json = rest.iter().any(|a| a == "--json");
     let sarif = rest.iter().any(|a| a == "--sarif");
-    let effects = rest.iter().any(|a| a == "--effects");
     let flags: Vec<String> = rest
         .iter()
-        .filter(|a| *a != "--json" && *a != "--sarif" && *a != "--effects")
+        .filter(|a| *a != "--json" && *a != "--sarif")
         .cloned()
         .collect();
     let program = load(path)?;
     let split = do_split(&program, &flags)?;
-    if effects {
-        print!(
-            "{}",
-            hps::audit::render::effects_to_json(&program, &split, path).pretty()
-        );
-        return Ok(());
-    }
     let report = hps::audit::audit_split(&program, &split);
     if sarif {
         print!("{}", hps::audit::render::to_sarif(&report, path).pretty());

@@ -274,6 +274,39 @@ fn audit_passes_sound_split_and_emits_machine_formats() {
 }
 
 #[test]
+fn audit_flags_trapping_fragments_and_has_no_effects_report() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let audit = |extra: &str| {
+        Command::new(HPS)
+            .current_dir(root)
+            .args(["audit", "examples/paper_fig2.ml", extra])
+            .output()
+            .expect("spawn")
+    };
+
+    // There is no effects report: `--effects` is an unknown flag.
+    let out = audit("--effects");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown selection flag"), "{err}");
+
+    // The fig. 2 split hides a loop, which may exhaust the step limit.
+    let out = audit("--json");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        text.matches("\"lint\": \"nondeterministic_hidden_fragment\"")
+            .count(),
+        1,
+        "{text}"
+    );
+}
+
+#[test]
 fn unknown_inputs_fail_cleanly() {
     let out = Command::new(HPS)
         .args(["run", "/nonexistent.ml"])
