@@ -54,6 +54,10 @@
 //!    compare-and-branch chains, `x = x <op> e` on a register becomes one
 //!    accumulate instruction, and `while` loops are rotated so each iteration ends in
 //!    one compare-and-branch back to the body.
+//! 4. **Leaf inlining** — once every open function is compiled, each call
+//!    to a small scalar leaf is replaced by the leaf's instructions, with
+//!    the call's tick, charges and depth check on an entry instruction
+//!    (see `inline_leaves`).
 //!
 //! # Determinism rules
 //!
@@ -209,6 +213,9 @@ enum Op {
     },
     /// `regs[dst] = new class()`.
     NewObject { dst: Reg, class: u32 },
+    /// The entry of an inlined call: raises `StackOverflow` where pushing
+    /// the callee's frame would.
+    Enter,
     /// Call open function `func` with `args`; its value lands in `dst`.
     Call {
         func: u32,
@@ -320,6 +327,21 @@ pub(crate) struct ProgramCode {
     classes: Vec<Box<[Option<Value>]>>,
 }
 
+impl ProgramCode {
+    /// The functions the code of function `func` calls with a frame, in
+    /// code order.
+    pub(crate) fn callees(&self, func: usize) -> impl Iterator<Item = usize> + '_ {
+        self.funcs[func]
+            .body
+            .code
+            .iter()
+            .filter_map(|i| match i.op {
+                Op::Call { func, .. } => Some(func as usize),
+                _ => None,
+            })
+    }
+}
+
 /// An open program compiled once for both batching modes: a split's code
 /// is compiled by [`SplitMeta::derive`](crate::SplitMeta::derive), an
 /// unsplit program's by its [`Interp`](crate::Interp)'s first run.
@@ -368,7 +390,10 @@ impl OpenCode {
             .collect();
         OpenCode {
             code: match plain {
-                None => Ok(ProgramCode { funcs, classes }),
+                None => {
+                    inline_leaves(program, &mut funcs);
+                    Ok(ProgramCode { funcs, classes })
+                }
                 Some(e) => Err(e),
             },
             batching: batching.filter(|_| batch_only),
@@ -459,6 +484,379 @@ fn compile_function(
             .filter(|&c| open.kind_of(c) == Some(MetaKind::Function)),
     });
     (code, batch_error)
+}
+
+/// Most instructions a leaf may have and still be inlined.
+const INLINE_MAX_INSTRS: usize = 32;
+
+/// Replaces every call to a small scalar leaf with the leaf's own
+/// instructions, so the call pushes no frame (DESIGN.md §7c, "Inlined
+/// leaves"). Leaves are chosen on the code as lowered, so an inlined body
+/// never holds another inline site.
+fn inline_leaves(program: &Program, funcs: &mut [FuncCode]) {
+    let leaves: Vec<Option<Leaf>> = funcs
+        .iter()
+        .zip(&program.functions)
+        .map(|(code, f)| Leaf::of(program, code, f.num_params))
+        .collect();
+    if leaves.iter().all(Option::is_none) {
+        return;
+    }
+    for f in funcs {
+        if let Some(body) = inline_calls(&f.body, &leaves) {
+            f.body = body;
+        }
+    }
+}
+
+/// A function whose calls are inlined, with what a site needs of it.
+struct Leaf {
+    /// Its code, without an epilogue that no path reaches.
+    code: Vec<Instr>,
+    n_regs: usize,
+    /// Which parameters the code assigns; the others read their argument
+    /// in place.
+    assigned: Vec<bool>,
+    /// Whether the code assigns a global (a global argument is then copied
+    /// in).
+    stores_global: bool,
+    /// The locals a site resets, with their defaults: every local past the
+    /// parameters that the code may read before it assigns it.
+    resets: Vec<(Reg, Value)>,
+}
+
+impl Leaf {
+    /// `f` as a leaf, when calls to it may be replaced by its code: it
+    /// opens no activation and makes no call, every local (parameters
+    /// included) is a scalar, its value is a scalar or void (the epilogue
+    /// of an aggregate return type is a `Ret` of no operand, which no leaf
+    /// holds), no op can put an aggregate in a register (so no `Rc`
+    /// outlives the call), it reads arrays only from globals, and it has
+    /// at most [`INLINE_MAX_INSTRS`] instructions.
+    fn of(program: &Program, f: &FuncCode, n_params: usize) -> Option<Leaf> {
+        if f.activation.is_some() || f.body.code.len() > INLINE_MAX_INSTRS {
+            return None;
+        }
+        let defaults: Vec<Value> = f.locals.iter().copied().collect::<Option<_>>()?;
+        let mut code = f.body.code.to_vec();
+        let mut assigned = vec![false; n_params];
+        let mut stores_global = false;
+        for ins in &code {
+            match ins.op {
+                Op::Load {
+                    src: Operand::Global(g),
+                    ..
+                } if !program.globals[g as usize].ty.is_scalar() => return None,
+                Op::StoreGlobal { .. } => stores_global = true,
+                _ => {}
+            }
+            relocate(&ins.op, &mut Operand::Reg, &mut |r| {
+                if let Some(param) = assigned.get_mut(usize::from(r)) {
+                    *param = true;
+                }
+                r
+            })?;
+        }
+        // A `return` that ends the body leaves the epilogue after it dead;
+        // without it, that `return` ends the site with no jump.
+        let n = code.len();
+        if n >= 2
+            && matches!(code[n - 2].op, Op::Ret { .. })
+            && !code
+                .iter_mut()
+                .any(|i| target_mut(&mut i.op).is_some_and(|t| *t as usize == n - 1))
+        {
+            code.pop();
+        }
+        // Every path runs the straight-line code at the entry before its
+        // first jump, so a local assigned there before any read of it
+        // never shows its default.
+        let mut read = vec![false; defaults.len()];
+        let mut fresh = vec![false; defaults.len()];
+        let straight = |i: &&Instr| {
+            !matches!(
+                i.op,
+                Op::Jump { .. } | Op::Branch { .. } | Op::CmpBranch { .. } | Op::Ret { .. }
+            )
+        };
+        for ins in code.iter().take_while(straight) {
+            let (mut reads, mut writes) = (Vec::new(), Vec::new());
+            relocate(
+                &ins.op,
+                &mut |r| {
+                    reads.push(usize::from(r));
+                    Operand::Reg(r)
+                },
+                &mut |r| {
+                    writes.push(usize::from(r));
+                    r
+                },
+            )?;
+            for r in reads {
+                if let Some(read) = read.get_mut(r) {
+                    *read = true;
+                }
+            }
+            for w in writes.into_iter().filter(|&w| w < read.len()) {
+                fresh[w] |= !read[w];
+            }
+        }
+        let resets = (n_params..defaults.len())
+            .filter(|&j| !fresh[j])
+            .map(|j| Some((Reg::try_from(j).ok()?, defaults[j])))
+            .collect::<Option<_>>()?;
+        Some(Leaf {
+            code,
+            n_regs: f.body.n_regs,
+            assigned,
+            stores_global,
+            resets,
+        })
+    }
+}
+
+/// `caller` with every call to a leaf spliced in, or `None` when it calls
+/// none. The leaves' registers share one scratch region above the caller's
+/// own: leaves make no calls, so no two inline sites are live at once.
+fn inline_calls(caller: &Body, leaves: &[Option<Leaf>]) -> Option<Body> {
+    let scratch = caller.n_regs;
+    let by = Reg::try_from(scratch).ok()?;
+    // A site keeps its `Call` when the leaf's registers would pass the
+    // last one, or the entry's charge would pass the cost field.
+    let site = move |ins: &Instr| match ins.op {
+        Op::Call { func, .. } => {
+            let leaf = leaves[func as usize].as_ref()?;
+            let entry = u32::try_from(u64::from(ins.cost) + COST_MODEL.call).ok()?;
+            (scratch + leaf.n_regs <= usize::from(Reg::MAX)).then_some((leaf, entry))
+        }
+        _ => None,
+    };
+    if !caller.code.iter().any(|i| site(i).is_some()) {
+        return None;
+    }
+    let mut code = Vec::with_capacity(caller.code.len());
+    let mut n_regs = scratch;
+    // Where each caller instruction lands, and the caller's own jumps,
+    // retargeted once every site is in place.
+    let mut at = Vec::with_capacity(caller.code.len() + 1);
+    let mut jumps = Vec::new();
+    for ins in caller.code.iter() {
+        at.push(code.len());
+        match (&ins.op, site(ins)) {
+            (Op::Call { dst, args, .. }, Some((leaf, entry))) => {
+                n_regs = n_regs.max(scratch + leaf.n_regs);
+                // The entry carries the call's tick and charges, and checks
+                // the depth where pushing the frame would.
+                code.push(Instr {
+                    tick: ins.tick,
+                    cost: entry,
+                    op: Op::Enter,
+                });
+                splice(&mut code, leaf, *dst, args, by)?;
+            }
+            _ => {
+                let mut ins = ins.clone();
+                if target_mut(&mut ins.op).is_some() {
+                    jumps.push(code.len());
+                }
+                code.push(ins);
+            }
+        }
+    }
+    at.push(code.len());
+    u32::try_from(code.len()).ok()?;
+    for j in jumps {
+        if let Some(target) = target_mut(&mut code[j].op) {
+            *target = at[*target as usize] as u32;
+        }
+    }
+    Some(Body {
+        code: code.into_boxed_slice(),
+        n_regs,
+    })
+}
+
+/// Appends an inlined call's body after its entry: moves of the arguments
+/// into the parameters the leaf assigns, resets of its locals to their
+/// defaults (a loop enters the same site again), then the leaf's code with
+/// its registers moved up by `by` and each `Ret` a move of the value to
+/// `dst` and a jump past the site. A parameter the leaf never assigns
+/// reads its argument in place: the caller's registers do not change
+/// before the site ends, nor do globals unless the leaf assigns one.
+fn splice(code: &mut Vec<Instr>, leaf: &Leaf, dst: Reg, args: &[Operand], by: Reg) -> Option<()> {
+    let zero = |op| Instr {
+        tick: 0,
+        cost: 0,
+        op,
+    };
+    let mut bound = Vec::with_capacity(args.len());
+    for (p, &arg) in args.iter().enumerate() {
+        let copied = leaf.assigned.get(p).copied().unwrap_or(true)
+            || (leaf.stores_global && matches!(arg, Operand::Global(_)));
+        if copied {
+            let dst = by + Reg::try_from(p).ok()?;
+            code.push(zero(Op::Load { dst, src: arg }));
+        }
+        bound.push((!copied).then_some(arg));
+    }
+    for &(r, v) in &leaf.resets {
+        code.push(zero(Op::Load {
+            dst: by + r,
+            src: Operand::Const(v),
+        }));
+    }
+    let mut read = |r: Reg| {
+        let arg = bound.get(usize::from(r)).copied().flatten();
+        arg.unwrap_or(Operand::Reg(r + by))
+    };
+    let mut write = |r: Reg| r + by;
+    let last = leaf.code.len() - 1;
+    let mut at = Vec::with_capacity(leaf.code.len() + 1);
+    let mut next = code.len();
+    for (j, ins) in leaf.code.iter().enumerate() {
+        at.push(next);
+        next += if matches!(ins.op, Op::Ret { .. }) && j != last {
+            2
+        } else {
+            1
+        };
+    }
+    at.push(next);
+    let end = u32::try_from(next).ok()?;
+    for (j, ins) in leaf.code.iter().enumerate() {
+        let (tick, cost) = (ins.tick, ins.cost);
+        match relocate(&ins.op, &mut read, &mut write)? {
+            Op::Ret { src: Some(src) } => {
+                code.push(Instr {
+                    tick,
+                    cost,
+                    op: Op::Load { dst, src },
+                });
+                if j != last {
+                    code.push(zero(Op::Jump { target: end }));
+                }
+            }
+            mut op => {
+                if let Some(target) = target_mut(&mut op) {
+                    *target = at[*target as usize] as u32;
+                }
+                code.push(Instr { tick, cost, op });
+            }
+        }
+    }
+    Some(())
+}
+
+/// `op` with each register it reads mapped by `read` (to any operand) and
+/// each it writes by `write`; `None` for the ops an inlined leaf may not
+/// hold: calls, hidden calls, the ops that can put an aggregate in a
+/// register, and array reads from a register.
+fn relocate(
+    op: &Op,
+    read: &mut impl FnMut(Reg) -> Operand,
+    write: &mut impl FnMut(Reg) -> Reg,
+) -> Option<Op> {
+    let mut o = |x: &Operand| match *x {
+        Operand::Reg(r) => read(r),
+        x => x,
+    };
+    let mut w = |x: &Reg| write(*x);
+    let s = |x: &Slot| match *x {
+        Slot::Global(g) => Some(Slot::Global(g)),
+        Slot::Reg(_) => None,
+    };
+    Some(match op {
+        Op::Nop => Op::Nop,
+        Op::Load { dst, src } => Op::Load {
+            src: o(src),
+            dst: w(dst),
+        },
+        Op::Un { op, dst, src } => Op::Un {
+            op: *op,
+            src: o(src),
+            dst: w(dst),
+        },
+        Op::Bin { op, dst, lhs, rhs } => Op::Bin {
+            op: *op,
+            lhs: o(lhs),
+            rhs: o(rhs),
+            dst: w(dst),
+        },
+        Op::Accum { op, slot, rhs } => {
+            // The slot is read, then written.
+            o(&Operand::Reg(*slot));
+            Op::Accum {
+                op: *op,
+                rhs: o(rhs),
+                slot: w(slot),
+            }
+        }
+        Op::Builtin { b, dst, args } => Op::Builtin {
+            b: *b,
+            args: args.iter().map(&mut o).collect(),
+            dst: w(dst),
+        },
+        Op::Jump { target } => Op::Jump { target: *target },
+        Op::Branch { cond, target, when } => Op::Branch {
+            cond: o(cond),
+            target: *target,
+            when: *when,
+        },
+        Op::CmpBranch {
+            op,
+            lhs,
+            rhs,
+            target,
+            when,
+        } => Op::CmpBranch {
+            op: *op,
+            lhs: o(lhs),
+            rhs: o(rhs),
+            target: *target,
+            when: *when,
+        },
+        Op::Ret { src: Some(src) } => Op::Ret { src: Some(o(src)) },
+        Op::StoreGlobal { global, src } => Op::StoreGlobal {
+            global: *global,
+            src: o(src),
+        },
+        Op::LoadElem { dst, arr, idx } => Op::LoadElem {
+            arr: s(arr)?,
+            idx: o(idx),
+            dst: w(dst),
+        },
+        Op::StoreElem { arr, idx, src } => Op::StoreElem {
+            arr: s(arr)?,
+            idx: o(idx),
+            src: o(src),
+        },
+        Op::Len { dst, arr } => Op::Len {
+            arr: s(arr)?,
+            dst: w(dst),
+        },
+        Op::Print { src } => Op::Print { src: o(src) },
+        Op::Ret { src: None }
+        | Op::Enter
+        | Op::Call { .. }
+        | Op::Hidden(_)
+        | Op::Scalar { .. }
+        | Op::NewArray { .. }
+        | Op::NewObject { .. }
+        | Op::LoadField { .. }
+        | Op::StoreField { .. }
+        | Op::Illegal(_)
+        | Op::Fail(_) => return None,
+    })
+}
+
+/// The jump target of a control-flow op.
+fn target_mut(op: &mut Op) -> Option<&mut u32> {
+    match op {
+        Op::Jump { target } | Op::Branch { target, .. } | Op::CmpBranch { target, .. } => {
+            Some(target)
+        }
+        _ => None,
+    }
 }
 
 /// A forward-reference label, resolved to an instruction index by
@@ -611,9 +1009,7 @@ impl<'o, 'p> Compiler<'o, 'p> {
                 })?);
         }
         for i in &mut self.code {
-            if let Op::Jump { target } | Op::Branch { target, .. } | Op::CmpBranch { target, .. } =
-                &mut i.op
-            {
+            if let Some(target) = target_mut(&mut i.op) {
                 *target = targets[*target as usize];
             }
         }
@@ -2006,6 +2402,13 @@ impl<'a> Vm<'a> {
                 }
                 Op::NewObject { dst, class } => {
                     self.new_object(prog, *class, base + usize::from(*dst));
+                }
+                Op::Enter => {
+                    if self.frames.len() >= self.depth_limit {
+                        break Err(RuntimeError::StackOverflow {
+                            limit: self.depth_limit,
+                        });
+                    }
                 }
                 Op::Call { func, dst, args } => {
                     base = tri!(self.call(prog, *func, *dst, args, base, pc));

@@ -6,8 +6,9 @@
 //! once, by [`SplitMeta::derive`], and every `Interp` the metadata is
 //! attached to ([`Interp::with_channel`]) runs that code; an `Interp`
 //! without a channel compiles its program on its first [`Interp::run`].
-//! [`run_program`] and [`Executor::run`] build a fresh `Interp` (and
-//! metadata) per call, so they compile per run. The interpreter provides:
+//! [`run_program`] and [`Executor::run`] build a fresh `Interp` per call
+//! and compile per run; `Executor::run` attaches its code directly, with
+//! no metadata and no copy of the program. The interpreter provides:
 //!
 //! * deterministic virtual-time cost accounting (see [`COST_MODEL`](crate::COST_MODEL)),
 //! * fixed step and call-depth limits so runaway programs fail cleanly,
@@ -125,16 +126,7 @@ impl SplitMeta {
     /// A program that does not lower compiles to code whose runs fail
     /// with [`RuntimeError::Unlowerable`].
     pub fn derive(open: &Program, hidden: &HiddenProgram) -> SplitMeta {
-        let kinds: Vec<MetaKind> = hidden
-            .components
-            .iter()
-            .map(|comp| match comp.kind {
-                ComponentKind::Function { .. } => MetaKind::Function,
-                ComponentKind::Class { .. } => MetaKind::Class,
-                ComponentKind::Global { .. } => MetaKind::Global,
-            })
-            .collect();
-        SplitMeta::with_kinds(open, &kinds)
+        SplitMeta::with_kinds(open, &kinds(hidden))
     }
 
     /// Compiles `open` with the component kinds `kinds`, by `ComponentId`.
@@ -147,10 +139,39 @@ impl SplitMeta {
         }
     }
 
+    /// The functions `name`'s compiled code still calls with a frame of
+    /// their own, in code order: every callee but the small scalar leaves
+    /// whose code is inlined into their callers (DESIGN.md §7c). `None`
+    /// when no function is named `name` or the program does not lower.
+    pub fn framed_callees(&self, name: &str) -> Option<Vec<&str>> {
+        let open = &self.split.open;
+        let func = open.func_by_name(name)?;
+        let code = self.split.code.get(false).ok()?;
+        Some(
+            code.callees(func.index())
+                .map(|f| open.functions[f].name.as_str())
+                .collect(),
+        )
+    }
+
     /// The code, when `program` equals the one this was derived from.
     fn code_for(&self, program: &Program) -> Option<&OpenCode> {
         (self.split.open == *program).then_some(&self.split.code)
     }
+}
+
+/// The kind of each of `hidden`'s components, by `ComponentId`: the
+/// routing table the open program is compiled with.
+fn kinds(hidden: &HiddenProgram) -> Vec<MetaKind> {
+    hidden
+        .components
+        .iter()
+        .map(|comp| match comp.kind {
+            ComponentKind::Function { .. } => MetaKind::Function,
+            ComponentKind::Class { .. } => MetaKind::Class,
+            ComponentKind::Global { .. } => MetaKind::Global,
+        })
+        .collect()
 }
 
 impl fmt::Debug for SplitMeta {
@@ -255,9 +276,11 @@ impl<'p> Executor<'p> {
         let mut channel = InProcessChannel::new(server)
             .with_rtt(self.rtt)
             .with_recorder(handle.clone());
-        let meta = SplitMeta::derive(self.open, self.hidden);
+        // The program is compiled here for this run alone, so it needs no
+        // `SplitMeta` and no copy of the program to check against.
+        let code = OpenCode::compile(self.open, Some(&kinds(self.hidden)));
         let outcome = Interp::new(self.open, self.config.clone())
-            .with_channel(&mut channel, &meta)
+            .with_code(&mut channel, &code)
             .with_recorder(handle)
             .run("main", args)?;
         let telemetry = match &self.recorder {
@@ -371,7 +394,8 @@ pub struct Interp<'a> {
 enum Code<'a> {
     /// No channel: compiled by the first run.
     Unsplit(Option<OpenCode>),
-    /// The split's code, compiled by [`SplitMeta::derive`].
+    /// The split's code, compiled by [`SplitMeta::derive`] (or by
+    /// [`Executor::run`] for its one run).
     Split(&'a OpenCode),
     /// The attached [`SplitMeta`] was derived from another program.
     Foreign,
@@ -398,6 +422,14 @@ impl<'a> Interp<'a> {
         self.code = meta
             .code_for(self.program)
             .map_or(Code::Foreign, Code::Split);
+        self
+    }
+
+    /// Attaches a channel and `code`, compiled from this interpreter's own
+    /// program by the caller.
+    fn with_code(mut self, channel: &'a mut dyn Channel, code: &'a OpenCode) -> Interp<'a> {
+        self.vm.channel = Some(channel);
+        self.code = Code::Split(code);
         self
     }
 

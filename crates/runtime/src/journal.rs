@@ -54,7 +54,8 @@ pub struct SessionJournal {
     /// The held ops' payloads, oldest first, starting at byte `head`.
     bytes: Vec<u8>,
     /// Where the oldest held payload starts. Evicted bytes before it are
-    /// compacted away once they outweigh the held ones.
+    /// compacted away once they exceed an eighth of the held ones, so the
+    /// buffer stays within 9/8 of what the ring holds.
     head: usize,
     /// Number of held ops.
     held: usize,
@@ -89,7 +90,7 @@ impl SessionJournal {
             Request::decode_at(&self.bytes, &mut self.head).expect("journal payloads decode");
             self.held -= 1;
             self.dropped += 1;
-            if self.head > self.bytes.len() / 2 {
+            if self.head * 8 > self.bytes.len() - self.head {
                 self.bytes.drain(..self.head);
                 self.head = 0;
             }
@@ -383,8 +384,8 @@ mod tests {
                 [release(3, 5), seq_op(11 + round, round as i64 - 50)]
             );
             held_max = held_max.max(j.held_bytes().len());
-            // Evicted bytes never outweigh the held ones.
-            assert!(j.bytes.len() <= 2 * held_max, "{} bytes", j.bytes.len());
+            // Evicted bytes never exceed an eighth of the held ones.
+            assert!(8 * j.bytes.len() <= 9 * held_max, "{} bytes", j.bytes.len());
         }
         assert_eq!(j.dropped(), 200);
         assert_eq!(j.len(), 2);

@@ -8,10 +8,15 @@
 //! assigns globals the caller reads in the same expression), read and
 //! write a local and a global array (with out-of-bounds indices), an
 //! object's fields through fields and methods, short-circuit `&&`/`||`,
-//! and divide by zero. Loops may diverge; the step limits end them.
+//! and divide by zero. Loops may diverge; the step limits end them. Each
+//! has a scalar leaf, `lf`, that the compiler inlines when it is short
+//! enough (most are): it loops, returns early, traps on `/` and `%`,
+//! assigns a global and reads a local before assigning it, and `main`
+//! calls it in a loop.
 //!
 //! Hand-written cases cover what the generator rarely reaches: the
-//! evaluation-order corners, and the VM's in-place scalar writes
+//! evaluation-order corners, the limits met inside and at inlined leaves,
+//! and the VM's in-place scalar writes
 //! (registers reused across types, wrapping arithmetic, errors raised by
 //! an instruction whose destination is one of its operands, array
 //! elements that are not `Int`s).
@@ -34,6 +39,9 @@ enum Scope {
     F1,
     /// `f2(a, d)`, recursive on `d`; calls `bump` and `f1`.
     F2,
+    /// `lf(a, b)` with the local `t`: a scalar leaf, small enough to run
+    /// inline in its callers; calls nothing.
+    Leaf,
 }
 
 impl Scope {
@@ -42,6 +50,7 @@ impl Scope {
             Scope::Main => &["x", "y"],
             Scope::F1 => &["a", "b", "x", "y"],
             Scope::F2 => &["a", "d"],
+            Scope::Leaf => &["a", "b", "t"],
         }
     }
 }
@@ -64,7 +73,12 @@ fn int_expr(scope: Scope) -> BoxedStrategy<String> {
         leaves.push((1, pick(&["c.v", "c.w", "c.get()"])));
     }
     let leaf = proptest::strategy::Union::new(leaves).boxed();
-    leaf.prop_recursive(3, 16, 3, move |inner| {
+    // A leaf's expressions stay small, so that most leaves are inlined.
+    let (depth, size) = match scope {
+        Scope::Leaf => (2, 5),
+        _ => (3, 16),
+    };
+    leaf.prop_recursive(depth, size, 3, move |inner| {
         let bin = (
             inner.clone(),
             pick(&["+", "-", "*", "+", "-", "*", "/", "%"]),
@@ -86,7 +100,6 @@ fn int_expr(scope: Scope) -> BoxedStrategy<String> {
                     .prop_map(|(f, l, r)| format!("{f}({l}, {r})"))
                     .boxed(),
             ),
-            (2, inner.clone().prop_map(|e| format!("bump({e})")).boxed()),
             (1, inner.clone().prop_map(|e| format!("ga[{e}]")).boxed()),
             (
                 2,
@@ -96,12 +109,21 @@ fn int_expr(scope: Scope) -> BoxedStrategy<String> {
                     .boxed(),
             ),
         ];
+        if !matches!(scope, Scope::Leaf) {
+            arms.push((2, inner.clone().prop_map(|e| format!("bump({e})")).boxed()));
+        }
         match scope {
             Scope::Main => {
                 arms.push((
                     2,
                     (inner.clone(), inner.clone())
                         .prop_map(|(l, r)| format!("f1({l}, {r})"))
+                        .boxed(),
+                ));
+                arms.push((
+                    2,
+                    (inner.clone(), inner.clone())
+                        .prop_map(|(l, r)| format!("lf({l}, {r})"))
                         .boxed(),
                 ));
                 arms.push((
@@ -128,7 +150,7 @@ fn int_expr(scope: Scope) -> BoxedStrategy<String> {
                         .boxed(),
                 ));
             }
-            Scope::F1 => {}
+            Scope::F1 | Scope::Leaf => {}
         }
         proptest::strategy::Union::new(arms).boxed()
     })
@@ -161,6 +183,7 @@ fn stmt(scope: Scope) -> BoxedStrategy<String> {
         Scope::Main => &["x", "y", "g", "h", "c.v", "c.w"][..],
         Scope::F1 => &["x", "y", "a", "g", "h"][..],
         Scope::F2 => &["a", "g"][..],
+        Scope::Leaf => &["a", "b", "t", "g"][..],
     };
     let mut leaves: Vec<(u32, BoxedStrategy<String>)> = vec![
         (
@@ -191,11 +214,13 @@ fn stmt(scope: Scope) -> BoxedStrategy<String> {
                 .prop_map(|b| format!("print({b});"))
                 .boxed(),
         ),
-        (
+    ];
+    if !matches!(scope, Scope::Leaf) {
+        leaves.push((
             1,
             int_expr(scope).prop_map(|e| format!("bump({e});")).boxed(),
-        ),
-    ];
+        ));
+    }
     if let Scope::Main = scope {
         leaves.push((
             2,
@@ -210,7 +235,7 @@ fn stmt(scope: Scope) -> BoxedStrategy<String> {
                 .boxed(),
         ));
     }
-    if let Scope::F1 = scope {
+    if let Scope::F1 | Scope::Leaf = scope {
         leaves.push((
             1,
             int_expr(scope).prop_map(|e| format!("return {e};")).boxed(),
@@ -251,9 +276,10 @@ fn program() -> BoxedStrategy<String> {
             int_expr(Scope::F2),
             int_expr(Scope::F2),
         ),
+        (block(Scope::Leaf, 3), int_expr(Scope::Leaf)),
         block(Scope::Main, 7),
     )
-        .prop_map(|((g0, h0), (f1, r1), (f2, a2, r2), main)| {
+        .prop_map(|((g0, h0), (f1, r1), (f2, a2, r2), (lf, rl), main)| {
             format!(
                 "global g: int = {g0};
 global h: int = {h0};
@@ -276,11 +302,20 @@ fn f2(a: int, d: int) -> int {{
     {f2}
     return f2({a2}, d - 1) + {r2};
 }}
+fn lf(a: int, b: int) -> int {{
+    var t: int;
+    g = g + t;
+    {lf}
+    if (t > a) {{ return t % b; }}
+    return {rl};
+}}
 fn main() {{
     var x: int = 1;
     var y: int = 2;
     var arr: int[] = new int[3];
     var c: Cell = new Cell();
+    var i: int = 0;
+    while (i < 3) {{ x = x + lf(i, y); i = i + 1; }}
     {main}
     print(x); print(y); print(g); print(h); print(c.get()); print(c.w);
     print(ga[0]); print(ga[1]); print(ga[2]); print(ga[3]);
@@ -429,6 +464,75 @@ fn vm_matches_reference_on_in_place_writes() {
         "ba[1] = x < y; print(ba[1]); fa[2] = f; print(fa[2] < f); print(fa[y + 5]);",
     ] {
         check_corner(body);
+    }
+}
+
+/// The corners of inlined leaves: a leaf called exactly at the depth
+/// limit and one call past it, the step limit firing at every instruction
+/// of an inlined body (whose loop re-enters it), a trap in a leaf after its
+/// caller's expression changed a global, a local read before it is
+/// assigned, reset on every entry, and a global argument to a leaf that
+/// assigns that global.
+#[test]
+fn vm_matches_reference_on_inlined_leaf_corners() {
+    let src = "global g: int = 1;
+global h: int;
+fn bump(k: int) -> int { g = g + k; h = h + 1; return k; }
+fn lf(a: int, b: int) -> int {
+    var t: int;
+    h = h + t;
+    while (a > 0) { t = t + b; a = a - 1; }
+    if (t > 50) { return t / b; }
+    return t % (b - 1);
+}
+fn lg(a: int) -> int { g = g + 1; return a * 10 + g; }
+fn down(d: int, b: int) -> int { if (d <= 0) { return lf(2, b); } return down(d - 1, b); }
+fn main(d: int, b: int) {
+    var i: int = 0;
+    while (i < 2) { print(lf(i, b)); i = i + 1; }
+    print(down(d, b));
+    print(g + bump(5) + lf(3, b));
+    print(lg(g));
+    print(g);
+    print(h);
+}";
+    let program = hps_lang::parse(src).unwrap_or_else(|e| panic!("{e}\n{src}"));
+    let code = crate::bytecode::OpenCode::compile(&program, None);
+    let code = code.get(false).expect("lowers");
+    let leaves = ["lf", "lg"].map(|f| program.func_by_name(f).expect("leaf").index());
+    for caller in ["down", "main"] {
+        let caller = program.func_by_name(caller).expect("caller").index();
+        assert!(
+            code.callees(caller).all(|f| !leaves.contains(&f)),
+            "the leaves are inlined"
+        );
+    }
+    // `b == 1` divides by zero after `bump` changed `g`; `b == 30` takes
+    // the early return.
+    for (d, b) in [(0, 2), (1, 1), (2, 30), (0, 0)] {
+        let args = [RtValue::Int(d), RtValue::Int(b)];
+        // Runs both engines; true when the step limit stopped them.
+        let stopped = |steps, depth| {
+            let vm = Interp::new(&program, ExecConfig::new())
+                .with_limits(steps, depth)
+                .run("main", &args);
+            let walk = reference::run_function(&program, "main", &args, steps, depth);
+            assert_same(
+                &vm,
+                &walk,
+                &format!("d {d} b {b} limits ({steps}, {depth})"),
+            );
+            matches!(vm, Err(RuntimeError::StepLimitExceeded { .. }))
+        };
+        // Every limit until the run gets past the step limit.
+        let mut limit = 1;
+        while stopped(limit, 128) {
+            limit += 1;
+            assert!(limit < 1_000, "d {d} b {b}: the run ends");
+        }
+        for depth in 1..=5 {
+            stopped(20_000, depth);
+        }
     }
 }
 
