@@ -28,7 +28,7 @@
 //!   `Illegal` instruction in a fragment, emitted where evaluation would reach
 //!   them, so the VM raises the same [`RuntimeError::IllegalFragmentOp`] at
 //!   the same point as the reference tree-walk (the test-only
-//!   `fragment.rs`);
+//!   `reference.rs`);
 //! * **the final `Ret`** — a fragment's value must be a scalar and its
 //!   hidden variables are written back ([`run_compiled`]); an open
 //!   function's value lands in its caller's destination register.
@@ -62,8 +62,8 @@
 //! # Determinism rules
 //!
 //! The VM must be **observationally byte-identical** to the reference
-//! tree-walks, both compiled for the crate's tests only (`fragment.rs` for
-//! fragments, `reference.rs` for open code):
+//! tree-walk, compiled for the crate's tests only (`reference.rs`, which
+//! runs open functions and fragments alike):
 //!
 //! * same returned value, output, globals and hidden-variable state;
 //! * same total cost on success — errors discard cost, so a charge may be
@@ -2655,7 +2655,7 @@ impl VmCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fragment::{run_fragment, run_fragment_with_limit};
+    use crate::reference::run_hidden;
     use hps_ir::{FragLabel, LocalId, Stmt, Ty};
 
     fn frag(body: Vec<Stmt>, params: usize, ret: Option<Expr>) -> Fragment {
@@ -2667,15 +2667,21 @@ mod tests {
         }
     }
 
-    /// Runs both engines and asserts identical outcome, state and error.
-    fn assert_parity(f: &Fragment, vars: &[RtValue], args: &[Value]) {
+    /// Runs both engines, asserts identical outcome, state and error, and
+    /// returns the VM's outcome and hidden state.
+    fn assert_parity(
+        f: &Fragment,
+        vars: &[RtValue],
+        args: &[Value],
+    ) -> (Result<FragOutcome, RuntimeError>, Vec<RtValue>) {
         let mut tree_vars = vars.to_vec();
         let mut vm_vars = vars.to_vec();
-        let tree = run_fragment(f, &mut tree_vars, args);
+        let tree = run_hidden(f, &mut tree_vars, args, FRAGMENT_STEP_LIMIT);
         let compiled = compile_fragment(f, vars.len());
         let vm = run_compiled(&compiled, &mut vm_vars, args);
         assert_eq!(format!("{tree:?}"), format!("{vm:?}"), "outcome diverged");
         assert_eq!(tree_vars, vm_vars, "hidden state diverged");
+        (vm, vm_vars)
     }
 
     #[test]
@@ -2698,7 +2704,10 @@ mod tests {
             ]),
         })];
         let f = frag(body, 1, Some(Expr::local(sum)));
-        assert_parity(&f, &[RtValue::Int(0), RtValue::Int(3)], &[Value::Int(9)]);
+        let (out, vars) = assert_parity(&f, &[RtValue::Int(0), RtValue::Int(3)], &[Value::Int(9)]);
+        // 3 + 4 + .. + 8, and both vars written back.
+        assert_eq!(out.unwrap().value, Value::Int(33));
+        assert_eq!(vars, [RtValue::Int(33), RtValue::Int(9)]);
     }
 
     #[test]
@@ -2713,9 +2722,7 @@ mod tests {
                 Expr::local(LocalId::new(0)),
             )),
         );
-        assert_parity(&f, &[], &[Value::Int(7)]);
-        let compiled = compile_fragment(&f, 0);
-        let out = run_compiled(&compiled, &mut [], &[Value::Int(7)]).unwrap();
+        let out = assert_parity(&f, &[], &[Value::Int(7)]).0.unwrap();
         assert_eq!(out.value, Value::Int(35));
         assert_eq!(out.cost, COST_MODEL.marshal_per_arg + 2 * COST_MODEL.binop);
     }
@@ -2729,12 +2736,8 @@ mod tests {
             0,
             Some(Expr::binary(BinOp::Div, Expr::int(1), Expr::int(0))),
         );
-        assert_parity(&f, &[], &[]);
-        let compiled = compile_fragment(&f, 0);
-        assert_eq!(
-            run_compiled(&compiled, &mut [], &[]),
-            Err(RuntimeError::DivisionByZero)
-        );
+        let (out, _) = assert_parity(&f, &[], &[]);
+        assert_eq!(out, Err(RuntimeError::DivisionByZero));
     }
 
     #[test]
@@ -2757,9 +2760,7 @@ mod tests {
                 Expr::bool(true),
             )),
         );
-        assert_parity(&f, &[], &[]);
-        let compiled = compile_fragment(&f, 0);
-        let out = run_compiled(&compiled, &mut [], &[]).unwrap();
+        let out = assert_parity(&f, &[], &[]).0.unwrap();
         assert_eq!(out.value, Value::Bool(true));
     }
 
@@ -2776,7 +2777,7 @@ mod tests {
             None,
         );
         for limit in [1, 2, 3, 10, 101] {
-            let tree = run_fragment_with_limit(&f, &mut [], &[], limit);
+            let tree = run_hidden(&f, &mut [], &[], limit);
             let compiled = compile_fragment(&f, 0);
             let vm = run_compiled_with_limit(&compiled, &mut [], &[], limit);
             assert_eq!(tree, vm);
@@ -2814,7 +2815,10 @@ mod tests {
             ]),
         })];
         let f = frag(body, 0, Some(Expr::local(out)));
-        assert_parity(&f, &[RtValue::Int(6), RtValue::Int(0)], &[]);
+        let (out, vars) = assert_parity(&f, &[RtValue::Int(6), RtValue::Int(0)], &[]);
+        // 5 + 4 + 3 + 1: 2 is skipped, and 0 breaks.
+        assert_eq!(out.unwrap().value, Value::Int(13));
+        assert_eq!(vars, [RtValue::Int(0), RtValue::Int(13)]);
     }
 
     #[test]
@@ -2832,16 +2836,13 @@ mod tests {
             }),
         ];
         let f = frag(body, 0, Some(Expr::local(x)));
-        assert_parity(&f, &[RtValue::Int(0)], &[]);
-        let compiled = compile_fragment(&f, 1);
-        let mut vars = vec![RtValue::Int(0)];
-        let out = run_compiled(&compiled, &mut vars, &[]).unwrap();
+        let out = assert_parity(&f, &[RtValue::Int(0)], &[]).0.unwrap();
         assert_eq!(out.value, Value::Int(1));
     }
 
     #[test]
     fn illegal_ops_surface_identically() {
-        for (stmt, _what) in [
+        for (stmt, what) in [
             (Stmt::new(StmtKind::Return(None)), "return in fragment"),
             (
                 Stmt::new(StmtKind::Print(Expr::int(1))),
@@ -2849,7 +2850,8 @@ mod tests {
             ),
         ] {
             let f = frag(vec![stmt], 0, None);
-            assert_parity(&f, &[], &[]);
+            let (out, _) = assert_parity(&f, &[], &[]);
+            assert_eq!(out, Err(RuntimeError::IllegalFragmentOp(what)));
         }
         // Out-of-range slot store, reached only when executed.
         let guarded = frag(
@@ -2864,18 +2866,16 @@ mod tests {
             0,
             None,
         );
-        assert_parity(&guarded, &[], &[]);
-        let compiled = compile_fragment(&guarded, 0);
-        assert!(run_compiled(&compiled, &mut [], &[]).is_ok());
+        let (out, _) = assert_parity(&guarded, &[], &[]);
+        // No `ret`: the "any" placeholder.
+        assert_eq!(out.unwrap().value, Value::Int(0));
     }
 
     #[test]
     fn arg_count_mismatch_is_channel_error() {
         let f = frag(vec![], 2, None);
-        assert_parity(&f, &[], &[Value::Int(1)]);
-        let compiled = compile_fragment(&f, 0);
-        let err = run_compiled(&compiled, &mut [], &[Value::Int(1)]).unwrap_err();
-        assert!(matches!(err, RuntimeError::Channel(_)));
+        let (out, _) = assert_parity(&f, &[], &[Value::Int(1)]);
+        assert!(matches!(out, Err(RuntimeError::Channel(_))));
     }
 
     #[test]
@@ -2888,7 +2888,9 @@ mod tests {
             1,
             Some(Expr::local(LocalId::new(1))),
         );
-        assert_parity(&f, &[RtValue::Int(7)], &[Value::Int(1)]);
+        let (out, vars) = assert_parity(&f, &[RtValue::Int(7)], &[Value::Int(1)]);
+        assert_eq!(out.unwrap().value, Value::Int(99));
+        assert_eq!(vars, [RtValue::Int(7)]);
     }
 
     #[test]
@@ -2948,7 +2950,9 @@ mod tests {
             Some(Expr::local(x)),
         );
         for start in [-5i64, 0, 9, 10, 50] {
-            assert_parity(&f, &[RtValue::Int(start)], &[]);
+            let out = assert_parity(&f, &[RtValue::Int(start)], &[]).0.unwrap();
+            let x = start + 1;
+            assert_eq!(out.value, Value::Int(if x < 10 { 2 * x } else { x }));
         }
     }
 }

@@ -152,17 +152,6 @@ pub struct CrashConfig {
     pub panic_per_mille: u32,
 }
 
-impl CrashConfig {
-    /// A schedule injecting nothing (control cells).
-    pub fn quiet(seed: u64) -> CrashConfig {
-        CrashConfig {
-            seed,
-            shard_kill_per_mille: 0,
-            panic_per_mille: 0,
-        }
-    }
-}
-
 /// A seeded deterministic fault schedule: on each delivery leg, inject one
 /// of the enabled kinds with probability `per_mille`/1000. The same seed
 /// always produces the same schedule, so chaos failures reproduce exactly.
@@ -186,11 +175,6 @@ impl FaultPlan {
             seed,
             log: Vec::new(),
         }
-    }
-
-    /// A plan that never injects anything (control runs).
-    pub fn quiet() -> FaultPlan {
-        FaultPlan::new(0, &[], 0)
     }
 
     /// The seed this plan was built from.

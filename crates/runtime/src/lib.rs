@@ -9,14 +9,13 @@
 //!   deterministic virtual-time cost accounting ([`cost::CostModel`]). It
 //!   runs the program on the register bytecode of [`bytecode`], compiled
 //!   once per split by [`interp::SplitMeta::derive`] (or once per
-//!   interpreter for an unsplit program). A plain tree-walk of open code, compiled only
-//!   for the crate's tests, is the reference the VM is differentially
-//!   tested against.
+//!   interpreter for an unsplit program). A plain tree-walk of both halves,
+//!   compiled only for the crate's tests, is the reference the VM is
+//!   differentially tested against.
 //! * [`server`] — the secure-side executor: holds a
 //!   [`hps_ir::HiddenProgram`], keeps per-activation / per-instance hidden
 //!   state, and runs every fragment on the same VM, compiled once per
-//!   server. A plain tree-walk of fragments, also compiled only for the
-//!   crate's tests, is the VM's reference for hidden code.
+//!   server; the same tree-walk is its reference.
 //! * [`channel`] — the open↔hidden transport abstraction; in-process with a
 //!   configurable round-trip cost for deterministic experiments.
 //! * [`tcp`] — a real TCP transport (length-prefixed frames of varint
@@ -103,8 +102,6 @@ pub mod channel;
 pub mod cost;
 pub mod error;
 pub mod fault;
-#[cfg(test)]
-mod fragment;
 pub mod interp;
 pub mod journal;
 #[cfg(test)]

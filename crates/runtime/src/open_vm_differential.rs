@@ -351,7 +351,7 @@ fn check(src: &str) {
     }
 }
 
-fn assert_same(
+pub(crate) fn assert_same(
     vm: &Result<Outcome, RuntimeError>,
     walk: &Result<Outcome, RuntimeError>,
     context: &str,

@@ -1,18 +1,33 @@
-//! Reference open-side semantics: a plain tree-walk over an unsplit
-//! [`Program`].
+//! Reference semantics of both halves of a split program: a plain
+//! tree-walk over the AST.
 //!
-//! Every open function runs on the bytecode VM ([`crate::bytecode`]); this
-//! test-only module is the executable specification the VM is checked
-//! against (`open_vm_differential.rs`), as [`crate::fragment`] is for
-//! fragments. It has no fast paths and no split-execution support: a
-//! [`StmtKind::HiddenCall`] fails with [`RuntimeError::NoChannel`].
+//! Open functions and hidden fragments both run on the bytecode VM
+//! ([`crate::bytecode`]); this test-only module is the executable
+//! specification the VM is checked against (`open_vm_differential.rs` for
+//! open code, `vm_differential.rs` and the bytecode unit tests for
+//! fragments). One walk runs both: [`run_function`] runs a function of an
+//! unsplit [`Program`] against its frame's locals, and [`run_hidden`] runs
+//! a [`Fragment`] against its component's persistent hidden variables and
+//! the scalar arguments shipped by the open side. It has no fast paths and
+//! no split-execution support: in open code a [`StmtKind::HiddenCall`]
+//! fails with [`RuntimeError::NoChannel`].
+//!
+//! A fragment differs from open code only where the fragment subset does:
+//! the open side's marshalling charge per argument, a range check on every
+//! slot, `len` (which needs an array, so it is illegal in a fragment), and
+//! the constructs a fragment may not contain (aggregates, globals, calls,
+//! `print`, `return`, nested hidden calls), each of which raises
+//! [`RuntimeError::IllegalFragmentOp`] when evaluation reaches it.
 
 use crate::cost::COST_MODEL;
 use crate::error::RuntimeError;
 use crate::interp::{initial_globals, Outcome};
 use crate::ops::{self, mismatch};
+use crate::server::FragOutcome;
 use crate::value::{ObjData, RtValue};
-use hps_ir::{BinOp, Block, Builtin, Expr, FuncId, Place, Program, StmtKind, Ty};
+use hps_ir::{
+    BinOp, Block, Builtin, Expr, Fragment, FuncId, LocalId, Place, Program, StmtKind, Ty, Value,
+};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -41,23 +56,63 @@ pub(crate) fn run_function(
             args.len()
         )));
     }
-    let mut walk = Walk {
-        program,
-        max_steps,
-        max_call_depth,
-        globals: initial_globals(program),
-        output: Vec::new(),
-        cost: 0,
-        steps: 0,
-        depth: 0,
-        next_instance: 1,
-    };
+    let mut walk = Walk::new(program, max_steps, max_call_depth, false);
     let ret = walk.call(fid, args.to_vec())?;
     Ok(Outcome {
         ret,
         output: walk.output,
         cost: walk.cost,
         steps: walk.steps,
+    })
+}
+
+/// Runs a fragment by walking its AST, with an explicit step limit.
+///
+/// `vars` is the component's persistent hidden state for the addressed
+/// activation or instance; it is updated in place when the fragment
+/// succeeds. The fragment's slots are `vars` followed by `args`.
+///
+/// # Errors
+///
+/// Returns [`RuntimeError::Channel`] for an argument count that differs
+/// from the fragment's parameters, [`RuntimeError::IllegalFragmentOp`] for
+/// constructs fragments may not contain, and execution faults as in open
+/// code.
+pub(crate) fn run_hidden(
+    fragment: &Fragment,
+    vars: &mut [RtValue],
+    args: &[Value],
+    limit: u64,
+) -> Result<FragOutcome, RuntimeError> {
+    if args.len() != fragment.params.len() {
+        return Err(RuntimeError::Channel(format!(
+            "fragment {} expects {} args, got {}",
+            fragment.label,
+            fragment.params.len(),
+            args.len()
+        )));
+    }
+    let program = Program::new();
+    let mut walk = Walk::new(&program, limit, 0, true);
+    walk.cost = COST_MODEL.marshal_per_arg * args.len() as u64;
+    let mut slots = vars.to_vec();
+    slots.extend(args.iter().map(|&v| RtValue::from_const(v)));
+    // A `break` or `continue` outside a loop ends the body.
+    walk.block(&mut slots, &fragment.body)?;
+    let value = match &fragment.ret {
+        Some(e) => walk
+            .eval(&mut slots, e)?
+            .to_const()
+            .ok_or(RuntimeError::TypeMismatch {
+                expected: "scalar return",
+                found: "aggregate",
+            })?,
+        None => Value::Int(0),
+    };
+    vars.clone_from_slice(&slots[..vars.len()]);
+    Ok(FragOutcome {
+        value,
+        cost: walk.cost,
     })
 }
 
@@ -78,9 +133,26 @@ struct Walk<'p> {
     steps: u64,
     depth: usize,
     next_instance: u64,
+    /// Runs a fragment: the subset's checks apply.
+    fragment: bool,
 }
 
-impl Walk<'_> {
+impl<'p> Walk<'p> {
+    fn new(program: &'p Program, max_steps: u64, max_call_depth: usize, fragment: bool) -> Self {
+        Walk {
+            program,
+            max_steps,
+            max_call_depth,
+            globals: initial_globals(program),
+            output: Vec::new(),
+            cost: 0,
+            steps: 0,
+            depth: 0,
+            next_instance: 1,
+            fragment,
+        }
+    }
+
     /// Runs one call; `locals` holds the evaluated arguments.
     fn call(&mut self, fid: FuncId, mut locals: Vec<RtValue>) -> Result<RtValue, RuntimeError> {
         self.depth += 1;
@@ -120,6 +192,9 @@ impl Walk<'_> {
     fn block(&mut self, locals: &mut Vec<RtValue>, block: &Block) -> Result<Flow, RuntimeError> {
         for stmt in &block.stmts {
             self.tick()?;
+            if let Some(what) = self.illegal_stmt(&stmt.kind) {
+                return Err(RuntimeError::IllegalFragmentOp(what));
+            }
             match &stmt.kind {
                 StmtKind::Assign { place, value } => {
                     let v = self.eval(locals, value)?;
@@ -216,7 +291,12 @@ impl Walk<'_> {
         value: RtValue,
     ) -> Result<(), RuntimeError> {
         match place {
-            Place::Local(id) => locals[id.index()] = value,
+            Place::Local(id) => *slot(locals, *id)? = value,
+            _ if self.fragment => {
+                return Err(RuntimeError::IllegalFragmentOp(
+                    "aggregate store in fragment",
+                ))
+            }
             Place::Global(id) => self.globals[id.index()] = value,
             Place::Index { base, index } => {
                 let arr = self.read_place(locals, base)?;
@@ -241,9 +321,12 @@ impl Walk<'_> {
     }
 
     fn eval(&mut self, locals: &mut Vec<RtValue>, e: &Expr) -> Result<RtValue, RuntimeError> {
+        if let Some(what) = self.illegal_expr(e) {
+            return Err(RuntimeError::IllegalFragmentOp(what));
+        }
         Ok(match e {
             Expr::Const(v) => RtValue::from_const(*v),
-            Expr::Local(id) => locals[id.index()].clone(),
+            Expr::Local(id) => slot(locals, *id)?.clone(),
             Expr::Global(id) => self.globals[id.index()].clone(),
             Expr::Index { base, index } => {
                 let arr = self.eval(locals, base)?;
@@ -290,7 +373,10 @@ impl Walk<'_> {
                     vals.push(self.eval(locals, a)?);
                 }
                 match (builtin, vals.as_slice()) {
-                    (Builtin::Len, [v]) => RtValue::Int(v.array()?.borrow().len() as i64),
+                    // In a fragment `len` is illegal: `ops::builtin` says so.
+                    (Builtin::Len, [v]) if !self.fragment => {
+                        RtValue::Int(v.array()?.borrow().len() as i64)
+                    }
                     _ => ops::builtin(*builtin, &vals)?,
                 }
             }
@@ -320,6 +406,43 @@ impl Walk<'_> {
             }
         })
     }
+
+    /// The error text of a statement a fragment may not contain.
+    fn illegal_stmt(&self, kind: &StmtKind) -> Option<&'static str> {
+        if !self.fragment {
+            return None;
+        }
+        match kind {
+            StmtKind::Return(_) => Some("return in fragment"),
+            StmtKind::Print(_) => Some("print in fragment"),
+            StmtKind::ExprStmt(_) => Some("call in fragment"),
+            StmtKind::HiddenCall { .. } => Some("nested hidden call"),
+            _ => None,
+        }
+    }
+
+    /// The error text of an expression a fragment may not contain.
+    fn illegal_expr(&self, e: &Expr) -> Option<&'static str> {
+        if !self.fragment {
+            return None;
+        }
+        match e {
+            Expr::Global(_) => Some("global access in fragment"),
+            Expr::Index { .. } => Some("array access in fragment"),
+            Expr::FieldGet { .. } => Some("field access in fragment"),
+            Expr::Call { .. } => Some("call in fragment"),
+            Expr::NewArray { .. } | Expr::NewObject(_) => Some("allocation in fragment"),
+            _ => None,
+        }
+    }
+}
+
+/// Local or fragment slot `id`; a fragment's references are checked
+/// against its slots when they run.
+fn slot(locals: &mut [RtValue], id: LocalId) -> Result<&mut RtValue, RuntimeError> {
+    locals
+        .get_mut(id.index())
+        .ok_or(RuntimeError::IllegalFragmentOp("out-of-range hidden slot"))
 }
 
 /// Element `idx` of an array value, borrowed for reading or writing.

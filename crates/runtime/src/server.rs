@@ -265,11 +265,6 @@ impl SecureServer {
     pub fn vm_cache_hits(&self) -> u64 {
         self.vm.cache_hits()
     }
-
-    /// Read-only view of the installed hidden program.
-    pub fn hidden(&self) -> &HiddenProgram {
-        &self.hidden
-    }
 }
 
 #[cfg(test)]

@@ -50,15 +50,6 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Events addressed to one `(component, label)` call site, preserving
-    /// order.
-    pub fn events_for(&self, component: ComponentId, label: FragLabel) -> Vec<&TraceEvent> {
-        self.events
-            .iter()
-            .filter(|e| e.component == component && e.label == label)
-            .collect()
-    }
-
     /// Distinct `(component, label)` pairs observed.
     pub fn call_sites(&self) -> Vec<(ComponentId, FragLabel)> {
         let mut out: Vec<(ComponentId, FragLabel)> =
@@ -231,7 +222,8 @@ mod tests {
         let trace = tc.into_trace();
         assert_eq!(trace.events.len(), 3);
         assert_eq!(trace.events[0].ret, Value::Int(5));
-        assert_eq!(trace.events_for(c0, l0).len(), 2);
+        let site = |e: &&TraceEvent| e.component == c0 && e.label == l0;
+        assert_eq!(trace.events.iter().filter(site).count(), 2);
         assert_eq!(trace.call_sites(), vec![(c0, l0), (c0, l1)]);
         assert_eq!(trace.keys_of(c0), vec![1, 2]);
         assert_eq!(trace.session(c0, 1).len(), 2);

@@ -298,7 +298,9 @@ fn cmd_split(args: &[String]) -> Result<(), String> {
                 budget = Some(
                     v.trim_end_matches('%')
                         .parse::<f64>()
-                        .map_err(|_| format!("bad budget `{v}`"))?,
+                        .ok()
+                        .filter(|pct| pct.is_finite() && *pct >= 0.0)
+                        .ok_or_else(|| format!("bad budget `{v}`"))?,
                 );
                 i += 2;
             }

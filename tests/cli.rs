@@ -144,6 +144,21 @@ fn split_plans_with_budget_and_hardening() {
 }
 
 #[test]
+fn split_rejects_budgets_that_are_not_finite_and_non_negative() {
+    let path = demo_file();
+    for budget in ["nan", "-5", "inf"] {
+        let out = Command::new(HPS)
+            .args(["split", path.to_str().unwrap(), "--budget", budget])
+            .args(["--args", "10", "12"])
+            .output()
+            .expect("spawn");
+        assert!(!out.status.success(), "--budget {budget} was accepted");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("bad budget `{budget}`")), "{err}");
+    }
+}
+
+#[test]
 fn split_args_alone_select_planner_mode() {
     let path = demo_file();
     // --args only feeds the planner's measurer; the legacy dump would
