@@ -1,10 +1,11 @@
 //! Interprocedural global mod/ref summaries.
 //!
 //! For each function, the set of globals it (transitively) may write and may
-//! read. Computed as a union-over-callees fixpoint on the call graph, so
-//! recursion converges naturally.
+//! read, and the fields it may write. Computed as a union-over-callees
+//! fixpoint on the call graph, so recursion converges naturally.
 
-use hps_ir::{Expr, FuncId, GlobalId, Place, Program, StmtKind};
+use crate::VarId;
+use hps_ir::{ClassId, Expr, FieldId, FuncId, GlobalId, Place, PlaceRoot, Program, StmtKind};
 use std::collections::BTreeSet;
 
 /// Global mod/ref summary for every function in a program.
@@ -12,6 +13,7 @@ use std::collections::BTreeSet;
 pub struct ModRef {
     mods: Vec<BTreeSet<GlobalId>>,
     refs: Vec<BTreeSet<GlobalId>>,
+    field_mods: Vec<BTreeSet<(ClassId, FieldId)>>,
 }
 
 impl ModRef {
@@ -20,21 +22,20 @@ impl ModRef {
         let n = program.functions.len();
         let mut mods: Vec<BTreeSet<GlobalId>> = vec![BTreeSet::new(); n];
         let mut refs: Vec<BTreeSet<GlobalId>> = vec![BTreeSet::new(); n];
+        let mut field_mods: Vec<BTreeSet<(ClassId, FieldId)>> = vec![BTreeSet::new(); n];
         let mut calls: Vec<BTreeSet<FuncId>> = vec![BTreeSet::new(); n];
 
         for (fid, func) in program.iter_funcs() {
             let i = fid.index();
             hps_ir::visit::for_each_stmt(&func.body, &mut |stmt| {
-                // Direct global writes.
-                if let StmtKind::Assign { place, .. } = &stmt.kind {
-                    note_place_mods(place, &mut mods[i]);
-                }
-                if let StmtKind::HiddenCall {
+                // Direct global and field writes.
+                if let StmtKind::Assign { place, .. }
+                | StmtKind::HiddenCall {
                     result: Some(place),
                     ..
                 } = &stmt.kind
                 {
-                    note_place_mods(place, &mut mods[i]);
+                    note_place_mods(place, &mut mods[i], &mut field_mods[i]);
                 }
                 // Direct global reads and call edges.
                 hps_ir::visit::for_each_expr_in_stmt(stmt, &mut |e| match e {
@@ -53,29 +54,19 @@ impl ModRef {
         let mut changed = true;
         while changed {
             changed = false;
-            for caller in 0..n {
-                let callees: Vec<FuncId> = calls[caller].iter().copied().collect();
+            for (caller, callees) in calls.iter().enumerate() {
                 for callee in callees {
-                    let (extra_mods, extra_refs) = {
-                        let cm = &mods[callee.index()];
-                        let cr = &refs[callee.index()];
-                        (
-                            cm.difference(&mods[caller]).copied().collect::<Vec<_>>(),
-                            cr.difference(&refs[caller]).copied().collect::<Vec<_>>(),
-                        )
-                    };
-                    if !extra_mods.is_empty() {
-                        mods[caller].extend(extra_mods);
-                        changed = true;
-                    }
-                    if !extra_refs.is_empty() {
-                        refs[caller].extend(extra_refs);
-                        changed = true;
-                    }
+                    changed |= fold_into(&mut mods, callee.index(), caller);
+                    changed |= fold_into(&mut refs, callee.index(), caller);
+                    changed |= fold_into(&mut field_mods, callee.index(), caller);
                 }
             }
         }
-        ModRef { mods, refs }
+        ModRef {
+            mods,
+            refs,
+            field_mods,
+        }
     }
 
     /// Globals the function may (transitively) write. Borrowed: callers
@@ -89,12 +80,43 @@ impl ModRef {
     pub fn refs(&self, func: FuncId) -> &BTreeSet<GlobalId> {
         &self.refs[func.index()]
     }
+
+    /// True when a call of `func` may (transitively) write `var`: a global
+    /// in [`ModRef::mods`], or a field of any instance. Calls never write
+    /// the caller's locals.
+    pub fn may_write(&self, func: FuncId, var: VarId) -> bool {
+        match var {
+            VarId::Local(_) => false,
+            VarId::Global(g) => self.mods[func.index()].contains(&g),
+            VarId::Field(c, f) => self.field_mods[func.index()].contains(&(c, f)),
+        }
+    }
 }
 
-fn note_place_mods(place: &Place, mods: &mut BTreeSet<GlobalId>) {
-    if let hps_ir::PlaceRoot::Global(g) = place.root() {
-        mods.insert(g);
+fn note_place_mods(
+    place: &Place,
+    mods: &mut BTreeSet<GlobalId>,
+    field_mods: &mut BTreeSet<(ClassId, FieldId)>,
+) {
+    match place.root() {
+        PlaceRoot::Global(g) => {
+            mods.insert(g);
+        }
+        PlaceRoot::FieldOf(_, c, f) => {
+            field_mods.insert((c, f));
+        }
+        PlaceRoot::Local(_) => {}
     }
+}
+
+/// Adds `sets[from]` to `sets[into]`; true when that grew it.
+fn fold_into<T: Ord + Copy>(sets: &mut [BTreeSet<T>], from: usize, into: usize) -> bool {
+    if from == into {
+        return false;
+    }
+    let extra: Vec<T> = sets[from].difference(&sets[into]).copied().collect();
+    sets[into].extend(&extra);
+    !extra.is_empty()
 }
 
 #[cfg(test)]
@@ -148,5 +170,23 @@ mod tests {
         let mr = ModRef::compute(&p);
         let w = p.func_by_name("w").unwrap();
         assert_eq!(mr.mods(w).len(), 1);
+    }
+
+    #[test]
+    fn field_writes_reach_callers() {
+        let p = hps_lang::parse(
+            "class C { v: int; w: int;
+                 fn inc() { self.v = self.v + 1; }
+                 fn both() -> int { self.inc(); return self.w; } }
+             fn outer(c: C) { print(c.both()); }",
+        )
+        .unwrap();
+        let mr = ModRef::compute(&p);
+        let c = p.class_by_name("C").unwrap();
+        let [v, w] = [0, 1].map(|f| VarId::Field(c, FieldId::new(f)));
+        let outer = p.func_by_name("outer").unwrap();
+        assert!(mr.may_write(outer, v));
+        assert!(!mr.may_write(outer, w));
+        assert!(!mr.may_write(outer, VarId::Local(hps_ir::LocalId::new(0))));
     }
 }

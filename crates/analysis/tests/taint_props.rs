@@ -2,9 +2,10 @@
 //!
 //! * the join (bit-set union) is commutative, associative, idempotent and
 //!   monotone — the algebraic laws the fixpoint argument rests on;
-//! * fixpoint iteration terminates on randomly generated structured CFGs
-//!   (nested loops and branches) and the computed solution really is a
-//!   post-fixpoint: one more full pass changes nothing;
+//! * fixpoint iteration terminates on generated structured CFGs (nested
+//!   loops and branches, from `hps_gen::structured`) and the computed
+//!   solution really is a post-fixpoint: one more full pass changes
+//!   nothing;
 //! * the solution is sound for the generated seeds: every seeded
 //!   statement's defined variable carries its label immediately after the
 //!   statement executes.
@@ -13,7 +14,6 @@ use hps_analysis::taint::{TaintAnalysis, TaintModel};
 use hps_analysis::{BitSet, Cfg, ControlDeps, DomTree};
 use hps_ir::{FuncId, Stmt, StmtId};
 use proptest::prelude::*;
-use std::fmt::Write;
 
 const LABELS: usize = 8;
 
@@ -37,79 +37,6 @@ fn join(a: &BitSet, b: &BitSet) -> BitSet {
 
 fn leq(a: &BitSet, b: &BitSet) -> bool {
     a.iter().all(|x| b.contains(x))
-}
-
-/// Structured-function generator mirroring `tests/invariants.rs`.
-#[derive(Debug, Clone)]
-enum GS {
-    Assign(u8),
-    If(Vec<GS>, Vec<GS>),
-    Loop(Vec<GS>),
-}
-
-fn gs_strategy(depth: u32) -> BoxedStrategy<GS> {
-    if depth == 0 {
-        return (0u8..4).prop_map(GS::Assign).boxed();
-    }
-    let block = prop::collection::vec(gs_strategy(depth - 1), 1..4);
-    prop_oneof![
-        3 => (0u8..4).prop_map(GS::Assign),
-        1 => (block.clone(), block.clone()).prop_map(|(t, e)| GS::If(t, e)),
-        1 => block.prop_map(GS::Loop),
-    ]
-    .boxed()
-}
-
-fn count_loops(stmts: &[GS]) -> usize {
-    stmts
-        .iter()
-        .map(|s| match s {
-            GS::Loop(b) => 1 + count_loops(b),
-            GS::If(t, e) => count_loops(t) + count_loops(e),
-            _ => 0,
-        })
-        .sum()
-}
-
-fn render(stmts: &[GS], out: &mut String, indent: usize, loops: &mut usize) {
-    let pad = "    ".repeat(indent);
-    for s in stmts {
-        match s {
-            GS::Assign(v) => {
-                let _ = writeln!(out, "{pad}v{v} = v{v} + v{};", (v + 1) % 4);
-            }
-            GS::If(t, e) => {
-                let _ = writeln!(out, "{pad}if (v0 < v1) {{");
-                render(t, out, indent + 1, loops);
-                let _ = writeln!(out, "{pad}}} else {{");
-                render(e, out, indent + 1, loops);
-                let _ = writeln!(out, "{pad}}}");
-            }
-            GS::Loop(b) => {
-                let c = *loops;
-                *loops += 1;
-                let _ = writeln!(out, "{pad}c{c} = 0;");
-                let _ = writeln!(out, "{pad}while (c{c} < 3) {{");
-                render(b, out, indent + 1, loops);
-                let _ = writeln!(out, "{}c{c} = c{c} + 1;", "    ".repeat(indent + 1));
-                let _ = writeln!(out, "{pad}}}");
-            }
-        }
-    }
-}
-
-fn build(stmts: &[GS]) -> hps_ir::Program {
-    let mut src = String::from("fn f(x: int) {\n");
-    for v in 0..4 {
-        let _ = writeln!(src, "    var v{v}: int = {v};");
-    }
-    for c in 0..count_loops(stmts) {
-        let _ = writeln!(src, "    var c{c}: int;");
-    }
-    let mut loops = 0;
-    render(stmts, &mut src, 1, &mut loops);
-    src.push_str("}\n");
-    hps_lang::parse(&src).expect("generated program parses")
 }
 
 /// Seeds a label at every statement whose id is ≡ its label (mod stride).
@@ -173,11 +100,11 @@ proptest! {
 
     #[test]
     fn fixpoint_terminates_on_random_cfgs(
-        stmts in prop::collection::vec(gs_strategy(2), 1..6),
+        src in hps_gen::structured(),
         stride in 1usize..4,
         implicit in any::<bool>(),
     ) {
-        let program = build(&stmts);
+        let program = hps_lang::parse(&src).expect("generated program parses");
         let f = program.func(FuncId::new(0));
         let cfg = Cfg::build(f);
         let postdom = DomTree::postdominators(&cfg);
@@ -193,10 +120,10 @@ proptest! {
 
     #[test]
     fn seeded_defs_carry_their_label(
-        stmts in prop::collection::vec(gs_strategy(2), 1..6),
+        src in hps_gen::structured(),
         stride in 1usize..4,
     ) {
-        let program = build(&stmts);
+        let program = hps_lang::parse(&src).expect("generated program parses");
         let f = program.func(FuncId::new(0));
         let cfg = Cfg::build(f);
         let postdom = DomTree::postdominators(&cfg);

@@ -19,7 +19,7 @@ use crate::error::SplitError;
 use crate::infer::expr_ty;
 use crate::plan::{SplitPlan, SplitTarget};
 use crate::result::{IlpInfo, IlpKind, SplitReport, SplitResult};
-use hps_analysis::VarId;
+use hps_analysis::{ModRef, VarId};
 use hps_ir::{
     Block, ComponentId, ComponentKind, Expr, FragLabel, Fragment, FuncId, Function,
     HiddenComponent, HiddenProgram, HiddenVar, LocalId, Place, Program, Stmt, StmtId, StmtKind, Ty,
@@ -58,6 +58,8 @@ pub fn split_program(program: &Program, plan: &SplitPlan) -> Result<SplitResult,
     let mut open = program.clone();
     let mut hidden = HiddenProgram::new();
     let mut reports = Vec::new();
+    // Only global and class targets need it: calls never write locals.
+    let mut modref = None;
 
     for target in &plan.targets {
         let comp_id = ComponentId::new(hidden.components.len());
@@ -91,6 +93,7 @@ pub fn split_program(program: &Program, plan: &SplitPlan) -> Result<SplitResult,
                     promote_control: plan.promote_control,
                     hidden_class: None,
                 };
+                let modref = modref.get_or_insert_with(|| ModRef::compute(program));
                 let mut any = false;
                 for (fid, func) in program.iter_funcs() {
                     if !references_var(func, VarId::Global(*global)) {
@@ -103,7 +106,7 @@ pub fn split_program(program: &Program, plan: &SplitPlan) -> Result<SplitResult,
                     let splan = slice_function(program, fid, &seeds, &|_| false, &cfg);
                     check_plan(&splan)?;
                     let (new_func, report) =
-                        rewrite_function(program, fid, &splan, &mut comp, false)?;
+                        rewrite_function(program, fid, &splan, &mut comp, Some(modref))?;
                     open.functions[fid.index()] = new_func;
                     reports.push(report);
                 }
@@ -164,6 +167,7 @@ pub fn split_program(program: &Program, plan: &SplitPlan) -> Result<SplitResult,
                     promote_control: plan.promote_control,
                     hidden_class: Some(*class),
                 };
+                let modref = modref.get_or_insert_with(|| ModRef::compute(program));
                 for &mid in &cdef.methods {
                     let touches = seeds.iter().any(|s| references_var(program.func(mid), *s));
                     if !touches {
@@ -172,7 +176,7 @@ pub fn split_program(program: &Program, plan: &SplitPlan) -> Result<SplitResult,
                     let splan = slice_function(program, mid, &seeds, &|_| false, &cfg);
                     check_plan(&splan)?;
                     let (new_func, report) =
-                        rewrite_function(program, mid, &splan, &mut comp, false)?;
+                        rewrite_function(program, mid, &splan, &mut comp, Some(modref))?;
                     open.functions[mid.index()] = new_func;
                     reports.push(report);
                 }
@@ -253,7 +257,7 @@ pub fn split_function(
         program,
         Some(f),
     );
-    let (func, report) = rewrite_function(program, func, &splan, &mut comp, true)?;
+    let (func, report) = rewrite_function(program, func, &splan, &mut comp, None)?;
     Ok(FunctionSplit {
         func,
         component: comp.finish(),
@@ -457,18 +461,22 @@ impl ParamCollector {
     }
 }
 
+/// Rewrites one function of a split. `modref` is `None` for a function
+/// target, whose hidden variables are locals no call can write; the open
+/// function then records its component.
 fn rewrite_function(
     program: &Program,
     fid: FuncId,
     plan: &SlicePlan,
     comp: &mut ComponentBuilder,
-    set_split_component: bool,
+    modref: Option<&ModRef>,
 ) -> Result<(Function, SplitReport), SplitError> {
     let orig = program.func(fid);
     let mut rw = FuncRewriter {
         program,
         orig,
         plan,
+        modref,
         comp,
         new_locals: orig.locals.clone(),
         ilps: Vec::new(),
@@ -494,7 +502,7 @@ fn rewrite_function(
             decl.name = format!("__h{i}");
         }
     }
-    if set_split_component {
+    if modref.is_none() {
         new_func.split_component = Some(comp.id);
     }
     new_func.renumber();
@@ -520,6 +528,7 @@ struct FuncRewriter<'a> {
     program: &'a Program,
     orig: &'a Function,
     plan: &'a SlicePlan,
+    modref: Option<&'a ModRef>,
     comp: &'a mut ComponentBuilder,
     new_locals: Vec<hps_ir::LocalDecl>,
     ilps: Vec<IlpInfo>,
@@ -725,6 +734,12 @@ impl FuncRewriter<'_> {
     }
 
     fn rewrite_open_stmt(&mut self, stmt: &Stmt, out: &mut Vec<Stmt>) -> Result<(), SplitError> {
+        if let Some(stmts) = self.spill_calls(stmt)? {
+            for s in &stmts {
+                self.rewrite_open_stmt(s, out)?;
+            }
+            return Ok(());
+        }
         let at = stmt.id;
         let mut cache = HashMap::new();
         match (&stmt.kind, self.plan.disposition(at)) {
@@ -874,6 +889,140 @@ impl FuncRewriter<'_> {
             }
         }
         Ok(())
+    }
+
+    // ---------------- calls that write hidden variables ----------------
+
+    /// Fetches run before their statement, so a hidden read after a call
+    /// that may write the variable would see the value from before the
+    /// call. For such a statement this returns the statements to rewrite
+    /// in its place, in evaluation order: each call assigned to a temp,
+    /// each operand evaluated before a call assigned to a temp ahead of
+    /// it, then the statement itself, reading the temps. `None` when no
+    /// read is stale.
+    ///
+    /// # Errors
+    ///
+    /// [`SplitError::Unrealizable`] where moving a call would change
+    /// evaluation: a loop condition, the right operand of `&&`/`||`, an
+    /// assigned place.
+    fn spill_calls(&mut self, stmt: &Stmt) -> Result<Option<Vec<Stmt>>, SplitError> {
+        let Some(modref) = self.modref else {
+            return Ok(None);
+        };
+        let mut written = BTreeSet::new();
+        let stale = match &stmt.kind {
+            StmtKind::Assign { place, value } => std::iter::once(value)
+                .chain(place_exprs(place))
+                .any(|e| self.reads_stale(e, modref, &mut written)),
+            StmtKind::If { cond: e, .. }
+            | StmtKind::While { cond: e, .. }
+            | StmtKind::Return(Some(e))
+            | StmtKind::Print(e)
+            | StmtKind::ExprStmt(e) => self.reads_stale(e, modref, &mut written),
+            _ => false,
+        };
+        if !stale {
+            return Ok(None);
+        }
+        let unrealizable = |what: &str| {
+            SplitError::Unrealizable(format!(
+                "statement {} reads a hidden variable after a call that may write it, in {what}",
+                stmt.id
+            ))
+        };
+        let mut pre = Vec::new();
+        let mut kind = stmt.kind.clone();
+        let spilled = match &mut kind {
+            StmtKind::Assign { place, .. }
+                if place_exprs(place).iter().any(|e| e.contains_call()) =>
+            {
+                return Err(unrealizable("an assigned place"))
+            }
+            StmtKind::Assign { value: e, .. }
+            | StmtKind::If { cond: e, .. }
+            | StmtKind::Return(Some(e))
+            | StmtKind::Print(e) => self.spill_expr(&e.clone(), &mut pre).map(|s| *e = s),
+            // A call statement's call is its last step: only its arguments
+            // move, and a `void` call has no value to keep.
+            StmtKind::ExprStmt(e) => {
+                let call = e.clone();
+                let args = self.spill_operands(&operands(&call), &mut pre);
+                args.map(|args| *e = with_operands(&call, args))
+            }
+            _ => return Err(unrealizable("a loop condition")),
+        };
+        spilled.ok_or_else(|| unrealizable("the right operand of `&&`/`||`"))?;
+        let mut stmts = pre;
+        stmts.push(Stmt::new(kind));
+        for s in &mut stmts {
+            s.id = stmt.id;
+        }
+        Ok(Some(stmts))
+    }
+
+    /// Walks `e` in evaluation order, adding to `written` the hidden
+    /// variables each call may write; true at a read of one of them.
+    fn reads_stale(&self, e: &Expr, modref: &ModRef, written: &mut BTreeSet<VarId>) -> bool {
+        let read = match e {
+            Expr::Local(l) => Some(VarId::Local(*l)),
+            Expr::Global(g) => Some(VarId::Global(*g)),
+            Expr::FieldGet { class, field, .. } => Some(VarId::Field(*class, *field)),
+            _ => None,
+        };
+        if let Some(v) = read.filter(|&v| self.is_hidden(v)) {
+            return written.contains(&v);
+        }
+        if operands(e)
+            .iter()
+            .any(|op| self.reads_stale(op, modref, written))
+        {
+            return true;
+        }
+        if let Expr::Call { callee, .. } = e {
+            let hidden = self.plan.hidden_vars.iter();
+            written.extend(hidden.filter(|&&v| modref.may_write(callee.func(), v)));
+        }
+        false
+    }
+
+    /// `e` with its calls moved into temps (see
+    /// [`FuncRewriter::spill_calls`]); `None` for a call in the right
+    /// operand of `&&`/`||`, which may not run.
+    fn spill_expr(&mut self, e: &Expr, pre: &mut Vec<Stmt>) -> Option<Expr> {
+        if let Expr::Binary { op, rhs, .. } = e {
+            if op.is_logical() && rhs.contains_call() {
+                return None;
+            }
+        }
+        let rebuilt = with_operands(e, self.spill_operands(&operands(e), pre)?);
+        if !matches!(e, Expr::Call { .. }) {
+            return Some(rebuilt);
+        }
+        let tmp = self.add_temp("spill", expr_ty(self.program, self.orig, e));
+        pre.push(assign_local(tmp, rebuilt));
+        Some(Expr::local(tmp))
+    }
+
+    /// Spills each operand in turn. An operand evaluated before a call is
+    /// assigned to a temp ahead of it, unless it is a constant or a local,
+    /// which no call can change.
+    fn spill_operands(&mut self, ops: &[&Expr], pre: &mut Vec<Stmt>) -> Option<Vec<Expr>> {
+        let mut residuals = Vec::with_capacity(ops.len());
+        for (i, op) in ops.iter().enumerate() {
+            let residual = self.spill_expr(op, pre)?;
+            let call_after = ops[i + 1..].iter().any(|later| later.contains_call());
+            residuals.push(match residual {
+                Expr::Const(_) | Expr::Local(_) => residual,
+                _ if call_after => {
+                    let tmp = self.add_temp("spill", expr_ty(self.program, self.orig, op));
+                    pre.push(assign_local(tmp, residual));
+                    Expr::local(tmp)
+                }
+                _ => residual,
+            });
+        }
+        Some(residuals)
     }
 
     /// Builds a value-returning fragment for `expr` (case (iii)) and
@@ -1061,6 +1210,59 @@ impl FuncRewriter<'_> {
             }
         })
     }
+}
+
+fn assign_local(local: LocalId, value: Expr) -> Stmt {
+    Stmt::new(StmtKind::Assign {
+        place: Place::Local(local),
+        value,
+    })
+}
+
+/// The expressions an assignment to `place` evaluates, in order.
+fn place_exprs(place: &Place) -> Vec<&Expr> {
+    match place {
+        Place::Local(_) | Place::Global(_) => Vec::new(),
+        Place::Index { base, index } => {
+            let mut exprs = place_exprs(base);
+            exprs.push(index);
+            exprs
+        }
+        Place::Field { obj, .. } => vec![obj],
+    }
+}
+
+/// The operands of `e`, in evaluation order.
+fn operands(e: &Expr) -> Vec<&Expr> {
+    match e {
+        Expr::Const(_) | Expr::Local(_) | Expr::Global(_) | Expr::NewObject(_) => Vec::new(),
+        Expr::Index { base, index } => vec![base, index],
+        Expr::FieldGet { obj: arg, .. }
+        | Expr::Unary { arg, .. }
+        | Expr::NewArray { len: arg, .. } => {
+            vec![arg]
+        }
+        Expr::Binary { lhs, rhs, .. } => vec![lhs, rhs],
+        Expr::Call { args, .. } | Expr::BuiltinCall { args, .. } => args.iter().collect(),
+    }
+}
+
+/// `e` with its [`operands`] replaced by `ops`.
+fn with_operands(e: &Expr, ops: Vec<Expr>) -> Expr {
+    let mut rebuilt = e.clone();
+    let slots: Vec<&mut Expr> = match &mut rebuilt {
+        Expr::Const(_) | Expr::Local(_) | Expr::Global(_) | Expr::NewObject(_) => Vec::new(),
+        Expr::Index { base, index } => vec![base, index],
+        Expr::FieldGet { obj: arg, .. }
+        | Expr::Unary { arg, .. }
+        | Expr::NewArray { len: arg, .. } => vec![arg],
+        Expr::Binary { lhs, rhs, .. } => vec![lhs, rhs],
+        Expr::Call { args, .. } | Expr::BuiltinCall { args, .. } => args.iter_mut().collect(),
+    };
+    for (slot, op) in slots.into_iter().zip(ops) {
+        *slot = op;
+    }
+    rebuilt
 }
 
 fn with_result(call: Stmt, result: Option<Place>) -> Stmt {

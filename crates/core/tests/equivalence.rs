@@ -479,3 +479,59 @@ fn hidden_float_state_with_casts() {
     let plan = SplitPlan::single(&program, "f", "acc").unwrap();
     check_equiv(src, &plan, &[]);
 }
+
+/// A call that writes a hidden global or field, and a read of that
+/// variable later in the same statement: the read sees the call's write.
+/// Where moving the call ahead of its statement would change what runs,
+/// the split is refused instead.
+#[test]
+fn reads_after_a_writing_call_in_one_statement() {
+    let bump = "global g: int = 1; fn bump(k: int) -> int { g = g + k; return k; }";
+    let cases = [
+        (
+            "global g: int = 2;
+             fn f2(a: int, d: int) -> int {
+                 if (d <= 0) { return a; }
+                 g = g + a;
+                 return f2(a + 1, d - 1) + g;
+             }
+             fn main() { print(f2(1, 3)); print(g); }"
+                .to_string(),
+            vec!["28", "8"],
+        ),
+        (
+            format!("{bump} fn main() {{ print(g + bump(10) + g); print(g); }}"),
+            vec!["22", "11"],
+        ),
+        (
+            "class Cell {
+                 v: int;
+                 fn inc(k: int) -> int { self.v = self.v + k; return k; }
+                 fn both(k: int) -> int { return self.inc(k) + self.v; }
+             }
+             fn main() { var c: Cell = new Cell(); print(c.both(5)); print(c.both(1)); }"
+                .to_string(),
+            vec!["10", "7"],
+        ),
+    ];
+    for (src, expected) in cases {
+        let program = hps_lang::parse(&src).unwrap();
+        let plan = SplitPlan::global(&program, "g")
+            .or_else(|_| SplitPlan::class(&program, "Cell"))
+            .unwrap();
+        assert_eq!(check_equiv(&src, &plan, &[]).0, expected);
+    }
+    for stmt in [
+        "if (g > 9 || bump(1) > g) { }",
+        "while (bump(0) < g && g < 9) { g = g + 5; }",
+    ] {
+        let src = format!("{bump} fn main() {{ {stmt} print(g); }}");
+        let program = hps_lang::parse(&src).unwrap();
+        let plan = SplitPlan::global(&program, "g").unwrap();
+        let err = split_program(&program, &plan).unwrap_err();
+        assert!(
+            matches!(err, hps_core::SplitError::Unrealizable(_)),
+            "{stmt}: {err}"
+        );
+    }
+}

@@ -5,22 +5,51 @@ use crate::error::{LangError, Span};
 use crate::token::{Keyword, Punct, Token, TokenKind};
 use hps_ir::{BinOp, UnOp};
 
+/// How deep source may nest. Each block, `else if`, expression (a whole
+/// one, a parenthesised one, an argument or an index), unary operator and
+/// each operator of a binary or postfix chain counts one level, so
+/// `print(a + b + c)` nests three levels inside its block. The front end
+/// and the passes after it recurse once per level; past this limit the
+/// parser returns an error instead of overflowing the stack.
+const MAX_NESTING: usize = 100;
+
 /// Parses a token stream (as produced by [`lex`](crate::lexer::lex)) into an
 /// AST.
 ///
 /// # Errors
 ///
-/// Returns a [`LangError`] describing the first syntax error.
+/// Returns a [`LangError`] describing the first syntax error, or source
+/// nested deeper than the parser accepts (see `docs/LANGUAGE.md`).
 pub fn parse_tokens(tokens: &[Token]) -> Result<AProgram, LangError> {
-    Parser { tokens, pos: 0 }.program()
+    Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    }
+    .program()
 }
 
 struct Parser<'a> {
     tokens: &'a [Token],
     pos: usize,
+    /// Nesting level of the construct being parsed (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
+    /// Enters one more level of nesting. Callers restore `depth` when
+    /// they finish; an error ends the parse, so they need not on error.
+    fn descend(&mut self) -> Result<(), LangError> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(LangError::parse(
+                format!("source nests deeper than {MAX_NESTING} levels"),
+                self.span(),
+            ));
+        }
+        Ok(())
+    }
+
     fn peek(&self) -> &TokenKind {
         &self.tokens[self.pos.min(self.tokens.len() - 1)].kind
     }
@@ -302,6 +331,7 @@ impl<'a> Parser<'a> {
 
     fn block(&mut self) -> Result<Vec<AStmt>, LangError> {
         self.expect_punct(Punct::LBrace)?;
+        self.descend()?;
         let mut stmts = Vec::new();
         while !self.eat_punct(Punct::RBrace) {
             if *self.peek() == TokenKind::Eof {
@@ -312,6 +342,7 @@ impl<'a> Parser<'a> {
             }
             stmts.push(self.stmt()?);
         }
+        self.depth -= 1;
         Ok(stmts)
     }
 
@@ -437,7 +468,10 @@ impl<'a> Parser<'a> {
         let then_blk = self.block()?;
         let else_blk = if self.eat_keyword(Keyword::Else) {
             if *self.peek() == TokenKind::Keyword(Keyword::If) {
-                vec![self.if_stmt()?]
+                self.descend()?;
+                let else_if = self.if_stmt()?;
+                self.depth -= 1;
+                vec![else_if]
             } else {
                 self.block()?
             }
@@ -455,10 +489,14 @@ impl<'a> Parser<'a> {
     }
 
     fn expr(&mut self) -> Result<AExpr, LangError> {
-        self.binary_expr(0)
+        self.descend()?;
+        let e = self.binary_expr(0)?;
+        self.depth -= 1;
+        Ok(e)
     }
 
     fn binary_expr(&mut self, min_prec: u8) -> Result<AExpr, LangError> {
+        let depth = self.depth;
         let mut lhs = self.unary_expr()?;
         loop {
             let op = match self.peek() {
@@ -482,6 +520,7 @@ impl<'a> Parser<'a> {
                 break;
             }
             let span = self.span();
+            self.descend()?;
             self.bump();
             let rhs = self.binary_expr(prec + 1)?;
             lhs = AExpr::new(
@@ -493,38 +532,39 @@ impl<'a> Parser<'a> {
                 span,
             );
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn unary_expr(&mut self) -> Result<AExpr, LangError> {
         let span = self.span();
-        if self.eat_punct(Punct::Minus) {
-            let arg = self.unary_expr()?;
-            return Ok(AExpr::new(
-                AExprKind::Unary {
-                    op: UnOp::Neg,
-                    arg: Box::new(arg),
-                },
-                span,
-            ));
-        }
-        if self.eat_punct(Punct::Bang) {
-            let arg = self.unary_expr()?;
-            return Ok(AExpr::new(
-                AExprKind::Unary {
-                    op: UnOp::Not,
-                    arg: Box::new(arg),
-                },
-                span,
-            ));
-        }
-        self.postfix_expr()
+        let op = if self.eat_punct(Punct::Minus) {
+            UnOp::Neg
+        } else if self.eat_punct(Punct::Bang) {
+            UnOp::Not
+        } else {
+            return self.postfix_expr();
+        };
+        self.descend()?;
+        let arg = self.unary_expr()?;
+        self.depth -= 1;
+        Ok(AExpr::new(
+            AExprKind::Unary {
+                op,
+                arg: Box::new(arg),
+            },
+            span,
+        ))
     }
 
     fn postfix_expr(&mut self) -> Result<AExpr, LangError> {
+        let depth = self.depth;
         let mut e = self.primary_expr()?;
         loop {
             let span = self.span();
+            if matches!(self.peek(), TokenKind::Punct(Punct::LBracket | Punct::Dot)) {
+                self.descend()?;
+            }
             if self.eat_punct(Punct::LBracket) {
                 let index = self.expr()?;
                 self.expect_punct(Punct::RBracket)?;
@@ -558,6 +598,7 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
+        self.depth = depth;
         Ok(e)
     }
 

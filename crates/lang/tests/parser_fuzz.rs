@@ -48,3 +48,31 @@ proptest! {
         }
     }
 }
+
+/// Source nested past the parser's limit is a parse error at the level
+/// that crosses it, not a stack overflow in the parser or a later pass.
+#[test]
+fn deep_nesting_is_a_parse_error() {
+    let sum = format!("fn main() {{ print(1{}); }}", "+1".repeat(9_999));
+    let parens = format!(
+        "fn main() {{ print({}1{}); }}",
+        "(".repeat(30_000),
+        ")".repeat(30_000)
+    );
+    let ifs = format!(
+        "fn main() {{ {}print(1);{} }}",
+        "if (true) {".repeat(6_000),
+        "}".repeat(6_000)
+    );
+    for src in [sum, parens, ifs] {
+        let err = hps_lang::parse(&src).expect_err("too deep");
+        assert!(err.to_string().starts_with("parse error"), "{err}");
+        assert!(err.message().contains("nests deeper than"), "{err}");
+    }
+    // The block, the printed expression and 98 operators are 100 levels,
+    // the limit; one more operator is past it.
+    let at_limit = format!("fn main() {{ print(1{}); }}", "+1".repeat(98));
+    hps_lang::parse(&at_limit).expect("at the limit");
+    let past = format!("fn main() {{ print(1{}); }}", "+1".repeat(99));
+    hps_lang::parse(&past).expect_err("one level past the limit");
+}

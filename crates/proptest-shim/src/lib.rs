@@ -3,8 +3,7 @@
 //! The build container has no crates.io access, so this crate re-implements
 //! the exact slice of proptest the workspace's property tests use:
 //! `proptest!` / `prop_oneof!` / `prop_assert*`, `Strategy` with
-//! `prop_map` / `boxed` / `prop_recursive`, integer-range and `any::<T>()`
-//! strategies, `Just`, tuple strategies, `prop::collection::{vec,
+//! `prop_map` / `boxed`, integer-range and `any::<T>()` strategies, `Just`, tuple strategies, `prop::collection::{vec,
 //! btree_map}` and `.{a,b}` string strategies.
 //!
 //! Differences from upstream, deliberately accepted:
@@ -48,33 +47,6 @@ pub mod strategy {
         {
             let base = self;
             BoxedStrategy(Rc::new(move |rng| base.generate(rng)))
-        }
-
-        /// Builds a recursive strategy: `self` generates the leaves and
-        /// `recurse` wraps an inner strategy into the next nesting level.
-        ///
-        /// The upstream size-targeting parameters are accepted but only
-        /// `depth` is honoured: each level picks a leaf with probability
-        /// 1/3, so expressions of every depth up to `depth` occur.
-        fn prop_recursive<R, F>(
-            self,
-            depth: u32,
-            _desired_size: u32,
-            _expected_branch_size: u32,
-            recurse: F,
-        ) -> BoxedStrategy<Self::Value>
-        where
-            Self: Sized + 'static,
-            R: Strategy<Value = Self::Value> + 'static,
-            F: Fn(BoxedStrategy<Self::Value>) -> R,
-        {
-            let leaf = self.boxed();
-            let mut cur = leaf.clone();
-            for _ in 0..depth {
-                let branch = recurse(cur).boxed();
-                cur = Union::new(vec![(1, leaf.clone()), (2, branch)]).boxed();
-            }
-            cur
         }
     }
 
@@ -326,18 +298,6 @@ pub mod arbitrary {
             }
         }
     }
-
-    impl Arbitrary for f32 {
-        fn any_value(rng: &mut TestRng) -> f32 {
-            f64::any_value(rng) as f32
-        }
-    }
-
-    impl Arbitrary for char {
-        fn any_value(rng: &mut TestRng) -> char {
-            char::from_u32(rng.next_u64() as u32 % 0xd800).unwrap_or('a')
-        }
-    }
 }
 
 pub mod collection {
@@ -523,7 +483,7 @@ pub mod prelude {
     pub use crate::arbitrary::any;
     pub use crate::strategy::{BoxedStrategy, Just, Strategy, Union};
     pub use crate::test_runner::ProptestConfig;
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof, proptest};
+    pub use crate::{prop_assert, prop_assert_eq, prop_oneof, proptest};
 }
 
 /// Defines property tests. Each `fn name(arg in strategy, ...) { body }`
@@ -585,27 +545,9 @@ macro_rules! prop_assert_eq {
     ($($tt:tt)*) => { assert_eq!($($tt)*) };
 }
 
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($($tt:tt)*) => { assert_ne!($($tt)*) };
-}
-
 #[cfg(test)]
 mod tests {
     use crate::prelude::*;
-
-    #[derive(Debug, Clone, PartialEq)]
-    enum Tree {
-        Leaf(i64),
-        Node(Box<Tree>, Box<Tree>),
-    }
-
-    fn depth(t: &Tree) -> usize {
-        match t {
-            Tree::Leaf(_) => 0,
-            Tree::Node(a, b) => 1 + depth(a).max(depth(b)),
-        }
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
@@ -632,15 +574,6 @@ mod tests {
         ) {
             prop_assert!((2..6).contains(&xs.len()));
             prop_assert!(m.len() <= 4); // only 4 possible keys
-        }
-
-        #[test]
-        fn recursive_strategies_bound_depth(t in (0i64..5).prop_map(Tree::Leaf).boxed()
-            .prop_recursive(3, 8, 2, |inner| {
-                (inner.clone(), inner).prop_map(|(a, b)| Tree::Node(Box::new(a), Box::new(b)))
-            }))
-        {
-            prop_assert!(depth(&t) <= 3);
         }
 
         #[test]

@@ -4,19 +4,20 @@
 //! output, cost units and step count, or the same [`RuntimeError`] for the
 //! first failing operation, under every step and call-depth limit.
 //!
-//! Generated programs call functions (recursively, and a callee that
-//! assigns globals the caller reads in the same expression), read and
-//! write a local and a global array (with out-of-bounds indices), an
-//! object's fields through fields and methods, short-circuit `&&`/`||`,
-//! and divide by zero. Loops may diverge; the step limits end them. Each
-//! has a scalar leaf, `lf`, that the compiler inlines when it is short
-//! enough (most are): it loops, returns early, traps on `/` and `%`,
-//! assigns a global and reads a local before assigning it, and `main`
-//! calls it in a loop.
+//! The programs come from the workspace's generator
+//! ([`hps_gen::program`]). They call functions (recursively, and a callee
+//! that assigns globals the caller reads in the same expression), compute
+//! on ints, floats and bools, read and write a local and a global array
+//! (with out-of-bounds indices), an object's fields through fields and
+//! methods, short-circuit `&&`/`||`, and divide by zero; the step limits
+//! end them at every point. Each has a scalar leaf, `lf`, that the
+//! compiler inlines when it is short enough (most are): it loops, returns
+//! early, traps on `/` and `%`, assigns a global and reads a local before
+//! assigning it, and `main` calls it in a loop.
 //!
-//! Hand-written cases cover what the generator rarely reaches: the
-//! evaluation-order corners, the limits met inside and at inlined leaves,
-//! and the VM's in-place scalar writes
+//! Hand-written cases cover what the generator rarely reaches: diverging
+//! loops, the evaluation-order corners, the limits met inside and at
+//! inlined leaves, and the VM's in-place scalar writes
 //! (registers reused across types, wrapping arithmetic, errors raised by
 //! an instruction whose destination is one of its operands, array
 //! elements that are not `Int`s).
@@ -27,305 +28,6 @@ use crate::{reference, RtValue, RuntimeError};
 use hps_ir::BinOp;
 use proptest::prelude::*;
 use std::rc::Rc;
-
-/// Which function an expression or statement is generated for: each has
-/// its own int variables and may call a different set of functions.
-#[derive(Clone, Copy, Debug)]
-enum Scope {
-    /// `main`: locals `x`, `y`, the array `arr` and the object `c`; may
-    /// call everything.
-    Main,
-    /// `f1(a, b)` with locals `x`, `y`; calls only `bump`.
-    F1,
-    /// `f2(a, d)`, recursive on `d`; calls `bump` and `f1`.
-    F2,
-    /// `lf(a, b)` with the local `t`: a scalar leaf, small enough to run
-    /// inline in its callers; calls nothing.
-    Leaf,
-}
-
-impl Scope {
-    fn vars(self) -> &'static [&'static str] {
-        match self {
-            Scope::Main => &["x", "y"],
-            Scope::F1 => &["a", "b", "x", "y"],
-            Scope::F2 => &["a", "d"],
-            Scope::Leaf => &["a", "b", "t"],
-        }
-    }
-}
-
-fn pick(names: &'static [&'static str]) -> BoxedStrategy<String> {
-    (0..names.len())
-        .prop_map(move |i| names[i].to_string())
-        .boxed()
-}
-
-fn int_expr(scope: Scope) -> BoxedStrategy<String> {
-    let mut leaves: Vec<(u32, BoxedStrategy<String>)> = vec![
-        (3, (-3i64..10).prop_map(|v| v.to_string()).boxed()),
-        (4, pick(scope.vars())),
-        (2, pick(&["g", "h"])),
-        (1, (0i64..4).prop_map(|i| format!("ga[{i}]")).boxed()),
-    ];
-    if let Scope::Main = scope {
-        leaves.push((1, Just("len(arr)".to_string()).boxed()));
-        leaves.push((1, pick(&["c.v", "c.w", "c.get()"])));
-    }
-    let leaf = proptest::strategy::Union::new(leaves).boxed();
-    // A leaf's expressions stay small, so that most leaves are inlined.
-    let (depth, size) = match scope {
-        Scope::Leaf => (2, 5),
-        _ => (3, 16),
-    };
-    leaf.prop_recursive(depth, size, 3, move |inner| {
-        let bin = (
-            inner.clone(),
-            pick(&["+", "-", "*", "+", "-", "*", "/", "%"]),
-            inner.clone(),
-        )
-            .prop_map(|(l, op, r)| format!("({l} {op} {r})"));
-        // Most divisors are kept nonzero and most indices in bounds, so
-        // most runs get past their first error.
-        let safe_div = (inner.clone(), pick(&["/", "%"]), inner.clone())
-            .prop_map(|(l, op, r)| format!("({l} {op} (abs({r}) + 1))"));
-        let mut arms: Vec<(u32, BoxedStrategy<String>)> = vec![
-            (6, bin.boxed()),
-            (2, safe_div.boxed()),
-            (1, inner.clone().prop_map(|e| format!("(-{e})")).boxed()),
-            (1, inner.clone().prop_map(|e| format!("abs({e})")).boxed()),
-            (
-                1,
-                (pick(&["min", "max"]), inner.clone(), inner.clone())
-                    .prop_map(|(f, l, r)| format!("{f}({l}, {r})"))
-                    .boxed(),
-            ),
-            (1, inner.clone().prop_map(|e| format!("ga[{e}]")).boxed()),
-            (
-                2,
-                inner
-                    .clone()
-                    .prop_map(|e| format!("ga[abs({e}) % 4]"))
-                    .boxed(),
-            ),
-        ];
-        if !matches!(scope, Scope::Leaf) {
-            arms.push((2, inner.clone().prop_map(|e| format!("bump({e})")).boxed()));
-        }
-        match scope {
-            Scope::Main => {
-                arms.push((
-                    2,
-                    (inner.clone(), inner.clone())
-                        .prop_map(|(l, r)| format!("f1({l}, {r})"))
-                        .boxed(),
-                ));
-                arms.push((
-                    2,
-                    (inner.clone(), inner.clone())
-                        .prop_map(|(l, r)| format!("lf({l}, {r})"))
-                        .boxed(),
-                ));
-                arms.push((
-                    1,
-                    (inner.clone(), 0i64..4)
-                        .prop_map(|(l, d)| format!("f2({l}, {d})"))
-                        .boxed(),
-                ));
-                arms.push((1, inner.clone().prop_map(|e| format!("arr[{e}]")).boxed()));
-                arms.push((
-                    2,
-                    inner
-                        .clone()
-                        .prop_map(|e| format!("arr[abs({e}) % 3]"))
-                        .boxed(),
-                ));
-                arms.push((1, inner.prop_map(|e| format!("c.put({e})")).boxed()));
-            }
-            Scope::F2 => {
-                arms.push((
-                    2,
-                    (inner.clone(), inner)
-                        .prop_map(|(l, r)| format!("f1({l}, {r})"))
-                        .boxed(),
-                ));
-            }
-            Scope::F1 | Scope::Leaf => {}
-        }
-        proptest::strategy::Union::new(arms).boxed()
-    })
-}
-
-fn bool_expr(scope: Scope) -> BoxedStrategy<String> {
-    let cmp = (
-        int_expr(scope),
-        pick(&["==", "!=", "<", "<=", ">", ">="]),
-        int_expr(scope),
-    )
-        .prop_map(|(l, op, r)| format!("{l} {op} {r}"));
-    let leaf = prop_oneof![
-        6 => cmp,
-        1 => pick(&["true", "false"]),
-    ]
-    .boxed();
-    leaf.prop_recursive(2, 8, 2, |inner| {
-        prop_oneof![
-            2 => (inner.clone(), pick(&["&&", "||"]), inner.clone())
-                .prop_map(|(l, op, r)| format!("({l}) {op} ({r})")),
-            1 => inner.prop_map(|b| format!("!({b})")),
-        ]
-        .boxed()
-    })
-}
-
-fn stmt(scope: Scope) -> BoxedStrategy<String> {
-    let lhs = match scope {
-        Scope::Main => &["x", "y", "g", "h", "c.v", "c.w"][..],
-        Scope::F1 => &["x", "y", "a", "g", "h"][..],
-        Scope::F2 => &["a", "g"][..],
-        Scope::Leaf => &["a", "b", "t", "g"][..],
-    };
-    let mut leaves: Vec<(u32, BoxedStrategy<String>)> = vec![
-        (
-            6,
-            (pick(lhs), int_expr(scope))
-                .prop_map(|(v, e)| format!("{v} = {e};"))
-                .boxed(),
-        ),
-        (
-            2,
-            (int_expr(scope), int_expr(scope))
-                .prop_map(|(i, e)| format!("ga[abs({i}) % 4] = {e};"))
-                .boxed(),
-        ),
-        (
-            1,
-            (int_expr(scope), int_expr(scope))
-                .prop_map(|(i, e)| format!("ga[{i}] = {e};"))
-                .boxed(),
-        ),
-        (
-            2,
-            int_expr(scope).prop_map(|e| format!("print({e});")).boxed(),
-        ),
-        (
-            1,
-            bool_expr(scope)
-                .prop_map(|b| format!("print({b});"))
-                .boxed(),
-        ),
-    ];
-    if !matches!(scope, Scope::Leaf) {
-        leaves.push((
-            1,
-            int_expr(scope).prop_map(|e| format!("bump({e});")).boxed(),
-        ));
-    }
-    if let Scope::Main = scope {
-        leaves.push((
-            2,
-            (int_expr(scope), int_expr(scope))
-                .prop_map(|(i, e)| format!("arr[abs({i}) % 3] = {e};"))
-                .boxed(),
-        ));
-        leaves.push((
-            1,
-            (int_expr(scope), int_expr(scope))
-                .prop_map(|(i, e)| format!("arr[{i}] = {e};"))
-                .boxed(),
-        ));
-    }
-    if let Scope::F1 | Scope::Leaf = scope {
-        leaves.push((
-            1,
-            int_expr(scope).prop_map(|e| format!("return {e};")).boxed(),
-        ));
-    }
-    let leaf = proptest::strategy::Union::new(leaves).boxed();
-    leaf.prop_recursive(2, 12, 3, move |inner| {
-        let body = |n| prop::collection::vec(inner.clone(), 0..n);
-        prop_oneof![
-            2 => (bool_expr(scope), body(3), body(2)).prop_map(|(c, t, e)| {
-                format!("if ({c}) {{ {} }} else {{ {} }}", t.join(" "), e.join(" "))
-            }),
-            1 => (
-                bool_expr(scope),
-                prop::collection::vec(
-                    prop_oneof![3 => inner.clone(), 1 => pick(&["break;", "continue;"])],
-                    0..4,
-                ),
-            )
-                .prop_map(|(c, b)| format!("while ({c}) {{ {} }}", b.join(" "))),
-        ]
-        .boxed()
-    })
-}
-
-fn block(scope: Scope, max: usize) -> BoxedStrategy<String> {
-    prop::collection::vec(stmt(scope), 0..max)
-        .prop_map(|s| s.join("\n    "))
-        .boxed()
-}
-
-fn program() -> BoxedStrategy<String> {
-    (
-        (-2i64..5, -2i64..5),
-        (block(Scope::F1, 4), int_expr(Scope::F1)),
-        (
-            block(Scope::F2, 3),
-            int_expr(Scope::F2),
-            int_expr(Scope::F2),
-        ),
-        (block(Scope::Leaf, 3), int_expr(Scope::Leaf)),
-        block(Scope::Main, 7),
-    )
-        .prop_map(|((g0, h0), (f1, r1), (f2, a2, r2), (lf, rl), main)| {
-            format!(
-                "global g: int = {g0};
-global h: int = {h0};
-global ga: int[] = new int[4];
-class Cell {{
-    v: int;
-    w: int;
-    fn get() -> int {{ return self.v; }}
-    fn put(k: int) -> int {{ self.v = self.v + k; self.w = k; return self.w; }}
-}}
-fn bump(k: int) -> int {{ g = g + k; h = h + 1; return k; }}
-fn f1(a: int, b: int) -> int {{
-    var x: int = a;
-    var y: int = b;
-    {f1}
-    return {r1};
-}}
-fn f2(a: int, d: int) -> int {{
-    if (d <= 0) {{ return a; }}
-    {f2}
-    return f2({a2}, d - 1) + {r2};
-}}
-fn lf(a: int, b: int) -> int {{
-    var t: int;
-    g = g + t;
-    {lf}
-    if (t > a) {{ return t % b; }}
-    return {rl};
-}}
-fn main() {{
-    var x: int = 1;
-    var y: int = 2;
-    var arr: int[] = new int[3];
-    var c: Cell = new Cell();
-    var i: int = 0;
-    while (i < 3) {{ x = x + lf(i, y); i = i + 1; }}
-    {main}
-    print(x); print(y); print(g); print(h); print(c.get()); print(c.w);
-    print(ga[0]); print(ga[1]); print(ga[2]); print(ga[3]);
-    print(arr[0]); print(arr[1]); print(arr[2]);
-}}
-"
-            )
-        })
-        .boxed()
-}
 
 /// Limits under which both engines run each program: the first tick,
 /// mid-run step counts, a budget most programs finish within, and tight
@@ -372,7 +74,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
 
     #[test]
-    fn vm_matches_reference_on_generated_programs(src in program()) {
+    fn vm_matches_reference_on_generated_programs(src in hps_gen::program()) {
         check(&src);
     }
 }

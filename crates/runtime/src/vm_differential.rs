@@ -1,282 +1,139 @@
 //! Differential property test: the fragment bytecode VM ([`crate::bytecode`])
 //! must be observationally identical to the reference tree-walk
-//! ([`crate::reference`]) on random well-formed fragments — same returned
-//! value, same hidden-variable state, same cost units, and the same
+//! ([`crate::reference`]) on generated fragments — same returned value,
+//! same hidden-variable state, same cost units, and the same
 //! [`crate::RuntimeError`] (including `StepLimitExceeded` firing at exactly
 //! the same statement count).
 //!
-//! Generated fragments deliberately include diverging loops (caught by small
-//! step limits), type-confused operands, division by zero, out-of-range
-//! hidden-slot references, `len` (an array builtin, illegal in a fragment)
-//! and statements that are illegal inside fragments (`print`, `return`),
-//! because error parity is as much a part of the VM contract as value
-//! parity.
+//! The fragments come from the workspace's generator
+//! ([`hps_gen::fragment`]): typed blocks over typed slots, most of which
+//! run to the end, so value parity is checked on arithmetic, `&&`/`||`,
+//! casts and loops that compute. Small-weight arms keep error parity
+//! reachable: division by zero, slots holding a value of another type,
+//! out-of-range slot references, `len` (an array builtin, illegal in a
+//! fragment) and statements that are illegal inside fragments (`print`,
+//! `return`).
 //!
 //! The two halves of a split run one program, so a block legal in both
-//! must mean the same in both: each such generated block also runs as the
-//! body of an open `main` whose parameters are the fragment's slots, on the
-//! open VM against the same reference, and the slots it prints must be the
-//! fragment VM's final hidden state.
+//! must mean the same in both: each block the generator marks legal also
+//! runs as the body of an open `main` whose parameters are the fragment's
+//! slots, on the open VM against the same reference, and the slots it
+//! prints must be the fragment VM's final hidden state.
 
 use crate::bytecode::{compile_fragment, run_compiled_with_limit};
 use crate::interp::{ExecConfig, Interp};
 use crate::open_vm_differential::assert_same;
 use crate::reference::{run_function, run_hidden};
 use crate::{RtValue, RuntimeError, COST_MODEL};
+use hps_gen::{FragmentCase, FRAGMENT_PARAMS as N_PARAMS, FRAGMENT_VARS as N_VARS};
 use hps_ir::build::FnBuilder;
-use hps_ir::{
-    BinOp, Block, Builtin, Expr, FragLabel, Fragment, LocalId, Place, Program, Stmt, StmtKind, Ty,
-    UnOp, Value,
-};
+use hps_ir::{Block, Expr, FragLabel, Fragment, FuncId, LocalId, Program, StmtKind, Ty, Value};
 use proptest::prelude::*;
 use proptest::test_runner::TestRunner;
 
-/// Fixed fragment shape: slots `[0, N_VARS)` are hidden variables,
-/// `[N_VARS, N_SLOTS)` are parameters. Fixing the shape keeps the in-range /
-/// out-of-range classification of generated `Local` references stable.
-const N_VARS: usize = 3;
-const N_PARAMS: usize = 2;
 const N_SLOTS: usize = N_VARS + N_PARAMS;
 
-const BINOPS: [BinOp; 13] = [
-    BinOp::Add,
-    BinOp::Sub,
-    BinOp::Mul,
-    BinOp::Div,
-    BinOp::Rem,
-    BinOp::Eq,
-    BinOp::Ne,
-    BinOp::Lt,
-    BinOp::Le,
-    BinOp::Gt,
-    BinOp::Ge,
-    BinOp::And,
-    BinOp::Or,
-];
-
-const BUILTINS: [Builtin; 10] = [
-    Builtin::Len,
-    Builtin::Log,
-    Builtin::Abs,
-    Builtin::Min,
-    Builtin::Max,
-    Builtin::Floor,
-    Builtin::IntCast,
-    Builtin::FloatCast,
-    Builtin::Sqrt,
-    Builtin::Exp,
-];
-
-fn value_strategy() -> BoxedStrategy<Value> {
-    prop_oneof![
-        5 => (-8i64..9).prop_map(Value::Int),
-        2 => any::<bool>().prop_map(Value::Bool),
-        2 => (-6i64..7).prop_map(|n| Value::Float(n as f64 * 0.5)),
-    ]
-    .boxed()
+/// The generated block as a fragment: the body of `frag`, whose trailing
+/// `return`, if it returns a value, becomes the fragment's result.
+fn fragment_of(case: &FragmentCase) -> Fragment {
+    let program = hps_lang::parse(&case.src).unwrap_or_else(|e| panic!("{e}\n{}", case.src));
+    let f = program.func(FuncId::new(0));
+    let mut body = f.body.clone();
+    let ret = match f.ret_ty {
+        Ty::Void => None,
+        _ => match body.stmts.pop().map(|s| s.kind) {
+            Some(StmtKind::Return(e)) => e,
+            other => unreachable!("`frag` ends in its return, not {other:?}"),
+        },
+    };
+    Fragment {
+        label: FragLabel::new(7),
+        params: f.locals[N_VARS..N_SLOTS]
+            .iter()
+            .map(|l| (l.name.clone(), l.ty.clone()))
+            .collect(),
+        body,
+        ret,
+    }
 }
 
-fn expr_strategy() -> BoxedStrategy<Expr> {
-    let leaf = prop_oneof![
-        3 => value_strategy().prop_map(Expr::Const),
-        // In-range slots (vars + params) plus the occasional out-of-range
-        // reference, which must surface the same IllegalFragmentOp in both
-        // engines — or no error at all when the code is dead.
-        5 => (0usize..N_SLOTS).prop_map(|i| Expr::Local(LocalId::new(i))),
-        1 => Just(Expr::Local(LocalId::new(N_SLOTS + 2))),
-    ]
-    .boxed();
-    leaf.prop_recursive(3, 24, 2, |inner| {
-        prop_oneof![
-            4 => ((0usize..BINOPS.len()), inner.clone(), inner.clone()).prop_map(
-                |(op, lhs, rhs)| Expr::Binary {
-                    op: BINOPS[op],
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                }
-            ),
-            1 => ((0usize..2), inner.clone()).prop_map(|(op, arg)| Expr::Unary {
-                op: if op == 0 { UnOp::Neg } else { UnOp::Not },
-                arg: Box::new(arg),
-            }),
-            // Unary builtins only; Min/Max with one arg is an arity error the
-            // two engines must also agree on, so no filtering here.
-            1 => ((0usize..BUILTINS.len()), inner).prop_map(|(b, arg)| Expr::BuiltinCall {
-                builtin: BUILTINS[b],
-                args: vec![arg],
-            }),
-        ]
-        .boxed()
-    })
-}
-
-fn stmt_strategy() -> BoxedStrategy<Stmt> {
-    let leaf = prop_oneof![
-        6 => ((0usize..N_SLOTS + 1), expr_strategy()).prop_map(|(slot, value)| {
-            Stmt::new(StmtKind::Assign {
-                place: Place::Local(LocalId::new(slot)),
-                value,
-            })
-        }),
-        1 => Just(Stmt::new(StmtKind::Break)),
-        1 => Just(Stmt::new(StmtKind::Continue)),
-        1 => Just(Stmt::new(StmtKind::Nop)),
-        // Illegal inside fragments; both engines must reject identically
-        // when (and only when) control flow actually reaches it.
-        1 => expr_strategy().prop_map(|e| Stmt::new(StmtKind::Print(e))),
-        1 => expr_strategy().prop_map(|e| Stmt::new(StmtKind::Return(Some(e)))),
-    ]
-    .boxed();
-    leaf.prop_recursive(3, 20, 3, |inner| {
-        prop_oneof![
-            2 => (
-                expr_strategy(),
-                prop::collection::vec(inner.clone(), 0..3),
-                prop::collection::vec(inner.clone(), 0..2),
-            )
-                .prop_map(|(cond, t, e)| Stmt::new(StmtKind::If {
-                    cond,
-                    then_blk: Block::of(t),
-                    else_blk: Block::of(e),
-                })),
-            // Loops may diverge; the small step limits below catch them and
-            // both engines must report StepLimitExceeded at the same count.
-            1 => (expr_strategy(), prop::collection::vec(inner, 0..3)).prop_map(
-                |(cond, body)| Stmt::new(StmtKind::While {
-                    cond,
-                    body: Block::of(body),
-                })
-            ),
-        ]
-        .boxed()
-    })
-}
-
-fn fragment_strategy() -> BoxedStrategy<Fragment> {
-    (
-        prop::collection::vec(stmt_strategy(), 0..6),
-        prop_oneof![
-            2 => expr_strategy().prop_map(Some),
-            1 => Just(None),
-        ],
-    )
-        .prop_map(|(body, ret)| Fragment {
-            label: FragLabel::new(7),
-            params: (0..N_PARAMS).map(|i| (format!("p{i}"), Ty::Int)).collect(),
-            body: Block::of(body),
-            ret,
-        })
-        .boxed()
-}
-
-fn vars_strategy() -> BoxedStrategy<Vec<RtValue>> {
-    prop::collection::vec(
-        value_strategy().prop_map(RtValue::from_const),
-        N_VARS..N_VARS + 1,
-    )
-    .boxed()
+fn vars_of(case: &FragmentCase) -> Vec<RtValue> {
+    case.vars.iter().map(|&v| RtValue::from_const(v)).collect()
 }
 
 /// Step limits for fragments: limit 1 pins the very first tick; 2000 lets
-/// most fragments finish while still bounding diverging loops.
+/// fragments finish.
 const LIMITS: [u64; 4] = [1, 2, 7, 2_000];
 
 /// Runs the fragment through both engines at the given limit and asserts
-/// byte-identical observable behaviour.
-fn check_parity(fragment: &Fragment, vars: &[RtValue], args: &[Value], limit: u64) {
+/// byte-identical observable behaviour, compared as debug text so that a
+/// NaN equals itself. True when the run ended `Ok`.
+fn check_parity(fragment: &Fragment, vars: &[RtValue], args: &[Value], limit: u64) -> bool {
     let mut tree_vars = vars.to_vec();
     let mut vm_vars = vars.to_vec();
     let tree = run_hidden(fragment, &mut tree_vars, args, limit);
     let compiled = compile_fragment(fragment, vars.len());
     let vm = run_compiled_with_limit(&compiled, &mut vm_vars, args, limit);
     assert_eq!(
-        tree, vm,
+        format!("{tree:?}"),
+        format!("{vm:?}"),
         "engines diverged at limit {limit}\nfragment: {fragment:?}\nvars: {vars:?}\nargs: {args:?}"
     );
     assert_eq!(
-        tree_vars, vm_vars,
+        format!("{tree_vars:?}"),
+        format!("{vm_vars:?}"),
         "hidden state diverged at limit {limit}\nfragment: {fragment:?}"
+    );
+    vm.is_ok()
+}
+
+/// Generated fragments with correct arity: identical value, hidden state,
+/// cost and error across a spread of step limits. At least half run to
+/// the end at the largest limit, so parity covers computed values, not
+/// only errors.
+#[test]
+fn vm_matches_tree_walk() {
+    let mut finished = 0;
+    TestRunner::new(ProptestConfig::default()).run(&hps_gen::fragment(), |case| {
+        let fragment = fragment_of(&case);
+        for limit in LIMITS {
+            let ok = check_parity(&fragment, &vars_of(&case), &case.args, limit);
+            finished += usize::from(ok && limit == 2_000);
+        }
+    });
+    let cases = ProptestConfig::default().cases as usize;
+    eprintln!("{finished} of {cases} runs ended `Ok`");
+    assert!(
+        2 * finished >= cases,
+        "only {finished} of {cases} runs ended `Ok`"
     );
 }
 
 proptest! {
-    /// Random fragments with correct arity: identical value, hidden state,
-    /// cost and error across a spread of step limits.
-    #[test]
-    fn vm_matches_tree_walk(
-        fragment in fragment_strategy(),
-        vars in vars_strategy(),
-        a0 in -8i64..9,
-        a1 in -8i64..9,
-    ) {
-        let args = [Value::Int(a0), Value::Int(a1)];
-        for limit in LIMITS {
-            check_parity(&fragment, &vars, &args, limit);
-        }
-    }
-
     /// Arity mismatches must produce the same Channel error before any
     /// statement executes in either engine.
     #[test]
-    fn vm_matches_tree_walk_on_bad_arity(
-        fragment in fragment_strategy(),
-        vars in vars_strategy(),
-        n_args in 0usize..5,
-    ) {
+    fn vm_matches_tree_walk_on_bad_arity(case in hps_gen::fragment(), n_args in 0usize..5) {
         if n_args == N_PARAMS {
             return; // covered by vm_matches_tree_walk
         }
         let args: Vec<Value> = (0..n_args as i64).map(Value::Int).collect();
-        check_parity(&fragment, &vars, &args, 2_000);
+        check_parity(&fragment_of(&case), &vars_of(&case), &args, 2_000);
     }
 
     /// Non-integer arguments exercise type-confusion paths (bool conditions,
     /// float arithmetic, casts) through both engines.
     #[test]
     fn vm_matches_tree_walk_on_mixed_arg_types(
-        fragment in fragment_strategy(),
-        vars in vars_strategy(),
+        case in hps_gen::fragment(),
         a0 in prop_oneof![
             any::<bool>().prop_map(Value::Bool),
             (-6i64..7).prop_map(|n| Value::Float(n as f64 * 0.5)),
         ],
-        a1 in -8i64..9,
     ) {
-        let args = [a0, Value::Int(a1)];
-        check_parity(&fragment, &vars, &args, 2_000);
+        let args = [a0, case.args[1]];
+        check_parity(&fragment_of(&case), &vars_of(&case), &args, 2_000);
     }
-}
-
-/// True when `block` means the same in both halves: every slot in range,
-/// and no `print`, `return` or construct a fragment may not contain.
-fn legal_in_both_halves(block: &Block) -> bool {
-    block.stmts.iter().all(|stmt| match &stmt.kind {
-        StmtKind::Assign {
-            place: Place::Local(id),
-            value,
-        } => id.index() < N_SLOTS && legal_expr(value),
-        StmtKind::If {
-            cond,
-            then_blk,
-            else_blk,
-        } => legal_expr(cond) && legal_in_both_halves(then_blk) && legal_in_both_halves(else_blk),
-        StmtKind::While { cond, body } => legal_expr(cond) && legal_in_both_halves(body),
-        StmtKind::Break | StmtKind::Continue | StmtKind::Nop => true,
-        _ => false,
-    })
-}
-
-fn legal_expr(e: &Expr) -> bool {
-    let mut legal = true;
-    e.walk(&mut |sub| {
-        legal &= match sub {
-            Expr::Const(_) | Expr::Unary { .. } | Expr::Binary { .. } => true,
-            Expr::Local(id) => id.index() < N_SLOTS,
-            Expr::BuiltinCall { builtin, .. } => *builtin != Builtin::Len,
-            _ => false,
-        }
-    });
-    legal
 }
 
 /// `fn main(s0, .., s4) { block; print(s0); .. print(s4); }`, each
@@ -302,10 +159,12 @@ fn open_main(block: &Block, slots: &[RtValue]) -> Program {
     program
 }
 
-/// Runs a block legal in both halves as an open `main` on the VM and the
-/// reference, and as a fragment on the VM, at every limit. Returns whether
-/// the halves were compared on their final slots at some limit.
-fn check_as_open(block: &Block, vars: &[RtValue], args: &[Value]) -> bool {
+/// Runs the body of a fragment legal in both halves as an open `main` on
+/// the VM and the reference, and as a fragment on the VM, at every limit.
+/// Returns whether the halves were compared on their final slots at some
+/// limit.
+fn check_as_open(fragment: &Fragment, vars: &[RtValue], args: &[Value]) -> bool {
+    let block = &fragment.body;
     let slots: Vec<RtValue> = vars
         .iter()
         .cloned()
@@ -313,10 +172,8 @@ fn check_as_open(block: &Block, vars: &[RtValue], args: &[Value]) -> bool {
         .collect();
     let program = open_main(block, &slots);
     let fragment = Fragment {
-        label: FragLabel::new(7),
-        params: (0..N_PARAMS).map(|i| (format!("p{i}"), Ty::Int)).collect(),
-        body: block.clone(),
         ret: None,
+        ..fragment.clone()
     };
     let compiled = compile_fragment(&fragment, N_VARS);
     let mut crossed = false;
@@ -330,7 +187,6 @@ fn check_as_open(block: &Block, vars: &[RtValue], args: &[Value]) -> bool {
         let mut hidden_vars = vars.to_vec();
         let hidden = run_compiled_with_limit(&compiled, &mut hidden_vars, args, limit);
         match (&hidden, &open) {
-            // A top-level `break` ends the open body before its prints.
             (Ok(hidden), Ok(open)) if open.output.len() == N_SLOTS => {
                 let state: Vec<String> = hidden_vars.iter().map(ToString::to_string).collect();
                 assert_eq!(state, open.output[..N_VARS], "final slots, {context}");
@@ -351,29 +207,27 @@ fn check_as_open(block: &Block, vars: &[RtValue], args: &[Value]) -> bool {
 /// Generated blocks legal in both halves run as open code too. Beside the
 /// open run's parity with the reference, both halves must end with the
 /// same slots, at the same cost, or fail with the same error; the fragment
-/// alone may finish when the open run's prints meet the step limit, or a
-/// top-level `break` skips them.
+/// alone may finish when the open run's prints meet the step limit.
 #[test]
 fn open_vm_runs_legal_blocks_like_the_fragment_vm() {
     let mut crossed = 0;
-    let strategy = (
-        fragment_strategy(),
-        vars_strategy(),
-        value_strategy(),
-        value_strategy(),
-    );
     TestRunner::new(ProptestConfig {
         cases: 512,
         ..ProptestConfig::default()
     })
-    .run(&strategy, |(fragment, vars, a0, a1)| {
-        if legal_in_both_halves(&fragment.body) {
-            crossed += usize::from(check_as_open(&fragment.body, &vars, &[a0, a1]));
+    .run(&hps_gen::fragment(), |case| {
+        if case.legal {
+            crossed += usize::from(check_as_open(
+                &fragment_of(&case),
+                &vars_of(&case),
+                &case.args,
+            ));
         }
     });
+    eprintln!("{crossed} blocks compared across halves");
     // The generator must keep reaching the comparison of the two halves.
     assert!(
-        crossed >= 96,
+        crossed >= 256,
         "only {crossed} blocks compared across halves"
     );
 }

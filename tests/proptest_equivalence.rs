@@ -1,175 +1,33 @@
-//! Property-based test of the headline invariant: for randomly generated
-//! programs and every possible seed variable, the split program's
-//! observable behaviour equals the original's.
+//! Property-based tests of the headline invariant: a split program's
+//! observable behaviour equals the original's, on programs from the
+//! workspace's one generator (`hps-gen`).
 //!
-//! The generator emits structured MiniLang functions over five scalar
-//! locals, two read-only parameters and one array: assignments with `+ - *`
-//! arithmetic, bounded counted loops, relational branches, array writes
-//! (the case-(iii) leak shape) and prints. That covers every splitter path:
-//! hidden-variable growth, region merging, whole-loop and clause promotion,
-//! fetch/send synchronization and hidden-compute returns.
+//! The single-function properties split `f(x, y, b)` on every possible
+//! seed: int, float and bool locals, `/` and `%`, counted loops with
+//! `break` and `continue`, early returns, branches, array writes (the
+//! case-(iii) leak shape) and prints reach every splitter path —
+//! hidden-variable growth, region merging, whole-loop and clause
+//! promotion, fetch/send synchronization and hidden-compute returns.
+//!
+//! The multi-function property splits generated programs with calls,
+//! recursion, globals and a class on every scalar local of every function,
+//! on each scalar global and on the class, with and without batching.
 
 use hiding_program_slices as hps;
+use hps::ir::{FuncId, LocalId, Program};
 use hps::runtime::{run_program, Executor, RtValue};
-use hps::split::{split_program, SplitPlan, SplitTarget};
+use hps::split::{split_program, SplitError, SplitPlan, SplitTarget};
 use proptest::prelude::*;
+use proptest::test_runner::TestRunner;
 
-const NVARS: u8 = 5;
-
-#[derive(Debug, Clone)]
-enum GExpr {
-    Const(i64),
-    Var(u8),
-    Add(Box<GExpr>, Box<GExpr>),
-    Sub(Box<GExpr>, Box<GExpr>),
-    Mul(Box<GExpr>, Box<GExpr>),
-}
-
-#[derive(Debug, Clone)]
-enum GStmt {
-    Assign(u8, GExpr),
-    ArrWrite(GExpr),
-    If(GExpr, GExpr, Vec<GStmt>, Vec<GStmt>),
-    Loop(u8, Vec<GStmt>),
-    Print(u8),
-}
-
-fn expr_strategy() -> impl Strategy<Value = GExpr> {
-    let leaf = prop_oneof![
-        (-9i64..10).prop_map(GExpr::Const),
-        // 0..NVARS are mutable locals; NVARS and NVARS+1 are the params.
-        (0..NVARS + 2).prop_map(GExpr::Var),
-    ];
-    leaf.prop_recursive(3, 12, 2, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| GExpr::Add(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| GExpr::Sub(Box::new(a), Box::new(b))),
-            (inner.clone(), inner).prop_map(|(a, b)| GExpr::Mul(Box::new(a), Box::new(b))),
-        ]
-    })
-}
-
-fn stmt_strategy(depth: u32) -> BoxedStrategy<GStmt> {
-    let simple = prop_oneof![
-        (0..NVARS, expr_strategy()).prop_map(|(v, e)| GStmt::Assign(v, e)),
-        expr_strategy().prop_map(GStmt::ArrWrite),
-        (0..NVARS).prop_map(GStmt::Print),
-    ];
-    if depth == 0 {
-        return simple.boxed();
-    }
-    let block = prop::collection::vec(stmt_strategy(depth - 1), 1..4);
-    prop_oneof![
-        4 => simple,
-        1 => (expr_strategy(), expr_strategy(), block.clone(), block.clone())
-            .prop_map(|(a, b, t, e)| GStmt::If(a, b, t, e)),
-        1 => (1u8..5, block).prop_map(|(n, body)| GStmt::Loop(n, body)),
-    ]
-    .boxed()
-}
-
-fn program_strategy() -> impl Strategy<Value = Vec<GStmt>> {
-    prop::collection::vec(stmt_strategy(2), 2..9)
-}
-
-fn render_expr(e: &GExpr, out: &mut String) {
-    match e {
-        GExpr::Const(c) => {
-            if *c < 0 {
-                out.push_str(&format!("(0 - {})", -c));
-            } else {
-                out.push_str(&c.to_string());
-            }
-        }
-        GExpr::Var(v) if *v < NVARS => out.push_str(&format!("v{v}")),
-        GExpr::Var(v) if *v == NVARS => out.push('x'),
-        GExpr::Var(_) => out.push('y'),
-        GExpr::Add(a, b) => binop(out, a, "+", b),
-        GExpr::Sub(a, b) => binop(out, a, "-", b),
-        GExpr::Mul(a, b) => binop(out, a, "*", b),
-    }
-}
-
-fn binop(out: &mut String, a: &GExpr, op: &str, b: &GExpr) {
-    out.push('(');
-    render_expr(a, out);
-    out.push_str(&format!(" {op} "));
-    render_expr(b, out);
-    out.push(')');
-}
-
-fn render_block(stmts: &[GStmt], out: &mut String, indent: usize, counters: &mut usize) {
-    let pad = "    ".repeat(indent);
-    for s in stmts {
-        match s {
-            GStmt::Assign(v, e) => {
-                out.push_str(&format!("{pad}v{v} = "));
-                render_expr(e, out);
-                out.push_str(";\n");
-            }
-            GStmt::ArrWrite(e) => {
-                // Safe, total index derived from the value itself.
-                out.push_str(&format!("{pad}b[(("));
-                render_expr(e, out);
-                out.push_str(") % 8 + 8) % 8] = ");
-                render_expr(e, out);
-                out.push_str(";\n");
-            }
-            GStmt::If(a, b, t, e) => {
-                out.push_str(&format!("{pad}if ("));
-                render_expr(a, out);
-                out.push_str(" < ");
-                render_expr(b, out);
-                out.push_str(") {\n");
-                render_block(t, out, indent + 1, counters);
-                out.push_str(&format!("{pad}}} else {{\n"));
-                render_block(e, out, indent + 1, counters);
-                out.push_str(&format!("{pad}}}\n"));
-            }
-            GStmt::Loop(n, body) => {
-                let c = *counters;
-                *counters += 1;
-                out.push_str(&format!("{pad}c{c} = 0;\n"));
-                out.push_str(&format!("{pad}while (c{c} < {n}) {{\n"));
-                render_block(body, out, indent + 1, counters);
-                out.push_str(&format!("{}c{c} = c{c} + 1;\n", "    ".repeat(indent + 1)));
-                out.push_str(&format!("{pad}}}\n"));
-            }
-            GStmt::Print(v) => out.push_str(&format!("{pad}print(v{v});\n")),
-        }
-    }
-}
-
-fn count_loops(stmts: &[GStmt]) -> usize {
-    stmts
-        .iter()
-        .map(|s| match s {
-            GStmt::Loop(_, b) => 1 + count_loops(b),
-            GStmt::If(_, _, t, e) => count_loops(t) + count_loops(e),
-            _ => 0,
-        })
-        .sum()
-}
-
-fn render_program(stmts: &[GStmt]) -> String {
-    let nloops = count_loops(stmts);
-    let mut src = String::from("fn f(x: int, y: int, b: int[]) {\n");
-    for v in 0..NVARS {
-        src.push_str(&format!("    var v{v}: int = {};\n", i32::from(v) * 3 - 4));
-    }
-    for c in 0..nloops {
-        src.push_str(&format!("    var c{c}: int;\n"));
-    }
-    let mut counters = 0;
-    render_block(stmts, &mut src, 1, &mut counters);
-    // Make every local and the array contents observable at the end.
-    for v in 0..NVARS {
-        src.push_str(&format!("    print(v{v});\n"));
-    }
-    src.push_str("    var k: int = 0;\n    while (k < 8) { print(b[k]); k = k + 1; }\n");
-    src.push_str("}\n");
-    src.push_str("fn main(x: int, y: int) {\n    var b: int[] = new int[8];\n    f(x, y, b);\n}\n");
-    src
+/// The function splits of `func`: one per scalar non-parameter local.
+fn function_plans(program: &Program, func: FuncId) -> Vec<SplitPlan> {
+    let f = program.func(func);
+    (0..f.locals.len())
+        .map(LocalId::new)
+        .filter(|&l| !f.is_param(l) && f.local(l).ty.is_scalar())
+        .map(|seed| SplitPlan::from_targets(vec![SplitTarget::Function { func, seed }]))
+        .collect()
 }
 
 proptest! {
@@ -180,72 +38,50 @@ proptest! {
     })]
 
     #[test]
-    fn split_preserves_behaviour_for_every_seed(stmts in program_strategy(), x in -5i64..6, y in -5i64..6) {
-        let src = render_program(&stmts);
+    fn split_preserves_behaviour_for_every_seed(src in hps_gen::function(), x in -5i64..6, y in -5i64..6) {
         let program = hps::lang::parse(&src)
             .unwrap_or_else(|e| panic!("generated program must parse: {e}\n{src}"));
         let args = [RtValue::Int(x), RtValue::Int(y)];
-        let original = run_program(&program, &args)
-            .unwrap_or_else(|e| panic!("generated program must run: {e}\n{src}"));
-        let fid = program.func_by_name("f").expect("exists");
-        let nlocals = program.func(fid).locals.len();
-        for local in 3..nlocals {
-            let seed = hps::ir::LocalId::new(local);
-            if program.func(fid).is_param(seed)
-                || !program.func(fid).local(seed).ty.is_scalar()
-            {
-                continue;
-            }
-            let plan = SplitPlan::from_targets(vec![SplitTarget::Function { func: fid, seed }]);
-            let split = match split_program(&program, &plan) {
-                Ok(s) => s,
-                Err(e) => panic!("split failed for seed {local}: {e}\n{src}"),
-            };
-            let replay = Executor::new(&split.open, &split.hidden)
-                .run(&args)
-                .unwrap_or_else(|e| panic!("split run failed for seed {local}: {e}\n{src}"));
+        let original = run_program(&program, &args);
+        let f = program.func_by_name("f").expect("exists");
+        for plan in function_plans(&program, f) {
+            let split = split_program(&program, &plan)
+                .unwrap_or_else(|e| panic!("split failed for {:?}: {e}\n{src}", plan.targets));
+            let replay = Executor::new(&split.open, &split.hidden).run(&args);
             prop_assert_eq!(
-                &original.output,
-                &replay.outcome.output,
-                "seed v{} changed behaviour\n{}",
-                local,
+                original.as_ref().map(|o| &o.output),
+                replay.as_ref().map(|r| &r.outcome.output),
+                "{:?} changed behaviour\n{}",
+                plan.targets,
                 src
             );
         }
     }
 
     #[test]
-    fn split_without_promotion_preserves_behaviour(stmts in program_strategy(), x in -5i64..6, y in -5i64..6) {
-        let src = render_program(&stmts);
+    fn split_without_promotion_preserves_behaviour(src in hps_gen::function(), x in -5i64..6, y in -5i64..6) {
         let program = hps::lang::parse(&src).expect("parses");
         let args = [RtValue::Int(x), RtValue::Int(y)];
-        let original = run_program(&program, &args).expect("runs");
-        let fid = program.func_by_name("f").expect("exists");
+        let original = run_program(&program, &args);
         // One representative seed is enough here; the promotion-on variant
         // already sweeps all of them.
-        let seed = program.func(fid).local_by_name("v0").expect("exists");
-        let plan = SplitPlan::from_targets(vec![SplitTarget::Function { func: fid, seed }])
-            .with_promotion(false);
+        let plan = SplitPlan::single(&program, "f", "v0").expect("exists").with_promotion(false);
         let split = split_program(&program, &plan).expect("splits");
-        let replay = Executor::new(&split.open, &split.hidden)
-            .run(&args)
-            .expect("runs");
-        prop_assert_eq!(&original.output, &replay.outcome.output, "\n{}", src);
+        let replay = Executor::new(&split.open, &split.hidden).run(&args);
+        prop_assert_eq!(
+            original.as_ref().map(|o| &o.output),
+            replay.as_ref().map(|r| &r.outcome.output),
+            "\n{}",
+            src
+        );
     }
 
     #[test]
-    fn security_analysis_is_total_on_generated_splits(stmts in program_strategy()) {
+    fn security_analysis_is_total_on_generated_splits(src in hps_gen::function()) {
         // The Fig. 3 estimator must terminate and assign a complexity to
         // every leak on arbitrary structured programs (fixpoint safety).
-        let src = render_program(&stmts);
         let program = hps::lang::parse(&src).expect("parses");
-        let fid = program.func_by_name("f").expect("exists");
-        for local in 3..program.func(fid).locals.len() {
-            let seed = hps::ir::LocalId::new(local);
-            if !program.func(fid).local(seed).ty.is_scalar() {
-                continue;
-            }
-            let plan = SplitPlan::from_targets(vec![SplitTarget::Function { func: fid, seed }]);
+        for plan in function_plans(&program, program.func_by_name("f").expect("exists")) {
             let split = split_program(&program, &plan).expect("splits");
             let report = hps::security::analyze_split(&program, &split);
             prop_assert_eq!(report.total(), split.total_ilps(), "\n{}", src);
@@ -256,4 +92,65 @@ proptest! {
             }
         }
     }
+}
+
+/// Every split of a generated program the splitter accepts: each scalar
+/// non-parameter local of each function, each scalar global and the class.
+fn plans(program: &Program) -> Vec<SplitPlan> {
+    let mut plans: Vec<SplitPlan> = program
+        .iter_funcs()
+        .flat_map(|(func, _)| function_plans(program, func))
+        .collect();
+    for global in &program.globals {
+        if global.ty.is_scalar() {
+            plans.push(SplitPlan::global(program, &global.name).expect("exists"));
+        }
+    }
+    plans.push(SplitPlan::class(program, "Cell").expect("exists"));
+    plans
+}
+
+/// Generated programs with calls, recursion, globals and a class, split
+/// every way: run in process, with and without batching, the output, or
+/// the first error, equals the unsplit run's. Splits the splitter refuses
+/// are skipped; enough must remain.
+#[test]
+fn split_preserves_behaviour_of_generated_programs() {
+    let (mut compared, mut skipped) = (0, 0);
+    TestRunner::new(ProptestConfig {
+        cases: 48,
+        ..ProptestConfig::default()
+    })
+    .run(&hps_gen::program(), |src| {
+        let program = hps::lang::parse(&src).unwrap_or_else(|e| panic!("{e}\n{src}"));
+        let original = run_program(&program, &[]);
+        let original = original.as_ref().map(|o| &o.output);
+        for plan in plans(&program) {
+            let split = match split_program(&program, &plan) {
+                Ok(split) => split,
+                Err(SplitError::BadSeed(_) | SplitError::Unrealizable(_)) => {
+                    skipped += 1;
+                    continue;
+                }
+                Err(e) => panic!("{e}\n{plan:?}\n{src}"),
+            };
+            for batching in [false, true] {
+                let replay = Executor::new(&split.open, &split.hidden)
+                    .batching(batching)
+                    .run(&[]);
+                assert_eq!(
+                    original,
+                    replay.as_ref().map(|r| &r.outcome.output),
+                    "batching {batching}, {:?}\n{src}",
+                    plan.targets
+                );
+            }
+            compared += 1;
+        }
+    });
+    eprintln!("{compared} splits compared, {skipped} skipped");
+    assert!(
+        compared >= 600,
+        "only {compared} splits compared ({skipped} skipped)"
+    );
 }
