@@ -550,6 +550,17 @@ impl FuncRewriter<'_> {
         self.plan.hidden_vars.contains(&v)
     }
 
+    /// The hidden variable `e` reads, if it is a read of one.
+    fn hidden_read(&self, e: &Expr) -> Option<VarId> {
+        let v = match e {
+            Expr::Local(l) => VarId::Local(*l),
+            Expr::Global(g) => VarId::Global(*g),
+            Expr::FieldGet { class, field, .. } => VarId::Field(*class, *field),
+            _ => return None,
+        };
+        self.is_hidden(v).then_some(v)
+    }
+
     // ---------------- open-side rewriting ----------------
 
     fn rewrite_block(&mut self, block: &Block) -> Result<Block, SplitError> {
@@ -629,72 +640,12 @@ impl FuncRewriter<'_> {
         out: &mut Vec<Stmt>,
         cache: &mut HashMap<VarId, LocalId>,
     ) -> Result<Expr, SplitError> {
-        Ok(match e {
-            Expr::Const(_) | Expr::NewObject(_) => e.clone(),
-            Expr::Local(l) => {
-                let v = VarId::Local(*l);
-                if self.is_hidden(v) {
-                    let tmp = self.cached_fetch(v, at, out, cache);
-                    Expr::local(tmp)
-                } else {
-                    e.clone()
-                }
-            }
-            Expr::Global(g) => {
-                let v = VarId::Global(*g);
-                if self.is_hidden(v) {
-                    let tmp = self.cached_fetch(v, at, out, cache);
-                    Expr::local(tmp)
-                } else {
-                    e.clone()
-                }
-            }
-            Expr::FieldGet { obj, class, field } => {
-                let v = VarId::Field(*class, *field);
-                if self.is_hidden(v) {
-                    // Plan validation guarantees obj is `self`.
-                    let tmp = self.cached_fetch(v, at, out, cache);
-                    Expr::local(tmp)
-                } else {
-                    Expr::FieldGet {
-                        obj: Box::new(self.openize_expr(obj, at, out, cache)?),
-                        class: *class,
-                        field: *field,
-                    }
-                }
-            }
-            Expr::Index { base, index } => Expr::Index {
-                base: Box::new(self.openize_expr(base, at, out, cache)?),
-                index: Box::new(self.openize_expr(index, at, out, cache)?),
-            },
-            Expr::Unary { op, arg } => Expr::Unary {
-                op: *op,
-                arg: Box::new(self.openize_expr(arg, at, out, cache)?),
-            },
-            Expr::Binary { op, lhs, rhs } => Expr::Binary {
-                op: *op,
-                lhs: Box::new(self.openize_expr(lhs, at, out, cache)?),
-                rhs: Box::new(self.openize_expr(rhs, at, out, cache)?),
-            },
-            Expr::Call { callee, args } => Expr::Call {
-                callee: *callee,
-                args: args
-                    .iter()
-                    .map(|a| self.openize_expr(a, at, out, cache))
-                    .collect::<Result<_, _>>()?,
-            },
-            Expr::BuiltinCall { builtin, args } => Expr::BuiltinCall {
-                builtin: *builtin,
-                args: args
-                    .iter()
-                    .map(|a| self.openize_expr(a, at, out, cache))
-                    .collect::<Result<_, _>>()?,
-            },
-            Expr::NewArray { elem, len } => Expr::NewArray {
-                elem: elem.clone(),
-                len: Box::new(self.openize_expr(len, at, out, cache)?),
-            },
-        })
+        // A hidden field is read through `self` (plan validation), so its
+        // receiver needs no rewriting.
+        match self.hidden_read(e) {
+            Some(v) => Ok(Expr::local(self.cached_fetch(v, at, out, cache))),
+            None => map_operands(e, |op| self.openize_expr(op, at, out, cache)),
+        }
     }
 
     fn cached_fetch(
@@ -913,7 +864,7 @@ impl FuncRewriter<'_> {
         let mut written = BTreeSet::new();
         let stale = match &stmt.kind {
             StmtKind::Assign { place, value } => std::iter::once(value)
-                .chain(place_exprs(place))
+                .chain(place.exprs())
                 .any(|e| self.reads_stale(e, modref, &mut written)),
             StmtKind::If { cond: e, .. }
             | StmtKind::While { cond: e, .. }
@@ -934,9 +885,7 @@ impl FuncRewriter<'_> {
         let mut pre = Vec::new();
         let mut kind = stmt.kind.clone();
         let spilled = match &mut kind {
-            StmtKind::Assign { place, .. }
-                if place_exprs(place).iter().any(|e| e.contains_call()) =>
-            {
+            StmtKind::Assign { place, .. } if place.exprs().iter().any(|e| e.contains_call()) => {
                 return Err(unrealizable("an assigned place"))
             }
             StmtKind::Assign { value: e, .. }
@@ -947,8 +896,7 @@ impl FuncRewriter<'_> {
             // move, and a `void` call has no value to keep.
             StmtKind::ExprStmt(e) => {
                 let call = e.clone();
-                let args = self.spill_operands(&operands(&call), &mut pre);
-                args.map(|args| *e = with_operands(&call, args))
+                self.spill_operands(&call, &mut pre).map(|s| *e = s)
             }
             _ => return Err(unrealizable("a loop condition")),
         };
@@ -964,13 +912,7 @@ impl FuncRewriter<'_> {
     /// Walks `e` in evaluation order, adding to `written` the hidden
     /// variables each call may write; true at a read of one of them.
     fn reads_stale(&self, e: &Expr, modref: &ModRef, written: &mut BTreeSet<VarId>) -> bool {
-        let read = match e {
-            Expr::Local(l) => Some(VarId::Local(*l)),
-            Expr::Global(g) => Some(VarId::Global(*g)),
-            Expr::FieldGet { class, field, .. } => Some(VarId::Field(*class, *field)),
-            _ => None,
-        };
-        if let Some(v) = read.filter(|&v| self.is_hidden(v)) {
+        if let Some(v) = self.hidden_read(e) {
             return written.contains(&v);
         }
         if operands(e)
@@ -995,7 +937,7 @@ impl FuncRewriter<'_> {
                 return None;
             }
         }
-        let rebuilt = with_operands(e, self.spill_operands(&operands(e), pre)?);
+        let rebuilt = self.spill_operands(e, pre)?;
         if !matches!(e, Expr::Call { .. }) {
             return Some(rebuilt);
         }
@@ -1004,25 +946,24 @@ impl FuncRewriter<'_> {
         Some(Expr::local(tmp))
     }
 
-    /// Spills each operand in turn. An operand evaluated before a call is
-    /// assigned to a temp ahead of it, unless it is a constant or a local,
-    /// which no call can change.
-    fn spill_operands(&mut self, ops: &[&Expr], pre: &mut Vec<Stmt>) -> Option<Vec<Expr>> {
-        let mut residuals = Vec::with_capacity(ops.len());
-        for (i, op) in ops.iter().enumerate() {
-            let residual = self.spill_expr(op, pre)?;
-            let call_after = ops[i + 1..].iter().any(|later| later.contains_call());
-            residuals.push(match residual {
-                Expr::Const(_) | Expr::Local(_) => residual,
-                _ if call_after => {
-                    let tmp = self.add_temp("spill", expr_ty(self.program, self.orig, op));
-                    pre.push(assign_local(tmp, residual));
-                    Expr::local(tmp)
-                }
-                _ => residual,
-            });
-        }
-        Some(residuals)
+    /// `e` with each operand spilled in turn. An operand evaluated before
+    /// a call is assigned to a temp ahead of it, unless it is a constant
+    /// or a local, which no call can change.
+    fn spill_operands(&mut self, e: &Expr, pre: &mut Vec<Stmt>) -> Option<Expr> {
+        let ops = operands(e);
+        let mut next = 0;
+        let spilled = map_operands(e, |op| -> Result<Expr, ()> {
+            next += 1;
+            let residual = self.spill_expr(op, pre).ok_or(())?;
+            let call_after = ops[next..].iter().any(|later| later.contains_call());
+            if !call_after || matches!(residual, Expr::Const(_) | Expr::Local(_)) {
+                return Ok(residual);
+            }
+            let tmp = self.add_temp("spill", expr_ty(self.program, self.orig, op));
+            pre.push(assign_local(tmp, residual));
+            Ok(Expr::local(tmp))
+        });
+        spilled.ok()
     }
 
     /// Builds a value-returning fragment for `expr` (case (iii)) and
@@ -1187,27 +1128,12 @@ impl FuncRewriter<'_> {
                     }
                 }
             }
-            Expr::Unary { op, arg } => Expr::Unary {
-                op: *op,
-                arg: Box::new(self.frag_rewrite_expr(arg, collector)?),
-            },
-            Expr::Binary { op, lhs, rhs } => Expr::Binary {
-                op: *op,
-                lhs: Box::new(self.frag_rewrite_expr(lhs, collector)?),
-                rhs: Box::new(self.frag_rewrite_expr(rhs, collector)?),
-            },
-            Expr::BuiltinCall { builtin, args } => Expr::BuiltinCall {
-                builtin: *builtin,
-                args: args
-                    .iter()
-                    .map(|a| self.frag_rewrite_expr(a, collector))
-                    .collect::<Result<_, _>>()?,
-            },
-            other => {
+            Expr::Call { .. } | Expr::Index { .. } | Expr::NewArray { .. } | Expr::NewObject(_) => {
                 return Err(SplitError::Unrealizable(format!(
-                    "non-transferable expression reached a fragment: {other:?}"
+                    "non-transferable expression reached a fragment: {e:?}"
                 )))
             }
+            _ => map_operands(e, |op| self.frag_rewrite_expr(op, collector))?,
         })
     }
 }
@@ -1217,19 +1143,6 @@ fn assign_local(local: LocalId, value: Expr) -> Stmt {
         place: Place::Local(local),
         value,
     })
-}
-
-/// The expressions an assignment to `place` evaluates, in order.
-fn place_exprs(place: &Place) -> Vec<&Expr> {
-    match place {
-        Place::Local(_) | Place::Global(_) => Vec::new(),
-        Place::Index { base, index } => {
-            let mut exprs = place_exprs(base);
-            exprs.push(index);
-            exprs
-        }
-        Place::Field { obj, .. } => vec![obj],
-    }
 }
 
 /// The operands of `e`, in evaluation order.
@@ -1247,22 +1160,51 @@ fn operands(e: &Expr) -> Vec<&Expr> {
     }
 }
 
-/// `e` with its [`operands`] replaced by `ops`.
-fn with_operands(e: &Expr, ops: Vec<Expr>) -> Expr {
-    let mut rebuilt = e.clone();
-    let slots: Vec<&mut Expr> = match &mut rebuilt {
-        Expr::Const(_) | Expr::Local(_) | Expr::Global(_) | Expr::NewObject(_) => Vec::new(),
-        Expr::Index { base, index } => vec![base, index],
-        Expr::FieldGet { obj: arg, .. }
-        | Expr::Unary { arg, .. }
-        | Expr::NewArray { len: arg, .. } => vec![arg],
-        Expr::Binary { lhs, rhs, .. } => vec![lhs, rhs],
-        Expr::Call { args, .. } | Expr::BuiltinCall { args, .. } => args.iter_mut().collect(),
-    };
-    for (slot, op) in slots.into_iter().zip(ops) {
-        *slot = op;
-    }
-    rebuilt
+/// `e` with each operand replaced by `f` of it, in evaluation order.
+fn map_operands<E>(e: &Expr, mut f: impl FnMut(&Expr) -> Result<Expr, E>) -> Result<Expr, E> {
+    let mut args = |args: &[Expr]| args.iter().map(&mut f).collect::<Result<_, E>>();
+    Ok(match e {
+        Expr::Call { callee, args: a } => Expr::Call {
+            callee: *callee,
+            args: args(a)?,
+        },
+        Expr::BuiltinCall { builtin, args: a } => Expr::BuiltinCall {
+            builtin: *builtin,
+            args: args(a)?,
+        },
+        _ => {
+            let mut op = |x: &Expr| f(x).map(Box::new);
+            match e {
+                Expr::Index { base, index } => Expr::Index {
+                    base: op(base)?,
+                    index: op(index)?,
+                },
+                Expr::FieldGet { obj, class, field } => Expr::FieldGet {
+                    obj: op(obj)?,
+                    class: *class,
+                    field: *field,
+                },
+                Expr::Unary { op: unop, arg } => Expr::Unary {
+                    op: *unop,
+                    arg: op(arg)?,
+                },
+                Expr::Binary {
+                    op: binop,
+                    lhs,
+                    rhs,
+                } => Expr::Binary {
+                    op: *binop,
+                    lhs: op(lhs)?,
+                    rhs: op(rhs)?,
+                },
+                Expr::NewArray { elem, len } => Expr::NewArray {
+                    elem: elem.clone(),
+                    len: op(len)?,
+                },
+                _ => e.clone(),
+            }
+        }
+    })
 }
 
 fn with_result(call: Stmt, result: Option<Place>) -> Stmt {

@@ -51,6 +51,20 @@ impl Place {
         matches!(self, Place::Local(_) | Place::Global(_))
     }
 
+    /// The expressions evaluated to locate this place, in evaluation order:
+    /// receiver objects and indices.
+    pub fn exprs(&self) -> Vec<&Expr> {
+        match self {
+            Place::Local(_) | Place::Global(_) => Vec::new(),
+            Place::Index { base, index } => {
+                let mut exprs = base.exprs();
+                exprs.push(index);
+                exprs
+            }
+            Place::Field { obj, .. } => vec![obj],
+        }
+    }
+
     /// Collects the locals *read* when evaluating this place (indices,
     /// receiver objects, array bases) — not the assigned variable itself for
     /// whole-variable places.

@@ -71,22 +71,9 @@ pub fn find_stmt(block: &Block, id: StmtId) -> Option<&Stmt> {
 /// Visits every expression appearing in the statement (conditions, assigned
 /// values, call arguments, place indices), including sub-expressions.
 pub fn for_each_expr_in_stmt(stmt: &Stmt, f: &mut impl FnMut(&Expr)) {
-    let visit_place = |place: &crate::Place, f: &mut dyn FnMut(&Expr)| {
-        fn go(place: &crate::Place, f: &mut dyn FnMut(&Expr)) {
-            match place {
-                crate::Place::Local(_) | crate::Place::Global(_) => {}
-                crate::Place::Index { base, index } => {
-                    go(base, f);
-                    index.walk(&mut |e| f(e));
-                }
-                crate::Place::Field { obj, .. } => obj.walk(&mut |e| f(e)),
-            }
-        }
-        go(place, f);
-    };
     match &stmt.kind {
         StmtKind::Assign { place, value } => {
-            visit_place(place, &mut |e| f(e));
+            place.exprs().into_iter().for_each(|e| e.walk(f));
             value.walk(f);
         }
         StmtKind::If { cond, .. } | StmtKind::While { cond, .. } => cond.walk(f),
@@ -96,7 +83,7 @@ pub fn for_each_expr_in_stmt(stmt: &Stmt, f: &mut impl FnMut(&Expr)) {
                 a.walk(f);
             }
             if let Some(place) = result {
-                visit_place(place, &mut |e| f(e));
+                place.exprs().into_iter().for_each(|e| e.walk(f));
             }
         }
         StmtKind::Return(None) | StmtKind::Break | StmtKind::Continue | StmtKind::Nop => {}
