@@ -92,9 +92,9 @@ pub trait Channel {
     /// path (0 for cost-free test channels).
     fn rtt_cost(&self) -> u64;
 
-    /// Reliability counters (retries, reconnects, replays). Fault-free
-    /// transports report all-zero; [`crate::tcp::TcpChannel`] in reliable
-    /// mode and [`crate::fault::FaultyChannel`] override this.
+    /// Reliability counters (retries, reconnects, faults, replays).
+    /// Fault-free transports report all-zero; [`crate::tcp::TcpChannel`]
+    /// overrides this.
     fn transport_stats(&self) -> TransportStats {
         TransportStats::default()
     }

@@ -187,9 +187,9 @@ impl fmt::Debug for SplitMeta {
 ///
 /// This is the single entry point for running a split program in process:
 /// it installs the hidden program on a fresh [`SecureServer`] behind an
-/// [`InProcessChannel`]. Use [`Interp`] directly only for custom channels
-/// (TCP, tracing, or a [`FaultyChannel`](crate::FaultyChannel) for
-/// injected transport faults).
+/// [`InProcessChannel`]. Use [`Interp`] directly only for custom channels:
+/// a [`TcpChannel`](crate::tcp::TcpChannel) to a remote session server, or
+/// a [`TraceChannel`](crate::TraceChannel) wiretap.
 ///
 /// # Examples
 ///

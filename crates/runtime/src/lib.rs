@@ -20,7 +20,7 @@
 //!   configurable round-trip cost for deterministic experiments.
 //! * [`tcp`] — a real TCP transport (length-prefixed frames of varint
 //!   fields, [`wire`]) for running the two halves in separate
-//!   processes/machines.
+//!   processes/machines, with seeded fault injection on its wire.
 //! * [`trace`] — the adversary's view: records every value crossing the
 //!   channel, feeding the `hps-attack` crate.
 //!
@@ -50,9 +50,10 @@
 //!   session's [`shard`] (`session_id % shards`), a lock around the
 //!   shard's sessions, so sessions on different shards run in parallel
 //!   with no thread hand-off on the round trip.
-//! * [`fault::FaultyChannel`] wraps any channel with a seeded,
-//!   deterministic fault schedule (drops, delays, duplicates,
-//!   truncations) for in-process chaos testing.
+//! * [`tcp::ChaosConfig`] injects seeded faults on the real wire of each
+//!   connection — dropped requests, dropped, torn and late replies — and
+//!   [`fault::CrashConfig`] kills shards and panics fragments; [`fault`]
+//!   derives their per-connection and per-shard streams from one seed.
 //! * Crash resilience (DESIGN.md §12): per-request `catch_unwind` panic
 //!   isolation, shard deaths (kills, poisoned locks) that drop a shard's
 //!   live sessions in one step, and a deterministic per-session
@@ -60,7 +61,7 @@
 //!   server received them, in the one [`wire`] encoding — from which
 //!   hidden state is rebuilt by replay — optionally persisted with
 //!   `--journal-dir` so a restarted `hps serve` resumes sessions
-//!   transparently, and exercised by [`fault::CrashFault`] injection.
+//!   transparently, and exercised by [`fault::CrashConfig`] injection.
 //!
 //! Retries and replays are invisible to the adversary: interaction
 //! counts, server-side call counts and [`trace::TraceChannel`] events all
@@ -69,11 +70,11 @@
 //!
 //! ## Telemetry
 //!
-//! Every layer (interpreter, channels, server, fault injector, wiretap)
-//! carries an optional [`RecorderHandle`] and fires `hps-telemetry`
-//! events at its seams — calls, round trips, flushes, retries, faults,
-//! replays, fragments. With no recorder attached the hook is a single
-//! branch on a `None`; with one, events aggregate into a deterministic
+//! Every layer (interpreter, channels, server, wiretap) carries an
+//! optional [`RecorderHandle`] and fires `hps-telemetry` events at its
+//! seams — calls, round trips, flushes, retries, faults, fragments. With
+//! no recorder attached the hook is a single branch on a `None`; with
+//! one, events aggregate into a deterministic
 //! [`MetricsSnapshot`] (counters + fixed-bucket histograms over *virtual*
 //! quantities only, so snapshots are byte-for-byte reproducible).
 //! [`interp::Executor`] is the assembled entry point:
@@ -128,7 +129,7 @@ pub use bytecode::{compile_fragment, CompiledFragment, VmCache};
 pub use channel::{CallReply, Channel, InProcessChannel, PendingCall, TransportStats};
 pub use cost::{CostModel, COST_MODEL};
 pub use error::{FaultClass, RuntimeError};
-pub use fault::{CrashConfig, CrashFault, FaultKind, FaultPlan, FaultyChannel};
+pub use fault::CrashConfig;
 pub use interp::{
     run_function, run_program, ExecConfig, ExecReport, Executor, Interp, Outcome, SplitMeta,
 };

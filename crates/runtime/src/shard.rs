@@ -45,7 +45,7 @@
 
 use crate::bytecode::VmCache;
 use crate::channel::{CallReply, PendingCall};
-use crate::fault::CrashConfig;
+use crate::fault::{stream_seed, CrashConfig};
 use crate::journal::{journal_path, load_disk_journal, DiskJournal, SessionJournal};
 use crate::server::{ReplayCache, SecureServer, SeqCheck};
 use crate::wire::{Request, Response};
@@ -323,7 +323,7 @@ fn chaos_stream(
     incarnation: u64,
 ) -> Option<(StdRng, CrashConfig)> {
     crash.map(|c| {
-        let seed = c.seed ^ ((shard as u64) << 32) ^ incarnation;
+        let seed = stream_seed(c.seed, ((shard as u64) << 32) ^ incarnation);
         (StdRng::seed_from_u64(seed), c)
     })
 }
@@ -430,10 +430,17 @@ impl ShardPool {
     /// `Release` request received) so a rebuild frees exactly what the
     /// live session freed. A session its shard dropped is rebuilt first,
     /// so no release is lost to a shard death.
+    ///
+    /// A release belongs before the sequenced unit `before`, the next one
+    /// its connection sends, and applies only while the session has not
+    /// run that unit yet. A later copy — a connection that fell behind
+    /// while the client moved on to another — is dropped: the key may
+    /// name a live activation again by then.
     pub(crate) fn release(
         &self,
         stats: &StatsInner,
         session: u64,
+        before: u64,
         component: ComponentId,
         key: u64,
         payload: &[u8],
@@ -444,8 +451,10 @@ impl ShardPool {
                 sessions, journals, ..
             } = state;
             if let Some(SessionSlot::Live(live)) = sessions.0.get_mut(&session) {
-                live.server.release(component, key);
-                commit_op(journals, cx, session, live, None, payload);
+                if live.replay.next_seq() == before {
+                    live.server.release(component, key);
+                    commit_op(journals, cx, session, live, None, payload);
+                }
             }
         });
     }

@@ -33,15 +33,32 @@
 //!   session's shard ([`crate::shard`]): one lock per shard, no hand-off
 //!   to another thread, and sessions on different shards run in parallel.
 //!
+//! `Release` frames are unsequenced and unanswered, but ordered with the
+//! sequenced stream: a release belongs before the next unit its client
+//! sends. The client keeps the releases written since its last completed
+//! round trip and re-sends them after a reconnect whose `HelloAck` shows
+//! that unit has not run; the server applies a release only while that
+//! unit has not run, so a late copy never frees a reopened activation.
+//!
 //! Retries, reconnects and replays are visible only in
 //! [`Channel::transport_stats`] — never in [`Channel::interactions`],
 //! server-side call counts, or [`crate::trace::TraceChannel`] events.
+//!
+//! ## Fault injection
+//!
+//! [`SessionServer::with_chaos`] faults the real wire, where the protocol
+//! runs: a seeded share of the frames a connection reads lose their
+//! request or their reply, get a torn reply, or a reply late enough that
+//! the client retransmits on a second connection while the first is still
+//! open.
 
 use crate::channel::{CallReply, Channel, PendingCall, TransportStats};
 use crate::error::{FaultClass, RuntimeError};
-use crate::fault::CrashConfig;
+use crate::fault::{stream_seed, CrashConfig};
 use crate::shard::{ShardConfig, ShardPool, StatsInner};
-use crate::wire::{push_seq_unit, read_frame, write_frame, Request, Response, WIRE_VERSION};
+use crate::wire::{
+    push_seq_unit, read_frame, write_frame, write_torn_frame, Request, Response, WIRE_VERSION,
+};
 use hps_ir::{ComponentId, FragLabel, HiddenProgram, Value};
 use hps_telemetry::{metrics::names, Event, Histogram, MetricsSnapshot, RecorderHandle};
 use rand::rngs::StdRng;
@@ -54,11 +71,16 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How many committed sequenced frames a client retains for the
-/// session-resume path: if a recovered server comes back missing a tail of
-/// committed units (lost journal frames), the handshake re-drives up to
-/// this many frames byte-identically.
+/// How many committed frames — sequenced units and releases — a client
+/// retains for the session-resume path: if a recovered server comes back
+/// missing a tail of committed frames (lost journal frames), the handshake
+/// re-drives up to this many frames byte-identically.
 const RESUME_WINDOW: usize = 64;
+
+/// How long a [`ChaosConfig`] late reply waits before it is written:
+/// longer than the per-attempt timeout the chaos tests give their clients,
+/// so the client retransmits on a new connection while this one is open.
+const LATE_REPLY: Duration = Duration::from_millis(300);
 
 /// Client-side retry configuration for [`TcpChannel::connect_reliable`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -154,16 +176,29 @@ pub struct TcpChannel {
     session: u64,
     /// The sequence number of the next call or batch.
     next_seq: u64,
-    /// The last [`RESUME_WINDOW`] committed sequenced frames,
-    /// byte-identical as sent, keyed by sequence number. A restarted
-    /// server that lost a committed tail (torn disk journal) is caught up
-    /// from here during the handshake — see
-    /// [`TcpChannel::resume_session`].
-    history: VecDeque<(u64, Vec<u8>)>,
+    /// The frames sent, byte-identical, in order: the last
+    /// [`RESUME_WINDOW`] committed ones, and every release written since
+    /// the last completed round trip. A server that has not seen them all
+    /// — a lost connection took the releases, or a restart lost a
+    /// committed tail (torn disk journal) — is caught up from here during
+    /// the handshake; see [`TcpChannel::resume_session`].
+    history: VecDeque<Sent>,
+    /// The key of the newest frame evicted from `history` (0: none).
+    evicted: u64,
     /// Jitter for the retry backoff.
     rng: StdRng,
     stats: TransportStats,
     recorder: RecorderHandle,
+}
+
+/// A frame kept for re-driving.
+#[derive(Debug)]
+struct Sent {
+    /// A unit's own sequence number; for a release, the unit it precedes.
+    seq: u64,
+    /// Units are answered; releases are not.
+    unit: bool,
+    frame: Vec<u8>,
 }
 
 fn split_stream(
@@ -260,6 +295,7 @@ impl TcpChannel {
             session,
             next_seq: 1,
             history: VecDeque::new(),
+            evicted: 0,
             rng,
             stats: TransportStats::default(),
             recorder: RecorderHandle::none(),
@@ -326,10 +362,12 @@ impl TcpChannel {
                         self.next_seq
                     )));
                 }
-                // The server may also come back *behind*: a recovered
-                // server whose journal lost a committed tail. Re-drive
-                // the missing frames from the resume window.
-                if next_seq < self.next_seq {
+                // Otherwise the outstanding unit has not run, and the
+                // releases before it may be lost with the old connection;
+                // a recovered server may even be further *behind*, its
+                // journal short of a committed tail. Re-drive whatever it
+                // may be missing from the resume window.
+                if next_seq <= self.next_seq {
                     return self.resume_session(next_seq);
                 }
                 Ok(())
@@ -341,36 +379,33 @@ impl TcpChannel {
         }
     }
 
-    /// Re-drives committed-but-lost sequenced frames after the server came
-    /// back behind the client (a torn disk journal frame was dropped on
-    /// restart). The
-    /// retransmits are the byte-identical original frames, so on the wire
-    /// this is indistinguishable from the lost-response retransmits the
-    /// protocol always had — the adversary's view is unchanged, and no
-    /// interaction or transport counter moves. Responses are discarded:
-    /// the client already delivered these calls' results.
+    /// Re-drives, in order, every kept frame the server may be missing
+    /// when it expects `server_next`: the releases before that unit, and
+    /// after a restart that lost a committed tail (torn disk journal) the
+    /// units and releases since. The frames are the byte-identical
+    /// originals, so on the wire this is indistinguishable from the
+    /// lost-response retransmits the protocol always had — the adversary's
+    /// view is unchanged, and no interaction or transport counter moves.
+    /// Responses are discarded: the client already delivered these calls'
+    /// results. A release the server already applied is harmless: no unit
+    /// ran since.
     fn resume_session(&mut self, server_next: u64) -> Result<(), RuntimeError> {
-        let frames: Vec<Vec<u8>> = self
-            .history
-            .iter()
-            .filter(|(seq, _)| *seq >= server_next)
-            .map(|(_, frame)| frame.clone())
-            .collect();
-        let missing = self.next_seq - server_next;
-        if frames.len() as u64 != missing {
+        if self.evicted >= server_next {
             return Err(RuntimeError::Transport {
                 class: FaultClass::Terminal,
                 op: "resume",
                 detail: format!(
-                    "server lost {missing} committed units but the resume \
-                     window holds {} (cap {})",
-                    frames.len(),
-                    RESUME_WINDOW
+                    "server lost {} committed units but the resume window \
+                     (cap {RESUME_WINDOW}) no longer holds them",
+                    self.next_seq - server_next
                 ),
             });
         }
-        for frame in frames {
-            write_frame(&mut self.writer, &frame)?;
+        for sent in self.history.iter().filter(|s| s.seq >= server_next) {
+            write_frame(&mut self.writer, &sent.frame)?;
+            if !sent.unit {
+                continue;
+            }
             let payload = read_frame(&mut self.reader)?.ok_or_else(|| RuntimeError::Transport {
                 class: FaultClass::Retryable,
                 op: "resume",
@@ -381,6 +416,24 @@ impl TcpChannel {
             let _ = Response::decode(&payload)?;
         }
         Ok(())
+    }
+
+    /// Moves the frame in `scratch` into the resume window as `seq`. Once
+    /// the window is full, its oldest committed frame is evicted and
+    /// becomes the next encode buffer; uncommitted releases are never
+    /// evicted.
+    fn keep_scratch(&mut self, seq: u64, unit: bool) {
+        let mut buf = None;
+        while self.history.len() >= RESUME_WINDOW
+            && self.history.front().is_some_and(|s| s.seq < self.next_seq)
+        {
+            let old = self.history.pop_front().expect("front checked");
+            self.evicted = old.seq;
+            buf = Some(old.frame);
+        }
+        let buf = buf.unwrap_or_else(|| Vec::with_capacity(256));
+        let frame = std::mem::replace(&mut self.scratch, buf);
+        self.history.push_back(Sent { seq, unit, frame });
     }
 
     /// Re-establishes the connection and re-opens the session.
@@ -437,7 +490,7 @@ impl TcpChannel {
                 Err(e) if e.is_retryable() && attempt + 1 < policy.max_attempts => {
                     self.stats.faults += 1;
                     self.stats.retries += 1;
-                    self.recorder.record(Event::Fault { kind: "io" });
+                    self.recorder.record(Event::Fault);
                     self.recorder.record(Event::Retry);
                     self.backoff(attempt);
                     attempt += 1;
@@ -446,7 +499,7 @@ impl TcpChannel {
                     if let Err(re) = self.reconnect() {
                         if re.is_retryable() && attempt + 1 < policy.max_attempts {
                             self.stats.faults += 1;
-                            self.recorder.record(Event::Fault { kind: "io" });
+                            self.recorder.record(Event::Fault);
                             continue;
                         }
                         return Err(re);
@@ -465,17 +518,10 @@ impl TcpChannel {
         push_seq_unit(&mut self.scratch, self.next_seq, calls, batch);
         let resp = self.round_trip_encoded()?;
         // Keep the committed frame so a recovered server that lost its
-        // journal tail can be re-driven (resume_session); the window is
-        // bounded by `RESUME_WINDOW`. The frame moves into the window,
-        // and once the window is full the frame it evicts becomes the next
-        // encode buffer.
-        let evicted = (self.history.len() >= RESUME_WINDOW)
-            .then(|| self.history.pop_front())
-            .flatten()
-            .map_or_else(|| Vec::with_capacity(256), |(_, frame)| frame);
-        let frame = std::mem::replace(&mut self.scratch, evicted);
-        self.history.push_back((self.next_seq, frame));
+        // journal tail can be re-driven (resume_session).
+        let seq = self.next_seq;
         self.next_seq += 1;
+        self.keep_scratch(seq, true);
         Ok(resp)
     }
 }
@@ -545,12 +591,19 @@ impl Channel for TcpChannel {
     }
 
     fn release(&mut self, component: ComponentId, key: u64) -> Result<(), RuntimeError> {
-        // Fire-and-forget: no reply expected for release, and the server
-        // treats it idempotently, so it is never sequenced or retried.
+        // Unanswered, but kept until the next unit completes: if the
+        // connection dies first, the reconnect re-sends it ahead of that
+        // unit (see `resume_session`).
         Request::Release { component, key }.encode_into(&mut self.scratch);
-        write_frame(&mut self.writer, &self.scratch)?;
+        let sent = write_frame(&mut self.writer, &self.scratch);
+        self.keep_scratch(self.next_seq, false);
         self.recorder.record(Event::Release);
-        Ok(())
+        match sent {
+            // A dead connection fails the next round trip, whose reconnect
+            // re-sends this release.
+            Err(e) if !e.is_retryable() => Err(e),
+            _ => Ok(()),
+        }
     }
 
     fn interactions(&self) -> u64 {
@@ -568,17 +621,23 @@ impl Channel for TcpChannel {
     }
 }
 
-/// Server-side chaos: deterministically kill sockets mid-call to exercise
-/// client reconnect + replay. With probability `kill_per_mille`/1000 per
-/// served frame, the connection dies — half the time before executing the
-/// request (client retransmit finds a fresh sequence), half after
-/// executing but before responding (retransmit hits the replay cache).
+/// Server-side chaos: seeded faults on the real wire, to exercise client
+/// reconnect, retransmit, release re-send and replay. With probability
+/// `per_mille`/1000 per frame a connection reads, one of four events,
+/// drawn uniformly, hits the frame: its request is dropped (the
+/// connection closes before the shard sees it), its reply is dropped (the
+/// frame is served and its reply cached, then the connection closes), its
+/// reply is torn (cut off halfway, then the connection closes), or its
+/// reply is late (written only after a pause longer than the chaos tests'
+/// per-attempt timeout). A release has no reply to lose or delay: a
+/// dropped or torn reply closes the connection after serving it, and a
+/// late one does nothing.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ChaosConfig {
-    /// Seed for the per-connection kill schedule.
+    /// Seed for the per-connection fault schedule.
     pub seed: u64,
-    /// Kill probability per frame, in thousandths.
-    pub kill_per_mille: u32,
+    /// Fault probability per frame, in thousandths.
+    pub per_mille: u32,
 }
 
 /// Snapshot of a [`SessionServer`]'s counters.
@@ -594,7 +653,8 @@ pub struct ServerStats {
     pub replays: u64,
     /// Cached responses evicted from bounded replay windows.
     pub replay_evictions: u64,
-    /// Connections killed by [`ChaosConfig`].
+    /// Connections closed by a [`ChaosConfig`] fault (every fault but a
+    /// late reply).
     pub chaos_kills: u64,
     /// Fragments lowered to bytecode by the fragment VM's compile-once
     /// caches (all shards).
@@ -881,9 +941,7 @@ impl SessionServer {
             self.stats.connections.fetch_add(1, Ordering::Relaxed);
             let stats = Arc::clone(&self.stats);
             let pool = Arc::clone(&pool);
-            let chaos = self
-                .chaos
-                .map(|c| (c, StdRng::seed_from_u64(c.seed ^ conn_index)));
+            let chaos = self.chaos.map(|c| ChaosStream::new(c, conn_index));
             let on_event = Arc::clone(&on_event);
             let watch = match stream.try_clone() {
                 Ok(w) => w,
@@ -917,27 +975,47 @@ impl SessionServer {
     }
 }
 
-/// Chaos verdict for one frame.
-enum ChaosAction {
-    None,
-    KillBeforeExec,
-    KillAfterExec,
+/// One [`ChaosConfig`] fault, hitting one frame a connection reads.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Chaos {
+    /// The connection closes before the frame reaches its shard.
+    DropRequest,
+    /// The frame is served, then the connection closes unanswered.
+    DropReply,
+    /// The frame is served, then the connection closes halfway through
+    /// the reply.
+    TornReply,
+    /// The frame is served and answered after [`LATE_REPLY`].
+    LateReply,
 }
 
-fn chaos_draw(chaos: &mut Option<(ChaosConfig, StdRng)>) -> ChaosAction {
-    match chaos {
-        Some((cfg, rng)) if cfg.kill_per_mille > 0 => {
-            if rng.gen_range(0u32..1000) < cfg.kill_per_mille {
-                if rng.gen_range(0u32..2) == 0 {
-                    ChaosAction::KillBeforeExec
-                } else {
-                    ChaosAction::KillAfterExec
-                }
-            } else {
-                ChaosAction::None
-            }
+/// One connection's fault schedule.
+struct ChaosStream {
+    per_mille: u32,
+    rng: StdRng,
+}
+
+impl ChaosStream {
+    /// The schedule of connection `conn` (1-based, in accept order).
+    fn new(config: ChaosConfig, conn: u64) -> ChaosStream {
+        ChaosStream {
+            per_mille: config.per_mille,
+            rng: StdRng::seed_from_u64(stream_seed(config.seed, conn)),
         }
-        _ => ChaosAction::None,
+    }
+
+    /// The fault, if any, for the next frame.
+    fn draw(&mut self) -> Option<Chaos> {
+        if self.rng.gen_range(0u32..1000) >= self.per_mille {
+            return None;
+        }
+        let events = [
+            Chaos::DropRequest,
+            Chaos::DropReply,
+            Chaos::TornReply,
+            Chaos::LateReply,
+        ];
+        Some(events[self.rng.gen_range(0..events.len())])
     }
 }
 
@@ -962,7 +1040,7 @@ fn refuse(
 fn serve_session_connection(
     stream: TcpStream,
     pool: &ShardPool,
-    mut chaos: Option<(ChaosConfig, StdRng)>,
+    mut chaos: Option<ChaosStream>,
     stats: &StatsInner,
 ) -> Result<u64, RuntimeError> {
     stream
@@ -976,9 +1054,13 @@ fn serve_session_connection(
     let Some(payload) = read_frame(&mut reader)? else {
         return Ok(0);
     };
+    // The unit this connection's client sends next: the releases it sends
+    // first belong before it.
+    let mut expected;
     let session = match Request::decode(&payload)? {
         Request::Hello { version, session } if version == WIRE_VERSION => {
             let next_seq = pool.hello(stats, session);
+            expected = next_seq;
             Response::HelloAck {
                 version: WIRE_VERSION,
                 session,
@@ -1011,18 +1093,22 @@ fn serve_session_connection(
             return Ok(served);
         };
         let req = Request::decode(&payload)?;
-        let action = chaos_draw(&mut chaos);
-        if matches!(action, ChaosAction::KillBeforeExec) {
-            // Drop the connection before the request reaches its shard:
-            // the client's retransmit finds a fresh sequence.
+        let fault = chaos.as_mut().and_then(ChaosStream::draw);
+        if fault == Some(Chaos::DropRequest) {
+            // The client's retransmit finds a fresh sequence.
             stats.chaos_kills.fetch_add(1, Ordering::Relaxed);
             return Ok(served);
         }
-        let calls = match &req {
-            Request::SeqCall { .. } => 1,
-            Request::SeqBatch { calls, .. } => calls.len() as u64,
+        let (seq, calls) = match &req {
+            Request::SeqCall { seq, .. } => (*seq, 1),
+            Request::SeqBatch { seq, calls } => (*seq, calls.len() as u64),
             Request::Release { component, key } => {
-                pool.release(stats, session, *component, *key, &payload);
+                pool.release(stats, session, expected, *component, *key, &payload);
+                // No reply to lose or delay: a lost one only closes.
+                if fault.is_some_and(|f| f != Chaos::LateReply) {
+                    stats.chaos_kills.fetch_add(1, Ordering::Relaxed);
+                    return Ok(served);
+                }
                 continue;
             }
             Request::Shutdown => return Ok(served),
@@ -1036,17 +1122,26 @@ fn serve_session_connection(
             }
         };
         served += calls;
-        let kill_after = matches!(action, ChaosAction::KillAfterExec);
         // The shard journals `payload` as received and copies the reply
         // into `scratch`; the reply reaches the socket only after the shard
         // is released, so a client that stops reading stalls its own
         // connection and no other.
         pool.seq(stats, session, &req, &payload, &mut scratch);
-        if kill_after {
-            // Executed and cached, but the response never leaves: the
-            // retransmit must hit the replay cache.
-            stats.chaos_kills.fetch_add(1, Ordering::Relaxed);
-            return Ok(served);
+        expected = seq + 1;
+        match fault {
+            // The client gives up first and retransmits on a new
+            // connection while this one still holds the reply.
+            Some(Chaos::LateReply) => std::thread::sleep(LATE_REPLY),
+            // A dropped or torn reply was served and cached, so the
+            // retransmit hits the replay cache.
+            Some(lost) => {
+                stats.chaos_kills.fetch_add(1, Ordering::Relaxed);
+                if lost == Chaos::TornReply {
+                    let _ = write_torn_frame(&mut writer, &scratch);
+                }
+                return Ok(served);
+            }
+            None => {}
         }
         write_frame(&mut writer, &scratch)?;
     }
@@ -1067,6 +1162,14 @@ mod tests {
             .with_timeout(Duration::from_secs(5))
             .with_max_attempts(8)
             .with_jitter_seed(42)
+    }
+
+    /// `quick_policy` with a per-attempt timeout shorter than
+    /// [`LATE_REPLY`], so late replies force retransmits.
+    fn chaos_policy() -> RetryPolicy {
+        quick_policy()
+            .with_timeout(Duration::from_millis(100))
+            .with_max_attempts(12)
     }
 
     fn accumulator_server() -> SessionServer {
@@ -1119,6 +1222,7 @@ mod tests {
         let r4 = chan.call(c, 1, l, &[Value::Int(2)]).unwrap();
         assert_eq!(r4.value, Value::Int(2));
         assert_eq!(chan.interactions(), 4);
+        assert_eq!(chan.transport_stats(), TransportStats::default());
         chan.shutdown().unwrap();
         stop(&handle, serve);
         assert_eq!(handle.stats().calls, 4);
@@ -1167,11 +1271,13 @@ mod tests {
         chan.call(c, 1, FragLabel::new(0), &[Value::Int(-3)])
             .unwrap();
         chan.call_batch(&[acc_call(1), acc_call(i64::MIN)]).unwrap();
-        let mut sent: Vec<Vec<u8>> = chan.history.iter().map(|(_, f)| f.clone()).collect();
         chan.release(c, 1).unwrap();
-        sent.push(chan.scratch.clone());
+        let sent = |chan: &TcpChannel| -> Vec<Vec<u8>> {
+            chan.history.iter().map(|s| s.frame.clone()).collect()
+        };
         assert_eq!(
-            sent.iter()
+            sent(&chan)
+                .iter()
                 .map(|p| Request::decode(p).unwrap())
                 .collect::<Vec<_>>(),
             [
@@ -1196,7 +1302,7 @@ mod tests {
         // call is answered the release is committed too.
         chan.call(c, 2, FragLabel::new(0), &[Value::Int(0)])
             .unwrap();
-        sent.push(chan.history.back().unwrap().1.clone());
+        let sent = sent(&chan);
 
         // The ring holds the payloads back to back, byte for byte.
         let pool = handle.stats.pool().expect("serving");
@@ -1366,19 +1472,47 @@ mod tests {
     }
 
     #[test]
+    fn chaos_draws_every_event_deterministically_per_seed() {
+        let schedule = |seed: u64| -> Vec<Option<Chaos>> {
+            let config = ChaosConfig {
+                seed,
+                per_mille: 100,
+            };
+            let mut stream = ChaosStream::new(config, 1);
+            (0..300).map(|_| stream.draw()).collect()
+        };
+        for seed in 1..=4 {
+            let drawn = schedule(seed);
+            assert_eq!(drawn, schedule(seed), "seed {seed} replays exactly");
+            for event in [
+                Chaos::DropRequest,
+                Chaos::DropReply,
+                Chaos::TornReply,
+                Chaos::LateReply,
+            ] {
+                assert!(
+                    drawn.contains(&Some(event)),
+                    "seed {seed}: no {event:?} in 300 frames"
+                );
+            }
+            assert_ne!(drawn, schedule(seed + 1), "seeds {seed} and {}", seed + 1);
+        }
+    }
+
+    #[test]
     fn chaos_kills_are_survived_exactly_once() {
-        // Aggressive server-side chaos: connections die around every ~4th
-        // frame, both before and after execution. The reliable client must
-        // still see every accumulator value exactly once.
+        // Aggressive server-side chaos: about every 4th frame loses its
+        // request or its reply, gets a torn reply or a late one. The
+        // reliable client must still see every accumulator value exactly
+        // once.
         let (handle, serve) = spawn(accumulator_server().with_chaos(ChaosConfig {
             seed: 0xc405,
-            kill_per_mille: 250,
+            per_mille: 250,
         }));
         let c = ComponentId::new(0);
         let l = FragLabel::new(0);
         let mut chan =
-            TcpChannel::connect_reliable(handle.addr(), quick_policy().with_max_attempts(12))
-                .expect("connect");
+            TcpChannel::connect_reliable(handle.addr(), chaos_policy()).expect("connect");
         for n in 1..=30i64 {
             let r = chan.call(c, 1, l, &[Value::Int(n)]).expect("call");
             assert_eq!(r.value, Value::Int(n * (n + 1) / 2), "call {n}");
@@ -1390,6 +1524,80 @@ mod tests {
         assert_eq!(chan.interactions(), 30);
         chan.shutdown().unwrap();
         stop(&handle, serve);
+    }
+
+    #[test]
+    fn releases_from_a_connection_left_behind_are_dropped() {
+        // Connection A opens the session and falls behind; the client
+        // carries on over B and reopens key 1 there. A release that
+        // arrives on A afterwards belongs before unit 1, which has run: it
+        // must not free the live activation.
+        let (handle, serve) = spawn(accumulator_server());
+        let session = 77;
+        let stream = TcpStream::connect(handle.addr()).expect("connect");
+        let (mut reader, mut writer) = split_stream(stream).expect("split");
+        let mut send = |req: Request| write_frame(&mut writer, &req.encode()).expect("write");
+        let mut answer =
+            || Response::decode(&read_frame(&mut reader).unwrap().expect("answer")).unwrap();
+        send(Request::Hello {
+            version: WIRE_VERSION,
+            session,
+        });
+        assert!(matches!(answer(), Response::HelloAck { next_seq: 1, .. }));
+        let mut b =
+            TcpChannel::connect_reliable_with_session(handle.addr(), quick_policy(), session)
+                .expect("connect");
+        let c = ComponentId::new(0);
+        let l = FragLabel::new(0);
+        assert_eq!(
+            b.call(c, 1, l, &[Value::Int(5)]).unwrap().value,
+            Value::Int(5)
+        );
+        send(Request::Release {
+            component: c,
+            key: 1,
+        });
+        // A's stale unit 1 is answered from the replay window, after its
+        // release was served.
+        send(Request::SeqCall {
+            seq: 1,
+            call: acc_call(5),
+        });
+        assert!(matches!(
+            answer(),
+            Response::Reply {
+                value: Value::Int(5),
+                ..
+            }
+        ));
+        assert_eq!(
+            b.call(c, 1, l, &[Value::Int(6)]).unwrap().value,
+            Value::Int(11),
+            "the stale release freed a live activation"
+        );
+        b.shutdown().unwrap();
+        stop(&handle, serve);
+    }
+
+    #[test]
+    fn exhausted_retries_surface_the_last_fault() {
+        // Every frame after the handshake is faulted, so no attempt can
+        // complete: the client gives up after its attempt budget.
+        let (handle, serve) = spawn(accumulator_server().with_chaos(ChaosConfig {
+            seed: 1,
+            per_mille: 1000,
+        }));
+        let mut chan =
+            TcpChannel::connect_reliable(handle.addr(), chaos_policy().with_max_attempts(3))
+                .expect("connect");
+        let err = chan
+            .call(ComponentId::new(0), 1, FragLabel::new(0), &[Value::Int(1)])
+            .expect_err("must give up");
+        assert!(matches!(err, RuntimeError::Transport { .. }), "got {err:?}");
+        assert_eq!(chan.transport_stats().retries, 2);
+        assert_eq!(chan.interactions(), 1);
+        stop(&handle, serve);
+        assert!(handle.stats().calls <= 1, "executed at most once");
     }
 
     #[test]
@@ -1503,11 +1711,10 @@ mod tests {
         // (per-logical-call) must match a fault-free run.
         let (handle, serve) = spawn(accumulator_server().with_chaos(ChaosConfig {
             seed: 7,
-            kill_per_mille: 300,
+            per_mille: 300,
         }));
         let mut chan =
-            TcpChannel::connect_reliable(handle.addr(), quick_policy().with_max_attempts(12))
-                .expect("connect");
+            TcpChannel::connect_reliable(handle.addr(), chaos_policy()).expect("connect");
         let c = ComponentId::new(0);
         let l = FragLabel::new(0);
         let mut trace = crate::trace::TraceChannel::new(&mut chan);

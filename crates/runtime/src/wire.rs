@@ -440,6 +440,14 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), RuntimeErro
         .map_err(|e| RuntimeError::transport("write", &e))
 }
 
+/// Writes `payload`'s length prefix and only its first half: the frame a
+/// connection that dies mid-write leaves behind (chaos injection).
+pub(crate) fn write_torn_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
+    w.write_all(&(payload.len() as u32).to_le_bytes())?;
+    w.write_all(&payload[..payload.len() / 2])?;
+    w.flush()
+}
+
 /// Reads one length-prefixed frame; `Ok(None)` on clean EOF at a frame
 /// boundary.
 ///

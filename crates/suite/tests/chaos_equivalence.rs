@@ -1,54 +1,74 @@
-//! Adversary-view invariance under transport faults, over the whole
-//! benchmark suite: for every benchmark and every (seed, fault-kind) cell
-//! of the reliability matrix, a run under injected faults must produce
-//! byte-identical program output, identical server-side logical call
-//! counts and an identical adversary trace to the fault-free run — with
-//! the turbulence visible only in the transport stats.
+//! Adversary-view invariance under faults, over the whole benchmark
+//! suite. Seeded faults on the real wire of a sharded [`SessionServer`]
+//! (dropped requests, dropped, torn and late replies) and crash faults
+//! (shard kills, fragment panics, torn journals) must leave program
+//! output, server-side logical call counts, interaction counts and the
+//! adversary trace byte-identical to the fault-free run — with the
+//! turbulence visible only in the transport stats.
 //!
-//! CI pins one matrix cell per job via `HPS_CHAOS_SEED` /
-//! `HPS_CHAOS_FAULT` and uploads the chaos logs written to
-//! `target/chaos-logs/` when a cell fails.
+//! CI pins one seed per job via `HPS_CHAOS_SEED` (and one crash fault via
+//! `HPS_CRASH_FAULT`), and uploads the recovery logs written to
+//! `target/chaos-logs/` when a recovery cell fails.
 
 use hps_core::{split_program, SplitPlan};
-use hps_runtime::fault::{CrashFault, FaultKind, FaultPlan, FaultyChannel};
 use hps_runtime::journal::truncate_tail;
 use hps_runtime::tcp::TcpChannel;
 use hps_runtime::telemetry::metrics::names;
 use hps_runtime::{
     Channel, ChaosConfig, CrashConfig, ExecConfig, InProcessChannel, Interp, MetricsRecorder,
     Recorder, RecorderHandle, RetryPolicy, SecureServer, SessionServer, SplitMeta, Trace,
-    TraceChannel, TransportStats,
+    TraceChannel,
 };
 use std::path::PathBuf;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
+/// One kind of injectable *crash* fault, a cell of the chaos-recovery
+/// matrix: these do not perturb wire frames but kill whole shards, panic
+/// mid-fragment, or damage the on-disk journal. The recovery layer
+/// (DESIGN.md §12) must survive all of them without changing the
+/// adversary-visible trace.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum CrashFault {
+    /// A shard dies mid-stream, dropping its live sessions, which must be
+    /// rebuilt from their journals.
+    ShardKill,
+    /// A fragment panics mid-execution; `catch_unwind` must contain the
+    /// damage to the offending session.
+    Panic,
+    /// The tail of an on-disk journal is cut short (torn write at crash
+    /// time); replay must stop at the last intact frame and the client's
+    /// resume path must re-drive the missing suffix.
+    Truncate,
+}
+
+impl CrashFault {
+    const ALL: [CrashFault; 3] = [
+        CrashFault::ShardKill,
+        CrashFault::Panic,
+        CrashFault::Truncate,
+    ];
+
+    /// The CI matrix cell label, also the `HPS_CRASH_FAULT` spelling.
+    fn name(self) -> &'static str {
+        match self {
+            CrashFault::ShardKill => "shard-kill",
+            CrashFault::Panic => "panic",
+            CrashFault::Truncate => "truncate",
+        }
+    }
+}
+
 fn paper_plan(program: &hps_ir::Program) -> SplitPlan {
     hps_security::default_targets(program, hps_security::SeedRule::CostRestricted)
 }
 
-fn matrix() -> Vec<(u64, FaultKind)> {
-    let seeds: Vec<u64> = match std::env::var("HPS_CHAOS_SEED") {
+/// The seed selected by the environment, or every default seed.
+fn seeds() -> Vec<u64> {
+    match std::env::var("HPS_CHAOS_SEED") {
         Ok(s) => vec![s.parse().expect("HPS_CHAOS_SEED must be an integer")],
         Err(_) => vec![1, 2, 3, 4],
-    };
-    let kinds: Vec<FaultKind> = match std::env::var("HPS_CHAOS_FAULT") {
-        Ok(s) => vec![s.parse().expect("HPS_CHAOS_FAULT must name a fault kind")],
-        Err(_) => FaultKind::ALL.to_vec(),
-    };
-    seeds
-        .into_iter()
-        .flat_map(|s| kinds.iter().map(move |k| (s, *k)))
-        .collect()
-}
-
-struct RunResult {
-    output: Vec<String>,
-    trace: Trace,
-    interactions: u64,
-    calls_served: u64,
-    stats: TransportStats,
-    chaos_log: Vec<String>,
+    }
 }
 
 /// Runs one split benchmark over `channel`, recording the adversary view.
@@ -56,11 +76,12 @@ fn run_traced(
     open: &hps_ir::Program,
     meta: &SplitMeta,
     input: hps_runtime::RtValue,
+    config: ExecConfig,
     channel: &mut dyn Channel,
 ) -> (Vec<String>, Trace) {
     let mut trace = TraceChannel::new(channel);
     let outcome = {
-        let mut interp = Interp::new(open, ExecConfig::new()).with_channel(&mut trace, meta);
+        let mut interp = Interp::new(open, config).with_channel(&mut trace, meta);
         interp.run("main", &[input]).expect("split run")
     };
     (outcome.output, trace.into_trace())
@@ -72,124 +93,18 @@ fn chaos_log_dir() -> PathBuf {
     dir
 }
 
-#[test]
-fn faulty_runs_match_fault_free_runs_exactly() {
-    let mut total_faults = 0u64;
-    for (seed, kind) in matrix() {
-        for b in hps_suite::benchmarks() {
-            let program = b.program().expect("parses");
-            let plan = paper_plan(&program);
-            if plan.targets.is_empty() {
-                continue;
-            }
-            let split = split_program(&program, &plan).expect("splits");
-            let meta = SplitMeta::derive(&split.open, &split.hidden);
-
-            let baseline = {
-                let server = SecureServer::new(split.hidden.clone());
-                let mut chan = InProcessChannel::new(server);
-                let (output, trace) =
-                    run_traced(&split.open, &meta, b.workload(600, 77), &mut chan);
-                RunResult {
-                    output,
-                    trace,
-                    interactions: chan.interactions(),
-                    calls_served: chan.server().calls_served(),
-                    stats: chan.transport_stats(),
-                    chaos_log: Vec::new(),
-                }
-            };
-            // The faulty run carries a telemetry recorder: recording must
-            // survive chaos without perturbing anything, and the fault
-            // counters it aggregates must agree with the transport stats.
-            let recorder = Rc::new(MetricsRecorder::new());
-            let faulty = {
-                let handle = RecorderHandle::new(Rc::clone(&recorder) as Rc<dyn Recorder>);
-                let server = SecureServer::new(split.hidden.clone()).with_recorder(handle.clone());
-                let inner = InProcessChannel::new(server).with_recorder(handle.clone());
-                let mut chan = FaultyChannel::new(inner, FaultPlan::new(seed, &[kind], 200))
-                    .with_recorder(handle);
-                let (output, trace) =
-                    run_traced(&split.open, &meta, b.workload(600, 77), &mut chan);
-                RunResult {
-                    output,
-                    trace,
-                    interactions: chan.interactions(),
-                    calls_served: chan.inner().server().calls_served(),
-                    stats: chan.transport_stats(),
-                    chaos_log: chan.chaos_log().to_vec(),
-                }
-            };
-
-            // Persist the injected-fault schedule for the CI artifact.
-            let log_path = chaos_log_dir().join(format!("{}-seed{seed}-{kind}.log", b.name));
-            std::fs::write(&log_path, faulty.chaos_log.join("\n")).expect("write chaos log");
-
-            let cell = format!("{} seed={seed} fault={kind}", b.name);
-            assert_eq!(
-                baseline.output, faulty.output,
-                "{cell}: program output diverged"
-            );
-            assert_eq!(
-                baseline.calls_served, faulty.calls_served,
-                "{cell}: server-side logical call count diverged"
-            );
-            assert_eq!(
-                baseline.interactions, faulty.interactions,
-                "{cell}: interaction count diverged"
-            );
-            assert_eq!(
-                baseline.trace, faulty.trace,
-                "{cell}: adversary trace diverged"
-            );
-            assert_eq!(
-                baseline.stats,
-                TransportStats::default(),
-                "{cell}: fault-free run reported transport turbulence"
-            );
-            let m = recorder.snapshot();
-            assert_eq!(
-                m.counter(names::FAULTS),
-                faulty.stats.faults,
-                "{cell}: telemetry fault counter drifted from transport stats"
-            );
-            assert_eq!(
-                m.counter(names::RETRIES),
-                faulty.stats.retries,
-                "{cell}: telemetry retry counter drifted from transport stats"
-            );
-            assert_eq!(
-                m.counter(names::REPLAYS),
-                faulty.stats.replays,
-                "{cell}: telemetry replay counter drifted from transport stats"
-            );
-            assert_eq!(
-                m.counter(names::INTERACTIONS),
-                faulty.interactions,
-                "{cell}: telemetry interaction counter drifted from the channel"
-            );
-            total_faults += faulty.stats.faults;
-        }
-    }
-    assert!(
-        total_faults > 0,
-        "a 20% fault rate across the whole suite must inject something"
-    );
-}
-
-/// The same chaos matrix, but sharded: each cell runs its faulty client
-/// against a real four-shard TCP [`SessionServer`] whose connections are
-/// additionally killed at random by [`ChaosConfig`]. Channel faults ride
-/// on [`FaultyChannel`] (which delivers each logical call to the wrapped
-/// reliable TCP channel exactly once), connection kills exercise the
-/// reconnect + server-side replay path — and none of it may leak into the
+/// The reliability matrix over the whole suite: each benchmark, batched
+/// and unbatched, runs against a real four-shard TCP [`SessionServer`]
+/// whose wire [`ChaosConfig`] faults. None of it may leak into the
 /// program output, the adversary trace, the interaction count or the
-/// server's logical call count.
+/// server's logical call count. The client carries a telemetry recorder:
+/// recording must survive chaos without perturbing anything, and the
+/// counters it aggregates must agree with the transport stats.
 #[test]
 fn chaos_matrix_holds_on_sharded_tcp_server() {
     let mut total_faults = 0u64;
     let mut total_kills = 0u64;
-    for (seed, kind) in matrix() {
+    for seed in seeds() {
         for b in hps_suite::benchmarks() {
             let program = b.program().expect("parses");
             let plan = paper_plan(&program);
@@ -198,68 +113,89 @@ fn chaos_matrix_holds_on_sharded_tcp_server() {
             }
             let split = split_program(&program, &plan).expect("splits");
             let meta = SplitMeta::derive(&split.open, &split.hidden);
+            for batching in [false, true] {
+                let config = || ExecConfig::new().with_batching(batching);
+                let baseline = {
+                    let server = SecureServer::new(split.hidden.clone());
+                    let mut chan = InProcessChannel::new(server);
+                    let (output, trace) =
+                        run_traced(&split.open, &meta, b.workload(300, 77), config(), &mut chan);
+                    (
+                        output,
+                        trace,
+                        chan.interactions(),
+                        chan.server().calls_served(),
+                    )
+                };
 
-            let baseline = {
-                let server = SecureServer::new(split.hidden.clone());
-                let mut chan = InProcessChannel::new(server);
+                let server = SessionServer::bind("127.0.0.1:0", split.hidden.clone())
+                    .expect("bind")
+                    .with_shards(4)
+                    .with_chaos(ChaosConfig {
+                        seed,
+                        per_mille: 150,
+                    });
+                let handle = server.handle().expect("handle");
+                let addr = handle.addr();
+                let serve = std::thread::spawn(move || server.serve(|_, _| {}));
+
+                // A per-attempt timeout below the server's late-reply pause,
+                // so late replies force retransmits.
+                let policy = RetryPolicy::new()
+                    .with_base_backoff(Duration::from_millis(1))
+                    .with_timeout(Duration::from_millis(100))
+                    .with_max_attempts(12)
+                    .with_jitter_seed(seed);
+                let recorder = Rc::new(MetricsRecorder::new());
+                let mut chan = TcpChannel::connect_reliable_with_session(addr, policy, seed)
+                    .expect("connect")
+                    .with_recorder(RecorderHandle::new(Rc::clone(&recorder) as Rc<dyn Recorder>));
                 let (output, trace) =
-                    run_traced(&split.open, &meta, b.workload(300, 77), &mut chan);
-                (
-                    output,
-                    trace,
-                    chan.interactions(),
-                    chan.server().calls_served(),
-                )
-            };
+                    run_traced(&split.open, &meta, b.workload(300, 77), config(), &mut chan);
+                let interactions = chan.interactions();
+                let transport = chan.transport_stats();
+                chan.shutdown().expect("shutdown");
 
-            let server = SessionServer::bind("127.0.0.1:0", split.hidden.clone())
-                .expect("bind")
-                .with_shards(4)
-                .with_chaos(ChaosConfig {
-                    seed,
-                    kill_per_mille: 20,
-                });
-            let handle = server.handle().expect("handle");
-            let addr = handle.addr();
-            let serve = std::thread::spawn(move || server.serve(|_, _| {}));
+                handle.stop();
+                serve.join().expect("serve thread").expect("serve ok");
+                let stats = handle.stats();
 
-            let policy = RetryPolicy::new()
-                .with_base_backoff(Duration::from_millis(1))
-                .with_jitter_seed(seed);
-            let inner =
-                TcpChannel::connect_reliable_with_session(addr, policy, seed).expect("connect");
-            let mut chan = FaultyChannel::new(inner, FaultPlan::new(seed, &[kind], 200));
-            let (output, trace) = run_traced(&split.open, &meta, b.workload(300, 77), &mut chan);
-            let interactions = chan.interactions();
-            let faults = chan.transport_stats().faults;
-            chan.into_inner().shutdown().expect("shutdown");
-
-            handle.stop();
-            serve.join().expect("serve thread").expect("serve ok");
-            let stats = handle.stats();
-
-            let cell = format!("{} seed={seed} fault={kind} shards=4", b.name);
-            assert_eq!(baseline.0, output, "{cell}: program output diverged");
-            assert_eq!(baseline.1, trace, "{cell}: adversary trace diverged");
-            assert_eq!(
-                baseline.2, interactions,
-                "{cell}: interaction count diverged"
-            );
-            assert_eq!(
-                baseline.3, stats.calls,
-                "{cell}: server-side logical call count diverged"
-            );
-            total_faults += faults;
-            total_kills += stats.chaos_kills;
+                let cell = format!("{} seed={seed} batching={batching} shards=4", b.name);
+                assert_eq!(baseline.0, output, "{cell}: program output diverged");
+                assert_eq!(baseline.1, trace, "{cell}: adversary trace diverged");
+                assert_eq!(
+                    baseline.2, interactions,
+                    "{cell}: interaction count diverged"
+                );
+                assert_eq!(
+                    baseline.3, stats.calls,
+                    "{cell}: server-side logical call count diverged"
+                );
+                let m = recorder.snapshot();
+                for (name, count) in [
+                    (names::RETRIES, transport.retries),
+                    (names::RECONNECTS, transport.reconnects),
+                    (names::FAULTS, transport.faults),
+                    (names::INTERACTIONS, interactions),
+                ] {
+                    assert_eq!(
+                        m.counter(name),
+                        count,
+                        "{cell}: telemetry {name} drifted from the channel"
+                    );
+                }
+                total_faults += transport.faults;
+                total_kills += stats.chaos_kills;
+            }
         }
     }
     assert!(
         total_faults > 0,
-        "a 20% channel fault rate across the sharded matrix must inject something"
+        "a 15% wire fault rate across the suite must reach the client"
     );
     assert!(
         total_kills > 0,
-        "a 2% connection kill rate across the sharded matrix must kill something"
+        "a 15% wire fault rate across the suite must close a connection"
     );
 }
 
@@ -271,7 +207,10 @@ fn crash_matrix() -> Vec<(u64, CrashFault)> {
         Err(_) => vec![1, 2],
     };
     let faults: Vec<CrashFault> = match std::env::var("HPS_CRASH_FAULT") {
-        Ok(s) => vec![s.parse().expect("HPS_CRASH_FAULT must name a crash fault")],
+        Ok(s) => {
+            let fault = CrashFault::ALL.into_iter().find(|f| f.name() == s);
+            vec![fault.expect("HPS_CRASH_FAULT must name a crash fault")]
+        }
         Err(_) => CrashFault::ALL.to_vec(),
     };
     seeds
@@ -306,8 +245,13 @@ fn recovery_matrix_is_invisible_to_the_adversary() {
             let baseline = {
                 let server = SecureServer::new(split.hidden.clone());
                 let mut chan = InProcessChannel::new(server);
-                let (output, trace) =
-                    run_traced(&split.open, &meta, b.workload(300, 77), &mut chan);
+                let (output, trace) = run_traced(
+                    &split.open,
+                    &meta,
+                    b.workload(300, 77),
+                    ExecConfig::new(),
+                    &mut chan,
+                );
                 (
                     output,
                     trace,
@@ -321,7 +265,7 @@ fn recovery_matrix_is_invisible_to_the_adversary() {
                 .with_base_backoff(Duration::from_millis(1))
                 .with_max_attempts(20)
                 .with_jitter_seed(seed);
-            let cell = format!("{} seed={seed} crash={fault}", b.name);
+            let cell = format!("{} seed={seed} crash={}", b.name, fault.name());
 
             let (output, trace, interactions, report) = match fault {
                 CrashFault::ShardKill | CrashFault::Panic => {
@@ -347,8 +291,13 @@ fn recovery_matrix_is_invisible_to_the_adversary() {
                     let serve = std::thread::spawn(move || server.serve(|_, _| {}));
                     let mut chan = TcpChannel::connect_reliable_with_session(addr, policy, session)
                         .expect("connect");
-                    let (output, trace) =
-                        run_traced(&split.open, &meta, b.workload(300, 77), &mut chan);
+                    let (output, trace) = run_traced(
+                        &split.open,
+                        &meta,
+                        b.workload(300, 77),
+                        ExecConfig::new(),
+                        &mut chan,
+                    );
                     let interactions = chan.interactions();
                     let _ = chan.shutdown();
                     handle.stop();
@@ -416,8 +365,13 @@ fn recovery_matrix_is_invisible_to_the_adversary() {
                     };
                     let mut chan = TcpChannel::connect_reliable_with_session(addr, policy, session)
                         .expect("connect");
-                    let (output, trace) =
-                        run_traced(&split.open, &meta, b.workload(300, 77), &mut chan);
+                    let (output, trace) = run_traced(
+                        &split.open,
+                        &meta,
+                        b.workload(300, 77),
+                        ExecConfig::new(),
+                        &mut chan,
+                    );
                     let interactions = chan.interactions();
                     let _ = chan.shutdown();
                     let (handle, serve) = controller.join().expect("controller");
@@ -431,8 +385,11 @@ fn recovery_matrix_is_invisible_to_the_adversary() {
             };
 
             // Persist the recovery telemetry for the CI artifact.
-            let log_path =
-                chaos_log_dir().join(format!("recovery-{}-seed{seed}-{fault}.log", b.name));
+            let log_path = chaos_log_dir().join(format!(
+                "recovery-{}-seed{seed}-{}.log",
+                b.name,
+                fault.name()
+            ));
             std::fs::write(
                 &log_path,
                 format!(

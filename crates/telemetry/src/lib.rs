@@ -4,7 +4,7 @@
 //! counts and the runtime overhead of a split program talking across a LAN.
 //! This crate is the measurement substrate the rest of the workspace hangs
 //! off: counters and fixed-bucket latency histograms for every open↔hidden
-//! interaction, batching flush, retry/reconnect/replay, fault injection and
+//! interaction, batching flush, retry/reconnect, transport fault and
 //! server lifecycle event.
 //!
 //! ## Design rules
@@ -36,8 +36,8 @@
 //!   [`MetricsSnapshot::merge`], Prometheus text rendering and a stable
 //!   hand-rolled JSON encoding.
 //! * [`Recorder`] / [`Event`] / [`RecorderHandle`] — the pluggable hook the
-//!   runtime threads through its interpreter, channels, servers and fault
-//!   injectors; [`MetricsRecorder`] is the standard counters+histograms
+//!   runtime threads through its interpreter, channels and servers;
+//!   [`MetricsRecorder`] is the standard counters+histograms
 //!   implementation.
 //! * [`TransportStats`] — reliability counters (retries, reconnects,
 //!   faults, replays), reported *beside* — never inside — interaction

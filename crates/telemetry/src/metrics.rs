@@ -24,18 +24,9 @@ pub mod names {
     pub const DEFERRED_CALLS: &str = "hps_deferred_calls_total";
     /// Flushes triggered by a demanded (result-bearing) call.
     pub const DEMAND_FLUSHES: &str = "hps_demand_flushes_total";
-    /// Injected delay faults.
-    pub const FAULTS_DELAY: &str = "hps_faults_delay_total";
-    /// Injected drop faults.
-    pub const FAULTS_DROP: &str = "hps_faults_drop_total";
-    /// Injected duplicate faults.
-    pub const FAULTS_DUP: &str = "hps_faults_dup_total";
-    /// Real transport I/O faults (timeouts, resets) seen by the TCP client.
-    pub const FAULTS_IO: &str = "hps_faults_io_total";
-    /// All transport faults, injected or real.
+    /// Transport faults (timeouts, resets, cut frames) seen by the TCP
+    /// client.
     pub const FAULTS: &str = "hps_faults_total";
-    /// Injected truncation faults.
-    pub const FAULTS_TRUNCATE: &str = "hps_faults_truncate_total";
     /// Deferred-buffer flushes (demanded, forced or end-of-run).
     pub const FLUSHES: &str = "hps_flushes_total";
     /// Fragments executed on the secure side.
@@ -48,8 +39,6 @@ pub mod names {
     pub const RECONNECTS: &str = "hps_reconnects_total";
     /// Activation/instance release notifications sent.
     pub const RELEASES: &str = "hps_releases_total";
-    /// Deliveries answered from a replay cache instead of re-executing.
-    pub const REPLAYS: &str = "hps_replays_total";
     /// Round-trip attempts beyond the first.
     pub const RETRIES: &str = "hps_retries_total";
     /// Virtual cost units charged for round-trip latency.
@@ -105,19 +94,13 @@ pub const ALL_COUNTERS: &[&str] = &[
     names::CALLS,
     names::DEFERRED_CALLS,
     names::DEMAND_FLUSHES,
-    names::FAULTS_DELAY,
-    names::FAULTS_DROP,
-    names::FAULTS_DUP,
-    names::FAULTS_IO,
     names::FAULTS,
-    names::FAULTS_TRUNCATE,
     names::FLUSHES,
     names::FRAGMENTS,
     names::INTERACTIONS,
     names::OPEN_STEPS,
     names::RECONNECTS,
     names::RELEASES,
-    names::REPLAYS,
     names::RETRIES,
     names::RTT_COST_UNITS,
     names::RUN_COST_UNITS,

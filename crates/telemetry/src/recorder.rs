@@ -1,7 +1,7 @@
 //! The pluggable recording hook the runtime threads through itself.
 //!
-//! Instrumented code (interpreter, channels, servers, fault injectors)
-//! holds a [`RecorderHandle`] and fires [`Event`]s at it. With no recorder
+//! Instrumented code (interpreter, channels, servers) holds a
+//! [`RecorderHandle`] and fires [`Event`]s at it. With no recorder
 //! installed the handle is a `None` and every hook costs one branch — the
 //! "zero-cost when disabled" contract the `channel_batching` bench guards.
 //! With a recorder installed, events update counters and histograms but
@@ -48,15 +48,8 @@ pub enum Event {
     Retry,
     /// The client re-established its connection.
     Reconnect,
-    /// A delivery was answered from a replay cache instead of re-executing.
-    Replay,
-    /// A transport fault was observed or injected.
-    Fault {
-        /// Stable fault-kind name: `"drop"`, `"delay"`, `"dup"`,
-        /// `"truncate"` for injected faults, `"io"` for real transport
-        /// errors.
-        kind: &'static str,
-    },
+    /// A transport fault was observed.
+    Fault,
     /// The secure side executed one fragment.
     Fragment {
         /// Virtual cost units the fragment execution took.
@@ -130,17 +123,7 @@ impl Recorder for MetricsRecorder {
             Event::Release => m.inc(names::RELEASES),
             Event::Retry => m.inc(names::RETRIES),
             Event::Reconnect => m.inc(names::RECONNECTS),
-            Event::Replay => m.inc(names::REPLAYS),
-            Event::Fault { kind } => {
-                m.inc(names::FAULTS);
-                match kind {
-                    "drop" => m.inc(names::FAULTS_DROP),
-                    "delay" => m.inc(names::FAULTS_DELAY),
-                    "dup" => m.inc(names::FAULTS_DUP),
-                    "truncate" => m.inc(names::FAULTS_TRUNCATE),
-                    _ => m.inc(names::FAULTS_IO),
-                }
-            }
+            Event::Fault => m.inc(names::FAULTS),
             Event::Fragment { cost } => {
                 m.inc(names::FRAGMENTS);
                 m.observe(names::FRAGMENT_COST_UNITS, cost);
@@ -229,10 +212,8 @@ mod tests {
             pending: 2,
             demanded: true,
         });
-        handle.record(Event::Fault { kind: "drop" });
-        handle.record(Event::Fault {
-            kind: "socket reset",
-        });
+        handle.record(Event::Fault);
+        handle.record(Event::Fault);
         handle.record(Event::OpenRun {
             steps: 10,
             cost: 12345,
@@ -245,8 +226,6 @@ mod tests {
         assert_eq!(m.counter(names::RTT_COST_UNITS), 3000);
         assert_eq!(m.counter(names::DEMAND_FLUSHES), 1);
         assert_eq!(m.counter(names::FAULTS), 2);
-        assert_eq!(m.counter(names::FAULTS_DROP), 1);
-        assert_eq!(m.counter(names::FAULTS_IO), 1);
         assert_eq!(m.counter(names::OPEN_STEPS), 10);
         assert_eq!(m.counter(names::RUN_COST_UNITS), 12345);
         assert_eq!(m.histogram(names::BATCH_SIZE).unwrap().max(), Some(3));

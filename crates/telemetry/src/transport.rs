@@ -13,10 +13,12 @@ pub struct TransportStats {
     pub retries: u64,
     /// Connections re-established after a transport fault.
     pub reconnects: u64,
-    /// Faults observed (timeouts, resets, injected drops/dups/truncations).
+    /// Faults observed (timeouts, resets, cut frames).
     pub faults: u64,
-    /// Deliveries suppressed or answered from the replay cache instead of
-    /// re-executing (duplicate deliveries, retransmits after a lost reply).
+    /// Deliveries answered from a replay cache instead of re-executing.
+    /// The TCP client cannot tell a replayed reply from a fresh one and
+    /// leaves this 0; the session server counts its replays in
+    /// `hps_server_replays_total`.
     pub replays: u64,
 }
 

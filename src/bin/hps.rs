@@ -468,7 +468,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 .map_err(|_| "--chaos seed must be an integer".to_string())?;
             chaos = Some(ChaosConfig {
                 seed,
-                kill_per_mille: 100,
+                per_mille: 100,
             });
             i += 2;
         } else if rest[i] == "--metrics" {
@@ -508,7 +508,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         server = server.with_journal_dir(dir);
     }
     if let Some(c) = chaos {
-        eprintln!("[hps] chaos mode: killing ~10% of frames (seed {})", c.seed);
+        eprintln!(
+            "[hps] chaos mode: faulting ~10% of frames with dropped requests and dropped, torn or late replies (seed {})",
+            c.seed
+        );
         server = server.with_chaos(c);
     }
     if let Some(maddr) = metrics_addr {

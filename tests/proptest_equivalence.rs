@@ -11,12 +11,20 @@
 //!
 //! The multi-function property splits generated programs with calls,
 //! recursion, globals and a class on every scalar local of every function,
-//! on each scalar global and on the class, with and without batching.
+//! on each scalar global and on the class, with and without batching. The
+//! planner property runs the plans `Planner` makes for them in process and
+//! over fault-free TCP session servers of one and four shards.
 
 use hiding_program_slices as hps;
+use hps::audit::{PlanError, Planner};
 use hps::ir::{FuncId, LocalId, Program};
-use hps::runtime::{run_program, Executor, RtValue};
-use hps::split::{split_program, SplitError, SplitPlan, SplitTarget};
+use hps::runtime::tcp::TcpChannel;
+use hps::runtime::wire::{Request, Response};
+use hps::runtime::{
+    run_program, Channel, ExecConfig, Executor, InProcessChannel, Interp, Outcome, PendingCall,
+    RetryPolicy, RtValue, RuntimeError, SecureServer, SessionServer, SplitMeta, TraceChannel,
+};
+use hps::split::{split_program, SplitError, SplitPlan, SplitResult, SplitTarget};
 use proptest::prelude::*;
 use proptest::test_runner::TestRunner;
 
@@ -152,5 +160,131 @@ fn split_preserves_behaviour_of_generated_programs() {
     assert!(
         compared >= 600,
         "only {compared} splits compared ({skipped} skipped)"
+    );
+}
+
+/// A run's output, or its first error as the hidden side words it: over
+/// TCP a hidden-side error arrives as `remote: <message>`.
+fn observed(run: Result<Outcome, RuntimeError>) -> Result<Vec<String>, String> {
+    run.map(|o| o.output).map_err(|e| match e {
+        RuntimeError::Channel(msg) => msg.strip_prefix("remote: ").unwrap_or(&msg).to_string(),
+        e => e.to_string(),
+    })
+}
+
+/// Runs `split`'s `main` over `channel`, recording the adversary trace
+/// as bytes: each event's call and reply in their wire encoding, so float
+/// values compare bit for bit, NaN included.
+fn run_over(
+    split: &SplitResult,
+    meta: &SplitMeta,
+    batching: bool,
+    channel: &mut dyn Channel,
+) -> (Result<Vec<String>, String>, Vec<u8>) {
+    let mut trace = TraceChannel::new(channel);
+    let run = Interp::new(&split.open, ExecConfig::new().with_batching(batching))
+        .with_channel(&mut trace, meta)
+        .run("main", &[]);
+    let mut bytes = Vec::new();
+    for e in trace.into_trace().events {
+        let call = PendingCall {
+            component: e.component,
+            key: e.key,
+            label: e.label,
+            args: e.args,
+        };
+        bytes.extend(Request::SeqCall { seq: e.seq, call }.encode());
+        let reply = Response::Reply {
+            value: e.ret,
+            server_cost: 0,
+        };
+        bytes.extend(reply.encode());
+    }
+    (observed(run), bytes)
+}
+
+/// The splits `Planner` makes of a generated program: its automatic
+/// targets, then each scalar global and the class as explicit targets.
+/// Plans it cannot make count as skipped.
+fn planned_splits(program: &Program, skipped: &mut usize) -> Vec<(SplitPlan, SplitResult)> {
+    let mut requests = vec![None];
+    for global in &program.globals {
+        if global.ty.is_scalar() {
+            requests.push(Some(
+                SplitPlan::global(program, &global.name).expect("exists"),
+            ));
+        }
+    }
+    requests.push(Some(SplitPlan::class(program, "Cell").expect("exists")));
+    let mut splits = Vec::new();
+    for targets in requests {
+        let planner = match targets {
+            Some(plan) => Planner::new(program).targets(plan),
+            None => Planner::new(program),
+        };
+        match planner.plan() {
+            Ok(report) => splits.push((report.plan, report.split)),
+            Err(
+                PlanError::NoTargets
+                | PlanError::Split(SplitError::BadSeed(_) | SplitError::Unrealizable(_)),
+            ) => *skipped += 1,
+            Err(e) => panic!("{e}"),
+        }
+    }
+    splits
+}
+
+/// Planner plans of generated programs, batched and unbatched, in process
+/// and over fault-free TCP session servers of one and four shards: the
+/// output, or the first error, equals the unsplit run's, and the adversary
+/// trace is the same on all three transports.
+#[test]
+fn planner_splits_preserve_behaviour_on_every_transport() {
+    let (mut compared, mut skipped) = (0, 0);
+    TestRunner::new(ProptestConfig {
+        cases: 48,
+        ..ProptestConfig::default()
+    })
+    .run(&hps_gen::program(), |src| {
+        let program = hps::lang::parse(&src).unwrap_or_else(|e| panic!("{e}\n{src}"));
+        let original = observed(run_program(&program, &[]));
+        for (plan, split) in planned_splits(&program, &mut skipped) {
+            let meta = SplitMeta::derive(&split.open, &split.hidden);
+            let servers: Vec<_> = [1, 4]
+                .into_iter()
+                .map(|shards| {
+                    let server = SessionServer::bind("127.0.0.1:0", split.hidden.clone())
+                        .expect("bind")
+                        .with_shards(shards);
+                    let handle = server.handle().expect("handle");
+                    (handle, std::thread::spawn(move || server.serve(|_, _| {})))
+                })
+                .collect();
+            for batching in [false, true] {
+                let mut local = InProcessChannel::new(SecureServer::new(split.hidden.clone()));
+                let (output, trace) = run_over(&split, &meta, batching, &mut local);
+                let cell = format!("batching {batching}, {:?}\n{src}", plan.targets);
+                assert_eq!(original, output, "in process, {cell}");
+                for (handle, _) in &servers {
+                    let mut chan = TcpChannel::connect_reliable(handle.addr(), RetryPolicy::new())
+                        .expect("connect");
+                    let (tcp_output, tcp_trace) = run_over(&split, &meta, batching, &mut chan);
+                    chan.shutdown().expect("shutdown");
+                    let shards = handle.shard_stats().len();
+                    assert_eq!(original, tcp_output, "{shards} shard(s), {cell}");
+                    assert_eq!(trace, tcp_trace, "{shards} shard(s), {cell}");
+                }
+            }
+            for (handle, serve) in servers {
+                handle.stop();
+                serve.join().expect("serve thread").expect("serve ok");
+            }
+            compared += 1;
+        }
+    });
+    eprintln!("{compared} planner splits compared, {skipped} skipped");
+    assert!(
+        compared >= 200,
+        "only {compared} planner splits compared ({skipped} skipped)"
     );
 }

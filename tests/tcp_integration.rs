@@ -85,7 +85,7 @@ fn tcp_channel_reports_server_side_failures() {
 #[test]
 fn benchmark_split_survives_chaos_over_sessions() {
     // The full deployment under fire: a real benchmark against a
-    // multi-client session server that keeps killing connections. The
+    // multi-client session server that keeps faulting its wire. The
     // reliable channel must deliver the exact fault-free output, and the
     // server must execute each logical call exactly once.
     let (b, program, split) = rulekit_split();
@@ -93,14 +93,17 @@ fn benchmark_split_survives_chaos_over_sessions() {
         .expect("bind")
         .with_chaos(ChaosConfig {
             seed: 3,
-            kill_per_mille: 60,
+            per_mille: 60,
         });
     let handle = server.handle().expect("handle");
     let addr = handle.addr();
     let serve = thread::spawn(move || server.serve(|_, _| {}));
 
+    // The per-attempt timeout is below the server's late-reply pause, so
+    // late replies force retransmits too.
     let policy = RetryPolicy::new()
         .with_base_backoff(Duration::from_millis(1))
+        .with_timeout(Duration::from_millis(100))
         .with_max_attempts(16)
         .with_jitter_seed(11);
     let mut channel = TcpChannel::connect_reliable(addr, policy).expect("connect");
