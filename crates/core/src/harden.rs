@@ -182,7 +182,8 @@ fn harden_group(
                         if place_has_call(place) {
                             bad = Some("result place contains a call".into());
                         } else {
-                            let ty = crate::infer::place_ty(&split.open, func, place);
+                            let ty = hps_ir::infer::place_ty(&split.open, func, place)
+                                .expect("front-end IR is well typed");
                             if !matches!(ty, Ty::Int | Ty::Float) {
                                 bad = Some(format!("unsupported leak type {ty}"));
                             } else if *leak_ty.get_or_insert(ty.clone()) != ty {

@@ -51,7 +51,6 @@ pub mod defer;
 pub mod deploy;
 pub mod error;
 pub mod harden;
-pub mod infer;
 pub mod plan;
 pub mod result;
 pub mod selection;

@@ -16,10 +16,10 @@
 //!   construct if-then-else is replaced by construct if-then in `Of`").
 
 use crate::error::SplitError;
-use crate::infer::expr_ty;
 use crate::plan::{SplitPlan, SplitTarget};
 use crate::result::{IlpInfo, IlpKind, SplitReport, SplitResult};
 use hps_analysis::{ModRef, VarId};
+use hps_ir::infer::expr_ty;
 use hps_ir::{
     Block, ComponentId, ComponentKind, Expr, FragLabel, Fragment, FuncId, Function,
     HiddenComponent, HiddenProgram, HiddenVar, LocalId, Place, Program, Stmt, StmtId, StmtKind, Ty,
@@ -546,6 +546,11 @@ impl FuncRewriter<'_> {
         LocalId::new(self.new_locals.len() - 1)
     }
 
+    /// The static type of `e`, which the front end guarantees.
+    fn ty_of(&self, e: &Expr) -> Ty {
+        expr_ty(self.program, self.orig, e).expect("front-end IR is well typed")
+    }
+
     fn is_hidden(&self, v: VarId) -> bool {
         self.plan.hidden_vars.contains(&v)
     }
@@ -702,14 +707,14 @@ impl FuncRewriter<'_> {
                 out.push(with_result(call, Some(place)));
             }
             (StmtKind::Return(Some(e)), Disposition::HiddenReturn) => {
-                let ty = expr_ty(self.program, self.orig, e);
+                let ty = self.ty_of(e);
                 let tmp = self.add_temp("ret", ty);
                 let call = self.hidden_compute_call(e, at)?;
                 out.push(with_result(call, Some(Place::Local(tmp))));
                 out.push(Stmt::new(StmtKind::Return(Some(Expr::local(tmp)))));
             }
             (StmtKind::Print(e), Disposition::HiddenReturn) => {
-                let ty = expr_ty(self.program, self.orig, e);
+                let ty = self.ty_of(e);
                 let tmp = self.add_temp("prn", ty);
                 let call = self.hidden_compute_call(e, at)?;
                 out.push(with_result(call, Some(Place::Local(tmp))));
@@ -941,7 +946,7 @@ impl FuncRewriter<'_> {
         if !matches!(e, Expr::Call { .. }) {
             return Some(rebuilt);
         }
-        let tmp = self.add_temp("spill", expr_ty(self.program, self.orig, e));
+        let tmp = self.add_temp("spill", self.ty_of(e));
         pre.push(assign_local(tmp, rebuilt));
         Some(Expr::local(tmp))
     }
@@ -959,7 +964,7 @@ impl FuncRewriter<'_> {
             if !call_after || matches!(residual, Expr::Const(_) | Expr::Local(_)) {
                 return Ok(residual);
             }
-            let tmp = self.add_temp("spill", expr_ty(self.program, self.orig, op));
+            let tmp = self.add_temp("spill", self.ty_of(op));
             pre.push(assign_local(tmp, residual));
             Ok(Expr::local(tmp))
         });

@@ -44,6 +44,7 @@ pub mod expr;
 pub mod func;
 pub mod hidden;
 pub mod ids;
+pub mod infer;
 pub mod pretty;
 pub mod program;
 pub mod span;

@@ -87,9 +87,10 @@ use crate::interp::MetaKind;
 use crate::ops::{self, mismatch};
 use crate::server::FragOutcome;
 use crate::value::{ObjData, RtValue};
+use hps_ir::infer::{expr_ty, LocalTypes};
 use hps_ir::{
-    BinOp, Block, Builtin, ComponentId, Expr, FragLabel, Fragment, Function, HiddenProgram, Place,
-    Program, StmtKind, Ty, UnOp, Value,
+    BinOp, Block, Builtin, ComponentId, Expr, FragLabel, Fragment, Function, HiddenProgram,
+    HiddenVar, Place, Program, StmtKind, Ty, UnOp, Value,
 };
 use hps_telemetry::{Event, RecorderHandle};
 use std::cell::RefCell;
@@ -150,15 +151,22 @@ enum Op {
     Load { dst: Reg, src: Operand },
     /// `regs[dst] = unop(op, src)`.
     Un { op: UnOp, dst: Reg, src: Operand },
-    /// `regs[dst] = binop(op, lhs, rhs)`.
+    /// `regs[dst] = binop(op, lhs, rhs)`; `ty` is the operands' static
+    /// type, when it is a number.
     Bin {
         op: BinOp,
         dst: Reg,
         lhs: Operand,
         rhs: Operand,
+        ty: Option<Num>,
     },
     /// Accumulate superinstruction: `regs[slot] = binop(op, regs[slot], rhs)`.
-    Accum { op: BinOp, slot: Reg, rhs: Operand },
+    Accum {
+        op: BinOp,
+        slot: Reg,
+        rhs: Operand,
+        ty: Option<Num>,
+    },
     /// `regs[dst] = builtin(b, args)`.
     Builtin {
         b: Builtin,
@@ -182,6 +190,7 @@ enum Op {
         rhs: Operand,
         target: u32,
         when: bool,
+        ty: Option<Num>,
     },
     /// A leak point the fragment subset forbids.
     Illegal(&'static str),
@@ -232,6 +241,100 @@ enum Op {
     Hidden(Box<HiddenOp>),
     /// An error known at lower time, raised when reached.
     Fail(Box<RuntimeError>),
+
+    // The specialised forms, written only by `specialise`: one operator
+    // on registers (`R`) and immediates (`K`) of `Int` (`I`) or `Float`
+    // (`F`) values, in operand order. Each checks its registers' tags and
+    // runs the generic form on any other value (DESIGN.md §7c).
+    /// `regs[dst] = regs[lhs] + rhs`.
+    AddIRK(Arith<Reg, i64>),
+    /// `regs[dst] = regs[lhs] - rhs`.
+    SubIRK(Arith<Reg, i64>),
+    /// `regs[dst] = regs[lhs] * rhs`.
+    MulIRK(Arith<Reg, i64>),
+    /// `regs[dst] = regs[lhs] / rhs`.
+    DivIRK(Arith<Reg, i64>),
+    /// `regs[dst] = regs[lhs] % rhs`.
+    RemIRK(Arith<Reg, i64>),
+    /// `regs[dst] = lhs - regs[rhs]`.
+    SubIKR(Arith<i64, Reg>),
+    /// `regs[dst] = regs[lhs] + regs[rhs]`.
+    AddIRR(Arith<Reg, Reg>),
+    /// `regs[dst] = regs[lhs] - regs[rhs]`.
+    SubIRR(Arith<Reg, Reg>),
+    /// `regs[dst] = regs[lhs] * regs[rhs]`.
+    MulIRR(Arith<Reg, Reg>),
+    /// `regs[dst] = regs[lhs] / regs[rhs]`.
+    DivIRR(Arith<Reg, Reg>),
+    /// `regs[dst] = regs[lhs] % regs[rhs]`.
+    RemIRR(Arith<Reg, Reg>),
+    /// `regs[dst] = regs[lhs] + rhs`.
+    AddFRK(Arith<Reg, f64>),
+    /// `regs[dst] = regs[lhs] - rhs`.
+    SubFRK(Arith<Reg, f64>),
+    /// `regs[dst] = regs[lhs] * rhs`.
+    MulFRK(Arith<Reg, f64>),
+    /// `regs[dst] = regs[lhs] / rhs`.
+    DivFRK(Arith<Reg, f64>),
+    /// `regs[dst] = regs[lhs] + regs[rhs]`.
+    AddFRR(Arith<Reg, Reg>),
+    /// `regs[dst] = regs[lhs] - regs[rhs]`.
+    SubFRR(Arith<Reg, Reg>),
+    /// `regs[dst] = regs[lhs] * regs[rhs]`.
+    MulFRR(Arith<Reg, Reg>),
+    /// `regs[dst] = regs[lhs] / regs[rhs]`.
+    DivFRR(Arith<Reg, Reg>),
+    /// Jump when `(regs[lhs] == regs[rhs]) == when`.
+    EqIRRBranch(Branch<Reg>),
+    /// Jump when `(regs[lhs] != regs[rhs]) == when`.
+    NeIRRBranch(Branch<Reg>),
+    /// Jump when `(regs[lhs] < regs[rhs]) == when`.
+    LtIRRBranch(Branch<Reg>),
+    /// Jump when `(regs[lhs] <= regs[rhs]) == when`.
+    LeIRRBranch(Branch<Reg>),
+    /// Jump when `(regs[lhs] > regs[rhs]) == when`.
+    GtIRRBranch(Branch<Reg>),
+    /// Jump when `(regs[lhs] >= regs[rhs]) == when`.
+    GeIRRBranch(Branch<Reg>),
+    /// Jump when `(regs[lhs] == rhs) == when`.
+    EqIRKBranch(Branch<i64>),
+    /// Jump when `(regs[lhs] != rhs) == when`.
+    NeIRKBranch(Branch<i64>),
+    /// Jump when `(regs[lhs] < rhs) == when`.
+    LtIRKBranch(Branch<i64>),
+    /// Jump when `(regs[lhs] <= rhs) == when`.
+    LeIRKBranch(Branch<i64>),
+    /// Jump when `(regs[lhs] > rhs) == when`.
+    GtIRKBranch(Branch<i64>),
+    /// Jump when `(regs[lhs] >= rhs) == when`.
+    GeIRKBranch(Branch<i64>),
+}
+
+/// The operands of a specialised `regs[dst] = lhs <op> rhs`: each a
+/// register (`Reg`) or an immediate (`i64`, `f64`).
+#[derive(Clone, Copy, Debug)]
+struct Arith<L, R> {
+    dst: Reg,
+    lhs: L,
+    rhs: R,
+}
+
+/// The operands of a specialised compare-and-branch: jump to `target`
+/// when `(regs[lhs] <op> rhs) == when`, `rhs` a register or an immediate.
+#[derive(Clone, Copy, Debug)]
+struct Branch<R> {
+    lhs: Reg,
+    rhs: R,
+    target: u32,
+    when: bool,
+}
+
+/// The static type of an operator's operands, when it is a number: what
+/// `specialise` picks a register × register form by.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Num {
+    Int,
+    Float,
 }
 
 /// The operands of one [`Op::Hidden`].
@@ -340,6 +443,22 @@ impl ProgramCode {
                 _ => None,
             })
     }
+
+    /// How many arithmetic, accumulate and compare-and-branch instructions
+    /// on `Int` operands the code of function `func` runs in their generic
+    /// form: the shapes without a specialised one.
+    pub(crate) fn generic_int_ops(&self, func: usize) -> usize {
+        let int = Some(Num::Int);
+        self.funcs[func]
+            .body
+            .code
+            .iter()
+            .filter(|i| match i.op {
+                Op::Bin { ty, .. } | Op::Accum { ty, .. } | Op::CmpBranch { ty, .. } => ty == int,
+                _ => false,
+            })
+            .count()
+    }
 }
 
 /// An open program compiled once for both batching modes: a split's code
@@ -392,6 +511,9 @@ impl OpenCode {
             code: match plain {
                 None => {
                     inline_leaves(program, &mut funcs);
+                    for f in &mut funcs {
+                        specialise(&mut f.body.code);
+                    }
                     Ok(ProgramCode { funcs, classes })
                 }
                 Some(e) => Err(e),
@@ -417,14 +539,25 @@ impl OpenCode {
 
 /// Lowers a fragment into bytecode.
 ///
-/// `n_vars` is the owning component's persistent hidden-variable count;
-/// together with `fragment.params.len()` it fixes the slot layout, so the
+/// `vars` are the types of the owning component's persistent hidden
+/// variables; with `fragment.params` they fix the slot layout, so the
 /// compiled code is only valid for calls passing exactly that many vars
-/// (checked by [`run_compiled`]). A fragment beyond the bytecode's index
-/// ranges compiles to code that raises [`RuntimeError::Unlowerable`].
-pub fn compile_fragment(fragment: &Fragment, n_vars: usize) -> CompiledFragment {
-    let n_slots = n_vars + fragment.params.len();
-    let mut c = Compiler::new(n_slots, None);
+/// (checked by [`run_compiled`]). The declared types choose specialised
+/// instructions, which still check every value they read, so arguments
+/// of other types fail or compute as the reference does. A fragment
+/// beyond the bytecode's index ranges compiles to code that raises
+/// [`RuntimeError::Unlowerable`].
+pub fn compile_fragment(fragment: &Fragment, vars: &[Ty]) -> CompiledFragment {
+    let n_vars = vars.len();
+    let slots: Vec<Ty> = vars
+        .iter()
+        .chain(fragment.params.iter().map(|(_, ty)| ty))
+        .cloned()
+        .collect();
+    let n_slots = slots.len();
+    // A fragment reads no globals, calls nothing and builds no objects.
+    let no_program = Program::new();
+    let mut c = Compiler::new(n_slots, None, &no_program, &slots);
     c.block(&fragment.body);
     let epilogue = c.epilogue;
     c.bind(epilogue);
@@ -436,7 +569,7 @@ pub fn compile_fragment(fragment: &Fragment, n_vars: usize) -> CompiledFragment 
     };
     c.emit(Op::Ret { src: Some(src) });
     c.free_to(mark);
-    let body = c.finish().unwrap_or_else(|e| Body {
+    let mut body = c.finish().unwrap_or_else(|e| Body {
         code: Box::new([Instr {
             tick: 0,
             cost: 0,
@@ -444,6 +577,7 @@ pub fn compile_fragment(fragment: &Fragment, n_vars: usize) -> CompiledFragment 
         }]),
         n_regs: n_slots,
     });
+    specialise(&mut body.code);
     CompiledFragment {
         body,
         n_vars,
@@ -459,7 +593,7 @@ fn compile_function(
     open: &Open<'_>,
     func: &Function,
 ) -> (Result<FuncCode, RuntimeError>, Option<RuntimeError>) {
-    let mut c = Compiler::new(func.locals.len(), Some(open));
+    let mut c = Compiler::new(func.locals.len(), Some(open), open.program, func);
     c.block(&func.body);
     // Falling off the end (or a `break` outside any loop) returns the
     // zero value of the return type; `void` functions return an `Int 0`
@@ -523,6 +657,10 @@ struct Leaf {
     /// The locals a site resets, with their defaults: every local past the
     /// parameters that the code may read before it assigns it.
     resets: Vec<(Reg, Value)>,
+    /// By instruction: a `Ret` of the register the instruction before it
+    /// writes, charging nothing and reached from that instruction only, so
+    /// that instruction may write the call's destination instead.
+    direct: Vec<bool>,
 }
 
 impl Leaf {
@@ -605,12 +743,32 @@ impl Leaf {
             .filter(|&j| !fresh[j])
             .map(|j| Some((Reg::try_from(j).ok()?, defaults[j])))
             .collect::<Option<_>>()?;
+        let mut targeted = vec![false; code.len()];
+        for ins in &mut code {
+            if let Some(t) = target_mut(&mut ins.op).and_then(|t| targeted.get_mut(*t as usize)) {
+                *t = true;
+            }
+        }
+        let mut direct = vec![false; code.len()];
+        for j in 1..code.len() {
+            if let Instr {
+                tick: 0,
+                cost: 0,
+                op: Op::Ret {
+                    src: Some(Operand::Reg(t)),
+                },
+            } = code[j]
+            {
+                direct[j] = !targeted[j] && dst_mut(&mut code[j - 1].op).is_some_and(|w| *w == t);
+            }
+        }
         Some(Leaf {
             code,
             n_regs: f.body.n_regs,
             assigned,
             stores_global,
             resets,
+            direct,
         })
     }
 }
@@ -683,6 +841,11 @@ fn inline_calls(caller: &Body, leaves: &[Option<Leaf>]) -> Option<Body> {
 /// `dst` and a jump past the site. A parameter the leaf never assigns
 /// reads its argument in place: the caller's registers do not change
 /// before the site ends, nor do globals unless the leaf assigns one.
+///
+/// A [`Leaf::direct`] `Ret` needs no move: the instruction before it
+/// writes `dst`. That holds even when an argument read in place is `dst`
+/// itself: the write is the last thing the leaf does, after it has read
+/// every operand.
 fn splice(code: &mut Vec<Instr>, leaf: &Leaf, dst: Reg, args: &[Operand], by: Reg) -> Option<()> {
     let zero = |op| Instr {
         tick: 0,
@@ -705,6 +868,7 @@ fn splice(code: &mut Vec<Instr>, leaf: &Leaf, dst: Reg, args: &[Operand], by: Re
             src: Operand::Const(v),
         }));
     }
+    let direct = |j: usize| leaf.direct.get(j) == Some(&true);
     let mut read = |r: Reg| {
         let arg = bound.get(usize::from(r)).copied().flatten();
         arg.unwrap_or(Operand::Reg(r + by))
@@ -715,23 +879,29 @@ fn splice(code: &mut Vec<Instr>, leaf: &Leaf, dst: Reg, args: &[Operand], by: Re
     let mut next = code.len();
     for (j, ins) in leaf.code.iter().enumerate() {
         at.push(next);
-        next += if matches!(ins.op, Op::Ret { .. }) && j != last {
-            2
+        if matches!(ins.op, Op::Ret { .. }) {
+            next += usize::from(!direct(j)) + usize::from(j != last);
         } else {
-            1
-        };
+            next += 1;
+        }
     }
     at.push(next);
     let end = u32::try_from(next).ok()?;
     for (j, ins) in leaf.code.iter().enumerate() {
         let (tick, cost) = (ins.tick, ins.cost);
-        match relocate(&ins.op, &mut read, &mut write)? {
+        let mut op = relocate(&ins.op, &mut read, &mut write)?;
+        if direct(j + 1) {
+            *dst_mut(&mut op)? = dst;
+        }
+        match op {
             Op::Ret { src: Some(src) } => {
-                code.push(Instr {
-                    tick,
-                    cost,
-                    op: Op::Load { dst, src },
-                });
+                if !direct(j) {
+                    code.push(Instr {
+                        tick,
+                        cost,
+                        op: Op::Load { dst, src },
+                    });
+                }
                 if j != last {
                     code.push(zero(Op::Jump { target: end }));
                 }
@@ -776,19 +946,27 @@ fn relocate(
             src: o(src),
             dst: w(dst),
         },
-        Op::Bin { op, dst, lhs, rhs } => Op::Bin {
+        Op::Bin {
+            op,
+            dst,
+            lhs,
+            rhs,
+            ty,
+        } => Op::Bin {
             op: *op,
             lhs: o(lhs),
             rhs: o(rhs),
             dst: w(dst),
+            ty: *ty,
         },
-        Op::Accum { op, slot, rhs } => {
+        Op::Accum { op, slot, rhs, ty } => {
             // The slot is read, then written.
             o(&Operand::Reg(*slot));
             Op::Accum {
                 op: *op,
                 rhs: o(rhs),
                 slot: w(slot),
+                ty: *ty,
             }
         }
         Op::Builtin { b, dst, args } => Op::Builtin {
@@ -808,12 +986,14 @@ fn relocate(
             rhs,
             target,
             when,
+            ty,
         } => Op::CmpBranch {
             op: *op,
             lhs: o(lhs),
             rhs: o(rhs),
             target: *target,
             when: *when,
+            ty: *ty,
         },
         Op::Ret { src: Some(src) } => Op::Ret { src: Some(o(src)) },
         Op::StoreGlobal { global, src } => Op::StoreGlobal {
@@ -846,7 +1026,23 @@ fn relocate(
         | Op::StoreField { .. }
         | Op::Illegal(_)
         | Op::Fail(_) => return None,
+        // The specialised forms, which no code holds before the last pass.
+        _ => return None,
     })
+}
+
+/// The destination of an op whose one effect is to write a register,
+/// after reading every operand.
+fn dst_mut(op: &mut Op) -> Option<&mut Reg> {
+    match op {
+        Op::Load { dst, .. }
+        | Op::Un { dst, .. }
+        | Op::Bin { dst, .. }
+        | Op::Builtin { dst, .. }
+        | Op::LoadElem { dst, .. }
+        | Op::Len { dst, .. } => Some(dst),
+        _ => None,
+    }
 }
 
 /// The jump target of a control-flow op.
@@ -857,6 +1053,107 @@ fn target_mut(op: &mut Op) -> Option<&mut u32> {
         }
         _ => None,
     }
+}
+
+/// Rewrites each `Bin`, `Accum` and `CmpBranch` that has a specialised
+/// form into it (DESIGN.md §7c, "Specialised instructions"). The last
+/// pass over a body, so relocation and jump resolution never see a
+/// specialised op; ticks and costs stay on their instructions.
+fn specialise(code: &mut [Instr]) {
+    for ins in code {
+        let op = match ins.op {
+            Op::Bin {
+                op,
+                dst,
+                lhs,
+                rhs,
+                ty,
+            } => arith_form(op, dst, lhs, rhs, ty),
+            // `x = x <op> e` is a `Bin` whose destination and left operand
+            // are `x`, and runs the same generic path.
+            Op::Accum { op, slot, rhs, ty } => arith_form(op, slot, Operand::Reg(slot), rhs, ty),
+            Op::CmpBranch {
+                op,
+                lhs: Operand::Reg(lhs),
+                rhs,
+                target,
+                when,
+                ty,
+            } => branch_form(op, lhs, rhs, target, when, ty),
+            _ => None,
+        };
+        if let Some(op) = op {
+            ins.op = op;
+        }
+    }
+}
+
+/// The specialised form of `dst = lhs <op> rhs`, if any. An immediate's
+/// type picks `Int` or `Float`; two registers go by the static type `ty`.
+fn arith_form(op: BinOp, dst: Reg, lhs: Operand, rhs: Operand, ty: Option<Num>) -> Option<Op> {
+    use Operand::{Const, Reg as R};
+    use Value::{Float, Int};
+    Some(match (lhs, rhs, ty, op) {
+        (R(lhs), Const(Int(rhs)), _, BinOp::Add) => Op::AddIRK(Arith { dst, lhs, rhs }),
+        (R(lhs), Const(Int(rhs)), _, BinOp::Sub) => Op::SubIRK(Arith { dst, lhs, rhs }),
+        (R(lhs), Const(Int(rhs)), _, BinOp::Mul) => Op::MulIRK(Arith { dst, lhs, rhs }),
+        (R(lhs), Const(Int(rhs)), _, BinOp::Div) => Op::DivIRK(Arith { dst, lhs, rhs }),
+        (R(lhs), Const(Int(rhs)), _, BinOp::Rem) => Op::RemIRK(Arith { dst, lhs, rhs }),
+        (Const(Int(lhs)), R(rhs), _, BinOp::Sub) => Op::SubIKR(Arith { dst, lhs, rhs }),
+        (R(lhs), R(rhs), Some(Num::Int), BinOp::Add) => Op::AddIRR(Arith { dst, lhs, rhs }),
+        (R(lhs), R(rhs), Some(Num::Int), BinOp::Sub) => Op::SubIRR(Arith { dst, lhs, rhs }),
+        (R(lhs), R(rhs), Some(Num::Int), BinOp::Mul) => Op::MulIRR(Arith { dst, lhs, rhs }),
+        (R(lhs), R(rhs), Some(Num::Int), BinOp::Div) => Op::DivIRR(Arith { dst, lhs, rhs }),
+        (R(lhs), R(rhs), Some(Num::Int), BinOp::Rem) => Op::RemIRR(Arith { dst, lhs, rhs }),
+        (R(lhs), Const(Float(rhs)), _, BinOp::Add) => Op::AddFRK(Arith { dst, lhs, rhs }),
+        (R(lhs), Const(Float(rhs)), _, BinOp::Sub) => Op::SubFRK(Arith { dst, lhs, rhs }),
+        (R(lhs), Const(Float(rhs)), _, BinOp::Mul) => Op::MulFRK(Arith { dst, lhs, rhs }),
+        (R(lhs), Const(Float(rhs)), _, BinOp::Div) => Op::DivFRK(Arith { dst, lhs, rhs }),
+        (R(lhs), R(rhs), Some(Num::Float), BinOp::Add) => Op::AddFRR(Arith { dst, lhs, rhs }),
+        (R(lhs), R(rhs), Some(Num::Float), BinOp::Sub) => Op::SubFRR(Arith { dst, lhs, rhs }),
+        (R(lhs), R(rhs), Some(Num::Float), BinOp::Mul) => Op::MulFRR(Arith { dst, lhs, rhs }),
+        (R(lhs), R(rhs), Some(Num::Float), BinOp::Div) => Op::DivFRR(Arith { dst, lhs, rhs }),
+        _ => return None,
+    })
+}
+
+/// The specialised form of a compare-and-branch on register `lhs`, if
+/// any: an `Int` immediate, or a register when `ty` is `Int`.
+fn branch_form(
+    op: BinOp,
+    lhs: Reg,
+    rhs: Operand,
+    target: u32,
+    when: bool,
+    ty: Option<Num>,
+) -> Option<Op> {
+    let rr = |rhs| Branch {
+        lhs,
+        rhs,
+        target,
+        when,
+    };
+    let rk = |rhs| Branch {
+        lhs,
+        rhs,
+        target,
+        when,
+    };
+    Some(match (rhs, ty, op) {
+        (Operand::Reg(r), Some(Num::Int), BinOp::Eq) => Op::EqIRRBranch(rr(r)),
+        (Operand::Reg(r), Some(Num::Int), BinOp::Ne) => Op::NeIRRBranch(rr(r)),
+        (Operand::Reg(r), Some(Num::Int), BinOp::Lt) => Op::LtIRRBranch(rr(r)),
+        (Operand::Reg(r), Some(Num::Int), BinOp::Le) => Op::LeIRRBranch(rr(r)),
+        (Operand::Reg(r), Some(Num::Int), BinOp::Gt) => Op::GtIRRBranch(rr(r)),
+        (Operand::Reg(r), Some(Num::Int), BinOp::Ge) => Op::GeIRRBranch(rr(r)),
+        (Operand::Const(Value::Int(k)), _, BinOp::Eq) => Op::EqIRKBranch(rk(k)),
+        (Operand::Const(Value::Int(k)), _, BinOp::Ne) => Op::NeIRKBranch(rk(k)),
+        (Operand::Const(Value::Int(k)), _, BinOp::Lt) => Op::LtIRKBranch(rk(k)),
+        (Operand::Const(Value::Int(k)), _, BinOp::Le) => Op::LeIRKBranch(rk(k)),
+        (Operand::Const(Value::Int(k)), _, BinOp::Gt) => Op::GtIRKBranch(rk(k)),
+        (Operand::Const(Value::Int(k)), _, BinOp::Ge) => Op::GeIRKBranch(rk(k)),
+        _ => return None,
+    })
 }
 
 /// A forward-reference label, resolved to an instruction index by
@@ -894,6 +1191,10 @@ struct Compiler<'o, 'p> {
     epilogue: Label,
     /// `None` while lowering a fragment.
     open: Option<&'o Open<'p>>,
+    /// The program and the locals' declared types, which type the
+    /// operands of arithmetic and comparisons.
+    program: &'o Program,
+    locals: &'o dyn LocalTypes,
     /// The first lowering failure; the rest of the code is discarded.
     error: Option<RuntimeError>,
     /// A failure of batching runs only, when it comes before `error`.
@@ -901,7 +1202,12 @@ struct Compiler<'o, 'p> {
 }
 
 impl<'o, 'p> Compiler<'o, 'p> {
-    fn new(n_slots: usize, open: Option<&'o Open<'p>>) -> Compiler<'o, 'p> {
+    fn new(
+        n_slots: usize,
+        open: Option<&'o Open<'p>>,
+        program: &'o Program,
+        locals: &'o dyn LocalTypes,
+    ) -> Compiler<'o, 'p> {
         let mut c = Compiler {
             code: Vec::new(),
             labels: Vec::new(),
@@ -913,6 +1219,8 @@ impl<'o, 'p> Compiler<'o, 'p> {
             loops: Vec::new(),
             epilogue: 0,
             open,
+            program,
+            locals,
             error: None,
             batch_error: None,
         };
@@ -1165,11 +1473,13 @@ impl<'o, 'p> Compiler<'o, 'p> {
             Expr::Binary { op, lhs, rhs } => {
                 self.add_cost(COST_MODEL.binop);
                 let ops = self.operands(&[lhs, rhs]);
+                let ty = self.num(lhs);
                 self.emit(Op::Bin {
                     op: *op,
                     dst,
                     lhs: ops[0],
                     rhs: ops[1],
+                    ty,
                 });
             }
             Expr::BuiltinCall {
@@ -1240,6 +1550,15 @@ impl<'o, 'p> Compiler<'o, 'p> {
         self.free_to(mark);
     }
 
+    /// The static type of `e` when it is a number.
+    fn num(&self, e: &Expr) -> Option<Num> {
+        match expr_ty(self.program, self.locals, e)? {
+            Ty::Int => Some(Num::Int),
+            Ty::Float => Some(Num::Float),
+            _ => None,
+        }
+    }
+
     fn index32(&mut self, index: usize) -> u32 {
         u32::try_from(index).unwrap_or_else(|_| {
             self.fail("index beyond the bytecode's range");
@@ -1284,12 +1603,14 @@ impl<'o, 'p> Compiler<'o, 'p> {
                 self.add_cost(COST_MODEL.binop);
                 let ops = self.operands(&[lhs, rhs]);
                 let target = self.target(target);
+                let ty = self.num(lhs);
                 self.emit(Op::CmpBranch {
                     op: *op,
                     lhs: ops[0],
                     rhs: ops[1],
                     target,
                     when,
+                    ty,
                 });
             }
             Expr::Binary { op, lhs, rhs } if op.is_logical() => {
@@ -1327,9 +1648,9 @@ impl<'o, 'p> Compiler<'o, 'p> {
             Place::Local(id) if id.index() < self.n_slots => id.index(),
             _ => return false,
         };
-        let (op, rhs) = match value {
+        let (op, lhs, rhs) = match value {
             Expr::Binary { op, lhs, rhs } if !op.is_logical() => match lhs.as_ref() {
-                Expr::Local(l) if l.index() == id => (*op, rhs),
+                Expr::Local(l) if l.index() == id => (*op, lhs, rhs),
                 _ => return false,
             },
             _ => return false,
@@ -1338,7 +1659,8 @@ impl<'o, 'p> Compiler<'o, 'p> {
         let mark = self.next_reg;
         let slot = self.reg(id);
         let rhs = self.operand(rhs);
-        self.emit(Op::Accum { op, slot, rhs });
+        let ty = self.num(lhs);
+        self.emit(Op::Accum { op, slot, rhs, ty });
         self.free_to(mark);
         true
     }
@@ -1848,6 +2170,128 @@ fn compare<T: PartialOrd>(op: BinOp, x: T, y: T) -> bool {
     }
 }
 
+// The specialised forms run here. Each reads its registers' tags once,
+// and any value but the one it was specialised for takes the generic
+// path of its operator (`binop_into`, `compare_slow`), so the results,
+// errors and registers match the generic forms' exactly. `op` and `f` are
+// constants at every call site, and so is which operand is a register.
+// The generic path is out of line, so the fast path builds no operand.
+impl<L: Into<Operand> + Copy, R: Into<Operand> + Copy> Arith<L, R> {
+    /// `regs[dst] = f(x, y)` for `Int`s `x` and `y`, when `f` has a value:
+    /// a checked operator, whose overflow and zero divisor take the
+    /// generic path (which wraps, or raises).
+    #[inline(always)]
+    fn int(
+        &self,
+        regs: &mut [RtValue],
+        globals: &[RtValue],
+        op: BinOp,
+        f: impl FnOnce(i64, i64) -> Option<i64>,
+    ) -> Result<(), RuntimeError> {
+        let x = int(regs, globals, &self.lhs.into());
+        let y = int(regs, globals, &self.rhs.into());
+        match (x, y) {
+            (Some(x), Some(y)) => match f(x, y) {
+                Some(v) => {
+                    set_int(&mut regs[usize::from(self.dst)], v);
+                    Ok(())
+                }
+                None => self.generic(regs, globals, op),
+            },
+            _ => self.generic(regs, globals, op),
+        }
+    }
+
+    /// `regs[dst] = f(x, y)` for `Float`s `x` and `y`.
+    #[inline(always)]
+    fn float(
+        &self,
+        regs: &mut [RtValue],
+        globals: &[RtValue],
+        op: BinOp,
+        f: impl FnOnce(f64, f64) -> f64,
+    ) -> Result<(), RuntimeError> {
+        let x = float(regs, globals, &self.lhs.into());
+        let y = float(regs, globals, &self.rhs.into());
+        match (x, y) {
+            (Some(x), Some(y)) => {
+                set_float(&mut regs[usize::from(self.dst)], f(x, y));
+                Ok(())
+            }
+            _ => self.generic(regs, globals, op),
+        }
+    }
+
+    /// The generic form's path.
+    #[cold]
+    #[inline(never)]
+    fn generic(
+        &self,
+        regs: &mut [RtValue],
+        globals: &[RtValue],
+        op: BinOp,
+    ) -> Result<(), RuntimeError> {
+        let (lhs, rhs) = (self.lhs.into(), self.rhs.into());
+        binop_into(op, regs, globals, &lhs, &rhs, usize::from(self.dst))
+    }
+}
+
+impl<R: Into<Operand> + Copy> Branch<R> {
+    /// The next instruction after `pc`'s: `target` when `x <op> y` is
+    /// `when`, for `Int`s `x` and `y`.
+    #[inline(always)]
+    fn next(
+        &self,
+        regs: &[RtValue],
+        globals: &[RtValue],
+        op: BinOp,
+        pc: usize,
+    ) -> Result<usize, RuntimeError> {
+        let x = int(regs, globals, &Operand::Reg(self.lhs));
+        let y = int(regs, globals, &self.rhs.into());
+        let holds = match (x, y) {
+            (Some(x), Some(y)) => compare(op, x, y),
+            _ => self.generic(regs, globals, op)?,
+        };
+        Ok(if holds == self.when {
+            self.target as usize
+        } else {
+            pc
+        })
+    }
+
+    /// The generic form's outcome.
+    #[cold]
+    #[inline(never)]
+    fn generic(
+        &self,
+        regs: &[RtValue],
+        globals: &[RtValue],
+        op: BinOp,
+    ) -> Result<bool, RuntimeError> {
+        compare_slow(op, regs, globals, &Operand::Reg(self.lhs), &self.rhs.into())
+    }
+}
+
+/// The operands of the specialised forms: a register, or an immediate.
+impl From<Reg> for Operand {
+    fn from(r: Reg) -> Operand {
+        Operand::Reg(r)
+    }
+}
+
+impl From<i64> for Operand {
+    fn from(k: i64) -> Operand {
+        Operand::Const(Value::Int(k))
+    }
+}
+
+impl From<f64> for Operand {
+    fn from(k: f64) -> Operand {
+        Operand::Const(Value::Float(k))
+    }
+}
+
 /// An `int index` operand.
 #[inline(always)]
 fn index(regs: &[RtValue], globals: &[RtValue], o: &Operand) -> Result<i64, RuntimeError> {
@@ -2243,10 +2687,12 @@ impl<'a> Vm<'a> {
     /// and frames in place. On error the frames are left for
     /// [`Vm::unwind`].
     ///
-    /// The loop's state — code, `pc`, frame base, steps and cost — lives
-    /// in locals, and every arm that is not hot calls out of line, so the
-    /// hot arms run without spilling it. `cost` is synchronised with
-    /// `self.cost` around the calls that charge it.
+    /// The loop's state — code, `pc`, frame base, steps and cost, and the
+    /// frame's registers and the globals as slices — lives in locals, and
+    /// every arm that is not hot calls out of line, so the hot arms run
+    /// without spilling it. `cost` is synchronised with `self.cost` around
+    /// the calls that charge it, and the slices are borrowed again after
+    /// each call that needs the whole machine.
     fn execute(&mut self, prog: &ProgramCode, entry: &Body) -> Result<RtValue, RuntimeError> {
         let mut code: &[Instr] = &entry.code;
         let mut pc = 0;
@@ -2254,6 +2700,8 @@ impl<'a> Vm<'a> {
         let mut steps = self.steps;
         let mut cost = self.cost;
         let limit = self.step_limit;
+        let mut regs = &mut self.stack[base..];
+        let mut globals = &self.globals[..];
         let result = 'run: loop {
             macro_rules! tri {
                 ($e:expr) => {
@@ -2270,8 +2718,6 @@ impl<'a> Vm<'a> {
                 break Err(RuntimeError::StepLimitExceeded { limit });
             }
             cost += u64::from(ins.cost);
-            let globals = &self.globals;
-            let regs = &mut self.stack[base..];
             match &ins.op {
                 Op::Nop => {}
                 Op::Load { dst, src } => {
@@ -2284,7 +2730,9 @@ impl<'a> Vm<'a> {
                 Op::Un { op, dst, src } => {
                     regs[usize::from(*dst)] = tri!(ops::unop(*op, &read(regs, globals, src)));
                 }
-                Op::Bin { op, dst, lhs, rhs } => {
+                Op::Bin {
+                    op, dst, lhs, rhs, ..
+                } => {
                     let dst = usize::from(*dst);
                     let done = match (int(regs, globals, lhs), int(regs, globals, rhs)) {
                         (Some(x), Some(y)) => int_binop_into(*op, x, y, &mut regs[dst]),
@@ -2294,7 +2742,7 @@ impl<'a> Vm<'a> {
                         tri!(binop_into(*op, regs, globals, lhs, rhs, dst));
                     }
                 }
-                Op::Accum { op, slot, rhs } => {
+                Op::Accum { op, slot, rhs, .. } => {
                     let dst = usize::from(*slot);
                     let x = match regs[dst] {
                         RtValue::Int(x) => Some(x),
@@ -2333,6 +2781,7 @@ impl<'a> Vm<'a> {
                     rhs,
                     target,
                     when,
+                    ..
                 } => {
                     let taken = match (int(regs, globals, lhs), int(regs, globals, rhs)) {
                         (Some(x), Some(y)) => compare(*op, x, y),
@@ -2364,10 +2813,12 @@ impl<'a> Vm<'a> {
                             pc = resume;
                         }
                     }
+                    (regs, globals) = (&mut self.stack[base..], &self.globals[..]);
                 }
                 Op::StoreGlobal { global, src } => {
                     let v = read(regs, globals, src);
                     self.globals[*global as usize] = v;
+                    globals = &self.globals[..];
                 }
                 Op::LoadElem { dst, arr, idx } => {
                     let dst = usize::from(*dst);
@@ -2402,6 +2853,7 @@ impl<'a> Vm<'a> {
                 }
                 Op::NewObject { dst, class } => {
                     self.new_object(prog, *class, base + usize::from(*dst));
+                    (regs, globals) = (&mut self.stack[base..], &self.globals[..]);
                 }
                 Op::Enter => {
                     if self.frames.len() >= self.depth_limit {
@@ -2415,6 +2867,7 @@ impl<'a> Vm<'a> {
                     cost += COST_MODEL.call;
                     code = &prog.funcs[*func as usize].body.code;
                     pc = 0;
+                    (regs, globals) = (&mut self.stack[base..], &self.globals[..]);
                 }
                 Op::Print { src } => {
                     let line = read(regs, globals, src).to_string();
@@ -2428,7 +2881,39 @@ impl<'a> Vm<'a> {
                     let done = self.hidden(h, base);
                     cost = self.cost;
                     tri!(done);
+                    (regs, globals) = (&mut self.stack[base..], &self.globals[..]);
                 }
+                Op::AddIRK(a) => tri!(a.int(regs, globals, BinOp::Add, i64::checked_add)),
+                Op::SubIRK(a) => tri!(a.int(regs, globals, BinOp::Sub, i64::checked_sub)),
+                Op::MulIRK(a) => tri!(a.int(regs, globals, BinOp::Mul, i64::checked_mul)),
+                Op::DivIRK(a) => tri!(a.int(regs, globals, BinOp::Div, i64::checked_div)),
+                Op::RemIRK(a) => tri!(a.int(regs, globals, BinOp::Rem, i64::checked_rem)),
+                Op::SubIKR(a) => tri!(a.int(regs, globals, BinOp::Sub, i64::checked_sub)),
+                Op::AddIRR(a) => tri!(a.int(regs, globals, BinOp::Add, i64::checked_add)),
+                Op::SubIRR(a) => tri!(a.int(regs, globals, BinOp::Sub, i64::checked_sub)),
+                Op::MulIRR(a) => tri!(a.int(regs, globals, BinOp::Mul, i64::checked_mul)),
+                Op::DivIRR(a) => tri!(a.int(regs, globals, BinOp::Div, i64::checked_div)),
+                Op::RemIRR(a) => tri!(a.int(regs, globals, BinOp::Rem, i64::checked_rem)),
+                Op::AddFRK(a) => tri!(a.float(regs, globals, BinOp::Add, |x, y| x + y)),
+                Op::SubFRK(a) => tri!(a.float(regs, globals, BinOp::Sub, |x, y| x - y)),
+                Op::MulFRK(a) => tri!(a.float(regs, globals, BinOp::Mul, |x, y| x * y)),
+                Op::DivFRK(a) => tri!(a.float(regs, globals, BinOp::Div, |x, y| x / y)),
+                Op::AddFRR(a) => tri!(a.float(regs, globals, BinOp::Add, |x, y| x + y)),
+                Op::SubFRR(a) => tri!(a.float(regs, globals, BinOp::Sub, |x, y| x - y)),
+                Op::MulFRR(a) => tri!(a.float(regs, globals, BinOp::Mul, |x, y| x * y)),
+                Op::DivFRR(a) => tri!(a.float(regs, globals, BinOp::Div, |x, y| x / y)),
+                Op::EqIRRBranch(b) => pc = tri!(b.next(regs, globals, BinOp::Eq, pc)),
+                Op::NeIRRBranch(b) => pc = tri!(b.next(regs, globals, BinOp::Ne, pc)),
+                Op::LtIRRBranch(b) => pc = tri!(b.next(regs, globals, BinOp::Lt, pc)),
+                Op::LeIRRBranch(b) => pc = tri!(b.next(regs, globals, BinOp::Le, pc)),
+                Op::GtIRRBranch(b) => pc = tri!(b.next(regs, globals, BinOp::Gt, pc)),
+                Op::GeIRRBranch(b) => pc = tri!(b.next(regs, globals, BinOp::Ge, pc)),
+                Op::EqIRKBranch(b) => pc = tri!(b.next(regs, globals, BinOp::Eq, pc)),
+                Op::NeIRKBranch(b) => pc = tri!(b.next(regs, globals, BinOp::Ne, pc)),
+                Op::LtIRKBranch(b) => pc = tri!(b.next(regs, globals, BinOp::Lt, pc)),
+                Op::LeIRKBranch(b) => pc = tri!(b.next(regs, globals, BinOp::Le, pc)),
+                Op::GtIRKBranch(b) => pc = tri!(b.next(regs, globals, BinOp::Gt, pc)),
+                Op::GeIRKBranch(b) => pc = tri!(b.next(regs, globals, BinOp::Ge, pc)),
             }
         };
         self.steps = steps;
@@ -2624,7 +3109,8 @@ impl VmCache {
     }
 
     /// Returns the compiled code for the fragment at `(component,
-    /// position)`, lowering it on first use; the flag is `true` when this
+    /// position)` of a component with hidden variables `vars`, lowering it
+    /// on first use; the flag is `true` when this
     /// call performed the compile. `None` when the cache was built for a
     /// different program shape.
     pub fn get_or_compile(
@@ -2632,13 +3118,14 @@ impl VmCache {
         component: usize,
         position: usize,
         fragment: &Fragment,
-        n_vars: usize,
+        vars: &[HiddenVar],
     ) -> Option<(&CompiledFragment, bool)> {
         let cell = self.slots.get(component)?.get(position)?;
         let mut fresh = false;
         let code = cell.get_or_init(|| {
             let t0 = std::time::Instant::now();
-            let compiled = compile_fragment(fragment, n_vars);
+            let vars: Vec<Ty> = vars.iter().map(|v| v.ty.clone()).collect();
+            let compiled = compile_fragment(fragment, &vars);
             self.compile_nanos
                 .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
             self.compiles.fetch_add(1, Ordering::Relaxed);
@@ -2667,6 +3154,17 @@ mod tests {
         }
     }
 
+    /// Hidden variables typed as the values they start with.
+    fn var_tys(vars: &[RtValue]) -> Vec<Ty> {
+        vars.iter()
+            .map(|v| match v {
+                RtValue::Float(_) => Ty::Float,
+                RtValue::Bool(_) => Ty::Bool,
+                _ => Ty::Int,
+            })
+            .collect()
+    }
+
     /// Runs both engines, asserts identical outcome, state and error, and
     /// returns the VM's outcome and hidden state.
     fn assert_parity(
@@ -2677,7 +3175,7 @@ mod tests {
         let mut tree_vars = vars.to_vec();
         let mut vm_vars = vars.to_vec();
         let tree = run_hidden(f, &mut tree_vars, args, FRAGMENT_STEP_LIMIT);
-        let compiled = compile_fragment(f, vars.len());
+        let compiled = compile_fragment(f, &var_tys(vars));
         let vm = run_compiled(&compiled, &mut vm_vars, args);
         assert_eq!(format!("{tree:?}"), format!("{vm:?}"), "outcome diverged");
         assert_eq!(tree_vars, vm_vars, "hidden state diverged");
@@ -2778,7 +3276,7 @@ mod tests {
         );
         for limit in [1, 2, 3, 10, 101] {
             let tree = run_hidden(&f, &mut [], &[], limit);
-            let compiled = compile_fragment(&f, 0);
+            let compiled = compile_fragment(&f, &[]);
             let vm = run_compiled_with_limit(&compiled, &mut [], &[], limit);
             assert_eq!(tree, vm);
             assert_eq!(tree, Err(RuntimeError::StepLimitExceeded { limit }));
@@ -2917,13 +3415,13 @@ mod tests {
             }],
         };
         let cache = VmCache::for_program(&hidden);
-        let (_, fresh) = cache.get_or_compile(0, 0, &f, 0).unwrap();
+        let (_, fresh) = cache.get_or_compile(0, 0, &f, &[]).unwrap();
         assert!(fresh);
-        let (_, fresh) = cache.get_or_compile(0, 0, &f, 0).unwrap();
+        let (_, fresh) = cache.get_or_compile(0, 0, &f, &[]).unwrap();
         assert!(!fresh);
         assert_eq!(cache.compiles(), 1);
         assert_eq!(cache.cache_hits(), 1);
-        assert!(cache.get_or_compile(3, 0, &f, 0).is_none());
+        assert!(cache.get_or_compile(3, 0, &f, &[]).is_none());
     }
 
     #[test]

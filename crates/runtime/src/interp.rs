@@ -154,6 +154,16 @@ impl SplitMeta {
         )
     }
 
+    /// How many `Int` arithmetic, accumulate and compare-and-branch
+    /// instructions of `name`'s compiled code kept their generic form, for
+    /// want of a specialised one (DESIGN.md §7c). `None` as for
+    /// [`SplitMeta::framed_callees`].
+    pub fn generic_int_ops(&self, name: &str) -> Option<usize> {
+        let func = self.split.open.func_by_name(name)?;
+        let code = self.split.code.get(false).ok()?;
+        Some(code.generic_int_ops(func.index()))
+    }
+
     /// The code, when `program` equals the one this was derived from.
     fn code_for(&self, program: &Program) -> Option<&OpenCode> {
         (self.split.open == *program).then_some(&self.split.code)

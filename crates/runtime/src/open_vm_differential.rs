@@ -173,8 +173,11 @@ fn vm_matches_reference_on_in_place_writes() {
 /// limit and one call past it, the step limit firing at every instruction
 /// of an inlined body (whose loop re-enters it), a trap in a leaf after its
 /// caller's expression changed a global, a local read before it is
-/// assigned, reset on every entry, and a global argument to a leaf that
-/// assigns that global.
+/// assigned, reset on every entry, a global argument to a leaf that
+/// assigns that global, and returns written straight to a destination
+/// that an argument reads in place (`x = lk(x, ..)`), next to returns
+/// that keep their move: one reached by a jump (`lb`'s `&&`) and one
+/// that charges the `return`'s tick (`lt`).
 #[test]
 fn vm_matches_reference_on_inlined_leaf_corners() {
     let src = "global g: int = 1;
@@ -188,6 +191,9 @@ fn lf(a: int, b: int) -> int {
     return t % (b - 1);
 }
 fn lg(a: int) -> int { g = g + 1; return a * 10 + g; }
+fn lk(a: int, b: int) -> int { if (b > 3) { return a * 2 + b; } return a - b; }
+fn lb(a: int, b: int) -> bool { return a > b && b > 2; }
+fn lt(a: int) -> int { var r: int = a * 3; return r; }
 fn down(d: int, b: int) -> int { if (d <= 0) { return lf(2, b); } return down(d - 1, b); }
 fn main(d: int, b: int) {
     var i: int = 0;
@@ -195,13 +201,21 @@ fn main(d: int, b: int) {
     print(down(d, b));
     print(g + bump(5) + lf(3, b));
     print(lg(g));
+    var x: int = 7;
+    x = lk(x, b);
+    print(x);
+    x = lk(x, x) + lk(b, x);
+    print(x);
+    print(lb(x, b));
+    print(lt(b) + lt(x));
     print(g);
     print(h);
 }";
     let program = hps_lang::parse(src).unwrap_or_else(|e| panic!("{e}\n{src}"));
     let code = crate::bytecode::OpenCode::compile(&program, None);
     let code = code.get(false).expect("lowers");
-    let leaves = ["lf", "lg"].map(|f| program.func_by_name(f).expect("leaf").index());
+    let leaves =
+        ["lf", "lg", "lk", "lb", "lt"].map(|f| program.func_by_name(f).expect("leaf").index());
     for caller in ["down", "main"] {
         let caller = program.func_by_name(caller).expect("caller").index();
         assert!(
@@ -293,4 +307,118 @@ fn in_place_writes_release_aggregates_and_keep_failing_registers() {
     assert_eq!(reg, RtValue::Int(i64::MIN));
     assert!(int_binop_into(BinOp::Rem, i64::MIN, -1, &mut reg));
     assert_eq!(reg, RtValue::Int(0));
+}
+
+/// One statement for each specialised instruction form, and a few for the
+/// shapes left generic, over slots `d`, `x`, `y` (declared `int`) and `f`,
+/// `g` (declared `float`). Divisors include `-1` and zero, as immediates
+/// and in registers.
+pub(crate) const SPECIALISED_FORMS: &[&str] = &[
+    "d = x + 3;",
+    "d = x - 3;",
+    "d = x * 3;",
+    "d = x / 3;",
+    "d = x % 3;",
+    "d = x / -1;",
+    "d = x % -1;",
+    "d = x / 0;",
+    "d = x % 0;",
+    "d = 0 - x;",
+    "d = 3 * x;",
+    "d = x + y;",
+    "d = x - y;",
+    "d = x * y;",
+    "d = x / y;",
+    "d = x % y;",
+    "d = d + 3;",
+    "d = d - x;",
+    "d = d * 3;",
+    "d = d * x;",
+    "d = d % y;",
+    "f = g + 1.5;",
+    "f = g - 1.5;",
+    "f = g * 1.5;",
+    "f = g / 0.0;",
+    "f = g + f;",
+    "f = g - f;",
+    "f = g * f;",
+    "f = g / f;",
+    "f = f * g;",
+    "if (x == y) { d = 1; } else { d = 2; }",
+    "if (x != y) { d = 1; }",
+    "if (x < y) { d = 1; }",
+    "if (x <= y) { d = 1; } else { d = 2; }",
+    "if (x > y) { d = 1; }",
+    "if (x >= y) { d = 1; }",
+    "if (x == 0) { d = 1; } else { d = 2; }",
+    "if (x != -1) { d = 1; }",
+    "if (x < 3) { d = 1; }",
+    "if (x <= 3) { d = 1; } else { d = 2; }",
+    "if (x > 3) { d = 1; }",
+    "if (x >= 3) { d = 1; }",
+    "while (d < 5) { d = d + 1; }",
+    "if (g < f) { d = 1; }",
+];
+
+/// Values of the slots `(d, f, x, y, g)` that the specialised forms'
+/// guards see: every `Int` corner, and values of other types, arrays
+/// included, in slots declared `int` and `float`. `y` and `g` hold only
+/// scalars, the values a fragment's parameters can get from the wire.
+pub(crate) fn guard_rows() -> Vec<[RtValue; 5]> {
+    let array = RtValue::from_ints(&[1, 2]);
+    let ints = [
+        RtValue::Int(5),
+        RtValue::Int(-1),
+        RtValue::Int(0),
+        RtValue::Int(i64::MIN),
+        RtValue::Int(i64::MAX),
+        RtValue::Float(2.5),
+        RtValue::Float(f64::NAN),
+        RtValue::Bool(true),
+        array.clone(),
+    ];
+    let floats = [
+        RtValue::Float(2.5),
+        RtValue::Float(f64::NAN),
+        RtValue::Float(-0.0),
+        RtValue::Int(3),
+        RtValue::Bool(false),
+        array,
+    ];
+    let mut rows = Vec::new();
+    for (i, x) in ints.iter().enumerate() {
+        for (j, y) in ints[..8].iter().enumerate() {
+            let d = ints[(i + j + 1) % ints.len()].clone();
+            let f = floats[(i + j) % floats.len()].clone();
+            let g = floats[j % 5].clone();
+            rows.push([d, f, x.clone(), y.clone(), g]);
+        }
+    }
+    rows
+}
+
+/// Every specialised form as open code, with `main`'s parameters holding
+/// values of their declared type and of others: the same value or error,
+/// output, cost and steps as the reference.
+#[test]
+fn vm_matches_reference_when_specialised_guards_miss() {
+    for stmt in SPECIALISED_FORMS {
+        let src = format!(
+            "fn main(d: int, f: float, x: int, y: int, g: float) {{ {stmt} print(d); print(f); }}"
+        );
+        let program = hps_lang::parse(&src).unwrap_or_else(|e| panic!("{e}\n{src}"));
+        for row in guard_rows() {
+            for (steps, depth) in LIMITS {
+                let vm = Interp::new(&program, ExecConfig::new())
+                    .with_limits(steps, depth)
+                    .run("main", &row);
+                let walk = reference::run_function(&program, "main", &row, steps, depth);
+                assert_same(
+                    &vm,
+                    &walk,
+                    &format!("{stmt} on {row:?}, limits ({steps}, {depth})"),
+                );
+            }
+        }
+    }
 }

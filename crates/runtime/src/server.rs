@@ -186,7 +186,6 @@ impl SecureServer {
             .position(|f| f.label == label)
             .ok_or(RuntimeError::UnknownFragment { component, label })?;
         let fragment = &comp.fragments[position];
-        let n_vars = comp.vars.len();
         let vars = self.state.entry((component, key)).or_insert_with(|| {
             comp.vars
                 .iter()
@@ -199,7 +198,7 @@ impl SecureServer {
         // A cache built for a different program shape has no slot here.
         let (code, fresh) = self
             .vm
-            .get_or_compile(component.index(), position, fragment, n_vars)
+            .get_or_compile(component.index(), position, fragment, &comp.vars)
             .ok_or(RuntimeError::UnknownFragment { component, label })?;
         self.recorder.record(if fresh {
             Event::VmCompile

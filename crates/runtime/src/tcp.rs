@@ -474,6 +474,14 @@ impl TcpChannel {
         let policy = self.policy;
         let started = Instant::now();
         let mut attempt = 0u32;
+        // The last retryable fault, as the terminal error of a call whose
+        // attempt budget is spent: a caller must not retry a channel that
+        // has already given up.
+        let exhausted = |fault: RuntimeError, attempts: u32| RuntimeError::Transport {
+            class: FaultClass::Terminal,
+            op: "retry",
+            detail: format!("gave up after {attempts} attempts, the last failing with: {fault}"),
+        };
         loop {
             match self.try_round_trip() {
                 Ok(resp) => return Ok(resp),
@@ -497,14 +505,17 @@ impl TcpChannel {
                     // A failed reconnect burns attempts too; terminal
                     // connect errors abort immediately.
                     if let Err(re) = self.reconnect() {
-                        if re.is_retryable() && attempt + 1 < policy.max_attempts {
-                            self.stats.faults += 1;
-                            self.recorder.record(Event::Fault);
-                            continue;
+                        if !re.is_retryable() {
+                            return Err(re);
                         }
-                        return Err(re);
+                        if attempt + 1 >= policy.max_attempts {
+                            return Err(exhausted(re, attempt + 1));
+                        }
+                        self.stats.faults += 1;
+                        self.recorder.record(Event::Fault);
                     }
                 }
+                Err(e) if e.is_retryable() => return Err(exhausted(e, attempt + 1)),
                 Err(e) => return Err(e),
             }
         }
@@ -1594,6 +1605,8 @@ mod tests {
             .call(ComponentId::new(0), 1, FragLabel::new(0), &[Value::Int(1)])
             .expect_err("must give up");
         assert!(matches!(err, RuntimeError::Transport { .. }), "got {err:?}");
+        assert!(!err.is_retryable(), "a spent budget is terminal: {err}");
+        assert!(err.to_string().contains("after 3 attempts"), "got {err}");
         assert_eq!(chan.transport_stats().retries, 2);
         assert_eq!(chan.interactions(), 1);
         stop(&handle, serve);

@@ -22,7 +22,7 @@
 
 use crate::bytecode::{compile_fragment, run_compiled_with_limit};
 use crate::interp::{ExecConfig, Interp};
-use crate::open_vm_differential::assert_same;
+use crate::open_vm_differential::{assert_same, guard_rows, SPECIALISED_FORMS};
 use crate::reference::{run_function, run_hidden};
 use crate::{RtValue, RuntimeError, COST_MODEL};
 use hps_gen::{FragmentCase, FRAGMENT_PARAMS as N_PARAMS, FRAGMENT_VARS as N_VARS};
@@ -34,8 +34,10 @@ use proptest::test_runner::TestRunner;
 const N_SLOTS: usize = N_VARS + N_PARAMS;
 
 /// The generated block as a fragment: the body of `frag`, whose trailing
-/// `return`, if it returns a value, becomes the fragment's result.
-fn fragment_of(case: &FragmentCase) -> Fragment {
+/// `return`, if it returns a value, becomes the fragment's result; with
+/// the declared types of its hidden variables, which the values a case
+/// starts them with need not have.
+fn fragment_of(case: &FragmentCase) -> (Fragment, Vec<Ty>) {
     let program = hps_lang::parse(&case.src).unwrap_or_else(|e| panic!("{e}\n{}", case.src));
     let f = program.func(FuncId::new(0));
     let mut body = f.body.clone();
@@ -46,7 +48,7 @@ fn fragment_of(case: &FragmentCase) -> Fragment {
             other => unreachable!("`frag` ends in its return, not {other:?}"),
         },
     };
-    Fragment {
+    let fragment = Fragment {
         label: FragLabel::new(7),
         params: f.locals[N_VARS..N_SLOTS]
             .iter()
@@ -54,7 +56,9 @@ fn fragment_of(case: &FragmentCase) -> Fragment {
             .collect(),
         body,
         ret,
-    }
+    };
+    let var_tys = f.locals[..N_VARS].iter().map(|l| l.ty.clone()).collect();
+    (fragment, var_tys)
 }
 
 fn vars_of(case: &FragmentCase) -> Vec<RtValue> {
@@ -68,11 +72,16 @@ const LIMITS: [u64; 4] = [1, 2, 7, 2_000];
 /// Runs the fragment through both engines at the given limit and asserts
 /// byte-identical observable behaviour, compared as debug text so that a
 /// NaN equals itself. True when the run ended `Ok`.
-fn check_parity(fragment: &Fragment, vars: &[RtValue], args: &[Value], limit: u64) -> bool {
+fn check_parity(
+    (fragment, var_tys): &(Fragment, Vec<Ty>),
+    vars: &[RtValue],
+    args: &[Value],
+    limit: u64,
+) -> bool {
     let mut tree_vars = vars.to_vec();
     let mut vm_vars = vars.to_vec();
     let tree = run_hidden(fragment, &mut tree_vars, args, limit);
-    let compiled = compile_fragment(fragment, vars.len());
+    let compiled = compile_fragment(fragment, var_tys);
     let vm = run_compiled_with_limit(&compiled, &mut vm_vars, args, limit);
     assert_eq!(
         format!("{tree:?}"),
@@ -136,6 +145,35 @@ proptest! {
     }
 }
 
+/// Every specialised form in a fragment whose slots are declared `int` and
+/// `float`, on values of those types and of others, from the hidden state
+/// (arrays too) and from the wire: the same value or error, hidden state
+/// and cost as the reference, at every limit.
+#[test]
+fn vm_matches_tree_walk_when_specialised_guards_miss() {
+    for stmt in SPECIALISED_FORMS {
+        let case = FragmentCase {
+            src: format!(
+                "fn frag(d: int, f: float, x: int, y: int, g: float) -> int {{ {stmt} return d; }}"
+            ),
+            vars: Vec::new(),
+            args: Vec::new(),
+            legal: true,
+        };
+        let fragment = fragment_of(&case);
+        for row in guard_rows() {
+            let (vars, args) = row.split_at(N_VARS);
+            let args: Vec<Value> = args
+                .iter()
+                .map(|v| v.to_const().expect("a scalar argument"))
+                .collect();
+            for limit in LIMITS {
+                check_parity(&fragment, vars, &args, limit);
+            }
+        }
+    }
+}
+
 /// `fn main(s0, .., s4) { block; print(s0); .. print(s4); }`, each
 /// parameter typed as its starting value.
 fn open_main(block: &Block, slots: &[RtValue]) -> Program {
@@ -163,7 +201,11 @@ fn open_main(block: &Block, slots: &[RtValue]) -> Program {
 /// the VM and the reference, and as a fragment on the VM, at every limit.
 /// Returns whether the halves were compared on their final slots at some
 /// limit.
-fn check_as_open(fragment: &Fragment, vars: &[RtValue], args: &[Value]) -> bool {
+fn check_as_open(
+    (fragment, var_tys): &(Fragment, Vec<Ty>),
+    vars: &[RtValue],
+    args: &[Value],
+) -> bool {
     let block = &fragment.body;
     let slots: Vec<RtValue> = vars
         .iter()
@@ -175,7 +217,7 @@ fn check_as_open(fragment: &Fragment, vars: &[RtValue], args: &[Value]) -> bool 
         ret: None,
         ..fragment.clone()
     };
-    let compiled = compile_fragment(&fragment, N_VARS);
+    let compiled = compile_fragment(&fragment, var_tys);
     let mut crossed = false;
     for limit in LIMITS {
         let context = format!("limit {limit}\nblock: {block:?}\nslots: {slots:?}");

@@ -1,10 +1,14 @@
 //! The open program's small scalar leaves run inlined in their callers'
-//! bytecode, and every call that needs a frame of its own keeps it.
+//! bytecode, every call that needs a frame of its own keeps it, and the
+//! hot loops' `Int` arithmetic and comparisons run in specialised forms.
 //!
 //! Compiles the paper splits of rulekit and calcc. Rulekit's hottest
 //! loop, `match_rules`, must not call `slot_match`, `value_score` or
 //! `salience` any more; calls to methods (an object receiver) and to split
-//! functions (which open an activation) must stay calls everywhere.
+//! functions (which open an activation) must stay calls everywhere. No
+//! `Int` arithmetic, accumulate or compare-and-branch instruction of
+//! `match_rules` or of calcc's hottest loop, `const_pool`, may fall back
+//! to its generic form.
 
 use hps_analysis::callgraph::CallGraph;
 use hps_core::{split_program, SplitResult};
@@ -59,5 +63,18 @@ fn methods_and_split_functions_keep_their_frames() {
             }
         }
         assert!(split_calls > 0, "{name}: no call to a split function");
+    }
+}
+
+#[test]
+fn hot_loops_run_only_specialised_int_ops() {
+    for (name, func) in [("rulekit", "match_rules"), ("calcc", "const_pool")] {
+        let split = paper_split(name);
+        let meta = SplitMeta::derive(&split.open, &split.hidden);
+        assert_eq!(
+            meta.generic_int_ops(func),
+            Some(0),
+            "{name}: {func} runs generic Int instructions"
+        );
     }
 }
