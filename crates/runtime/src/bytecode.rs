@@ -51,13 +51,16 @@
 //!    arithmetic and comparisons take a fast path before the generic
 //!    `ops::binop` and write their result into the destination register in
 //!    place, comparisons, `&&` and `||` in branch position fuse into
-//!    compare-and-branch chains, `x = x <op> e` on a register becomes one
-//!    accumulate instruction, and `while` loops are rotated so each iteration ends in
-//!    one compare-and-branch back to the body.
+//!    compare-and-branch chains, and `while` loops are rotated so each
+//!    iteration ends in one compare-and-branch back to the body.
 //! 4. **Leaf inlining** — once every open function is compiled, each call
 //!    to a small scalar leaf is replaced by the leaf's instructions, with
 //!    the call's tick, charges and depth check on an entry instruction
 //!    (see `inline_leaves`).
+//! 5. **Specialisation** — last, each `Int` arithmetic and
+//!    compare-and-branch on a register becomes a form for its operator and
+//!    operand kinds, which checks its registers' tags and runs the generic
+//!    form on any other value (see `specialise`).
 //!
 //! # Determinism rules
 //!
@@ -151,21 +154,14 @@ enum Op {
     Load { dst: Reg, src: Operand },
     /// `regs[dst] = unop(op, src)`.
     Un { op: UnOp, dst: Reg, src: Operand },
-    /// `regs[dst] = binop(op, lhs, rhs)`; `ty` is the operands' static
-    /// type, when it is a number.
+    /// `regs[dst] = binop(op, lhs, rhs)`; `ints`: the operands are
+    /// statically `Int`.
     Bin {
         op: BinOp,
         dst: Reg,
         lhs: Operand,
         rhs: Operand,
-        ty: Option<Num>,
-    },
-    /// Accumulate superinstruction: `regs[slot] = binop(op, regs[slot], rhs)`.
-    Accum {
-        op: BinOp,
-        slot: Reg,
-        rhs: Operand,
-        ty: Option<Num>,
+        ints: bool,
     },
     /// `regs[dst] = builtin(b, args)`.
     Builtin {
@@ -183,14 +179,14 @@ enum Op {
         when: bool,
     },
     /// Compare-and-branch superinstruction: jump to `target` when the
-    /// comparison's outcome is `when`.
+    /// comparison's outcome is `when`; `ints` as for `Bin`.
     CmpBranch {
         op: BinOp,
         lhs: Operand,
         rhs: Operand,
         target: u32,
         when: bool,
-        ty: Option<Num>,
+        ints: bool,
     },
     /// A leak point the fragment subset forbids.
     Illegal(&'static str),
@@ -243,9 +239,9 @@ enum Op {
     Fail(Box<RuntimeError>),
 
     // The specialised forms, written only by `specialise`: one operator
-    // on registers (`R`) and immediates (`K`) of `Int` (`I`) or `Float`
-    // (`F`) values, in operand order. Each checks its registers' tags and
-    // runs the generic form on any other value (DESIGN.md §7c).
+    // on registers (`R`) and immediates (`K`) of `Int` (`I`) values, in
+    // operand order. Each checks its registers' tags and runs the generic
+    // form on any other value (DESIGN.md §7c).
     /// `regs[dst] = regs[lhs] + rhs`.
     AddIRK(Arith<Reg, i64>),
     /// `regs[dst] = regs[lhs] - rhs`.
@@ -268,22 +264,6 @@ enum Op {
     DivIRR(Arith<Reg, Reg>),
     /// `regs[dst] = regs[lhs] % regs[rhs]`.
     RemIRR(Arith<Reg, Reg>),
-    /// `regs[dst] = regs[lhs] + rhs`.
-    AddFRK(Arith<Reg, f64>),
-    /// `regs[dst] = regs[lhs] - rhs`.
-    SubFRK(Arith<Reg, f64>),
-    /// `regs[dst] = regs[lhs] * rhs`.
-    MulFRK(Arith<Reg, f64>),
-    /// `regs[dst] = regs[lhs] / rhs`.
-    DivFRK(Arith<Reg, f64>),
-    /// `regs[dst] = regs[lhs] + regs[rhs]`.
-    AddFRR(Arith<Reg, Reg>),
-    /// `regs[dst] = regs[lhs] - regs[rhs]`.
-    SubFRR(Arith<Reg, Reg>),
-    /// `regs[dst] = regs[lhs] * regs[rhs]`.
-    MulFRR(Arith<Reg, Reg>),
-    /// `regs[dst] = regs[lhs] / regs[rhs]`.
-    DivFRR(Arith<Reg, Reg>),
     /// Jump when `(regs[lhs] == regs[rhs]) == when`.
     EqIRRBranch(Branch<Reg>),
     /// Jump when `(regs[lhs] != regs[rhs]) == when`.
@@ -311,7 +291,7 @@ enum Op {
 }
 
 /// The operands of a specialised `regs[dst] = lhs <op> rhs`: each a
-/// register (`Reg`) or an immediate (`i64`, `f64`).
+/// register (`Reg`) or an immediate (`i64`).
 #[derive(Clone, Copy, Debug)]
 struct Arith<L, R> {
     dst: Reg,
@@ -327,14 +307,6 @@ struct Branch<R> {
     rhs: R,
     target: u32,
     when: bool,
-}
-
-/// The static type of an operator's operands, when it is a number: what
-/// `specialise` picks a register × register form by.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Num {
-    Int,
-    Float,
 }
 
 /// The operands of one [`Op::Hidden`].
@@ -444,18 +416,19 @@ impl ProgramCode {
             })
     }
 
-    /// How many arithmetic, accumulate and compare-and-branch instructions
-    /// on `Int` operands the code of function `func` runs in their generic
-    /// form: the shapes without a specialised one.
+    /// How many arithmetic and compare-and-branch instructions on `Int`
+    /// operands the code of function `func` runs in their generic form:
+    /// the shapes without a specialised one.
     pub(crate) fn generic_int_ops(&self, func: usize) -> usize {
-        let int = Some(Num::Int);
         self.funcs[func]
             .body
             .code
             .iter()
-            .filter(|i| match i.op {
-                Op::Bin { ty, .. } | Op::Accum { ty, .. } | Op::CmpBranch { ty, .. } => ty == int,
-                _ => false,
+            .filter(|i| {
+                matches!(
+                    i.op,
+                    Op::Bin { ints: true, .. } | Op::CmpBranch { ints: true, .. }
+                )
             })
             .count()
     }
@@ -555,9 +528,7 @@ pub fn compile_fragment(fragment: &Fragment, vars: &[Ty]) -> CompiledFragment {
         .cloned()
         .collect();
     let n_slots = slots.len();
-    // A fragment reads no globals, calls nothing and builds no objects.
-    let no_program = Program::new();
-    let mut c = Compiler::new(n_slots, None, &no_program, &slots);
+    let mut c = Compiler::new(n_slots, None, &slots);
     c.block(&fragment.body);
     let epilogue = c.epilogue;
     c.bind(epilogue);
@@ -593,7 +564,7 @@ fn compile_function(
     open: &Open<'_>,
     func: &Function,
 ) -> (Result<FuncCode, RuntimeError>, Option<RuntimeError>) {
-    let mut c = Compiler::new(func.locals.len(), Some(open), open.program, func);
+    let mut c = Compiler::new(func.locals.len(), Some(open), func);
     c.block(&func.body);
     // Falling off the end (or a `break` outside any loop) returns the
     // zero value of the return type; `void` functions return an `Int 0`
@@ -951,24 +922,14 @@ fn relocate(
             dst,
             lhs,
             rhs,
-            ty,
+            ints,
         } => Op::Bin {
             op: *op,
             lhs: o(lhs),
             rhs: o(rhs),
             dst: w(dst),
-            ty: *ty,
+            ints: *ints,
         },
-        Op::Accum { op, slot, rhs, ty } => {
-            // The slot is read, then written.
-            o(&Operand::Reg(*slot));
-            Op::Accum {
-                op: *op,
-                rhs: o(rhs),
-                slot: w(slot),
-                ty: *ty,
-            }
-        }
         Op::Builtin { b, dst, args } => Op::Builtin {
             b: *b,
             args: args.iter().map(&mut o).collect(),
@@ -986,14 +947,14 @@ fn relocate(
             rhs,
             target,
             when,
-            ty,
+            ints,
         } => Op::CmpBranch {
             op: *op,
             lhs: o(lhs),
             rhs: o(rhs),
             target: *target,
             when: *when,
-            ty: *ty,
+            ints: *ints,
         },
         Op::Ret { src: Some(src) } => Op::Ret { src: Some(o(src)) },
         Op::StoreGlobal { global, src } => Op::StoreGlobal {
@@ -1015,18 +976,8 @@ fn relocate(
             dst: w(dst),
         },
         Op::Print { src } => Op::Print { src: o(src) },
-        Op::Ret { src: None }
-        | Op::Enter
-        | Op::Call { .. }
-        | Op::Hidden(_)
-        | Op::Scalar { .. }
-        | Op::NewArray { .. }
-        | Op::NewObject { .. }
-        | Op::LoadField { .. }
-        | Op::StoreField { .. }
-        | Op::Illegal(_)
-        | Op::Fail(_) => return None,
-        // The specialised forms, which no code holds before the last pass.
+        // Every other op; no code holds a specialised form before the last
+        // pass.
         _ => return None,
     })
 }
@@ -1055,10 +1006,10 @@ fn target_mut(op: &mut Op) -> Option<&mut u32> {
     }
 }
 
-/// Rewrites each `Bin`, `Accum` and `CmpBranch` that has a specialised
-/// form into it (DESIGN.md §7c, "Specialised instructions"). The last
-/// pass over a body, so relocation and jump resolution never see a
-/// specialised op; ticks and costs stay on their instructions.
+/// Rewrites each `Bin` and `CmpBranch` that has a specialised form into
+/// it (DESIGN.md §7c, "Specialised instructions"). The last pass over a
+/// body, so relocation and jump resolution never see a specialised op;
+/// ticks and costs stay on their instructions.
 fn specialise(code: &mut [Instr]) {
     for ins in code {
         let op = match ins.op {
@@ -1067,19 +1018,16 @@ fn specialise(code: &mut [Instr]) {
                 dst,
                 lhs,
                 rhs,
-                ty,
-            } => arith_form(op, dst, lhs, rhs, ty),
-            // `x = x <op> e` is a `Bin` whose destination and left operand
-            // are `x`, and runs the same generic path.
-            Op::Accum { op, slot, rhs, ty } => arith_form(op, slot, Operand::Reg(slot), rhs, ty),
+                ints,
+            } => arith_form(op, dst, lhs, rhs, ints),
             Op::CmpBranch {
                 op,
                 lhs: Operand::Reg(lhs),
                 rhs,
                 target,
                 when,
-                ty,
-            } => branch_form(op, lhs, rhs, target, when, ty),
+                ints,
+            } => branch_form(op, lhs, rhs, target, when, ints),
             _ => None,
         };
         if let Some(op) = op {
@@ -1088,73 +1036,71 @@ fn specialise(code: &mut [Instr]) {
     }
 }
 
-/// The specialised form of `dst = lhs <op> rhs`, if any. An immediate's
-/// type picks `Int` or `Float`; two registers go by the static type `ty`.
-fn arith_form(op: BinOp, dst: Reg, lhs: Operand, rhs: Operand, ty: Option<Num>) -> Option<Op> {
+/// The specialised form of `dst = lhs <op> rhs`, if any: with an `Int`
+/// immediate, or on two registers when the operands are statically `Int`.
+fn arith_form(op: BinOp, dst: Reg, lhs: Operand, rhs: Operand, ints: bool) -> Option<Op> {
     use Operand::{Const, Reg as R};
-    use Value::{Float, Int};
-    Some(match (lhs, rhs, ty, op) {
-        (R(lhs), Const(Int(rhs)), _, BinOp::Add) => Op::AddIRK(Arith { dst, lhs, rhs }),
-        (R(lhs), Const(Int(rhs)), _, BinOp::Sub) => Op::SubIRK(Arith { dst, lhs, rhs }),
-        (R(lhs), Const(Int(rhs)), _, BinOp::Mul) => Op::MulIRK(Arith { dst, lhs, rhs }),
-        (R(lhs), Const(Int(rhs)), _, BinOp::Div) => Op::DivIRK(Arith { dst, lhs, rhs }),
-        (R(lhs), Const(Int(rhs)), _, BinOp::Rem) => Op::RemIRK(Arith { dst, lhs, rhs }),
-        (Const(Int(lhs)), R(rhs), _, BinOp::Sub) => Op::SubIKR(Arith { dst, lhs, rhs }),
-        (R(lhs), R(rhs), Some(Num::Int), BinOp::Add) => Op::AddIRR(Arith { dst, lhs, rhs }),
-        (R(lhs), R(rhs), Some(Num::Int), BinOp::Sub) => Op::SubIRR(Arith { dst, lhs, rhs }),
-        (R(lhs), R(rhs), Some(Num::Int), BinOp::Mul) => Op::MulIRR(Arith { dst, lhs, rhs }),
-        (R(lhs), R(rhs), Some(Num::Int), BinOp::Div) => Op::DivIRR(Arith { dst, lhs, rhs }),
-        (R(lhs), R(rhs), Some(Num::Int), BinOp::Rem) => Op::RemIRR(Arith { dst, lhs, rhs }),
-        (R(lhs), Const(Float(rhs)), _, BinOp::Add) => Op::AddFRK(Arith { dst, lhs, rhs }),
-        (R(lhs), Const(Float(rhs)), _, BinOp::Sub) => Op::SubFRK(Arith { dst, lhs, rhs }),
-        (R(lhs), Const(Float(rhs)), _, BinOp::Mul) => Op::MulFRK(Arith { dst, lhs, rhs }),
-        (R(lhs), Const(Float(rhs)), _, BinOp::Div) => Op::DivFRK(Arith { dst, lhs, rhs }),
-        (R(lhs), R(rhs), Some(Num::Float), BinOp::Add) => Op::AddFRR(Arith { dst, lhs, rhs }),
-        (R(lhs), R(rhs), Some(Num::Float), BinOp::Sub) => Op::SubFRR(Arith { dst, lhs, rhs }),
-        (R(lhs), R(rhs), Some(Num::Float), BinOp::Mul) => Op::MulFRR(Arith { dst, lhs, rhs }),
-        (R(lhs), R(rhs), Some(Num::Float), BinOp::Div) => Op::DivFRR(Arith { dst, lhs, rhs }),
+    use Value::Int;
+    Some(match (lhs, rhs, op) {
+        (R(lhs), Const(Int(rhs)), BinOp::Add) => Op::AddIRK(Arith { dst, lhs, rhs }),
+        (R(lhs), Const(Int(rhs)), BinOp::Sub) => Op::SubIRK(Arith { dst, lhs, rhs }),
+        (R(lhs), Const(Int(rhs)), BinOp::Mul) => Op::MulIRK(Arith { dst, lhs, rhs }),
+        (R(lhs), Const(Int(rhs)), BinOp::Div) => Op::DivIRK(Arith { dst, lhs, rhs }),
+        (R(lhs), Const(Int(rhs)), BinOp::Rem) => Op::RemIRK(Arith { dst, lhs, rhs }),
+        (Const(Int(lhs)), R(rhs), BinOp::Sub) => Op::SubIKR(Arith { dst, lhs, rhs }),
+        (R(lhs), R(rhs), BinOp::Add) if ints => Op::AddIRR(Arith { dst, lhs, rhs }),
+        (R(lhs), R(rhs), BinOp::Sub) if ints => Op::SubIRR(Arith { dst, lhs, rhs }),
+        (R(lhs), R(rhs), BinOp::Mul) if ints => Op::MulIRR(Arith { dst, lhs, rhs }),
+        (R(lhs), R(rhs), BinOp::Div) if ints => Op::DivIRR(Arith { dst, lhs, rhs }),
+        (R(lhs), R(rhs), BinOp::Rem) if ints => Op::RemIRR(Arith { dst, lhs, rhs }),
         _ => return None,
     })
 }
 
 /// The specialised form of a compare-and-branch on register `lhs`, if
-/// any: an `Int` immediate, or a register when `ty` is `Int`.
+/// any: with an `Int` immediate, or a register when the operands are
+/// statically `Int`.
 fn branch_form(
     op: BinOp,
     lhs: Reg,
     rhs: Operand,
     target: u32,
     when: bool,
-    ty: Option<Num>,
+    ints: bool,
 ) -> Option<Op> {
-    let rr = |rhs| Branch {
-        lhs,
-        rhs,
-        target,
-        when,
-    };
-    let rk = |rhs| Branch {
-        lhs,
-        rhs,
-        target,
-        when,
-    };
-    Some(match (rhs, ty, op) {
-        (Operand::Reg(r), Some(Num::Int), BinOp::Eq) => Op::EqIRRBranch(rr(r)),
-        (Operand::Reg(r), Some(Num::Int), BinOp::Ne) => Op::NeIRRBranch(rr(r)),
-        (Operand::Reg(r), Some(Num::Int), BinOp::Lt) => Op::LtIRRBranch(rr(r)),
-        (Operand::Reg(r), Some(Num::Int), BinOp::Le) => Op::LeIRRBranch(rr(r)),
-        (Operand::Reg(r), Some(Num::Int), BinOp::Gt) => Op::GtIRRBranch(rr(r)),
-        (Operand::Reg(r), Some(Num::Int), BinOp::Ge) => Op::GeIRRBranch(rr(r)),
-        (Operand::Const(Value::Int(k)), _, BinOp::Eq) => Op::EqIRKBranch(rk(k)),
-        (Operand::Const(Value::Int(k)), _, BinOp::Ne) => Op::NeIRKBranch(rk(k)),
-        (Operand::Const(Value::Int(k)), _, BinOp::Lt) => Op::LtIRKBranch(rk(k)),
-        (Operand::Const(Value::Int(k)), _, BinOp::Le) => Op::LeIRKBranch(rk(k)),
-        (Operand::Const(Value::Int(k)), _, BinOp::Gt) => Op::GtIRKBranch(rk(k)),
-        (Operand::Const(Value::Int(k)), _, BinOp::Ge) => Op::GeIRKBranch(rk(k)),
+    use Operand::{Const, Reg as R};
+    use Value::Int;
+    fn b<T>(lhs: Reg, rhs: T, target: u32, when: bool) -> Branch<T> {
+        Branch {
+            lhs,
+            rhs,
+            target,
+            when,
+        }
+    }
+    Some(match (rhs, op) {
+        (R(r), BinOp::Eq) if ints => Op::EqIRRBranch(b(lhs, r, target, when)),
+        (R(r), BinOp::Ne) if ints => Op::NeIRRBranch(b(lhs, r, target, when)),
+        (R(r), BinOp::Lt) if ints => Op::LtIRRBranch(b(lhs, r, target, when)),
+        (R(r), BinOp::Le) if ints => Op::LeIRRBranch(b(lhs, r, target, when)),
+        (R(r), BinOp::Gt) if ints => Op::GtIRRBranch(b(lhs, r, target, when)),
+        (R(r), BinOp::Ge) if ints => Op::GeIRRBranch(b(lhs, r, target, when)),
+        (Const(Int(k)), BinOp::Eq) => Op::EqIRKBranch(b(lhs, k, target, when)),
+        (Const(Int(k)), BinOp::Ne) => Op::NeIRKBranch(b(lhs, k, target, when)),
+        (Const(Int(k)), BinOp::Lt) => Op::LtIRKBranch(b(lhs, k, target, when)),
+        (Const(Int(k)), BinOp::Le) => Op::LeIRKBranch(b(lhs, k, target, when)),
+        (Const(Int(k)), BinOp::Gt) => Op::GtIRKBranch(b(lhs, k, target, when)),
+        (Const(Int(k)), BinOp::Ge) => Op::GeIRKBranch(b(lhs, k, target, when)),
         _ => return None,
     })
 }
+
+/// The program a fragment's operands are typed against.
+static NO_PROGRAM: Program = Program {
+    functions: Vec::new(),
+    globals: Vec::new(),
+    classes: Vec::new(),
+};
 
 /// A forward-reference label, resolved to an instruction index by
 /// [`Compiler::finish`].
@@ -1191,9 +1137,8 @@ struct Compiler<'o, 'p> {
     epilogue: Label,
     /// `None` while lowering a fragment.
     open: Option<&'o Open<'p>>,
-    /// The program and the locals' declared types, which type the
+    /// The locals' declared types; with the program's, they type the
     /// operands of arithmetic and comparisons.
-    program: &'o Program,
     locals: &'o dyn LocalTypes,
     /// The first lowering failure; the rest of the code is discarded.
     error: Option<RuntimeError>,
@@ -1205,7 +1150,6 @@ impl<'o, 'p> Compiler<'o, 'p> {
     fn new(
         n_slots: usize,
         open: Option<&'o Open<'p>>,
-        program: &'o Program,
         locals: &'o dyn LocalTypes,
     ) -> Compiler<'o, 'p> {
         let mut c = Compiler {
@@ -1219,7 +1163,6 @@ impl<'o, 'p> Compiler<'o, 'p> {
             loops: Vec::new(),
             epilogue: 0,
             open,
-            program,
             locals,
             error: None,
             batch_error: None,
@@ -1473,13 +1416,13 @@ impl<'o, 'p> Compiler<'o, 'p> {
             Expr::Binary { op, lhs, rhs } => {
                 self.add_cost(COST_MODEL.binop);
                 let ops = self.operands(&[lhs, rhs]);
-                let ty = self.num(lhs);
+                let ints = self.ints(lhs);
                 self.emit(Op::Bin {
                     op: *op,
                     dst,
                     lhs: ops[0],
                     rhs: ops[1],
-                    ty,
+                    ints,
                 });
             }
             Expr::BuiltinCall {
@@ -1550,13 +1493,11 @@ impl<'o, 'p> Compiler<'o, 'p> {
         self.free_to(mark);
     }
 
-    /// The static type of `e` when it is a number.
-    fn num(&self, e: &Expr) -> Option<Num> {
-        match expr_ty(self.program, self.locals, e)? {
-            Ty::Int => Some(Num::Int),
-            Ty::Float => Some(Num::Float),
-            _ => None,
-        }
+    /// Whether `e` is statically an `Int`. A fragment is typed against
+    /// no program: it reads no globals, calls nothing and reads no fields.
+    fn ints(&self, e: &Expr) -> bool {
+        let program = self.open.map_or(&NO_PROGRAM, |o| o.program);
+        expr_ty(program, self.locals, e) == Some(Ty::Int)
     }
 
     fn index32(&mut self, index: usize) -> u32 {
@@ -1603,14 +1544,14 @@ impl<'o, 'p> Compiler<'o, 'p> {
                 self.add_cost(COST_MODEL.binop);
                 let ops = self.operands(&[lhs, rhs]);
                 let target = self.target(target);
-                let ty = self.num(lhs);
+                let ints = self.ints(lhs);
                 self.emit(Op::CmpBranch {
                     op: *op,
                     lhs: ops[0],
                     rhs: ops[1],
                     target,
                     when,
-                    ty,
+                    ints,
                 });
             }
             Expr::Binary { op, lhs, rhs } if op.is_logical() => {
@@ -1639,30 +1580,6 @@ impl<'o, 'p> Compiler<'o, 'p> {
             }
         }
         self.free_to(mark);
-    }
-
-    /// Recognises `x = x <op> e` on a register and fuses it into
-    /// [`Op::Accum`].
-    fn try_accum(&mut self, place: &Place, value: &Expr) -> bool {
-        let id = match place {
-            Place::Local(id) if id.index() < self.n_slots => id.index(),
-            _ => return false,
-        };
-        let (op, lhs, rhs) = match value {
-            Expr::Binary { op, lhs, rhs } if !op.is_logical() => match lhs.as_ref() {
-                Expr::Local(l) if l.index() == id => (*op, lhs, rhs),
-                _ => return false,
-            },
-            _ => return false,
-        };
-        self.add_cost(COST_MODEL.binop + COST_MODEL.assign);
-        let mark = self.next_reg;
-        let slot = self.reg(id);
-        let rhs = self.operand(rhs);
-        let ty = self.num(lhs);
-        self.emit(Op::Accum { op, slot, rhs, ty });
-        self.free_to(mark);
-        true
     }
 
     /// Reads a place as an aggregate for an element store.
@@ -1730,9 +1647,6 @@ impl<'o, 'p> Compiler<'o, 'p> {
     }
 
     fn assign(&mut self, place: &Place, value: &Expr) {
-        if self.try_accum(place, value) {
-            return;
-        }
         let mark = self.next_reg;
         match place {
             Place::Local(id) if id.index() < self.n_slots => {
@@ -2202,26 +2116,6 @@ impl<L: Into<Operand> + Copy, R: Into<Operand> + Copy> Arith<L, R> {
         }
     }
 
-    /// `regs[dst] = f(x, y)` for `Float`s `x` and `y`.
-    #[inline(always)]
-    fn float(
-        &self,
-        regs: &mut [RtValue],
-        globals: &[RtValue],
-        op: BinOp,
-        f: impl FnOnce(f64, f64) -> f64,
-    ) -> Result<(), RuntimeError> {
-        let x = float(regs, globals, &self.lhs.into());
-        let y = float(regs, globals, &self.rhs.into());
-        match (x, y) {
-            (Some(x), Some(y)) => {
-                set_float(&mut regs[usize::from(self.dst)], f(x, y));
-                Ok(())
-            }
-            _ => self.generic(regs, globals, op),
-        }
-    }
-
     /// The generic form's path.
     #[cold]
     #[inline(never)]
@@ -2283,12 +2177,6 @@ impl From<Reg> for Operand {
 impl From<i64> for Operand {
     fn from(k: i64) -> Operand {
         Operand::Const(Value::Int(k))
-    }
-}
-
-impl From<f64> for Operand {
-    fn from(k: f64) -> Operand {
-        Operand::Const(Value::Float(k))
     }
 }
 
@@ -2742,27 +2630,6 @@ impl<'a> Vm<'a> {
                         tri!(binop_into(*op, regs, globals, lhs, rhs, dst));
                     }
                 }
-                Op::Accum { op, slot, rhs, .. } => {
-                    let dst = usize::from(*slot);
-                    let x = match regs[dst] {
-                        RtValue::Int(x) => Some(x),
-                        _ => None,
-                    };
-                    let done = match (x, int(regs, globals, rhs)) {
-                        (Some(x), Some(y)) => int_binop_into(*op, x, y, &mut regs[dst]),
-                        _ => false,
-                    };
-                    if !done {
-                        tri!(binop_into(
-                            *op,
-                            regs,
-                            globals,
-                            &Operand::Reg(*slot),
-                            rhs,
-                            dst
-                        ));
-                    }
-                }
                 Op::Builtin { b, dst, args } => {
                     tri!(builtin_into(*b, regs, globals, args, usize::from(*dst)));
                 }
@@ -2894,14 +2761,6 @@ impl<'a> Vm<'a> {
                 Op::MulIRR(a) => tri!(a.int(regs, globals, BinOp::Mul, i64::checked_mul)),
                 Op::DivIRR(a) => tri!(a.int(regs, globals, BinOp::Div, i64::checked_div)),
                 Op::RemIRR(a) => tri!(a.int(regs, globals, BinOp::Rem, i64::checked_rem)),
-                Op::AddFRK(a) => tri!(a.float(regs, globals, BinOp::Add, |x, y| x + y)),
-                Op::SubFRK(a) => tri!(a.float(regs, globals, BinOp::Sub, |x, y| x - y)),
-                Op::MulFRK(a) => tri!(a.float(regs, globals, BinOp::Mul, |x, y| x * y)),
-                Op::DivFRK(a) => tri!(a.float(regs, globals, BinOp::Div, |x, y| x / y)),
-                Op::AddFRR(a) => tri!(a.float(regs, globals, BinOp::Add, |x, y| x + y)),
-                Op::SubFRR(a) => tri!(a.float(regs, globals, BinOp::Sub, |x, y| x - y)),
-                Op::MulFRR(a) => tri!(a.float(regs, globals, BinOp::Mul, |x, y| x * y)),
-                Op::DivFRR(a) => tri!(a.float(regs, globals, BinOp::Div, |x, y| x / y)),
                 Op::EqIRRBranch(b) => pc = tri!(b.next(regs, globals, BinOp::Eq, pc)),
                 Op::NeIRRBranch(b) => pc = tri!(b.next(regs, globals, BinOp::Ne, pc)),
                 Op::LtIRRBranch(b) => pc = tri!(b.next(regs, globals, BinOp::Lt, pc)),
@@ -3426,7 +3285,7 @@ mod tests {
 
     #[test]
     fn superinstructions_preserve_cost_accounting() {
-        // x = x + 1 lowers to Accum; if (x < 10) lowers to CmpBranch —
+        // x = x + 1 lowers to AddIRK; if (x < 10) lowers to LtIRKBranch —
         // totals must match the tree-walk exactly.
         let x = LocalId::new(0);
         let f = frag(

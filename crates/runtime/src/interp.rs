@@ -154,9 +154,9 @@ impl SplitMeta {
         )
     }
 
-    /// How many `Int` arithmetic, accumulate and compare-and-branch
-    /// instructions of `name`'s compiled code kept their generic form, for
-    /// want of a specialised one (DESIGN.md §7c). `None` as for
+    /// How many `Int` arithmetic and compare-and-branch instructions of
+    /// `name`'s compiled code kept their generic form, for want of a
+    /// specialised one (DESIGN.md §7c). `None` as for
     /// [`SplitMeta::framed_callees`].
     pub fn generic_int_ops(&self, name: &str) -> Option<usize> {
         let func = self.split.open.func_by_name(name)?;
