@@ -2969,17 +2969,17 @@ impl VmCache {
 
     /// Returns the compiled code for the fragment at `(component,
     /// position)` of a component with hidden variables `vars`, lowering it
-    /// on first use; the flag is `true` when this
-    /// call performed the compile. `None` when the cache was built for a
-    /// different program shape.
-    pub fn get_or_compile(
+    /// on first use; the flag is `true` when this call performed the
+    /// compile. The position must be one of the program the cache was
+    /// built for.
+    pub(crate) fn get_or_compile(
         &self,
         component: usize,
         position: usize,
         fragment: &Fragment,
         vars: &[HiddenVar],
-    ) -> Option<(&CompiledFragment, bool)> {
-        let cell = self.slots.get(component)?.get(position)?;
+    ) -> (&CompiledFragment, bool) {
+        let cell = &self.slots[component][position];
         let mut fresh = false;
         let code = cell.get_or_init(|| {
             let t0 = std::time::Instant::now();
@@ -2994,7 +2994,7 @@ impl VmCache {
         if !fresh {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
-        Some((code, fresh))
+        (code, fresh)
     }
 }
 
@@ -3274,13 +3274,12 @@ mod tests {
             }],
         };
         let cache = VmCache::for_program(&hidden);
-        let (_, fresh) = cache.get_or_compile(0, 0, &f, &[]).unwrap();
+        let (_, fresh) = cache.get_or_compile(0, 0, &f, &[]);
         assert!(fresh);
-        let (_, fresh) = cache.get_or_compile(0, 0, &f, &[]).unwrap();
+        let (_, fresh) = cache.get_or_compile(0, 0, &f, &[]);
         assert!(!fresh);
         assert_eq!(cache.compiles(), 1);
         assert_eq!(cache.cache_hits(), 1);
-        assert!(cache.get_or_compile(3, 0, &f, &[]).is_none());
     }
 
     #[test]

@@ -92,7 +92,7 @@ pub trait Channel {
     /// path (0 for cost-free test channels).
     fn rtt_cost(&self) -> u64;
 
-    /// Reliability counters (retries, reconnects, faults, replays).
+    /// Reliability counters (retries, reconnects, faults).
     /// Fault-free transports report all-zero; [`crate::tcp::TcpChannel`]
     /// overrides this.
     fn transport_stats(&self) -> TransportStats {

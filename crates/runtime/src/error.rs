@@ -104,14 +104,14 @@ pub enum RuntimeError {
     /// errors, batch shape mismatches). Always terminal: retrying resends
     /// the same bytes and fails the same way.
     Channel(String),
-    /// The server's replay window rejected a sequence number: the client
-    /// skipped ahead, or rewound past the bounded cache. Terminal — the
+    /// The server rejected a sequence number: the client skipped ahead,
+    /// or rewound past the last committed unit. Terminal — the
     /// exactly-once guarantee cannot be re-established for this session,
     /// so retrying would only re-present the same out-of-window sequence.
     SequenceGap {
         /// The sequence number the client presented.
         got: u64,
-        /// The sequence number the server's replay window expected.
+        /// The sequence number the server expected.
         expected: u64,
     },
     /// I/O-level transport failure, classified retryable or terminal (see

@@ -5,12 +5,13 @@
 //! (DESIGN.md §12). Each session therefore keeps an append-only journal of
 //! the sequenced units (and releases) it has committed:
 //!
-//! * **In-memory ring** ([`SessionJournal`]) — always on, bounded by a
-//!   per-session op limit. Each shard keeps its sessions' rings beside
-//!   their live state, and a shard's death drops only the live state, so
-//!   the sessions of a dead shard are rebuilt by replay. A ring that overflowed its
-//!   limit is no longer a complete history; recovery then poisons the
-//!   session instead of silently rebuilding wrong state.
+//! * **In memory** ([`SessionJournal`]) — always on, bounded by a
+//!   per-session op limit. Each session's record in its shard keeps the
+//!   journal beside the live state, and a shard's death drops only the
+//!   live state, so the sessions of a dead shard are rebuilt by replay. A
+//!   journal past its limit frees its payloads and is no longer a complete
+//!   history; recovery then poisons the session instead of silently
+//!   rebuilding wrong state.
 //! * **Disk persistence** (`hps serve --journal-dir`) — optional
 //!   checksummed frames appended synchronously at commit time, from which a
 //!   *restarted* server process rebuilds hidden state. The reader stops at
@@ -20,8 +21,9 @@
 //!
 //! There is one format, defined in [`crate::wire`]: an op is the request
 //! payload the server received — a `SeqCall`, `SeqBatch` or `Release` —
-//! byte for byte, so a commit encodes nothing. The ring keeps the payloads
-//! back to back in one buffer and finds where each ends by decoding it;
+//! byte for byte, so a commit encodes nothing. The journal keeps the
+//! payloads back to back in one buffer and finds where each ends by
+//! decoding it;
 //! [`SessionJournal::ops`] decodes only when a session is replayed. The
 //! disk frame adds a length and a CRC32 over the payload:
 //!
@@ -31,35 +33,34 @@
 //!
 //! The commit point of the protocol is the journal append: a shard
 //! journals a unit *after* executing it and *before* replying, so a
-//! rebuilt session's [`crate::server::ReplayCache`] sequence numbers are
-//! always at or one behind the client's — exactly the window the resume
-//! handshake and retransmit path already cover.
+//! session's [`SessionJournal::last_seq`], the one sequence counter it
+//! keeps, is always at or one behind the client's — exactly the window the
+//! resume handshake and retransmit path already cover.
 
 use crate::wire::Request;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Default per-session cap on journaled ops. Generous — a session beyond
-/// this has outlived crash-recoverability by replay (the ring drops its
-/// head and the session is poisoned if recovery is ever needed), which is
-/// still strictly better than the pre-recovery behaviour of losing it.
+/// this has outlived crash-recoverability by replay (the journal frees its
+/// payloads and the session is poisoned if recovery is ever needed), which
+/// is still strictly better than the pre-recovery behaviour of losing it.
 pub const DEFAULT_JOURNAL_LIMIT: usize = 65_536;
 
-/// The in-memory journal of one session: an append-only ring of committed
-/// ops, kept as their request payloads, plus enough bookkeeping to know
-/// whether the ring still holds the *complete* history (a prerequisite for
-/// rebuilding by replay).
+/// The in-memory journal of one session: the committed ops, kept as
+/// their request payloads, and the highest committed sequence number.
+///
+/// Past its op limit the journal can never rebuild the session again, so
+/// it frees the payloads and keeps only [`SessionJournal::last_seq`]: the
+/// live session still reads its expected sequence number here, and a
+/// rebuild poisons the session instead.
 #[derive(Clone, Debug)]
 pub struct SessionJournal {
-    /// The held ops' payloads, oldest first, starting at byte `head`.
-    bytes: Vec<u8>,
-    /// Where the oldest held payload starts. Evicted bytes before it are
-    /// compacted away once they exceed an eighth of the held ones, so the
-    /// buffer stays within 9/8 of what the ring holds.
-    head: usize,
+    /// The committed payloads, oldest first, back to back; `None` once
+    /// the limit was passed.
+    bytes: Option<Vec<u8>>,
     /// Number of held ops.
     held: usize,
-    dropped: u64,
     limit: usize,
     last_seq: u64,
 }
@@ -68,10 +69,8 @@ impl SessionJournal {
     /// An empty journal keeping at most `limit` ops (min 1).
     pub fn new(limit: usize) -> SessionJournal {
         SessionJournal {
-            bytes: Vec::new(),
-            head: 0,
+            bytes: Some(Vec::new()),
             held: 0,
-            dropped: 0,
             limit: limit.max(1),
             last_seq: 0,
         }
@@ -79,49 +78,47 @@ impl SessionJournal {
 
     /// Appends one committed op: `payload` is a request that decoded as a
     /// `SeqCall` or `SeqBatch` numbered `seq`, or as a `Release` (`seq`
-    /// `None`). Evicts the oldest op when the ring is full (after which
-    /// [`SessionJournal::is_complete`] is false forever).
+    /// `None`). The op one past the limit frees the history instead
+    /// ([`SessionJournal::forget`]).
     pub(crate) fn append(&mut self, seq: Option<u64>, payload: &[u8]) {
-        self.bytes.extend_from_slice(payload);
         self.last_seq = seq.unwrap_or(self.last_seq);
-        self.held += 1;
-        if self.held > self.limit {
-            // Decoding the oldest payload is how its extent is found.
-            Request::decode_at(&self.bytes, &mut self.head).expect("journal payloads decode");
-            self.held -= 1;
-            self.dropped += 1;
-            if self.head * 8 > self.bytes.len() - self.head {
-                self.bytes.drain(..self.head);
-                self.head = 0;
+        if let Some(bytes) = &mut self.bytes {
+            if self.held == self.limit {
+                self.forget();
+            } else {
+                bytes.extend_from_slice(payload);
+                self.held += 1;
             }
         }
     }
 
-    /// True while the ring still holds every committed op since the
-    /// session opened — the precondition for rebuilding state by replay.
-    pub fn is_complete(&self) -> bool {
-        self.dropped == 0
+    /// Frees the held payloads for good: the history is no longer
+    /// complete and only `last_seq` is kept.
+    pub(crate) fn forget(&mut self) {
+        self.bytes = None;
+        self.held = 0;
     }
 
-    /// Ops evicted by the ring bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
+    /// True while the journal still holds every committed op since the
+    /// session opened — the precondition for rebuilding state by replay.
+    pub fn is_complete(&self) -> bool {
+        self.bytes.is_some()
     }
 
     /// The committed ops, oldest first: `SeqCall`, `SeqBatch` and
-    /// `Release` requests, decoded from their payloads.
+    /// `Release` requests, decoded from their payloads. Nothing once the
+    /// history is incomplete.
     pub fn ops(&self) -> impl Iterator<Item = Request> + '_ {
-        let mut pos = self.head;
+        let bytes = self.held_bytes();
+        let mut pos = 0;
         // Every held payload decoded once before it was appended.
-        (0..self.held).map(move |_| {
-            Request::decode_at(&self.bytes, &mut pos).expect("journal payloads decode")
-        })
+        (0..self.held)
+            .map(move |_| Request::decode_at(bytes, &mut pos).expect("journal payloads decode"))
     }
 
     /// The held payloads, back to back.
-    #[cfg(test)]
     pub(crate) fn held_bytes(&self) -> &[u8] {
-        &self.bytes[self.head..]
+        self.bytes.as_deref().unwrap_or_default()
     }
 
     /// Number of ops currently held.
@@ -131,11 +128,12 @@ impl SessionJournal {
 
     /// True when nothing has been journaled yet.
     pub fn is_empty(&self) -> bool {
-        self.held == 0 && self.dropped == 0
+        self.held == 0 && self.is_complete()
     }
 
-    /// Highest committed sequence number (0 before the first commit). A
-    /// rebuilt session expects `last_seq + 1` next.
+    /// Highest committed sequence number (0 before the first commit): a
+    /// session expects `last_seq + 1` next, and a retransmit of
+    /// `last_seq` is answered again.
     pub fn last_seq(&self) -> u64 {
         self.last_seq
     }
@@ -196,7 +194,7 @@ impl DiskJournal {
     }
 
     /// Appends one checksummed frame carrying `payload` (the committed
-    /// request, as the ring holds it) and flushes it.
+    /// request, as the in-memory journal holds it) and flushes it.
     ///
     /// # Errors
     ///
@@ -323,29 +321,32 @@ mod tests {
     }
 
     #[test]
-    fn ring_tracks_completeness() {
+    fn journal_past_its_limit_keeps_only_last_seq() {
         let mut j = SessionJournal::new(3);
         assert!(j.is_empty());
         for seq in 1..=3 {
             append(&mut j, &seq_op(seq, seq as i64));
         }
         assert!(j.is_complete());
+        assert_eq!(j.len(), 3);
         assert_eq!(j.last_seq(), 3);
-        // Overflow drops the head and the history is no longer complete.
+        // The op past the limit frees every payload; the sequence number
+        // still advances.
         append(&mut j, &seq_op(4, 4));
         assert!(!j.is_complete());
-        assert_eq!(j.dropped(), 1);
-        assert_eq!(j.len(), 3);
+        assert!(!j.is_empty());
+        assert_eq!((j.len(), j.held_bytes().len()), (0, 0));
+        assert_eq!(j.ops().count(), 0);
         assert_eq!(j.last_seq(), 4);
-        let held: Vec<_> = j.ops().collect();
-        assert_eq!(held, [seq_op(2, 2), seq_op(3, 3), seq_op(4, 4)]);
+        append(&mut j, &seq_op(5, 5));
+        assert_eq!((j.held_bytes().len(), j.last_seq()), (0, 5));
         // A release commits no sequence number.
         append(&mut j, &release(0, 1));
-        assert_eq!(j.last_seq(), 4);
+        assert_eq!(j.last_seq(), 5);
     }
 
     #[test]
-    fn ring_round_trips_every_value_and_survives_compaction() {
+    fn journal_round_trips_every_value() {
         let wide = PendingCall {
             component: ComponentId(u32::MAX),
             key: u64::MAX,
@@ -360,36 +361,27 @@ mod tests {
                 Value::Bool(false),
             ],
         };
-        let batch = Request::SeqBatch {
-            seq: 9,
-            calls: vec![call(1), wide.clone()],
-        };
-        let single = Request::SeqCall {
-            seq: 10,
-            call: wide,
-        };
-        let mut j = SessionJournal::new(2);
-        append(&mut j, &batch);
-        append(&mut j, &single);
-        assert_eq!(j.ops().collect::<Vec<_>>(), [batch.clone(), single.clone()]);
-        assert_eq!(j.held_bytes(), [batch.encode(), single.encode()].concat());
-        // Evict past the compaction point many times over; the held ops
-        // and the buffer both stay bounded by the limit.
-        let mut held_max = 0;
-        for round in 0..100 {
-            append(&mut j, &release(3, 5));
-            append(&mut j, &seq_op(11 + round, round as i64 - 50));
-            assert_eq!(
-                j.ops().collect::<Vec<_>>(),
-                [release(3, 5), seq_op(11 + round, round as i64 - 50)]
-            );
-            held_max = held_max.max(j.held_bytes().len());
-            // Evicted bytes never exceed an eighth of the held ones.
-            assert!(8 * j.bytes.len() <= 9 * held_max, "{} bytes", j.bytes.len());
+        let ops = [
+            Request::SeqBatch {
+                seq: 9,
+                calls: vec![call(1), wide.clone()],
+            },
+            release(3, 5),
+            Request::SeqCall {
+                seq: 10,
+                call: wide,
+            },
+        ];
+        let mut j = SessionJournal::new(3);
+        for op in &ops {
+            append(&mut j, op);
         }
-        assert_eq!(j.dropped(), 200);
-        assert_eq!(j.len(), 2);
-        assert_eq!(j.last_seq(), 110);
+        assert_eq!(j.ops().collect::<Vec<_>>(), ops);
+        assert_eq!(
+            j.held_bytes(),
+            ops.iter().map(Request::encode).collect::<Vec<_>>().concat()
+        );
+        assert_eq!(j.last_seq(), 10);
     }
 
     #[test]

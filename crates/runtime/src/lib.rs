@@ -43,13 +43,13 @@
 //! * [`tcp::TcpChannel::connect_reliable`] opens a *session* and retries
 //!   each round trip under a [`tcp::RetryPolicy`] (timeouts, reconnect
 //!   with exponential backoff + jitter, sequenced retransmits).
-//! * [`tcp::SessionServer`] accepts many clients and deduplicates
-//!   retransmits through a [`server::ReplayCache`] — a retried call whose
-//!   response was lost is answered from the cache, never re-executed.
-//!   Each connection thread executes its session's units inside the
-//!   session's [`shard`] (`session_id % shards`), a lock around the
-//!   shard's sessions, so sessions on different shards run in parallel
-//!   with no thread hand-off on the round trip.
+//! * [`tcp::SessionServer`] accepts many clients and keeps each session's
+//!   last reply frame — a retried call whose response was lost is
+//!   answered with it again, never re-executed. Each connection thread
+//!   executes its session's units inside the session's [`shard`]
+//!   (`session_id % shards`), a lock around one record per session of
+//!   the shard, so sessions on different shards run in parallel with no
+//!   thread hand-off on the round trip.
 //! * [`tcp::ChaosConfig`] injects seeded faults on the real wire of each
 //!   connection — dropped requests, dropped, torn and late replies — and
 //!   [`fault::CrashConfig`] kills shards and panics fragments; [`fault`]
@@ -134,7 +134,7 @@ pub use interp::{
     run_function, run_program, ExecConfig, ExecReport, Executor, Interp, Outcome, SplitMeta,
 };
 pub use journal::SessionJournal;
-pub use server::{ReplayCache, SecureServer, SeqCheck};
+pub use server::SecureServer;
 pub use shard::ShardStats;
 pub use tcp::{ChaosConfig, RetryPolicy, ServerStats, SessionServer, SessionServerHandle};
 pub use trace::{Trace, TraceChannel, TraceEvent};

@@ -23,109 +23,16 @@ pub struct FragOutcome {
     pub cost: u64,
 }
 
-/// Exactly-once dedup state for one session of sequenced calls.
-///
-/// The reliability protocol retransmits a call when its response may have
-/// been lost; the receiving side must then *replay* the cached response
-/// rather than re-execute (re-execution would advance hidden state twice
-/// and corrupt stateful fragments). One cached entry suffices because the
-/// client sends strictly one sequence number at a time: a retransmit can
-/// only ever be of the last sequence the server completed.
-///
-/// The cache is a **one-slot window**: every [`ReplayCache::store`] over an
-/// occupied slot evicts the previous response, so a long-running session
-/// holds one response no matter how many sequences it completes. Evictions
-/// are counted ([`ReplayCache::evictions`]) and the session server surfaces
-/// them as the `hps_server_replay_evictions_total` telemetry counter.
-///
-/// Used by the TCP session server (caching encoded response frames) and by
-/// the in-process fault-injection harness (caching decoded replies).
-#[derive(Clone, Debug)]
-pub struct ReplayCache<T> {
-    next_seq: u64,
-    last: Option<(u64, T)>,
-    evictions: u64,
-}
-
-/// Outcome of presenting a sequence number to a [`ReplayCache`].
-#[derive(PartialEq, Debug)]
-pub enum SeqCheck<'a, T> {
-    /// The next expected sequence: execute, then [`ReplayCache::store`].
-    Fresh,
-    /// A retransmit of the last completed sequence: resend this cached
-    /// response, do **not** re-execute.
-    Replay(&'a T),
-    /// Out-of-window sequence — the client skipped ahead or rewound past
-    /// the cache. Protocol violation; terminal.
-    Gap {
-        /// The sequence number the cache expected.
-        expected: u64,
-    },
-}
-
-impl<T> ReplayCache<T> {
-    /// A fresh session expecting sequence 1, with an empty slot.
-    pub fn new() -> ReplayCache<T> {
-        ReplayCache {
-            next_seq: 1,
-            last: None,
-            evictions: 0,
-        }
-    }
-
-    /// The next sequence number this session expects.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Completed responses evicted from the slot so far.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Classifies an incoming sequence number.
-    pub fn check(&self, seq: u64) -> SeqCheck<'_, T> {
-        if seq == self.next_seq {
-            SeqCheck::Fresh
-        } else if let Some((_, cached)) = self.last.as_ref().filter(|(s, _)| *s == seq) {
-            SeqCheck::Replay(cached)
-        } else {
-            SeqCheck::Gap {
-                expected: self.next_seq,
-            }
-        }
-    }
-
-    /// Records the response for the just-executed `seq` and advances the
-    /// window, evicting the previously cached response. Returns the number
-    /// of evicted entries (0 or 1). `seq` must be the value
-    /// [`ReplayCache::check`] called Fresh.
-    pub fn store(&mut self, seq: u64, response: T) -> u64 {
-        debug_assert_eq!(seq, self.next_seq, "store must follow a Fresh check");
-        self.next_seq = seq + 1;
-        let evicted = u64::from(self.last.replace((seq, response)).is_some());
-        self.evictions += evicted;
-        evicted
-    }
-}
-
-impl<T> Default for ReplayCache<T> {
-    fn default() -> ReplayCache<T> {
-        ReplayCache::new()
-    }
-}
-
 /// The secure machine: hidden code plus hidden state.
 #[derive(Debug)]
 pub struct SecureServer {
-    hidden: HiddenProgram,
+    hidden: Arc<HiddenProgram>,
     state: HashMap<(ComponentId, u64), Vec<RtValue>>,
     calls_served: u64,
     cost_spent: u64,
     recorder: RecorderHandle,
-    /// Compile-once fragment bytecode cache: every fragment runs on the
-    /// VM. Shardable: the cache may be shared with other servers of the
-    /// same hidden program via [`SecureServer::with_vm_cache`].
+    /// Compile-once fragment bytecode cache, built for `hidden`: every
+    /// fragment runs on the VM. The sessions of a shard share one.
     vm: Arc<VmCache>,
 }
 
@@ -134,6 +41,14 @@ impl SecureServer {
     /// empty compile-once bytecode cache of its own.
     pub fn new(hidden: HiddenProgram) -> SecureServer {
         let vm = Arc::new(VmCache::for_program(&hidden));
+        SecureServer::shared(Arc::new(hidden), vm)
+    }
+
+    /// A server over a program and a compile-once cache that other
+    /// servers share: the shard pool hands every session of a shard the
+    /// same two, so the program is held once and each fragment lowers at
+    /// most once per shard. `vm` must be built for `hidden`.
+    pub(crate) fn shared(hidden: Arc<HiddenProgram>, vm: Arc<VmCache>) -> SecureServer {
         SecureServer {
             hidden,
             state: HashMap::new(),
@@ -142,16 +57,6 @@ impl SecureServer {
             recorder: RecorderHandle::none(),
             vm,
         }
-    }
-
-    /// Shares an existing compile-once cache (builder style) — the shard
-    /// pool hands every session of a shard the same cache so each fragment
-    /// lowers at most once per shard. A cache built for another hidden
-    /// program answers its missing slots with
-    /// [`RuntimeError::UnknownFragment`].
-    pub fn with_vm_cache(mut self, cache: Arc<VmCache>) -> SecureServer {
-        self.vm = cache;
-        self
     }
 
     /// Attaches a telemetry recorder firing one `Fragment` event per
@@ -195,11 +100,9 @@ impl SecureServer {
                 })
                 .collect()
         });
-        // A cache built for a different program shape has no slot here.
-        let (code, fresh) = self
-            .vm
-            .get_or_compile(component.index(), position, fragment, &comp.vars)
-            .ok_or(RuntimeError::UnknownFragment { component, label })?;
+        let (code, fresh) =
+            self.vm
+                .get_or_compile(component.index(), position, fragment, &comp.vars);
         self.recorder.record(if fresh {
             Event::VmCompile
         } else {
@@ -345,23 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_cache_dedups_and_rejects_gaps() {
-        let mut cache: ReplayCache<&'static str> = ReplayCache::new();
-        assert_eq!(cache.next_seq(), 1);
-        assert_eq!(cache.check(1), SeqCheck::Fresh);
-        cache.store(1, "one");
-        // Retransmit of the completed seq replays without re-execution.
-        assert_eq!(cache.check(1), SeqCheck::Replay(&"one"));
-        assert_eq!(cache.check(2), SeqCheck::Fresh);
-        cache.store(2, "two");
-        // The window moved: seq 1 is now a gap, as is skipping ahead.
-        assert_eq!(cache.check(1), SeqCheck::Gap { expected: 3 });
-        assert_eq!(cache.check(9), SeqCheck::Gap { expected: 3 });
-        assert_eq!(cache.check(2), SeqCheck::Replay(&"two"));
-        assert_eq!(cache.evictions(), 1, "storing seq 2 evicted seq 1");
-    }
-
-    #[test]
     fn fragments_compile_once_and_hit_the_cache() {
         let mut server = SecureServer::new(counter_program());
         let c = ComponentId::new(0);
@@ -375,12 +261,12 @@ mod tests {
 
     #[test]
     fn shared_vm_cache_compiles_once_across_servers() {
-        let hidden = counter_program();
+        let hidden = Arc::new(counter_program());
         let cache = Arc::new(VmCache::for_program(&hidden));
         let c = ComponentId::new(0);
         let l = FragLabel::new(0);
-        let mut a = SecureServer::new(hidden.clone()).with_vm_cache(Arc::clone(&cache));
-        let mut b = SecureServer::new(hidden).with_vm_cache(Arc::clone(&cache));
+        let mut a = SecureServer::shared(Arc::clone(&hidden), Arc::clone(&cache));
+        let mut b = SecureServer::shared(hidden, Arc::clone(&cache));
         a.call(c, 1, l, &[Value::Int(7)]).unwrap();
         b.call(c, 2, l, &[Value::Int(7)]).unwrap();
         assert_eq!((cache.compiles(), cache.cache_hits()), (1, 1));
@@ -395,13 +281,6 @@ mod tests {
         ));
         assert!(matches!(
             server.call(ComponentId::new(0), 0, FragLabel::new(9), &[]),
-            Err(RuntimeError::UnknownFragment { .. })
-        ));
-        // A cache sized for another program has no slot for the fragment.
-        let foreign = Arc::new(VmCache::for_program(&HiddenProgram::new()));
-        let mut server = SecureServer::new(counter_program()).with_vm_cache(foreign);
-        assert!(matches!(
-            server.call(ComponentId::new(0), 0, FragLabel::new(0), &[Value::Int(1)]),
             Err(RuntimeError::UnknownFragment { .. })
         ));
     }

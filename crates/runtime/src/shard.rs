@@ -5,22 +5,28 @@
 //! and are deliberately **not `Send`**: making them thread-safe would put a
 //! lock on every array access in the interpreter's hot path. The session
 //! server partitions *ownership* instead: shard `session_id % shards`
-//! holds the complete state (one [`SecureServer`] plus replay window per
-//! session) of every session hashed to it, behind one `Mutex`. A
-//! connection thread serves a unit by taking its session's shard lock and
-//! running the fragments right there, so a round trip pays for the socket
-//! and the fragment and for no thread hand-off. Hidden values never leave
-//! the shard: fragments take and return scalar [`hps_ir::Value`]s, and
-//! replies leave as encoded frames (`SessionMap` states why the map may
-//! be used from more than one thread).
+//! holds one record per session hashed to it, behind one `Mutex`, in one
+//! map keyed by session. A record keeps each fact about its session once:
+//! the [`SessionJournal`] of committed ops, whose `last_seq` is the
+//! session's only sequence counter, and the live part — one
+//! [`SecureServer`], the last reply frame (answered again to a
+//! retransmit) and the disk journal handle. A connection thread serves a
+//! unit by taking its session's shard lock and running the fragments right
+//! there, so a round trip pays for the socket and the fragment and for no
+//! thread hand-off. Hidden values never leave the shard: fragments take
+//! and return scalar [`hps_ir::Value`]s, and replies leave as encoded
+//! frames (`SessionMap` states why the map may be used from more than one
+//! thread). Every session of a shard shares the shard's hidden program
+//! and compile-once bytecode cache.
 //!
 //! A busy shard holds back exactly the connections talking to it, never
 //! other shards. No socket I/O happens inside a shard: a connection copies
 //! its reply out and writes it after leaving, so a client that stops
-//! reading holds back only its own connection. The number of connections waiting for or inside a shard
-//! as one enters it is observed into that shard's share of the
-//! `hps_server_shard_queue_depth` histogram, and per-shard counters
-//! ([`ShardStats`]) record how the load spread.
+//! reading holds back only its own connection. The number of connections
+//! waiting for or inside a shard as one enters it is observed into that
+//! shard's share of the `hps_server_shard_queue_depth` histogram, and
+//! per-shard counters ([`ShardStats`]) record how the load spread; the
+//! server's totals are their sums.
 //!
 //! ## Crash resilience (DESIGN.md §12)
 //!
@@ -30,12 +36,13 @@
 //! deterministic fragments fail deterministically — poisons only that
 //! session. A shard *death* — `SessionServerHandle::kill_shard`, an
 //! injected kill, or a lock poisoned by a panic that escaped — is one
-//! synchronous step under the shard's lock: its live sessions are dropped,
-//! its incarnation and restart count go up, and its crash schedule
-//! reseeds. Each session is rebuilt by replaying its journal on next
-//! contact; fragments are deterministic and the replay windows come back at
-//! the same sequence numbers, so exactly-once semantics survive recovery
-//! and the adversary-visible trace is unchanged.
+//! synchronous step under the shard's lock: the live part of each of its
+//! sessions is dropped (the journals stay), its incarnation and restart
+//! count go up, and its crash schedule reseeds. Each session is rebuilt by
+//! replaying its journal on next contact; fragments are deterministic and
+//! the rebuilt session holds the same last reply for the same sequence
+//! number, so exactly-once semantics survive recovery and the
+//! adversary-visible trace is unchanged.
 //!
 //! A session's units run in order, one at a time, under one lock whatever
 //! the shard count, so the adversary-visible view — program output, reply
@@ -47,13 +54,12 @@ use crate::bytecode::VmCache;
 use crate::channel::{CallReply, PendingCall};
 use crate::fault::{stream_seed, CrashConfig};
 use crate::journal::{journal_path, load_disk_journal, DiskJournal, SessionJournal};
-use crate::server::{ReplayCache, SecureServer, SeqCheck};
+use crate::server::SecureServer;
 use crate::wire::{Request, Response};
 use hps_ir::{ComponentId, HiddenProgram};
 use hps_telemetry::Histogram;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,20 +67,15 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
 use std::time::Instant;
 
 /// State shared by every thread of a session server and its handles:
-/// relaxed-atomic counters, and a way to reach the shard pool while the
-/// server is serving.
+/// relaxed-atomic counters kept outside the shards, and a way to reach the
+/// shard pool while the server is serving.
 #[derive(Default, Debug)]
 pub(crate) struct StatsInner {
     pub(crate) connections: AtomicU64,
-    pub(crate) sessions: AtomicU64,
-    pub(crate) calls: AtomicU64,
     pub(crate) replays: AtomicU64,
-    pub(crate) replay_evictions: AtomicU64,
     pub(crate) chaos_kills: AtomicU64,
     /// Fragment panics contained by `catch_unwind` (injected or genuine).
     pub(crate) panics_caught: AtomicU64,
-    /// Shard deaths: kills, injected kills and poisoned locks.
-    pub(crate) shard_restarts: AtomicU64,
     /// Sessions rebuilt from a journal (shard death, panic or restart).
     pub(crate) journal_replays: AtomicU64,
     /// Wall-clock microseconds per session rebuild. Live-scrape /
@@ -129,7 +130,6 @@ impl StatsInner {
             .map(|(shard, c)| ShardStats {
                 shard,
                 calls: c.calls.load(Ordering::Relaxed),
-                fragments: c.fragments.load(Ordering::Relaxed),
                 cost_units: c.cost.load(Ordering::Relaxed),
                 sessions: c.sessions.load(Ordering::Relaxed),
                 max_queue_depth: c.max_depth.load(Ordering::Relaxed),
@@ -148,7 +148,6 @@ impl StatsInner {
 #[derive(Debug)]
 struct ShardCounters {
     calls: AtomicU64,
-    fragments: AtomicU64,
     cost: AtomicU64,
     sessions: AtomicU64,
     /// Connections waiting for or inside the shard right now.
@@ -172,7 +171,6 @@ impl ShardCounters {
     fn new(hidden: &HiddenProgram) -> ShardCounters {
         ShardCounters {
             calls: AtomicU64::new(0),
-            fragments: AtomicU64::new(0),
             cost: AtomicU64::new(0),
             sessions: AtomicU64::new(0),
             depth: AtomicU64::new(0),
@@ -190,10 +188,9 @@ impl ShardCounters {
 pub struct ShardStats {
     /// Shard index (`0..shards`).
     pub shard: usize,
-    /// Logical calls this shard executed (batch entries count).
+    /// Logical calls this shard executed (batch entries count), one hidden
+    /// fragment each.
     pub calls: u64,
-    /// Hidden fragments this shard ran (one per successful call).
-    pub fragments: u64,
     /// Virtual cost units this shard's fragments spent.
     pub cost_units: u64,
     /// Sessions owned by this shard.
@@ -250,12 +247,13 @@ impl Default for ShardConfig {
     }
 }
 
-/// The pool: N shards, each a lock around its sessions' state. Connection
-/// threads enter the shard of their session through [`ShardPool::hello`],
-/// [`ShardPool::seq`] and [`ShardPool::release`].
+/// The pool: N shards, each a lock around its sessions' records.
+/// Connection threads enter the shard of their session through
+/// [`ShardPool::hello`], [`ShardPool::seq`] and [`ShardPool::release`].
 pub(crate) struct ShardPool {
     shards: Vec<Shard>,
-    hidden: HiddenProgram,
+    /// The hidden program, held once: every session's server shares it.
+    hidden: Arc<HiddenProgram>,
     config: ShardConfig,
 }
 
@@ -276,35 +274,63 @@ struct Shard {
 /// What one shard's lock guards.
 struct ShardState {
     sessions: SessionMap,
-    /// The committed-op journals, one ring per session. They outlive shard
-    /// deaths: a dropped session is rebuilt from its journal.
-    journals: HashMap<u64, SessionJournal>,
     /// Deaths so far; seeds the crash schedule.
     incarnation: u64,
     /// This incarnation's crash-schedule stream.
     chaos: Option<(StdRng, CrashConfig)>,
 }
 
-/// The hidden state of every session of one shard.
-struct SessionMap(HashMap<u64, SessionSlot>);
+/// The record of every session of one shard.
+struct SessionMap(HashMap<u64, Session>);
 
-// SAFETY: of everything a `SessionSlot` holds, two things are not `Send`:
-// the hidden values (`RtValue`) in each `SecureServer`'s state, whose
+// SAFETY: of everything a `Session` holds, two things are not `Send`: the
+// hidden values (`RtValue`) in each `SecureServer`'s state, whose
 // interiors are shared `Rc`s, and the server's `RecorderHandle`, an `Rc`
-// that shard sessions never set. The rest — hidden program, cost model,
-// `Arc<VmCache>`, replay frames, disk journal file, strings — is `Send`.
-// Every such `Rc` is reachable from this map alone: fragments take and
-// return scalar `hps_ir::Value`s, errors carry strings, and the shard's
-// `VmCache` holds `Send + Sync` code, so no clone escapes to an owner
-// outside the map. The map is touched only under its shard's `Mutex`, so
-// one thread at a time uses these `Rc`s, and the lock orders every
-// hand-over between threads.
+// that shard sessions never set. The rest — journal bytes, the shared
+// `Arc<HiddenProgram>` and `Arc<VmCache>`, reply frames, disk journal
+// file, strings — is `Send`. Every such `Rc` is reachable from this map
+// alone: fragments take and return scalar `hps_ir::Value`s, errors carry
+// strings, and the shard's `VmCache` holds `Send + Sync` code, so no
+// clone escapes to an owner outside the map. The map is touched only
+// under its shard's `Mutex`, so one thread at a time uses these `Rc`s, and
+// the lock orders every hand-over between threads.
 unsafe impl Send for SessionMap {}
+
+/// One session's record in its shard.
+struct Session {
+    /// The committed ops. It outlives shard deaths: a dropped session is
+    /// rebuilt from it.
+    journal: SessionJournal,
+    /// What a shard death drops; `None` until the session's next contact
+    /// rebuilds it.
+    slot: Option<Slot>,
+}
+
+/// A session's live part, or a poisoned tombstone after an unrecoverable
+/// panic. Poisoning is per-session by design — the blast radius of a bad
+/// fragment is one session, never the shard or its other sessions.
+enum Slot {
+    Live(Live),
+    Poisoned(String),
+}
+
+/// Per-session secure state: one [`SecureServer`], the reply frame of the
+/// session's last committed unit, and the optional on-disk journal append
+/// handle.
+struct Live {
+    server: SecureServer,
+    /// The reply to `journal.last_seq()`, sent again to a retransmit of it;
+    /// empty before the first unit. One buffer, reused by every unit.
+    reply: Vec<u8>,
+    disk: Option<DiskJournal>,
+}
 
 /// What a poisoned shard lock, a crash-schedule kill or `kill_shard` does:
 /// the shard dies in one step.
-fn die(state: &mut ShardState, shard: usize, counters: &ShardCounters, stats: &StatsInner) {
-    state.sessions.0.clear();
+fn die(state: &mut ShardState, shard: usize, counters: &ShardCounters) {
+    for record in state.sessions.0.values_mut() {
+        record.slot = None;
+    }
     state.incarnation += 1;
     state.chaos = chaos_stream(
         state.chaos.as_ref().map(|(_, c)| *c),
@@ -312,7 +338,6 @@ fn die(state: &mut ShardState, shard: usize, counters: &ShardCounters, stats: &S
         state.incarnation,
     );
     counters.restarts.fetch_add(1, Ordering::Relaxed);
-    stats.shard_restarts.fetch_add(1, Ordering::Relaxed);
 }
 
 /// The crash schedule of one shard incarnation: deterministic per (seed,
@@ -369,7 +394,6 @@ impl ShardPool {
                 counters: Arc::new(ShardCounters::new(hidden)),
                 state: Mutex::new(ShardState {
                     sessions: SessionMap(HashMap::new()),
-                    journals: HashMap::new(),
                     incarnation: 0,
                     chaos: chaos_stream(config.crash, shard, 0),
                 }),
@@ -377,7 +401,7 @@ impl ShardPool {
             .collect();
         ShardPool {
             shards,
-            hidden: hidden.clone(),
+            hidden: Arc::new(hidden.clone()),
             config,
         }
     }
@@ -387,17 +411,14 @@ impl ShardPool {
     /// expected sequence.
     pub(crate) fn hello(&self, stats: &StatsInner, session: u64) -> u64 {
         self.enter(stats, session, |state, cx| {
-            match open_session(state, cx, session) {
-                SessionSlot::Live(live) => live.replay.next_seq(),
-                SessionSlot::Poisoned { next_seq, .. } => *next_seq,
-            }
+            open_session(state, cx, session).journal.last_seq() + 1
         })
     }
 
     /// Executes or replays one sequenced unit — a `SeqCall` or `SeqBatch`
     /// decoded from `payload`, the request bytes the journal commits — and
     /// copies the encoded `Response` frame into `out`: a served frame is
-    /// copied once, from the session's replay window, so the caller writes
+    /// copied once, from the session's last reply, so the caller writes
     /// it to the socket after leaving the shard.
     pub(crate) fn seq(
         &self,
@@ -407,21 +428,11 @@ impl ShardPool {
         payload: &[u8],
         out: &mut Vec<u8>,
     ) {
-        let seq = unit_parts(unit).0;
         self.enter(stats, session, |state, cx| {
             let inject = state.draw(|c| c.panic_per_mille);
-            match serve_seq(state, cx, session, unit, payload, inject) {
-                Ok(()) => {
-                    let Some(SessionSlot::Live(live)) = state.sessions.0.get(&session) else {
-                        unreachable!("a served session is live");
-                    };
-                    let SeqCheck::Replay(frame) = live.replay.check(seq) else {
-                        unreachable!("a served sequence is in the replay window");
-                    };
-                    out.clear();
-                    out.extend_from_slice(frame);
-                }
-                Err(msg) => Response::Error(msg).encode_into(out),
+            let record = open_session(state, cx, session);
+            if let Err(msg) = serve_seq(record, cx, session, unit, payload, inject, out) {
+                Response::Error(msg).encode_into(out);
             }
         });
     }
@@ -446,34 +457,32 @@ impl ShardPool {
         payload: &[u8],
     ) {
         self.enter(stats, session, |state, cx| {
-            open_session(state, cx, session);
-            let ShardState {
-                sessions, journals, ..
-            } = state;
-            if let Some(SessionSlot::Live(live)) = sessions.0.get_mut(&session) {
-                if live.replay.next_seq() == before {
+            let record = open_session(state, cx, session);
+            if let Some(Slot::Live(live)) = &mut record.slot {
+                if record.journal.last_seq() + 1 == before {
                     live.server.release(component, key);
-                    commit_op(journals, cx, session, live, None, payload);
+                    commit_op(&mut record.journal, live, None, payload);
                 }
             }
         });
     }
 
-    /// A copy of `session`'s journal ring, if its shard holds one.
+    /// A copy of `session`'s journal, if its shard holds the session.
     #[cfg(test)]
     pub(crate) fn journal(&self, session: u64) -> Option<SessionJournal> {
         let shard = &self.shards[shard_of(session, self.shards.len())];
-        shard.state.lock().ok()?.journals.get(&session).cloned()
+        let state = shard.state.lock().ok()?;
+        Some(state.sessions.0.get(&session)?.journal.clone())
     }
 
     /// Kills `shard` (crash drill) once no connection is inside it.
     /// Out-of-range indices are ignored.
-    pub(crate) fn kill(&self, stats: &StatsInner, shard: usize) {
+    pub(crate) fn kill(&self, shard: usize) {
         if shard < self.shards.len() {
-            let (mut state, died) = self.lock(stats, shard);
+            let (mut state, died) = self.lock(shard);
             // A poisoned lock already was this death.
             if !died {
-                die(&mut state, shard, &self.shards[shard].counters, stats);
+                die(&mut state, shard, &self.shards[shard].counters);
             }
         }
     }
@@ -482,14 +491,14 @@ impl ShardPool {
     /// poisoned lock means a panic escaped while the shard was held and may
     /// have torn its sessions: that is a shard death. What the death keeps
     /// is valid at every step: a journal only ever grows by one whole op.
-    fn lock(&self, stats: &StatsInner, shard: usize) -> (MutexGuard<'_, ShardState>, bool) {
+    fn lock(&self, shard: usize) -> (MutexGuard<'_, ShardState>, bool) {
         let s = &self.shards[shard];
         match s.state.lock() {
             Ok(state) => (state, false),
             Err(poisoned) => {
                 s.state.clear_poison();
                 let mut state = poisoned.into_inner();
-                die(&mut state, shard, &s.counters, stats);
+                die(&mut state, shard, &s.counters);
                 (state, true)
             }
         }
@@ -513,9 +522,9 @@ impl ShardPool {
             .lock()
             .expect("queue depth lock")
             .record(depth);
-        let (mut state, _) = self.lock(stats, shard);
+        let (mut state, _) = self.lock(shard);
         if state.draw(|c| c.shard_kill_per_mille) {
-            die(&mut state, shard, counters, stats);
+            die(&mut state, shard, counters);
         }
         let cx = Cx {
             pool: self,
@@ -524,23 +533,6 @@ impl ShardPool {
         };
         f(&mut state, &cx)
     }
-}
-
-/// One session's slot in its shard: live state, or a poisoned tombstone
-/// after an unrecoverable panic. Poisoning is per-session by design — the
-/// blast radius of a bad fragment is one session, never the shard or its
-/// other sessions.
-enum SessionSlot {
-    Live(Box<SessionState>),
-    Poisoned { reason: String, next_seq: u64 },
-}
-
-/// Per-session secure state: one [`SecureServer`], the replay window,
-/// and the optional on-disk journal append handle.
-struct SessionState {
-    server: SecureServer,
-    replay: ReplayCache<Vec<u8>>,
-    disk: Option<DiskJournal>,
 }
 
 /// A sequenced unit's number and calls, and whether it came as a batch
@@ -554,94 +546,79 @@ fn unit_parts(unit: &Request) -> (u64, &[PendingCall], bool) {
     }
 }
 
-/// Serves one sequenced unit: replay-cache fast paths first, then fresh
-/// execution under panic isolation with a single rebuild-and-retry.
-/// `Ok` means the reply is the frame now cached for the unit's sequence;
+/// Serves one sequenced unit of an opened session into `out`: a
+/// retransmit of the last committed unit gets its reply again, the next
+/// unit executes under panic isolation with a single rebuild-and-retry.
 /// `Err` carries the error to send instead.
 fn serve_seq(
-    state: &mut ShardState,
+    record: &mut Session,
     cx: &Cx,
     session: u64,
     unit: &Request,
     payload: &[u8],
     inject_panic: bool,
+    out: &mut Vec<u8>,
 ) -> Result<(), String> {
     let (seq, calls, batch) = unit_parts(unit);
-    match open_session(state, cx, session) {
-        SessionSlot::Poisoned { reason, .. } => return Err(format!("session poisoned: {reason}")),
-        SessionSlot::Live(live) => match live.replay.check(seq) {
-            SeqCheck::Fresh => {}
-            SeqCheck::Replay(_) => {
-                cx.stats.replays.fetch_add(1, Ordering::Relaxed);
-                return Ok(());
-            }
-            SeqCheck::Gap { expected } => {
-                return Err(format!("sequence gap: got {seq}, expected {expected}"));
-            }
-        },
+    let live = match &mut record.slot {
+        Some(Slot::Live(live)) => live,
+        Some(Slot::Poisoned(reason)) => return Err(format!("session poisoned: {reason}")),
+        None => unreachable!("an opened session has a slot"),
+    };
+    let last = record.journal.last_seq();
+    if seq != last + 1 {
+        if seq != last || last == 0 {
+            return Err(format!("sequence gap: got {seq}, expected {}", last + 1));
+        }
+        cx.stats.replays.fetch_add(1, Ordering::Relaxed);
+        out.clear();
+        out.extend_from_slice(&live.reply);
+        return Ok(());
     }
-    let ShardState {
-        sessions, journals, ..
-    } = state;
     // Fresh: execute under `catch_unwind`. A first panic (injected or
     // genuine) leaves torn hidden state behind, so the session is rebuilt
     // from its journal and the unit retried once; a second panic —
     // deterministic fragments fail deterministically — poisons the
     // session. Only this session is affected either way, and the panic
     // never reaches the shard's lock.
-    let mut attempt = 0u32;
-    loop {
-        let Some(SessionSlot::Live(live)) = sessions.0.get_mut(&session) else {
-            unreachable!("session opened live above");
-        };
-        let inject = inject_panic && attempt == 0;
+    let mut retried = false;
+    let reason = loop {
         let t0 = Instant::now();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_unit(&mut live.server, calls, batch, inject)
+            run_unit(&mut live.server, calls, batch, inject_panic && !retried)
         }));
         cx.counters
             .exec_nanos
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         match outcome {
             Ok((resp, served, cost)) => {
-                cx.stats.calls.fetch_add(served, Ordering::Relaxed);
                 cx.counters.calls.fetch_add(served, Ordering::Relaxed);
-                cx.counters.fragments.fetch_add(served, Ordering::Relaxed);
                 cx.counters.cost.fetch_add(cost, Ordering::Relaxed);
-                let mut buf = Vec::new();
-                resp.encode_into(&mut buf);
-                let evicted = live.replay.store(seq, buf);
-                cx.stats
-                    .replay_evictions
-                    .fetch_add(evicted, Ordering::Relaxed);
+                resp.encode_into(&mut live.reply);
                 // The commit point: the journal sees the unit before the
                 // reply leaves the shard (DESIGN.md §12), so recovery is
                 // always at or one behind what the client observed.
-                commit_op(journals, cx, session, live, Some(seq), payload);
+                commit_op(&mut record.journal, live, Some(seq), payload);
+                out.clear();
+                out.extend_from_slice(&live.reply);
                 return Ok(());
             }
             Err(payload) => {
                 cx.stats.panics_caught.fetch_add(1, Ordering::Relaxed);
-                let reason = panic_reason(payload.as_ref());
-                if attempt == 0 {
-                    if let Some(rebuilt) = rebuild_session(journals, cx, session) {
-                        sessions
-                            .0
-                            .insert(session, SessionSlot::Live(Box::new(rebuilt)));
-                        attempt = 1;
+                if !retried {
+                    if let Some(rebuilt) = rebuild(&record.journal, cx, session) {
+                        *live = rebuilt;
+                        retried = true;
                         continue;
                     }
                 }
-                let next_seq = journals.get(&session).map_or(seq, |j| j.last_seq() + 1);
-                let reason = format!("fragment panicked: {reason}");
-                let msg = format!("session poisoned: {reason}");
-                sessions
-                    .0
-                    .insert(session, SessionSlot::Poisoned { reason, next_seq });
-                return Err(msg);
+                break format!("fragment panicked: {}", panic_reason(payload.as_ref()));
             }
         }
-    }
+    };
+    let msg = format!("session poisoned: {reason}");
+    record.slot = Some(Slot::Poisoned(reason));
+    Err(msg)
 }
 
 /// Keeps the *scheduled* panics out of stderr: with a panic-injection
@@ -696,118 +673,100 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Appends a committed op — `payload`, the request as received, numbered
-/// `seq` unless it is a release — to the session's in-memory ring, then
+/// `seq` unless it is a release — to the session's in-memory journal, then
 /// to its disk journal (best effort). Called at the commit point, before
 /// replying.
-fn commit_op(
-    journals: &mut HashMap<u64, SessionJournal>,
-    cx: &Cx,
-    session: u64,
-    live: &mut SessionState,
-    seq: Option<u64>,
-    payload: &[u8],
-) {
-    journals
-        .entry(session)
-        .or_insert_with(|| SessionJournal::new(cx.pool.config.journal_limit))
-        .append(seq, payload);
+fn commit_op(journal: &mut SessionJournal, live: &mut Live, seq: Option<u64>, payload: &[u8]) {
+    journal.append(seq, payload);
     if let Some(disk) = &mut live.disk {
-        // Best-effort: a failing disk leaves the in-memory ring as the
+        // Best-effort: a failing disk leaves the in-memory journal as the
         // recovery source; the next restart simply recovers less.
         let _ = disk.append(payload);
     }
 }
 
-/// Looks a session up, creating it on first contact. A session this shard
-/// does not hold but whose journal exists — in the shard's rings (after a
-/// shard death) or on disk (after a process restart) — is rebuilt by
-/// replay instead; an incomplete journal poisons it.
-fn open_session<'s>(state: &'s mut ShardState, cx: &Cx, session: u64) -> &'s mut SessionSlot {
-    let ShardState {
-        sessions, journals, ..
-    } = state;
-    sessions.0.entry(session).or_insert_with(|| {
-        let known = journals.contains_key(&session)
-            || cx
-                .pool
-                .config
-                .journal_dir
-                .as_deref()
-                .is_some_and(|d| journal_path(d, session).exists());
-        if !known {
-            cx.stats.sessions.fetch_add(1, Ordering::Relaxed);
-            cx.counters.sessions.fetch_add(1, Ordering::Relaxed);
-            journals.insert(session, SessionJournal::new(cx.pool.config.journal_limit));
-            return SessionSlot::Live(Box::new(fresh_state(cx, session)));
-        }
-        match rebuild_session(journals, cx, session) {
-            Some(live) => SessionSlot::Live(Box::new(live)),
-            None => SessionSlot::Poisoned {
-                reason: "journal incomplete: ring overflowed before recovery".into(),
-                next_seq: journals.get(&session).map_or(1, |j| j.last_seq() + 1),
+/// Looks a session up, creating its record on first contact, and gives a
+/// record its shard dropped its live part back. A session this server
+/// meets for the first time but whose journal is on disk (after a process
+/// restart), and one whose shard died, are rebuilt by replay; an
+/// incomplete journal poisons the session.
+fn open_session<'s>(state: &'s mut ShardState, cx: &Cx, session: u64) -> &'s mut Session {
+    let record = state.sessions.0.entry(session).or_insert_with(|| {
+        let limit = cx.pool.config.journal_limit;
+        let on_disk = cx
+            .pool
+            .config
+            .journal_dir
+            .as_deref()
+            .filter(|d| journal_path(d, session).exists());
+        match on_disk {
+            Some(dir) => Session {
+                // An unreadable file is a lost history, like an overflow.
+                journal: load_disk_journal(dir, session, limit).unwrap_or_else(|| {
+                    let mut lost = SessionJournal::new(limit);
+                    lost.forget();
+                    lost
+                }),
+                slot: None,
             },
+            None => {
+                cx.counters.sessions.fetch_add(1, Ordering::Relaxed);
+                Session {
+                    journal: SessionJournal::new(limit),
+                    slot: Some(Slot::Live(fresh_live(cx, session))),
+                }
+            }
         }
-    })
+    });
+    if record.slot.is_none() {
+        record.slot = Some(match rebuild(&record.journal, cx, session) {
+            Some(live) => Slot::Live(live),
+            None => Slot::Poisoned("journal incomplete: ring overflowed before recovery".into()),
+        });
+    }
+    record
 }
 
-/// A brand-new (or about-to-be-replayed-into) session state. Sessions
-/// share the shard's compile-once cache, so each fragment lowers at most
-/// once per shard.
-fn fresh_state(cx: &Cx, session: u64) -> SessionState {
-    let server =
-        SecureServer::new(cx.pool.hidden.clone()).with_vm_cache(Arc::clone(&cx.counters.vm));
+/// A brand-new (or about-to-be-replayed-into) live session. Sessions
+/// share the shard's program and compile-once cache, so each fragment
+/// lowers at most once per shard.
+fn fresh_live(cx: &Cx, session: u64) -> Live {
+    let server = SecureServer::shared(Arc::clone(&cx.pool.hidden), Arc::clone(&cx.counters.vm));
     let disk = cx
         .pool
         .config
         .journal_dir
         .as_deref()
         .and_then(|d| DiskJournal::open(d, session).ok());
-    SessionState {
+    Live {
         server,
-        replay: ReplayCache::new(),
+        reply: Vec::new(),
         disk,
     }
 }
 
-/// Rebuilds a session's hidden state by replaying its journal of
-/// committed units — the fragments are deterministic, so the result is
-/// bit-identical to the lost state. Returns `None` when no journal can
-/// be found or the ring is no longer a complete history (the caller then
-/// poisons the session rather than rebuild wrong state).
-fn rebuild_session(
-    journals: &mut HashMap<u64, SessionJournal>,
-    cx: &Cx,
-    session: u64,
-) -> Option<SessionState> {
-    let t0 = Instant::now();
-    let journal = match journals.entry(session) {
-        Entry::Occupied(ring) => ring.into_mut(),
-        Entry::Vacant(slot) => {
-            let dir = cx.pool.config.journal_dir.as_deref()?;
-            slot.insert(load_disk_journal(
-                dir,
-                session,
-                cx.pool.config.journal_limit,
-            )?)
-        }
-    };
+/// Rebuilds a session's live part by replaying its journal of committed
+/// units — the fragments are deterministic, so the result is bit-identical
+/// to the lost state, last reply included. Returns `None` when the journal
+/// is no longer a complete history (the caller then poisons the session
+/// rather than rebuild wrong state).
+fn rebuild(journal: &SessionJournal, cx: &Cx, session: u64) -> Option<Live> {
     if !journal.is_complete() {
         return None;
     }
-    let mut live = fresh_state(cx, session);
+    let t0 = Instant::now();
+    let mut live = fresh_live(cx, session);
     for op in journal.ops() {
         if let Request::Release { component, key } = op {
             live.server.release(component, key);
             continue;
         }
         // Replay is not new logical work: committed units were counted
-        // when first served, so only hidden state and the replay window
-        // are rebuilt here.
-        let (seq, calls, batch) = unit_parts(&op);
+        // when first served, so only hidden state and the last reply are
+        // rebuilt here.
+        let (_, calls, batch) = unit_parts(&op);
         let (resp, _served, _cost) = execute(&mut live.server, calls, batch);
-        let mut buf = Vec::new();
-        resp.encode_into(&mut buf);
-        let _ = live.replay.store(seq, buf);
+        resp.encode_into(&mut live.reply);
     }
     cx.stats.journal_replays.fetch_add(1, Ordering::Relaxed);
     cx.stats
@@ -896,8 +855,8 @@ pub(crate) mod tests {
         hp
     }
 
-    /// One sequenced accumulator call; returns the running sum.
-    fn add(pool: &ShardPool, stats: &StatsInner, session: u64, seq: u64, n: i64) -> i64 {
+    /// One sequenced accumulator call; returns the reply frame.
+    fn send(pool: &ShardPool, stats: &StatsInner, session: u64, seq: u64, n: i64) -> Vec<u8> {
         let call = PendingCall {
             component: ComponentId::new(0),
             key: 1,
@@ -907,7 +866,20 @@ pub(crate) mod tests {
         let unit = Request::SeqCall { seq, call };
         let mut frame = Vec::new();
         pool.seq(stats, session, &unit, &unit.encode(), &mut frame);
-        match Response::decode(&frame).expect("decode") {
+        frame
+    }
+
+    /// The error text of a reply frame.
+    fn error_text(frame: &[u8]) -> String {
+        match Response::decode(frame).expect("decode") {
+            Response::Error(msg) => msg,
+            other => panic!("expected an error, got {other:?}"),
+        }
+    }
+
+    /// One sequenced accumulator call; returns the running sum.
+    fn add(pool: &ShardPool, stats: &StatsInner, session: u64, seq: u64, n: i64) -> i64 {
+        match Response::decode(&send(pool, stats, session, seq, n)).expect("decode") {
             Response::Reply {
                 value: Value::Int(sum),
                 ..
@@ -983,9 +955,7 @@ pub(crate) mod tests {
         });
         let shard = stats.shard_stats()[0];
         assert_eq!(shard.calls, 400);
-        assert_eq!(shard.fragments, 400);
         assert_eq!(shard.sessions, 8);
-        assert_eq!(stats.calls.load(Ordering::Relaxed), 400);
         assert_eq!(
             stats.queue_depth_histogram().count(),
             408,
@@ -1053,17 +1023,79 @@ pub(crate) mod tests {
         assert_eq!(add(&pool, &stats, 7, 5, 5), 15);
         assert_eq!(add(&pool, &stats, 7, 6, 6), 21);
         assert!(!pool.shards[0].state.is_poisoned());
-        assert_eq!(stats.shard_restarts.load(Ordering::Relaxed), 1);
         assert_eq!(stats.shard_stats()[0].restarts, 1);
         assert_eq!(stats.journal_replays.load(Ordering::Relaxed), 1);
         // A kill that finds the poison is that same death, not a second.
         poison(&pool);
-        pool.kill(&stats, 0);
+        pool.kill(0);
         assert!(!pool.shards[0].state.is_poisoned());
-        assert_eq!(stats.shard_restarts.load(Ordering::Relaxed), 2);
         assert_eq!(stats.shard_stats()[0].restarts, 2);
         assert_eq!(add(&pool, &stats, 7, 7, 7), 28);
         assert_eq!(stats.journal_replays.load(Ordering::Relaxed), 2);
-        assert_eq!(stats.calls.load(Ordering::Relaxed), 7, "no unit ran twice");
+        assert_eq!(stats.shard_stats()[0].calls, 7, "no unit ran twice");
+    }
+
+    #[test]
+    fn retransmits_get_the_last_reply_again_after_a_kill() {
+        let (pool, stats) = serving_pool();
+        assert_eq!(pool.hello(&stats, 3), 1);
+        assert_eq!(
+            error_text(&send(&pool, &stats, 3, 0, 1)),
+            "sequence gap: got 0, expected 1"
+        );
+        assert_eq!(add(&pool, &stats, 3, 1, 1), 1);
+        assert_eq!(add(&pool, &stats, 3, 2, 2), 3);
+        let last = send(&pool, &stats, 3, 3, 3);
+        assert_eq!(add(&pool, &stats, 3, 3, 3), 6, "a retransmit runs nothing");
+        pool.kill(0);
+        // The rebuilt session answers the retransmit with the same bytes
+        // and executes nothing.
+        assert_eq!(send(&pool, &stats, 3, 3, 3), last);
+        assert_eq!(stats.journal_replays.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.replays.load(Ordering::Relaxed), 2);
+        assert_eq!(stats.shard_stats()[0].calls, 3);
+        // Only the last unit is answered again; older and later ones are
+        // gaps.
+        for seq in [2, 5] {
+            assert_eq!(
+                error_text(&send(&pool, &stats, 3, seq, 9)),
+                format!("sequence gap: got {seq}, expected 4")
+            );
+        }
+        assert_eq!(add(&pool, &stats, 3, 4, 4), 10);
+        assert_eq!(stats.shard_stats()[0].calls, 4);
+    }
+
+    #[test]
+    fn a_journal_past_its_limit_keeps_serving_and_poisons_on_rebuild() {
+        let config = ShardConfig {
+            journal_limit: 2,
+            ..ShardConfig::default()
+        };
+        let pool = Arc::new(ShardPool::new(config, &accumulator_program()));
+        let stats = StatsInner::default();
+        stats.install(&pool);
+        assert_eq!(pool.hello(&stats, 5), 1);
+        for n in 1..=3i64 {
+            assert_eq!(add(&pool, &stats, 5, n as u64, n), n * (n + 1) / 2);
+        }
+        let journal = pool.journal(5).expect("journal");
+        assert!(!journal.is_complete());
+        assert_eq!((journal.len(), journal.held_bytes().len()), (0, 0));
+        assert_eq!(journal.last_seq(), 3);
+        // The live session still answers a retransmit and moves on.
+        assert_eq!(add(&pool, &stats, 5, 3, 3), 6);
+        assert_eq!(stats.shard_stats()[0].calls, 3);
+        assert_eq!(add(&pool, &stats, 5, 4, 4), 10);
+        // A rebuild cannot replay a freed history: the session is poisoned
+        // and still reports its next sequence number.
+        pool.kill(0);
+        assert_eq!(pool.hello(&stats, 5), 5);
+        let poisoned = "session poisoned: journal incomplete: ring overflowed before recovery";
+        for seq in [4, 5] {
+            assert_eq!(error_text(&send(&pool, &stats, 5, seq, 5)), poisoned);
+        }
+        assert_eq!(stats.journal_replays.load(Ordering::Relaxed), 0);
+        assert_eq!(stats.shard_stats()[0].calls, 4);
     }
 }

@@ -24,11 +24,11 @@
 //!   and retransmits the same sequence number.
 //! * **Server** — [`SessionServer`] accepts many clients (thread per
 //!   connection), keys one [`crate::server::SecureServer`] per session id,
-//!   and deduplicates retransmits through a [`crate::server::ReplayCache`]
-//!   of encoded response frames: a retried call whose response was lost is
-//!   answered from the cache, never re-executed. Sequence gaps are
-//!   terminal, and a connection whose first frame is not `Hello` is
-//!   answered with an error and closed.
+//!   and keeps the encoded reply frame of each session's last committed
+//!   unit: a retried call whose response was lost is answered with that
+//!   frame again, never re-executed. Sequence gaps are terminal, and a
+//!   connection whose first frame is not `Hello` is answered with an error
+//!   and closed.
 //!   Each connection thread runs its session's units itself, inside the
 //!   session's shard ([`crate::shard`]): one lock per shard, no hand-off
 //!   to another thread, and sessions on different shards run in parallel.
@@ -354,8 +354,8 @@ impl TcpChannel {
                 }
                 // The server may be ahead by exactly one: it executed our
                 // outstanding seq but the response was lost, so the
-                // retransmit will hit the replay cache. Further ahead is a
-                // protocol violation.
+                // retransmit gets the session's last reply again. Further
+                // ahead is a protocol violation.
                 if next_seq > self.next_seq + 1 {
                     return Err(RuntimeError::Channel(format!(
                         "server expects seq {next_seq}, client is at {}",
@@ -469,7 +469,7 @@ impl TcpChannel {
 
     /// Sends the request already encoded in `scratch`, retrying retryable
     /// faults with backoff + reconnect and retransmitting the identical
-    /// frame so the server's replay cache can deduplicate.
+    /// frame so the server can answer it with the session's last reply.
     fn round_trip_encoded(&mut self) -> Result<Response, RuntimeError> {
         let policy = self.policy;
         let started = Instant::now();
@@ -660,10 +660,8 @@ pub struct ServerStats {
     pub sessions: u64,
     /// Logical calls executed (batch entries count; replays do not).
     pub calls: u64,
-    /// Retransmits answered from the replay cache.
+    /// Retransmits answered again with the session's last reply.
     pub replays: u64,
-    /// Cached responses evicted from bounded replay windows.
-    pub replay_evictions: u64,
     /// Connections closed by a [`ChaosConfig`] fault (every fault but a
     /// late reply).
     pub chaos_kills: u64,
@@ -698,7 +696,6 @@ impl ServerStats {
         m.add(names::SERVER_SESSIONS, self.sessions);
         m.add(names::SERVER_CALLS, self.calls);
         m.add(names::SERVER_REPLAYS, self.replays);
-        m.add(names::SERVER_REPLAY_EVICTIONS, self.replay_evictions);
         m.add(names::SERVER_CHAOS_KILLS, self.chaos_kills);
         m.add(names::SERVER_VM_COMPILES, self.vm_compiles);
         m.add(names::SERVER_VM_CACHE_HITS, self.vm_cache_hits);
@@ -723,22 +720,22 @@ impl SessionServerHandle {
         self.addr
     }
 
-    /// Snapshot of the server's counters.
+    /// Snapshot of the server's counters; sessions, calls and restarts
+    /// are the shards' sums.
     pub fn stats(&self) -> ServerStats {
         let shards = self.stats.shard_stats();
         ServerStats {
             connections: self.stats.connections.load(Ordering::Relaxed),
-            sessions: self.stats.sessions.load(Ordering::Relaxed),
-            calls: self.stats.calls.load(Ordering::Relaxed),
+            sessions: shards.iter().map(|s| s.sessions).sum(),
+            calls: shards.iter().map(|s| s.calls).sum(),
             replays: self.stats.replays.load(Ordering::Relaxed),
-            replay_evictions: self.stats.replay_evictions.load(Ordering::Relaxed),
             chaos_kills: self.stats.chaos_kills.load(Ordering::Relaxed),
             vm_compiles: shards.iter().map(|s| s.vm_compiles).sum(),
             vm_cache_hits: shards.iter().map(|s| s.vm_cache_hits).sum(),
             memo_hits: 0,
             memo_misses: 0,
             panics_caught: self.stats.panics_caught.load(Ordering::Relaxed),
-            shard_restarts: self.stats.shard_restarts.load(Ordering::Relaxed),
+            shard_restarts: shards.iter().map(|s| s.restarts).sum(),
             journal_replays: self.stats.journal_replays.load(Ordering::Relaxed),
         }
     }
@@ -750,7 +747,7 @@ impl SessionServerHandle {
     /// calls while the server is not serving, are ignored.
     pub fn kill_shard(&self, shard: usize) {
         if let Some(pool) = self.stats.pool() {
-            pool.kill(&self.stats, shard);
+            pool.kill(shard);
         }
     }
 
@@ -1143,8 +1140,8 @@ fn serve_session_connection(
             // The client gives up first and retransmits on a new
             // connection while this one still holds the reply.
             Some(Chaos::LateReply) => std::thread::sleep(LATE_REPLY),
-            // A dropped or torn reply was served and cached, so the
-            // retransmit hits the replay cache.
+            // A dropped or torn reply was served and kept as the
+            // session's last reply, which answers the retransmit.
             Some(lost) => {
                 stats.chaos_kills.fetch_add(1, Ordering::Relaxed);
                 if lost == Chaos::TornReply {
@@ -1398,7 +1395,6 @@ mod tests {
         let shards = handle.shard_stats();
         assert_eq!(shards.len(), 4);
         assert_eq!(shards.iter().map(|s| s.calls).sum::<u64>(), 40);
-        assert_eq!(shards.iter().map(|s| s.fragments).sum::<u64>(), 40);
         assert!(shards.iter().map(|s| s.cost_units).sum::<u64>() > 0);
         assert_eq!(shards.iter().map(|s| s.sessions).sum::<u64>(), 8);
         // Every shard entry (8 Hellos + 40 sequenced calls) was observed
@@ -1441,24 +1437,6 @@ mod tests {
         stop(&handle, serve);
         assert_eq!(worker.join().expect("worker"), 50_000);
         assert_eq!(handle.stats().calls, 50_001);
-    }
-
-    #[test]
-    fn bounded_replay_window_evicts_and_counts() {
-        let (handle, serve) = spawn(accumulator_server().with_shards(2));
-        let mut chan = connect(&handle);
-        let c = ComponentId::new(0);
-        let l = FragLabel::new(0);
-        for n in 1..=5i64 {
-            chan.call(c, 1, l, &[Value::Int(n)]).expect("call");
-        }
-        chan.shutdown().expect("shutdown");
-        stop(&handle, serve);
-        let stats = handle.stats();
-        assert_eq!(stats.calls, 5);
-        // One slot: storing responses 2..=5 each evicts its predecessor.
-        assert_eq!(stats.replay_evictions, 4);
-        assert_eq!(handle.metrics().counter(names::SERVER_REPLAY_EVICTIONS), 4);
     }
 
     #[test]
@@ -1568,8 +1546,8 @@ mod tests {
             component: c,
             key: 1,
         });
-        // A's stale unit 1 is answered from the replay window, after its
-        // release was served.
+        // A's stale unit 1 is answered with the session's last reply,
+        // after its release was served.
         send(Request::SeqCall {
             seq: 1,
             call: acc_call(5),

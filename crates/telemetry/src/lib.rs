@@ -40,7 +40,7 @@
 //!   [`MetricsRecorder`] is the standard counters+histograms
 //!   implementation.
 //! * [`TransportStats`] — reliability counters (retries, reconnects,
-//!   faults, replays), reported *beside* — never inside — interaction
+//!   faults), reported *beside* — never inside — interaction
 //!   counts. Lives here so transports and reports share one definition.
 //! * [`Snapshot`] — the `hps-telemetry/v1` document: transport stats and
 //!   metrics folded into one JSON-encodable value.

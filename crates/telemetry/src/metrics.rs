@@ -57,9 +57,8 @@ pub mod names {
     pub const SERVER_JOURNAL_REPLAYS: &str = "hps_server_journal_replays_total";
     /// Fragment panics caught by per-request `catch_unwind` isolation.
     pub const SERVER_PANICS_CAUGHT: &str = "hps_server_panics_caught_total";
-    /// Entries evicted from session replay caches by the capacity bound.
-    pub const SERVER_REPLAY_EVICTIONS: &str = "hps_server_replay_evictions_total";
-    /// Retransmits answered from a session server's replay cache.
+    /// Retransmits a session server answered again with the session's
+    /// last reply.
     pub const SERVER_REPLAYS: &str = "hps_server_replays_total";
     /// Distinct sessions created on a session server.
     pub const SERVER_SESSIONS: &str = "hps_server_sessions_total";
@@ -110,7 +109,6 @@ pub const ALL_COUNTERS: &[&str] = &[
     names::SERVER_COST_UNITS,
     names::SERVER_JOURNAL_REPLAYS,
     names::SERVER_PANICS_CAUGHT,
-    names::SERVER_REPLAY_EVICTIONS,
     names::SERVER_REPLAYS,
     names::SERVER_SESSIONS,
     names::SERVER_SHARD_RESTARTS,

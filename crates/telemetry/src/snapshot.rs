@@ -18,8 +18,7 @@ pub const SCHEMA: &str = "hps-telemetry/v1";
 /// (never inside) the logical metrics.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct Snapshot {
-    /// Transport reliability counters (retries, reconnects, faults,
-    /// replays).
+    /// Transport reliability counters (retries, reconnects, faults).
     pub transport: TransportStats,
     /// Counters and histograms recorded during the run.
     pub metrics: MetricsSnapshot,

@@ -3,7 +3,7 @@
 use crate::json::Json;
 
 /// Reliability counters a transport keeps *beside* the logical
-/// interaction count. Retries, reconnects and replays are transport
+/// interaction count. Retries, reconnects and faults are transport
 /// plumbing: they never add logical calls, trace events or interactions,
 /// so they are reported separately from the paper's "Component
 /// Interactions" (see `hps-runtime`'s `Channel::interactions`).
@@ -15,11 +15,6 @@ pub struct TransportStats {
     pub reconnects: u64,
     /// Faults observed (timeouts, resets, cut frames).
     pub faults: u64,
-    /// Deliveries answered from a replay cache instead of re-executing.
-    /// The TCP client cannot tell a replayed reply from a fresh one and
-    /// leaves this 0; the session server counts its replays in
-    /// `hps_server_replays_total`.
-    pub replays: u64,
 }
 
 impl TransportStats {
@@ -28,7 +23,6 @@ impl TransportStats {
         self.retries += other.retries;
         self.reconnects += other.reconnects;
         self.faults += other.faults;
-        self.replays += other.replays;
     }
 
     /// The stats as a JSON object (field order is part of the
@@ -38,7 +32,6 @@ impl TransportStats {
             .field("retries", self.retries)
             .field("reconnects", self.reconnects)
             .field("faults", self.faults)
-            .field("replays", self.replays)
     }
 }
 
@@ -52,13 +45,11 @@ mod tests {
             retries: 1,
             reconnects: 2,
             faults: 3,
-            replays: 4,
         };
         a.merge(&TransportStats {
             retries: 10,
             reconnects: 20,
             faults: 30,
-            replays: 40,
         });
         assert_eq!(
             a,
@@ -66,7 +57,6 @@ mod tests {
                 retries: 11,
                 reconnects: 22,
                 faults: 33,
-                replays: 44,
             }
         );
     }
@@ -74,7 +64,7 @@ mod tests {
     #[test]
     fn json_field_order_is_stable() {
         let text = TransportStats::default().to_json().pretty();
-        let order: Vec<usize> = ["retries", "reconnects", "faults", "replays"]
+        let order: Vec<usize> = ["retries", "reconnects", "faults"]
             .iter()
             .map(|k| text.find(k).expect("field present"))
             .collect();

@@ -100,21 +100,18 @@ fn arb_metrics() -> impl Strategy<Value = MetricsSnapshot> {
 }
 
 fn arb_snapshot() -> impl Strategy<Value = Snapshot> {
-    (
-        (0u64..1 << 20, 0u64..1 << 20, 0u64..1 << 20, 0u64..1 << 20),
-        arb_metrics(),
-    )
-        .prop_map(|((retries, reconnects, faults, replays), metrics)| {
+    ((0u64..1 << 20, 0u64..1 << 20, 0u64..1 << 20), arb_metrics()).prop_map(
+        |((retries, reconnects, faults), metrics)| {
             Snapshot::new(
                 TransportStats {
                     retries,
                     reconnects,
                     faults,
-                    replays,
                 },
                 metrics,
             )
-        })
+        },
+    )
 }
 
 fn merged(a: &Snapshot, b: &Snapshot) -> Snapshot {

@@ -38,6 +38,7 @@ use hps::split::{split_program, SplitPlan, SplitResult};
 use std::io::{Read, Write};
 use std::net::SocketAddr;
 use std::process::ExitCode;
+use std::time::Duration;
 
 fn main() -> ExitCode {
     match run() {
@@ -530,6 +531,11 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         .map_err(|e| e.to_string())
 }
 
+/// How long the metrics endpoint waits on one scrape's socket, each way.
+/// It serves one connection at a time, so this bounds how long an idle or
+/// stalled client holds back the next scrape.
+const METRICS_IO_TIMEOUT: Duration = Duration::from_secs(1);
+
 /// Serves the session server's live counters as Prometheus text format
 /// (content-type `text/plain; version=0.0.4`) over a minimal HTTP/1.0
 /// responder. Every request gets the full exposition regardless of path —
@@ -541,6 +547,8 @@ fn spawn_metrics_endpoint(addr: &str, handle: SessionServerHandle) -> Result<Soc
     std::thread::spawn(move || {
         for stream in listener.incoming() {
             let Ok(mut stream) = stream else { continue };
+            let _ = stream.set_read_timeout(Some(METRICS_IO_TIMEOUT));
+            let _ = stream.set_write_timeout(Some(METRICS_IO_TIMEOUT));
             // Drain (best effort) the request head; we answer any request.
             let mut buf = [0u8; 1024];
             let _ = stream.read(&mut buf);
@@ -594,8 +602,7 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
     let program = load(path)?;
     let split = do_split(&program, &selection)?;
     let entry_args = int_args(entry)?;
-    let policy =
-        RetryPolicy::new().with_call_deadline(timeout_ms.map(std::time::Duration::from_millis));
+    let policy = RetryPolicy::new().with_call_deadline(timeout_ms.map(Duration::from_millis));
     let mut channel =
         TcpChannel::connect_reliable(addr.as_str(), policy).map_err(|e| e.to_string())?;
     let meta = SplitMeta::derive(&split.open, &split.hidden);

@@ -398,3 +398,56 @@ fn serve_and_client_split_across_processes() {
     assert!(stderr.contains("interactions"));
     assert!(stderr.contains("transport:"), "{stderr}");
 }
+
+#[test]
+fn an_idle_metrics_connection_does_not_block_scrapes() {
+    let path = demo_file();
+    let (addr, metrics) = ("127.0.0.1:47262", "127.0.0.1:47263");
+    let mut server = Command::new(HPS)
+        .args([
+            "serve",
+            path.to_str().unwrap(),
+            addr,
+            "--func",
+            "fee",
+            "--var",
+            "rate",
+            "--metrics",
+            metrics,
+        ])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn server");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let idle = loop {
+        match TcpStream::connect(metrics) {
+            Ok(stream) => break stream,
+            Err(_) if Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            Err(e) => {
+                let _ = server.kill();
+                panic!("metrics endpoint never came up: {e}");
+            }
+        }
+    };
+    // `idle` stays open and sends nothing while another client scrapes.
+    let scrape = || -> std::io::Result<String> {
+        let mut stream = TcpStream::connect(metrics)?;
+        stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+        stream.write_all(b"GET /metrics HTTP/1.0\r\n\r\n")?;
+        let mut body = String::new();
+        std::io::Read::read_to_string(&mut stream, &mut body)?;
+        Ok(body)
+    };
+    let started = Instant::now();
+    let body = scrape();
+    let took = started.elapsed();
+    drop(idle);
+    let _ = server.kill();
+    let _ = server.wait();
+    let body = body.expect("scrape answered while a connection sat idle");
+    assert!(body.contains("hps_server_calls_total"), "{body}");
+    assert!(took < Duration::from_secs(5), "scrape took {took:?}");
+}
