@@ -9,7 +9,7 @@ use super::*;
 use crate::cost::COST_MODEL;
 use crate::ops;
 use hps_ir::infer::{expr_ty, LocalTypes};
-use hps_ir::{Block, Expr, Function, Place, StmtKind};
+use hps_ir::{Block, Expr, Fragment, Function, Place, StmtKind, Ty};
 
 /// The program a fragment's operands are typed against.
 static NO_PROGRAM: Program = Program {
@@ -28,7 +28,7 @@ static NO_PROGRAM: Program = Program {
 /// of other types fail or compute as the reference does. A fragment
 /// beyond the bytecode's index ranges compiles to code that raises
 /// [`RuntimeError::Unlowerable`].
-pub fn compile_fragment(fragment: &Fragment, vars: &[Ty]) -> CompiledFragment {
+pub(crate) fn compile_fragment(fragment: &Fragment, vars: &[Ty]) -> CompiledFragment {
     let n_vars = vars.len();
     let slots: Vec<Ty> = vars
         .iter()

@@ -7,10 +7,11 @@
 //! [`SplitMeta::derive`](crate::SplitMeta::derive), and every
 //! [`Interp`](crate::Interp) the metadata is attached to runs that code,
 //! batching or not; an unsplit program is compiled by its `Interp`'s first
-//! run. Fragments are compiled at split/handshake time and cached per
-//! server (and per shard) in a [`VmCache`]. Compiled code, open or
-//! fragment, is plain `Send + Sync` data even though the `RtValue`
-//! registers it operates on are not.
+//! run. A hidden program is compiled once, when it is installed
+//! ([`HiddenCode::compile`]): a [`SecureServer`](crate::SecureServer),
+//! or one shard pool for all its shards, lowers every fragment before
+//! the first call. Compiled code, open or hidden, is plain `Send + Sync`
+//! data even though the `RtValue` registers it operates on are not.
 //!
 //! # One instruction set, one lowering
 //!
@@ -91,17 +92,12 @@ mod vm;
 use crate::error::RuntimeError;
 use crate::interp::MetaKind;
 use crate::value::RtValue;
-use hps_ir::{
-    BinOp, Builtin, ComponentId, FragLabel, Fragment, HiddenProgram, HiddenVar, Program, Ty, UnOp,
-    Value,
-};
+use hps_ir::{BinOp, Builtin, ComponentId, FragLabel, HiddenProgram, Program, UnOp, Value};
 use inline::inline_leaves;
-pub use lower::compile_fragment;
+pub(crate) use lower::compile_fragment;
 use lower::{compile_function, Open};
 use specialise::specialise;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
-pub use vm::run_compiled;
+pub(crate) use vm::run_compiled;
 pub(crate) use vm::Vm;
 #[cfg(test)]
 pub(crate) use vm::{int_binop_into, run_compiled_with_limit, set_int};
@@ -344,24 +340,11 @@ struct Body {
 /// A fragment lowered to register bytecode. Plain data: `Send + Sync`,
 /// safe to share across shard threads even though `RtValue` is not.
 #[derive(Clone, Debug)]
-pub struct CompiledFragment {
+pub(crate) struct CompiledFragment {
     body: Body,
     n_vars: usize,
     n_params: usize,
     label: FragLabel,
-}
-
-impl CompiledFragment {
-    /// Number of bytecode instructions (for diagnostics and benches).
-    pub fn len(&self) -> usize {
-        self.body.code.len()
-    }
-
-    /// True when the fragment lowered to no instructions (never happens:
-    /// the epilogue always emits a return).
-    pub fn is_empty(&self) -> bool {
-        self.body.code.is_empty()
-    }
 }
 
 /// One open function lowered to bytecode.
@@ -508,79 +491,69 @@ impl OpenCode {
     }
 }
 
-/// Compile-once cache of fragment bytecode, keyed by `(component index,
-/// fragment position)`, sized for one [`HiddenProgram`].
-///
-/// Compiled code is immutable plain data, so one cache can be shared by
-/// every session of a shard (`Arc<VmCache>`); the counters are relaxed
-/// atomics so stats snapshots can read them from other threads.
+/// A hidden program compiled once, when it is installed: each
+/// component's fragments lowered to bytecode and its hidden variables'
+/// starting values. Plain `Send + Sync` data, so every session of a
+/// server, on every shard, shares one.
 #[derive(Debug)]
-pub struct VmCache {
-    slots: Vec<Vec<OnceLock<CompiledFragment>>>,
-    compiles: AtomicU64,
-    hits: AtomicU64,
-    compile_nanos: AtomicU64,
+pub(crate) struct HiddenCode {
+    components: Box<[ComponentCode]>,
 }
 
-impl VmCache {
-    /// An empty cache sized for `hidden`'s components and fragments.
-    pub fn for_program(hidden: &HiddenProgram) -> VmCache {
-        VmCache {
-            slots: hidden
-                .components
-                .iter()
-                .map(|c| c.fragments.iter().map(|_| OnceLock::new()).collect())
-                .collect(),
-            compiles: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            compile_nanos: AtomicU64::new(0),
-        }
-    }
+/// One hidden component, compiled.
+#[derive(Debug)]
+pub(crate) struct ComponentCode {
+    /// Each hidden variable's starting value (`None`: an uninitialised
+    /// aggregate), like [`FuncCode::locals`].
+    vars: Box<[Option<Value>]>,
+    fragments: Box<[CompiledFragment]>,
+}
 
-    /// Fragments compiled so far (each fragment compiles at most once).
-    pub fn compiles(&self) -> u64 {
-        self.compiles.load(Ordering::Relaxed)
-    }
-
-    /// Executions served from already-compiled bytecode.
-    pub fn cache_hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Wall-clock nanoseconds spent compiling (never part of deterministic
-    /// snapshots; surfaced via `ShardStats` for load attribution).
-    pub fn compile_nanos(&self) -> u64 {
-        self.compile_nanos.load(Ordering::Relaxed)
-    }
-
-    /// Returns the compiled code for the fragment at `(component,
-    /// position)` of a component with hidden variables `vars`, lowering it
-    /// on first use; the flag is `true` when this call performed the
-    /// compile. The position must be one of the program the cache was
-    /// built for.
-    pub(crate) fn get_or_compile(
-        &self,
-        component: usize,
-        position: usize,
-        fragment: &Fragment,
-        vars: &[HiddenVar],
-    ) -> (&CompiledFragment, bool) {
-        let cell = &self.slots[component][position];
-        let mut fresh = false;
-        let code = cell.get_or_init(|| {
-            let t0 = std::time::Instant::now();
-            let vars: Vec<Ty> = vars.iter().map(|v| v.ty.clone()).collect();
-            let compiled = compile_fragment(fragment, &vars);
-            self.compile_nanos
-                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            self.compiles.fetch_add(1, Ordering::Relaxed);
-            fresh = true;
-            compiled
+impl HiddenCode {
+    /// Lowers every fragment of `hidden`. A fragment that does not lower
+    /// compiles to code that raises its error when called.
+    pub(crate) fn compile(hidden: &HiddenProgram) -> HiddenCode {
+        let components = hidden.components.iter().map(|c| {
+            let tys: Vec<_> = c.vars.iter().map(|v| v.ty.clone()).collect();
+            ComponentCode {
+                vars: c
+                    .vars
+                    .iter()
+                    .map(|v| v.init.or_else(|| RtValue::default_of(&v.ty).to_const()))
+                    .collect(),
+                fragments: c
+                    .fragments
+                    .iter()
+                    .map(|f| compile_fragment(f, &tys))
+                    .collect(),
+            }
         });
-        if !fresh {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        HiddenCode {
+            components: components.collect(),
         }
-        (code, fresh)
+    }
+
+    /// The component at `id`.
+    pub(crate) fn component(&self, id: ComponentId) -> Option<&ComponentCode> {
+        self.components.get(id.index())
+    }
+
+    /// How many fragments the program has, each compiled once.
+    pub(crate) fn fragments(&self) -> usize {
+        self.components.iter().map(|c| c.fragments.len()).sum()
+    }
+}
+
+impl ComponentCode {
+    /// The fragment labelled `label`.
+    pub(crate) fn fragment(&self, label: FragLabel) -> Option<&CompiledFragment> {
+        self.fragments.iter().find(|f| f.label == label)
+    }
+
+    /// The component's hidden variables at their starting values: the
+    /// state of an activation or instance on its first call.
+    pub(crate) fn fresh_vars(&self) -> Vec<RtValue> {
+        self.vars.iter().map(|&v| default_value(v)).collect()
     }
 }
 
@@ -590,7 +563,7 @@ mod tests {
     use super::*;
     use crate::reference::run_hidden;
     use crate::server::FragOutcome;
-    use hps_ir::{Block, Expr, Stmt};
+    use hps_ir::{Block, Expr, Fragment, Stmt, Ty};
 
     pub(super) fn frag(body: Vec<Stmt>, params: usize, ret: Option<Expr>) -> Fragment {
         Fragment {
@@ -633,31 +606,9 @@ mod tests {
     fn compiled_code_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<CompiledFragment>();
-        assert_send_sync::<VmCache>();
+        assert_send_sync::<HiddenCode>();
         assert_send_sync::<ProgramCode>();
         assert_send_sync::<OpenCode>();
         assert_send_sync::<crate::SplitMeta>();
-    }
-
-    #[test]
-    fn cache_compiles_once_and_counts_hits() {
-        let f = frag(vec![], 0, Some(Expr::int(7)));
-        let hidden = HiddenProgram {
-            components: vec![hps_ir::HiddenComponent {
-                id: hps_ir::ComponentId::new(0),
-                kind: hps_ir::ComponentKind::Function {
-                    func_name: "f".into(),
-                },
-                vars: vec![],
-                fragments: vec![f.clone()],
-            }],
-        };
-        let cache = VmCache::for_program(&hidden);
-        let (_, fresh) = cache.get_or_compile(0, 0, &f, &[]);
-        assert!(fresh);
-        let (_, fresh) = cache.get_or_compile(0, 0, &f, &[]);
-        assert!(!fresh);
-        assert_eq!(cache.compiles(), 1);
-        assert_eq!(cache.cache_hits(), 1);
     }
 }

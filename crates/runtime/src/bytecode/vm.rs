@@ -968,7 +968,7 @@ fn scalar_arg(v: &RtValue) -> Result<Value, RuntimeError> {
 /// # Errors
 ///
 /// The same errors, at the same evaluation points, as the tree-walk.
-pub fn run_compiled(
+pub(crate) fn run_compiled(
     compiled: &CompiledFragment,
     vars: &mut [RtValue],
     args: &[Value],

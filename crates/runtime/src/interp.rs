@@ -1,7 +1,7 @@
 //! The open-side interpreter.
 //!
-//! [`Interp`] runs an `hps_ir::Program` on the register bytecode VM of
-//! [`crate::bytecode`] — the same instruction set, lowering and dispatch
+//! [`Interp`] runs an `hps_ir::Program` on the crate's register bytecode
+//! VM (`bytecode/`) — the same instruction set, lowering and dispatch
 //! loop that runs hidden fragments. A split's open program is compiled
 //! once, by [`SplitMeta::derive`], and every `Interp` the metadata is
 //! attached to ([`Interp::with_channel`]) runs that code; an `Interp`
@@ -27,7 +27,7 @@
 //! only) does; the interpreter goldens in `hps-suite` and the crate's
 //! `open_vm_differential` tests pin all three (DESIGN.md §7c).
 
-use crate::bytecode::{OpenCode, Vm};
+use crate::bytecode::{HiddenCode, OpenCode, Vm};
 use crate::channel::{Channel, InProcessChannel, TransportStats};
 use crate::error::RuntimeError;
 use crate::server::SecureServer;
@@ -282,7 +282,8 @@ impl<'p> Executor<'p> {
             Some(r) => RecorderHandle::new(r.clone()),
             None => RecorderHandle::none(),
         };
-        let server = SecureServer::new(self.hidden.clone()).with_recorder(handle.clone());
+        let code = Arc::new(HiddenCode::compile(self.hidden));
+        let server = SecureServer::installed(code).with_recorder(handle.clone());
         let mut channel = InProcessChannel::new(server)
             .with_rtt(self.rtt)
             .with_recorder(handle.clone());
@@ -349,7 +350,7 @@ pub fn run_program(program: &Program, args: &[RtValue]) -> Result<Outcome, Runti
 ///
 /// Returns a [`RuntimeError`] for execution faults or a missing/ill-typed
 /// entry function.
-pub fn run_function(
+pub(crate) fn run_function(
     program: &Program,
     name: &str,
     args: &[RtValue],

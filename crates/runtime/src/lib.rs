@@ -7,15 +7,15 @@
 //!
 //! * [`interp`] — the interpreter for `hps_ir::Program`s, with
 //!   deterministic virtual-time cost accounting ([`cost::CostModel`]). It
-//!   runs the program on the register bytecode of [`bytecode`], compiled
-//!   once per split by [`interp::SplitMeta::derive`] (or once per
-//!   interpreter for an unsplit program). A plain tree-walk of both halves,
-//!   compiled only for the crate's tests, is the reference the VM is
-//!   differentially tested against.
-//! * [`server`] — the secure-side executor: holds a
-//!   [`hps_ir::HiddenProgram`], keeps per-activation / per-instance hidden
-//!   state, and runs every fragment on the same VM, compiled once per
-//!   server; the same tree-walk is its reference.
+//!   runs the program on the crate's register bytecode, compiled once per
+//!   split by [`interp::SplitMeta::derive`] (or once per interpreter for
+//!   an unsplit program). A plain tree-walk of both halves, compiled only
+//!   for the crate's tests, is the reference the VM is differentially
+//!   tested against.
+//! * [`server`] — the secure-side executor: installs a
+//!   [`hps_ir::HiddenProgram`], compiling every fragment once, keeps
+//!   per-activation / per-instance hidden state, and runs every fragment
+//!   on the same VM; the same tree-walk is its reference.
 //! * [`channel`] — the open↔hidden transport abstraction; in-process with a
 //!   configurable round-trip cost for deterministic experiments.
 //! * [`tcp`] — a real TCP transport (length-prefixed frames of varint
@@ -98,7 +98,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub mod bytecode;
+mod bytecode;
 pub mod channel;
 pub mod cost;
 pub mod error;
@@ -125,14 +125,11 @@ pub mod wire;
 pub use hps_telemetry as telemetry;
 pub use hps_telemetry::{MetricsRecorder, MetricsSnapshot, Recorder, RecorderHandle};
 
-pub use bytecode::{compile_fragment, CompiledFragment, VmCache};
 pub use channel::{CallReply, Channel, InProcessChannel, PendingCall, TransportStats};
 pub use cost::{CostModel, COST_MODEL};
 pub use error::{FaultClass, RuntimeError};
 pub use fault::CrashConfig;
-pub use interp::{
-    run_function, run_program, ExecConfig, ExecReport, Executor, Interp, Outcome, SplitMeta,
-};
+pub use interp::{run_program, ExecConfig, ExecReport, Executor, Interp, Outcome, SplitMeta};
 pub use journal::SessionJournal;
 pub use server::SecureServer;
 pub use shard::ShardStats;

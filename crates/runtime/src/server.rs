@@ -1,11 +1,12 @@
 //! The secure-side server.
 //!
-//! Holds the [`HiddenProgram`] and the hidden part of the running program's
-//! state, keyed by `(component, activation-or-instance id)`. State is
-//! created lazily on first touch (so no extra round trip is needed to open
-//! an activation) and freed on [`SecureServer::release`].
+//! Holds the installed [`HiddenProgram`], compiled once when it is
+//! installed, and the hidden part of the running program's state, keyed
+//! by `(component, activation-or-instance id)`. State is created lazily on
+//! first touch (so no extra round trip is needed to open an activation)
+//! and freed on [`SecureServer::release`].
 
-use crate::bytecode::{run_compiled, VmCache};
+use crate::bytecode::{run_compiled, HiddenCode};
 use crate::error::RuntimeError;
 use crate::value::RtValue;
 use hps_ir::{ComponentId, FragLabel, HiddenProgram, Value};
@@ -26,36 +27,31 @@ pub struct FragOutcome {
 /// The secure machine: hidden code plus hidden state.
 #[derive(Debug)]
 pub struct SecureServer {
-    hidden: Arc<HiddenProgram>,
+    /// The installed program, compiled; the sessions of a shard pool share
+    /// one.
+    code: Arc<HiddenCode>,
     state: HashMap<(ComponentId, u64), Vec<RtValue>>,
     calls_served: u64,
     cost_spent: u64,
     recorder: RecorderHandle,
-    /// Compile-once fragment bytecode cache, built for `hidden`: every
-    /// fragment runs on the VM. The sessions of a shard share one.
-    vm: Arc<VmCache>,
 }
 
 impl SecureServer {
-    /// Creates a server installing the given hidden program, with an
-    /// empty compile-once bytecode cache of its own.
+    /// Creates a server installing the given hidden program: every
+    /// fragment is compiled here, once.
     pub fn new(hidden: HiddenProgram) -> SecureServer {
-        let vm = Arc::new(VmCache::for_program(&hidden));
-        SecureServer::shared(Arc::new(hidden), vm)
+        SecureServer::installed(Arc::new(HiddenCode::compile(&hidden)))
     }
 
-    /// A server over a program and a compile-once cache that other
-    /// servers share: the shard pool hands every session of a shard the
-    /// same two, so the program is held once and each fragment lowers at
-    /// most once per shard. `vm` must be built for `hidden`.
-    pub(crate) fn shared(hidden: Arc<HiddenProgram>, vm: Arc<VmCache>) -> SecureServer {
+    /// A server running already compiled code, which other servers may
+    /// share: the shard pool hands every session the one it compiled.
+    pub(crate) fn installed(code: Arc<HiddenCode>) -> SecureServer {
         SecureServer {
-            hidden,
+            code,
             state: HashMap::new(),
             calls_served: 0,
             cost_spent: 0,
             recorder: RecorderHandle::none(),
-            vm,
         }
     }
 
@@ -81,33 +77,17 @@ impl SecureServer {
         label: FragLabel,
         args: &[Value],
     ) -> Result<FragOutcome, RuntimeError> {
-        if component.index() >= self.hidden.components.len() {
-            return Err(RuntimeError::UnknownComponent(component));
-        }
-        let comp = &self.hidden.components[component.index()];
-        let position = comp
-            .fragments
-            .iter()
-            .position(|f| f.label == label)
+        let comp = self
+            .code
+            .component(component)
+            .ok_or(RuntimeError::UnknownComponent(component))?;
+        let code = comp
+            .fragment(label)
             .ok_or(RuntimeError::UnknownFragment { component, label })?;
-        let fragment = &comp.fragments[position];
-        let vars = self.state.entry((component, key)).or_insert_with(|| {
-            comp.vars
-                .iter()
-                .map(|v| match v.init {
-                    Some(init) => RtValue::from_const(init),
-                    None => RtValue::default_of(&v.ty),
-                })
-                .collect()
-        });
-        let (code, fresh) =
-            self.vm
-                .get_or_compile(component.index(), position, fragment, &comp.vars);
-        self.recorder.record(if fresh {
-            Event::VmCompile
-        } else {
-            Event::VmCacheHit
-        });
+        let vars = self
+            .state
+            .entry((component, key))
+            .or_insert_with(|| comp.fresh_vars());
         let outcome = run_compiled(code, vars, args)?;
         self.calls_served += 1;
         self.cost_spent += outcome.cost;
@@ -152,20 +132,15 @@ impl SecureServer {
         self.cost_spent
     }
 
+    /// The installed program's code.
+    #[cfg(test)]
+    pub(crate) fn code(&self) -> &Arc<HiddenCode> {
+        &self.code
+    }
+
     /// Number of live activations/instances.
     pub fn live_activations(&self) -> usize {
         self.state.len()
-    }
-
-    /// Fragments lowered to bytecode by this server's cache (shared caches
-    /// report the shared totals).
-    pub fn vm_compiles(&self) -> u64 {
-        self.vm.compiles()
-    }
-
-    /// Fragment executions served from already-compiled bytecode.
-    pub fn vm_cache_hits(&self) -> u64 {
-        self.vm.cache_hits()
     }
 }
 
@@ -248,28 +223,53 @@ mod tests {
     }
 
     #[test]
-    fn fragments_compile_once_and_hit_the_cache() {
-        let mut server = SecureServer::new(counter_program());
-        let c = ComponentId::new(0);
-        let l = FragLabel::new(0);
-        for i in 0..4 {
-            server.call(c, 1, l, &[Value::Int(i)]).unwrap();
-        }
-        assert_eq!(server.vm_compiles(), 1, "one fragment lowers once");
-        assert_eq!(server.vm_cache_hits(), 3);
-    }
-
-    #[test]
-    fn shared_vm_cache_compiles_once_across_servers() {
-        let hidden = Arc::new(counter_program());
-        let cache = Arc::new(VmCache::for_program(&hidden));
-        let c = ComponentId::new(0);
-        let l = FragLabel::new(0);
-        let mut a = SecureServer::shared(Arc::clone(&hidden), Arc::clone(&cache));
-        let mut b = SecureServer::shared(hidden, Arc::clone(&cache));
-        a.call(c, 1, l, &[Value::Int(7)]).unwrap();
-        b.call(c, 2, l, &[Value::Int(7)]).unwrap();
-        assert_eq!((cache.compiles(), cache.cache_hits()), (1, 1));
+    fn a_fragment_that_does_not_lower_installs_and_fails_when_called() {
+        // Component 0 gains `L1`, a `print` the fragment subset forbids;
+        // component 1 has more hidden variables than the bytecode
+        // addresses, so its `L0` does not lower at all.
+        let mut hidden = counter_program();
+        hidden.components[0].fragments.push(Fragment {
+            label: FragLabel::new(1),
+            params: vec![],
+            body: Block::of(vec![Stmt::new(StmtKind::Print(Expr::int(1)))]),
+            ret: None,
+        });
+        hidden.add(HiddenComponent {
+            id: ComponentId::new(1),
+            kind: ComponentKind::Function {
+                func_name: "g".into(),
+            },
+            vars: (0..70_000)
+                .map(|i| HiddenVar {
+                    name: format!("v{i}"),
+                    ty: Ty::Int,
+                    init: None,
+                })
+                .collect(),
+            fragments: vec![Fragment {
+                label: FragLabel::new(0),
+                params: vec![],
+                body: Block::new(),
+                ret: None,
+            }],
+        });
+        let mut server = SecureServer::new(hidden);
+        let (c0, c1) = (ComponentId::new(0), ComponentId::new(1));
+        let (l0, l1) = (FragLabel::new(0), FragLabel::new(1));
+        let add = |server: &mut SecureServer, p| server.call(c0, 1, l0, &[Value::Int(p)]);
+        assert_eq!(add(&mut server, 5).unwrap().value, Value::Int(5));
+        let illegal = server.call(c0, 1, l1, &[]).unwrap_err();
+        assert_eq!(
+            illegal.to_string(),
+            "fragment attempted an illegal operation: print in fragment"
+        );
+        let unlowered = server.call(c1, 1, l0, &[]).unwrap_err();
+        assert_eq!(
+            unlowered.to_string(),
+            "program cannot be lowered to bytecode: more variables than bytecode registers"
+        );
+        assert_eq!(add(&mut server, 5).unwrap().value, Value::Int(10));
+        assert_eq!(server.calls_served(), 2);
     }
 
     #[test]

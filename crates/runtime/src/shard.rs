@@ -16,8 +16,8 @@
 //! thread hand-off. Hidden values never leave the shard: fragments take
 //! and return scalar [`hps_ir::Value`]s, and replies leave as encoded
 //! frames (`SessionMap` states why the map may be used from more than one
-//! thread). Every session of a shard shares the shard's hidden program
-//! and compile-once bytecode cache.
+//! thread). The pool compiles the hidden program once, for all its
+//! shards, and every session shares that code.
 //!
 //! A busy shard holds back exactly the connections talking to it, never
 //! other shards. No socket I/O happens inside a shard: a connection copies
@@ -50,7 +50,7 @@
 //! `--shards 1` and `--shards N`
 //! (`crates/suite/tests/shard_equivalence.rs` pins this, chaos included).
 
-use crate::bytecode::VmCache;
+use crate::bytecode::HiddenCode;
 use crate::channel::{CallReply, PendingCall};
 use crate::fault::{stream_seed, CrashConfig};
 use crate::journal::{journal_path, load_disk_journal, DiskJournal, SessionJournal};
@@ -123,6 +123,11 @@ impl StatsInner {
             .clone()
     }
 
+    /// Fragments the pool compiled when it was installed.
+    pub(crate) fn compiled_fragments(&self) -> u64 {
+        self.counters().iter().map(|c| c.compiled).sum()
+    }
+
     pub(crate) fn shard_stats(&self) -> Vec<ShardStats> {
         self.counters()
             .iter()
@@ -133,9 +138,7 @@ impl StatsInner {
                 cost_units: c.cost.load(Ordering::Relaxed),
                 sessions: c.sessions.load(Ordering::Relaxed),
                 max_queue_depth: c.max_depth.load(Ordering::Relaxed),
-                vm_compiles: c.vm.compiles(),
-                vm_cache_hits: c.vm.cache_hits(),
-                compile_nanos: c.vm.compile_nanos(),
+                compile_nanos: c.compile_nanos,
                 exec_nanos: c.exec_nanos.load(Ordering::Relaxed),
                 restarts: c.restarts.load(Ordering::Relaxed),
             })
@@ -160,15 +163,16 @@ struct ShardCounters {
     exec_nanos: AtomicU64,
     /// Deaths of this shard: kills, injected kills and poisoned locks.
     restarts: AtomicU64,
-    /// The shard's shared compile-once bytecode cache. Every session of
-    /// the shard compiles into — and hits — this cache; it holds `Send +
-    /// Sync` code only and survives shard deaths.
-    vm: Arc<VmCache>,
+    /// The pool's one compile of the hidden program, held by shard 0 (0
+    /// on every other shard): the fragments it compiled, and its
+    /// wall-clock nanoseconds.
+    compiled: u64,
+    compile_nanos: u64,
 }
 
 impl ShardCounters {
-    /// Zeroed counters around an empty bytecode cache for `hidden`.
-    fn new(hidden: &HiddenProgram) -> ShardCounters {
+    /// Zeroed counters beside a compile's fragments and nanoseconds.
+    fn new((compiled, compile_nanos): (u64, u64)) -> ShardCounters {
         ShardCounters {
             calls: AtomicU64::new(0),
             cost: AtomicU64::new(0),
@@ -178,7 +182,8 @@ impl ShardCounters {
             queue_depth: Mutex::new(Histogram::new()),
             exec_nanos: AtomicU64::new(0),
             restarts: AtomicU64::new(0),
-            vm: Arc::new(VmCache::for_program(hidden)),
+            compiled,
+            compile_nanos,
         }
     }
 }
@@ -198,16 +203,13 @@ pub struct ShardStats {
     /// Most connections seen waiting for or inside this shard as one
     /// entered it.
     pub max_queue_depth: u64,
-    /// Fragments lowered to bytecode by this shard's compile-once cache.
-    pub vm_compiles: u64,
-    /// Fragment executions this shard served from compiled bytecode.
-    pub vm_cache_hits: u64,
-    /// Wall-clock nanoseconds spent compiling fragments on this shard.
-    /// Wall-clock fields feed load attribution (`BENCH_*.json`) only —
-    /// they never enter deterministic metrics snapshots.
+    /// Wall-clock nanoseconds the pool spent compiling the hidden program
+    /// when it was installed, on shard 0; 0 on every other shard, so the
+    /// sum over shards is the one compile. Wall-clock fields feed load
+    /// attribution (`BENCH_*.json`) only — they never enter deterministic
+    /// metrics snapshots.
     pub compile_nanos: u64,
-    /// Wall-clock nanoseconds spent executing sequenced units (includes
-    /// compile time of first-touch fragments).
+    /// Wall-clock nanoseconds spent executing sequenced units.
     pub exec_nanos: u64,
     /// Times this shard died — killed, killed by the crash schedule, or
     /// its lock poisoned — and dropped its live sessions (sums to
@@ -252,8 +254,9 @@ impl Default for ShardConfig {
 /// [`ShardPool::hello`], [`ShardPool::seq`] and [`ShardPool::release`].
 pub(crate) struct ShardPool {
     shards: Vec<Shard>,
-    /// The hidden program, held once: every session's server shares it.
-    hidden: Arc<HiddenProgram>,
+    /// The hidden program, compiled once: every session's server shares
+    /// it.
+    code: Arc<HiddenCode>,
     config: ShardConfig,
 }
 
@@ -287,11 +290,11 @@ struct SessionMap(HashMap<u64, Session>);
 // hidden values (`RtValue`) in each `SecureServer`'s state, whose
 // interiors are shared `Rc`s, and the server's `RecorderHandle`, an `Rc`
 // that shard sessions never set. The rest — journal bytes, the shared
-// `Arc<HiddenProgram>` and `Arc<VmCache>`, reply frames, disk journal
-// file, strings — is `Send`. Every such `Rc` is reachable from this map
-// alone: fragments take and return scalar `hps_ir::Value`s, errors carry
-// strings, and the shard's `VmCache` holds `Send + Sync` code, so no
-// clone escapes to an owner outside the map. The map is touched only
+// `Arc<HiddenCode>`, reply frames, disk journal file, strings — is
+// `Send`. Every such `Rc` is reachable from this map alone: fragments
+// take and return scalar `hps_ir::Value`s, errors carry strings, and the
+// `HiddenCode` holds `Send + Sync` code, so no clone escapes to an owner
+// outside the map. The map is touched only
 // under its shard's `Mutex`, so one thread at a time uses these `Rc`s, and
 // the lock orders every hand-over between threads.
 unsafe impl Send for SessionMap {}
@@ -383,15 +386,22 @@ impl Drop for Leave<'_> {
 }
 
 impl ShardPool {
-    /// `config.shards` shards (min 1), each with one compile-once bytecode
-    /// cache shared by all its sessions.
+    /// `config.shards` shards (min 1) serving `hidden`, which is compiled
+    /// here, once, for all of them.
     pub(crate) fn new(config: ShardConfig, hidden: &HiddenProgram) -> ShardPool {
         if config.crash.is_some_and(|c| c.panic_per_mille > 0) {
             silence_injected_panics();
         }
+        let t0 = Instant::now();
+        let code = Arc::new(HiddenCode::compile(hidden));
+        let compile = (code.fragments() as u64, t0.elapsed().as_nanos() as u64);
         let shards = (0..config.shards.max(1))
             .map(|shard| Shard {
-                counters: Arc::new(ShardCounters::new(hidden)),
+                counters: Arc::new(ShardCounters::new(if shard == 0 {
+                    compile
+                } else {
+                    (0, 0)
+                })),
                 state: Mutex::new(ShardState {
                     sessions: SessionMap(HashMap::new()),
                     incarnation: 0,
@@ -401,7 +411,7 @@ impl ShardPool {
             .collect();
         ShardPool {
             shards,
-            hidden: Arc::new(hidden.clone()),
+            code,
             config,
         }
     }
@@ -727,11 +737,10 @@ fn open_session<'s>(state: &'s mut ShardState, cx: &Cx, session: u64) -> &'s mut
     record
 }
 
-/// A brand-new (or about-to-be-replayed-into) live session. Sessions
-/// share the shard's program and compile-once cache, so each fragment
-/// lowers at most once per shard.
+/// A brand-new (or about-to-be-replayed-into) live session, running the
+/// pool's one compiled program.
 fn fresh_live(cx: &Cx, session: u64) -> Live {
-    let server = SecureServer::shared(Arc::clone(&cx.pool.hidden), Arc::clone(&cx.counters.vm));
+    let server = SecureServer::installed(Arc::clone(&cx.pool.code));
     let disk = cx
         .pool
         .config
@@ -1097,5 +1106,49 @@ pub(crate) mod tests {
         }
         assert_eq!(stats.journal_replays.load(Ordering::Relaxed), 0);
         assert_eq!(stats.shard_stats()[0].calls, 4);
+    }
+
+    #[test]
+    fn every_session_on_every_shard_runs_the_one_compiled_program() {
+        let config = ShardConfig {
+            shards: 4,
+            ..ShardConfig::default()
+        };
+        let pool = Arc::new(ShardPool::new(config, &accumulator_program()));
+        let stats = StatsInner::default();
+        stats.install(&pool);
+        // How many live sessions there are, each checked to share the
+        // pool's code.
+        let sharing = |pool: &ShardPool| {
+            let mut live = 0;
+            for shard in &pool.shards {
+                let state = shard.state.lock().expect("shard lock");
+                for record in state.sessions.0.values() {
+                    let Some(Slot::Live(session)) = &record.slot else {
+                        panic!("every session is live");
+                    };
+                    assert!(Arc::ptr_eq(session.server.code(), &pool.code));
+                    live += 1;
+                }
+            }
+            live
+        };
+        for session in 0..8 {
+            assert_eq!(pool.hello(&stats, session), 1);
+            assert_eq!(add(&pool, &stats, session, 1, 1), 1);
+        }
+        assert_eq!(sharing(&pool), 8);
+        for shard in 0..4 {
+            pool.kill(shard);
+        }
+        for session in 0..8 {
+            assert_eq!(add(&pool, &stats, session, 2, 2), 3);
+        }
+        assert_eq!(stats.journal_replays.load(Ordering::Relaxed), 8);
+        assert_eq!(sharing(&pool), 8);
+        // The one compile is shard 0's.
+        assert_eq!(stats.compiled_fragments(), 1);
+        let shards = stats.shard_stats();
+        assert!(shards[1..].iter().all(|s| s.compile_nanos == 0));
     }
 }

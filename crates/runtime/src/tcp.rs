@@ -665,10 +665,12 @@ pub struct ServerStats {
     /// Connections closed by a [`ChaosConfig`] fault (every fault but a
     /// late reply).
     pub chaos_kills: u64,
-    /// Fragments lowered to bytecode by the fragment VM's compile-once
-    /// caches (all shards).
+    /// Fragments compiled when the hidden program was installed: each
+    /// fragment compiles once, for all shards. Kept for existing readers
+    /// of this struct; not exported by [`ServerStats::to_metrics`].
     pub vm_compiles: u64,
-    /// Fragment executions served from already-compiled bytecode.
+    /// Equals [`ServerStats::calls`]: every call runs code compiled at
+    /// install. Kept and not exported, like [`ServerStats::vm_compiles`].
     pub vm_cache_hits: u64,
     /// Always 0: the runtime does not memoize fragments, every call runs
     /// on the VM. Kept for existing readers of this struct; not exported
@@ -697,8 +699,6 @@ impl ServerStats {
         m.add(names::SERVER_CALLS, self.calls);
         m.add(names::SERVER_REPLAYS, self.replays);
         m.add(names::SERVER_CHAOS_KILLS, self.chaos_kills);
-        m.add(names::SERVER_VM_COMPILES, self.vm_compiles);
-        m.add(names::SERVER_VM_CACHE_HITS, self.vm_cache_hits);
         m.add(names::SERVER_PANICS_CAUGHT, self.panics_caught);
         m.add(names::SERVER_SHARD_RESTARTS, self.shard_restarts);
         m.add(names::SERVER_JOURNAL_REPLAYS, self.journal_replays);
@@ -724,14 +724,15 @@ impl SessionServerHandle {
     /// are the shards' sums.
     pub fn stats(&self) -> ServerStats {
         let shards = self.stats.shard_stats();
+        let calls = shards.iter().map(|s| s.calls).sum();
         ServerStats {
             connections: self.stats.connections.load(Ordering::Relaxed),
             sessions: shards.iter().map(|s| s.sessions).sum(),
-            calls: shards.iter().map(|s| s.calls).sum(),
+            calls,
             replays: self.stats.replays.load(Ordering::Relaxed),
             chaos_kills: self.stats.chaos_kills.load(Ordering::Relaxed),
-            vm_compiles: shards.iter().map(|s| s.vm_compiles).sum(),
-            vm_cache_hits: shards.iter().map(|s| s.vm_cache_hits).sum(),
+            vm_compiles: self.stats.compiled_fragments(),
+            vm_cache_hits: calls,
             memo_hits: 0,
             memo_misses: 0,
             panics_caught: self.stats.panics_caught.load(Ordering::Relaxed),

@@ -111,13 +111,5 @@ fn snapshot_counters_cross_check_the_report() {
             "{}: in-process call/fragment counts must pair up",
             b.name
         );
-        // One execution path: every fragment either compiles or hits the
-        // VM cache, so nothing can run around the VM.
-        assert_eq!(
-            m.counter(names::SERVER_VM_COMPILES) + m.counter(names::SERVER_VM_CACHE_HITS),
-            m.counter(names::FRAGMENTS),
-            "{}: vm compiles + cache hits must equal fragments executed",
-            b.name
-        );
     }
 }

@@ -64,10 +64,6 @@ pub mod names {
     pub const SERVER_SESSIONS: &str = "hps_server_sessions_total";
     /// Shard deaths: kills, injected kills and poisoned shard locks.
     pub const SERVER_SHARD_RESTARTS: &str = "hps_server_shard_restarts_total";
-    /// Fragment executions served from already-compiled bytecode.
-    pub const SERVER_VM_CACHE_HITS: &str = "hps_server_vm_cache_hits_total";
-    /// Fragments lowered to bytecode by the VM's compile-once cache.
-    pub const SERVER_VM_COMPILES: &str = "hps_server_vm_compiles_total";
     /// Events captured by the adversary's wiretap.
     pub const TRACE_EVENTS: &str = "hps_trace_events_total";
 
@@ -112,8 +108,6 @@ pub const ALL_COUNTERS: &[&str] = &[
     names::SERVER_REPLAYS,
     names::SERVER_SESSIONS,
     names::SERVER_SHARD_RESTARTS,
-    names::SERVER_VM_CACHE_HITS,
-    names::SERVER_VM_COMPILES,
     names::TRACE_EVENTS,
 ];
 

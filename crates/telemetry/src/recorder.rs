@@ -55,10 +55,6 @@ pub enum Event {
         /// Virtual cost units the fragment execution took.
         cost: u64,
     },
-    /// The fragment VM lowered a fragment to bytecode (first execution).
-    VmCompile,
-    /// A fragment execution was served from already-compiled bytecode.
-    VmCacheHit,
     /// The adversary's wiretap captured one logical call.
     TraceEvent,
     /// The open interpreter finished a run.
@@ -128,8 +124,6 @@ impl Recorder for MetricsRecorder {
                 m.inc(names::FRAGMENTS);
                 m.observe(names::FRAGMENT_COST_UNITS, cost);
             }
-            Event::VmCompile => m.inc(names::SERVER_VM_COMPILES),
-            Event::VmCacheHit => m.inc(names::SERVER_VM_CACHE_HITS),
             Event::TraceEvent => m.inc(names::TRACE_EVENTS),
             Event::OpenRun { steps, cost } => {
                 m.add(names::OPEN_STEPS, steps);

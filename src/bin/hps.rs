@@ -106,7 +106,8 @@ stdout, with program output diverted to stderr. `serve --shards N` spreads
 sessions over N lock-guarded shards (session_id % N) for multi-core
 throughput; `serve --metrics ADDR` exposes the live server counters and
 the shard queue-depth histogram in Prometheus text format over HTTP.
-Hidden fragments execute on a compile-once bytecode VM.
+Hidden fragments execute on a bytecode VM, compiled once when the server
+installs the hidden program.
 ";
 
 fn load(path: &str) -> Result<hps::ir::Program, String> {
