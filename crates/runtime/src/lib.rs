@@ -123,7 +123,7 @@ pub mod wire;
 /// for callers wiring up [`interp::Executor::recorder`] or the per-channel
 /// `with_recorder` builders.
 pub use hps_telemetry as telemetry;
-pub use hps_telemetry::{MetricsRecorder, MetricsSnapshot, Recorder, RecorderHandle};
+pub use hps_telemetry::{MetricsRecorder, MetricsSnapshot, RecorderHandle};
 
 pub use channel::{CallReply, Channel, InProcessChannel, PendingCall, TransportStats};
 pub use cost::{CostModel, COST_MODEL};

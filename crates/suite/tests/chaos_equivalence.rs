@@ -16,8 +16,7 @@ use hps_runtime::tcp::TcpChannel;
 use hps_runtime::telemetry::metrics::names;
 use hps_runtime::{
     Channel, ChaosConfig, CrashConfig, ExecConfig, InProcessChannel, Interp, MetricsRecorder,
-    Recorder, RecorderHandle, RetryPolicy, SecureServer, SessionServer, SplitMeta, Trace,
-    TraceChannel,
+    RecorderHandle, RetryPolicy, SecureServer, SessionServer, SplitMeta, Trace, TraceChannel,
 };
 use std::path::PathBuf;
 use std::rc::Rc;
@@ -149,7 +148,7 @@ fn chaos_matrix_holds_on_sharded_tcp_server() {
                 let recorder = Rc::new(MetricsRecorder::new());
                 let mut chan = TcpChannel::connect_reliable_with_session(addr, policy, seed)
                     .expect("connect")
-                    .with_recorder(RecorderHandle::new(Rc::clone(&recorder) as Rc<dyn Recorder>));
+                    .with_recorder(RecorderHandle::new(Rc::clone(&recorder)));
                 let (output, trace) =
                     run_traced(&split.open, &meta, b.workload(300, 77), config(), &mut chan);
                 let interactions = chan.interactions();

@@ -64,7 +64,7 @@ fn traced_run(
     recorder: Option<&Rc<MetricsRecorder>>,
 ) -> (Vec<String>, Trace, u64) {
     let handle = match recorder {
-        Some(r) => RecorderHandle::new(Rc::clone(r) as Rc<dyn hps_runtime::Recorder>),
+        Some(r) => RecorderHandle::new(Rc::clone(r)),
         None => RecorderHandle::none(),
     };
     let meta = SplitMeta::derive(&split.open, &split.hidden);

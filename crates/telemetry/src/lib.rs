@@ -35,10 +35,9 @@
 //! * [`MetricsSnapshot`] — ordered counters + histograms with lossless
 //!   [`MetricsSnapshot::merge`], Prometheus text rendering and a stable
 //!   hand-rolled JSON encoding.
-//! * [`Recorder`] / [`Event`] / [`RecorderHandle`] — the pluggable hook the
-//!   runtime threads through its interpreter, channels and servers;
-//!   [`MetricsRecorder`] is the standard counters+histograms
-//!   implementation.
+//! * [`MetricsRecorder`] / [`Event`] / [`RecorderHandle`] — the hook the
+//!   runtime threads through its interpreter, channels and servers; the
+//!   recorder folds events into counters and histograms.
 //! * [`TransportStats`] — reliability counters (retries, reconnects,
 //!   faults), reported *beside* — never inside — interaction
 //!   counts. Lives here so transports and reports share one definition.
@@ -54,6 +53,6 @@ pub mod transport;
 
 pub use hist::Histogram;
 pub use metrics::MetricsSnapshot;
-pub use recorder::{Event, MetricsRecorder, Recorder, RecorderHandle};
+pub use recorder::{Event, MetricsRecorder, RecorderHandle};
 pub use snapshot::{Snapshot, SCHEMA};
 pub use transport::TransportStats;

@@ -1,4 +1,4 @@
-//! The pluggable recording hook the runtime threads through itself.
+//! The recording hook the runtime threads through itself.
 //!
 //! Instrumented code (interpreter, channels, servers) holds a
 //! [`RecorderHandle`] and fires [`Event`]s at it. With no recorder
@@ -66,14 +66,9 @@ pub enum Event {
     },
 }
 
-/// Consumes [`Event`]s. Takes `&self` so one recorder can be shared (via
-/// [`RecorderHandle`] clones) by every instrumented layer of a run.
-pub trait Recorder {
-    /// Records one event.
-    fn record(&self, event: &Event);
-}
-
-/// The standard recorder: folds events into a [`MetricsSnapshot`].
+/// The recorder: folds events into a [`MetricsSnapshot`]. Records through
+/// `&self`, so one recorder can be shared (via [`RecorderHandle`] clones)
+/// by every instrumented layer of a run.
 #[derive(Debug, Default)]
 pub struct MetricsRecorder {
     metrics: RefCell<MetricsSnapshot>,
@@ -89,10 +84,9 @@ impl MetricsRecorder {
     pub fn snapshot(&self) -> MetricsSnapshot {
         self.metrics.borrow().clone()
     }
-}
 
-impl Recorder for MetricsRecorder {
-    fn record(&self, event: &Event) {
+    /// Records one event.
+    pub fn record(&self, event: &Event) {
         let mut m = self.metrics.borrow_mut();
         match *event {
             Event::Call { args, server_cost } => {
@@ -133,7 +127,7 @@ impl Recorder for MetricsRecorder {
     }
 }
 
-/// A cheap, cloneable, optional reference to a [`Recorder`].
+/// A cheap, cloneable, optional reference to a [`MetricsRecorder`].
 ///
 /// This is what instrumented structs store: default (disabled) costs one
 /// `Option` branch per hook and allocates nothing. `Rc` (not `Arc`)
@@ -141,7 +135,7 @@ impl Recorder for MetricsRecorder {
 /// threaded servers aggregate through atomics instead (see
 /// `hps-runtime::tcp::ServerStats`).
 #[derive(Clone, Default)]
-pub struct RecorderHandle(Option<Rc<dyn Recorder>>);
+pub struct RecorderHandle(Option<Rc<MetricsRecorder>>);
 
 impl RecorderHandle {
     /// The disabled handle: every [`RecorderHandle::record`] is a no-op.
@@ -150,7 +144,7 @@ impl RecorderHandle {
     }
 
     /// A handle delivering events to `recorder`.
-    pub fn new(recorder: Rc<dyn Recorder>) -> RecorderHandle {
+    pub fn new(recorder: Rc<MetricsRecorder>) -> RecorderHandle {
         RecorderHandle(Some(recorder))
     }
 
