@@ -200,7 +200,6 @@ fn weak_count(security: &SecurityReport) -> usize {
 /// pipeline it runs.
 pub struct Planner<'p> {
     program: &'p Program,
-    rule: SeedRule,
     budget: Option<f64>,
     harden: bool,
     targets: Option<SplitPlan>,
@@ -208,24 +207,17 @@ pub struct Planner<'p> {
 }
 
 impl<'p> Planner<'p> {
-    /// Starts planning for `program` with the defaults: cost-restricted
-    /// seed rule, no budget, no hardening, automatic target selection, no
-    /// measurement.
+    /// Starts planning for `program` with the defaults: no budget, no
+    /// hardening, automatic target selection, no measurement. Seeds are
+    /// chosen by the default (cost-restricted) seed rule.
     pub fn new(program: &'p Program) -> Planner<'p> {
         Planner {
             program,
-            rule: SeedRule::default(),
             budget: None,
             harden: false,
             targets: None,
             measurer: None,
         }
-    }
-
-    /// Sets the seed-selection rule (default: [`SeedRule::CostRestricted`]).
-    pub fn rule(mut self, rule: SeedRule) -> Planner<'p> {
-        self.rule = rule;
-        self
     }
 
     /// Sets the overhead budget in percent. With a budget, `plan()` walks
@@ -292,13 +284,13 @@ impl<'p> Planner<'p> {
                 ..PlanReport::default()
             };
             report.plan = plan.clone();
-            report.rule = self.rule;
             let analysis = OriginalAnalysis::new(self.program);
             let report = self.level(report, &analysis)?;
             return Ok(self.conclude(report, &analysis));
         }
 
-        let mut ladder = OptimizeLadder::new(self.program, self.rule, PlanCostModel::default());
+        let mut ladder =
+            OptimizeLadder::new(self.program, SeedRule::default(), PlanCostModel::default());
         loop {
             let outcome = ladder.outcome(None);
             if outcome.plan.targets.is_empty() && outcome.level == 0 {
