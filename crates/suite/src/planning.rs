@@ -1,9 +1,9 @@
 //! The canonical plan-measurement harness.
 //!
 //! One definition of "measure a split's overhead" shared by everything
-//! that verifies budgets — `hps split`'s planner mode, the suite's plan
-//! goldens, the bench crate's `plan_gate` binary and the CI `plan` job —
-//! so their numbers agree byte for byte:
+//! that verifies budgets — `hps split`'s planner mode and the suite's plan
+//! goldens, which the CI `plan` job runs — so their numbers agree byte for
+//! byte:
 //!
 //! * the workload is the benchmark's **first** listed size scaled down to
 //!   [`PLAN_SCALE`]th (floor [`PLAN_FLOOR`]), workload seed 1 — the same
