@@ -540,7 +540,9 @@ const METRICS_IO_TIMEOUT: Duration = Duration::from_secs(1);
 /// Serves the session server's live counters as Prometheus text format
 /// (content-type `text/plain; version=0.0.4`) over a minimal HTTP/1.0
 /// responder. Every request gets the full exposition regardless of path —
-/// the registry is tiny and scrapes are idempotent reads of atomics.
+/// the registry is tiny and scrapes are idempotent reads of atomics. Each
+/// connection is served on a thread of its own, which its I/O timeouts
+/// end, so a client that sends nothing holds back no other scrape.
 fn spawn_metrics_endpoint(addr: &str, handle: SessionServerHandle) -> Result<SocketAddr, String> {
     let listener = std::net::TcpListener::bind(addr)
         .map_err(|e| format!("cannot bind metrics endpoint {addr}: {e}"))?;
@@ -548,21 +550,24 @@ fn spawn_metrics_endpoint(addr: &str, handle: SessionServerHandle) -> Result<Soc
     std::thread::spawn(move || {
         for stream in listener.incoming() {
             let Ok(mut stream) = stream else { continue };
-            let _ = stream.set_read_timeout(Some(METRICS_IO_TIMEOUT));
-            let _ = stream.set_write_timeout(Some(METRICS_IO_TIMEOUT));
-            // Drain (best effort) the request head; we answer any request.
-            let mut buf = [0u8; 1024];
-            let _ = stream.read(&mut buf);
-            let body = handle.metrics().to_prometheus();
-            let response = format!(
-                "HTTP/1.0 200 OK\r\n\
-                 Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
-                 Content-Length: {}\r\n\
-                 Connection: close\r\n\r\n{}",
-                body.len(),
-                body
-            );
-            let _ = stream.write_all(response.as_bytes());
+            let handle = handle.clone();
+            std::thread::spawn(move || {
+                let _ = stream.set_read_timeout(Some(METRICS_IO_TIMEOUT));
+                let _ = stream.set_write_timeout(Some(METRICS_IO_TIMEOUT));
+                // Drain (best effort) the request head; we answer any request.
+                let mut buf = [0u8; 1024];
+                let _ = stream.read(&mut buf);
+                let body = handle.metrics().to_prometheus();
+                let response = format!(
+                    "HTTP/1.0 200 OK\r\n\
+                     Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
+                     Content-Length: {}\r\n\
+                     Connection: close\r\n\r\n{}",
+                    body.len(),
+                    body
+                );
+                let _ = stream.write_all(response.as_bytes());
+            });
         }
     });
     Ok(bound)
