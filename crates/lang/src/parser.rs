@@ -356,19 +356,7 @@ impl<'a> Parser<'a> {
     fn stmt_inner(&mut self) -> Result<AStmt, LangError> {
         let span = self.span();
         match self.peek().clone() {
-            TokenKind::Keyword(Keyword::Var) => {
-                self.bump();
-                let name = self.expect_ident()?;
-                self.expect_punct(Punct::Colon)?;
-                let ty = self.ty()?;
-                let init = if self.eat_punct(Punct::Assign) {
-                    Some(self.expr()?)
-                } else {
-                    None
-                };
-                self.expect_punct(Punct::Semi)?;
-                Ok(AStmt::new(AStmtKind::VarDecl { name, ty, init }, span))
-            }
+            TokenKind::Keyword(Keyword::Var) => self.var_decl(),
             TokenKind::Keyword(Keyword::If) => self.if_stmt(),
             TokenKind::Keyword(Keyword::While) => {
                 self.bump();
@@ -378,38 +366,7 @@ impl<'a> Parser<'a> {
                 let body = self.block()?;
                 Ok(AStmt::new(AStmtKind::While { cond, body }, span))
             }
-            TokenKind::Keyword(Keyword::For) => {
-                self.bump();
-                self.expect_punct(Punct::LParen)?;
-                let init = if *self.peek() == TokenKind::Punct(Punct::Semi) {
-                    None
-                } else {
-                    Some(Box::new(self.simple_stmt()?))
-                };
-                self.expect_punct(Punct::Semi)?;
-                let cond = if *self.peek() == TokenKind::Punct(Punct::Semi) {
-                    None
-                } else {
-                    Some(self.expr()?)
-                };
-                self.expect_punct(Punct::Semi)?;
-                let step = if *self.peek() == TokenKind::Punct(Punct::RParen) {
-                    None
-                } else {
-                    Some(Box::new(self.simple_stmt()?))
-                };
-                self.expect_punct(Punct::RParen)?;
-                let body = self.block()?;
-                Ok(AStmt::new(
-                    AStmtKind::For {
-                        init,
-                        cond,
-                        step,
-                        body,
-                    },
-                    span,
-                ))
-            }
+            TokenKind::Keyword(Keyword::For) => self.for_stmt(),
             TokenKind::Keyword(Keyword::Return) => {
                 self.bump();
                 let value = if *self.peek() == TokenKind::Punct(Punct::Semi) {
@@ -444,6 +401,58 @@ impl<'a> Parser<'a> {
                 Ok(s)
             }
         }
+    }
+
+    // `var` and `for` parse in functions of their own, so their locals
+    // take no room in `stmt_inner`'s frame, which every nesting level of
+    // a block pushes.
+    fn var_decl(&mut self) -> Result<AStmt, LangError> {
+        let span = self.span();
+        self.expect_keyword(Keyword::Var)?;
+        let name = self.expect_ident()?;
+        self.expect_punct(Punct::Colon)?;
+        let ty = self.ty()?;
+        let init = if self.eat_punct(Punct::Assign) {
+            Some(self.expr()?)
+        } else {
+            None
+        };
+        self.expect_punct(Punct::Semi)?;
+        Ok(AStmt::new(AStmtKind::VarDecl { name, ty, init }, span))
+    }
+
+    fn for_stmt(&mut self) -> Result<AStmt, LangError> {
+        let span = self.span();
+        self.expect_keyword(Keyword::For)?;
+        self.expect_punct(Punct::LParen)?;
+        let init = if *self.peek() == TokenKind::Punct(Punct::Semi) {
+            None
+        } else {
+            Some(Box::new(self.simple_stmt()?))
+        };
+        self.expect_punct(Punct::Semi)?;
+        let cond = if *self.peek() == TokenKind::Punct(Punct::Semi) {
+            None
+        } else {
+            Some(self.expr()?)
+        };
+        self.expect_punct(Punct::Semi)?;
+        let step = if *self.peek() == TokenKind::Punct(Punct::RParen) {
+            None
+        } else {
+            Some(Box::new(self.simple_stmt()?))
+        };
+        self.expect_punct(Punct::RParen)?;
+        let body = self.block()?;
+        Ok(AStmt::new(
+            AStmtKind::For {
+                init,
+                cond,
+                step,
+                body,
+            },
+            span,
+        ))
     }
 
     /// An assignment or expression statement, without the trailing `;`
